@@ -13,11 +13,17 @@
 //!   (§2.4/§5.2.3) used when a full [`EstimateSet`] injects predicted
 //!   future arrivals.
 //! * **Epsilon-push subscriptions.** Sessions subscribe to query ids;
-//!   [`PiService::pump`] walks subscriptions with `O(log n)` point queries
-//!   and pushes a refreshed estimate only when it moved by more than the
-//!   configured epsilon since the last push (completions always push a
-//!   final zero). Estimates that moved less are suppressed — the
-//!   "don't wake a million clients per tick" half of the design.
+//!   [`PiService::pump`] pushes a refreshed estimate only when it moved by
+//!   more than the configured epsilon since the last push (completions
+//!   always push a final zero). Estimates that moved less are suppressed —
+//!   the "don't wake a million clients per tick" half of the design.
+//! * **A pump that costs what changed.** An estimate falls at one second
+//!   per second between deltas (§2.2) and a delta moves everybody else's
+//!   by at most its own cost over `C` (§3.1), so the service knows without
+//!   an `O(log n)` point read which subscriptions are still inside
+//!   epsilon. `pump` reads only the others — none at all while nothing can
+//!   have moved — and runs the exact predicate on those, so the push
+//!   stream is the one a scan of every subscription would produce.
 //! * **Deterministic and checkpointable.** The service runs on the caller's
 //!   virtual clock ([`PiService::advance`]); identical call sequences
 //!   produce bit-identical pushes, and [`PiService::checkpoint`] /
@@ -89,6 +95,19 @@ pub use mirror::{QuarantineStats, SystemMirror};
 
 const NIL: u32 = u32::MAX;
 
+/// Residual work below which `IncrementalFluid::advance` counts a query
+/// as finished (its completion sweep's `EPS`): the most a predicted
+/// completion can take out of anybody else's estimate, in work units.
+const COMPLETION_RESIDUAL: f64 = 1e-9;
+
+/// Relative floating-point margin of a due-key. The drift bound holds in
+/// real arithmetic; two point estimates of one query taken at different
+/// tree shapes also differ by rounding, proportional to the magnitudes
+/// that enter them, and so do the running sums behind `clock + drift`.
+/// 1e-12 is about 4 500 ulps: two orders above the worst case of a
+/// 40-level descent, small against any epsilon worth configuring.
+const FP_MARGIN_REL: f64 = 1e-12;
+
 /// Checkpoint payload kind for a serialized [`PiService`].
 pub const CKPT_KIND_SERVICE: &str = "pi-service";
 
@@ -98,6 +117,12 @@ pub const CKPT_KIND_SERVICE: &str = "pi-service";
 /// before a close carries the old generation and is rejected — holders can
 /// never act on a recycled slot.
 pub type SessionId = u64;
+
+/// The push predicate: a subscription last told `last_push` (NaN =
+/// nothing yet) is pushed `est` when it moved by more than `epsilon`.
+fn moved(last_push: f64, est: f64, epsilon: f64) -> bool {
+    last_push.is_nan() || (est - last_push).abs() > epsilon
+}
 
 fn make_sid(slot: u32, gen: u32) -> SessionId {
     (u64::from(gen) << 32) | u64::from(slot)
@@ -449,7 +474,8 @@ pub struct PiStats {
     pub pumps: u64,
     /// Estimate pushes delivered (including finals).
     pub pushes: u64,
-    /// Pump visits whose estimate moved ≤ epsilon (no push).
+    /// Live subscriptions a pump left unpushed (estimate within epsilon
+    /// of the last push), summed over non-degraded pumps.
     pub suppressed: u64,
     /// Queue deadlines that fired.
     pub deadline_expired: u64,
@@ -581,6 +607,25 @@ pub struct PiService {
     tier: LoadTier,
     /// Virtual time of the next breaker audit.
     next_audit: f64,
+    /// Upper bound, in seconds, on how far the deltas applied so far can
+    /// have moved any *other* live query's estimate (§3.1: `cost/C` on
+    /// admit, `remaining/C` on abort and reweight, `|Δcost|/C` on refine,
+    /// the completion residual per predicted completion). Between deltas
+    /// an estimate falls at one second per second (§2.2), so no estimate
+    /// moves faster than `clock + drift` grows. Like `due_key`,
+    /// `due_floor` and `live_subs` this is derived state: never
+    /// checkpointed or journaled, rebuilt as "everything due" on restore.
+    drift: f64,
+    /// Per subscription slot, the value of `clock + drift` below which the
+    /// slot's estimate is still within epsilon of its last push without
+    /// being read. `-∞` = due now; `+∞` = parked (free slot, or a query
+    /// still queued, which admission re-arms).
+    due_key: Vec<f64>,
+    /// Lower bound on every entry of `due_key`.
+    due_floor: f64,
+    /// Active subscriptions whose query is live in the model — what a
+    /// full scan would read.
+    live_subs: u64,
     stats: PiStats,
     obs: Obs,
     /// Attached write-ahead log ([`PiService::open_durable`]); every
@@ -643,6 +688,10 @@ impl PiService {
             subs: Vec::with_capacity(cap),
             sub_free: Vec::with_capacity(cap.min(1024)),
             by_query: std::collections::HashMap::with_capacity(cap),
+            drift: 0.0,
+            due_key: Vec::with_capacity(cap),
+            due_floor: f64::INFINITY,
+            live_subs: 0,
             next_query: 1,
             arrivals: ArrivalRateEstimator::new(cfg.lambda_prior, cfg.lambda_prior_time),
             mean_cost: MeanCostEstimator::new(cfg.cost_prior, cfg.cost_prior_strength),
@@ -830,13 +879,57 @@ impl PiService {
         let mut cur = s.sub_head;
         s.sub_head = NIL;
         while cur != NIL {
-            let next = self.subs[cur as usize].next_in_session;
+            let Sub {
+                query,
+                next_in_session: next,
+                ..
+            } = self.subs[cur as usize];
             self.unlink_from_query(cur);
-            self.subs[cur as usize].active = false;
-            self.sub_free.push(cur);
+            if self.fluid.contains(query) {
+                self.live_subs -= 1;
+            }
+            self.free_sub(cur);
             cur = next;
         }
         self.session_free.push(slot);
+    }
+
+    /// Return an unlinked subscription slot to the free list, parked.
+    fn free_sub(&mut self, slot: u32) {
+        self.subs[slot as usize].active = false;
+        self.due_key[slot as usize] = f64::INFINITY;
+        self.sub_free.push(slot);
+    }
+
+    /// Make every key due: whatever just happened can have moved any
+    /// estimate, or the epsilon the keys were computed against, by an
+    /// amount the drift bound does not cover.
+    fn rearm_all(&mut self) {
+        self.due_key.fill(f64::NEG_INFINITY);
+        self.due_floor = f64::NEG_INFINITY;
+    }
+
+    /// Make every subscriber of `query` due; returns how many there are.
+    fn rearm_chain(&mut self, query: u64) -> u64 {
+        let mut n = 0;
+        let mut cur = self.by_query.get(&query).copied().unwrap_or(NIL);
+        while cur != NIL {
+            self.due_key[cur as usize] = f64::NEG_INFINITY;
+            self.due_floor = f64::NEG_INFINITY;
+            n += 1;
+            cur = self.subs[cur as usize].next_same_query;
+        }
+        n
+    }
+
+    /// Admit `id` into the model. It takes at most `cost/C` seconds of
+    /// service from anybody else (§3.1 read backwards).
+    fn arrive(&mut self, id: u64, cost: f64, weight: f64) {
+        self.fluid.arrive(id, cost, weight);
+        self.drift += cost / self.fluid.rate();
+        if self.obs.is_enabled() {
+            self.obs.counter_add("pi.delta.arrive", 1);
+        }
     }
 
     /// Remove a sub slot from its query's chain (head map updated/removed).
@@ -949,7 +1042,7 @@ impl PiService {
         self.pending_arrivals += 1;
         let admit = self.queue.is_empty() && self.cfg.slots.is_none_or(|k| self.fluid.len() < k);
         if admit {
-            self.fluid.arrive(id, cost, weight);
+            self.arrive(id, cost, weight);
         } else {
             let deadline = self
                 .cfg
@@ -966,14 +1059,9 @@ impl PiService {
         self.stats.submitted += 1;
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.submitted", 1);
-            self.obs.counter_add(
-                if admit {
-                    "pi.delta.arrive"
-                } else {
-                    "pi.enqueued"
-                },
-                1,
-            );
+            if !admit {
+                self.obs.counter_add("pi.enqueued", 1);
+            }
         }
         self.subscribe_inner(session, id);
         self.evaluate_tier();
@@ -993,7 +1081,8 @@ impl PiService {
         let Some(slot) = self.session_slot(session) else {
             return;
         };
-        if !self.fluid.contains(query)
+        let live = self.fluid.contains(query);
+        if !live
             && !self.queue.iter().any(|q| q.id == query)
             && !self.backoff.iter().any(|b| b.id == query)
         {
@@ -1023,11 +1112,15 @@ impl PiService {
         };
         let sub_slot = if let Some(s) = self.sub_free.pop() {
             self.subs[s as usize] = rec;
+            self.due_key[s as usize] = f64::NEG_INFINITY;
             s
         } else {
             self.subs.push(rec);
+            self.due_key.push(f64::NEG_INFINITY);
             (self.subs.len() - 1) as u32
         };
+        self.due_floor = f64::NEG_INFINITY;
+        self.live_subs += u64::from(live);
         if next_ss != NIL {
             self.subs[next_ss as usize].prev_in_session = sub_slot;
         }
@@ -1041,9 +1134,18 @@ impl PiService {
         }
     }
 
-    fn depart(&mut self, id: u64) {
-        if self.by_query.contains_key(&id) {
-            self.pending_final.push(id);
+    /// `id` left the system; `was_live` says it left the model (it was
+    /// admitted) and not the queue or the backoff list. Its subscribers
+    /// stay chained until the next pump's final push.
+    fn depart(&mut self, id: u64, was_live: bool) {
+        let Some(&head) = self.by_query.get(&id) else {
+            return;
+        };
+        self.pending_final.push(id);
+        let mut cur = if was_live { head } else { NIL };
+        while cur != NIL {
+            self.live_subs -= 1;
+            cur = self.subs[cur as usize].next_same_query;
         }
     }
 
@@ -1052,10 +1154,9 @@ impl PiService {
             let Some(q) = self.queue.pop_front() else {
                 break;
             };
-            self.fluid.arrive(q.id, q.cost, q.weight);
-            if self.obs.is_enabled() {
-                self.obs.counter_add("pi.delta.arrive", 1);
-            }
+            self.arrive(q.id, q.cost, q.weight);
+            // Subscribers that waited with it now have something to read.
+            self.live_subs += self.rearm_chain(q.id);
         }
     }
 
@@ -1124,7 +1225,7 @@ impl PiService {
                     }
                     None => {
                         self.stats.deadline_rejected += 1;
-                        self.depart(q.id);
+                        self.depart(q.id, false);
                         if self.obs.is_enabled() {
                             self.obs.counter_add("pi.deadline.expired", 1);
                             self.obs.counter_add("pi.deadline.rejected", 1);
@@ -1178,7 +1279,7 @@ impl PiService {
             self.queue.remove(idx);
         }
         self.stats.shed += 1;
-        self.depart(id);
+        self.depart(id, false);
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.shed", 1);
             self.obs.emit(self.clock, TraceKind::Reject { id });
@@ -1224,6 +1325,9 @@ impl PiService {
         let from = self.tier;
         self.tier = target;
         self.stats.tier_transitions += 1;
+        // The keys embed the effective epsilon of the tier they were
+        // computed in.
+        self.rearm_all();
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.tier.transitions", 1);
             self.obs.gauge_set("pi.tier.level", target as u8 as f64);
@@ -1304,6 +1408,7 @@ impl PiService {
                 );
             }
             let sanitized = self.fluid.rebuild();
+            self.rearm_all();
             self.stats.sanitized += sanitized as u64;
             self.stats.audit_rebuilds += 1;
             if self.obs.is_enabled() {
@@ -1346,8 +1451,9 @@ impl PiService {
             let done = std::mem::take(&mut self.scratch_done);
             for &id in &done {
                 self.stats.completed += 1;
-                self.depart(id);
+                self.depart(id, true);
             }
+            self.drift += done.len() as f64 * COMPLETION_RESIDUAL / self.fluid.rate();
             self.scratch_done = done;
             self.admit_from_queue();
             if self.obs.is_enabled() {
@@ -1376,9 +1482,11 @@ impl PiService {
     }
 
     fn abort_inner(&mut self, query: u64) -> bool {
-        if self.fluid.abort(query) {
+        if let Some(remaining) = self.fluid.remaining_cost(query) {
+            self.fluid.abort(query);
+            self.drift += remaining / self.fluid.rate();
             self.stats.aborted += 1;
-            self.depart(query);
+            self.depart(query, true);
             self.admit_from_queue();
             if self.obs.is_enabled() {
                 self.obs.counter_add("pi.delta.abort", 1);
@@ -1389,14 +1497,14 @@ impl PiService {
         if let Some(pos) = self.queue.iter().position(|q| q.id == query) {
             self.queue.remove(pos);
             self.stats.aborted += 1;
-            self.depart(query);
+            self.depart(query, false);
             self.evaluate_tier();
             return true;
         }
         if let Some(pos) = self.backoff.iter().position(|b| b.id == query) {
             self.backoff.remove(pos);
             self.stats.aborted += 1;
-            self.depart(query);
+            self.depart(query, false);
             self.evaluate_tier();
             return true;
         }
@@ -1416,7 +1524,10 @@ impl PiService {
 
     fn reweight_inner(&mut self, query: u64, weight: f64) -> bool {
         let weight = self.sane_weight(weight);
-        if self.fluid.reweight(query, weight) {
+        if let Some(remaining) = self.fluid.remaining_cost(query) {
+            self.fluid.reweight(query, weight);
+            self.drift += remaining / self.fluid.rate();
+            self.rearm_chain(query);
             if self.obs.is_enabled() {
                 self.obs.counter_add("pi.delta.reweight", 1);
             }
@@ -1450,11 +1561,16 @@ impl PiService {
             }
             return false;
         }
-        let ok = self.fluid.refine_cost(query, cost);
-        if ok && self.obs.is_enabled() {
+        let Some(remaining) = self.fluid.remaining_cost(query) else {
+            return false;
+        };
+        self.fluid.refine_cost(query, cost);
+        self.drift += (cost.max(0.0) - remaining).abs() / self.fluid.rate();
+        self.rearm_chain(query);
+        if self.obs.is_enabled() {
             self.obs.counter_add("pi.delta.refine", 1);
         }
-        ok
+        true
     }
 
     /// Change the aggregate rate `C` — O(1) in the incremental model.
@@ -1473,18 +1589,29 @@ impl PiService {
 
     fn set_rate_inner(&mut self, rate: f64) {
         self.fluid.set_rate(rate);
+        // A rate change rescales every estimate.
+        self.rearm_all();
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.delta.rate", 1);
         }
     }
 
-    /// Walk all subscriptions and push refreshed estimates into `out`:
-    /// final zero-estimates for departed queries first (closing those
-    /// subscriptions), then an `O(log n)` point estimate per live
-    /// subscription, pushed only when it moved more than the effective
-    /// epsilon since the last push. Queued (not yet admitted) queries are
-    /// not point-queried; their subscribers are pushed once admission
-    /// gives them a tag.
+    /// Push refreshed estimates into `out`: final zero-estimates for
+    /// departed queries first (closing those subscriptions), then every
+    /// live subscription whose `O(log n)` point estimate moved more than
+    /// the effective epsilon since its last push. Queued (not yet
+    /// admitted) queries have no point estimate; their subscribers are
+    /// pushed once admission gives them a tag.
+    ///
+    /// Only subscriptions that *can* have moved are read. An estimate
+    /// falls at one second per second between deltas and a delta moves
+    /// everybody else's by a bounded amount, so each slot carries the
+    /// value of `clock + drift` before which it is provably still inside
+    /// epsilon (see the `drift` field and DESIGN.md §13); slots short of
+    /// it are skipped, and a pump short of the smallest key returns
+    /// without looking at any slot. The slots that are read go through the
+    /// exact predicate, so pushes, their order and their values are those
+    /// of a scan that reads everything.
     ///
     /// The degradation ladder shapes this path: the EpsilonWiden tier
     /// multiplies the epsilon, and the FinalsOnly/Shed tiers skip
@@ -1502,6 +1629,7 @@ impl PiService {
     fn pump_inner(&mut self, out: &mut Vec<EstimatePush>) {
         let _span = self.obs.span("pi.pump");
         self.stats.pumps += 1;
+        let pushes_before = self.stats.pushes;
         let finals = std::mem::take(&mut self.pending_final);
         for &query in &finals {
             let Some(&head) = self.by_query.get(&query) else {
@@ -1519,8 +1647,7 @@ impl PiService {
                 });
                 self.stats.pushes += 1;
                 self.unlink_from_session(cur);
-                self.subs[cur as usize].active = false;
-                self.sub_free.push(cur);
+                self.free_sub(cur);
                 cur = sub.next_same_query;
             }
             self.by_query.remove(&query);
@@ -1533,36 +1660,24 @@ impl PiService {
             (Some(_), LoadTier::FinalsOnly | LoadTier::Shed) => (self.cfg.epsilon, true),
             _ => (self.cfg.epsilon, false),
         };
-        if finals_only {
+        let reads = if finals_only {
             self.stats.degraded_pumps += 1;
             if self.obs.is_enabled() {
                 self.obs.counter_add("pi.pump.degraded", 1);
             }
+            0
         } else {
-            for slot in 0..self.subs.len() {
-                let sub = self.subs[slot];
-                if !sub.active {
-                    continue;
-                }
-                let Some(est) = self.fluid.estimate(sub.query) else {
-                    continue; // queued behind the admission limit
-                };
-                let moved = sub.last_push.is_nan() || (est - sub.last_push).abs() > epsilon;
-                if moved {
-                    out.push(EstimatePush {
-                        session: make_sid(sub.session, self.sessions[sub.session as usize].gen),
-                        query: sub.query,
-                        at: self.clock,
-                        estimate: est,
-                        done: false,
-                    });
-                    self.subs[slot].last_push = est;
-                    self.stats.pushes += 1;
-                } else {
-                    self.stats.suppressed += 1;
-                }
-            }
-        }
+            let (pushed, reads) = self.pump_due(epsilon, out);
+            self.stats.pushes += pushed;
+            debug_assert_eq!(
+                self.live_subs,
+                self.recount_live_subs(),
+                "live-subscription count drifted from the chains"
+            );
+            // What a scan of every live subscription counts one by one.
+            self.stats.suppressed += self.live_subs - pushed;
+            reads
+        };
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.pump.calls", 1);
             let c = self.fluid.counters();
@@ -1578,8 +1693,98 @@ impl PiService {
                 deltas.saturating_sub(c.full_rebuilds) as f64,
             );
             self.obs.gauge_set("pi.live", self.fluid.len() as f64);
-            self.obs.counter_add("pi.push.sent", self.stats.pushes);
+            self.obs
+                .counter_add("pi.push.sent", self.stats.pushes - pushes_before);
+            self.obs.counter_add("pi.pump.reads", reads);
         }
+    }
+
+    /// The non-final half of a pump: read every slot whose key
+    /// `clock + drift` has reached, in slot order, push the ones that
+    /// moved beyond `epsilon`, and give each a new key. Returns
+    /// `(pushes, reads)`. Every comparison against a key is written so
+    /// that a NaN on either side means "read it".
+    fn pump_due(&mut self, epsilon: f64, out: &mut Vec<EstimatePush>) -> (u64, u64) {
+        let s = self.clock + self.drift;
+        if s < self.due_floor {
+            #[cfg(debug_assertions)]
+            (0..self.subs.len()).for_each(|slot| self.assert_within_epsilon(slot, epsilon));
+            return (0, 0);
+        }
+        // What the prefix sums inside a point estimate cancel against
+        // (`V·W/C`): with the estimate itself, the scale of its rounding.
+        let cancel =
+            (self.fluid.virtual_time() * self.fluid.total_weight() / self.fluid.rate()).abs();
+        let (mut pushed, mut reads) = (0, 0);
+        let mut floor = f64::INFINITY;
+        for slot in 0..self.subs.len() {
+            let key = self.due_key[slot];
+            if s < key {
+                #[cfg(debug_assertions)]
+                self.assert_within_epsilon(slot, epsilon);
+                floor = floor.min(key);
+                continue;
+            }
+            let sub = self.subs[slot];
+            let Some(est) = sub.active.then(|| self.fluid.estimate(sub.query)).flatten() else {
+                // Free, or queued behind the admission limit: parked
+                // until `subscribe` or admission re-arms the slot.
+                self.due_key[slot] = f64::INFINITY;
+                continue;
+            };
+            reads += 1;
+            let push = moved(sub.last_push, est, epsilon);
+            let last = if push { est } else { sub.last_push };
+            if push {
+                out.push(EstimatePush {
+                    session: make_sid(sub.session, self.sessions[sub.session as usize].gen),
+                    query: sub.query,
+                    at: self.clock,
+                    estimate: est,
+                    done: false,
+                });
+                self.subs[slot].last_push = est;
+                pushed += 1;
+            }
+            let slack = epsilon - (est - last).abs();
+            let margin = FP_MARGIN_REL * (est.abs() + last.abs() + s.abs() + cancel);
+            let key = s + slack - margin;
+            // A key that is not a number can promise nothing.
+            let key = if key.is_nan() { f64::NEG_INFINITY } else { key };
+            self.due_key[slot] = key;
+            floor = floor.min(key);
+        }
+        self.due_floor = floor;
+        (pushed, reads)
+    }
+
+    /// Debug cross-check of one skipped slot: the exact predicate must
+    /// agree that there is nothing to push.
+    #[cfg(debug_assertions)]
+    fn assert_within_epsilon(&self, slot: usize, epsilon: f64) {
+        let sub = self.subs[slot];
+        if !sub.active {
+            return;
+        }
+        if let Some(est) = self.fluid.estimate(sub.query) {
+            assert!(
+                !moved(sub.last_push, est, epsilon),
+                "slot {slot} (query {}) skipped at clock+drift {} < key {} but estimate {est} \
+                 is beyond epsilon {epsilon} of last push {}",
+                sub.query,
+                self.clock + self.drift,
+                self.due_key[slot],
+                sub.last_push
+            );
+        }
+    }
+
+    /// `live_subs` from first principles.
+    fn recount_live_subs(&self) -> u64 {
+        self.subs
+            .iter()
+            .filter(|s| s.active && self.fluid.contains(s.query))
+            .count() as u64
     }
 
     /// Full [`EstimateSet`] over live, queued, and backing-off queries,
@@ -2125,7 +2330,9 @@ impl PiService {
                 d.remaining()
             )));
         }
-        Ok(PiService {
+        // The pump's pre-filter is derived state: every key starts due.
+        let due_key = vec![f64::NEG_INFINITY; subs.len()];
+        let mut svc = PiService {
             cfg,
             clock,
             fluid,
@@ -2136,6 +2343,10 @@ impl PiService {
             subs,
             sub_free,
             by_query,
+            drift: 0.0,
+            due_key,
+            due_floor: f64::NEG_INFINITY,
+            live_subs: 0,
             next_query,
             arrivals,
             mean_cost,
@@ -2150,7 +2361,9 @@ impl PiService {
             wal_note_cache,
             scratch_done: Vec::new(),
             scratch_queued: Vec::new(),
-        })
+        };
+        svc.live_subs = svc.recount_live_subs();
+        Ok(svc)
     }
 }
 

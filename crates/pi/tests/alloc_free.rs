@@ -13,19 +13,31 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mqpi_pi::{PiConfig, PiService};
 
-/// Counts every allocation the process makes. Frees are not counted: the
-/// contract under test is "no new memory", not "no memory traffic".
+/// Counts the allocations of the calling thread. Frees are not counted:
+/// the contract under test is "no new memory", not "no memory traffic".
+/// The count is per thread because the test harness runs this file's
+/// tests on parallel threads, and one test's warm-up must not show up in
+/// the other's measured window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation and no destructor: reading this from inside
+    // the allocator neither allocates nor registers a thread-exit hook.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -34,7 +46,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +54,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the thread that asks.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Steady-state churn — one arrival and roughly one completion per tick,
@@ -144,5 +157,66 @@ fn warm_delta_updates_allocate_nothing() {
     assert_eq!(
         during, 0,
         "warm delta-apply + push allocated {during} times over 1000 ops"
+    );
+}
+
+/// An idle resident population — `advance` + `pump` only, long enough for
+/// every subscription to come due and be pushed again several times —
+/// allocates nothing, and neither does closing a session and subscribing
+/// a new one onto the slots it freed: the pump's due-key column grows
+/// only when the subscription table does.
+#[test]
+fn idle_population_and_reused_subscriptions_allocate_nothing() {
+    const POP: usize = 512;
+    const EPSILON: f64 = 0.05;
+    let mut svc = PiService::with_capacity(
+        PiConfig {
+            rate: 100.0,
+            epsilon: EPSILON,
+            slots: None,
+            ..PiConfig::default()
+        },
+        2 * POP,
+    );
+    let owner = svc.register_session();
+    let ids: Vec<u64> = (0..POP)
+        .map(|i| svc.submit(owner, 1e6 + i as f64, 1.0))
+        .collect();
+    let mut out = Vec::with_capacity(4 * POP);
+    // Warm-up: one watcher generation subscribed, pumped and closed, so
+    // the slot free list and the session table are at their high-water
+    // marks.
+    let watcher = svc.register_session();
+    for &id in &ids {
+        svc.subscribe(watcher, id);
+    }
+    svc.pump(&mut out);
+    svc.close_session(watcher);
+
+    let before = allocs();
+    let pushes_before = svc.stats().pushes;
+    for _ in 0..4 {
+        let watcher = svc.register_session();
+        for &id in &ids {
+            svc.subscribe(watcher, id);
+        }
+        for _ in 0..120 {
+            svc.advance(EPSILON / 50.0);
+            out.clear();
+            svc.pump(&mut out);
+        }
+        svc.close_session(watcher);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "idle advance+pump with reused subscription slots allocated {during} times"
+    );
+    // Each round: every watcher subscription pushed at once, then both
+    // populations twice more as 120 × ε/50 crosses epsilon twice.
+    assert!(
+        svc.stats().pushes - pushes_before >= 4 * 3 * POP as u64,
+        "the idle population must still be pushed: {:?}",
+        svc.stats()
     );
 }

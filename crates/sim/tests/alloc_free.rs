@@ -11,22 +11,34 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::system::{StepMode, System, SystemConfig};
 use mqpi_sim::AdmissionPolicy;
 
-/// Counts every allocation the process makes. Frees are not counted: the
-/// contract under test is "no new memory", not "no memory traffic".
+/// Counts the allocations of the calling thread. Frees are not counted:
+/// the contract under test is "no new memory", not "no memory traffic".
+/// The count is per thread because the test harness runs this file's
+/// tests on parallel threads, and one test's warm-up must not show up in
+/// the other's measured window.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const` initialisation and no destructor: reading this from inside
+    // the allocator neither allocates nor registers a thread-exit hook.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -35,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -43,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the thread that asks.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// Steady-state quantum stepping — a resident population being granted
