@@ -2,13 +2,13 @@
 //! query end to end — plus the PI-estimation overhead ablation (how much a
 //! snapshot + estimate costs per visibility mode).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use mqpi_bench::db;
 use mqpi_core::multi::FutureWorkload;
 use mqpi_core::{MultiQueryPi, SingleQueryPi, Visibility};
-use mqpi_engine::WorkMeter;
+use mqpi_engine::{ColumnType, Database, Schema, Value, WorkMeter};
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::system::{System, SystemConfig};
 use mqpi_workload::query_job;
@@ -71,6 +71,69 @@ fn bench_query(c: &mut Criterion) {
     g.finish();
 }
 
+/// The paper's query shape at three fan-outs: a correlated scalar subquery
+/// that index-probes `inner_t` once per outer row and fetches one heap page
+/// per match. `inner_t(k, v, pad)` is shaped like `lineitem` (a 60-byte
+/// string nothing reads) and interleaves its keys, so the matches of one
+/// probe lie on different pages. Time per iteration is for 64 outer rows,
+/// that is `64 * fanout` matches.
+fn bench_correlated_probe(c: &mut Criterion) {
+    const OUTER_ROWS: i64 = 64;
+    const FANOUTS: [i64; 3] = [3, 30, 300];
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[
+        ("k", ColumnType::Int),
+        ("v", ColumnType::Int),
+        ("pad", ColumnType::Str),
+    ]);
+    db.create_table("inner_t", schema.unwrap()).unwrap();
+    let pad = "x".repeat(60);
+    let mut rows = Vec::new();
+    for round in 0..300 {
+        for fanout in FANOUTS.into_iter().filter(|f| round < *f) {
+            // Keys of fan-out `f` are `f * 1000 ..`.
+            rows.extend((0..OUTER_ROWS).map(|k| {
+                vec![
+                    Value::Int(fanout * 1000 + k),
+                    Value::Int(round),
+                    Value::str(&pad),
+                ]
+            }));
+        }
+    }
+    db.insert("inner_t", &rows).unwrap();
+    db.create_index("inner_t", "k").unwrap();
+    db.analyze("inner_t").unwrap();
+    for fanout in FANOUTS {
+        let name = format!("probe{fanout}");
+        let schema = Schema::from_pairs(&[("k", ColumnType::Int)]).unwrap();
+        db.create_table(name.as_str(), schema).unwrap();
+        let keys: Vec<Vec<Value>> = (0..OUTER_ROWS)
+            .map(|k| vec![Value::Int(fanout * 1000 + k)])
+            .collect();
+        db.insert(&name, &keys).unwrap();
+        db.analyze(&name).unwrap();
+    }
+    let mut g = c.benchmark_group("correlated_probe");
+    for fanout in FANOUTS {
+        let prepared = db
+            .prepare(&format!(
+                "select o.k from probe{fanout} o where 0 > \
+                 (select sum(i.v) from inner_t i where i.k = o.k)"
+            ))
+            .unwrap();
+        g.bench_with_input(BenchmarkId::new("fanout", fanout), &prepared, |b, p| {
+            b.iter(|| {
+                let mut cur = p.open().unwrap();
+                let units = cur.run_to_completion().unwrap();
+                assert!(units >= (OUTER_ROWS * fanout) as u64);
+                black_box(units)
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_pi_overhead(c: &mut Criterion) {
     // Ablation: per-estimate overhead of the three visibility modes on a
     // 10-query snapshot (the PI runs continuously in a real system, so its
@@ -111,5 +174,11 @@ fn bench_pi_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_storage, bench_query, bench_pi_overhead);
+criterion_group!(
+    benches,
+    bench_storage,
+    bench_query,
+    bench_correlated_probe,
+    bench_pi_overhead
+);
 criterion_main!(benches);

@@ -277,12 +277,20 @@ impl BTreeIndex {
 
     /// All rids with key exactly `key`; charges descent plus every leaf
     /// touched (heap fetches are the caller's responsibility).
+    pub fn lookup(&self, key: &Value, meter: &WorkMeter) -> Vec<Rid> {
+        let mut out = Vec::new();
+        self.lookup_into(key, meter, &mut out);
+        out
+    }
+
+    /// [`BTreeIndex::lookup`] into a buffer the caller reuses from probe to
+    /// probe; `out` is cleared first.
     ///
     /// Because separators route equal keys *left* (see `child_index`),
     /// duplicates of a key may span several leaves; the lookup walks the
     /// sibling chain until it sees an entry greater than `key`.
-    pub fn lookup(&self, key: &Value, meter: &WorkMeter) -> Vec<Rid> {
-        let mut out = Vec::new();
+    pub fn lookup_into(&self, key: &Value, meter: &WorkMeter, out: &mut Vec<Rid>) {
+        out.clear();
         let mut leaf = Some(self.descend(key, meter));
         let mut first = true;
         while let Some(l) = leaf {
@@ -307,11 +315,10 @@ impl BTreeIndex {
                 break;
             }
         }
-        out
     }
 
     /// Start a range scan over `lo..=hi` (either bound optional); the
-    /// returned state is advanced with [`BTreeIndex::range_next`].
+    /// returned state is advanced with [`BTreeIndex::range_next_leaf`].
     pub fn range_start(
         &self,
         lo: Option<&Value>,
@@ -347,24 +354,31 @@ impl BTreeIndex {
         }
     }
 
-    /// Next `(key, rid)` of a range scan; charges one unit per additional
-    /// leaf visited.
-    pub fn range_next(&self, st: &mut RangeState, meter: &WorkMeter) -> Option<(Value, Rid)> {
+    /// The in-range entries left in the leaf a range scan stands in; the
+    /// scan moves to the next leaf first, charging one unit, when this one
+    /// is used up. Empty once the range is exhausted. Handing out a leaf's
+    /// worth at a time lets the caller resolve the heap pages of all its
+    /// rids together ([`crate::heap::HeapFile::resolve`]).
+    pub fn range_next_leaf(&self, st: &mut RangeState, meter: &WorkMeter) -> &[(Value, Rid)] {
         loop {
-            let leaf = st.leaf?;
+            let Some(leaf) = st.leaf else {
+                return &[];
+            };
             let Node::Leaf { entries, next } = &self.nodes[leaf] else {
                 unreachable!()
             };
             if st.pos < entries.len() {
-                let (k, rid) = &entries[st.pos];
-                if let Some(hi) = &st.hi {
-                    if k.total_cmp(hi) == Ordering::Greater {
-                        st.leaf = None;
-                        return None;
-                    }
+                let rest = &entries[st.pos..];
+                let n = match &st.hi {
+                    Some(hi) => rest.partition_point(|(k, _)| k.total_cmp(hi) != Ordering::Greater),
+                    None => rest.len(),
+                };
+                if n < rest.len() {
+                    st.leaf = None;
+                } else {
+                    st.pos = entries.len();
                 }
-                st.pos += 1;
-                return Some((k.clone(), *rid));
+                return &rest[..n];
             }
             st.leaf = *next;
             st.pos = 0;
@@ -406,6 +420,18 @@ fn child_index(keys: &[Value], key: &Value) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The keys a range scan still has to hand out, leaf by leaf.
+    fn drain_keys(t: &BTreeIndex, st: &mut RangeState, m: &WorkMeter) -> Vec<i64> {
+        let mut got = Vec::new();
+        loop {
+            let leaf = t.range_next_leaf(st, m);
+            if leaf.is_empty() {
+                return got;
+            }
+            got.extend(leaf.iter().map(|(k, _)| k.as_i64().unwrap()));
+        }
+    }
 
     fn rid(n: u32) -> Rid {
         Rid {
@@ -494,10 +520,7 @@ mod tests {
         }
         let m = WorkMeter::new();
         let mut st = t.range_start(Some(&Value::Int(10)), Some(&Value::Int(20)), &m);
-        let mut got = Vec::new();
-        while let Some((k, _)) = t.range_next(&mut st, &m) {
-            got.push(k.as_i64().unwrap());
-        }
+        let got = drain_keys(&t, &mut st, &m);
         assert_eq!(got, (10..=20).collect::<Vec<_>>());
     }
 
@@ -511,10 +534,7 @@ mod tests {
         keys.sort();
         let m = WorkMeter::new();
         let mut st = t.range_start(None, None, &m);
-        let mut got = Vec::new();
-        while let Some((k, _)) = t.range_next(&mut st, &m) {
-            got.push(k.as_i64().unwrap());
-        }
+        let got = drain_keys(&t, &mut st, &m);
         assert_eq!(got, keys);
     }
 
@@ -535,6 +555,6 @@ mod tests {
         let m = WorkMeter::new();
         assert!(t.lookup(&Value::Int(1), &m).is_empty());
         let mut st = t.range_start(None, None, &m);
-        assert!(t.range_next(&mut st, &m).is_none());
+        assert!(t.range_next_leaf(&mut st, &m).is_empty());
     }
 }

@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use crate::error::{EngineError, Result};
 use crate::exec::eval::eval;
-use crate::exec::{ExecContext, Operator, Step};
+use crate::exec::{ExecContext, Operator, Pulled, Step};
 use crate::plan::cost::cpu_units;
 use crate::plan::physical::{AggFunc, AggSpec, NodeEst, PhysExpr};
 use crate::tuple::Tuple;
@@ -151,6 +151,16 @@ type GroupEntry = (
     Vec<Option<std::collections::HashSet<GKey>>>,
 );
 
+fn new_entry(gvals: Tuple, aggs: &[AggSpec]) -> GroupEntry {
+    (
+        gvals,
+        aggs.iter().map(|a| AggState::new(a.func)).collect(),
+        aggs.iter()
+            .map(|a| a.distinct.then(Default::default))
+            .collect(),
+    )
+}
+
 /// Hash aggregate. With an empty `group` list it is a scalar aggregate and
 /// emits exactly one row even over empty input (SQL semantics: `count` is
 /// 0, `sum`/`avg`/`min`/`max` are NULL) — the paper's correlated subquery
@@ -159,9 +169,14 @@ pub struct Aggregate {
     child: Box<dyn Operator>,
     group: Vec<PhysExpr>,
     aggs: Vec<AggSpec>,
-    groups: HashMap<Vec<GKey>, GroupEntry>,
-    /// First-seen group order for deterministic output.
-    order: Vec<Vec<GKey>>,
+    /// Groups in first-seen order, which is the output order. A scalar
+    /// aggregate has its one group here from the start and never hashes.
+    groups: Vec<GroupEntry>,
+    /// Group key -> position in `groups`.
+    index: HashMap<Vec<GKey>, usize>,
+    /// The child's current row; input is only read, so one buffer serves
+    /// every pull ([`Operator::next_into`]).
+    row: Tuple,
     input_done: bool,
     pos: usize,
     est: NodeEst,
@@ -179,35 +194,31 @@ impl Aggregate {
             child,
             group,
             aggs,
-            groups: HashMap::new(),
-            order: Vec::new(),
+            groups: Vec::new(),
+            index: HashMap::new(),
+            row: Tuple::new(),
             input_done: false,
             pos: 0,
             est,
         };
-        if agg.group.is_empty() {
-            // Scalar aggregation has exactly one group, even over no input.
-            let key = Vec::new();
-            agg.order.push(key.clone());
-            agg.groups.insert(
-                key,
-                (
-                    Vec::new(),
-                    agg.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    agg.aggs
-                        .iter()
-                        .map(|a| a.distinct.then(Default::default))
-                        .collect(),
-                ),
-            );
-        }
+        agg.start_groups();
         agg
+    }
+
+    /// The groups before any input.
+    fn start_groups(&mut self) {
+        self.groups.clear();
+        self.index.clear();
+        if self.group.is_empty() {
+            // Scalar aggregation has exactly one group, even over no input.
+            self.groups.push(new_entry(Tuple::new(), &self.aggs));
+        }
     }
 }
 
 impl Operator for Aggregate {
     fn label(&self) -> String {
-        format!("Aggregate ({} groups seen)", self.order.len())
+        format!("Aggregate ({} groups seen)", self.groups.len())
     }
 
     fn profile_tag(&self) -> &'static str {
@@ -222,34 +233,32 @@ impl Operator for Aggregate {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.child.next(ctx)? {
-                Step::Row(row) => {
+            match self.child.next_into(ctx, &mut self.row)? {
+                Pulled::Row => {
                     ctx.meter.cpu_tick();
-                    let gvals: Result<Vec<Value>> =
-                        self.group.iter().map(|g| eval(g, &row, ctx)).collect();
-                    let gvals = gvals?;
-                    let key: Vec<GKey> = gvals.iter().map(gkey).collect();
-                    let entry = self.groups.entry(key.clone()).or_insert_with(|| {
-                        self.order.push(key);
-                        (
-                            gvals.clone(),
-                            self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                            self.aggs
-                                .iter()
-                                .map(|a| a.distinct.then(Default::default))
-                                .collect(),
-                        )
-                    });
-                    for ((spec, state), seen) in self
-                        .aggs
-                        .iter()
-                        .zip(entry.1.iter_mut())
-                        .zip(entry.2.iter_mut())
-                    {
+                    let row = &self.row;
+                    let at = if self.group.is_empty() {
+                        0
+                    } else {
+                        let gvals: Result<Tuple> =
+                            self.group.iter().map(|g| eval(g, row, ctx)).collect();
+                        let gvals = gvals?;
+                        let key: Vec<GKey> = gvals.iter().map(gkey).collect();
+                        match self.index.get(&key) {
+                            Some(&at) => at,
+                            None => {
+                                self.index.insert(key, self.groups.len());
+                                self.groups.push(new_entry(gvals, &self.aggs));
+                                self.groups.len() - 1
+                            }
+                        }
+                    };
+                    let (_, states, seen) = &mut self.groups[at];
+                    for ((spec, state), seen) in self.aggs.iter().zip(states).zip(seen) {
                         match &spec.arg {
                             None => state.update(None)?,
                             Some(e) => {
-                                let v = eval(e, &row, ctx)?;
+                                let v = eval(e, row, ctx)?;
                                 if let Some(seen) = seen {
                                     // DISTINCT: fold each value only once
                                     // (NULLs are skipped by update anyway).
@@ -262,28 +271,33 @@ impl Operator for Aggregate {
                         }
                     }
                 }
-                Step::Pending => return Ok(Step::Pending),
-                Step::Done => self.input_done = true,
+                Pulled::Pending => return Ok(Step::Pending),
+                Pulled::Done => self.input_done = true,
             }
         }
-        if self.pos >= self.order.len() {
+        let Some((gvals, states, _)) = self.groups.get(self.pos) else {
             return Ok(Step::Done);
-        }
+        };
         if ctx.exhausted() {
             return Ok(Step::Pending);
         }
-        let key = &self.order[self.pos];
         self.pos += 1;
         ctx.meter.cpu_tick();
-        let (gvals, states, _) = &self.groups[key];
         let mut row = gvals.clone();
         row.extend(states.iter().map(|s| s.finish()));
         Ok(Step::Row(row))
     }
 
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.start_groups();
+        self.input_done = false;
+        self.pos = 0;
+    }
+
     fn remaining_units(&self) -> f64 {
         if self.input_done {
-            cpu_units((self.order.len() - self.pos) as f64)
+            cpu_units((self.groups.len() - self.pos) as f64)
         } else {
             self.child.remaining_units()
                 + cpu_units(self.child.remaining_rows())
@@ -293,7 +307,7 @@ impl Operator for Aggregate {
 
     fn remaining_rows(&self) -> f64 {
         if self.input_done {
-            (self.order.len() - self.pos) as f64
+            (self.groups.len() - self.pos) as f64
         } else {
             self.est
                 .rows
@@ -356,6 +370,12 @@ impl Operator for Distinct {
                 }
             }
         }
+    }
+
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.seen.clear();
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {

@@ -2,9 +2,10 @@
 //! execution.
 
 use crate::error::{EngineError, Result};
-use crate::exec::{build, ExecContext};
-use crate::plan::physical::{PhysExpr, ScalarFunc};
+use crate::exec::{build, ExecContext, Operator, Step, Subplan};
+use crate::plan::physical::{PhysExpr, PlanNode, ScalarFunc, SiteId};
 use crate::sql::ast::{BinOp, UnaryOp};
+use crate::tuple::Tuple;
 use crate::value::Value;
 
 /// Evaluate `e` against an input tuple and the context's params.
@@ -72,105 +73,74 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
                     .unwrap_or(Value::Null)),
             }
         }
-        PhysExpr::Subquery { plan, outer_args } => {
-            let params: Result<Vec<Value>> =
-                outer_args.iter().map(|a| eval(a, input, ctx)).collect();
-            // Subquery invocations run on an unbudgeted child context, so
-            // they never suspend mid-invocation (see ExecContext::subquery).
-            let sub_ctx = ctx.subquery(params?);
-            let mut op = build(plan, &sub_ctx.tables)?;
-            let first = match op.next(&sub_ctx)? {
-                crate::exec::Step::Row(r) => Some(r),
-                crate::exec::Step::Done => None,
-                crate::exec::Step::Pending => {
-                    return Err(EngineError::exec(
-                        "subquery suspended on an unbudgeted context",
-                    ))
-                }
+        PhysExpr::Subquery {
+            plan,
+            outer_args,
+            site,
+        } => run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
+            let Some(row) = next_row(op, sub_ctx)? else {
+                return Ok(Value::Null);
             };
-            match first {
-                None => Ok(Value::Null),
-                Some(row) => {
-                    if matches!(op.next(&sub_ctx)?, crate::exec::Step::Row(_)) {
-                        return Err(EngineError::exec(
-                            "scalar subquery returned more than one row",
-                        ));
-                    }
-                    row.into_iter().next().ok_or_else(|| {
-                        EngineError::exec("scalar subquery returned a zero-column row")
-                    })
-                }
+            if next_row(op, sub_ctx)?.is_some() {
+                return Err(EngineError::exec(
+                    "scalar subquery returned more than one row",
+                ));
             }
-        }
-        PhysExpr::Exists { plan, outer_args } => {
-            let params: Result<Vec<Value>> =
-                outer_args.iter().map(|a| eval(a, input, ctx)).collect();
-            let sub_ctx = ctx.subquery(params?);
-            let mut op = build(plan, &sub_ctx.tables)?;
+            row.into_iter()
+                .next()
+                .ok_or_else(|| EngineError::exec("scalar subquery returned a zero-column row"))
+        }),
+        PhysExpr::Exists {
+            plan,
+            outer_args,
+            site,
+        } => run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
             // Short-circuit after the first row.
-            let found = match op.next(&sub_ctx)? {
-                crate::exec::Step::Row(_) => true,
-                crate::exec::Step::Done => false,
-                crate::exec::Step::Pending => {
-                    return Err(EngineError::exec(
-                        "subquery suspended on an unbudgeted context",
-                    ))
-                }
-            };
+            let found = next_row(op, sub_ctx)?.is_some();
             Ok(Value::Int(i64::from(found)))
-        }
+        }),
         PhysExpr::InSubquery {
             expr,
             plan,
             outer_args,
             negated,
+            site,
         } => {
             let needle = eval(expr, input, ctx)?;
-            let params: Result<Vec<Value>> =
-                outer_args.iter().map(|a| eval(a, input, ctx)).collect();
-            let sub_ctx = ctx.subquery(params?);
-            let mut op = build(plan, &sub_ctx.tables)?;
-            // SQL three-valued IN: TRUE on any match; UNKNOWN if no match
-            // but a NULL was seen (or the needle is NULL and the set is
-            // non-empty); FALSE otherwise. NOT IN negates through 3VL.
-            let mut saw_null = needle.is_null();
-            let mut saw_any = false;
-            let mut matched = false;
-            loop {
-                match op.next(&sub_ctx)? {
-                    crate::exec::Step::Row(row) => {
-                        saw_any = true;
-                        let v = row.into_iter().next().ok_or_else(|| {
-                            EngineError::exec("IN subquery returned a zero-column row")
-                        })?;
-                        if v.is_null() {
-                            saw_null = true;
-                        } else if !needle.is_null()
-                            && needle.sql_cmp(&v) == Some(std::cmp::Ordering::Equal)
-                        {
-                            matched = true;
-                            break;
-                        }
-                    }
-                    crate::exec::Step::Done => break,
-                    crate::exec::Step::Pending => {
-                        return Err(EngineError::exec(
-                            "subquery suspended on an unbudgeted context",
-                        ))
+            run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
+                // SQL three-valued IN: TRUE on any match; UNKNOWN if no
+                // match but a NULL was seen (or the needle is NULL and the
+                // set is non-empty); FALSE otherwise. NOT IN negates
+                // through 3VL.
+                let mut saw_null = needle.is_null();
+                let mut saw_any = false;
+                let mut matched = false;
+                while let Some(row) = next_row(op, sub_ctx)? {
+                    saw_any = true;
+                    let v = row.into_iter().next().ok_or_else(|| {
+                        EngineError::exec("IN subquery returned a zero-column row")
+                    })?;
+                    if v.is_null() {
+                        saw_null = true;
+                    } else if !needle.is_null()
+                        && needle.sql_cmp(&v) == Some(std::cmp::Ordering::Equal)
+                    {
+                        matched = true;
+                        break;
                     }
                 }
-            }
-            let truth = if matched {
-                Some(true)
-            } else if saw_any && (saw_null || needle.is_null()) {
-                // No match, but a NULL on either side makes it UNKNOWN.
-                None
-            } else {
-                Some(false)
-            };
-            Ok(match truth {
-                None => Value::Null,
-                Some(b) => Value::Int(i64::from(b != *negated)),
+                let truth = if matched {
+                    Some(true)
+                } else if saw_any && (saw_null || needle.is_null()) {
+                    // No match, but a NULL on either side makes it UNKNOWN.
+                    None
+                } else {
+                    Some(false)
+                };
+                Ok(match truth {
+                    None => Value::Null,
+                    Some(b) => Value::Int(i64::from(b != *negated)),
+                })
             })
         }
         PhysExpr::Like {
@@ -193,34 +163,83 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
     }
 }
 
+/// One invocation of the subquery at `site`: bind `outer_args` (evaluated
+/// against the outer `input`) as its params and hand its operator tree to
+/// `consume`. The tree is the one kept from the site's previous invocation,
+/// or a new one; afterwards it is rewound and kept. Invocations run on an
+/// unbudgeted child context, so they never suspend (see
+/// [`ExecContext::subquery`]).
+fn run_subplan<T>(
+    site: SiteId,
+    plan: &PlanNode,
+    outer_args: &[PhysExpr],
+    input: &[Value],
+    ctx: &ExecContext,
+    consume: impl FnOnce(&mut dyn Operator, &ExecContext) -> Result<T>,
+) -> Result<T> {
+    let mut sub = match ctx.take_subplan(site) {
+        Some(sub) => sub,
+        None => Subplan {
+            op: build(plan, &ctx.tables)?,
+            params: Vec::with_capacity(outer_args.len()),
+        },
+    };
+    sub.params.clear();
+    for a in outer_args {
+        sub.params.push(eval(a, input, ctx)?);
+    }
+    let sub_ctx = ctx.subquery(std::mem::take(&mut sub.params));
+    let out = consume(sub.op.as_mut(), &sub_ctx)?;
+    sub.params = sub_ctx.params;
+    sub.op.rewind();
+    ctx.keep_subplan(site, sub);
+    Ok(out)
+}
+
+/// The next row of a subquery's tree, `None` when it is done.
+fn next_row(op: &mut dyn Operator, sub_ctx: &ExecContext) -> Result<Option<Tuple>> {
+    match op.next(sub_ctx)? {
+        Step::Row(row) => Ok(Some(row)),
+        Step::Done => Ok(None),
+        Step::Pending => Err(EngineError::exec(
+            "subquery suspended on an unbudgeted context",
+        )),
+    }
+}
+
 /// SQL LIKE matching: `%` matches any run (including empty), `_` matches
 /// exactly one character. Iterative two-pointer algorithm with
 /// backtracking to the last `%`.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut si, mut pi) = (0usize, 0usize);
-    let mut star: Option<(usize, usize)> = None; // (pattern idx after %, s idx)
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some((pi + 1, si));
-            pi += 1;
-        } else if let Some((sp, ss)) = star {
-            // Backtrack: let the last % absorb one more character.
-            pi = sp;
-            si = ss + 1;
-            star = Some((sp, ss + 1));
-        } else {
-            return false;
+    // The cursors are char iterators over what is left of each side;
+    // cloning one copies two pointers, which is all backtracking needs.
+    let (mut s, mut p) = (s.chars(), pattern.chars());
+    // The pattern just past the last `%`, and the string from where that
+    // `%` has absorbed to.
+    let mut star: Option<(std::str::Chars<'_>, std::str::Chars<'_>)> = None;
+    loop {
+        let s_before = s.clone();
+        let Some(sc) = s.next() else {
+            break;
+        };
+        match p.next() {
+            Some(pc) if pc == '_' || pc == sc => {}
+            Some('%') => {
+                s = s_before; // `sc` is not consumed
+                star = Some((p.clone(), s.clone()));
+            }
+            _ => {
+                // Backtrack: let the last % absorb one more character.
+                let Some((after_star, absorbed)) = &mut star else {
+                    return false;
+                };
+                absorbed.next();
+                s = absorbed.clone();
+                p = after_star.clone();
+            }
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.all(|c| c == '%')
 }
 
 fn eval_binary(

@@ -91,6 +91,15 @@ impl Operator for Filter {
         }
     }
 
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.eval_cost.reset();
+        self.selectivity.reset();
+        self.consumed = 0;
+        self.emitted = 0;
+        self.done = false;
+    }
+
     fn remaining_units(&self) -> f64 {
         if self.done {
             return 0.0;
@@ -148,6 +157,11 @@ impl Operator for Project {
         ctx.meter.cpu_tick();
         let out: Result<Tuple> = self.exprs.iter().map(|e| eval(e, &row, ctx)).collect();
         Ok(Step::Row(out?))
+    }
+
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {
@@ -211,6 +225,11 @@ impl Operator for Limit {
                 Ok(Step::Done)
             }
         }
+    }
+
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.emitted = 0;
     }
 
     fn remaining_units(&self) -> f64 {

@@ -17,7 +17,7 @@ use crate::heap::Rid;
 use crate::meter::CPU_TICKS_PER_UNIT;
 use crate::plan::cost::cpu_units;
 use crate::plan::physical::{NodeEst, PhysExpr};
-use crate::tuple::Tuple;
+use crate::tuple::{ColumnMask, Tuple};
 use crate::value::Value;
 
 /// Hashable, normalized join key (NULLs never join and yield `None`).
@@ -149,6 +149,17 @@ impl Operator for NestedLoopJoin {
             }
             self.current = None;
         }
+    }
+
+    fn rewind(&mut self) {
+        self.left.rewind();
+        self.right.rewind();
+        self.inner.clear();
+        self.inner_done = false;
+        self.current = None;
+        self.pos = 0;
+        self.emitted = 0;
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {
@@ -292,6 +303,16 @@ impl Operator for HashJoin {
         }
     }
 
+    fn rewind(&mut self) {
+        self.left.rewind();
+        self.right.rewind();
+        self.table.clear();
+        self.build_done = false;
+        self.current = None;
+        self.emitted = 0;
+        self.done = false;
+    }
+
     fn remaining_units(&self) -> f64 {
         if self.done {
             return 0.0;
@@ -320,6 +341,8 @@ pub struct IndexNLJoin {
     table: Arc<Table>,
     column: usize,
     key: PhysExpr,
+    /// Columns of the inner row that anything above the join reads.
+    needed: ColumnMask,
     current: Option<(Tuple, Vec<Rid>, usize)>,
     /// Scratch row reused across heap fetches (one fetch per match).
     fetch_buf: Tuple,
@@ -329,12 +352,14 @@ pub struct IndexNLJoin {
 }
 
 impl IndexNLJoin {
-    /// Create the join; errors if the inner table has no index on `column`.
+    /// Create the join, materialising the `needed` columns of each inner
+    /// row; errors if the inner table has no index on `column`.
     pub fn new(
         left: Box<dyn Operator>,
         table: Arc<Table>,
         column: usize,
         key: PhysExpr,
+        needed: ColumnMask,
         est: NodeEst,
     ) -> Result<Self> {
         if table.index_on(column).is_none() {
@@ -352,6 +377,7 @@ impl IndexNLJoin {
             table,
             column,
             key,
+            needed,
             current: None,
             fetch_buf: Tuple::new(),
             probe_cost: SmoothedMean::with_prior(prior_probe, 0.05),
@@ -386,7 +412,9 @@ impl Operator for IndexNLJoin {
                     let rid = rids[*pos];
                     *pos += 1;
                     let row = &mut self.fetch_buf;
-                    self.table.heap.fetch_into(rid, &ctx.meter, row)?;
+                    self.table
+                        .heap
+                        .fetch_into(rid, &ctx.meter, self.needed, row)?;
                     ctx.meter.cpu_tick();
                     let mut out = Vec::with_capacity(l.len() + row.len());
                     out.extend_from_slice(l);
@@ -416,6 +444,7 @@ impl Operator for IndexNLJoin {
                         lookup_units + rids.len() as f64 * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64);
                     self.probe_cost.observe(total);
                     self.fanout.observe(rids.len() as f64);
+                    self.table.heap.resolve(&rids);
                     self.current = Some((l, rids, 0));
                 }
                 Step::Pending => return Ok(Step::Pending),
@@ -425,6 +454,14 @@ impl Operator for IndexNLJoin {
                 }
             }
         }
+    }
+
+    fn rewind(&mut self) {
+        self.left.rewind();
+        self.current = None;
+        self.probe_cost.reset();
+        self.fanout.reset();
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {

@@ -20,12 +20,12 @@ pub mod sort;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::db::Table;
 use crate::error::{EngineError, Result};
 use crate::meter::WorkMeter;
-use crate::plan::physical::{PlanNode, PlanOp};
+use crate::plan::physical::{PlanNode, PlanOp, SiteId};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
@@ -51,6 +51,23 @@ pub struct ExecContext {
     /// only the query's own thread touches it (atomics are for `Send`, not
     /// for cross-thread signalling).
     deadline: Arc<AtomicU64>,
+    /// The operator tree of each subquery site between two evaluations,
+    /// indexed by [`SiteId`] and shared by the query's whole context family.
+    /// The lock is held only to take a tree out or put it back, never while
+    /// one runs, so a nested site can use the table from inside its parent.
+    sites: Arc<Mutex<Vec<Option<Subplan>>>>,
+}
+
+/// A subquery site's operator tree and parameter vector. Kept from one
+/// outer row to the next: the tree is rewound, the vector refilled, and
+/// buffers inside the operators (an index probe's rid list) keep their
+/// capacity. It holds no [`ExecContext`], which would tie the site table
+/// into a reference cycle.
+pub(crate) struct Subplan {
+    /// Root operator, in its just-built state.
+    pub op: Box<dyn Operator>,
+    /// Storage for the correlation parameters of the next evaluation.
+    pub params: Vec<Value>,
 }
 
 /// Shared "no deadline" sentinel for subquery contexts. Subquery invocations
@@ -71,6 +88,7 @@ impl ExecContext {
             params: Vec::new(),
             tables,
             deadline: Arc::new(AtomicU64::new(u64::MAX)),
+            sites: Arc::default(),
         }
     }
 
@@ -85,7 +103,28 @@ impl ExecContext {
             params,
             tables: Arc::clone(&self.tables),
             deadline: unbudgeted(),
+            sites: Arc::clone(&self.sites),
         }
+    }
+
+    /// Take the tree kept for `site`, if there is one. Site 0 keeps none.
+    pub(crate) fn take_subplan(&self, site: SiteId) -> Option<Subplan> {
+        // Poisoning cannot leave the table half-updated: each critical
+        // section is one `take` or one slot assignment.
+        let mut sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        sites.get_mut(site)?.take()
+    }
+
+    /// Keep `sub`, rewound by the caller, for the next evaluation of `site`.
+    pub(crate) fn keep_subplan(&self, site: SiteId, sub: Subplan) {
+        if site == 0 {
+            return;
+        }
+        let mut sites = self.sites.lock().unwrap_or_else(PoisonError::into_inner);
+        if sites.len() <= site {
+            sites.resize_with(site + 1, || None);
+        }
+        sites[site] = Some(sub);
     }
 
     /// Set the installment deadline to `budget` more units from now.
@@ -142,6 +181,17 @@ pub enum Step {
     Done,
 }
 
+/// Result of one pull by reference ([`Operator::next_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pulled {
+    /// The caller's buffer holds the next output tuple.
+    Row,
+    /// As [`Step::Pending`].
+    Pending,
+    /// As [`Step::Done`].
+    Done,
+}
+
 /// A physical operator.
 ///
 /// `Send` so that a whole cursor (and with it a simulated system) can move
@@ -150,6 +200,28 @@ pub trait Operator: Send {
     /// Produce the next output tuple, charging work to `ctx.meter` and
     /// suspending with [`Step::Pending`] when the budget deadline passes.
     fn next(&mut self, ctx: &ExecContext) -> Result<Step>;
+
+    /// [`Operator::next`] for a consumer that only reads the tuple: the
+    /// output lands in `row`, a buffer the consumer reuses across pulls.
+    /// Same charges and same suspension points as `next`. The leaf scans
+    /// override it to decode straight into `row`, so a row crosses the
+    /// scan → aggregate edge without a `Vec` of its own; for every other
+    /// operator the default moves the owned tuple in.
+    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
+        Ok(match self.next(ctx)? {
+            Step::Row(r) => {
+                *row = r;
+                Pulled::Row
+            }
+            Step::Pending => Pulled::Pending,
+            Step::Done => Pulled::Done,
+        })
+    }
+
+    /// Put the subtree back into its just-built state, wherever execution
+    /// stopped, keeping what its buffers have allocated: a subquery site
+    /// runs one tree once per outer row.
+    fn rewind(&mut self);
 
     /// Refined estimate of the work units this subtree still needs.
     fn remaining_units(&self) -> f64;
@@ -198,11 +270,19 @@ pub fn render_progress(root: &dyn Operator) -> String {
 pub fn build(plan: &PlanNode, tables: &TableSet) -> Result<Box<dyn Operator>> {
     let est = plan.est;
     Ok(match &plan.op {
-        PlanOp::SeqScan { table } => Box::new(scan::SeqScan::new(get(tables, table)?, est)),
-        PlanOp::IndexScanEq { table, column, key } => Box::new(scan::IndexScanEq::new(
+        PlanOp::SeqScan { table, needed } => {
+            Box::new(scan::SeqScan::new(get(tables, table)?, *needed))
+        }
+        PlanOp::IndexScanEq {
+            table,
+            column,
+            key,
+            needed,
+        } => Box::new(scan::IndexScanEq::new(
             get(tables, table)?,
             *column,
             key.clone(),
+            *needed,
             est,
         )?),
         PlanOp::IndexScanRange {
@@ -210,11 +290,13 @@ pub fn build(plan: &PlanNode, tables: &TableSet) -> Result<Box<dyn Operator>> {
             column,
             lo,
             hi,
+            needed,
         } => Box::new(scan::IndexScanRange::new(
             get(tables, table)?,
             *column,
             lo.clone(),
             hi.clone(),
+            *needed,
             est,
         )?),
         PlanOp::Filter { input, pred } => Box::new(filter::Filter::new(
@@ -249,11 +331,13 @@ pub fn build(plan: &PlanNode, tables: &TableSet) -> Result<Box<dyn Operator>> {
             table,
             column,
             key,
+            needed,
         } => Box::new(join::IndexNLJoin::new(
             build(left, tables)?,
             get(tables, table)?,
             *column,
             key.clone(),
+            *needed,
             est,
         )?),
         PlanOp::Sort { input, keys } => {

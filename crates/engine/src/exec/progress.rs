@@ -36,6 +36,7 @@ impl ProgressSnapshot {
 /// per-probe costs from observations.
 #[derive(Debug, Clone)]
 pub struct SmoothedMean {
+    prior: f64,
     mean: f64,
     count: u64,
     alpha: f64,
@@ -45,10 +46,17 @@ impl SmoothedMean {
     /// New estimator seeded with a prior (the optimizer's estimate).
     pub fn with_prior(prior: f64, alpha: f64) -> Self {
         SmoothedMean {
+            prior,
             mean: prior,
             count: 0,
             alpha,
         }
+    }
+
+    /// Forget every observation: back to the prior.
+    pub fn reset(&mut self) {
+        self.mean = self.prior;
+        self.count = 0;
     }
 
     /// Record one observation.

@@ -5,25 +5,39 @@ use std::sync::Arc;
 use crate::db::Table;
 use crate::error::{EngineError, Result};
 use crate::exec::eval::eval;
-use crate::exec::{ExecContext, Operator, Step};
+use crate::exec::{ExecContext, Operator, Pulled, Step};
 use crate::heap::{Rid, ScanState};
 use crate::meter::CPU_TICKS_PER_UNIT;
 use crate::plan::cost::cpu_units;
 use crate::plan::physical::{NodeEst, PhysExpr};
+use crate::tuple::{ColumnMask, Tuple};
+
+/// `next` of a leaf scan, in terms of its `next_into`: one code path
+/// fetches and decodes, whether the row leaves owned or by reference.
+fn next_owned(op: &mut impl Operator, ctx: &ExecContext) -> Result<Step> {
+    let mut row = Tuple::new();
+    Ok(match op.next_into(ctx, &mut row)? {
+        Pulled::Row => Step::Row(row),
+        Pulled::Pending => Step::Pending,
+        Pulled::Done => Step::Done,
+    })
+}
 
 /// Full sequential scan. Progress is exact: pages remaining are known.
 pub struct SeqScan {
     table: Arc<Table>,
+    needed: ColumnMask,
     st: ScanState,
     emitted: u64,
     done: bool,
 }
 
 impl SeqScan {
-    /// Create a scan of `table`.
-    pub fn new(table: Arc<Table>, _est: NodeEst) -> Self {
+    /// Create a scan of `table` that materialises the `needed` columns.
+    pub fn new(table: Arc<Table>, needed: ColumnMask) -> Self {
         SeqScan {
             table,
+            needed,
             st: ScanState::new(),
             emitted: 0,
             done: false,
@@ -41,23 +55,34 @@ impl Operator for SeqScan {
     }
 
     fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+        next_owned(self, ctx)
+    }
+
+    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
         if self.done {
-            return Ok(Step::Done);
+            return Ok(Pulled::Done);
         }
         if ctx.exhausted() {
-            return Ok(Step::Pending);
+            return Ok(Pulled::Pending);
         }
-        match self.table.heap.scan_next(&mut self.st, &ctx.meter)? {
-            Some((_, row)) => {
+        let heap = &self.table.heap;
+        match heap.scan_next_into(&mut self.st, &ctx.meter, self.needed, row)? {
+            Some(_) => {
                 ctx.meter.cpu_tick();
                 self.emitted += 1;
-                Ok(Step::Row(row))
+                Ok(Pulled::Row)
             }
             None => {
                 self.done = true;
-                Ok(Step::Done)
+                Ok(Pulled::Done)
             }
         }
+    }
+
+    fn rewind(&mut self) {
+        self.st = ScanState::new();
+        self.emitted = 0;
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {
@@ -80,14 +105,25 @@ pub struct IndexScanEq {
     table: Arc<Table>,
     column: usize,
     key: PhysExpr,
+    needed: ColumnMask,
     est: NodeEst,
-    rids: Option<Vec<Rid>>,
+    /// Whether the index has been probed; `rids` holds the matches then.
+    /// The buffer outlives a rewind, so a probe per outer row reuses it.
+    probed: bool,
+    rids: Vec<Rid>,
     pos: usize,
 }
 
 impl IndexScanEq {
-    /// Create a probe; errors if the table has no index on `column`.
-    pub fn new(table: Arc<Table>, column: usize, key: PhysExpr, est: NodeEst) -> Result<Self> {
+    /// Create a probe that materialises the `needed` columns; errors if the
+    /// table has no index on `column`.
+    pub fn new(
+        table: Arc<Table>,
+        column: usize,
+        key: PhysExpr,
+        needed: ColumnMask,
+        est: NodeEst,
+    ) -> Result<Self> {
         if table.index_on(column).is_none() {
             return Err(EngineError::plan(format!(
                 "table '{}' has no index on column {column}",
@@ -98,8 +134,10 @@ impl IndexScanEq {
             table,
             column,
             key,
+            needed,
             est,
-            rids: None,
+            probed: false,
+            rids: Vec::new(),
             pos: 0,
         })
     }
@@ -115,51 +153,54 @@ impl Operator for IndexScanEq {
     }
 
     fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+        next_owned(self, ctx)
+    }
+
+    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
         if ctx.exhausted() {
-            return Ok(Step::Pending);
+            return Ok(Pulled::Pending);
         }
-        if self.rids.is_none() {
+        let heap = &self.table.heap;
+        if !self.probed {
             let k = eval(&self.key, &[], ctx)?;
-            let idx = self
-                .table
-                .index_on(self.column)
-                .expect("index checked at build");
-            let rids = if k.is_null() {
-                Vec::new() // NULL never matches under SQL equality
-            } else {
-                idx.tree.lookup(&k, &ctx.meter)
-            };
-            self.rids = Some(rids);
+            // NULL never matches under SQL equality.
+            if !k.is_null() {
+                let idx = self
+                    .table
+                    .index_on(self.column)
+                    .expect("index checked at build");
+                idx.tree.lookup_into(&k, &ctx.meter, &mut self.rids);
+                heap.resolve(&self.rids);
+            }
+            self.probed = true;
         }
-        let rids = self
-            .rids
-            .as_ref()
-            .expect("invariant: rid list populated just above");
-        if self.pos >= rids.len() {
-            return Ok(Step::Done);
-        }
-        let rid = rids[self.pos];
+        let Some(&rid) = self.rids.get(self.pos) else {
+            return Ok(Pulled::Done);
+        };
         self.pos += 1;
-        let row = self.table.heap.fetch(rid, &ctx.meter)?;
+        heap.fetch_into(rid, &ctx.meter, self.needed, row)?;
         ctx.meter.cpu_tick();
-        Ok(Step::Row(row))
+        Ok(Pulled::Row)
+    }
+
+    fn rewind(&mut self) {
+        self.probed = false;
+        self.rids.clear();
+        self.pos = 0;
     }
 
     fn remaining_units(&self) -> f64 {
-        match &self.rids {
-            None => self.est.cost,
-            Some(rids) => {
-                let left = (rids.len() - self.pos) as f64;
-                left * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64)
-            }
+        if !self.probed {
+            return self.est.cost;
         }
+        self.remaining_rows() * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64)
     }
 
     fn remaining_rows(&self) -> f64 {
-        match &self.rids {
-            None => self.est.rows,
-            Some(rids) => (rids.len() - self.pos) as f64,
+        if !self.probed {
+            return self.est.rows;
         }
+        (self.rids.len() - self.pos) as f64
     }
 }
 
@@ -170,19 +211,25 @@ pub struct IndexScanRange {
     column: usize,
     lo: Option<PhysExpr>,
     hi: Option<PhysExpr>,
+    needed: ColumnMask,
     est: NodeEst,
     st: Option<crate::btree::RangeState>,
+    /// In-range rids of the leaf the scan stands in, and the next to fetch.
+    rids: Vec<Rid>,
+    pos: usize,
     emitted: u64,
     done: bool,
 }
 
 impl IndexScanRange {
-    /// Create a range scan; errors if the table has no index on `column`.
+    /// Create a range scan that materialises the `needed` columns; errors
+    /// if the table has no index on `column`.
     pub fn new(
         table: Arc<Table>,
         column: usize,
         lo: Option<PhysExpr>,
         hi: Option<PhysExpr>,
+        needed: ColumnMask,
         est: NodeEst,
     ) -> Result<Self> {
         if table.index_on(column).is_none() {
@@ -196,8 +243,11 @@ impl IndexScanRange {
             column,
             lo,
             hi,
+            needed,
             est,
             st: None,
+            rids: Vec::new(),
+            pos: 0,
             emitted: 0,
             done: false,
         })
@@ -214,37 +264,54 @@ impl Operator for IndexScanRange {
     }
 
     fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+        next_owned(self, ctx)
+    }
+
+    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
         if self.done {
-            return Ok(Step::Done);
+            return Ok(Pulled::Done);
         }
         if ctx.exhausted() {
-            return Ok(Step::Pending);
+            return Ok(Pulled::Pending);
         }
-        let idx = self
-            .table
-            .index_on(self.column)
-            .expect("index checked at build");
-        if self.st.is_none() {
-            let lo = self.lo.as_ref().map(|e| eval(e, &[], ctx)).transpose()?;
-            let hi = self.hi.as_ref().map(|e| eval(e, &[], ctx)).transpose()?;
-            self.st = Some(idx.tree.range_start(lo.as_ref(), hi.as_ref(), &ctx.meter));
+        let heap = &self.table.heap;
+        if self.pos == self.rids.len() {
+            let idx = self
+                .table
+                .index_on(self.column)
+                .expect("index checked at build");
+            let st = match &mut self.st {
+                Some(st) => st,
+                None => {
+                    let lo = self.lo.as_ref().map(|e| eval(e, &[], ctx)).transpose()?;
+                    let hi = self.hi.as_ref().map(|e| eval(e, &[], ctx)).transpose()?;
+                    self.st
+                        .insert(idx.tree.range_start(lo.as_ref(), hi.as_ref(), &ctx.meter))
+                }
+            };
+            self.rids.clear();
+            self.pos = 0;
+            let leaf = idx.tree.range_next_leaf(st, &ctx.meter);
+            self.rids.extend(leaf.iter().map(|(_, rid)| *rid));
+            heap.resolve(&self.rids);
         }
-        let st = self
-            .st
-            .as_mut()
-            .expect("invariant: range state initialized just above");
-        match idx.tree.range_next(st, &ctx.meter) {
-            Some((_, rid)) => {
-                let row = self.table.heap.fetch(rid, &ctx.meter)?;
-                ctx.meter.cpu_tick();
-                self.emitted += 1;
-                Ok(Step::Row(row))
-            }
-            None => {
-                self.done = true;
-                Ok(Step::Done)
-            }
-        }
+        let Some(&rid) = self.rids.get(self.pos) else {
+            self.done = true;
+            return Ok(Pulled::Done);
+        };
+        self.pos += 1;
+        heap.fetch_into(rid, &ctx.meter, self.needed, row)?;
+        ctx.meter.cpu_tick();
+        self.emitted += 1;
+        Ok(Pulled::Row)
+    }
+
+    fn rewind(&mut self) {
+        self.st = None;
+        self.rids.clear();
+        self.pos = 0;
+        self.emitted = 0;
+        self.done = false;
     }
 
     fn remaining_units(&self) -> f64 {

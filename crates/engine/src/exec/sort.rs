@@ -115,6 +115,13 @@ impl Operator for Sort {
         }
     }
 
+    fn rewind(&mut self) {
+        self.child.rewind();
+        self.buffer.clear();
+        self.phase = Phase::Drain;
+        self.pos = 0;
+    }
+
     fn remaining_units(&self) -> f64 {
         match &self.phase {
             Phase::Drain => {

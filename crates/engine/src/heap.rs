@@ -5,10 +5,10 @@
 //! (this is what makes an unclustered index probe with `k` matches cost
 //! roughly `k` units, as in the paper's correlated-subquery workload).
 
-use crate::error::Result;
+use crate::error::{EngineError, Result};
 use crate::meter::WorkMeter;
 use crate::page::{Page, SlotId, PAGE_SIZE};
-use crate::tuple::{self, Tuple};
+use crate::tuple::{self, ColumnMask, Tuple};
 use crate::value::Value;
 
 /// Record id: (page number, slot).
@@ -75,30 +75,81 @@ impl HeapFile {
 
     /// Fetch one row by rid, charging one unit for the page touched.
     pub fn fetch(&self, rid: Rid, meter: &WorkMeter) -> Result<Tuple> {
-        meter.charge(1);
-        let page = self
-            .pages
-            .get(rid.page as usize)
-            .ok_or_else(|| crate::error::EngineError::storage(format!("no page {}", rid.page)))?;
-        tuple::decode(page.get(rid.slot)?)
+        let mut row = Tuple::new();
+        self.fetch_into(rid, meter, ColumnMask::ALL, &mut row)?;
+        Ok(row)
     }
 
-    /// Like [`HeapFile::fetch`], but decodes into an existing buffer so the
-    /// probe path of an index join can reuse one allocation across matches.
-    pub fn fetch_into(&self, rid: Rid, meter: &WorkMeter, row: &mut Tuple) -> Result<()> {
+    /// Like [`HeapFile::fetch`], but decodes into an existing buffer and
+    /// materialises only the columns `mask` keeps, so an index probe can
+    /// reuse one allocation across matches.
+    pub fn fetch_into(
+        &self,
+        rid: Rid,
+        meter: &WorkMeter,
+        mask: ColumnMask,
+        row: &mut Tuple,
+    ) -> Result<()> {
         meter.charge(1);
-        let page = self
-            .pages
+        let bytes = self.tuple_bytes(rid)?;
+        tuple::decode_into(bytes, mask, row)?;
+        #[cfg(debug_assertions)]
+        {
+            // The pruned decode is checked against the full one on every
+            // probed row of every debug-build test.
+            let full = tuple::decode(bytes)?;
+            debug_assert_eq!(row.len(), full.len());
+            for (i, (got, want)) in row.iter().zip(&full).enumerate() {
+                if mask.keeps(i) {
+                    debug_assert!(got.total_cmp(want).is_eq(), "column {i} of {rid:?}");
+                } else {
+                    debug_assert!(got.is_null(), "column {i} of {rid:?} was pruned");
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn tuple_bytes(&self, rid: Rid) -> Result<&[u8]> {
+        self.pages
             .get(rid.page as usize)
-            .ok_or_else(|| crate::error::EngineError::storage(format!("no page {}", rid.page)))?;
-        tuple::decode_into(page.get(rid.slot)?, row)
+            .ok_or_else(|| EngineError::storage(format!("no page {}", rid.page)))?
+            .get(rid.slot)
+    }
+
+    /// Pull the cache lines a fetch of each of `rids` will read (the page's
+    /// slot directory entry, the first and last tuple byte) without
+    /// charging anything: this is memory traffic ahead of the charged
+    /// [`HeapFile::fetch_into`] calls, not work. A fetch takes three
+    /// dependent misses, and fetches one after another, each decoded before
+    /// the next starts, take them one at a time. Here the loads of one rid
+    /// do not depend on those of another, so the processor has the misses
+    /// of several rids in flight at once, and the decodes that follow hit
+    /// cache. Bad rids and corrupt slot entries are skipped; the fetch
+    /// reports them.
+    pub fn resolve(&self, rids: &[Rid]) {
+        let mut seen = 0;
+        for rid in rids {
+            if let Ok([first, .., last]) = self.tuple_bytes(*rid) {
+                seen ^= first ^ last;
+            }
+        }
+        // Keeps the loads: nothing else reads what they return.
+        std::hint::black_box(seen);
     }
 
     /// Next tuple of a sequential scan whose position is held externally in
     /// `st` (so operators owning an `Arc` of the table can resume without
-    /// self-referential borrows). Charges one unit the first time each page
-    /// is entered.
-    pub fn scan_next(&self, st: &mut ScanState, meter: &WorkMeter) -> Result<Option<(Rid, Tuple)>> {
+    /// self-referential borrows), decoded into `row` with only the columns
+    /// `mask` keeps. Returns its rid, or `None` at the end of the file.
+    /// Charges one unit the first time each page is entered.
+    pub fn scan_next_into(
+        &self,
+        st: &mut ScanState,
+        meter: &WorkMeter,
+        mask: ColumnMask,
+        row: &mut Tuple,
+    ) -> Result<Option<Rid>> {
         loop {
             let Some(page) = self.pages.get(st.page) else {
                 return Ok(None);
@@ -112,14 +163,22 @@ impl HeapFile {
                     page: st.page as u32,
                     slot: st.slot,
                 };
-                let row = tuple::decode(page.get(st.slot)?)?;
+                tuple::decode_into(page.get(st.slot)?, mask, row)?;
                 st.slot += 1;
-                return Ok(Some((rid, row)));
+                return Ok(Some(rid));
             }
             st.page += 1;
             st.slot = 0;
             st.entered_page = false;
         }
+    }
+
+    /// [`HeapFile::scan_next_into`] with a fresh, fully decoded row.
+    pub fn scan_next(&self, st: &mut ScanState, meter: &WorkMeter) -> Result<Option<(Rid, Tuple)>> {
+        let mut row = Tuple::new();
+        Ok(self
+            .scan_next_into(st, meter, ColumnMask::ALL, &mut row)?
+            .map(|rid| (rid, row)))
     }
 
     /// Pages not yet entered by the scan at `st` (used for exact progress).

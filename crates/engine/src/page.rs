@@ -110,7 +110,8 @@ impl Page {
         Ok(n as SlotId)
     }
 
-    /// Read a tuple's bytes by slot id.
+    /// Read a tuple's bytes by slot id. A slot id past the directory, or a
+    /// directory entry that points past the page, is a storage error.
     pub fn get(&self, slot: SlotId) -> Result<&[u8]> {
         let n = self.nslots();
         if (slot as usize) >= n {
@@ -118,8 +119,17 @@ impl Page {
                 "slot {slot} out of range (page has {n} slots)"
             )));
         }
+        if HEADER_SIZE + n * SLOT_SIZE > PAGE_SIZE {
+            return Err(EngineError::storage(format!(
+                "slot directory of {n} slots runs past the page"
+            )));
+        }
         let (off, len) = self.slot_entry(slot as usize);
-        Ok(&self.data[off..off + len])
+        self.data.get(off..off + len).ok_or_else(|| {
+            EngineError::storage(format!(
+                "slot {slot} points past the page (offset {off}, length {len})"
+            ))
+        })
     }
 
     /// Iterate over all tuples' bytes in slot order.
@@ -157,6 +167,22 @@ mod tests {
         let mut p = Page::new();
         p.insert(b"x").unwrap();
         assert!(p.get(1).is_err());
+    }
+
+    #[test]
+    fn get_reports_a_corrupt_slot_entry_instead_of_panicking() {
+        let mut p = Page::new();
+        let slot = p.insert(b"hello").unwrap();
+        // Length pushed past the page end.
+        p.data[HEADER_SIZE + 2..HEADER_SIZE + 4].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(p.get(slot).is_err());
+        // Offset past the page end.
+        p.data[HEADER_SIZE..HEADER_SIZE + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        p.data[HEADER_SIZE + 2..HEADER_SIZE + 4].copy_from_slice(&5u16.to_le_bytes());
+        assert!(p.get(slot).is_err());
+        // A slot count whose directory would not fit in the page.
+        p.data[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        assert!(p.get(4000).is_err());
     }
 
     #[test]

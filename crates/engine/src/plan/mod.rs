@@ -2,6 +2,7 @@
 //! and the planner that lowers parsed SQL onto tables and indexes.
 
 pub mod cost;
+mod finish;
 pub mod physical;
 pub mod planner;
 

@@ -6,6 +6,7 @@
 //! online refinement happens.
 
 use crate::sql::ast::{BinOp, UnaryOp};
+use crate::tuple::ColumnMask;
 use crate::value::Value;
 
 /// Compiled expression over an input tuple, correlation parameters, and
@@ -50,6 +51,8 @@ pub enum PhysExpr {
         plan: Box<PlanNode>,
         /// Expressions producing the correlation parameter values.
         outer_args: Vec<PhysExpr>,
+        /// See [`SiteId`].
+        site: SiteId,
     },
     /// `EXISTS (subquery)`: true iff the subplan yields at least one row
     /// (short-circuits after the first row).
@@ -58,6 +61,8 @@ pub enum PhysExpr {
         plan: Box<PlanNode>,
         /// Expressions producing the correlation parameter values.
         outer_args: Vec<PhysExpr>,
+        /// See [`SiteId`].
+        site: SiteId,
     },
     /// `expr [NOT] IN (subquery)` with SQL three-valued semantics.
     InSubquery {
@@ -69,6 +74,8 @@ pub enum PhysExpr {
         outer_args: Vec<PhysExpr>,
         /// True for `NOT IN`.
         negated: bool,
+        /// See [`SiteId`].
+        site: SiteId,
     },
     /// `expr [NOT] LIKE pattern` (`%` and `_` wildcards).
     Like {
@@ -80,6 +87,13 @@ pub enum PhysExpr {
         negated: bool,
     },
 }
+
+/// Names one subquery expression within a planned query, so that the
+/// executor can keep one operator tree per site and rewind it for each outer
+/// row instead of building a new one. The planner numbers the sites of a
+/// finished plan from 1 (`plan::finish`); 0 means "not numbered", and such a
+/// site is built afresh on every evaluation.
+pub type SiteId = usize;
 
 /// Scalar (non-aggregate) functions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +174,8 @@ pub enum PlanOp {
     SeqScan {
         /// Table name.
         table: String,
+        /// Columns anything above the scan reads (`plan::finish`).
+        needed: ColumnMask,
     },
     /// Index equality probe. `key` may reference correlation params.
     IndexScanEq {
@@ -169,6 +185,8 @@ pub enum PlanOp {
         column: usize,
         /// Probe key expression (no `Input` refs; params/literals only).
         key: PhysExpr,
+        /// Columns anything above the scan reads (`plan::finish`).
+        needed: ColumnMask,
     },
     /// Index range scan over `lo..=hi` (inclusive; strict bounds are
     /// enforced by an enclosing Filter residual).
@@ -181,6 +199,8 @@ pub enum PlanOp {
         lo: Option<PhysExpr>,
         /// Upper bound expression.
         hi: Option<PhysExpr>,
+        /// Columns anything above the scan reads (`plan::finish`).
+        needed: ColumnMask,
     },
     /// Filter rows by a predicate.
     Filter {
@@ -227,6 +247,9 @@ pub enum PlanOp {
         column: usize,
         /// Key expression over the left tuple.
         key: PhysExpr,
+        /// Columns of the inner row anything above the join reads
+        /// (`plan::finish`).
+        needed: ColumnMask,
     },
     /// Full sort (materializes input).
     Sort {
@@ -290,7 +313,7 @@ impl PlanNode {
     fn explain_into(&self, depth: usize, out: &mut String) {
         let indent = "  ".repeat(depth);
         let label = match &self.op {
-            PlanOp::SeqScan { table } => format!("SeqScan on {table}"),
+            PlanOp::SeqScan { table, .. } => format!("SeqScan on {table}"),
             PlanOp::IndexScanEq { table, column, .. } => {
                 format!("IndexScan(eq) on {table} (col #{column})")
             }
@@ -363,6 +386,7 @@ mod tests {
         PlanNode {
             op: PlanOp::SeqScan {
                 table: table.into(),
+                needed: ColumnMask::ALL,
             },
             est: NodeEst {
                 rows: 100.0,
@@ -400,6 +424,7 @@ mod tests {
             right: Box::new(PhysExpr::Subquery {
                 plan: Box::new(leaf("t")),
                 outer_args: vec![PhysExpr::Input(0)],
+                site: 0,
             }),
         };
         assert!(e.uses_input());

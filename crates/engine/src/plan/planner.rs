@@ -22,8 +22,10 @@ use std::sync::Arc;
 use crate::db::{Database, Table};
 use crate::error::{EngineError, Result};
 use crate::plan::cost;
+use crate::plan::finish::finish_plan;
 use crate::plan::physical::*;
 use crate::sql::ast::{BinOp, Expr, OrderItem, Query, SelectItem};
+use crate::tuple::ColumnMask;
 use crate::value::Value;
 
 /// A fully planned query.
@@ -40,7 +42,8 @@ pub struct PlannedQuery {
 /// Plan a parsed query against the database catalog.
 pub fn plan_query(db: &Database, q: &Query) -> Result<PlannedQuery> {
     let mut tables = BTreeMap::new();
-    let (root, columns) = plan_select(db, q, None, &mut tables)?;
+    let (mut root, columns) = plan_select(db, q, None, &mut tables)?;
+    finish_plan(&mut root, &tables);
     Ok(PlannedQuery {
         root,
         columns,
@@ -406,6 +409,7 @@ fn scan_plan(
                         table: t.name.clone(),
                         column: col,
                         key,
+                        needed: ColumnMask::ALL,
                     },
                 )
             }
@@ -421,6 +425,7 @@ fn scan_plan(
                         column: col,
                         lo: None,
                         hi: Some(key),
+                        needed: ColumnMask::ALL,
                     },
                 )
             }
@@ -436,6 +441,7 @@ fn scan_plan(
                         column: col,
                         lo: Some(key),
                         hi: None,
+                        needed: ColumnMask::ALL,
                     },
                 )
             }
@@ -468,6 +474,7 @@ fn scan_plan(
             PlanNode {
                 op: PlanOp::SeqScan {
                     table: t.name.clone(),
+                    needed: ColumnMask::ALL,
                 },
                 est: NodeEst {
                     rows: stats.row_count as f64,
@@ -769,6 +776,7 @@ fn join_step(
                         table: t.name.clone(),
                         column: right_col,
                         key: left_key,
+                        needed: ColumnMask::ALL,
                     },
                     est,
                 };
@@ -1372,6 +1380,7 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             Ok(PhysExpr::Subquery {
                 plan: Box::new(plan),
                 outer_args: corr.outer_args,
+                site: 0,
             })
         }
         Expr::Exists(q) => {
@@ -1382,6 +1391,7 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             Ok(PhysExpr::Exists {
                 plan: Box::new(plan),
                 outer_args: corr.outer_args,
+                site: 0,
             })
         }
         Expr::InSubquery {
@@ -1405,6 +1415,7 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
                 plan: Box::new(plan),
                 outer_args: corr.outer_args,
                 negated: *negated,
+                site: 0,
             })
         }
         Expr::Like {

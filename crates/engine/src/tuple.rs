@@ -51,27 +51,72 @@ pub fn encode(row: &[Value]) -> Vec<u8> {
     out
 }
 
+/// Which columns of a stored row a reader needs materialised.
+///
+/// The planner computes one per scan: the columns that anything above the
+/// scan reads. [`decode_into`] checks every column either way and leaves
+/// `Value::Null` in the positions the mask drops, so `Input(i)` ordinals
+/// keep their meaning. One bit per column for the first 64; columns past
+/// those are always kept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColumnMask(u64);
+
+impl ColumnMask {
+    /// Every column (the conservative default).
+    pub const ALL: ColumnMask = ColumnMask(u64::MAX);
+    /// No column (of the first 64).
+    pub const NONE: ColumnMask = ColumnMask(0);
+
+    /// Whether column `i` is materialised.
+    #[inline]
+    pub fn keeps(self, i: usize) -> bool {
+        i >= 64 || self.0 >> i & 1 == 1
+    }
+
+    /// Keep column `i` as well.
+    pub fn insert(&mut self, i: usize) {
+        if i < 64 {
+            self.0 |= 1 << i;
+        }
+    }
+
+    /// Split a mask over a concatenated row `left ++ right` into the two
+    /// sides' masks, `left_width` being the number of left columns.
+    pub fn split_at(self, left_width: usize) -> (ColumnMask, ColumnMask) {
+        if left_width >= 64 {
+            return (self, ColumnMask::ALL);
+        }
+        // Right columns that sat past bit 63 were kept; they stay kept.
+        let right = self.0 >> left_width | !(u64::MAX >> left_width);
+        (self, ColumnMask(right))
+    }
+}
+
 /// Decode a tuple previously produced by [`encode`].
 pub fn decode(bytes: &[u8]) -> Result<Tuple> {
     let mut row = Tuple::new();
-    decode_into(bytes, &mut row)?;
+    decode_into(bytes, ColumnMask::ALL, &mut row)?;
     Ok(row)
 }
 
-/// Decode a tuple into an existing buffer, reusing its allocation. `row` is
-/// cleared first; on error its contents are unspecified. This is the
-/// probe-path variant: an index nested-loop join fetches one matching row
-/// per rid, and reusing the `Vec` avoids one heap allocation per match.
-pub fn decode_into(bytes: &[u8], row: &mut Tuple) -> Result<()> {
+/// Decode a tuple into an existing buffer, reusing its allocation, and
+/// materialise only the columns `mask` keeps (`Value::Null` stands in for
+/// the rest). Every column is still bounds-, tag- and UTF-8-checked, so the
+/// call fails on exactly the inputs a full decode fails on. `row` is cleared
+/// first; on error its contents are unspecified. This is the probe-path
+/// decoder: an index probe fetches one matching row per rid, and reusing the
+/// `Vec` and skipping unread strings leaves it allocation-free.
+pub fn decode_into(bytes: &[u8], mask: ColumnMask, row: &mut Tuple) -> Result<()> {
     row.clear();
     let mut pos = 0usize;
     let ncols = read_u16(bytes, &mut pos)? as usize;
     row.reserve(ncols);
-    for _ in 0..ncols {
+    for i in 0..ncols {
         let tag = *bytes
             .get(pos)
             .ok_or_else(|| EngineError::storage("truncated tuple: missing tag"))?;
         pos += 1;
+        let keep = mask.keeps(i);
         let v = match tag {
             TAG_NULL => Value::Null,
             TAG_INT => Value::Int(i64::from_le_bytes(read_array(bytes, &mut pos)?)),
@@ -85,11 +130,15 @@ pub fn decode_into(bytes: &[u8], row: &mut Tuple) -> Result<()> {
                 let s = std::str::from_utf8(&bytes[pos..end])
                     .map_err(|_| EngineError::storage("tuple string is not UTF-8"))?;
                 pos = end;
-                Value::Str(s.to_owned())
+                if keep {
+                    Value::Str(s.to_owned())
+                } else {
+                    Value::Null
+                }
             }
             t => return Err(EngineError::storage(format!("unknown value tag {t}"))),
         };
-        row.push(v);
+        row.push(if keep { v } else { Value::Null });
     }
     if pos != bytes.len() {
         return Err(EngineError::storage("trailing bytes after tuple"));
@@ -154,10 +203,39 @@ mod tests {
         let a = encode(&[Value::Int(1), Value::str("x")]);
         let b = encode(&[Value::Float(2.5)]);
         let mut row = Tuple::new();
-        decode_into(&a, &mut row).unwrap();
+        decode_into(&a, ColumnMask::ALL, &mut row).unwrap();
         assert_eq!(row, vec![Value::Int(1), Value::str("x")]);
-        decode_into(&b, &mut row).unwrap();
+        decode_into(&b, ColumnMask::ALL, &mut row).unwrap();
         assert_eq!(row, vec![Value::Float(2.5)]);
+    }
+
+    #[test]
+    fn pruned_decode_nulls_dropped_columns_and_keeps_those_past_64() {
+        let wide: Tuple = (0..70).map(Value::Int).collect();
+        let mut mask = ColumnMask::NONE;
+        mask.insert(3);
+        let mut row = Tuple::new();
+        decode_into(&encode(&wide), mask, &mut row).unwrap();
+        for (i, v) in row.iter().enumerate() {
+            let kept = i == 3 || i >= 64;
+            assert_eq!(*v, if kept { wide[i].clone() } else { Value::Null });
+        }
+    }
+
+    #[test]
+    fn mask_splits_over_a_concatenated_row() {
+        // Columns 1 and 4 of `left(3) ++ right`: left 1, right 1.
+        let mut mask = ColumnMask::NONE;
+        mask.insert(1);
+        mask.insert(4);
+        let (l, r) = mask.split_at(3);
+        assert_eq!([l.keeps(0), l.keeps(1), l.keeps(2)], [false, true, false]);
+        assert_eq!([r.keeps(0), r.keeps(1), r.keeps(2)], [false, true, false]);
+        // Right columns that sat past bit 63 were kept, and stay kept.
+        assert!(!r.keeps(60) && r.keeps(61) && r.keeps(63));
+        // Nothing is known about the right side of a 64-column left side.
+        assert_eq!(mask.split_at(64).1, ColumnMask::ALL);
+        assert_eq!(ColumnMask::ALL.split_at(0).1, ColumnMask::ALL);
     }
 
     #[test]

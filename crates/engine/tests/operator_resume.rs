@@ -141,3 +141,62 @@ fn larger_budgets_agree_too() {
         );
     }
 }
+
+/// A subquery site runs one operator tree once per outer row, rewinding it
+/// in between. Wherever the previous run stopped, a rewound tree must be
+/// indistinguishable from a newly built one: same estimates before the
+/// first pull, same rows, same units.
+#[test]
+fn rewound_tree_runs_like_a_new_one() {
+    use mqpi_engine::exec::{build, ExecContext, Operator, Step, TableSet};
+    use std::sync::Arc;
+
+    type Run = (Vec<Vec<Value>>, u64);
+
+    /// Pull up to `limit` rows on a meter of their own (so no fraction of a
+    /// unit carries over from an earlier run): the rows and what they cost.
+    fn pull(op: &mut dyn Operator, tables: &Arc<TableSet>, limit: usize) -> Run {
+        let ctx = ExecContext::new(Arc::clone(tables));
+        let mut rows = Vec::new();
+        while rows.len() < limit {
+            match op.next(&ctx).unwrap() {
+                Step::Row(r) => rows.push(r),
+                Step::Done => break,
+                Step::Pending => panic!("no budget is armed"),
+            }
+        }
+        (rows, ctx.meter.used())
+    }
+
+    // Between them, every operator.
+    let shapes = [
+        "select b * 2, s from t where b % 7 = 0",
+        "select b from t where a = 13 order by b",
+        "select b from t where a < 2 limit 150",
+        "select a, count(*), sum(b), min(s), count(distinct b) from t group by a order by a",
+        "select sum(b), count(distinct a) from t where a = 4",
+        "select distinct a from t",
+        "select count(*) from t join u on t.s = u.label",
+        "select u.label, t.b from u join t on u.a = t.a where t.b < 90",
+        "select x.a, y.a from u x, u y where x.a < y.a",
+        "select u.a from u where 50 < (select count(*) from t where t.a = u.a)",
+    ];
+    let db = db();
+    for sql in shapes {
+        let plan = db.prepare(sql).unwrap().plan;
+        let tables = Arc::new(plan.tables.clone());
+        let mut op = build(&plan.root, &tables).unwrap();
+        let new = (op.remaining_units(), op.remaining_rows());
+        let want = pull(op.as_mut(), &tables, usize::MAX);
+        assert!(!want.0.is_empty(), "{sql}");
+        // After a full run, and after one cut short at each of a few points.
+        for stop_after in [usize::MAX, 0, 1, want.0.len() / 2] {
+            op.rewind();
+            assert_eq!((op.remaining_units(), op.remaining_rows()), new, "{sql}");
+            let got = pull(op.as_mut(), &tables, usize::MAX);
+            assert!(got == want, "{sql}: {} units, want {}", got.1, want.1);
+            op.rewind();
+            pull(op.as_mut(), &tables, stop_after);
+        }
+    }
+}

@@ -10,7 +10,7 @@ use mqpi_engine::btree::BTreeIndex;
 use mqpi_engine::heap::{HeapFile, Rid, ScanState};
 use mqpi_engine::meter::WorkMeter;
 use mqpi_engine::page::Page;
-use mqpi_engine::tuple;
+use mqpi_engine::tuple::{self, ColumnMask};
 use mqpi_engine::value::Value;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -26,6 +26,68 @@ fn arb_row() -> impl Strategy<Value = Vec<Value>> {
     prop::collection::vec(arb_value(), 0..8)
 }
 
+/// The mask that keeps column `i` (of the first 64) iff bit `i` is set.
+fn mask_of(bits: u64) -> ColumnMask {
+    let mut mask = ColumnMask::NONE;
+    (0..64)
+        .filter(|i| bits >> i & 1 == 1)
+        .for_each(|i| mask.insert(i));
+    mask
+}
+
+/// A pruned decode skips materialising columns, never checking them: over a
+/// corpus of 300 corrupted encodings (truncations, bit flips, overwritten
+/// bytes, junk appended) it fails on exactly the inputs a full decode fails
+/// on, whatever the mask.
+#[test]
+fn pruned_decode_errors_exactly_when_full_decode_does() {
+    let rows = [
+        vec![
+            Value::Int(7),
+            Value::Float(2.5),
+            Value::str("héllo"),
+            Value::Null,
+        ],
+        vec![Value::str("x".repeat(60)), Value::Int(-1), Value::str("")],
+        vec![Value::Null, Value::str("a\u{10348}b")],
+    ];
+    // xorshift64*: a fixed corpus, the same on every run.
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut rnd = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    };
+    let (mut failed, mut survived) = (0, 0);
+    for i in 0..300 {
+        let mut bytes = tuple::encode(&rows[i % rows.len()]);
+        let at = rnd() as usize % bytes.len();
+        match i % 4 {
+            0 => bytes.truncate(at),
+            1 => bytes[at] ^= 1 << (rnd() % 8),
+            2 => bytes[at] = rnd() as u8,
+            _ => bytes.extend((0..1 + rnd() % 4).map(|_| rnd() as u8)),
+        }
+        let full = tuple::decode(&bytes);
+        for mask in [ColumnMask::NONE, ColumnMask::ALL, mask_of(rnd())] {
+            let mut row = Vec::new();
+            let pruned = tuple::decode_into(&bytes, mask, &mut row);
+            assert_eq!(pruned.is_err(), full.is_err(), "mutation {i}: {bytes:?}");
+        }
+        if full.is_err() {
+            failed += 1;
+        } else {
+            survived += 1;
+        }
+    }
+    // The corpus exercises both outcomes.
+    assert!(
+        failed >= 50 && survived >= 50,
+        "{failed} failed, {survived} survived"
+    );
+}
+
 proptest! {
     #[test]
     fn tuple_roundtrip(row in arb_row()) {
@@ -35,6 +97,25 @@ proptest! {
         prop_assert_eq!(row.len(), back.len());
         for (a, b) in row.iter().zip(&back) {
             prop_assert!(a.total_cmp(b).is_eq(), "{:?} vs {:?}", a, b);
+        }
+    }
+
+    #[test]
+    fn pruned_decode_keeps_the_masked_columns_and_nulls_the_rest(
+        row in arb_row(),
+        bits in any::<u64>(),
+        stale in arb_row(),
+    ) {
+        let mask = mask_of(bits);
+        let mut got = stale; // the buffer is reused: what it held must not show
+        tuple::decode_into(&tuple::encode(&row), mask, &mut got).unwrap();
+        prop_assert_eq!(got.len(), row.len());
+        for (i, (g, want)) in got.iter().zip(&row).enumerate() {
+            if mask.keeps(i) {
+                prop_assert!(g.total_cmp(want).is_eq(), "column {}: {:?} vs {:?}", i, g, want);
+            } else {
+                prop_assert!(g.is_null(), "column {} was pruned, got {:?}", i, g);
+            }
         }
     }
 
@@ -128,8 +209,12 @@ proptest! {
         let m = WorkMeter::new();
         let mut st = tree.range_start(Some(&Value::Int(lo)), Some(&Value::Int(hi)), &m);
         let mut got = Vec::new();
-        while let Some((k, _)) = tree.range_next(&mut st, &m) {
-            got.push(k.as_i64().unwrap());
+        loop {
+            let leaf = tree.range_next_leaf(&mut st, &m);
+            if leaf.is_empty() {
+                break;
+            }
+            got.extend(leaf.iter().map(|(k, _)| k.as_i64().unwrap()));
         }
         let mut want: Vec<i64> = keys.iter().filter(|k| **k >= lo && **k <= hi).cloned().collect();
         want.sort();
