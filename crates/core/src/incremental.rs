@@ -29,7 +29,10 @@
 //!   t(v_i) = [ Σ_{(v_j,s_j) ≤ (v_i,s_i)} w_j·(v_j − V)  +  (v_i − V)·W_suffix ] / rate
 //!   ```
 //!
-//!   one root-to-node descent, `O(log n)`.
+//!   one root-to-node descent, `O(log n)`. All `n` of them at once are one
+//!   walk of the tree ([`IncrementalFluid::sweep_into`]) that hands each
+//!   node the prefix its own descent would have arrived with, `O(n)` and
+//!   bit-identical to the `n` descents.
 //!
 //! ## Determinism rules
 //!
@@ -172,8 +175,11 @@ impl Nodes {
         s
     }
 
+    /// The departed query's `id` stays in the slot; a subtree count of
+    /// zero, which no live node has, is what marks the slot free.
     fn free(&mut self, s: u32) {
         self.left[s as usize] = self.free_head;
+        self.sub_n[s as usize] = 0;
         self.free_head = s;
     }
 
@@ -602,7 +608,43 @@ impl IncrementalFluid {
     /// finishes. Returns `None` for ids that are not live (finished,
     /// aborted, or never admitted).
     pub fn estimate(&self, id: u64) -> Option<f64> {
-        let s = *self.by_id.get(&id)?;
+        self.by_id.get(&id).map(|&s| self.estimate_node(s))
+    }
+
+    /// The node slot of a live query: a handle for
+    /// [`IncrementalFluid::estimate_at`] and for reading a
+    /// [`IncrementalFluid::sweep_into`] column. `reweight` and
+    /// `refine_cost` keep a query in its slot; a departure frees it for
+    /// reuse, and `rebuild` and `decode` assign slots afresh, so a kept
+    /// handle is a hint to re-validate, never a reference.
+    pub fn slot_of(&self, id: u64) -> Option<u32> {
+        self.by_id.get(&id).copied()
+    }
+
+    /// Does the handle `slot` still name the live query `id`? False for a
+    /// slot that was freed, reused by another query, or is out of range.
+    pub fn holds(&self, slot: u32, id: u64) -> bool {
+        let (n, i) = (&self.nodes, slot as usize);
+        i < n.id.len() && n.sub_n[i] != 0 && n.id[i] == id
+    }
+
+    /// [`IncrementalFluid::estimate`] through a node handle instead of the
+    /// id index: the same descent, the same bits, no hashing. `None` when
+    /// the handle is stale (see [`IncrementalFluid::holds`]); the caller
+    /// then falls back to [`IncrementalFluid::slot_of`].
+    pub fn estimate_at(&self, slot: u32, id: u64) -> Option<f64> {
+        self.holds(slot, id).then(|| self.estimate_node(slot))
+    }
+
+    /// Remaining real time once the prefix `(Σw, Σw·v)` over the tags at
+    /// or before `tag` is known.
+    fn remaining_time(&self, pw: f64, pwv: f64, tag: f64, total_w: f64) -> f64 {
+        let t = (pwv - self.vt * pw + (tag - self.vt) * (total_w - pw)) / self.rate;
+        t.max(0.0)
+    }
+
+    /// The descent behind [`IncrementalFluid::estimate`], for a live slot.
+    fn estimate_node(&self, s: u32) -> f64 {
         let i = s as usize;
         let (tag, seq) = (self.nodes.tag[i], self.nodes.seq[i]);
         let (mut pw, mut pwv) = (0.0, 0.0);
@@ -623,8 +665,50 @@ impl IncrementalFluid {
             }
         }
         let total_w = self.nodes.sub_w[self.root as usize];
-        let t = (pwv - self.vt * pw + (tag - self.vt) * (total_w - pw)) / self.rate;
-        Some(t.max(0.0))
+        self.remaining_time(pw, pwv, tag, total_w)
+    }
+
+    /// Every live estimate from one walk of the tree (§2.2 yields all `n`
+    /// remaining times from one pass over the queries in `c_i/w_i` order,
+    /// and the treap is that order). `out[slot]` receives what
+    /// [`IncrementalFluid::estimate`] returns for the query in `slot`,
+    /// bit for bit: the walk reaches each node with the prefix that
+    /// query's own descent has accumulated on arrival there — the left
+    /// child inherits its parent's incoming prefix, the right child that
+    /// plus the left subtree's aggregate plus the parent's own term, added
+    /// in the descent's order — and finishes it the way the descent does.
+    /// O(n), no hashing.
+    ///
+    /// `out` grows to the slot count and keeps its capacity. Only live
+    /// slots are written; read an entry through a handle that
+    /// [`IncrementalFluid::holds`], before the next delta or `advance`.
+    pub fn sweep_into(&self, out: &mut Vec<f64>) {
+        if out.len() < self.nodes.id.len() {
+            out.resize(self.nodes.id.len(), f64::NAN);
+        }
+        if self.root != NIL {
+            let total_w = self.nodes.sub_w[self.root as usize];
+            self.sweep_subtree(self.root, 0.0, 0.0, total_w, out);
+        }
+    }
+
+    /// In-order walk of the subtree at `t`, entered with the prefix a
+    /// descent towards any of its nodes holds on arrival at `t`.
+    fn sweep_subtree(&self, mut t: u32, mut pw: f64, mut pwv: f64, total_w: f64, out: &mut [f64]) {
+        let n = &self.nodes;
+        while t != NIL {
+            let i = t as usize;
+            let l = n.left[i];
+            if l != NIL {
+                self.sweep_subtree(l, pw, pwv, total_w, out);
+                pw += n.sub_w[l as usize];
+                pwv += n.sub_wv[l as usize];
+            }
+            pw += n.weight[i];
+            pwv += n.weight[i] * n.tag[i];
+            out[i] = self.remaining_time(pw, pwv, n.tag[i], total_w);
+            t = n.right[i];
+        }
     }
 
     /// Extract the live set in admission order as `FluidQuery`s with their
@@ -1100,6 +1184,63 @@ mod tests {
         bytes.truncate(bytes.len() - 1);
         let mut d = Dec::new(&bytes);
         assert!(IncrementalFluid::decode(&mut d).is_err());
+    }
+
+    /// Every slot the sweep wrote, as `(slot, value)`.
+    fn swept(f: &IncrementalFluid) -> Vec<(usize, f64)> {
+        let mut col = Vec::new();
+        f.sweep_into(&mut col);
+        let live = |&(_, e): &(usize, f64)| !e.is_nan();
+        col.into_iter().enumerate().filter(live).collect()
+    }
+
+    #[test]
+    fn sweep_of_empty_and_one_node_trees() {
+        let mut f = IncrementalFluid::new(10.0);
+        assert!(swept(&f).is_empty());
+        assert_eq!(f.slot_of(1), None);
+        assert_eq!(f.estimate_at(0, 1), None);
+
+        f.arrive(1, 50.0, 2.0);
+        let s = f.slot_of(1).unwrap();
+        let e = f.estimate(1).unwrap();
+        assert_eq!(e, 5.0);
+        assert_eq!(swept(&f), vec![(s as usize, e)]);
+        assert_eq!(f.estimate_at(s, 1), Some(e));
+        assert_eq!(f.estimate_at(s, 2), None, "the slot holds another id");
+        assert_eq!(f.estimate_at(s + 1, 1), None, "past the last slot");
+
+        // The freed slot keeps the departed id; it must not read as live.
+        assert!(f.finish(1));
+        assert!(swept(&f).is_empty());
+        assert_eq!(f.estimate_at(s, 1), None);
+        f.arrive(2, 30.0, 1.0);
+        assert_eq!(
+            f.slot_of(2),
+            Some(s),
+            "the free list hands the slot out again"
+        );
+        assert_eq!(f.estimate_at(s, 1), None);
+        assert_eq!(f.estimate_at(s, 2), f.estimate(2));
+    }
+
+    #[test]
+    fn sweep_is_bit_identical_to_point_reads() {
+        let mut f = IncrementalFluid::new(64.0);
+        for i in 0..300u64 {
+            f.arrive(i, 25.0 + (i * 13 % 400) as f64, 1.0 + (i % 5) as f64);
+        }
+        f.advance(1.7);
+        f.reweight(11, 4.0);
+        f.refine_cost(42, 777.0);
+        f.abort(7);
+        let got = swept(&f);
+        assert_eq!(got.len(), f.len());
+        for (slot, e) in got {
+            let id = f.nodes.id[slot];
+            assert_eq!(f.slot_of(id), Some(slot as u32));
+            assert_eq!(e.to_bits(), f.estimate(id).unwrap().to_bits(), "id {id}");
+        }
     }
 
     #[test]

@@ -15,11 +15,18 @@
 //! 3. **Against `predict_reference`** — the dense-timeline reference
 //!    implementation, to the same tolerance the snapshot path is held to.
 //!
+//! 4. **The bulk read against the point read** — after every delta the
+//!    one-walk sweep must equal `estimate(id)` bit for bit on every live
+//!    id and write no other slot, and every node handle ever handed out
+//!    must either still name its query or be refused.
+//!
 //! Checkpoints are taken at a random cut: the restored structure must
 //! re-encode byte-identically and serve bit-identical estimates.
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::collections::HashMap;
 
 use proptest::prelude::*;
 
@@ -29,17 +36,38 @@ use mqpi_core::IncrementalFluid;
 /// One scripted operation, decoded from raw generated scalars.
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    Arrive { cost: f64, weight: f64 },
-    Finish { pick: f64 },
-    Abort { pick: f64 },
-    Reweight { pick: f64, weight: f64 },
-    RefineCost { pick: f64, cost: f64 },
-    SetRate { rate: f64 },
-    Advance { dt: f64 },
+    Arrive {
+        cost: f64,
+        weight: f64,
+    },
+    Finish {
+        pick: f64,
+    },
+    Abort {
+        pick: f64,
+    },
+    Reweight {
+        pick: f64,
+        weight: f64,
+    },
+    RefineCost {
+        pick: f64,
+        cost: f64,
+    },
+    SetRate {
+        rate: f64,
+    },
+    Advance {
+        dt: f64,
+    },
+    /// The breaker's self-heal: same model, slots assigned afresh.
+    Rebuild,
+    /// Encode and decode in place: same model, slots assigned afresh.
+    Recode,
 }
 
 fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..10, 0.0f64..1.0, 0.0f64..1.0), 1..max_len).prop_map(|raw| {
+    prop::collection::vec((0u8..12, 0.0f64..1.0, 0.0f64..1.0), 1..max_len).prop_map(|raw| {
         raw.into_iter()
             .map(|(sel, a, b)| match sel {
                 // Bias toward arrivals so the structure grows.
@@ -60,7 +88,9 @@ fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
                 8 => Op::SetRate {
                     rate: 10.0 + a * 400.0,
                 },
-                _ => Op::Advance { dt: a * 8.0 },
+                9 => Op::Advance { dt: a * 8.0 },
+                10 => Op::Rebuild,
+                _ => Op::Recode,
             })
             .collect()
     })
@@ -98,6 +128,59 @@ impl Shadow {
     }
 }
 
+fn recode(inc: &IncrementalFluid) -> IncrementalFluid {
+    let mut e = mqpi_ckpt::Enc::new();
+    inc.encode(&mut e);
+    let bytes = e.into_bytes();
+    IncrementalFluid::decode(&mut mqpi_ckpt::Dec::new(&bytes)).expect("decode")
+}
+
+/// (4) of the module docs. `handles` holds every `(id, slot)` handed out
+/// so far, departed ids included; the live ones are refreshed on the way
+/// out.
+fn check_bulk_read(
+    inc: &IncrementalFluid,
+    live: &[FluidQuery],
+    handles: &mut HashMap<u64, u32>,
+) -> Result<(), TestCaseError> {
+    let mut col = Vec::new();
+    inc.sweep_into(&mut col);
+    for q in live {
+        let slot = inc.slot_of(q.id).expect("live id has a slot");
+        let point = inc.estimate(q.id).expect("live id has an estimate");
+        prop_assert_eq!(
+            col[slot as usize].to_bits(),
+            point.to_bits(),
+            "sweep differs from estimate({}): {} vs {}",
+            q.id,
+            col[slot as usize],
+            point
+        );
+        prop_assert_eq!(
+            inc.estimate_at(slot, q.id).map(f64::to_bits),
+            Some(point.to_bits())
+        );
+    }
+    // A column that came in empty has a number in the live slots only.
+    prop_assert_eq!(col.iter().filter(|e| !e.is_nan()).count(), inc.len());
+    for (&id, &slot) in handles.iter() {
+        let current = inc.slot_of(id) == Some(slot);
+        prop_assert_eq!(inc.holds(slot, id), current, "handle ({}, {})", id, slot);
+        prop_assert_eq!(
+            inc.estimate_at(slot, id).map(f64::to_bits),
+            inc.estimate(id).filter(|_| current).map(f64::to_bits),
+            "stale handle ({}, {}) was served",
+            id,
+            slot
+        );
+    }
+    handles.extend(
+        live.iter()
+            .map(|q| (q.id, inc.slot_of(q.id).expect("live"))),
+    );
+    Ok(())
+}
+
 fn pick_id(live: &[FluidQuery], pick: f64) -> Option<u64> {
     if live.is_empty() {
         return None;
@@ -118,6 +201,7 @@ proptest! {
         let mut next_id = 0u64;
         let mut due = Vec::new();
         let mut extracted = Vec::new();
+        let mut handles = HashMap::new();
 
         for op in ops {
             match op {
@@ -140,14 +224,18 @@ proptest! {
                 }
                 Op::Reweight { pick, weight } => {
                     if let Some(id) = pick_id(&shadow.live, pick) {
+                        let slot = inc.slot_of(id);
                         prop_assert!(inc.reweight(id, weight));
+                        prop_assert_eq!(inc.slot_of(id), slot, "reweight keeps the slot");
                         let q = shadow.live.iter_mut().find(|q| q.id == id).unwrap();
                         q.weight = weight;
                     }
                 }
                 Op::RefineCost { pick, cost } => {
                     if let Some(id) = pick_id(&shadow.live, pick) {
+                        let slot = inc.slot_of(id);
                         prop_assert!(inc.refine_cost(id, cost));
+                        prop_assert_eq!(inc.slot_of(id), slot, "refine_cost keeps the slot");
                         let q = shadow.live.iter_mut().find(|q| q.id == id).unwrap();
                         q.cost = cost;
                     }
@@ -162,6 +250,8 @@ proptest! {
                     inc.drain_due(&mut due);
                     shadow.advance(dt);
                 }
+                Op::Rebuild => prop_assert_eq!(inc.rebuild(), 0),
+                Op::Recode => inc = recode(&inc),
             }
 
             // Live sets agree, modulo boundary-epsilon completions: a
@@ -199,6 +289,9 @@ proptest! {
                     "estimates_full not bit-identical to fresh predict for {}", a.0
                 );
             }
+
+            // (4) The bulk read and the node handles.
+            check_bulk_read(&inc, &extracted, &mut handles)?;
 
             // (2) Remaining costs and point estimates vs the naive shadow.
             let reference = predict_reference(&extracted, &[], None, None, inc.rate());
@@ -270,6 +363,10 @@ proptest! {
                     inc.drain_due(due);
                     live.retain(|id| inc.contains(*id));
                 }
+                Op::Rebuild => {
+                    inc.rebuild();
+                }
+                Op::Recode => *inc = recode(inc),
             }
         };
 

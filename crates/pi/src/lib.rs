@@ -23,7 +23,11 @@
 //!   an `O(log n)` point read which subscriptions are still inside
 //!   epsilon. `pump` reads only the others — none at all while nothing can
 //!   have moved — and runs the exact predicate on those, so the push
-//!   stream is the one a scan of every subscription would produce.
+//!   stream is the one a scan of every subscription would produce. When
+//!   many come due together, as they do because estimates fall in
+//!   lockstep, one `O(n)` walk of the tree
+//!   ([`IncrementalFluid::sweep_into`]) serves them all, bit-identical to
+//!   the point reads it replaces.
 //! * **Deterministic and checkpointable.** The service runs on the caller's
 //!   virtual clock ([`PiService::advance`]); identical call sequences
 //!   produce bit-identical pushes, and [`PiService::checkpoint`] /
@@ -623,6 +627,15 @@ pub struct PiService {
     due_key: Vec<f64>,
     /// Lower bound on every entry of `due_key`.
     due_floor: f64,
+    /// Per subscription slot, the model's node slot its query was last
+    /// found in (`NIL` = not looked up yet), so a read skips the id index.
+    /// A hint, validated against the node on every use and looked up
+    /// again when it no longer holds; derived state like `due_key`.
+    node_of: Vec<u32>,
+    /// Every live estimate by node slot, as of this pump's sweep
+    /// ([`IncrementalFluid::sweep_into`]); scratch, meaningless between
+    /// pumps.
+    sweep: Vec<f64>,
     /// Active subscriptions whose query is live in the model — what a
     /// full scan would read.
     live_subs: u64,
@@ -691,6 +704,8 @@ impl PiService {
             drift: 0.0,
             due_key: Vec::with_capacity(cap),
             due_floor: f64::INFINITY,
+            node_of: Vec::with_capacity(cap),
+            sweep: Vec::with_capacity(cap),
             live_subs: 0,
             next_query: 1,
             arrivals: ArrivalRateEstimator::new(cfg.lambda_prior, cfg.lambda_prior_time),
@@ -790,7 +805,8 @@ impl PiService {
     }
 
     /// `O(log n)` point estimate for a live query (`None` when queued,
-    /// backing off, or departed) — the same read the pump path uses.
+    /// backing off, or departed) — the value the pump path reads, bit for
+    /// bit, whether it takes it from a descent or from a sweep.
     pub fn point_estimate(&self, query: u64) -> Option<f64> {
         self.fluid.estimate(query)
     }
@@ -1063,7 +1079,10 @@ impl PiService {
                 self.obs.counter_add("pi.enqueued", 1);
             }
         }
-        self.subscribe_inner(session, id);
+        // The query was placed a few lines up: no need to look for it.
+        if let Some(slot) = self.session_slot(session) {
+            self.attach_sub(slot, id, admit);
+        }
         self.evaluate_tier();
         id
     }
@@ -1098,6 +1117,13 @@ impl PiService {
             }
             cur = s.next_same_query;
         }
+        self.attach_sub(slot, query, live);
+    }
+
+    /// Chain a new subscription of session slot `slot` onto `query`,
+    /// which the caller knows to be in the system (`live`: in the model)
+    /// and not yet subscribed to by this session.
+    fn attach_sub(&mut self, slot: u32, query: u64, live: bool) {
         let next_ss = self.sessions[slot as usize].sub_head;
         let next_sq = self.by_query.get(&query).copied().unwrap_or(NIL);
         let rec = Sub {
@@ -1113,10 +1139,12 @@ impl PiService {
         let sub_slot = if let Some(s) = self.sub_free.pop() {
             self.subs[s as usize] = rec;
             self.due_key[s as usize] = f64::NEG_INFINITY;
+            self.node_of[s as usize] = NIL;
             s
         } else {
             self.subs.push(rec);
             self.due_key.push(f64::NEG_INFINITY);
+            self.node_of.push(NIL);
             (self.subs.len() - 1) as u32
         };
         self.due_floor = f64::NEG_INFINITY;
@@ -1613,6 +1641,16 @@ impl PiService {
     /// exact predicate, so pushes, their order and their values are those
     /// of a scan that reads everything.
     ///
+    /// Estimates fall in lockstep, so slots pushed together come due
+    /// together. When the due slots' `O(log n)` descents would visit at
+    /// least as many nodes as the tree holds
+    /// (`due × ⌈log2(live + 1)⌉ ≥ live`), the pump first takes every
+    /// live estimate from one walk of the tree
+    /// ([`IncrementalFluid::sweep_into`], bit-identical to the point
+    /// reads) and the due slots read theirs from that; either way a read
+    /// reaches its node through a per-subscription handle, not the id
+    /// index (DESIGN.md §13, "Due waves").
+    ///
     /// The degradation ladder shapes this path: the EpsilonWiden tier
     /// multiplies the epsilon, and the FinalsOnly/Shed tiers skip
     /// non-final pushes entirely (finals always flow, so "no estimate
@@ -1704,12 +1742,29 @@ impl PiService {
     /// moved beyond `epsilon`, and give each a new key. Returns
     /// `(pushes, reads)`. Every comparison against a key is written so
     /// that a NaN on either side means "read it".
+    ///
+    /// A read is a root-to-node descent, `⌈log2(live + 1)⌉` nodes deep in
+    /// a balanced tree. When the due slots' descents would together visit
+    /// at least as many nodes as the tree has, one walk of the tree
+    /// ([`IncrementalFluid::sweep_into`]) yields every estimate first and
+    /// the due slots read theirs out of its column: the same bits for
+    /// less work, decided by the tree's size alone.
     fn pump_due(&mut self, epsilon: f64, out: &mut Vec<EstimatePush>) -> (u64, u64) {
         let s = self.clock + self.drift;
         if s < self.due_floor {
             #[cfg(debug_assertions)]
             (0..self.subs.len()).for_each(|slot| self.assert_within_epsilon(slot, epsilon));
             return (0, 0);
+        }
+        let live = self.fluid.len();
+        let due = self.subs.len() - self.due_key.iter().filter(|&&key| s < key).count();
+        let depth = (usize::BITS - live.leading_zeros()) as usize;
+        let swept = live > 0 && due.saturating_mul(depth) >= live;
+        if swept {
+            self.fluid.sweep_into(&mut self.sweep);
+            if self.obs.is_enabled() {
+                self.obs.counter_add("pi.pump.sweeps", 1);
+            }
         }
         // What the prefix sums inside a point estimate cancel against
         // (`V·W/C`): with the estimate itself, the scale of its rounding.
@@ -1726,12 +1781,23 @@ impl PiService {
                 continue;
             }
             let sub = self.subs[slot];
-            let Some(est) = sub.active.then(|| self.fluid.estimate(sub.query)).flatten() else {
+            let Some(est) = sub
+                .active
+                .then(|| self.read_estimate(slot, sub.query, swept))
+                .flatten()
+            else {
                 // Free, or queued behind the admission limit: parked
                 // until `subscribe` or admission re-arms the slot.
                 self.due_key[slot] = f64::INFINITY;
                 continue;
             };
+            debug_assert_eq!(
+                Some(est.to_bits()),
+                self.fluid.estimate(sub.query).map(f64::to_bits),
+                "slot {slot} (query {}) read through node {}, swept: {swept}",
+                sub.query,
+                self.node_of[slot]
+            );
             reads += 1;
             let push = moved(sub.last_push, est, epsilon);
             let last = if push { est } else { sub.last_push };
@@ -1756,6 +1822,24 @@ impl PiService {
         }
         self.due_floor = floor;
         (pushed, reads)
+    }
+
+    /// The estimate of `query` for subscription slot `slot`: out of this
+    /// pump's sweep column when there is one, else by a descent. Either
+    /// way through the slot's node handle while that still names the
+    /// query, and through the id index (refreshing the handle) when it
+    /// does not. `None`: the query is not live.
+    fn read_estimate(&mut self, slot: usize, query: u64, swept: bool) -> Option<f64> {
+        let mut node = self.node_of[slot];
+        if !self.fluid.holds(node, query) {
+            node = self.fluid.slot_of(query)?;
+            self.node_of[slot] = node;
+        }
+        if swept {
+            Some(self.sweep[node as usize])
+        } else {
+            self.fluid.estimate_at(node, query)
+        }
     }
 
     /// Debug cross-check of one skipped slot: the exact predicate must
@@ -2332,6 +2416,8 @@ impl PiService {
         }
         // The pump's pre-filter is derived state: every key starts due.
         let due_key = vec![f64::NEG_INFINITY; subs.len()];
+        let node_of = vec![NIL; subs.len()];
+        let sweep = Vec::with_capacity(fluid.len());
         let mut svc = PiService {
             cfg,
             clock,
@@ -2346,6 +2432,8 @@ impl PiService {
             drift: 0.0,
             due_key,
             due_floor: f64::NEG_INFINITY,
+            node_of,
+            sweep,
             live_subs: 0,
             next_query,
             arrivals,

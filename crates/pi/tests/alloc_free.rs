@@ -15,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
+use mqpi_obs::Obs;
 use mqpi_pi::{PiConfig, PiService};
 
 /// Counts the allocations of the calling thread. Frees are not counted:
@@ -218,5 +219,74 @@ fn idle_population_and_reused_subscriptions_allocate_nothing() {
         svc.stats().pushes - pushes_before >= 4 * 3 * POP as u64,
         "the idle population must still be pushed: {:?}",
         svc.stats()
+    );
+}
+
+/// A population pushed at one instant comes due again all at once, and
+/// the pump then reads every estimate from one walk of the tree
+/// (DESIGN.md §13, "Due waves"). The walk's column and the node-handle
+/// column are sized where the node columns are — `with_capacity` and
+/// `restore` — so neither a service's very first pump nor a restored
+/// service's, both all-due, allocates, and no wave after them does.
+#[test]
+fn swept_pumps_allocate_nothing() {
+    const POP: usize = 1_024;
+    const EPSILON: f64 = 0.05;
+    let build = || {
+        let mut svc = PiService::with_capacity(
+            PiConfig {
+                rate: 100.0,
+                epsilon: EPSILON,
+                slots: None,
+                ..PiConfig::default()
+            },
+            POP,
+        );
+        let sid = svc.register_session();
+        for i in 0..POP {
+            svc.submit(sid, 1e6 + 90.0 * i as f64, 1.0 + (i % 4) as f64);
+        }
+        svc
+    };
+    // Three waves: 35 steps of a tenth of epsilon.
+    let waves = |svc: &mut PiService, out: &mut Vec<_>| {
+        svc.pump(out);
+        for _ in 0..35 {
+            svc.advance(EPSILON / 10.0);
+            out.clear();
+            svc.pump(out);
+        }
+    };
+    let mut out = Vec::with_capacity(POP);
+
+    // The same script with counters on says which pumps swept; the
+    // measured services run with the default (disabled) handle.
+    let mut counted = build();
+    let obs = Obs::enabled();
+    counted.set_obs(obs.clone());
+    waves(&mut counted, &mut out);
+    let sweeps = obs.counter("pi.pump.sweeps");
+    assert!(sweeps >= 4, "only {sweeps} swept pumps in three waves");
+    assert!(counted.stats().pushes >= 4 * POP as u64);
+
+    let mut svc = build();
+    out.clear();
+    let before = allocs();
+    waves(&mut svc, &mut out);
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "first pump and three waves allocated {during} times"
+    );
+    assert_eq!(svc.stats(), counted.stats());
+
+    let mut restored = PiService::restore(&svc.checkpoint()).unwrap();
+    out.clear();
+    let before = allocs();
+    waves(&mut restored, &mut out);
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "a restored service's waves allocated {during} times"
     );
 }

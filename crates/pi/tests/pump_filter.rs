@@ -4,7 +4,20 @@
 //! subscription table with what each subscriber was last told, plus a
 //! `point_estimate` of every live subscription in slot order — says what
 //! each pump must push, bit for bit. Built with debug assertions the
-//! service additionally re-reads every slot it skips.
+//! service additionally re-reads every slot it skips, and every estimate
+//! it took from a sweep or through a node handle.
+//!
+//! The oracle is the only check a release build has on the swept path, so
+//! each of these was tried against it in release mode and fails it: a
+//! node handle trusted without looking at the node (`read_estimate`
+//! skipping `holds`), alone and with the handle also kept across the
+//! reuse of a subscription slot; a sweep column kept from an earlier pump
+//! instead of retaken. Forcing the switch rule to "always sweep" passes
+//! every test and to "never sweep" every comparison with the oracle (only
+//! `lockstep_wave_is_read_by_one_sweep`'s count of sweeps objects), as
+//! they must: the rule decides cost, not values. Taking the sweep ahead
+//! of the pump's final pushes also passes: finals free subscription
+//! slots and never touch the model, so the column is the same.
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -559,6 +572,108 @@ fn idle_pumps_read_only_what_they_push() {
         "{reads} reads for {} pushes over 81 pumps of {POP} subscriptions",
         stats.pushes
     );
+}
+
+/// Estimates fall in lockstep, so a population pushed at one instant comes
+/// due again in the same few pumps: those pumps take every estimate from
+/// one walk of the tree. Three worlds run the same script — uninterrupted
+/// (held to the oracle), restored from a checkpoint and recovered from the
+/// log after the first wave — through departures and arrivals that hand
+/// node slots and subscription slots to new owners in mid-wave.
+#[test]
+fn lockstep_wave_is_read_by_one_sweep() {
+    const POP: usize = 4_096;
+    let cfg = PiConfig {
+        rate: 1_000.0,
+        epsilon: 0.05,
+        ..config(0)
+    };
+    let sweeps_of = |w: &mut World| {
+        let obs = Obs::enabled();
+        w.svc.set_obs(obs.clone());
+        move || obs.counter("pi.pump.sweeps")
+    };
+    let submit = |i: usize| Op::Submit {
+        session: (i % 3) as f64 / 3.0,
+        cost: 1e5 + 37.0 * (i * 7919 % POP) as f64,
+        weight: WEIGHTS[i % 4],
+    };
+    // A wave and a half in steps of a tenth of epsilon; a third of the way
+    // in, 64 departures whose slots the next 64 arrivals take over.
+    let wave = |from: usize| {
+        let mut ops = Vec::new();
+        for step in 0..15 {
+            ops.extend([Op::Advance { dt: 0.005 }, Op::Pump]);
+            if step == 5 {
+                ops.extend((0..64).map(|i| Op::Abort {
+                    query: (i * 61 % POP) as f64 / POP as f64,
+                }));
+                ops.push(Op::Pump);
+                ops.extend((from..from + 64).map(submit));
+            }
+        }
+        ops
+    };
+
+    let mut live = World::new(PiService::with_capacity(cfg, POP));
+    let live_sweeps = sweeps_of(&mut live);
+    let mut oracle = Oracle::default();
+    let dir = tmpdir();
+    let mut journaled = World::new(PiService::open_durable(cfg, &dir).unwrap().0);
+    let (mut out, mut out_j) = (Vec::new(), Vec::new());
+    let mut first: Vec<Op> = (0..POP).map(submit).collect();
+    first.push(Op::Pump);
+    first.extend(wave(POP));
+    for (i, &op) in first.iter().enumerate() {
+        live.apply(op, Some(&mut oracle), &mut out)
+            .unwrap_or_else(|e| panic!("step {i} ({op:?}): {e}"));
+        journaled.apply(op, None, &mut out_j).unwrap();
+    }
+    same_pushes(&out_j, &out, "journaled vs volatile").unwrap();
+    // Everybody at once, then everybody again within a few pumps.
+    assert!(out.iter().filter(|p| !p.done).count() >= 2 * POP);
+    let before_cut = live_sweeps();
+    assert!(
+        (2..=8).contains(&before_cut),
+        "{before_cut} sweeps over the first pump and one wave"
+    );
+
+    let mut restored = World::around(PiService::restore(&live.svc.checkpoint()).unwrap(), &live);
+    let restored_sweeps = sweeps_of(&mut restored);
+    journaled.svc.wal_sync();
+    drop(journaled);
+    let (recovered, rec) = PiService::open_durable(cfg, &dir).unwrap();
+    assert!(rec.resumed);
+    let mut recovered = World::around(recovered, &live);
+    let recovered_sweeps = sweeps_of(&mut recovered);
+
+    let (mut out, mut out_r, mut out_j) = (Vec::new(), Vec::new(), Vec::new());
+    // The restored service's first pump finds every key due; the
+    // recovered one re-derived its keys by replaying the log's suffix.
+    let mut second = vec![Op::Pump];
+    second.extend(wave(POP + 64));
+    second.extend(wave(POP + 128));
+    for (i, &op) in second.iter().enumerate() {
+        live.apply(op, Some(&mut oracle), &mut out)
+            .unwrap_or_else(|e| panic!("step {i} after the cut ({op:?}): {e}"));
+        restored.apply(op, None, &mut out_r).unwrap();
+        recovered.apply(op, None, &mut out_j).unwrap();
+    }
+    same_pushes(&out_r, &out, "restored vs uninterrupted").unwrap();
+    same_pushes(&out_j, &out, "replayed vs uninterrupted").unwrap();
+    assert_eq!(restored.svc.state_digest(), live.svc.state_digest());
+    assert_eq!(recovered.svc.state_digest(), live.svc.state_digest());
+    assert!(out.iter().filter(|p| !p.done).count() >= 3 * POP);
+    let (l, r, j) = (
+        live_sweeps() - before_cut,
+        restored_sweeps(),
+        recovered_sweeps(),
+    );
+    assert!(
+        l >= 3 && r > l && j >= l,
+        "sweeps after the cut: {l} / {r} / {j}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Keys computed under EpsilonWiden's wider epsilon promise too much once
