@@ -180,7 +180,7 @@ fn parse_args() -> Result<Opts, String> {
             "--standby" => opts.standby = true,
             "--help" | "-h" => {
                 return Err(
-                    "usage: experiments [all|table1|fig1..fig11|ablations|speedup|chaos|bench-harness|bench-sim|bench-pi|pi-serve|pi-chaos|pi-wal-chaos|bench-ensemble|bench-wal] \
+                    "usage: experiments [all|table1|fig1..fig11|ablations|speedup|chaos|bench-harness|bench-sim|bench-pi|pi-serve|pi-chaos|pi-wal-chaos|bench-ensemble] \
                             [--runs N] [--small] [--csv DIR] [--seed S] [--jobs N] [--chaos] \
                             [--trace-out FILE] [--metrics-out FILE] \
                             [--checkpoint-dir DIR] [--checkpoint-every N] [--resume-from PATH] \
@@ -237,7 +237,6 @@ fn parse_args() -> Result<Opts, String> {
         "pi-chaos",
         "pi-wal-chaos",
         "bench-ensemble",
-        "bench-wal",
     ];
     for w in &opts.what {
         if !KNOWN.contains(&w.as_str()) {
@@ -712,10 +711,6 @@ fn main() -> ExitCode {
         // Durability chaos campaign; only when asked by name.
         if opts.what.iter().any(|w| w == "pi-wal-chaos") {
             pi_wal_chaos(&opts)?;
-        }
-        // WAL replay/recovery/group-commit timing; only when asked by name.
-        if opts.what.iter().any(|w| w == "bench-wal") {
-            bench_wal(&opts)?;
         }
         // Estimator-ensemble campaign; only when asked by name.
         if opts.what.iter().any(|w| w == "bench-ensemble") {
@@ -1522,179 +1517,5 @@ fn pi_wal_chaos(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
         t.write_csv(&dir.join("pi-wal-chaos.csv"))?;
     }
     eprintln!("# pi-wal-chaos: {} replicates clean", rows.len());
-    Ok(())
-}
-
-/// Durability-subsystem timing (`bench-wal`): replay throughput and
-/// recovery latency as a function of log length, plus the group-commit
-/// batch-size sweep. Writes `BENCH_10.json`.
-fn bench_wal(opts: &Opts) -> Result<(), Box<dyn std::error::Error>> {
-    use mqpi_pi::{PiConfig, PiService};
-    use mqpi_wal::WalKnobs;
-
-    let root = std::env::temp_dir().join(format!("mqpi-bench-wal-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let cfg_for = |knobs: WalKnobs| PiConfig {
-        rate: 200.0,
-        epsilon: 0.05,
-        slots: Some(16),
-        wal: Some(knobs),
-        ..PiConfig::default()
-    };
-    // One scripted driver iteration journals 3-4 records (submit, an
-    // occasional control command, advance, pump).
-    let drive = |svc: &mut PiService, sid: u64, i: u64, out: &mut Vec<mqpi_pi::EstimatePush>| {
-        let q = svc.submit(sid, 4.0 + (i % 37) as f64 * 0.5, 1.0 + (i % 3) as f64);
-        if i.is_multiple_of(5) {
-            svc.refine_cost(q, 2.0 + (i % 11) as f64);
-        }
-        svc.advance(0.01);
-        out.clear();
-        svc.pump(out);
-    };
-    let reps = simbench::reps();
-
-    // ---- Replay throughput / recovery latency vs log length. ----
-    let replay_iters: &[u64] = if opts.small {
-        &[2_000]
-    } else {
-        &[2_000, 8_000, 32_000]
-    };
-    let mut replay_rows = Vec::new();
-    let mut t = TextTable::new(&[
-        "iters",
-        "records",
-        "log bytes",
-        "recover (ms)",
-        "records/sec",
-    ]);
-    for (k, &iters) in replay_iters.iter().enumerate() {
-        let dir = root.join(format!("replay-{k}"));
-        let knobs = WalKnobs {
-            flush_every_n: 256,
-            flush_every_vt: 1e18,
-            compact_every: 0,
-        };
-        {
-            let (mut svc, _) = PiService::open_durable(cfg_for(knobs), &dir)?;
-            let sid = svc.register_session();
-            let mut out = Vec::new();
-            for i in 1..=iters {
-                drive(&mut svc, sid, i, &mut out);
-            }
-            svc.wal_sync();
-            drop(svc);
-        }
-        let log_bytes: u64 = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-            .filter_map(|e| e.metadata().ok().map(|m| m.len()))
-            .sum();
-        let mut best = f64::INFINITY;
-        let mut replayed = 0u64;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let (svc, rec) = PiService::open_durable(cfg_for(knobs), &dir)?;
-            best = best.min(t0.elapsed().as_secs_f64());
-            replayed = rec.replayed;
-            drop(svc);
-        }
-        let per_sec = replayed as f64 / best;
-        eprintln!(
-            "# bench-wal replay iters={iters}: {replayed} records in {:.1}ms ({:.0} records/sec)",
-            best * 1e3,
-            per_sec
-        );
-        t.row(vec![
-            iters.to_string(),
-            replayed.to_string(),
-            log_bytes.to_string(),
-            format!("{:.1}", best * 1e3),
-            format!("{per_sec:.0}"),
-        ]);
-        replay_rows.push((iters, replayed, log_bytes, best, per_sec));
-    }
-    println!("== bench-wal replay (snapshot + suffix recovery) ==");
-    println!("{}", t.render());
-
-    // ---- Group-commit batch-size sweep. ----
-    let sweep_iters: u64 = if opts.small { 2_000 } else { 10_000 };
-    let flush_ns: &[u32] = &[1, 8, 64, 512];
-    let mut sweep_rows = Vec::new();
-    let mut t = TextTable::new(&["flush_every_n", "wall (s)", "records/sec", "fsyncs"]);
-    for &n in flush_ns {
-        let knobs = WalKnobs {
-            flush_every_n: n,
-            flush_every_vt: 1e18,
-            compact_every: 0,
-        };
-        let mut best = f64::INFINITY;
-        let mut flushes = 0u64;
-        let mut records = 0u64;
-        for rep in 0..reps {
-            let dir = root.join(format!("sweep-{n}-{rep}"));
-            let obs = mqpi_obs::Obs::enabled();
-            let (mut svc, _) = PiService::open_durable_with_obs(cfg_for(knobs), &dir, obs.clone())?;
-            let sid = svc.register_session();
-            let mut out = Vec::new();
-            let t0 = Instant::now();
-            for i in 1..=sweep_iters {
-                drive(&mut svc, sid, i, &mut out);
-            }
-            svc.wal_sync();
-            let wall = t0.elapsed().as_secs_f64();
-            records = obs.counter("wal.appended");
-            flushes = obs.counter("wal.flushes");
-            best = best.min(wall);
-            drop(svc);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        let per_sec = records as f64 / best;
-        eprintln!(
-            "# bench-wal group-commit n={n}: {records} records in {:.3}s ({:.0} records/sec, {flushes} fsync batches)",
-            best, per_sec
-        );
-        t.row(vec![
-            n.to_string(),
-            format!("{best:.3}"),
-            format!("{per_sec:.0}"),
-            flushes.to_string(),
-        ]);
-        sweep_rows.push((n, best, per_sec, flushes));
-    }
-    println!("== bench-wal group commit ({sweep_iters} iterations) ==");
-    println!("{}", t.render());
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"benchmark\": \"wal durability: replay throughput, recovery latency, group commit (crates/wal + crates/pi/src/durable.rs)\",\n");
-    json.push_str(
-        "  \"config\": \"PiService event-sourced through an fsync-batched CRC-framed log; replay = base snapshot restore + committed-suffix re-apply\",\n",
-    );
-    json.push_str(
-        "  \"metric\": \"records/sec (replay and append) and recovery wall time vs log length\",\n",
-    );
-    json.push_str(&format!(
-        "  \"methodology\": \"best of {reps} repetitions (MQPI_BENCH_REPS); kernel-noise bursts are strictly additive, so min-of-k converges on true cost\",\n",
-    ));
-    json.push_str("  \"replay\": {");
-    for (i, (iters, records, bytes, secs, per_sec)) in replay_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "{}\"iters_{iters}\": {{ \"records\": {records}, \"log_bytes\": {bytes}, \"recover_ms\": {:.2}, \"records_per_sec\": {per_sec:.0} }}",
-            if i == 0 { " " } else { ", " },
-            secs * 1e3
-        ));
-    }
-    json.push_str(" },\n");
-    json.push_str("  \"group_commit\": {");
-    for (i, (n, secs, per_sec, flushes)) in sweep_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "{}\"flush_every_{n}\": {{ \"wall_s\": {secs:.3}, \"records_per_sec\": {per_sec:.0}, \"fsync_batches\": {flushes} }}",
-            if i == 0 { " " } else { ", " }
-        ));
-    }
-    json.push_str(" }\n}\n");
-    mqpi_ckpt::atomic_write(std::path::Path::new("BENCH_10.json"), json.as_bytes())?;
-    eprintln!("# wrote BENCH_10.json");
-    let _ = std::fs::remove_dir_all(&root);
     Ok(())
 }

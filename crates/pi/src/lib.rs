@@ -89,7 +89,7 @@ use mqpi_core::adaptive::MeanCostEstimator;
 use mqpi_core::{ArrivalRateEstimator, EstimateSet, FluidQuery, FutureArrivals, IncrementalFluid};
 use mqpi_obs::{Obs, TraceKind};
 use mqpi_sim::RetryPolicy;
-use mqpi_wal::{Wal, WalKnobs, WalRecord};
+use mqpi_wal::{Wal, WalKnobs, WalRecord, MAX_NOTE_LEN};
 
 pub mod durable;
 pub mod mirror;
@@ -853,7 +853,7 @@ impl PiService {
     /// Register a session. Sessions receive pushes for queries they
     /// submitted or subscribed to.
     pub fn register_session(&mut self) -> SessionId {
-        self.wal_append(WalRecord::RegisterSession);
+        self.wal_append(&WalRecord::RegisterSession);
         let sid = self.register_session_inner();
         self.wal_commit_point();
         sid
@@ -880,7 +880,7 @@ impl PiService {
     /// generation is bumped, so the closed handle — and any copy of it —
     /// is dead even after the slot is reused. Stale handles are a no-op.
     pub fn close_session(&mut self, sid: SessionId) {
-        self.wal_append(WalRecord::CloseSession { session: sid });
+        self.wal_append(&WalRecord::CloseSession { session: sid });
         self.close_session_inner(sid);
         self.wal_commit_point();
     }
@@ -1039,7 +1039,7 @@ impl PiService {
         assert!(self.session_alive(session), "no such session {session:#x}");
         // Raw arguments are journaled so replay repeats the sanitization
         // decisions (and their counters) exactly.
-        self.wal_append(WalRecord::Submit {
+        self.wal_append(&WalRecord::Submit {
             session,
             cost,
             weight,
@@ -1091,7 +1091,7 @@ impl PiService {
     /// sessions or queries that already left the system (including after
     /// their final push).
     pub fn subscribe(&mut self, session: SessionId, query: u64) {
-        self.wal_append(WalRecord::Subscribe { session, query });
+        self.wal_append(&WalRecord::Subscribe { session, query });
         self.subscribe_inner(session, query);
         self.wal_commit_point();
     }
@@ -1462,7 +1462,7 @@ impl PiService {
     /// fire, the degradation ladder settles, and the breaker audits when
     /// due.
     pub fn advance(&mut self, dt: f64) {
-        self.wal_append(WalRecord::Advance { dt });
+        self.wal_append(&WalRecord::Advance { dt });
         self.advance_inner(dt);
         self.wal_commit_point();
     }
@@ -1503,7 +1503,7 @@ impl PiService {
     /// Abort a query (live, queued, or backing off). Subscribers get a
     /// final push on the next pump. Returns false if the query is unknown.
     pub fn abort(&mut self, query: u64) -> bool {
-        self.wal_append(WalRecord::Abort { query });
+        self.wal_append(&WalRecord::Abort { query });
         let ok = self.abort_inner(query);
         self.wal_commit_point();
         ok
@@ -1544,7 +1544,7 @@ impl PiService {
     /// sanitized to 1.0 and counted. Returns false when the query is
     /// unknown.
     pub fn reweight(&mut self, query: u64, weight: f64) -> bool {
-        self.wal_append(WalRecord::Reweight { query, weight });
+        self.wal_append(&WalRecord::Reweight { query, weight });
         let ok = self.reweight_inner(query, weight);
         self.wal_commit_point();
         ok
@@ -1575,7 +1575,7 @@ impl PiService {
     /// Replace a live query's remaining-cost estimate (cost refinement).
     /// Non-finite costs are refused and counted, never applied.
     pub fn refine_cost(&mut self, query: u64, cost: f64) -> bool {
-        self.wal_append(WalRecord::Refine { query, cost });
+        self.wal_append(&WalRecord::Refine { query, cost });
         let ok = self.refine_cost_inner(query, cost);
         self.wal_commit_point();
         ok
@@ -1610,7 +1610,7 @@ impl PiService {
             rate.is_finite() && rate > 0.0,
             "rate must be finite and positive"
         );
-        self.wal_append(WalRecord::SetRate { rate });
+        self.wal_append(&WalRecord::SetRate { rate });
         self.set_rate_inner(rate);
         self.wal_commit_point();
     }
@@ -1659,7 +1659,7 @@ impl PiService {
     /// Push order is deterministic: finals in departure order, then
     /// subscriptions in slot order. Appends to `out` without clearing it.
     pub fn pump(&mut self, out: &mut Vec<EstimatePush>) {
-        self.wal_append(WalRecord::Pump);
+        self.wal_append(&WalRecord::Pump);
         self.pump_inner(out);
         self.wal_commit_point();
     }
@@ -1905,9 +1905,9 @@ impl PiService {
 
     /// Journal one record ahead of applying its command. No-op when no
     /// log is attached.
-    fn wal_append(&mut self, rec: WalRecord) {
+    fn wal_append(&mut self, rec: &WalRecord) {
         if let Some(w) = self.wal.as_mut() {
-            w.append(&rec);
+            w.append(rec);
         }
     }
 
@@ -1971,7 +1971,7 @@ impl PiService {
             return;
         }
         self.wal_mark_cache = Some((iter, digest));
-        self.wal_append(WalRecord::Mark { iter, digest });
+        self.wal_append(&WalRecord::Mark { iter, digest });
         self.wal_commit_point();
     }
 
@@ -1979,15 +1979,28 @@ impl PiService {
     /// state blob) so driver and service recover from a single consistent
     /// frontier; recovery surfaces the newest one
     /// ([`DurableRecovery::last_note`]). Commits immediately.
-    pub fn wal_note(&mut self, bytes: &[u8]) {
+    ///
+    /// Returns `false`, journaling nothing and leaving the previous note in
+    /// place, when `bytes` is longer than [`MAX_NOTE_LEN`]: recovery reads a
+    /// larger record as corruption and would cut the log there, taking
+    /// every later committed record with it (counter `wal.note_rejected`).
+    pub fn wal_note(&mut self, bytes: &[u8]) -> bool {
         if self.wal.is_none() {
-            return;
+            return true;
         }
-        self.wal_note_cache = Some(bytes.to_vec());
-        self.wal_append(WalRecord::Note {
+        if bytes.len() > MAX_NOTE_LEN {
+            self.obs.counter_add("wal.note_rejected", 1);
+            return false;
+        }
+        let rec = WalRecord::Note {
             bytes: bytes.to_vec(),
-        });
+        };
+        self.wal_append(&rec);
+        if let WalRecord::Note { bytes } = rec {
+            self.wal_note_cache = Some(bytes);
+        }
         self.wal_commit_point();
+        true
     }
 
     /// Force the journal to disk regardless of the group-commit policy

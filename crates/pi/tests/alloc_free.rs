@@ -290,3 +290,74 @@ fn swept_pumps_allocate_nothing() {
         "a restored service's waves allocated {during} times"
     );
 }
+
+/// The journaled warm path: with a log attached, `submit + advance + pump`
+/// frames each record in place in the segment buffer (no per-record
+/// `Vec`), seals it once, and a flush writes the buffer out and keeps its
+/// capacity — so once the buffer has reached its high-water mark neither
+/// the cycles between two flushes nor the flushes themselves allocate.
+#[test]
+fn journaled_cycle_allocates_nothing_between_and_across_flushes() {
+    const POP: usize = 256;
+    const COST: f64 = 100.0;
+    const RATE: f64 = 100.0;
+    const FLUSH_EVERY: u32 = 256;
+    let dir = std::env::temp_dir().join(format!("mqpi-pi-alloc-wal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PiConfig {
+        rate: RATE,
+        epsilon: 0.5,
+        slots: None,
+        wal: Some(mqpi_wal::WalKnobs {
+            flush_every_n: FLUSH_EVERY,
+            flush_every_vt: 1e18,
+            compact_every: 0,
+        }),
+        ..PiConfig::default()
+    };
+    let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+    let sid = svc.register_session();
+    let mut out = Vec::with_capacity(4 * POP);
+    let mut cycle = |svc: &mut PiService| {
+        svc.submit(sid, COST, 1.0);
+        svc.advance(COST / RATE);
+        out.clear();
+        svc.pump(&mut out);
+    };
+    for _ in 0..POP {
+        svc.submit(sid, COST, 1.0);
+    }
+    // Several flushes' worth of churn: every container, the segment
+    // buffer included, reaches its high-water capacity.
+    for _ in 0..4 * POP {
+        cycle(&mut svc);
+    }
+
+    // Between flushes: 20 cycles journal 60 records into an empty buffer.
+    svc.wal_sync();
+    let seq = svc.wal().unwrap().next_seq();
+    let before = allocs();
+    for _ in 0..20 {
+        cycle(&mut svc);
+    }
+    let during = allocs() - before;
+    assert_eq!(svc.wal().unwrap().next_seq() - seq, 60);
+    assert_eq!(
+        during, 0,
+        "20 journaled cycles between flushes allocated {during} times"
+    );
+
+    // Across flushes: 3 000 records pass through a 256-record group commit.
+    let before = allocs();
+    for _ in 0..1_000 {
+        cycle(&mut svc);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "1000 journaled cycles across ~11 flushes allocated {during} times"
+    );
+    assert!(svc.stats().pushes > 0);
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
+}

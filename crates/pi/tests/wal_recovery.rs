@@ -117,17 +117,19 @@ fn reference(n: u64) -> (Vec<EstimatePush>, Vec<u64>) {
     (pushes, digests)
 }
 
+/// Bitwise equality of two pushes.
+fn same_push(a: &EstimatePush, b: &EstimatePush) -> bool {
+    a.session == b.session
+        && a.query == b.query
+        && a.at.to_bits() == b.at.to_bits()
+        && a.estimate.to_bits() == b.estimate.to_bits()
+        && a.done == b.done
+}
+
 fn assert_streams_identical(got: &[EstimatePush], want: &[EstimatePush], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: push count mismatch");
     for (k, (g, w)) in got.iter().zip(want).enumerate() {
-        assert!(
-            g.session == w.session
-                && g.query == w.query
-                && g.at.to_bits() == w.at.to_bits()
-                && g.estimate.to_bits() == w.estimate.to_bits()
-                && g.done == w.done,
-            "{what}: push {k} differs: {g:?} vs {w:?}"
-        );
+        assert!(same_push(g, w), "{what}: push {k} differs: {g:?} vs {w:?}");
     }
 }
 
@@ -542,4 +544,380 @@ fn at_mark_recovery_lands_exactly_on_iteration_boundary() {
         sealed_somewhere,
         "at least one chop must cut mid-iteration and seal records"
     );
+}
+
+/// A note the log could not read back (one byte over the record cap) is
+/// refused before anything is journaled: the previous note stays, the
+/// counter moves, and everything journaled afterwards survives a reopen —
+/// written, it would have cut the log at that frame.
+#[test]
+fn refused_note_does_not_cut_the_log() {
+    let knobs = WalKnobs {
+        flush_every_n: 1,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let dir = tmpdir("note-refused");
+    let obs = mqpi_obs::Obs::enabled();
+    let cfg = base_cfg(Some(knobs));
+    let (live_digest, seq) = {
+        let (mut svc, _) = PiService::open_durable_with_obs(cfg, &dir, obs.clone()).unwrap();
+        let sid = svc.register_session();
+        let mut scratch = Vec::new();
+        drive(&mut svc, sid, 1, &mut scratch);
+        assert!(svc.wal_note(b"kept"));
+        let seq = svc.wal().unwrap().next_seq();
+        // Zeroed pages nobody reads: the length alone decides.
+        let oversized = vec![0u8; mqpi_wal::MAX_NOTE_LEN + 1];
+        assert!(!svc.wal_note(&oversized));
+        assert_eq!(obs.counter("wal.note_rejected"), 1);
+        assert_eq!(
+            svc.wal().unwrap().next_seq(),
+            seq,
+            "a refused note journals nothing"
+        );
+        for i in 2..=6 {
+            drive(&mut svc, sid, i, &mut scratch);
+        }
+        svc.wal_mark(6, 0xFEED);
+        (svc.state_digest(), svc.wal().unwrap().next_seq())
+    };
+    let (svc, rec) = PiService::open_durable(cfg, &dir).unwrap();
+    assert_eq!(rec.truncated_bytes, 0);
+    assert_eq!(rec.replayed, seq - 1);
+    assert_eq!(rec.last_note.as_deref(), Some(&b"kept"[..]));
+    assert_eq!(rec.last_mark, Some((6, 0xFEED)));
+    assert_eq!(svc.state_digest(), live_digest);
+    // A volatile service has nothing to journal and nothing to refuse.
+    assert!(PiService::try_new(base_cfg(None))
+        .unwrap()
+        .wal_note(b"ignored"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// the standby's cursor
+// ---------------------------------------------------------------------------
+
+fn newest_segment(dir: &std::path::Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .expect("read log dir")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
+        .max_by_key(|e| e.file_name())
+        .expect("segment exists")
+        .path()
+}
+
+fn file_len(p: &std::path::Path) -> u64 {
+    std::fs::metadata(p).expect("segment metadata").len()
+}
+
+/// Random interleavings of primary calls, syncs, compactions and
+/// `catch_up`s under several group-commit and auto-compaction policies:
+/// after every `catch_up` the replica that tails from its cursor is
+/// indistinguishable from one built by a fresh full scan of the same
+/// directory, and what it has pushed so far ends with what the fresh one
+/// regenerates.
+#[test]
+fn cursor_standby_equals_a_fresh_standby_after_every_catch_up() {
+    let mut catch_ups = 0;
+    let mut applied_total = 0;
+    for case in 0..24u64 {
+        let seed = splitmix64(0x00C0_FFEE ^ case);
+        let knobs = WalKnobs {
+            flush_every_n: [1, 3, 16, u32::MAX][(seed % 4) as usize],
+            flush_every_vt: 1e18,
+            compact_every: [0, 0, 41][((seed >> 4) % 3) as usize],
+        };
+        let cfg = base_cfg(Some(knobs));
+        let dir = tmpdir(&format!("cursor-prop-{case}"));
+        let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+        let sid = svc.register_session();
+        let mut sb = Standby::new(cfg, &dir).unwrap();
+        let mut sb_stream = Vec::new();
+        let mut scratch = Vec::new();
+        let mut i = 0u64;
+        for step in 0..160u64 {
+            let r = splitmix64(seed ^ step.wrapping_mul(0x2545_F491_4F6C_DD1D));
+            match r % 16 {
+                0..=7 => {
+                    i += 1;
+                    scratch.clear();
+                    drive(&mut svc, sid, i, &mut scratch);
+                }
+                8 => svc.wal_mark(i, r),
+                9..=10 => svc.wal_sync(),
+                11 => svc.wal_compact_now(),
+                _ => {
+                    applied_total += sb.catch_up().unwrap();
+                    catch_ups += 1;
+                    sb.drain_pushes(&mut sb_stream);
+                    let mut fresh = Standby::new(cfg, &dir).unwrap();
+                    let what = format!("case {case} step {step}");
+                    assert_eq!(sb.applied_seq(), fresh.applied_seq(), "{what}");
+                    assert_eq!(sb.last_mark(), fresh.last_mark(), "{what}");
+                    assert_eq!(
+                        sb.service().state_digest(),
+                        fresh.service().state_digest(),
+                        "{what}"
+                    );
+                    let mut regenerated = Vec::new();
+                    fresh.drain_pushes(&mut regenerated);
+                    assert!(regenerated.len() <= sb_stream.len(), "{what}");
+                    let tail = &sb_stream[sb_stream.len() - regenerated.len()..];
+                    assert!(
+                        tail.iter().zip(&regenerated).all(|(a, b)| same_push(a, b)),
+                        "{what}: push streams differ"
+                    );
+                }
+            }
+        }
+        // Everything synced: the replica catches up to the primary itself.
+        svc.wal_sync();
+        sb.catch_up().unwrap();
+        assert_eq!(sb.applied_seq(), svc.wal().unwrap().next_seq() - 1);
+        assert_eq!(sb.service().state_digest(), svc.state_digest());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(catch_ups > 200 && applied_total > 2_000);
+}
+
+/// A half-written frame and an uncommitted batch past the cursor: the
+/// cursor does not move, and the next call picks the records up once the
+/// batch is whole and committed. `wal.tail_bytes` counts exactly the new
+/// frames plus the open batch read again. The primary here is a detached
+/// log driven by hand, because every service call commits its own frame.
+#[test]
+fn cursor_waits_at_torn_frames_and_open_batches() {
+    use mqpi_wal::WalRecord;
+    let knobs = WalKnobs {
+        flush_every_n: u32::MAX,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let cfg = base_cfg(Some(knobs));
+    let dir = tmpdir("cursor-torn");
+    let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+    let sid = svc.register_session();
+    svc.wal_sync();
+    let mut wal = svc.detach_wal().unwrap();
+    let seg = newest_segment(&dir);
+    let obs = mqpi_obs::Obs::enabled();
+    let mut sb = Standby::with_obs(cfg, &dir, obs.clone()).unwrap();
+    assert_eq!(sb.applied_seq(), 1);
+    let tail_bytes = |before: &mut u64| {
+        let now = obs.counter("wal.tail_bytes");
+        std::mem::replace(before, now).abs_diff(now)
+    };
+    let mut counted = obs.counter("wal.tail_bytes");
+    let mut pushes = Vec::new();
+    let mut journal = |wal: &mut mqpi_wal::Wal, svc: &mut PiService, rec: WalRecord| {
+        wal.append(&rec);
+        svc.apply_record(&rec, &mut pushes);
+    };
+
+    // Two frames of a three-frame batch reach the disk uncommitted.
+    let committed = file_len(&seg);
+    journal(
+        &mut wal,
+        &mut svc,
+        WalRecord::Submit {
+            session: sid,
+            cost: 12.0,
+            weight: 1.0,
+        },
+    );
+    journal(&mut wal, &mut svc, WalRecord::Advance { dt: 0.25 });
+    wal.flush(0.0).unwrap();
+    let open_batch = file_len(&seg) - committed;
+    assert_eq!(sb.catch_up().unwrap(), 0);
+    assert_eq!(sb.applied_seq(), 1, "an open batch is not applied");
+    assert_eq!(tail_bytes(&mut counted), open_batch);
+
+    // The commit frame arrives: all three apply, the open batch read again.
+    journal(&mut wal, &mut svc, WalRecord::Pump);
+    wal.commit(0.0).unwrap();
+    wal.flush(0.0).unwrap();
+    assert_eq!(sb.catch_up().unwrap(), 3);
+    assert_eq!(sb.applied_seq(), 4);
+    assert_eq!(tail_bytes(&mut counted), file_len(&seg) - committed);
+    assert_eq!(sb.service().state_digest(), svc.state_digest());
+
+    // Nothing new: nothing read.
+    assert_eq!(sb.catch_up().unwrap(), 0);
+    assert_eq!(tail_bytes(&mut counted), 0);
+
+    // A committed frame of which only half is on disk yet.
+    let committed = file_len(&seg);
+    journal(&mut wal, &mut svc, WalRecord::Advance { dt: 0.5 });
+    wal.commit(0.0).unwrap();
+    wal.flush(0.0).unwrap();
+    let whole = std::fs::read(&seg).unwrap();
+    let half = committed + (whole.len() as u64 - committed) / 2;
+    std::fs::write(&seg, &whole[..half as usize]).unwrap();
+    assert_eq!(sb.catch_up().unwrap(), 0);
+    assert_eq!(sb.applied_seq(), 4, "a torn frame is not applied");
+    assert_eq!(tail_bytes(&mut counted), half - committed);
+    std::fs::write(&seg, &whole).unwrap();
+    assert_eq!(sb.catch_up().unwrap(), 1);
+    assert_eq!(tail_bytes(&mut counted), whole.len() as u64 - committed);
+    assert_eq!(sb.applied_seq(), 5);
+    assert_eq!(sb.service().state_digest(), svc.state_digest());
+    let mut sb_pushes = Vec::new();
+    sb.drain_pushes(&mut sb_pushes);
+    assert_streams_identical(&sb_pushes, &pushes, "hand-driven stream");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction while the replica is fully caught up: the segment under the
+/// cursor is gone, one scan finds the new base covering exactly what the
+/// replica has applied, and tailing continues in the new segment — no push
+/// lost, none duplicated, and the calls after the re-anchor read only what
+/// is new again.
+#[test]
+fn cursor_follows_compaction_when_caught_up() {
+    let knobs = WalKnobs {
+        flush_every_n: 1,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let cfg = base_cfg(Some(knobs));
+    let dir = tmpdir("cursor-compact-caught-up");
+    let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+    let sid = svc.register_session();
+    let obs = mqpi_obs::Obs::enabled();
+    let mut sb = Standby::with_obs(cfg, &dir, obs.clone()).unwrap();
+    let mut primary_stream = Vec::new();
+    let mut scratch = Vec::new();
+    for i in 1..=20 {
+        scratch.clear();
+        drive(&mut svc, sid, i, &mut scratch);
+        primary_stream.extend(scratch.iter().cloned());
+    }
+    assert!(sb.catch_up().unwrap() > 0);
+    let old_segment = newest_segment(&dir);
+    svc.wal_compact_now();
+    assert!(!old_segment.exists());
+    assert_eq!(
+        sb.catch_up().unwrap(),
+        0,
+        "the base covers what was applied"
+    );
+    for round in 0..3u64 {
+        let seg = newest_segment(&dir);
+        let (len_before, read_before) = (file_len(&seg), obs.counter("wal.tail_bytes"));
+        for i in 21 + 5 * round..26 + 5 * round {
+            scratch.clear();
+            drive(&mut svc, sid, i, &mut scratch);
+            primary_stream.extend(scratch.iter().cloned());
+        }
+        assert!(sb.catch_up().unwrap() > 0);
+        assert_eq!(
+            obs.counter("wal.tail_bytes") - read_before,
+            file_len(&seg) - len_before,
+            "round {round}: the cursor reads the new frames only"
+        );
+    }
+    assert_eq!(sb.service().state_digest(), svc.state_digest());
+    let mut sb_stream = Vec::new();
+    sb.drain_pushes(&mut sb_stream);
+    assert_streams_identical(&sb_stream, &primary_stream, "stream across compaction");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Compaction past the cursor: the new base covers records the replica
+/// never applied, so it re-anchors on the base. The pushes of the skipped
+/// records are gone with them; none is delivered twice.
+#[test]
+fn cursor_reanchors_when_compaction_passes_it() {
+    let knobs = WalKnobs {
+        flush_every_n: 1,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let cfg = base_cfg(Some(knobs));
+    let dir = tmpdir("cursor-compact-past");
+    let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+    let sid = svc.register_session();
+    let mut sb = Standby::new(cfg, &dir).unwrap();
+    let mut primary_stream = Vec::new();
+    let mut scratch = Vec::new();
+    let mut run = |svc: &mut PiService, stream: &mut Vec<EstimatePush>, range| {
+        for i in range {
+            scratch.clear();
+            drive(svc, sid, i, &mut scratch);
+            stream.extend(scratch.iter().cloned());
+        }
+    };
+    run(&mut svc, &mut primary_stream, 1..=15);
+    sb.catch_up().unwrap();
+    let seen = primary_stream.len();
+    run(&mut svc, &mut primary_stream, 16..=30);
+    let skipped_to = primary_stream.len();
+    svc.wal_compact_now();
+    run(&mut svc, &mut primary_stream, 31..=45);
+    assert!(sb.catch_up().unwrap() > 0);
+    assert_eq!(sb.applied_seq(), svc.wal().unwrap().next_seq() - 1);
+    assert_eq!(sb.service().state_digest(), svc.state_digest());
+    let mut sb_stream = Vec::new();
+    sb.drain_pushes(&mut sb_stream);
+    let mut want = primary_stream[..seen].to_vec();
+    want.extend(primary_stream[skipped_to..].iter().cloned());
+    assert_streams_identical(&sb_stream, &want, "stream around the skipped records");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The segment cut back behind the cursor (a dead primary's log damaged
+/// after the replica read it): the cursor no longer describes the file, so
+/// `catch_up` falls back to the full scan, which finds nothing past what
+/// the replica already has; `promote` then rebuilds the replica to the
+/// authoritative log exactly as a plain durable open of the same directory.
+#[test]
+fn segment_truncated_behind_the_cursor_falls_back_to_a_full_scan() {
+    let knobs = WalKnobs {
+        flush_every_n: 1,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let cfg = base_cfg(Some(knobs));
+    let dir = tmpdir("cursor-truncated");
+    let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+    let sid = svc.register_session();
+    let mut scratch = Vec::new();
+    for i in 1..=25 {
+        drive(&mut svc, sid, i, &mut scratch);
+    }
+    let mut sb = Standby::new(cfg, &dir).unwrap();
+    sb.catch_up().unwrap();
+    let applied = sb.applied_seq();
+    assert_eq!(applied, svc.wal().unwrap().next_seq() - 1);
+    drop(svc);
+    let seg = newest_segment(&dir);
+    let bytes = std::fs::read(&seg).unwrap();
+    std::fs::write(&seg, &bytes[..bytes.len() - 100]).unwrap();
+
+    assert_eq!(sb.catch_up().unwrap(), 0);
+    assert_eq!(sb.applied_seq(), applied, "the replica is ahead of the log");
+    // Twice: the cursor re-anchored on the shortened segment.
+    assert_eq!(sb.catch_up().unwrap(), 0);
+
+    let copy = tmpdir("cursor-truncated-copy");
+    for e in std::fs::read_dir(&dir).unwrap() {
+        let e = e.unwrap();
+        std::fs::copy(e.path(), copy.join(e.file_name())).unwrap();
+    }
+    let (reference, want) = PiService::open_durable(cfg, &copy).unwrap();
+    let (promoted, got) = sb.promote().unwrap();
+    assert!(got.truncated_bytes > 0);
+    assert_eq!(got.truncated_bytes, want.truncated_bytes);
+    assert!(promoted.wal().unwrap().next_seq() - 1 < applied);
+    assert_eq!(
+        promoted.wal().unwrap().next_seq(),
+        reference.wal().unwrap().next_seq()
+    );
+    assert_eq!(promoted.state_digest(), reference.state_digest());
+    assert_streams_identical(&got.pushes, &want.pushes, "rebuilt stream");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&copy);
 }

@@ -37,6 +37,20 @@
 //! last flush ([`WalKnobs`]), so the fsync cost amortizes across commits
 //! exactly like group commit in a DBMS log manager.
 //!
+//! A frame is encoded where it will be flushed from and checksummed once:
+//! [`Wal::append`] leaves its CRC trailer blank, and the frame is *sealed*
+//! at the first moment nothing can change it any more — by the commit that
+//! flags it, by the next append, or by the flush that writes it out
+//! uncommitted. No frame reaches the file unsealed.
+//!
+//! # Tailing
+//!
+//! A [`WalCursor`] reads a directory another process is appending to,
+//! never writing: each [`WalCursor::advance`] surfaces the records flushed
+//! and committed since the last one from the bytes past the cursor, and
+//! falls back to the full recovery scan only when compaction has moved the
+//! log out from under it.
+//!
 //! # Compaction
 //!
 //! [`Wal::compact`] writes the owner's checkpoint as a new base anchored at
@@ -47,7 +61,7 @@
 //! point leaves a recoverable directory.
 
 use std::fs::{self, File};
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use mqpi_ckpt::{crc32, sweep_stale_tmp, sync_dir, CkptError, Dec, Enc, Result};
@@ -70,6 +84,10 @@ pub const FLAG_COMMIT: u8 = 0b0000_0001;
 /// Sanity cap on a single record payload; anything larger is treated as
 /// corruption rather than an allocation request.
 pub const MAX_RECORD_LEN: usize = 1 << 26;
+
+/// Largest [`WalRecord::Note`] payload whose record still fits
+/// [`MAX_RECORD_LEN`] (the tag byte and the length prefix take the rest).
+pub const MAX_NOTE_LEN: usize = MAX_RECORD_LEN - 1 - 8;
 
 const SEGMENT_HEADER_LEN: usize = 4 + 4 + 8;
 const FRAME_HEADER_LEN: usize = 4 + 1 + 8;
@@ -358,11 +376,105 @@ impl WalKnobs {
 }
 
 // ---------------------------------------------------------------------------
+// frames
+// ---------------------------------------------------------------------------
+
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+}
+
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+/// One well-formed frame: length in bounds, CRC matching, no unknown flag.
+struct Frame<'a> {
+    flags: u8,
+    seq: u64,
+    payload: &'a [u8],
+    /// Offset just past the frame's CRC trailer.
+    end: usize,
+}
+
+/// The frame that starts at `bytes[pos]`, or `None` when what is there is
+/// torn or corrupt. The one frame parser: the recovery scan, the standby's
+/// tail and the debug re-walk of the flush buffer all read through it.
+fn read_frame(bytes: &[u8], pos: usize) -> Option<Frame<'_>> {
+    let rest = bytes.get(pos..)?;
+    if rest.len() < FRAME_HEADER_LEN + FRAME_TRAILER_LEN {
+        return None;
+    }
+    let len = le_u32(rest) as usize;
+    if len > MAX_RECORD_LEN || FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN > rest.len() {
+        return None;
+    }
+    let (body, trailer) = rest.split_at(FRAME_HEADER_LEN + len);
+    let flags = body[4];
+    if crc32(body) != le_u32(trailer) || flags & !KNOWN_FLAGS != 0 {
+        return None;
+    }
+    Some(Frame {
+        flags,
+        seq: le_u64(&body[5..]),
+        payload: &body[FRAME_HEADER_LEN..],
+        end: pos + body.len() + FRAME_TRAILER_LEN,
+    })
+}
+
+/// How far a walk over a run of frames got.
+struct Walk {
+    /// Sequence number the frame after the last good one must carry.
+    next_seq: u64,
+    /// Whether every byte belonged to a good frame (`false`: the walk
+    /// stopped at a torn, corrupt, out-of-sequence or undecodable one).
+    clean: bool,
+    /// The last commit frame met: the offset just past it, its sequence
+    /// number, and `records.len()` once its record was pushed.
+    commit: Option<(usize, u64, usize)>,
+}
+
+/// Walk `bytes[pos..]`, whose frames must number consecutively from `seq`,
+/// pushing every decoded record past `skip_through` onto `records`. What
+/// the walk pushed after its last commit frame is an open or torn batch:
+/// the caller truncates `records` back to the committed length.
+fn walk_frames(
+    bytes: &[u8],
+    mut pos: usize,
+    mut seq: u64,
+    skip_through: u64,
+    records: &mut Vec<(u64, WalRecord)>,
+) -> Walk {
+    let (mut commit, mut clean) = (None, true);
+    while pos < bytes.len() {
+        let good = read_frame(bytes, pos)
+            .filter(|f| f.seq == seq)
+            .and_then(|f| Some((WalRecord::decode(f.payload).ok()?, f)));
+        let Some((rec, frame)) = good else {
+            clean = false;
+            break;
+        };
+        if seq > skip_through {
+            records.push((seq, rec));
+        }
+        if frame.flags & FLAG_COMMIT != 0 {
+            commit = Some((frame.end, seq, records.len()));
+        }
+        seq = seq.wrapping_add(1);
+        pos = frame.end;
+    }
+    Walk {
+        next_seq: seq,
+        clean,
+        commit,
+    }
+}
+
+// ---------------------------------------------------------------------------
 // recovery scan
 // ---------------------------------------------------------------------------
 
-/// What [`Wal::open`] (or the read-only [`Wal::peek`]) found in a log
-/// directory.
+/// What [`Wal::open`] (or a read-only [`WalCursor::advance`]) found in a
+/// log directory.
 #[derive(Debug)]
 pub struct WalRecovered {
     /// Owner checkpoint bytes from the newest decodable base snapshot.
@@ -392,9 +504,8 @@ impl WalRecovered {
 }
 
 struct ScanOutcome {
-    base: Option<Vec<u8>>,
-    base_through: u64,
-    records: Vec<(u64, WalRecord)>,
+    /// What the owner gets back (`swept_tmp` still 0: sweeping is `open`'s).
+    found: WalRecovered,
     last_committed_seq: u64,
     /// Segment holding the last committed frame, its surviving byte length,
     /// and its header first-seq. `None` when no segment survives.
@@ -404,8 +515,8 @@ struct ScanOutcome {
     drop_segments: Vec<PathBuf>,
     /// Base files superseded by the chosen base.
     drop_bases: Vec<PathBuf>,
-    truncated_bytes: u64,
-    any_state: bool,
+    /// Segment bytes the scan read.
+    read_bytes: u64,
 }
 
 fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -447,7 +558,8 @@ fn list_dir(dir: &Path) -> Result<(Vec<NumberedFile>, Vec<NumberedFile>)> {
 
 /// Scan a log directory without mutating it. Shared by [`Wal::open`]
 /// (which then applies the truncation/retirement the scan prescribes) and
-/// [`Wal::peek`] (standby tailing: the primary still owns the files).
+/// [`WalCursor::advance`] (standby tailing: the primary still owns the
+/// files).
 fn scan(dir: &Path) -> Result<ScanOutcome> {
     let (bases, segs) = list_dir(dir)?;
     let any_state = !bases.is_empty() || !segs.is_empty();
@@ -482,47 +594,31 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
 
     // The live window starts at the last segment that could contain
     // base_through + 1; anything earlier is fully covered by the base and
-    // is a retired segment an interrupted compaction failed to delete.
+    // is a retired segment an interrupted compaction failed to delete. With
+    // no segment reaching back to the base, any later ones sit across a gap
+    // we cannot replay: nothing is walked and all of them are dropped.
     let next_needed = base_through + 1;
-    let start_idx = segs.iter().rposition(|&(first, _)| first <= next_needed);
+    let scan_from = segs.iter().rposition(|&(first, _)| first <= next_needed);
     let mut drop_segments: Vec<PathBuf> = Vec::new();
     let mut truncated_bytes = 0u64;
+    let mut read_bytes = 0u64;
     let mut records = Vec::new();
+    let mut committed_len = 0usize;
     let mut last_committed_seq = base_through;
-
-    let Some(scan_from) = start_idx else {
-        // No segment reaches back to the base: any later segments sit
-        // across a gap we cannot replay, so they are unusable.
-        for (_, p) in &segs {
-            truncated_bytes += fs::metadata(p).map(|m| m.len()).unwrap_or(0);
-            drop_segments.push(p.clone());
-        }
-        return Ok(ScanOutcome {
-            base,
-            base_through,
-            records,
-            last_committed_seq,
-            keep: None,
-            drop_segments,
-            drop_bases,
-            truncated_bytes,
-            any_state,
-        });
-    };
-    for (_, p) in &segs[..scan_from] {
+    for (_, p) in &segs[..scan_from.unwrap_or(0)] {
         drop_segments.push(p.clone());
     }
 
-    // Walk the chain, frame by frame. `keep` tracks the segment holding
-    // the newest committed frame and the byte length that survives in it;
-    // a commit batch may span segments (its earlier members live in fully
-    // kept predecessors), so `pending` is never reset at a segment edge.
+    // Walk the chain. `keep` tracks the segment holding the newest
+    // committed frame and the byte length that survives in it; a commit
+    // batch may span segments (its earlier members live in fully kept
+    // predecessors), so records past the last commit stay in `records`
+    // across a segment edge and are cut only at the end.
     let mut chain: Vec<(PathBuf, u64)> = Vec::new();
     let mut keep: Option<(usize, PathBuf, u64, u64)> = None;
-    let mut pending: Vec<(u64, WalRecord)> = Vec::new();
     let mut expected_seq: Option<u64> = None;
-    let mut cut = false;
-    for &(first, ref path) in &segs[scan_from..] {
+    let mut cut = scan_from.is_none();
+    for &(first, ref path) in &segs[scan_from.unwrap_or(0)..] {
         if cut {
             chain.push((
                 path.clone(),
@@ -531,15 +627,13 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
             continue;
         }
         let bytes = fs::read(path)?;
+        read_bytes += bytes.len() as u64;
         let idx = chain.len();
         chain.push((path.clone(), bytes.len() as u64));
         let header_ok = bytes.len() >= SEGMENT_HEADER_LEN
             && &bytes[..4] == SEGMENT_MAGIC
-            && u32::from_le_bytes([bytes[4], bytes[5], bytes[6], bytes[7]]) == SEGMENT_VERSION
-            && u64::from_le_bytes([
-                bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14],
-                bytes[15],
-            ]) == first
+            && le_u32(&bytes[4..]) == SEGMENT_VERSION
+            && le_u64(&bytes[8..]) == first
             && expected_seq.is_none_or(|e| e == first);
         if !header_ok {
             // Untrustworthy segment: the committed frontier stays wherever
@@ -551,108 +645,137 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
         if keep.is_none() {
             keep = Some((idx, path.clone(), SEGMENT_HEADER_LEN as u64, first));
         }
-        let mut pos = SEGMENT_HEADER_LEN;
-        let mut seq = first;
-        loop {
-            if pos == bytes.len() {
-                break;
-            }
-            let remaining = bytes.len() - pos;
-            if remaining < FRAME_HEADER_LEN + FRAME_TRAILER_LEN {
-                cut = true;
-                break;
-            }
-            let len =
-                u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-                    as usize;
-            let flags = bytes[pos + 4];
-            let frame_end = pos + FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN;
-            if len > MAX_RECORD_LEN || frame_end > bytes.len() {
-                cut = true;
-                break;
-            }
-            let body_end = frame_end - FRAME_TRAILER_LEN;
-            let stored = u32::from_le_bytes([
-                bytes[body_end],
-                bytes[body_end + 1],
-                bytes[body_end + 2],
-                bytes[body_end + 3],
-            ]);
-            if crc32(&bytes[pos..body_end]) != stored || flags & !KNOWN_FLAGS != 0 {
-                cut = true;
-                break;
-            }
-            let frame_seq = u64::from_le_bytes([
-                bytes[pos + 5],
-                bytes[pos + 6],
-                bytes[pos + 7],
-                bytes[pos + 8],
-                bytes[pos + 9],
-                bytes[pos + 10],
-                bytes[pos + 11],
-                bytes[pos + 12],
-            ]);
-            if frame_seq != seq {
-                cut = true;
-                break;
-            }
-            let payload = &bytes[pos + FRAME_HEADER_LEN..body_end];
-            let rec = match WalRecord::decode(payload) {
-                Ok(r) => r,
-                Err(_) => {
-                    cut = true;
-                    break;
-                }
-            };
-            pending.push((seq, rec));
-            if flags & FLAG_COMMIT != 0 {
-                for (s, r) in pending.drain(..) {
-                    if s > base_through {
-                        records.push((s, r));
-                    }
-                }
-                last_committed_seq = seq;
-                keep = Some((idx, path.clone(), frame_end as u64, first));
-            }
-            seq = seq.wrapping_add(1);
-            pos = frame_end;
+        // No frame is smaller than a one-byte record's, so this bounds the
+        // count: each record is moved once, into a vector that never
+        // regrows. The slack is never touched and is given back below.
+        records.reserve(bytes.len() / (FRAME_HEADER_LEN + 1 + FRAME_TRAILER_LEN));
+        let walk = walk_frames(
+            &bytes,
+            SEGMENT_HEADER_LEN,
+            first,
+            base_through,
+            &mut records,
+        );
+        if let Some((end, seq, len)) = walk.commit {
+            committed_len = len;
+            last_committed_seq = seq;
+            keep = Some((idx, path.clone(), end as u64, first));
         }
-        if !cut {
-            expected_seq = Some(seq);
-        }
+        cut = !walk.clean;
+        expected_seq = Some(walk.next_seq);
     }
+    records.truncate(committed_len);
+    records.shrink_to_fit();
 
     // Everything after the committed frontier — the kept segment's tail
     // plus every later segment whole — is a torn or uncommitted batch.
-    let keep_out = match keep {
-        Some((idx, path, keep_len, first)) => {
-            truncated_bytes += chain[idx].1.saturating_sub(keep_len);
-            for (p, len) in chain.drain(idx + 1..) {
-                truncated_bytes += len;
-                drop_segments.push(p);
-            }
-            Some((path, keep_len, first))
+    let survivors = match &keep {
+        Some((idx, _, keep_len, _)) => {
+            truncated_bytes += chain[*idx].1.saturating_sub(*keep_len);
+            idx + 1
         }
-        None => {
-            for (p, len) in chain.drain(..) {
-                truncated_bytes += len;
-                drop_segments.push(p);
-            }
-            None
-        }
+        None => 0,
     };
+    for (p, len) in chain.drain(survivors..) {
+        truncated_bytes += len;
+        drop_segments.push(p);
+    }
 
     Ok(ScanOutcome {
-        base,
-        base_through,
-        records,
+        found: WalRecovered {
+            base,
+            base_through,
+            records,
+            truncated_bytes,
+            swept_tmp: 0,
+            resumed: any_state,
+        },
         last_committed_seq,
-        keep: keep_out,
+        keep: keep.map(|(_, path, len, first)| (path, len, first)),
         drop_segments,
         drop_bases,
-        truncated_bytes,
-        any_state,
+        read_bytes,
     })
+}
+
+// ---------------------------------------------------------------------------
+// tailing
+// ---------------------------------------------------------------------------
+
+/// A read-only tailer's place in a log directory: the segment under it,
+/// the byte offset just past the last committed frame it has surfaced, the
+/// sequence number the next frame must carry, and the base anchor those
+/// records follow. All of it is derived from the directory — a fresh
+/// cursor (`default()`: nothing seen, the first [`WalCursor::advance`]
+/// is a full scan) finds the same place — so it is never persisted.
+#[derive(Debug, Default)]
+pub struct WalCursor {
+    /// `(header first-seq, byte offset)`; `None` before the first scan and
+    /// when no segment survived it.
+    seg: Option<(u64, u64)>,
+    next_seq: u64,
+    base_through: u64,
+}
+
+impl WalCursor {
+    /// Surface what the primary has flushed and committed since the last
+    /// call, without touching any file. While the cursor still describes
+    /// the directory this reads only the bytes past it and returns them as
+    /// `records` (`base: None`, `base_through` the anchor they follow); the
+    /// cursor moves to the end of the last *committed* frame, never past a
+    /// torn one or an open batch, so those are read again next time. When
+    /// the segment under the cursor is gone, superseded or shorter than
+    /// the cursor, or a newer base covers records the cursor has not
+    /// reached, it re-anchors: the result is what a fresh [`Wal::open`]
+    /// *would* recover, base included. Adds the segment bytes read to
+    /// `wal.tail_bytes`.
+    pub fn advance(&mut self, dir: &Path, obs: &Obs) -> Result<WalRecovered> {
+        if let Some(found) = self.tail(dir, obs)? {
+            return Ok(found);
+        }
+        let scan = scan(dir)?;
+        self.seg = scan.keep.as_ref().map(|&(_, len, first)| (first, len));
+        self.next_seq = scan.last_committed_seq + 1;
+        self.base_through = scan.found.base_through;
+        obs.counter_add("wal.tail_bytes", scan.read_bytes);
+        Ok(scan.found)
+    }
+
+    /// The records committed past the cursor, or `None` when the cursor no
+    /// longer describes the directory.
+    fn tail(&mut self, dir: &Path, obs: &Obs) -> Result<Option<WalRecovered>> {
+        let Some((first, offset)) = self.seg else {
+            return Ok(None);
+        };
+        let (bases, segs) = list_dir(dir)?;
+        let rebased = bases.last().is_some_and(|&(n, _)| n >= self.next_seq);
+        let Some((_, path)) = segs.last().filter(|s| s.0 == first && !rebased) else {
+            return Ok(None);
+        };
+        let mut file = File::open(path)?;
+        if file.metadata()?.len() < offset {
+            return Ok(None);
+        }
+        file.seek(SeekFrom::Start(offset))?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes)?;
+        obs.counter_add("wal.tail_bytes", bytes.len() as u64);
+
+        let mut records = Vec::new();
+        let walk = walk_frames(&bytes, 0, self.next_seq, self.base_through, &mut records);
+        let (end, seq, len) = walk.commit.unwrap_or((0, self.next_seq - 1, 0));
+        records.truncate(len);
+        self.seg = Some((first, offset + end as u64));
+        self.next_seq = seq + 1;
+        Ok(Some(WalRecovered {
+            base: None,
+            base_through: self.base_through,
+            records,
+            truncated_bytes: (bytes.len() - end) as u64,
+            swept_tmp: 0,
+            resumed: true,
+        }))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -674,11 +797,12 @@ pub struct Wal {
     seg_path: PathBuf,
     seg_first: u64,
     next_seq: u64,
-    base_through: u64,
     records_since_base: u64,
     buf: Vec<u8>,
     buf_records: u32,
-    last_frame_start: Option<usize>,
+    /// Start of the buffer's last frame while its CRC trailer is still
+    /// blank: appended, not yet committed, followed or flushed.
+    open_frame: Option<usize>,
     last_flush_vt: f64,
 }
 
@@ -693,6 +817,24 @@ fn create_segment(dir: &Path, first: u64) -> Result<(File, PathBuf)> {
     f.sync_all()?;
     sync_dir(dir);
     Ok((f, path))
+}
+
+/// The CRC's definition, one bit at a time and sharing no table with
+/// `mqpi_ckpt::crc32`: the oracle of the flush-time re-walk.
+#[cfg(debug_assertions)]
+fn crc32_reference(data: &[u8]) -> u32 {
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c ^= u32::from(b);
+        for _ in 0..8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+        }
+    }
+    c ^ 0xFFFF_FFFF
 }
 
 impl Wal {
@@ -739,26 +881,21 @@ impl Wal {
             }
         };
 
-        if scan.truncated_bytes > 0 {
-            obs.counter_add("wal.truncated_bytes", scan.truncated_bytes);
+        let recovered = WalRecovered {
+            swept_tmp,
+            ..scan.found
+        };
+        if recovered.truncated_bytes > 0 {
+            obs.counter_add("wal.truncated_bytes", recovered.truncated_bytes);
             obs.emit(
                 0.0,
                 TraceKind::Wal {
                     action: "recovered_tail",
                     seq: scan.last_committed_seq,
-                    bytes: scan.truncated_bytes,
+                    bytes: recovered.truncated_bytes,
                 },
             );
         }
-
-        let recovered = WalRecovered {
-            base: scan.base,
-            base_through: scan.base_through,
-            records: scan.records,
-            truncated_bytes: scan.truncated_bytes,
-            swept_tmp,
-            resumed: scan.any_state,
-        };
         let wal = Wal {
             dir: dir.to_path_buf(),
             knobs,
@@ -767,29 +904,13 @@ impl Wal {
             seg_path,
             seg_first,
             next_seq,
-            base_through: recovered.base_through,
             records_since_base: recovered.records.len() as u64,
             buf: Vec::new(),
             buf_records: 0,
-            last_frame_start: None,
+            open_frame: None,
             last_flush_vt: 0.0,
         };
         Ok((wal, recovered))
-    }
-
-    /// Read-only recovery scan: what a fresh [`Wal::open`] *would* recover,
-    /// without touching any file. This is the standby's tailing primitive —
-    /// it only ever surfaces flushed, committed data.
-    pub fn peek(dir: &Path) -> Result<WalRecovered> {
-        let scan = scan(dir)?;
-        Ok(WalRecovered {
-            base: scan.base,
-            base_through: scan.base_through,
-            records: scan.records,
-            truncated_bytes: scan.truncated_bytes,
-            swept_tmp: 0,
-            resumed: scan.any_state,
-        })
     }
 
     /// Directory this log lives in.
@@ -822,24 +943,52 @@ impl Wal {
         self.obs = obs;
     }
 
+    /// Compute the open frame's CRC into the trailer `append` left blank.
+    /// Called at the moment nothing can change the frame any more, so each
+    /// frame is checksummed exactly once.
+    fn seal(&mut self) {
+        if let Some(start) = self.open_frame.take() {
+            let body_end = self.buf.len() - FRAME_TRAILER_LEN;
+            let crc = crc32(&self.buf[start..body_end]);
+            self.buf[body_end..].copy_from_slice(&crc.to_le_bytes());
+        }
+    }
+
     /// Append one record to the in-memory batch. Not yet committed, not
     /// yet durable: see [`Wal::commit`] and the flush policy.
+    ///
+    /// The frame is built where it will be flushed from: header, then the
+    /// payload encoded straight behind it, then `len` patched in and four
+    /// blank trailer bytes. It stays *open* — unsealed, its flags byte
+    /// still writable — until [`Wal::commit`], the next `append` (which
+    /// makes it an earlier member of a multi-frame batch) or
+    /// [`Wal::flush`] seals it.
+    ///
+    /// # Panics
+    ///
+    /// If the encoded payload exceeds [`MAX_RECORD_LEN`], which recovery
+    /// would read as corruption. Only [`WalRecord::Note`] is unbounded;
+    /// callers check it against [`MAX_NOTE_LEN`] first.
     pub fn append(&mut self, rec: &WalRecord) -> u64 {
+        self.seal();
         let seq = self.next_seq;
+        let start = self.buf.len();
+        let mut header = [0u8; FRAME_HEADER_LEN];
+        header[5..].copy_from_slice(&seq.to_le_bytes());
+        self.buf.extend_from_slice(&header);
+        let mut e = Enc::wrap(std::mem::take(&mut self.buf));
+        rec.encode(&mut e);
+        self.buf = e.into_bytes();
+        let len = self.buf.len() - start - FRAME_HEADER_LEN;
+        assert!(
+            len <= MAX_RECORD_LEN,
+            "wal record of {len} bytes exceeds MAX_RECORD_LEN"
+        );
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf.extend_from_slice(&[0u8; FRAME_TRAILER_LEN]);
+        self.open_frame = Some(start);
         self.next_seq += 1;
         self.records_since_base += 1;
-        let mut e = Enc::new();
-        rec.encode(&mut e);
-        let payload = e.into_bytes();
-        let start = self.buf.len();
-        self.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.push(0);
-        self.buf.extend_from_slice(&seq.to_le_bytes());
-        self.buf.extend_from_slice(&payload);
-        let crc = crc32(&self.buf[start..]);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.last_frame_start = Some(start);
         self.buf_records += 1;
         self.obs.counter_add("wal.appended", 1);
         seq
@@ -848,12 +997,14 @@ impl Wal {
     /// Mark the batch boundary: every record appended since the previous
     /// commit becomes atomic, and the flush policy is evaluated at virtual
     /// time `vt`. Returns `true` if the commit triggered a flush.
+    ///
+    /// Sets [`FLAG_COMMIT`] on the open frame and seals it. With no open
+    /// frame (nothing appended since the last commit or flush) there is
+    /// nothing to flag; the policy is still evaluated.
     pub fn commit(&mut self, vt: f64) -> Result<bool> {
-        if let Some(start) = self.last_frame_start.take() {
+        if let Some(start) = self.open_frame {
             self.buf[start + 4] |= FLAG_COMMIT;
-            let body_end = self.buf.len() - FRAME_TRAILER_LEN;
-            let crc = crc32(&self.buf[start..body_end]);
-            self.buf[body_end..].copy_from_slice(&crc.to_le_bytes());
+            self.seal();
         }
         let due = self.buf_records >= self.knobs.flush_every_n
             || vt - self.last_flush_vt >= self.knobs.flush_every_vt;
@@ -866,9 +1017,18 @@ impl Wal {
 
     /// Write and fsync every buffered frame. Committed-and-flushed records
     /// are durable; flushed-but-uncommitted frames are discarded by the
-    /// next recovery (they are a torn batch by definition).
+    /// next recovery (they are a torn batch by definition) unless a later
+    /// commit frame adopts them.
+    ///
+    /// An open frame is sealed first, uncommitted: no frame reaches the
+    /// file without its CRC. Debug builds then re-walk the buffer and
+    /// assert every frame well-formed, in sequence, and carrying the CRC a
+    /// bit-at-a-time reference computes.
     pub fn flush(&mut self, vt: f64) -> Result<()> {
         if !self.buf.is_empty() {
+            self.seal();
+            #[cfg(debug_assertions)]
+            self.assert_sealed();
             self.file.write_all(&self.buf)?;
             self.file.sync_data()?;
             self.obs
@@ -876,10 +1036,30 @@ impl Wal {
             self.obs.counter_add("wal.flushes", 1);
             self.buf.clear();
             self.buf_records = 0;
-            self.last_frame_start = None;
         }
         self.last_flush_vt = vt;
         Ok(())
+    }
+
+    #[cfg(debug_assertions)]
+    fn assert_sealed(&self) {
+        let mut seq = self.next_seq - u64::from(self.buf_records);
+        let mut pos = 0;
+        while pos < self.buf.len() {
+            let Some(frame) = read_frame(&self.buf, pos) else {
+                panic!("frame {seq} at buffer offset {pos} is unsealed or malformed");
+            };
+            let body_end = frame.end - FRAME_TRAILER_LEN;
+            assert_eq!(
+                le_u32(&self.buf[body_end..]),
+                crc32_reference(&self.buf[pos..body_end]),
+                "frame {seq}: sliced and reference CRC differ"
+            );
+            assert_eq!(frame.seq, seq, "frame out of sequence in the flush buffer");
+            seq += 1;
+            pos = frame.end;
+        }
+        assert_eq!(seq, self.next_seq, "flush buffer does not end at next_seq");
     }
 
     /// Clean shutdown: commit the open batch and flush it.
@@ -928,7 +1108,6 @@ impl Wal {
             }
         }
         sync_dir(&self.dir);
-        self.base_through = through;
         self.records_since_base = 0;
         self.obs.counter_add("wal.compactions", 1);
         self.obs.emit(
@@ -956,6 +1135,11 @@ mod tests {
         let _ = fs::remove_dir_all(&d);
         fs::create_dir_all(&d).unwrap();
         d
+    }
+
+    /// What a fresh read-only tailer sees: what an open *would* recover.
+    fn peek(dir: &Path) -> WalRecovered {
+        WalCursor::default().advance(dir, &Obs::disabled()).unwrap()
     }
 
     fn sample_records() -> Vec<WalRecord> {
@@ -1075,7 +1259,7 @@ mod tests {
         wal.append(&WalRecord::Pump);
         assert!(wal.commit(2e9).unwrap());
         drop(wal);
-        let rec = Wal::peek(&dir).unwrap();
+        let rec = peek(&dir);
         assert_eq!(rec.records.len(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -1119,7 +1303,7 @@ mod tests {
         wal4.append(&WalRecord::Mark { iter: 9, digest: 9 });
         wal4.commit(0.0).unwrap();
         drop(wal4);
-        let rec5 = Wal::peek(&dir).unwrap();
+        let rec5 = peek(&dir);
         assert_eq!(rec5.records.len(), 5);
         assert_eq!(rec5.last_mark(), Some((9, 9)));
         let _ = fs::remove_dir_all(&dir);
@@ -1189,15 +1373,82 @@ mod tests {
         wal.append(&WalRecord::Mark { iter: 1, digest: 1 });
         wal.commit(0.0).unwrap();
         // Committed but unflushed: invisible to a standby.
-        assert_eq!(Wal::peek(&dir).unwrap().records.len(), 0);
+        assert_eq!(peek(&dir).records.len(), 0);
         wal.flush(0.0).unwrap();
-        assert_eq!(Wal::peek(&dir).unwrap().records.len(), 1);
+        assert_eq!(peek(&dir).records.len(), 1);
         // Peek must not truncate the primary's files.
         wal.append(&WalRecord::Pump);
         wal.flush(0.0).unwrap();
         let len_before = fs::metadata(&wal.seg_path).unwrap().len();
-        let _ = Wal::peek(&dir).unwrap();
+        let _ = peek(&dir);
         assert_eq!(fs::metadata(&wal.seg_path).unwrap().len(), len_before);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cursor_surfaces_only_what_is_new() {
+        let dir = tmpdir("cursor");
+        let knobs = WalKnobs {
+            flush_every_n: 1,
+            flush_every_vt: 1e18,
+            compact_every: 0,
+        };
+        let obs = Obs::enabled();
+        let (mut wal, _) = Wal::open(&dir, knobs, Obs::disabled()).unwrap();
+        let mut cursor = WalCursor::default();
+        assert!(cursor.advance(&dir, &obs).unwrap().records.is_empty());
+        for i in 0..4 {
+            wal.append(&WalRecord::Mark { iter: i, digest: i });
+            wal.commit(0.0).unwrap();
+        }
+        let seqs = |rec: &WalRecovered| rec.records.iter().map(|r| r.0).collect::<Vec<_>>();
+        assert_eq!(seqs(&cursor.advance(&dir, &obs).unwrap()), vec![1, 2, 3, 4]);
+        assert!(cursor.advance(&dir, &obs).unwrap().records.is_empty());
+        // An open frame on disk is read, not surfaced, and read again.
+        wal.append(&WalRecord::Pump);
+        wal.flush(0.0).unwrap();
+        let read = obs.counter("wal.tail_bytes");
+        assert!(cursor.advance(&dir, &obs).unwrap().records.is_empty());
+        let open_frame = obs.counter("wal.tail_bytes") - read;
+        assert_eq!(
+            open_frame as usize,
+            FRAME_HEADER_LEN + 1 + FRAME_TRAILER_LEN
+        );
+        wal.append(&WalRecord::Pump);
+        wal.commit(0.0).unwrap();
+        let rec = cursor.advance(&dir, &obs).unwrap();
+        assert_eq!(seqs(&rec), vec![5, 6]);
+        assert!(rec.base.is_none());
+        assert_eq!(obs.counter("wal.tail_bytes") - read, 3 * open_frame);
+        // Compaction past the cursor: the next advance is a full scan.
+        wal.append(&WalRecord::Pump);
+        wal.compact(b"owner", 0.0).unwrap();
+        wal.append(&WalRecord::Mark { iter: 9, digest: 9 });
+        wal.commit(0.0).unwrap();
+        let rec = cursor.advance(&dir, &obs).unwrap();
+        assert_eq!(rec.base.as_deref(), Some(&b"owner"[..]));
+        assert_eq!(rec.base_through, 7);
+        assert_eq!(seqs(&rec), vec![8]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn append_cannot_emit_a_frame_recovery_would_reject() {
+        let dir = tmpdir("oversize");
+        // Zeroed pages: only the buffer the record is framed into is real.
+        for (note_len, fits) in [(MAX_NOTE_LEN, true), (MAX_NOTE_LEN + 1, false)] {
+            let (mut wal, _) = Wal::open(&dir, WalKnobs::default(), Obs::disabled()).unwrap();
+            let rec = WalRecord::Note {
+                bytes: vec![0u8; note_len],
+            };
+            let appended =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| wal.append(&rec)));
+            assert_eq!(appended.is_ok(), fits, "note of {note_len} bytes");
+            if fits {
+                let frame = FRAME_HEADER_LEN + MAX_RECORD_LEN + FRAME_TRAILER_LEN;
+                assert_eq!(wal.buf.len(), frame);
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
