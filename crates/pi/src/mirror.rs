@@ -14,9 +14,9 @@
 //!
 //! * `Admitted` — the query enters the GPS pool (leaving the mirror's
 //!   queue copy if it waited there).
-//! * `Enqueued` — tracked in a side list; queued queries have no virtual
-//!   tag yet, so point estimates cover admitted queries only (exactly like
-//!   the service's pump path).
+//! * `Enqueued` — tracked in a side table keyed by id (queue order is never
+//!   read here); queued queries have no virtual tag yet, so point estimates
+//!   cover admitted queries only (exactly like the service's pump path).
 //! * `Blocked` / `Resumed` — a blocked query neither executes nor
 //!   occupies GPS bandwidth in the simulator, so the mirror withdraws it
 //!   (remembering its remaining cost and weight) and re-admits it on
@@ -88,8 +88,10 @@ impl QuarantineStats {
 #[derive(Debug)]
 pub struct SystemMirror {
     fluid: IncrementalFluid,
-    /// Queued (not yet admitted) queries: `(id, cost, weight)` FIFO.
-    queue: Vec<(u64, f64, f64)>,
+    /// Queued (not yet admitted) queries: id → (cost, weight). An id lives
+    /// in at most one of `fluid`, `queue` and `blocked`: every insertion
+    /// below is screened against the other two.
+    queue: HashMap<u64, (f64, f64)>,
     /// Blocked queries withdrawn from the GPS pool: id → (remaining cost,
     /// weight).
     blocked: HashMap<u64, (f64, f64)>,
@@ -114,7 +116,7 @@ impl SystemMirror {
     pub fn new(rate: f64) -> Self {
         SystemMirror {
             fluid: IncrementalFluid::new(rate),
-            queue: Vec::new(),
+            queue: HashMap::new(),
             blocked: HashMap::new(),
             clock: 0.0,
             predicted_done: Vec::new(),
@@ -201,10 +203,8 @@ impl SystemMirror {
         if let Some(c) = self.fluid.remaining_cost(id) {
             return Some(c);
         }
-        if let Some(&(c, _)) = self.blocked.get(&id) {
-            return Some(c);
-        }
-        self.queue.iter().find(|q| q.0 == id).map(|q| q.1)
+        let parked = self.blocked.get(&id).or_else(|| self.queue.get(&id));
+        parked.map(|&(c, _)| c)
     }
 
     /// Ids retired by the model itself at predicted completion boundaries
@@ -257,9 +257,7 @@ impl SystemMirror {
     /// True when the mirror tracks `id` in any structure (live, queued,
     /// or blocked).
     fn tracks(&self, id: u64) -> bool {
-        self.fluid.contains(id)
-            || self.blocked.contains_key(&id)
-            || self.queue.iter().any(|q| q.0 == id)
+        self.fluid.contains(id) || self.blocked.contains_key(&id) || self.queue.contains_key(&id)
     }
 
     /// Apply one scheduler event, first advancing the model to its
@@ -291,12 +289,12 @@ impl SystemMirror {
                     self.quarantine("non_finite", id, at);
                     return;
                 }
-                if self.fluid.contains(id) || self.blocked.contains_key(&id) {
+                // An id that leaves the queue is in neither other table.
+                if self.queue.remove(&id).is_none()
+                    && (self.fluid.contains(id) || self.blocked.contains_key(&id))
+                {
                     self.quarantine("duplicate", id, at);
                     return;
-                }
-                if let Some(pos) = self.queue.iter().position(|q| q.0 == id) {
-                    self.queue.remove(pos);
                 }
                 self.fluid.arrive(id, cost.max(0.0), weight);
             }
@@ -311,17 +309,18 @@ impl SystemMirror {
                     self.quarantine("duplicate", id, at);
                     return;
                 }
-                self.queue.push((id, cost, weight));
+                self.queue.insert(id, (cost, weight));
             }
             SimEvent::Departed { id, kind, .. } => {
                 if self.fluid.finish(id) {
                     return;
                 }
-                if let Some(pos) = self.queue.iter().position(|q| q.0 == id) {
-                    self.queue.remove(pos);
-                } else if self.blocked.remove(&id).is_some() || self.retired.remove(&id) {
-                    // Blocked departure, or confirmation of a query the
-                    // model retired at a predicted boundary.
+                if self.queue.remove(&id).is_some()
+                    || self.blocked.remove(&id).is_some()
+                    || self.retired.remove(&id)
+                {
+                    // Queued or blocked departure, or confirmation of a
+                    // query the model retired at a predicted boundary.
                 } else if kind != FinishKind::Rejected {
                     // Rejected-at-submission queries were never admitted
                     // or enqueued, so an unmatched rejection is expected;
@@ -364,8 +363,8 @@ impl SystemMirror {
                 }
                 if let Some(e) = self.blocked.get_mut(&id) {
                     e.0 = remaining;
-                } else if let Some(q) = self.queue.iter_mut().find(|q| q.0 == id) {
-                    q.1 = remaining;
+                } else if let Some(q) = self.queue.get_mut(&id) {
+                    q.0 = remaining;
                 } else if !self.retired.contains(&id) {
                     self.quarantine("unknown_id", id, at);
                 }
@@ -410,6 +409,7 @@ impl SystemMirror {
         let snap = sys.snapshot();
         self.fluid = IncrementalFluid::new(snap.rate.max(f64::MIN_POSITIVE));
         self.queue.clear();
+        self.queue.reserve(snap.queued.len());
         self.blocked.clear();
         self.predicted_done.clear();
         // Re-seed retired-id tracking from the system's finished roster: a
@@ -448,7 +448,7 @@ impl SystemMirror {
             } else {
                 0.0
             };
-            self.queue.push((q.id, cost, weight));
+            self.queue.insert(q.id, (cost, weight));
         }
         self.resyncs += 1;
         // Reset the backoff window: damage counted before the rebuild is

@@ -1157,29 +1157,6 @@ impl System {
         Some(dt * (1.0 + 1e-9) + 1e-12)
     }
 
-    /// [`System::event_jump`] when every unblocked weight is exactly 1.0.
-    /// All sessions then share one speed: `effective * 1.0 / total_weight`
-    /// is bit-identical to `effective / total_weight` (multiplying by 1.0
-    /// is exact). IEEE division by a positive constant is monotone, so
-    /// `min_i(need_i / speed)` equals `min_i(need_i) / speed` bit-for-bit
-    /// — one division per step instead of two per session.
-    fn event_jump_uniform(&self, effective: f64, total_weight: f64) -> Option<f64> {
-        let mut need_min = f64::INFINITY;
-        for &h in &self.running {
-            let i = h.idx as usize;
-            if self.slab.blocked[i] {
-                continue;
-            }
-            let remaining = self.slab.job[i].exact_remaining()?;
-            need_min = need_min.min((remaining - self.slab.credit[i]).max(0.0));
-        }
-        let dt = need_min / (effective / total_weight);
-        if !dt.is_finite() {
-            return None;
-        }
-        Some(dt * (1.0 + 1e-9) + 1e-12)
-    }
-
     /// Advance one step (a quantum, or an event jump in
     /// [`StepMode::EventDriven`]). Returns ids of queries that completed
     /// during this step.
@@ -1266,14 +1243,19 @@ impl System {
         // the EMA smoothing factor is computed once (see
         // `SpeedMonitor::update_with_alpha`).
         let t_prev = self.clock;
-        // One fused pass over the weight/blocked columns; the f64 sum
-        // accumulates in running order exactly like the old two-pass code.
-        // `unit_w` tracks whether every unblocked weight is exactly 1.0,
-        // which unlocks the shared-divisor fast paths below; those paths
-        // produce bit-identical values (see `event_jump_uniform`).
+        // One pass over the weight/blocked columns; the f64 sum accumulates
+        // in running order. `unit_w` tracks whether every unblocked weight
+        // is exactly 1.0, which unlocks the shared-divisor shortcuts below
+        // (bit-identical; see the fused loop). In event mode the same pass
+        // carries the unit-weight jump's `min` of `remaining − credit` while
+        // `unit_w` holds and every job so far knows its remaining work
+        // (`exact`; a `None` cancels the jump, as in `event_jump`).
+        let event_mode = self.cfg.step_mode == StepMode::EventDriven;
         let mut active = 0usize;
         let mut total_weight = 0.0f64;
         let mut unit_w = true;
+        let mut exact = event_mode;
+        let mut need_min = f64::INFINITY;
         for &h in &self.running {
             let i = h.idx as usize;
             if !self.slab.blocked[i] {
@@ -1281,6 +1263,12 @@ impl System {
                 let w = self.slab.weight[i];
                 unit_w &= w == 1.0;
                 total_weight += w;
+                if exact && unit_w {
+                    match self.slab.job[i].exact_remaining() {
+                        Some(r) => need_min = need_min.min((r - self.slab.credit[i]).max(0.0)),
+                        None => exact = false,
+                    }
+                }
             }
         }
         let effective = self
@@ -1289,9 +1277,12 @@ impl System {
             .effective_rate(self.current_rate(), active);
 
         let mut dt = self.cfg.quantum_units / self.cfg.rate;
-        if self.cfg.step_mode == StepMode::EventDriven && total_weight > 0.0 {
+        if event_mode && total_weight > 0.0 {
+            // Unit weights: the pre-pass `min` and one division stand in for
+            // `event_jump`'s second walk.
             let jump = if unit_w {
-                self.event_jump_uniform(effective, total_weight)
+                let dt = need_min / (effective / total_weight);
+                (exact && dt.is_finite()).then_some(dt * (1.0 + 1e-9) + 1e-12)
             } else {
                 self.event_jump(effective, total_weight)
             };
@@ -1345,9 +1336,16 @@ impl System {
         };
         let do_grant = total_weight > 0.0;
         let grant = effective * dt;
-        // With every weight bit-equal to 1.0, `grant * w / total_weight` is
-        // `grant / total_weight` for every session (multiplying by 1.0 is
-        // exact), so the division hoists out of the loop.
+        // Why the shortcuts of this step change no bit. With every weight
+        // bit-equal to 1.0, `x * w / total_weight` is `x / total_weight` for
+        // every session (multiplying by 1.0 is exact): the grant's division
+        // hoists out of the loop, and all sessions share one speed `effective
+        // / total_weight`. IEEE division by a positive constant is monotone,
+        // so `min_i(need_i / speed)` equals `min_i(need_i) / speed` — the
+        // jump above. And the grant needs no `floor()` (a libm call on
+        // baseline x86-64): `floor(c) >= 1.0 ⇔ c >= 1.0`, and for `c >= 1`
+        // the truncating, saturating cast gives `floor(c) as u64 == c as
+        // u64` (infinity included; NaN fails either comparison).
         let grant_each = if do_grant && unit_w {
             grant / total_weight
         } else {
@@ -1361,9 +1359,9 @@ impl System {
                 } else {
                     grant * self.slab.weight[i] / total_weight
                 };
-                let budget = self.slab.credit[i].floor();
-                if budget >= 1.0 {
-                    match self.slab.job[i].run(budget as u64) {
+                let credit = self.slab.credit[i];
+                if credit >= 1.0 {
+                    match self.slab.job[i].run(credit as u64) {
                         Ok(used) => {
                             self.slab.credit[i] -= used as f64;
                             self.slab.units_done[i] += used as f64;
