@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_core::{
     relative_error, EstimateSet, InvariantValidator, MultiQueryPi, SingleQueryPi,
     ValidationContext, Visibility,
@@ -129,6 +129,21 @@ struct RunOutcome {
     nonfinite: u64,
     violations: Vec<String>,
 }
+wire_struct!(RunOutcome {
+    faults_injected,
+    faults_skipped,
+    completed,
+    failures,
+    retries,
+    rejected,
+    single_sum,
+    single_n,
+    multi_sum,
+    multi_n,
+    degraded,
+    nonfinite,
+    violations,
+});
 
 /// Container kind tag of a per-run chaos snapshot file.
 const RUN_KIND: &str = "chaos-run";
@@ -212,10 +227,9 @@ fn ckpt_err(e: CkptError) -> EngineError {
     EngineError::exec(format!("checkpoint: {e}"))
 }
 
-/// In-flight state of one replicate, as revived from a partial snapshot.
-struct PartialRun {
-    sys: System,
-    validator: InvariantValidator,
+/// The sampling loop's own state between ticks.
+#[derive(Default)]
+struct Progress {
     samples: Vec<(f64, u64, f64, f64)>,
     degraded: u64,
     nonfinite: u64,
@@ -224,111 +238,62 @@ struct PartialRun {
     next_sample: f64,
     tick: usize,
 }
+wire_struct!(Progress {
+    samples,
+    degraded,
+    nonfinite,
+    last_fault_count,
+    prev_rate_degraded,
+    next_sample,
+    tick,
+});
 
+/// In-flight state of one replicate, as revived from a partial snapshot.
+struct PartialRun {
+    sys: System,
+    validator: InvariantValidator,
+    p: Progress,
+}
+
+/// A snapshot file's payload: a tag byte, then the in-flight replicate
+/// (tag 0: the scheduler's and the validator's own checkpoints as blobs,
+/// then the loop state) or its folded outcome (tag 1).
 enum RunSnapshot {
     Partial(Box<PartialRun>),
     Done(RunOutcome),
 }
 
-#[allow(clippy::too_many_arguments)]
-fn encode_partial(
+fn partial_snapshot(
     sys: &System,
     validator: &InvariantValidator,
-    samples: &[(f64, u64, f64, f64)],
-    degraded: u64,
-    nonfinite: u64,
-    last_fault_count: usize,
-    prev_rate_degraded: bool,
-    next_sample: f64,
-    tick: usize,
+    p: &Progress,
 ) -> std::result::Result<Vec<u8>, CkptError> {
     let mut e = Enc::new();
-    e.put_u8(0); // partial
-    e.put_bytes(&sys.checkpoint()?);
-    e.put_bytes(&validator.checkpoint());
-    e.put_usize(samples.len());
-    for &(t, id, s_est, m_est) in samples {
-        e.put_f64(t);
-        e.put_u64(id);
-        e.put_f64(s_est);
-        e.put_f64(m_est);
-    }
-    e.put_u64(degraded);
-    e.put_u64(nonfinite);
-    e.put_usize(last_fault_count);
-    e.put_bool(prev_rate_degraded);
-    e.put_f64(next_sample);
-    e.put_usize(tick);
+    e.put_u8(0);
+    (sys.checkpoint()?, validator.checkpoint()).enc(&mut e);
+    p.enc(&mut e);
     Ok(e.into_bytes())
 }
 
-fn encode_done(o: &RunOutcome) -> Vec<u8> {
+fn done_snapshot(o: &RunOutcome) -> Vec<u8> {
     let mut e = Enc::new();
-    e.put_u8(1); // done
-    e.put_u64(o.faults_injected);
-    e.put_u64(o.faults_skipped);
-    e.put_u64(o.completed);
-    e.put_u64(o.failures);
-    e.put_u64(o.retries);
-    e.put_u64(o.rejected);
-    e.put_f64(o.single_sum);
-    e.put_u64(o.single_n);
-    e.put_f64(o.multi_sum);
-    e.put_u64(o.multi_n);
-    e.put_u64(o.degraded);
-    e.put_u64(o.nonfinite);
-    e.put_usize(o.violations.len());
-    for v in &o.violations {
-        e.put_str(v);
-    }
+    e.put_u8(1);
+    o.enc(&mut e);
     e.into_bytes()
 }
 
-fn decode_snapshot(payload: &[u8]) -> std::result::Result<RunSnapshot, CkptError> {
+fn read_snapshot(payload: &[u8]) -> std::result::Result<RunSnapshot, CkptError> {
     let mut d = Dec::new(payload);
     let snap = match d.get_u8()? {
         0 => {
-            let sys = System::restore(&d.get_bytes()?)?;
-            let validator = InvariantValidator::restore(&d.get_bytes()?)?;
-            let n = d.get_usize()?;
-            let mut samples = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                samples.push((d.get_f64()?, d.get_u64()?, d.get_f64()?, d.get_f64()?));
-            }
+            let (sys, validator): (Vec<u8>, Vec<u8>) = Wire::dec(&mut d)?;
             RunSnapshot::Partial(Box::new(PartialRun {
-                sys,
-                validator,
-                samples,
-                degraded: d.get_u64()?,
-                nonfinite: d.get_u64()?,
-                last_fault_count: d.get_usize()?,
-                prev_rate_degraded: d.get_bool()?,
-                next_sample: d.get_f64()?,
-                tick: d.get_usize()?,
+                sys: System::restore(&sys)?,
+                validator: InvariantValidator::restore(&validator)?,
+                p: Wire::dec(&mut d)?,
             }))
         }
-        1 => {
-            let mut o = RunOutcome {
-                faults_injected: d.get_u64()?,
-                faults_skipped: d.get_u64()?,
-                completed: d.get_u64()?,
-                failures: d.get_u64()?,
-                retries: d.get_u64()?,
-                rejected: d.get_u64()?,
-                single_sum: d.get_f64()?,
-                single_n: d.get_u64()?,
-                multi_sum: d.get_f64()?,
-                multi_n: d.get_u64()?,
-                degraded: d.get_u64()?,
-                nonfinite: d.get_u64()?,
-                violations: Vec::new(),
-            };
-            let n = d.get_usize()?;
-            for _ in 0..n {
-                o.violations.push(d.get_str()?);
-            }
-            RunSnapshot::Done(o)
-        }
+        1 => RunSnapshot::Done(Wire::dec(&mut d)?),
         b => return Err(CkptError::Corrupt(format!("unknown run-snapshot tag {b}"))),
     };
     if !d.is_exhausted() {
@@ -340,33 +305,19 @@ fn decode_snapshot(payload: &[u8]) -> std::result::Result<RunSnapshot, CkptError
     Ok(snap)
 }
 
-/// Outcome of trying to load a replicate's snapshot on resume.
-enum Loaded {
-    Done(RunOutcome),
-    Partial(Box<PartialRun>),
-    Fresh,
-}
-
-fn load_run_snapshot(c: &CheckpointCfg, seed: u64) -> Loaded {
+/// A replicate's snapshot on resume; `None` starts it fresh.
+fn load_run_snapshot(c: &CheckpointCfg, seed: u64) -> Option<RunSnapshot> {
     let path = c.run_path(seed);
-    let payload = match mqpi_ckpt::read_file(&path, RUN_KIND) {
-        Ok(p) => p,
-        Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Loaded::Fresh,
-        Err(_) => {
-            // Unreadable snapshot: graceful fall-back to a fresh run,
-            // surfaced as an observable rejection — never a panic.
-            c.note("rejected", seed);
-            return Loaded::Fresh;
-        }
+    let loaded = match mqpi_ckpt::read_file(&path, RUN_KIND) {
+        Err(CkptError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return None,
+        read => read.and_then(|payload| read_snapshot(&payload)),
     };
-    match decode_snapshot(&payload) {
-        Ok(RunSnapshot::Done(o)) => Loaded::Done(o),
-        Ok(RunSnapshot::Partial(p)) => Loaded::Partial(p),
-        Err(_) => {
-            c.note("rejected", seed);
-            Loaded::Fresh
-        }
+    // Unreadable snapshot: graceful fall-back to a fresh run, surfaced as
+    // an observable rejection — never a panic.
+    if loaded.is_err() {
+        c.note("rejected", seed);
     }
+    loaded.ok()
 }
 
 fn build_system(shape: &str, rng: &mut Rng) -> System {
@@ -425,63 +376,42 @@ fn one_run(
     // paths are bit-identical to running the replicate straight through.
     let revived = match ckpt {
         Some(c) if c.resume => match load_run_snapshot(c, seed) {
-            Loaded::Done(o) => {
+            Some(RunSnapshot::Done(o)) => {
                 c.note("done_skip", seed);
                 return Ok(o);
             }
-            Loaded::Partial(p) => {
+            Some(RunSnapshot::Partial(p)) => {
                 c.note("resumed", seed);
-                Some(p)
+                Some(*p)
             }
-            Loaded::Fresh => None,
+            None => None,
         },
         _ => None,
     };
-
-    let mut sys;
-    let mut validator;
-    let mut samples: Vec<(f64, u64, f64, f64)>;
-    let (mut degraded, mut nonfinite): (u64, u64);
-    let mut last_fault_count: usize;
-    let mut prev_rate_degraded: bool;
-    let mut next_sample: f64;
-    let mut tick: usize;
-    match revived {
-        Some(p) => {
-            sys = p.sys;
-            validator = p.validator;
-            samples = p.samples;
-            degraded = p.degraded;
-            nonfinite = p.nonfinite;
-            last_fault_count = p.last_fault_count;
-            prev_rate_degraded = p.prev_rate_degraded;
-            next_sample = p.next_sample;
-            tick = p.tick;
+    let PartialRun {
+        mut sys,
+        mut validator,
+        mut p,
+    } = revived.unwrap_or_else(|| {
+        // The build rng is fully consumed before stepping starts, so
+        // fresh construction never needs to be checkpointed.
+        let mut rng = Rng::seed_from_u64(seed);
+        let mut sys = build_system(shape, &mut rng);
+        sys.set_error_policy(ErrorPolicy::Isolate);
+        if faulty {
+            sys.install_faults(FaultPlan::generate(
+                seed ^ 0xC4A5_17E5_0F00_D5EE,
+                HORIZON,
+                &FaultMix::even(per_kind),
+            ));
         }
-        None => {
-            // The build rng is fully consumed before stepping starts, so
-            // fresh construction never needs to be checkpointed.
-            let mut rng = Rng::seed_from_u64(seed);
-            sys = build_system(shape, &mut rng);
-            sys.set_error_policy(ErrorPolicy::Isolate);
-            if faulty {
-                sys.install_faults(FaultPlan::generate(
-                    seed ^ 0xC4A5_17E5_0F00_D5EE,
-                    HORIZON,
-                    &FaultMix::even(per_kind),
-                ));
-            }
+        PartialRun {
+            sys,
             // Slack covers quantum discretization over a sampling interval.
-            validator = InvariantValidator::with_slack(2.0);
-            samples = Vec::new();
-            degraded = 0;
-            nonfinite = 0;
-            last_fault_count = 0;
-            prev_rate_degraded = false;
-            next_sample = 0.0;
-            tick = 0;
+            validator: InvariantValidator::with_slack(2.0),
+            p: Progress::default(),
         }
-    }
+    });
 
     // The PIs themselves are stateless readers, rebuilt from the shape.
     let single = SingleQueryPi::new();
@@ -493,12 +423,12 @@ fn one_run(
     });
 
     loop {
-        if sys.now() >= next_sample {
+        if sys.now() >= p.next_sample {
             let snap = sys.snapshot();
             let s_set = single.estimates(&snap);
             let m_set = multi.estimates(&snap);
-            degraded += u64::from(s_set.degraded() + m_set.degraded());
-            nonfinite += count_bad(&s_set) + count_bad(&m_set);
+            p.degraded += u64::from(s_set.degraded() + m_set.degraded());
+            p.nonfinite += count_bad(&s_set) + count_bad(&m_set);
 
             // A rate dip active at either endpoint of the interval keeps
             // actual progress below what the PI's nominal rate predicts,
@@ -506,47 +436,36 @@ fn one_run(
             let rate_degraded = sys.current_rate() < sys.rate() - 1e-9;
             let fault_count = sys.fault_log().len();
             let ctx = ValidationContext {
-                faults_in_interval: fault_count > last_fault_count
+                faults_in_interval: fault_count > p.last_fault_count
                     || rate_degraded
-                    || prev_rate_degraded,
+                    || p.prev_rate_degraded,
                 // Cost-noise residue legitimately bends estimate slopes, so
                 // the monotonicity rule is meaningful on the fault-free
                 // baseline only; the structural rules always run.
                 check_monotonicity: !faulty,
             };
-            last_fault_count = fault_count;
-            prev_rate_degraded = rate_degraded;
+            p.last_fault_count = fault_count;
+            p.prev_rate_degraded = rate_degraded;
             validator.observe(&snap, &m_set, ctx);
 
             for q in &snap.running {
-                samples.push((
+                p.samples.push((
                     snap.time,
                     q.id,
                     s_set.get(q.id).unwrap_or(f64::NAN),
                     m_set.get(q.id).unwrap_or(f64::NAN),
                 ));
             }
-            while next_sample <= sys.now() {
-                next_sample += SAMPLE_INTERVAL;
+            while p.next_sample <= sys.now() {
+                p.next_sample += SAMPLE_INTERVAL;
             }
-            tick += 1;
+            p.tick += 1;
             if let Some(c) = ckpt {
-                if c.every > 0 && tick.is_multiple_of(c.every) {
-                    let bytes = encode_partial(
-                        &sys,
-                        &validator,
-                        &samples,
-                        degraded,
-                        nonfinite,
-                        last_fault_count,
-                        prev_rate_degraded,
-                        next_sample,
-                        tick,
-                    )
-                    .map_err(ckpt_err)?;
+                if c.every > 0 && p.tick.is_multiple_of(c.every) {
+                    let bytes = partial_snapshot(&sys, &validator, &p).map_err(ckpt_err)?;
                     mqpi_ckpt::write_file(&c.run_path(seed), RUN_KIND, &bytes).map_err(ckpt_err)?;
                     c.note("saved", seed);
-                    if c.crash_after_ticks == Some(tick) {
+                    if c.crash_after_ticks == Some(p.tick) {
                         return Err(EngineError::exec("simulated crash after checkpoint"));
                     }
                 }
@@ -570,7 +489,7 @@ fn one_run(
     // Resolve the degradation metric post hoc against actual finish times.
     let (mut single_sum, mut single_n) = (0.0, 0u64);
     let (mut multi_sum, mut multi_n) = (0.0, 0u64);
-    for &(t, id, s_est, m_est) in &samples {
+    for &(t, id, s_est, m_est) in &p.samples {
         let Some(f) = sys.finished_record(id) else {
             continue;
         };
@@ -608,8 +527,8 @@ fn one_run(
         single_n,
         multi_sum,
         multi_n,
-        degraded,
-        nonfinite,
+        degraded: p.degraded,
+        nonfinite: p.nonfinite,
         violations: validator
             .violations()
             .iter()
@@ -619,7 +538,7 @@ fn one_run(
     if let Some(c) = ckpt {
         // The "done" record replaces any partial snapshot, so a resumed
         // campaign skips this replicate entirely.
-        mqpi_ckpt::write_file(&c.run_path(seed), RUN_KIND, &encode_done(&outcome))
+        mqpi_ckpt::write_file(&c.run_path(seed), RUN_KIND, &done_snapshot(&outcome))
             .map_err(ckpt_err)?;
         c.note("saved", seed);
     }

@@ -32,7 +32,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use mqpi_ckpt::{Dec, Enc};
+use mqpi_ckpt::{Dec, Enc, Wire};
 use mqpi_pi::{
     BreakerConfig, EstimatePush, LadderConfig, PiConfig, PiService, SessionId, SystemMirror,
 };
@@ -178,17 +178,10 @@ fn save_snapshot(
     svc: &PiService,
 ) -> Result<(), String> {
     let mut e = Enc::new();
-    e.put_u64(iter as u64);
-    e.put_u64(digest);
-    e.put_usize(sids.len());
-    for &s in sids {
-        e.put_u64(s);
-    }
-    e.put_usize(live.len());
-    for &q in live {
-        e.put_u64(q);
-    }
-    e.put_bytes(&svc.checkpoint());
+    (iter, digest).enc(&mut e);
+    u64::enc_slice(sids, &mut e);
+    u64::enc_slice(live, &mut e);
+    svc.checkpoint().enc(&mut e);
     mqpi_ckpt::atomic_write(&snapshot_path(dir, seed), &e.into_bytes())
         .map_err(|e| format!("checkpoint write: {e}"))
 }
@@ -202,20 +195,9 @@ fn load_snapshot(dir: &Path, seed: u64) -> Result<Option<Snapshot>, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("checkpoint read {}: {e}", path.display())),
     };
-    let mut d = Dec::new(&bytes);
-    let iter = d.get_u64().map_err(|e| e.to_string())? as usize;
-    let digest = d.get_u64().map_err(|e| e.to_string())?;
-    let ns = d.get_usize().map_err(|e| e.to_string())?;
-    let mut sids = Vec::with_capacity(ns.min(1 << 20));
-    for _ in 0..ns {
-        sids.push(d.get_u64().map_err(|e| e.to_string())?);
-    }
-    let nl = d.get_usize().map_err(|e| e.to_string())?;
-    let mut live = Vec::with_capacity(nl.min(1 << 20));
-    for _ in 0..nl {
-        live.push(d.get_u64().map_err(|e| e.to_string())?);
-    }
-    let payload = d.get_bytes().map_err(|e| e.to_string())?;
+    type LoopState = (usize, u64, Vec<SessionId>, Vec<u64>);
+    let ((iter, digest, sids, live), payload): (LoopState, Vec<u8>) =
+        Wire::dec(&mut Dec::new(&bytes)).map_err(|e| e.to_string())?;
     let svc = PiService::restore(&payload).map_err(|e| format!("restore: {e}"))?;
     Ok(Some((iter, digest, sids, live, svc)))
 }

@@ -22,7 +22,7 @@
 
 use std::path::{Path, PathBuf};
 
-use mqpi_ckpt::{Dec, Enc};
+use mqpi_ckpt::{Dec, Enc, Wire};
 use mqpi_pi::{EstimatePush, PiConfig, PiService, Standby};
 use mqpi_wal::WalKnobs;
 
@@ -138,14 +138,9 @@ fn save_snapshot(
     live: &[u64],
     svc: &PiService,
 ) -> Result<(), String> {
-    let mut e = Enc::new();
-    e.put_u64(iter as u64);
-    e.put_u64(digest);
-    e.put_usize(live.len());
-    for &q in live {
-        e.put_u64(q);
-    }
-    e.put_bytes(&svc.checkpoint());
+    // The durable driver's note, then the service's own checkpoint as a blob.
+    let mut e = Enc::wrap(note_bytes(iter, digest, live));
+    svc.checkpoint().enc(&mut e);
     mqpi_ckpt::atomic_write(&snapshot_path(dir, seed), &e.into_bytes())
         .map_err(|e| format!("checkpoint write: {e}"))
 }
@@ -159,15 +154,8 @@ fn load_snapshot(dir: &Path, seed: u64) -> Result<Option<Snapshot>, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(format!("checkpoint read {}: {e}", path.display())),
     };
-    let mut d = Dec::new(&bytes);
-    let iter = d.get_u64().map_err(|e| e.to_string())? as usize;
-    let digest = d.get_u64().map_err(|e| e.to_string())?;
-    let nl = d.get_usize().map_err(|e| e.to_string())?;
-    let mut live = Vec::with_capacity(nl.min(1 << 20));
-    for _ in 0..nl {
-        live.push(d.get_u64().map_err(|e| e.to_string())?);
-    }
-    let payload = d.get_bytes().map_err(|e| e.to_string())?;
+    let (iter, digest, live, payload): (usize, u64, Vec<u64>, Vec<u8>) =
+        Wire::dec(&mut Dec::new(&bytes)).map_err(|e| e.to_string())?;
     let svc = PiService::restore(&payload).map_err(|e| format!("restore: {e}"))?;
     Ok(Some((iter, digest, live, svc)))
 }
@@ -273,27 +261,15 @@ fn run_one(cfg: &ServeCampaign, rep: usize) -> Result<ReplicateRow, String> {
 /// Encode the durable driver's loop state into a WAL note: journaled in
 /// the same group-commit batch as the iteration's commands, so driver and
 /// service always recover from one consistent frontier.
-fn encode_note(iter: usize, digest: u64, live: &[u64]) -> Vec<u8> {
+fn note_bytes(iter: usize, digest: u64, live: &[u64]) -> Vec<u8> {
     let mut e = Enc::new();
-    e.put_u64(iter as u64);
-    e.put_u64(digest);
-    e.put_usize(live.len());
-    for &q in live {
-        e.put_u64(q);
-    }
+    (iter, digest).enc(&mut e);
+    u64::enc_slice(live, &mut e);
     e.into_bytes()
 }
 
-fn decode_note(bytes: &[u8]) -> Result<(usize, u64, Vec<u64>), String> {
-    let mut d = Dec::new(bytes);
-    let iter = d.get_u64().map_err(|e| e.to_string())? as usize;
-    let digest = d.get_u64().map_err(|e| e.to_string())?;
-    let n = d.get_usize().map_err(|e| e.to_string())?;
-    let mut live = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        live.push(d.get_u64().map_err(|e| e.to_string())?);
-    }
-    Ok((iter, digest, live))
+fn read_note(bytes: &[u8]) -> Result<(usize, u64, Vec<u64>), String> {
+    Wire::dec(&mut Dec::new(bytes)).map_err(|e| e.to_string())
 }
 
 /// Durable replicate: every command is journaled before it applies, and
@@ -322,7 +298,7 @@ fn run_one_durable(
         .map_err(|e| format!("wal open {}: {e}", dir.display()))?;
     let (start_iter, mut digest, mut live) = match &rec.last_note {
         Some(bytes) => {
-            let resumed = decode_note(bytes)?;
+            let resumed = read_note(bytes)?;
             eprintln!(
                 "# pi-serve rep={rep}: resumed from iteration {} ({} records replayed, {} bytes truncated)",
                 resumed.0, rec.replayed, rec.truncated_bytes
@@ -348,7 +324,7 @@ fn run_one_durable(
             digest = fold_push(digest, p);
         }
         live.retain(|&q| !out.iter().any(|p| p.done && p.query == q));
-        svc.wal_note(&encode_note(i + 1, digest, &live));
+        svc.wal_note(&note_bytes(i + 1, digest, &live));
         svc.wal_mark((i + 1) as u64, digest);
         if cfg.die_at == Some(i + 1) {
             // Simulated SIGKILL: drop the service with the group commit

@@ -14,7 +14,7 @@
 //! and virtual time only (no wall clock, no global state), so a scenario's
 //! trace is byte-identical across runs, platforms, and `--jobs` values.
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{CkptError, Wire};
 use mqpi_core::{
     Ensemble, InvariantValidator, MultiQueryPi, SingleQueryPi, ValidationContext, Visibility,
 };
@@ -284,61 +284,36 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
                 // Serialize the complete run state, then revive it into
                 // fresh objects in place of the live ones — exactly what a
                 // crash-restart would do, minus the process boundary.
-                let mut e = Enc::new();
-                e.put_bytes(&sys.checkpoint().map_err(ckpt_err)?);
-                e.put_bytes(&validator.checkpoint());
-                e.put_bytes(&obs.checkpoint());
-                e.put_opt_u64(victim);
-                e.put_bool(resumed);
-                e.put_bool(abort_planned);
-                e.put_usize(last_fault_count);
-                e.put_bool(prev_rate_degraded);
-                e.put_f64(next_sample);
-                e.put_bytes(&ens.checkpoint());
-                e.put_usize(seen_finished);
-                let container = mqpi_ckpt::encode_container("traced-run", &e.into_bytes());
+                // The four stateful parts travel as their own checkpoint
+                // blobs, the loop's variables beside them.
+                type Blobs = (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>);
+                let blobs: Blobs = (
+                    sys.checkpoint().map_err(ckpt_err)?,
+                    validator.checkpoint(),
+                    obs.checkpoint(),
+                    ens.checkpoint(),
+                );
+                let flags = (victim, resumed, abort_planned, prev_rate_degraded);
+                let cursors = (last_fault_count, next_sample, seen_finished);
+                let cut = (blobs, flags, cursors).to_bytes();
+                let container = mqpi_ckpt::encode_container("traced-run", &cut);
 
-                let payload =
-                    mqpi_ckpt::decode_container(&container, "traced-run").map_err(ckpt_err)?;
-                let mut d = Dec::new(&payload);
-                let mut revive = || -> std::result::Result<_, CkptError> {
-                    let sys = System::restore(&d.get_bytes()?)?;
-                    let validator = InvariantValidator::restore(&d.get_bytes()?)?;
-                    let obs = Obs::restore(&d.get_bytes()?)?;
-                    Ok((
-                        sys,
-                        validator,
-                        obs,
-                        d.get_opt_u64()?,
-                        d.get_bool()?,
-                        d.get_bool()?,
-                        d.get_usize()?,
-                        d.get_bool()?,
-                        d.get_f64()?,
-                        d.get_bytes()?,
-                        d.get_usize()?,
-                    ))
-                };
-                let revived = revive().map_err(ckpt_err)?;
-                let ens_bytes: Vec<u8>;
+                let blobs: Blobs;
                 (
-                    sys,
-                    validator,
-                    obs,
-                    victim,
-                    resumed,
-                    abort_planned,
-                    last_fault_count,
-                    prev_rate_degraded,
-                    next_sample,
-                    ens_bytes,
-                    seen_finished,
-                ) = revived;
+                    blobs,
+                    (victim, resumed, abort_planned, prev_rate_degraded),
+                    (last_fault_count, next_sample, seen_finished),
+                ) = mqpi_ckpt::decode_container(&container, "traced-run")
+                    .and_then(|payload| Wire::from_bytes(&payload, "traced run"))
+                    .map_err(ckpt_err)?;
+                sys = System::restore(&blobs.0).map_err(ckpt_err)?;
+                validator = InvariantValidator::restore(&blobs.1).map_err(ckpt_err)?;
+                obs = Obs::restore(&blobs.2).map_err(ckpt_err)?;
                 // The selector restores into a freshly built lineup (the
                 // member list itself is code, not state), just like the
                 // scheduler and validator restore into fresh objects.
                 ens = Ensemble::standard(Visibility::concurrent_only(), EWMA_TAU);
-                ens.restore_state(&ens_bytes).map_err(ckpt_err)?;
+                ens.restore_state(&blobs.3).map_err(ckpt_err)?;
                 // Restored handles come back disconnected; re-wire the
                 // live observability channel exactly as at startup.
                 sys.set_obs(obs.clone());

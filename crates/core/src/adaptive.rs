@@ -9,7 +9,7 @@
 //! update, so the estimate converges to the true rate as evidence
 //! accumulates while still using the prior early on.
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 
 /// Online arrival-rate estimator with a prior.
 #[derive(Debug, Clone)]
@@ -49,22 +49,22 @@ impl ArrivalRateEstimator {
     pub fn observed_time(&self) -> f64 {
         self.observed_time
     }
+}
 
-    /// Serialize for crash-safe checkpoints (bit-exact: floats travel as
-    /// IEEE-754 bit patterns).
-    pub fn encode(&self, e: &mut Enc) {
-        e.put_f64(self.prior_events);
-        e.put_f64(self.prior_time);
-        e.put_f64(self.observed_events);
-        e.put_f64(self.observed_time);
+/// By hand: `prior_time` divides, so a non-positive one is corrupt.
+impl Wire for ArrivalRateEstimator {
+    fn enc(&self, e: &mut Enc) {
+        (
+            self.prior_events,
+            self.prior_time,
+            self.observed_events,
+            self.observed_time,
+        )
+            .enc(e);
     }
-
-    /// Rebuild from [`ArrivalRateEstimator::encode`] bytes.
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let prior_events = d.get_f64()?;
-        let prior_time = d.get_f64()?;
-        let observed_events = d.get_f64()?;
-        let observed_time = d.get_f64()?;
+    fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let (prior_events, prior_time, observed_events, observed_time): (f64, f64, f64, f64) =
+            Wire::dec(d)?;
         if prior_time.is_nan() || prior_time <= 0.0 {
             return Err(CkptError::Corrupt(format!(
                 "non-positive prior_time {prior_time} in arrival-rate state"
@@ -106,17 +106,15 @@ impl MeanCostEstimator {
     pub fn mean(&self) -> f64 {
         self.sum / self.count
     }
+}
 
-    /// Serialize for crash-safe checkpoints.
-    pub fn encode(&self, e: &mut Enc) {
-        e.put_f64(self.sum);
-        e.put_f64(self.count);
+/// By hand: `count` divides, so a non-positive one is corrupt.
+impl Wire for MeanCostEstimator {
+    fn enc(&self, e: &mut Enc) {
+        (self.sum, self.count).enc(e);
     }
-
-    /// Rebuild from [`MeanCostEstimator::encode`] bytes.
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let sum = d.get_f64()?;
-        let count = d.get_f64()?;
+    fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let (sum, count): (f64, f64) = Wire::dec(d)?;
         if count.is_nan() || count <= 0.0 {
             return Err(CkptError::Corrupt(format!(
                 "non-positive sample count {count} in mean-cost state"

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_obs::{Obs, TraceKind, ERROR_BUCKETS};
 use mqpi_sim::speed::SpeedMonitor;
 use mqpi_sim::system::{QueryState, SystemSnapshot};
@@ -69,13 +69,13 @@ pub trait Estimator {
 
     /// Append any mutable estimator state to a checkpoint. Stateless
     /// estimators write nothing; whatever is written here must be read
-    /// back symmetrically by [`Estimator::decode_state`].
-    fn encode_state(&self, e: &mut Enc) {
+    /// back symmetrically by [`Estimator::restore_state`].
+    fn checkpoint(&self, e: &mut Enc) {
         let _ = e;
     }
 
-    /// Restore state written by [`Estimator::encode_state`].
-    fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+    /// Restore state written by [`Estimator::checkpoint`].
+    fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
         let _ = d;
         Ok(())
     }
@@ -215,6 +215,7 @@ pub struct SpeedEwmaPi {
     tau: f64,
     monitors: BTreeMap<u64, SpeedMonitor>,
 }
+wire_struct!(SpeedEwmaPi { tau, monitors });
 
 impl SpeedEwmaPi {
     /// Create the estimator with smoothing time constant `tau` seconds
@@ -262,31 +263,12 @@ impl Estimator for SpeedEwmaPi {
         EstimateSet::from_pairs(pairs, false)
     }
 
-    fn encode_state(&self, e: &mut Enc) {
-        e.put_f64(self.tau);
-        e.put_usize(self.monitors.len());
-        for (&id, m) in &self.monitors {
-            let (tau, last_t, last_units, ema) = m.to_parts();
-            e.put_u64(id);
-            e.put_f64(tau);
-            e.put_f64(last_t);
-            e.put_f64(last_units);
-            e.put_opt_f64(ema);
-        }
+    fn checkpoint(&self, e: &mut Enc) {
+        self.enc(e);
     }
 
-    fn decode_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
-        self.tau = d.get_f64()?;
-        let n = d.get_usize()?;
-        self.monitors.clear();
-        for _ in 0..n {
-            let id = d.get_u64()?;
-            let (tau, last_t, last_units, ema) =
-                (d.get_f64()?, d.get_f64()?, d.get_f64()?, d.get_opt_f64()?);
-            let m = SpeedMonitor::from_parts(tau, last_t, last_units, ema)
-                .map_err(|e| CkptError::Corrupt(format!("speed monitor: {e}")))?;
-            self.monitors.insert(id, m);
-        }
+    fn restore_state(&mut self, d: &mut Dec<'_>) -> Result<(), CkptError> {
+        *self = Wire::dec(d)?;
         Ok(())
     }
 }
@@ -836,34 +818,24 @@ impl Ensemble {
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.put_usize(self.estimators.len());
-        for &(s, w) in &self.scores {
-            e.put_f64(s);
-            e.put_f64(w);
+        for score in &self.scores {
+            score.enc(&mut e);
         }
         for r in &self.residuals {
-            e.put_usize(r.buf.len());
-            for &v in &r.buf {
-                e.put_f64(v);
-            }
-            e.put_usize(r.next);
+            r.buf.enc(&mut e);
+            r.next.enc(&mut e);
         }
-        e.put_usize(self.choice.len());
-        for (&id, &c) in &self.choice {
-            e.put_u64(id);
-            e.put_u32(c);
-        }
+        self.choice.enc(&mut e);
         e.put_usize(self.pending.len());
         for p in &self.pending {
-            e.put_f64(p.at);
-            e.put_u64(p.id);
-            for &v in &p.ests {
-                e.put_f64(v);
+            (p.at, p.id).enc(&mut e);
+            for v in &p.ests {
+                v.enc(&mut e);
             }
         }
-        e.put_u64(self.resolved);
-        e.put_u64(self.switches);
+        (self.resolved, self.switches).enc(&mut e);
         for est in &self.estimators {
-            est.encode_state(&mut e);
+            est.checkpoint(&mut e);
         }
         e.into_bytes()
     }
@@ -880,60 +852,44 @@ impl Ensemble {
                 self.estimators.len()
             )));
         }
-        for i in 0..n {
-            self.scores[i] = (d.get_f64()?, d.get_f64()?);
+        for score in &mut self.scores {
+            *score = Wire::dec(&mut d)?;
         }
-        for i in 0..n {
-            let len = d.get_usize()?;
-            if len > self.cfg.window.max(1) {
+        let cap = self.cfg.window.max(1);
+        for ring in &mut self.residuals {
+            let (buf, next): (Vec<f64>, usize) = Wire::dec(&mut d)?;
+            if buf.len() > cap {
                 return Err(CkptError::Corrupt(format!(
-                    "residual window of {len} exceeds capacity {}",
-                    self.cfg.window
+                    "residual window of {} exceeds capacity {cap}",
+                    buf.len()
                 )));
             }
-            let mut buf = Vec::with_capacity(len);
-            for _ in 0..len {
-                buf.push(d.get_f64()?);
-            }
-            let next = d.get_usize()?;
-            if next > len {
+            if next > buf.len() {
                 return Err(CkptError::Corrupt(format!(
-                    "residual cursor {next} beyond window of {len}"
+                    "residual cursor {next} beyond window of {}",
+                    buf.len()
                 )));
             }
-            self.residuals[i] = Ring {
-                cap: self.cfg.window.max(1),
-                buf,
-                next,
-            };
+            *ring = Ring { cap, buf, next };
         }
-        self.choice.clear();
-        let nc = d.get_usize()?;
-        for _ in 0..nc {
-            let id = d.get_u64()?;
-            let c = d.get_u32()?;
-            if c as usize >= n {
-                return Err(CkptError::Corrupt(format!(
-                    "choice index {c} out of range for {n} estimators"
-                )));
-            }
-            self.choice.insert(id, c);
+        self.choice = Wire::dec(&mut d)?;
+        if let Some(c) = self.choice.values().find(|&&c| c as usize >= n) {
+            return Err(CkptError::Corrupt(format!(
+                "choice index {c} out of range for {n} estimators"
+            )));
         }
         self.pending.clear();
-        let np = d.get_usize()?;
-        for _ in 0..np {
-            let at = d.get_f64()?;
-            let id = d.get_u64()?;
+        for _ in 0..d.get_usize()? {
+            let (at, id) = Wire::dec(&mut d)?;
             let mut ests = Vec::with_capacity(n);
             for _ in 0..n {
                 ests.push(d.get_f64()?);
             }
             self.pending.push(Pending { at, id, ests });
         }
-        self.resolved = d.get_u64()?;
-        self.switches = d.get_u64()?;
+        (self.resolved, self.switches) = Wire::dec(&mut d)?;
         for est in &mut self.estimators {
-            est.decode_state(&mut d)?;
+            est.restore_state(&mut d)?;
         }
         if !d.is_exhausted() {
             return Err(CkptError::Corrupt(format!(

@@ -56,7 +56,7 @@
 
 use std::collections::HashMap;
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 
 use crate::fluid::{predict, FluidPrediction, FluidQuery, FutureArrivals};
 
@@ -89,6 +89,17 @@ pub struct DeltaCounters {
     /// Full `predict` invocations via [`IncrementalFluid::estimates_full`].
     pub full_rebuilds: u64,
 }
+wire_struct!(DeltaCounters {
+    arrivals,
+    finishes,
+    aborts,
+    reweights,
+    cost_refinements,
+    rate_changes,
+    advances,
+    completions,
+    full_rebuilds,
+});
 
 /// Struct-of-arrays node storage for the treap plus an intrusive
 /// admission-order list and an intrusive free list (threaded through
@@ -795,63 +806,39 @@ impl IncrementalFluid {
         self.counters.full_rebuilds += 1;
         sanitized
     }
+}
 
-    /// Serialize the model. Nodes travel in admission order; the treap
-    /// shape is not encoded because it is the unique treap over the node
-    /// set (see module docs), so [`IncrementalFluid::decode`] rebuilds it
-    /// exactly and a re-encode is byte-identical.
-    pub fn encode(&self, e: &mut Enc) {
-        e.put_f64(self.rate);
-        e.put_f64(self.vt);
-        e.put_u64(self.next_seq);
-        e.put_usize(self.len());
+/// By hand: nodes travel in admission order and the treap shape is not
+/// encoded, because it is the unique treap over the node set (see module
+/// docs); decoding rebuilds it exactly, so a re-encode is byte-identical.
+/// Weights, sequence numbers and ids are checked on the way in.
+impl Wire for IncrementalFluid {
+    fn enc(&self, e: &mut Enc) {
+        (self.rate, self.vt, self.next_seq, self.len()).enc(e);
         let mut cur = self.head;
         while cur != NIL {
             let i = cur as usize;
-            e.put_u64(self.nodes.id[i]);
-            e.put_u64(self.nodes.seq[i]);
-            e.put_f64(self.nodes.tag[i]);
-            e.put_f64(self.nodes.weight[i]);
-            cur = self.nodes.seq_next[i];
+            let n = &self.nodes;
+            (n.id[i], n.seq[i], n.tag[i], n.weight[i]).enc(e);
+            cur = n.seq_next[i];
         }
-        e.put_usize(self.due.len());
-        for &id in &self.due {
-            e.put_u64(id);
-        }
-        let c = &self.counters;
-        for v in [
-            c.arrivals,
-            c.finishes,
-            c.aborts,
-            c.reweights,
-            c.cost_refinements,
-            c.rate_changes,
-            c.advances,
-            c.completions,
-            c.full_rebuilds,
-        ] {
-            e.put_u64(v);
-        }
+        self.due.enc(e);
+        self.counters.enc(e);
     }
 
-    /// Rebuild a model from [`IncrementalFluid::encode`] bytes.
-    pub fn decode(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        let rate = d.get_f64()?;
+    fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        let (rate, vt, next_seq, n): (f64, f64, u64, usize) = Wire::dec(d)?;
         if rate.is_nan() || rate <= 0.0 {
             return Err(CkptError::Corrupt(format!(
                 "non-positive rate {rate} in incremental-fluid state"
             )));
         }
-        let vt = d.get_f64()?;
-        let next_seq = d.get_u64()?;
-        let n = d.get_usize()?;
-        let mut f = IncrementalFluid::with_capacity(rate, n.min(1 << 20));
+        // A node is 32 bytes on the wire: reserve for no more of them than
+        // the bytes that remain could hold.
+        let mut f = IncrementalFluid::with_capacity(rate, n.min(d.remaining() / 32));
         f.vt = vt;
         for _ in 0..n {
-            let id = d.get_u64()?;
-            let seq = d.get_u64()?;
-            let tag = d.get_f64()?;
-            let weight = d.get_f64()?;
+            let (id, seq, tag, weight): (u64, u64, f64, f64) = Wire::dec(d)?;
             if weight.is_nan() || weight <= 0.0 {
                 return Err(CkptError::Corrupt(format!(
                     "non-positive weight {weight} for query {id} in incremental-fluid state"
@@ -872,26 +859,13 @@ impl IncrementalFluid {
             f.insert_tree(s);
         }
         f.next_seq = next_seq;
-        let nd = d.get_usize()?;
-        let mut due = Vec::with_capacity(nd.min(1 << 20));
-        for _ in 0..nd {
-            due.push(d.get_u64()?);
-        }
-        f.due = due;
-        f.counters = DeltaCounters {
-            arrivals: d.get_u64()?,
-            finishes: d.get_u64()?,
-            aborts: d.get_u64()?,
-            reweights: d.get_u64()?,
-            cost_refinements: d.get_u64()?,
-            rate_changes: d.get_u64()?,
-            advances: d.get_u64()?,
-            completions: d.get_u64()?,
-            full_rebuilds: d.get_u64()?,
-        };
+        f.due = Wire::dec(d)?;
+        f.counters = Wire::dec(d)?;
         Ok(f)
     }
+}
 
+impl IncrementalFluid {
     #[cfg(test)]
     fn check_invariants(&self) {
         fn walk(n: &Nodes, t: u32, count: &mut usize) -> (f64, f64, u32) {
@@ -1093,13 +1067,13 @@ mod tests {
         f.set_rate(128.0);
         f.advance(0.11);
         let mut e = Enc::new();
-        f.encode(&mut e);
+        f.enc(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let mut g = IncrementalFluid::decode(&mut d).unwrap();
+        let mut g = IncrementalFluid::dec(&mut d).unwrap();
         assert!(d.is_exhausted());
         let mut e2 = Enc::new();
-        g.encode(&mut e2);
+        g.enc(&mut e2);
         assert_eq!(bytes, e2.into_bytes(), "re-encode must be byte-identical");
         // Behavior equivalence: same estimates and same future evolution.
         assert_eq!(f.len(), g.len());
@@ -1129,12 +1103,12 @@ mod tests {
         f.reweight(11, 4.0);
         f.refine_cost(42, 777.0);
         let mut e = Enc::new();
-        f.encode(&mut e);
+        f.enc(&mut e);
         let before = e.into_bytes();
         let before_estimates: Vec<_> = (0..200u64).map(|i| f.estimate(i)).collect();
         assert_eq!(f.rebuild(), 0, "healthy state needs no sanitization");
         let mut e2 = Enc::new();
-        f.encode(&mut e2);
+        f.enc(&mut e2);
         // The encoding ends with the 9-counter telemetry block; rebuild
         // legitimately bumps `full_rebuilds` there, so model-state bytes
         // are everything before it.
@@ -1177,13 +1151,13 @@ mod tests {
     }
 
     #[test]
-    fn decode_rejects_corrupt_state() {
+    fn truncated_state_is_rejected() {
         let mut e = Enc::new();
-        IncrementalFluid::new(10.0).encode(&mut e);
+        IncrementalFluid::new(10.0).enc(&mut e);
         let mut bytes = e.into_bytes();
         bytes.truncate(bytes.len() - 1);
         let mut d = Dec::new(&bytes);
-        assert!(IncrementalFluid::decode(&mut d).is_err());
+        assert!(IncrementalFluid::dec(&mut d).is_err());
     }
 
     /// Every slot the sweep wrote, as `(slot, value)`.

@@ -20,6 +20,7 @@
 
 use std::collections::{HashMap, HashSet};
 
+use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_sim::system::{FinishedQuery, SystemSnapshot};
 
 use crate::estimate::EstimateSet;
@@ -33,6 +34,22 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable specifics.
     pub detail: String,
+}
+
+/// By hand: the rule identifier is re-interned to `&'static str`.
+impl Wire for Violation {
+    fn enc(&self, e: &mut Enc) {
+        e.put_f64(self.at);
+        e.put_str(self.rule);
+        e.put_str(&self.detail);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
+        Ok(Violation {
+            at: d.get_f64()?,
+            rule: mqpi_obs::intern(&d.get_str()?),
+            detail: d.get_str()?,
+        })
+    }
 }
 
 /// What the validator may assume about the interval since the previous
@@ -285,76 +302,37 @@ impl InvariantValidator {
     /// The obs handle is excluded (re-install via
     /// [`InvariantValidator::set_obs`] after restore).
     pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = mqpi_ckpt::Enc::new();
-        e.put_f64(self.slack);
-        e.put_opt_f64(self.last_time);
-        let mut est: Vec<(u64, f64)> = self.last_estimates.iter().map(|(k, v)| (*k, *v)).collect();
-        est.sort_unstable_by_key(|(id, _)| *id);
-        e.put_usize(est.len());
-        for (id, v) in est {
-            e.put_u64(id);
-            e.put_f64(v);
+        fn sorted<V: Copy>(m: &HashMap<u64, V>) -> Vec<(u64, V)> {
+            let mut pairs: Vec<(u64, V)> = m.iter().map(|(k, v)| (*k, *v)).collect();
+            pairs.sort_unstable_by_key(|(id, _)| *id);
+            pairs
         }
+        let mut e = Enc::new();
+        (self.slack, self.last_time).enc(&mut e);
+        sorted(&self.last_estimates).enc(&mut e);
         let mut ids: Vec<u64> = self.last_ids.iter().copied().collect();
         ids.sort_unstable();
-        e.put_usize(ids.len());
-        for id in ids {
-            e.put_u64(id);
-        }
-        let mut running: Vec<(u64, (f64, bool, bool))> =
-            self.last_running.iter().map(|(k, v)| (*k, *v)).collect();
-        running.sort_unstable_by_key(|(id, _)| *id);
-        e.put_usize(running.len());
-        for (id, (done, blocked, rolling)) in running {
-            e.put_u64(id);
-            e.put_f64(done);
-            e.put_bool(blocked);
-            e.put_bool(rolling);
-        }
-        e.put_usize(self.violations.len());
-        for v in &self.violations {
-            e.put_f64(v.at);
-            e.put_str(v.rule);
-            e.put_str(&v.detail);
-        }
+        ids.enc(&mut e);
+        sorted(&self.last_running).enc(&mut e);
+        self.violations.enc(&mut e);
         e.into_bytes()
     }
 
     /// Rebuild a validator from [`InvariantValidator::checkpoint`] bytes.
-    /// Rule identifiers are re-interned to `&'static str`; the restored
-    /// validator's obs handle is disabled.
-    pub fn restore(bytes: &[u8]) -> Result<Self, mqpi_ckpt::CkptError> {
-        let mut d = mqpi_ckpt::Dec::new(bytes);
-        let slack = d.get_f64()?;
-        let last_time = d.get_opt_f64()?;
+    /// The restored validator's obs handle is disabled.
+    pub fn restore(bytes: &[u8]) -> Result<Self, CkptError> {
+        let mut d = Dec::new(bytes);
+        let (slack, last_time) = Wire::dec(&mut d)?;
         let mut v = InvariantValidator::with_slack(slack);
         v.last_time = last_time;
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let id = d.get_u64()?;
-            v.last_estimates.insert(id, d.get_f64()?);
-        }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            v.last_ids.insert(d.get_u64()?);
-        }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let id = d.get_u64()?;
-            let done = d.get_f64()?;
-            let blocked = d.get_bool()?;
-            let rolling = d.get_bool()?;
-            v.last_running.insert(id, (done, blocked, rolling));
-        }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let at = d.get_f64()?;
-            let rule = mqpi_obs::intern(&d.get_str()?);
-            let detail = d.get_str()?;
-            v.violations.push(Violation { at, rule, detail });
-        }
+        v.last_estimates = Vec::<(u64, f64)>::dec(&mut d)?.into_iter().collect();
+        v.last_ids = Vec::<u64>::dec(&mut d)?.into_iter().collect();
+        v.last_running = Vec::<(u64, (f64, bool, bool))>::dec(&mut d)?
+            .into_iter()
+            .collect();
+        v.violations = Wire::dec(&mut d)?;
         if !d.is_exhausted() {
-            return Err(mqpi_ckpt::CkptError::Corrupt(format!(
+            return Err(CkptError::Corrupt(format!(
                 "{} trailing bytes after validator state",
                 d.remaining()
             )));

@@ -30,6 +30,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use mqpi_ckpt::Wire as _;
 use mqpi_core::fluid::{predict, predict_reference, FluidQuery};
 use mqpi_core::IncrementalFluid;
 
@@ -130,9 +131,9 @@ impl Shadow {
 
 fn recode(inc: &IncrementalFluid) -> IncrementalFluid {
     let mut e = mqpi_ckpt::Enc::new();
-    inc.encode(&mut e);
+    inc.enc(&mut e);
     let bytes = e.into_bytes();
-    IncrementalFluid::decode(&mut mqpi_ckpt::Dec::new(&bytes)).expect("decode")
+    IncrementalFluid::dec(&mut mqpi_ckpt::Dec::new(&bytes)).expect("decode")
 }
 
 /// (4) of the module docs. `handles` holds every `(id, slot)` handed out
@@ -375,14 +376,14 @@ proptest! {
         }
 
         let mut e = mqpi_ckpt::Enc::new();
-        inc.encode(&mut e);
+        inc.enc(&mut e);
         let bytes = e.into_bytes();
         let mut d = mqpi_ckpt::Dec::new(&bytes);
-        let mut restored = IncrementalFluid::decode(&mut d).expect("decode");
+        let mut restored = IncrementalFluid::dec(&mut d).expect("decode");
         prop_assert!(d.is_exhausted());
 
         let mut e2 = mqpi_ckpt::Enc::new();
-        restored.encode(&mut e2);
+        restored.enc(&mut e2);
         prop_assert_eq!(&bytes, &e2.into_bytes(), "re-encode must be byte-identical");
 
         // Replay the tail of the stream against both structures.

@@ -34,10 +34,10 @@ pub mod event;
 pub mod metrics;
 pub mod profile;
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 
 pub use event::{TraceEvent, TraceKind};
 pub use metrics::{Histogram, MetricsRegistry, ERROR_BUCKETS, SECOND_BUCKETS, UNIT_BUCKETS};
@@ -59,6 +59,22 @@ pub fn intern(s: &str) -> &'static str {
     let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
     guard.insert(leaked);
     leaked
+}
+
+/// A name-keyed table on the wire: a count, then `(name, value)` pairs in
+/// name order.
+fn enc_named<V: Wire>(table: &BTreeMap<&'static str, V>, e: &mut Enc) {
+    e.put_usize(table.len());
+    for (name, v) in table {
+        e.put_str(name);
+        v.enc(e);
+    }
+}
+
+/// Inverse of [`enc_named`]; names are re-interned to `&'static str`.
+fn dec_named<V: Wire>(d: &mut Dec<'_>) -> mqpi_ckpt::Result<BTreeMap<&'static str, V>> {
+    let pairs = <(String, V)>::dec_vec(d)?;
+    Ok(pairs.into_iter().map(|(k, v)| (intern(&k), v)).collect())
 }
 
 /// Default trace ring-buffer capacity (events). Beyond it the *oldest*
@@ -295,8 +311,8 @@ impl Obs {
             lines.push('\n');
         }
         e.put_str(&lines);
-        st.metrics.encode_into(&mut e);
-        st.profile.encode_into(&mut e);
+        st.metrics.enc(&mut e);
+        st.profile.enc(&mut e);
         e.into_bytes()
     }
 
@@ -312,8 +328,8 @@ impl Obs {
         let capacity = d.get_usize()?;
         let dropped = d.get_u64()?;
         let preamble = d.get_str()?;
-        let metrics = MetricsRegistry::decode_from(&mut d)?;
-        let profile = Profile::decode_from(&mut d)?;
+        let metrics = Wire::dec(&mut d)?;
+        let profile = Wire::dec(&mut d)?;
         if !d.is_exhausted() {
             return Err(CkptError::Corrupt(format!(
                 "{} trailing bytes after obs state",

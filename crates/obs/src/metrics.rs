@@ -14,6 +14,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
+
 /// Fixed bucket boundaries for work-unit-sized observations (a query's
 /// total work, a span's units). Upper-inclusive; values beyond the last
 /// bound land in the overflow bucket.
@@ -209,88 +211,50 @@ impl MetricsRegistry {
     }
 }
 
-impl MetricsRegistry {
-    /// Serialize every family into `e` for checkpointing. Iteration order
-    /// is the `BTreeMap` key order, so the encoding is canonical: two
-    /// registries with equal contents produce identical bytes.
-    pub fn encode_into(&self, e: &mut mqpi_ckpt::Enc) {
-        e.put_usize(self.counters.len());
-        for (k, v) in &self.counters {
-            e.put_str(k);
-            e.put_u64(*v);
-        }
-        e.put_usize(self.gauges.len());
-        for (k, v) in &self.gauges {
-            e.put_str(k);
-            e.put_f64(*v);
-        }
-        e.put_usize(self.histograms.len());
-        for (k, h) in &self.histograms {
-            e.put_str(k);
-            e.put_usize(h.bounds.len());
-            for b in h.bounds {
-                e.put_f64(*b);
-            }
-            e.put_usize(h.counts.len());
-            for c in &h.counts {
-                e.put_u64(*c);
-            }
-            e.put_f64(h.sum);
-            e.put_u64(h.n);
-        }
+/// Three name-keyed tables in `BTreeMap` key order, so two registries
+/// with equal contents produce identical bytes.
+impl Wire for MetricsRegistry {
+    fn enc(&self, e: &mut Enc) {
+        crate::enc_named(&self.counters, e);
+        crate::enc_named(&self.gauges, e);
+        crate::enc_named(&self.histograms, e);
     }
+    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
+        Ok(MetricsRegistry {
+            counters: crate::dec_named(d)?,
+            gauges: crate::dec_named(d)?,
+            histograms: crate::dec_named(d)?,
+        })
+    }
+}
 
-    /// Rebuild a registry encoded by [`MetricsRegistry::encode_into`].
-    /// Names are re-interned to `&'static str`; histogram bounds are
-    /// matched by value against the canonical bucket statics
-    /// ([`UNIT_BUCKETS`], [`SECOND_BUCKETS`]) so the pointer-identity
-    /// invariant of [`MetricsRegistry::histogram_observe`] keeps holding
-    /// after a restore, falling back to a leaked copy for custom bounds.
-    pub fn decode_from(d: &mut mqpi_ckpt::Dec<'_>) -> Result<Self, mqpi_ckpt::CkptError> {
-        let mut m = MetricsRegistry::new();
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let k = crate::intern(&d.get_str()?);
-            m.counters.insert(k, d.get_u64()?);
+/// By hand: decoded bounds are matched by value against the canonical
+/// bucket statics ([`UNIT_BUCKETS`], [`SECOND_BUCKETS`], [`ERROR_BUCKETS`])
+/// so the pointer-identity invariant of
+/// [`MetricsRegistry::histogram_observe`] keeps holding after a restore,
+/// and the counts must be one per bound plus the overflow bucket.
+impl Wire for Histogram {
+    fn enc(&self, e: &mut Enc) {
+        f64::enc_slice(self.bounds, e);
+        self.counts.enc(e);
+        (self.sum, self.n).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
+        let bounds = canonical_bounds(&Vec::<f64>::dec(d)?);
+        let (counts, sum, n): (Vec<u64>, f64, u64) = Wire::dec(d)?;
+        if counts.len() != bounds.len() + 1 {
+            return Err(CkptError::Corrupt(format!(
+                "histogram with {} counts for {} bounds",
+                counts.len(),
+                bounds.len()
+            )));
         }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let k = crate::intern(&d.get_str()?);
-            m.gauges.insert(k, d.get_f64()?);
-        }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let k = crate::intern(&d.get_str()?);
-            let nb = d.get_usize()?;
-            let mut bounds = Vec::with_capacity(nb.min(1024));
-            for _ in 0..nb {
-                bounds.push(d.get_f64()?);
-            }
-            let bounds = canonical_bounds(&bounds);
-            let nc = d.get_usize()?;
-            if nc != bounds.len() + 1 {
-                return Err(mqpi_ckpt::CkptError::Corrupt(format!(
-                    "histogram {k}: {nc} counts for {} bounds",
-                    bounds.len()
-                )));
-            }
-            let mut counts = Vec::with_capacity(nc.min(1024));
-            for _ in 0..nc {
-                counts.push(d.get_u64()?);
-            }
-            let sum = d.get_f64()?;
-            let n = d.get_u64()?;
-            m.histograms.insert(
-                k,
-                Histogram {
-                    bounds,
-                    counts,
-                    sum,
-                    n,
-                },
-            );
-        }
-        Ok(m)
+        Ok(Histogram {
+            bounds,
+            counts,
+            sum,
+            n,
+        })
     }
 }
 

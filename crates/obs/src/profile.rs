@@ -18,11 +18,24 @@ pub struct SpanStat {
     /// Work units attributed to the span across all calls.
     pub units: f64,
 }
+mqpi_ckpt::wire_struct!(SpanStat { calls, units });
 
 /// The per-run profile table, keyed by static span names.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     spans: BTreeMap<&'static str, SpanStat>,
+}
+
+/// One name-keyed table, sorted by span name via the `BTreeMap`.
+impl mqpi_ckpt::Wire for Profile {
+    fn enc(&self, e: &mut mqpi_ckpt::Enc) {
+        crate::enc_named(&self.spans, e);
+    }
+    fn dec(d: &mut mqpi_ckpt::Dec<'_>) -> mqpi_ckpt::Result<Self> {
+        Ok(Profile {
+            spans: crate::dec_named(d)?,
+        })
+    }
 }
 
 impl Profile {
@@ -41,31 +54,6 @@ impl Profile {
     /// Whether no span has run.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
-    }
-
-    /// Serialize the table into `e` for checkpointing (canonical: sorted
-    /// by span name via the `BTreeMap`).
-    pub fn encode_into(&self, e: &mut mqpi_ckpt::Enc) {
-        e.put_usize(self.spans.len());
-        for (k, s) in &self.spans {
-            e.put_str(k);
-            e.put_u64(s.calls);
-            e.put_f64(s.units);
-        }
-    }
-
-    /// Rebuild a table encoded by [`Profile::encode_into`], re-interning
-    /// span names.
-    pub fn decode_from(d: &mut mqpi_ckpt::Dec<'_>) -> Result<Self, mqpi_ckpt::CkptError> {
-        let mut p = Profile::default();
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let k = crate::intern(&d.get_str()?);
-            let calls = d.get_u64()?;
-            let units = d.get_f64()?;
-            p.spans.insert(k, SpanStat { calls, units });
-        }
-        Ok(p)
     }
 
     /// One CSV row per span: `span,calls,units`. Sorted by name.

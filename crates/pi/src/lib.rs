@@ -82,9 +82,9 @@
 //! events (duplicates, unknown ids, time regressions, non-finite payloads)
 //! are quarantined and counted instead of poisoning the model.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_enum, wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_core::adaptive::MeanCostEstimator;
 use mqpi_core::{ArrivalRateEstimator, EstimateSet, FluidQuery, FutureArrivals, IncrementalFluid};
 use mqpi_obs::{Obs, TraceKind};
@@ -158,6 +158,12 @@ pub enum LoadTier {
     /// load falls back to the shed exit watermark.
     Shed = 3,
 }
+wire_enum!(LoadTier, "load tier" {
+    0 => Normal,
+    1 => EpsilonWiden,
+    2 => FinalsOnly,
+    3 => Shed,
+});
 
 impl LoadTier {
     /// Stable lowercase label used in trace events and metrics.
@@ -167,16 +173,6 @@ impl LoadTier {
             LoadTier::EpsilonWiden => "epsilon_widen",
             LoadTier::FinalsOnly => "finals_only",
             LoadTier::Shed => "shed",
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(LoadTier::Normal),
-            1 => Some(LoadTier::EpsilonWiden),
-            2 => Some(LoadTier::FinalsOnly),
-            3 => Some(LoadTier::Shed),
-            _ => None,
         }
     }
 
@@ -211,6 +207,15 @@ pub struct LadderConfig {
     /// and above (≥ 1).
     pub epsilon_factor: f64,
 }
+wire_struct!(LadderConfig {
+    widen_enter,
+    widen_exit,
+    finals_enter,
+    finals_exit,
+    shed_enter,
+    shed_exit,
+    epsilon_factor,
+});
 
 impl Default for LadderConfig {
     fn default() -> Self {
@@ -239,6 +244,11 @@ pub struct BreakerConfig {
     /// How many queries (in completion order) each audit samples.
     pub sample: usize,
 }
+wire_struct!(BreakerConfig {
+    interval,
+    tolerance,
+    sample,
+});
 
 impl Default for BreakerConfig {
     fn default() -> Self {
@@ -348,6 +358,20 @@ pub struct PiConfig {
     /// way — the knobs only take effect once a log is attached.
     pub wal: Option<WalKnobs>,
 }
+wire_struct!(PiConfig {
+    rate,
+    epsilon,
+    slots,
+    lambda_prior,
+    lambda_prior_time,
+    cost_prior,
+    cost_prior_strength,
+    queue_deadline,
+    retry,
+    ladder,
+    breaker,
+    wal,
+});
 
 impl Default for PiConfig {
     fn default() -> Self {
@@ -503,6 +527,24 @@ pub struct PiStats {
     /// (plus fields sanitized during breaker rebuilds).
     pub sanitized: u64,
 }
+wire_struct!(PiStats {
+    submitted,
+    completed,
+    aborted,
+    pumps,
+    pushes,
+    suppressed,
+    deadline_expired,
+    deadline_requeued,
+    deadline_rejected,
+    shed,
+    tier_transitions,
+    degraded_pumps,
+    audit_checks,
+    audit_trips,
+    audit_rebuilds,
+    sanitized,
+});
 
 /// Work-conservation ledger: every submitted query is in exactly one
 /// bucket. [`Ledger::balanced`] holds in every ladder tier — overload can
@@ -522,14 +564,18 @@ pub struct Ledger {
 impl Ledger {
     /// True when the outcome buckets sum to the submissions.
     pub fn balanced(&self) -> bool {
-        self.live
-            + self.queued
-            + self.backoff
-            + self.completed
-            + self.aborted
-            + self.deadline_rejected
-            + self.shed
-            == self.submitted
+        let buckets = [
+            self.live,
+            self.queued,
+            self.backoff,
+            self.completed,
+            self.aborted,
+            self.deadline_rejected,
+            self.shed,
+        ];
+        // Checked: `PiService::restore` asks this of decoded counters.
+        let sum = buckets.iter().try_fold(0u64, |sum, &b| sum.checked_add(b));
+        sum == Some(self.submitted)
     }
 }
 
@@ -541,6 +587,11 @@ struct Session {
     /// Head of this session's subscription chain.
     sub_head: u32,
 }
+wire_struct!(Session {
+    alive,
+    gen,
+    sub_head,
+});
 
 /// A subscription lives on two intrusive doubly-linked chains — its
 /// session's (for `close_session`) and its query's (for final pushes) —
@@ -558,6 +609,16 @@ struct Sub {
     next_same_query: u32,
     prev_same_query: u32,
 }
+wire_struct!(Sub {
+    active,
+    session,
+    query,
+    last_push,
+    next_in_session,
+    prev_in_session,
+    next_same_query,
+    prev_same_query,
+});
 
 #[derive(Debug, Clone, Copy)]
 struct Queued {
@@ -569,6 +630,13 @@ struct Queued {
     /// Absolute virtual-time admission deadline (∞ = none).
     deadline: f64,
 }
+wire_struct!(Queued {
+    id,
+    cost,
+    weight,
+    attempts,
+    deadline,
+});
 
 /// A deadline-expired query waiting out its backoff delay before
 /// re-queueing.
@@ -581,6 +649,13 @@ struct Backoff {
     /// Absolute virtual time at which it re-enters the FIFO queue.
     due: f64,
 }
+wire_struct!(Backoff {
+    id,
+    cost,
+    weight,
+    attempts,
+    due,
+});
 
 /// The always-on PI session service. See the crate docs for the design.
 #[derive(Debug)]
@@ -2085,153 +2160,28 @@ impl PiService {
     /// schedule) travels with everything else.
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.put_f64(self.cfg.rate);
-        e.put_f64(self.cfg.epsilon);
-        match self.cfg.slots {
-            None => e.put_bool(false),
-            Some(k) => {
-                e.put_bool(true);
-                e.put_usize(k);
-            }
-        }
-        e.put_f64(self.cfg.lambda_prior);
-        e.put_f64(self.cfg.lambda_prior_time);
-        e.put_f64(self.cfg.cost_prior);
-        e.put_f64(self.cfg.cost_prior_strength);
-        e.put_opt_f64(self.cfg.queue_deadline);
-        e.put_f64(self.cfg.retry.base_delay);
-        e.put_f64(self.cfg.retry.multiplier);
-        e.put_f64(self.cfg.retry.max_delay);
-        e.put_u32(self.cfg.retry.max_attempts);
-        match self.cfg.ladder {
-            None => e.put_bool(false),
-            Some(l) => {
-                e.put_bool(true);
-                e.put_usize(l.widen_enter);
-                e.put_usize(l.widen_exit);
-                e.put_usize(l.finals_enter);
-                e.put_usize(l.finals_exit);
-                e.put_usize(l.shed_enter);
-                e.put_usize(l.shed_exit);
-                e.put_f64(l.epsilon_factor);
-            }
-        }
-        match self.cfg.breaker {
-            None => e.put_bool(false),
-            Some(b) => {
-                e.put_bool(true);
-                e.put_f64(b.interval);
-                e.put_f64(b.tolerance);
-                e.put_usize(b.sample);
-            }
-        }
-        match self.cfg.wal {
-            None => e.put_bool(false),
-            Some(w) => {
-                e.put_bool(true);
-                e.put_u32(w.flush_every_n);
-                e.put_f64(w.flush_every_vt);
-                e.put_u64(w.compact_every);
-            }
-        }
-        e.put_f64(self.clock);
-        e.put_u64(self.next_query);
-        e.put_u64(self.pending_arrivals);
-        e.put_u8(self.tier as u8);
-        e.put_f64(self.next_audit);
-        self.fluid.encode(&mut e);
-        self.arrivals.encode(&mut e);
-        self.mean_cost.encode(&mut e);
-        e.put_usize(self.queue.len());
-        for q in &self.queue {
-            e.put_u64(q.id);
-            e.put_f64(q.cost);
-            e.put_f64(q.weight);
-            e.put_u32(q.attempts);
-            e.put_f64(q.deadline);
-        }
-        e.put_usize(self.backoff.len());
-        for b in &self.backoff {
-            e.put_u64(b.id);
-            e.put_f64(b.cost);
-            e.put_f64(b.weight);
-            e.put_u32(b.attempts);
-            e.put_f64(b.due);
-        }
-        e.put_usize(self.sessions.len());
-        for s in &self.sessions {
-            e.put_bool(s.alive);
-            e.put_u32(s.gen);
-            e.put_u32(s.sub_head);
-        }
-        e.put_usize(self.session_free.len());
-        for &s in &self.session_free {
-            e.put_u32(s);
-        }
-        e.put_usize(self.subs.len());
-        for s in &self.subs {
-            e.put_bool(s.active);
-            e.put_u32(s.session);
-            e.put_u64(s.query);
-            e.put_f64(s.last_push);
-            e.put_u32(s.next_in_session);
-            e.put_u32(s.prev_in_session);
-            e.put_u32(s.next_same_query);
-            e.put_u32(s.prev_same_query);
-        }
-        e.put_usize(self.sub_free.len());
-        for &s in &self.sub_free {
-            e.put_u32(s);
-        }
+        self.cfg.enc(&mut e);
+        (self.clock, self.next_query, self.pending_arrivals).enc(&mut e);
+        (self.tier, self.next_audit).enc(&mut e);
+        self.fluid.enc(&mut e);
+        self.arrivals.enc(&mut e);
+        self.mean_cost.enc(&mut e);
+        self.queue.enc(&mut e);
+        self.backoff.enc(&mut e);
+        self.sessions.enc(&mut e);
+        self.session_free.enc(&mut e);
+        self.subs.enc(&mut e);
+        self.sub_free.enc(&mut e);
         // Canonical order for the query→subscriber-chain heads.
         let mut heads: Vec<(u64, u32)> = self.by_query.iter().map(|(&q, &h)| (q, h)).collect();
         heads.sort_unstable_by_key(|&(q, _)| q);
-        e.put_usize(heads.len());
-        for (q, h) in heads {
-            e.put_u64(q);
-            e.put_u32(h);
-        }
-        e.put_usize(self.pending_final.len());
-        for &q in &self.pending_final {
-            e.put_u64(q);
-        }
-        for v in [
-            self.stats.submitted,
-            self.stats.completed,
-            self.stats.aborted,
-            self.stats.pumps,
-            self.stats.pushes,
-            self.stats.suppressed,
-            self.stats.deadline_expired,
-            self.stats.deadline_requeued,
-            self.stats.deadline_rejected,
-            self.stats.shed,
-            self.stats.tier_transitions,
-            self.stats.degraded_pumps,
-            self.stats.audit_checks,
-            self.stats.audit_trips,
-            self.stats.audit_rebuilds,
-            self.stats.sanitized,
-        ] {
-            e.put_u64(v);
-        }
+        heads.enc(&mut e);
+        self.pending_final.enc(&mut e);
+        self.stats.enc(&mut e);
         // Driver-frontier caches: a snapshot-anchored base must still know
         // the newest mark/note after compaction retires their records.
-        match self.wal_mark_cache {
-            None => e.put_bool(false),
-            Some((iter, digest)) => {
-                e.put_bool(true);
-                e.put_u64(iter);
-                e.put_u64(digest);
-            }
-        }
-        match &self.wal_note_cache {
-            None => e.put_bool(false),
-            Some(bytes) => {
-                e.put_bool(true);
-                e.put_bytes(bytes);
-            }
-        }
+        self.wal_mark_cache.enc(&mut e);
+        self.wal_note_cache.enc(&mut e);
         mqpi_ckpt::encode_container(CKPT_KIND_SERVICE, &e.into_bytes())
     }
 
@@ -2241,185 +2191,42 @@ impl PiService {
     pub fn restore(bytes: &[u8]) -> Result<Self, CkptError> {
         let payload = mqpi_ckpt::decode_container(bytes, CKPT_KIND_SERVICE)?;
         let mut d = Dec::new(&payload);
-        let rate = d.get_f64()?;
-        let epsilon = d.get_f64()?;
-        let slots = if d.get_bool()? {
-            Some(d.get_usize()?)
-        } else {
-            None
-        };
-        let lambda_prior = d.get_f64()?;
-        let lambda_prior_time = d.get_f64()?;
-        let cost_prior = d.get_f64()?;
-        let cost_prior_strength = d.get_f64()?;
-        let queue_deadline = d.get_opt_f64()?;
-        let retry = RetryPolicy {
-            base_delay: d.get_f64()?,
-            multiplier: d.get_f64()?,
-            max_delay: d.get_f64()?,
-            max_attempts: d.get_u32()?,
-        };
-        let ladder = if d.get_bool()? {
-            Some(LadderConfig {
-                widen_enter: d.get_usize()?,
-                widen_exit: d.get_usize()?,
-                finals_enter: d.get_usize()?,
-                finals_exit: d.get_usize()?,
-                shed_enter: d.get_usize()?,
-                shed_exit: d.get_usize()?,
-                epsilon_factor: d.get_f64()?,
-            })
-        } else {
-            None
-        };
-        let breaker = if d.get_bool()? {
-            Some(BreakerConfig {
-                interval: d.get_f64()?,
-                tolerance: d.get_f64()?,
-                sample: d.get_usize()?,
-            })
-        } else {
-            None
-        };
-        let wal = if d.get_bool()? {
-            Some(WalKnobs {
-                flush_every_n: d.get_u32()?,
-                flush_every_vt: d.get_f64()?,
-                compact_every: d.get_u64()?,
-            })
-        } else {
-            None
-        };
-        let cfg = PiConfig {
-            rate,
-            epsilon,
-            slots,
-            lambda_prior,
-            lambda_prior_time,
-            cost_prior,
-            cost_prior_strength,
-            queue_deadline,
-            retry,
-            ladder,
-            breaker,
-            wal,
-        };
-        if let Err(e) = cfg.validate() {
-            return Err(CkptError::Corrupt(format!(
-                "invalid service configuration in checkpoint: {e}"
-            )));
-        }
-        let clock = d.get_f64()?;
-        let next_query = d.get_u64()?;
-        let pending_arrivals = d.get_u64()?;
-        let tier = LoadTier::from_u8(d.get_u8()?)
-            .ok_or_else(|| CkptError::Corrupt("unknown load tier in checkpoint".into()))?;
-        let next_audit = d.get_f64()?;
-        // The model owns the live rate (set_rate applies there); cfg.rate
-        // is only the construction-time value. Both travel in the payload.
-        let fluid = IncrementalFluid::decode(&mut d)?;
-        let arrivals = ArrivalRateEstimator::decode(&mut d)?;
-        let mean_cost = MeanCostEstimator::decode(&mut d)?;
-        let nq = d.get_usize()?;
-        let mut queue = VecDeque::with_capacity(nq.min(1 << 20));
-        for _ in 0..nq {
-            queue.push_back(Queued {
-                id: d.get_u64()?,
-                cost: d.get_f64()?,
-                weight: d.get_f64()?,
-                attempts: d.get_u32()?,
-                deadline: d.get_f64()?,
-            });
-        }
-        let nb = d.get_usize()?;
-        let mut backoff = Vec::with_capacity(nb.min(1 << 20));
-        for _ in 0..nb {
-            backoff.push(Backoff {
-                id: d.get_u64()?,
-                cost: d.get_f64()?,
-                weight: d.get_f64()?,
-                attempts: d.get_u32()?,
-                due: d.get_f64()?,
-            });
-        }
-        let ns = d.get_usize()?;
-        let mut sessions = Vec::with_capacity(ns.min(1 << 20));
-        for _ in 0..ns {
-            sessions.push(Session {
-                alive: d.get_bool()?,
-                gen: d.get_u32()?,
-                sub_head: d.get_u32()?,
-            });
-        }
-        let nf = d.get_usize()?;
-        let mut session_free = Vec::with_capacity(nf.min(1 << 20));
-        for _ in 0..nf {
-            session_free.push(d.get_u32()?);
-        }
-        let nsub = d.get_usize()?;
-        let mut subs = Vec::with_capacity(nsub.min(1 << 20));
-        for _ in 0..nsub {
-            subs.push(Sub {
-                active: d.get_bool()?,
-                session: d.get_u32()?,
-                query: d.get_u64()?,
-                last_push: d.get_f64()?,
-                next_in_session: d.get_u32()?,
-                prev_in_session: d.get_u32()?,
-                next_same_query: d.get_u32()?,
-                prev_same_query: d.get_u32()?,
-            });
-        }
-        let nsf = d.get_usize()?;
-        let mut sub_free = Vec::with_capacity(nsf.min(1 << 20));
-        for _ in 0..nsf {
-            sub_free.push(d.get_u32()?);
-        }
-        let nh = d.get_usize()?;
-        let mut by_query = std::collections::HashMap::with_capacity(nh.min(1 << 20));
-        for _ in 0..nh {
-            let q = d.get_u64()?;
-            let h = d.get_u32()?;
-            if h != NIL && h as usize >= subs.len() {
-                return Err(CkptError::Corrupt(format!(
-                    "subscriber head {h} beyond {} subs",
-                    subs.len()
-                )));
-            }
-            by_query.insert(q, h);
-        }
-        let npf = d.get_usize()?;
-        let mut pending_final = Vec::with_capacity(npf.min(1 << 20));
-        for _ in 0..npf {
-            pending_final.push(d.get_u64()?);
-        }
-        let stats = PiStats {
-            submitted: d.get_u64()?,
-            completed: d.get_u64()?,
-            aborted: d.get_u64()?,
-            pumps: d.get_u64()?,
-            pushes: d.get_u64()?,
-            suppressed: d.get_u64()?,
-            deadline_expired: d.get_u64()?,
-            deadline_requeued: d.get_u64()?,
-            deadline_rejected: d.get_u64()?,
-            shed: d.get_u64()?,
-            tier_transitions: d.get_u64()?,
-            degraded_pumps: d.get_u64()?,
-            audit_checks: d.get_u64()?,
-            audit_trips: d.get_u64()?,
-            audit_rebuilds: d.get_u64()?,
-            sanitized: d.get_u64()?,
-        };
-        let wal_mark_cache = if d.get_bool()? {
-            Some((d.get_u64()?, d.get_u64()?))
-        } else {
-            None
-        };
-        let wal_note_cache = if d.get_bool()? {
-            Some(d.get_bytes()?)
-        } else {
-            None
+        // Read in the order written here, which is the payload's.
+        let mut svc = PiService {
+            cfg: Wire::dec(&mut d)?,
+            clock: Wire::dec(&mut d)?,
+            next_query: Wire::dec(&mut d)?,
+            pending_arrivals: Wire::dec(&mut d)?,
+            tier: Wire::dec(&mut d)?,
+            next_audit: Wire::dec(&mut d)?,
+            // The model owns the live rate (set_rate applies there);
+            // cfg.rate is only the construction-time value. Both travel.
+            fluid: Wire::dec(&mut d)?,
+            arrivals: Wire::dec(&mut d)?,
+            mean_cost: Wire::dec(&mut d)?,
+            queue: Wire::dec(&mut d)?,
+            backoff: Wire::dec(&mut d)?,
+            sessions: Wire::dec(&mut d)?,
+            session_free: Wire::dec(&mut d)?,
+            subs: Wire::dec(&mut d)?,
+            sub_free: Wire::dec(&mut d)?,
+            by_query: Vec::<(u64, u32)>::dec(&mut d)?.into_iter().collect(),
+            pending_final: Wire::dec(&mut d)?,
+            stats: Wire::dec(&mut d)?,
+            wal_mark_cache: Wire::dec(&mut d)?,
+            wal_note_cache: Wire::dec(&mut d)?,
+            // Derived state, rebuilt below: the pump's pre-filter starts
+            // with every key due.
+            drift: 0.0,
+            due_key: Vec::new(),
+            due_floor: f64::NEG_INFINITY,
+            node_of: Vec::new(),
+            sweep: Vec::new(),
+            live_subs: 0,
+            obs: Obs::disabled(),
+            wal: None,
+            scratch_done: Vec::new(),
+            scratch_queued: Vec::new(),
         };
         if !d.is_exhausted() {
             return Err(CkptError::Corrupt(format!(
@@ -2427,44 +2234,120 @@ impl PiService {
                 d.remaining()
             )));
         }
-        // The pump's pre-filter is derived state: every key starts due.
-        let due_key = vec![f64::NEG_INFINITY; subs.len()];
-        let node_of = vec![NIL; subs.len()];
-        let sweep = Vec::with_capacity(fluid.len());
-        let mut svc = PiService {
-            cfg,
-            clock,
-            fluid,
-            queue,
-            backoff,
-            sessions,
-            session_free,
-            subs,
-            sub_free,
-            by_query,
-            drift: 0.0,
-            due_key,
-            due_floor: f64::NEG_INFINITY,
-            node_of,
-            sweep,
-            live_subs: 0,
-            next_query,
-            arrivals,
-            mean_cost,
-            pending_arrivals,
-            pending_final,
-            tier,
-            next_audit,
-            stats,
-            obs: Obs::disabled(),
-            wal: None,
-            wal_mark_cache,
-            wal_note_cache,
-            scratch_done: Vec::new(),
-            scratch_queued: Vec::new(),
-        };
+        if let Err(e) = svc.cfg.validate() {
+            return Err(CkptError::Corrupt(format!(
+                "invalid service configuration in checkpoint: {e}"
+            )));
+        }
+        svc.check_links().map_err(CkptError::Corrupt)?;
+        svc.check_queries().map_err(CkptError::Corrupt)?;
+        if !svc.ledger().balanced() {
+            return Err(CkptError::Corrupt(format!(
+                "work-conservation ledger out of balance: {:?}",
+                svc.ledger()
+            )));
+        }
+        svc.due_key = vec![f64::NEG_INFINITY; svc.subs.len()];
+        svc.node_of = vec![NIL; svc.subs.len()];
+        svc.sweep.reserve(svc.fluid.len());
         svc.live_subs = svc.recount_live_subs();
         Ok(svc)
+    }
+
+    /// What admission and the deadline service assume of a waiting query,
+    /// checked up front: a positive weight, no more expiries than the retry
+    /// policy allows, and an id below the cursor that nothing else in the
+    /// system holds.
+    fn check_queries(&self) -> Result<(), String> {
+        let mut seen: HashSet<u64> = self.live_set().iter().map(|q| q.id).collect();
+        let queued = self.queue.iter().map(|q| (q.id, q.weight, q.attempts));
+        let backing_off = self.backoff.iter().map(|b| (b.id, b.weight, b.attempts));
+        for (id, weight, attempts) in queued.chain(backing_off) {
+            let sound = weight > 0.0 && attempts <= self.cfg.retry.max_attempts;
+            if !sound || !seen.insert(id) {
+                return Err(format!(
+                    "waiting query {id} is held twice, or weight {weight} or attempt {attempts} is out of range"
+                ));
+            }
+        }
+        if let Some(id) = seen.iter().find(|&&id| id >= self.next_query) {
+            return Err(format!(
+                "query {id} at or beyond cursor {}",
+                self.next_query
+            ));
+        }
+        let known = |q: &&u64| seen.contains(q) || self.pending_final.contains(q);
+        match self.by_query.keys().find(|q| !known(q)) {
+            Some(q) => Err(format!(
+                "subscribers of query {q}, which is not in the system"
+            )),
+            None => Ok(()),
+        }
+    }
+
+    /// What the subscription tables of a decoded payload must satisfy,
+    /// because the pump and the unlink paths index and walk them without
+    /// checking: every active slot doubly linked into its session's and its
+    /// query's chain, every head the start of its chain (so a walk from it
+    /// ends), and each free list holding exactly the dead slots, once each.
+    fn check_links(&self) -> Result<(), String> {
+        let live = |i: u32| self.subs.get(i as usize).filter(|s| s.active);
+        for (i, s) in self.subs.iter().enumerate().filter(|(_, s)| s.active) {
+            let i = i as u32;
+            let owner = self.sessions.get(s.session as usize).filter(|o| o.alive);
+            let linked = owner.is_some()
+                && match s.prev_in_session {
+                    NIL => owner.map(|o| o.sub_head) == Some(i),
+                    p => live(p).is_some_and(|p| p.next_in_session == i && p.session == s.session),
+                }
+                && match s.prev_same_query {
+                    NIL => self.by_query.get(&s.query) == Some(&i),
+                    p => live(p).is_some_and(|p| p.next_same_query == i && p.query == s.query),
+                }
+                && [
+                    (
+                        s.next_in_session,
+                        live(s.next_in_session).map(|n| n.prev_in_session),
+                    ),
+                    (
+                        s.next_same_query,
+                        live(s.next_same_query).map(|n| n.prev_same_query),
+                    ),
+                ]
+                .iter()
+                .all(|&(next, back)| next == NIL || back == Some(i));
+            if !linked {
+                return Err(format!("subscription {i} is not linked into its chains"));
+            }
+        }
+        for (i, s) in self.sessions.iter().enumerate() {
+            let starts = |h: &Sub| h.session as usize == i && h.prev_in_session == NIL;
+            if s.sub_head != NIL && !(s.alive && live(s.sub_head).is_some_and(starts)) {
+                return Err(format!("session {i} has a bad subscriber head"));
+            }
+        }
+        for (&q, &h) in &self.by_query {
+            if !live(h).is_some_and(|s| s.query == q && s.prev_same_query == NIL) {
+                return Err(format!(
+                    "subscriber head {h} of query {q} is beyond {} subs or not a head",
+                    self.subs.len()
+                ));
+            }
+        }
+        let exactly = |free: &[u32], mut dead: Vec<bool>| {
+            let listed_once = |&i: &u32| dead.get_mut(i as usize).is_some_and(std::mem::take);
+            free.iter().all(listed_once) && !dead.contains(&true)
+        };
+        if !exactly(
+            &self.sub_free,
+            self.subs.iter().map(|s| !s.active).collect(),
+        ) || !exactly(
+            &self.session_free,
+            self.sessions.iter().map(|s| !s.alive).collect(),
+        ) {
+            return Err("a free list is not exactly the dead slots".into());
+        }
+        Ok(())
     }
 }
 

@@ -15,30 +15,33 @@
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::cell::Cell;
 
+use mqpi_ckpt::{decode_container, encode_container, CkptError};
 use mqpi_obs::Obs;
-use mqpi_pi::{PiConfig, PiService};
+use mqpi_pi::{PiConfig, PiService, CKPT_KIND_SERVICE};
 
-/// Counts the allocations of the calling thread. Frees are not counted:
-/// the contract under test is "no new memory", not "no memory traffic".
-/// The count is per thread because the test harness runs this file's
-/// tests on parallel threads, and one test's warm-up must not show up in
-/// the other's measured window.
+/// Counts the allocations of the calling thread, and remembers its largest
+/// single request. Frees are not counted: the contract under test is "no
+/// new memory", not "no memory traffic". Both are per thread because the
+/// test harness runs this file's tests on parallel threads, and one test's
+/// warm-up must not show up in the other's measured window.
 struct CountingAlloc;
 
 thread_local! {
-    // `const` initialisation and no destructor: reading this from inside
+    // `const` initialisation and no destructor: reading these from inside
     // the allocator neither allocates nor registers a thread-exit hook.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { SystemAlloc.alloc(layout) }
     }
 
@@ -47,7 +50,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -360,4 +363,32 @@ fn journaled_cycle_allocates_nothing_between_and_across_flushes() {
     assert!(svc.stats().pushes > 0);
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A count in a checkpoint is trusted only as far as the bytes behind it:
+/// a re-sealed payload (the CRC passes) whose subscription table claims 2⁴⁰
+/// slots is `Truncated`, and decoding it asks the allocator for nothing
+/// larger than the file. A fixed cap of 2²⁰ elements used to be reserved
+/// first — 40 MiB for this 506-byte file.
+#[test]
+fn hostile_count_in_a_checkpoint_reserves_no_more_than_the_file() {
+    let clean = PiService::new(PiConfig::default()).checkpoint();
+    let mut payload = decode_container(&clean, CKPT_KIND_SERVICE).unwrap();
+    // An empty service's payload ends with four counts (subscriptions,
+    // their free list, chain heads, pending finals), the sixteen stats
+    // counters and two absent caches.
+    let at = payload.len() - 2 - 16 * 8 - 4 * 8;
+    assert_eq!(payload[at - 8..at + 32], [0; 40], "layout moved");
+    payload[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let sealed = encode_container(CKPT_KIND_SERVICE, &payload);
+
+    LARGEST.with(|c| c.set(0));
+    let restored = PiService::restore(&sealed);
+    let largest = LARGEST.with(Cell::get);
+    assert!(matches!(restored, Err(CkptError::Truncated)));
+    assert!(
+        largest <= sealed.len(),
+        "a {}-byte checkpoint made restore request {largest} bytes",
+        sealed.len()
+    );
 }

@@ -8,7 +8,7 @@
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mqpi_ckpt::{Dec, Enc};
+use mqpi_ckpt::{Dec, Enc, Wire as _};
 use mqpi_core::IncrementalFluid;
 use mqpi_pi::{PiConfig, PiService};
 
@@ -37,14 +37,14 @@ fn incremental_fluid_round_trips_at_1e5() {
     f.advance(1.0);
 
     let mut e = Enc::new();
-    f.encode(&mut e);
+    f.enc(&mut e);
     let bytes = e.into_bytes();
     let mut d = Dec::new(&bytes);
-    let restored = IncrementalFluid::decode(&mut d).expect("decode");
+    let restored = IncrementalFluid::dec(&mut d).expect("decode");
     assert!(d.is_exhausted());
 
     let mut e2 = Enc::new();
-    restored.encode(&mut e2);
+    restored.enc(&mut e2);
     assert_eq!(bytes, e2.into_bytes(), "re-encode must be byte-identical");
 
     assert_eq!(f.len(), restored.len());

@@ -1,411 +1,150 @@
-//! Wire codecs for the simulator's checkpointable value types.
+//! Wire descriptions of the simulator's checkpointable value types.
 //!
 //! [`System::checkpoint`](crate::System::checkpoint) serializes the whole
-//! simulated world; the per-type encoders here cover the public value types
-//! (policies, fault plans, finished records), while the session/heap layout
-//! — which touches private scheduler fields — lives next to the `System`
-//! struct. Encodings are canonical: equal values produce equal bytes, maps
-//! are written in sorted key order, and every float travels as its IEEE-754
-//! bit pattern. Enum variants are tagged with one byte; unknown tags decode
-//! to [`CkptError::Corrupt`], never a panic.
+//! simulated world; the [`Wire`] impls here cover the public value types
+//! (policies, fault plans, finished records), each from one field list,
+//! while the session/heap layout — which touches private scheduler fields
+//! — lives next to the `System` struct. Encodings are canonical: equal
+//! values produce equal bytes and every float travels as its IEEE-754 bit
+//! pattern. Enum variants are tagged with one byte; unknown tags decode to
+//! [`CkptError::Corrupt`], never a panic.
+//!
+//! [`SimEvent`] has a second, deliberately separate form: the
+//! `(tag, at, id, a, b)` quintuple of [`SimEvent::to_tap`], which the
+//! write-ahead log journals as `WalRecord::SimEvent`. The two number their
+//! variants differently and neither is derived from the other.
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_enum, wire_struct, CkptError, Dec, Enc, Result, Wire};
 
 use crate::admission::AdmissionPolicy;
 use crate::faults::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 use crate::job::JobSnapshot;
-use crate::speed::SpeedMonitor;
 use crate::system::{
     ErrorPolicy, FaultStats, FinishKind, FinishedQuery, InjectedFault, RateModel, SimEvent,
-    StepMode,
+    StepMode, SystemConfig,
 };
 
-type Result<T> = std::result::Result<T, CkptError>;
+wire_struct!(SystemConfig {
+    rate,
+    quantum_units,
+    admission,
+    speed_tau,
+    rate_model,
+    step_mode,
+});
+wire_enum!(RateModel, "rate model" { 0 => Constant, 1 => Contention { alpha } });
+wire_enum!(StepMode, "step mode" { 0 => Quantum, 1 => EventDriven });
+wire_enum!(ErrorPolicy, "error policy" { 0 => Propagate, 1 => Isolate });
+wire_enum!(FinishKind, "finish kind" {
+    0 => Completed,
+    1 => Aborted,
+    2 => Failed,
+    3 => Rejected,
+});
 
-fn bad_tag(what: &str, tag: u8) -> CkptError {
-    CkptError::Corrupt(format!("unknown {what} tag {tag}"))
-}
-
-pub(crate) fn encode_rate_model(e: &mut Enc, m: RateModel) {
-    match m {
-        RateModel::Constant => e.put_u8(0),
-        RateModel::Contention { alpha } => {
-            e.put_u8(1);
-            e.put_f64(alpha);
+/// By hand: `MaxConcurrent` is a tuple variant, which [`wire_enum!`] does
+/// not take.
+impl Wire for AdmissionPolicy {
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            AdmissionPolicy::Unlimited => e.put_u8(0),
+            AdmissionPolicy::MaxConcurrent(k) => {
+                e.put_u8(1);
+                e.put_usize(k);
+            }
+            AdmissionPolicy::Bounded { slots, queue } => {
+                e.put_u8(2);
+                e.put_usize(slots);
+                e.put_usize(queue);
+            }
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self> {
+        match d.get_u8()? {
+            0 => Ok(AdmissionPolicy::Unlimited),
+            1 => Ok(AdmissionPolicy::MaxConcurrent(d.get_usize()?)),
+            2 => Ok(AdmissionPolicy::Bounded {
+                slots: d.get_usize()?,
+                queue: d.get_usize()?,
+            }),
+            t => Err(CkptError::Corrupt(format!(
+                "unknown admission policy tag {t}"
+            ))),
         }
     }
 }
 
-pub(crate) fn decode_rate_model(d: &mut Dec<'_>) -> Result<RateModel> {
-    match d.get_u8()? {
-        0 => Ok(RateModel::Constant),
-        1 => Ok(RateModel::Contention {
-            alpha: d.get_f64()?,
-        }),
-        t => Err(bad_tag("rate model", t)),
+wire_enum!(FaultKind, "fault kind" {
+    0 => CostNoise { factor },
+    1 => RateDip { factor, duration },
+    2 => AbortRetry { overhead },
+    3 => Burst { queries, cost },
+    4 => PageFault,
+});
+wire_struct!(FaultEvent { at, kind });
+wire_struct!(RetryPolicy {
+    base_delay,
+    multiplier,
+    max_delay,
+    max_attempts,
+});
+
+/// By hand: the events are private to [`FaultPlan`], which re-sorts them
+/// on the way in. They were written sorted and the sort is stable, so the
+/// order is preserved exactly.
+impl Wire for FaultPlan {
+    fn enc(&self, e: &mut Enc) {
+        FaultEvent::enc_slice(self.events(), e);
+        (self.seed, self.retry).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self> {
+        let (events, seed, retry) = Wire::dec(d)?;
+        Ok(FaultPlan::new(events, seed, retry))
     }
 }
 
-pub(crate) fn encode_step_mode(e: &mut Enc, m: StepMode) {
-    e.put_u8(match m {
-        StepMode::Quantum => 0,
-        StepMode::EventDriven => 1,
-    });
-}
-
-pub(crate) fn decode_step_mode(d: &mut Dec<'_>) -> Result<StepMode> {
-    match d.get_u8()? {
-        0 => Ok(StepMode::Quantum),
-        1 => Ok(StepMode::EventDriven),
-        t => Err(bad_tag("step mode", t)),
-    }
-}
-
-pub(crate) fn encode_admission(e: &mut Enc, p: AdmissionPolicy) {
-    match p {
-        AdmissionPolicy::Unlimited => e.put_u8(0),
-        AdmissionPolicy::MaxConcurrent(k) => {
-            e.put_u8(1);
-            e.put_usize(k);
-        }
-        AdmissionPolicy::Bounded { slots, queue } => {
-            e.put_u8(2);
-            e.put_usize(slots);
-            e.put_usize(queue);
-        }
-    }
-}
-
-pub(crate) fn decode_admission(d: &mut Dec<'_>) -> Result<AdmissionPolicy> {
-    match d.get_u8()? {
-        0 => Ok(AdmissionPolicy::Unlimited),
-        1 => Ok(AdmissionPolicy::MaxConcurrent(d.get_usize()?)),
-        2 => Ok(AdmissionPolicy::Bounded {
-            slots: d.get_usize()?,
-            queue: d.get_usize()?,
-        }),
-        t => Err(bad_tag("admission policy", t)),
-    }
-}
-
-pub(crate) fn encode_error_policy(e: &mut Enc, p: ErrorPolicy) {
-    e.put_u8(match p {
-        ErrorPolicy::Propagate => 0,
-        ErrorPolicy::Isolate => 1,
-    });
-}
-
-pub(crate) fn decode_error_policy(d: &mut Dec<'_>) -> Result<ErrorPolicy> {
-    match d.get_u8()? {
-        0 => Ok(ErrorPolicy::Propagate),
-        1 => Ok(ErrorPolicy::Isolate),
-        t => Err(bad_tag("error policy", t)),
-    }
-}
-
-pub(crate) fn encode_finish_kind(e: &mut Enc, k: FinishKind) {
-    e.put_u8(match k {
-        FinishKind::Completed => 0,
-        FinishKind::Aborted => 1,
-        FinishKind::Failed => 2,
-        FinishKind::Rejected => 3,
-    });
-}
-
-pub(crate) fn decode_finish_kind(d: &mut Dec<'_>) -> Result<FinishKind> {
-    match d.get_u8()? {
-        0 => Ok(FinishKind::Completed),
-        1 => Ok(FinishKind::Aborted),
-        2 => Ok(FinishKind::Failed),
-        3 => Ok(FinishKind::Rejected),
-        t => Err(bad_tag("finish kind", t)),
-    }
-}
-
-pub(crate) fn encode_fault_kind(e: &mut Enc, k: FaultKind) {
-    match k {
-        FaultKind::CostNoise { factor } => {
-            e.put_u8(0);
-            e.put_f64(factor);
-        }
-        FaultKind::RateDip { factor, duration } => {
-            e.put_u8(1);
-            e.put_f64(factor);
-            e.put_f64(duration);
-        }
-        FaultKind::AbortRetry { overhead } => {
-            e.put_u8(2);
-            e.put_u64(overhead);
-        }
-        FaultKind::Burst { queries, cost } => {
-            e.put_u8(3);
-            e.put_u32(queries);
-            e.put_u64(cost);
-        }
-        FaultKind::PageFault => e.put_u8(4),
-    }
-}
-
-pub(crate) fn decode_fault_kind(d: &mut Dec<'_>) -> Result<FaultKind> {
-    match d.get_u8()? {
-        0 => Ok(FaultKind::CostNoise {
-            factor: d.get_f64()?,
-        }),
-        1 => Ok(FaultKind::RateDip {
-            factor: d.get_f64()?,
-            duration: d.get_f64()?,
-        }),
-        2 => Ok(FaultKind::AbortRetry {
-            overhead: d.get_u64()?,
-        }),
-        3 => Ok(FaultKind::Burst {
-            queries: d.get_u32()?,
-            cost: d.get_u64()?,
-        }),
-        4 => Ok(FaultKind::PageFault),
-        t => Err(bad_tag("fault kind", t)),
-    }
-}
-
-pub(crate) fn encode_fault_plan(e: &mut Enc, p: &FaultPlan) {
-    e.put_usize(p.events().len());
-    for ev in p.events() {
-        e.put_f64(ev.at);
-        encode_fault_kind(e, ev.kind);
-    }
-    e.put_u64(p.seed);
-    e.put_f64(p.retry.base_delay);
-    e.put_f64(p.retry.multiplier);
-    e.put_f64(p.retry.max_delay);
-    e.put_u32(p.retry.max_attempts);
-}
-
-pub(crate) fn decode_fault_plan(d: &mut Dec<'_>) -> Result<FaultPlan> {
-    let n = d.get_usize()?;
-    let mut events = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let at = d.get_f64()?;
-        let kind = decode_fault_kind(d)?;
-        events.push(FaultEvent { at, kind });
-    }
-    let seed = d.get_u64()?;
-    let retry = RetryPolicy {
-        base_delay: d.get_f64()?,
-        multiplier: d.get_f64()?,
-        max_delay: d.get_f64()?,
-        max_attempts: d.get_u32()?,
-    };
-    // `FaultPlan::new` re-sorts; the events were written already sorted, and
-    // the sort is stable, so the order is preserved exactly.
-    Ok(FaultPlan::new(events, seed, retry))
-}
-
-pub(crate) fn encode_sim_event(e: &mut Enc, ev: &SimEvent) {
-    match *ev {
-        SimEvent::Admitted {
-            at,
-            id,
-            cost,
-            weight,
-        } => {
-            e.put_u8(0);
-            e.put_f64(at);
-            e.put_u64(id);
-            e.put_f64(cost);
-            e.put_f64(weight);
-        }
-        SimEvent::Enqueued {
-            at,
-            id,
-            cost,
-            weight,
-        } => {
-            e.put_u8(1);
-            e.put_f64(at);
-            e.put_u64(id);
-            e.put_f64(cost);
-            e.put_f64(weight);
-        }
-        SimEvent::Departed { at, id, kind } => {
-            e.put_u8(2);
-            e.put_f64(at);
-            e.put_u64(id);
-            encode_finish_kind(e, kind);
-        }
-        SimEvent::Blocked { at, id } => {
-            e.put_u8(3);
-            e.put_f64(at);
-            e.put_u64(id);
-        }
-        SimEvent::Resumed { at, id } => {
-            e.put_u8(4);
-            e.put_f64(at);
-            e.put_u64(id);
-        }
-        SimEvent::CostRefined { at, id, remaining } => {
-            e.put_u8(5);
-            e.put_f64(at);
-            e.put_u64(id);
-            e.put_f64(remaining);
-        }
-        SimEvent::RateChanged { at, rate } => {
-            e.put_u8(6);
-            e.put_f64(at);
-            e.put_f64(rate);
-        }
-    }
-}
-
-pub(crate) fn decode_sim_event(d: &mut Dec<'_>) -> Result<SimEvent> {
-    match d.get_u8()? {
-        0 => Ok(SimEvent::Admitted {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-            cost: d.get_f64()?,
-            weight: d.get_f64()?,
-        }),
-        1 => Ok(SimEvent::Enqueued {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-            cost: d.get_f64()?,
-            weight: d.get_f64()?,
-        }),
-        2 => Ok(SimEvent::Departed {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-            kind: decode_finish_kind(d)?,
-        }),
-        3 => Ok(SimEvent::Blocked {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-        }),
-        4 => Ok(SimEvent::Resumed {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-        }),
-        5 => Ok(SimEvent::CostRefined {
-            at: d.get_f64()?,
-            id: d.get_u64()?,
-            remaining: d.get_f64()?,
-        }),
-        6 => Ok(SimEvent::RateChanged {
-            at: d.get_f64()?,
-            rate: d.get_f64()?,
-        }),
-        t => Err(bad_tag("sim event", t)),
-    }
-}
-
-pub(crate) fn encode_injected_fault(e: &mut Enc, f: &InjectedFault) {
-    e.put_f64(f.at);
-    encode_fault_kind(e, f.kind);
-    e.put_opt_u64(f.victim);
-}
-
-pub(crate) fn decode_injected_fault(d: &mut Dec<'_>) -> Result<InjectedFault> {
-    Ok(InjectedFault {
-        at: d.get_f64()?,
-        kind: decode_fault_kind(d)?,
-        victim: d.get_opt_u64()?,
-    })
-}
-
-pub(crate) fn encode_fault_stats(e: &mut Enc, s: &FaultStats) {
-    for v in [
-        s.injected,
-        s.cost_noise,
-        s.rate_dips,
-        s.aborts,
-        s.bursts,
-        s.page_faults,
-        s.retries_scheduled,
-        s.retries_exhausted,
-        s.failures,
-        s.rejected,
-        s.skipped,
-    ] {
-        e.put_u64(v);
-    }
-}
-
-pub(crate) fn decode_fault_stats(d: &mut Dec<'_>) -> Result<FaultStats> {
-    Ok(FaultStats {
-        injected: d.get_u64()?,
-        cost_noise: d.get_u64()?,
-        rate_dips: d.get_u64()?,
-        aborts: d.get_u64()?,
-        bursts: d.get_u64()?,
-        page_faults: d.get_u64()?,
-        retries_scheduled: d.get_u64()?,
-        retries_exhausted: d.get_u64()?,
-        failures: d.get_u64()?,
-        rejected: d.get_u64()?,
-        skipped: d.get_u64()?,
-    })
-}
-
-pub(crate) fn encode_job_snapshot(e: &mut Enc, s: &JobSnapshot) {
-    e.put_u64(s.total);
-    e.put_u64(s.done);
-    e.put_f64(s.claimed_estimate);
-    e.put_f64(s.report_scale);
-    e.put_bool(s.fail_armed);
-}
-
-pub(crate) fn decode_job_snapshot(d: &mut Dec<'_>) -> Result<JobSnapshot> {
-    Ok(JobSnapshot {
-        total: d.get_u64()?,
-        done: d.get_u64()?,
-        claimed_estimate: d.get_f64()?,
-        report_scale: d.get_f64()?,
-        fail_armed: d.get_bool()?,
-    })
-}
-
-pub(crate) fn encode_speed_monitor(e: &mut Enc, m: &SpeedMonitor) {
-    let (tau, last_t, last_units, ema) = m.to_parts();
-    e.put_f64(tau);
-    e.put_f64(last_t);
-    e.put_f64(last_units);
-    e.put_opt_f64(ema);
-}
-
-pub(crate) fn decode_speed_monitor(d: &mut Dec<'_>) -> Result<SpeedMonitor> {
-    let tau = d.get_f64()?;
-    let last_t = d.get_f64()?;
-    let last_units = d.get_f64()?;
-    let ema = d.get_opt_f64()?;
-    SpeedMonitor::from_parts(tau, last_t, last_units, ema)
-        .map_err(|e| CkptError::Corrupt(format!("invalid speed monitor in checkpoint: {e}")))
-}
-
-pub(crate) fn encode_finished(e: &mut Enc, f: &FinishedQuery) {
-    e.put_u64(f.id);
-    e.put_str(&f.name);
-    e.put_f64(f.weight);
-    e.put_f64(f.arrived);
-    e.put_opt_f64(f.started);
-    e.put_f64(f.finished);
-    encode_finish_kind(e, f.kind);
-    e.put_f64(f.units_done);
-    e.put_f64(f.remaining_at_end);
-    e.put_f64(f.rollback_units);
-}
-
-pub(crate) fn decode_finished(d: &mut Dec<'_>) -> Result<FinishedQuery> {
-    Ok(FinishedQuery {
-        id: d.get_u64()?,
-        name: d.get_str()?.into(),
-        weight: d.get_f64()?,
-        arrived: d.get_f64()?,
-        started: d.get_opt_f64()?,
-        finished: d.get_f64()?,
-        kind: decode_finish_kind(d)?,
-        units_done: d.get_f64()?,
-        remaining_at_end: d.get_f64()?,
-        rollback_units: d.get_f64()?,
-    })
-}
+wire_enum!(SimEvent, "sim event" {
+    0 => Admitted { at, id, cost, weight },
+    1 => Enqueued { at, id, cost, weight },
+    2 => Departed { at, id, kind },
+    3 => Blocked { at, id },
+    4 => Resumed { at, id },
+    5 => CostRefined { at, id, remaining },
+    6 => RateChanged { at, rate },
+});
+wire_struct!(InjectedFault { at, kind, victim });
+wire_struct!(FaultStats {
+    injected,
+    cost_noise,
+    rate_dips,
+    aborts,
+    bursts,
+    page_faults,
+    retries_scheduled,
+    retries_exhausted,
+    failures,
+    rejected,
+    skipped,
+});
+wire_struct!(JobSnapshot {
+    total,
+    done,
+    claimed_estimate,
+    report_scale,
+    fail_armed,
+});
+wire_struct!(FinishedQuery {
+    id,
+    name,
+    weight,
+    arrived,
+    started,
+    finished,
+    kind,
+    units_done,
+    remaining_at_end,
+    rollback_units,
+});
 
 #[cfg(test)]
 mod tests {
@@ -427,11 +166,7 @@ mod tests {
             FaultKind::PageFault,
         ];
         for k in kinds {
-            let mut e = Enc::new();
-            encode_fault_kind(&mut e, k);
-            let bytes = e.into_bytes();
-            let mut d = Dec::new(&bytes);
-            assert_eq!(decode_fault_kind(&mut d).unwrap(), k);
+            assert_eq!(FaultKind::from_bytes(&k.to_bytes(), "kind").unwrap(), k);
         }
         let policies = [
             AdmissionPolicy::Unlimited,
@@ -439,41 +174,26 @@ mod tests {
             AdmissionPolicy::Bounded { slots: 2, queue: 5 },
         ];
         for p in policies {
-            let mut e = Enc::new();
-            encode_admission(&mut e, p);
-            let bytes = e.into_bytes();
-            let mut d = Dec::new(&bytes);
-            assert_eq!(decode_admission(&mut d).unwrap(), p);
+            let bytes = p.to_bytes();
+            assert_eq!(AdmissionPolicy::from_bytes(&bytes, "policy").unwrap(), p);
         }
     }
 
     #[test]
     fn unknown_tags_are_corrupt_not_panic() {
-        let mut d = Dec::new(&[9u8]);
-        assert!(matches!(
-            decode_fault_kind(&mut d),
-            Err(CkptError::Corrupt(_))
-        ));
-        let mut d = Dec::new(&[7u8]);
-        assert!(matches!(
-            decode_admission(&mut d),
-            Err(CkptError::Corrupt(_))
-        ));
-        let mut d = Dec::new(&[2u8]);
-        assert!(matches!(
-            decode_error_policy(&mut d),
-            Err(CkptError::Corrupt(_))
-        ));
+        fn corrupt<T: Wire>(tag: u8) -> bool {
+            matches!(T::from_bytes(&[tag], "tag"), Err(CkptError::Corrupt(_)))
+        }
+        assert!(corrupt::<FaultKind>(9));
+        assert!(corrupt::<AdmissionPolicy>(7));
+        assert!(corrupt::<ErrorPolicy>(2));
+        assert!(corrupt::<SimEvent>(7));
     }
 
     #[test]
     fn fault_plan_round_trips_in_order() {
         let plan = FaultPlan::generate(42, 100.0, &crate::faults::FaultMix::even(3));
-        let mut e = Enc::new();
-        encode_fault_plan(&mut e, &plan);
-        let bytes = e.into_bytes();
-        let mut d = Dec::new(&bytes);
-        let back = decode_fault_plan(&mut d).unwrap();
+        let back = FaultPlan::from_bytes(&plan.to_bytes(), "plan").unwrap();
         assert_eq!(back.events(), plan.events());
         assert_eq!(back.seed, plan.seed);
         assert_eq!(back.retry, plan.retry);

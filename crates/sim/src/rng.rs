@@ -27,17 +27,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// The raw generator state, for checkpointing. Restoring with
-    /// [`Rng::from_state`] resumes the stream at exactly this position.
-    pub fn state(&self) -> [u64; 4] {
-        self.s
-    }
-
-    /// Rebuild a generator from state captured by [`Rng::state`].
-    pub fn from_state(s: [u64; 4]) -> Self {
-        Rng { s }
-    }
-
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
@@ -89,6 +78,20 @@ impl Rng {
             }
         };
         -u.ln() / rate
+    }
+}
+
+/// The stream position, as the four raw state words: a restored generator
+/// resumes exactly where the snapshot left it.
+impl mqpi_ckpt::Wire for Rng {
+    fn enc(&self, e: &mut mqpi_ckpt::Enc) {
+        for w in self.s {
+            e.put_u64(w);
+        }
+    }
+    fn dec(d: &mut mqpi_ckpt::Dec<'_>) -> mqpi_ckpt::Result<Self> {
+        let s = [d.get_u64()?, d.get_u64()?, d.get_u64()?, d.get_u64()?];
+        Ok(Rng { s })
     }
 }
 

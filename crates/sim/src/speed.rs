@@ -7,6 +7,7 @@
 //! is precisely the behaviour that makes single-query PIs mispredict when
 //! concurrent queries finish.
 
+use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_engine::error::{EngineError, Result};
 
 /// Exponentially-smoothed speed estimate over virtual time.
@@ -40,20 +41,6 @@ impl SpeedMonitor {
             last_units: 0.0,
             ema: None,
         })
-    }
-
-    /// Decompose into `(tau, last_t, last_units, ema)` for checkpointing.
-    pub fn to_parts(&self) -> (f64, f64, f64, Option<f64>) {
-        (self.tau, self.last_t, self.last_units, self.ema)
-    }
-
-    /// Rebuild a monitor from parts captured by [`SpeedMonitor::to_parts`];
-    /// `tau` is re-validated like in [`SpeedMonitor::new`].
-    pub fn from_parts(tau: f64, last_t: f64, last_units: f64, ema: Option<f64>) -> Result<Self> {
-        let mut m = Self::new_at(tau, last_t)?;
-        m.last_units = last_units;
-        m.ema = ema;
-        Ok(m)
     }
 
     /// Record the cumulative `units` completed by time `t`.
@@ -103,6 +90,24 @@ impl SpeedMonitor {
         });
         self.last_t = t;
         self.last_units = units;
+    }
+}
+
+/// By hand: `tau` is validated again on the way in, as in
+/// [`SpeedMonitor::new`].
+impl Wire for SpeedMonitor {
+    fn enc(&self, e: &mut Enc) {
+        (self.tau, self.last_t, self.last_units, self.ema).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
+        let (tau, last_t, last_units, ema) = Wire::dec(d)?;
+        let fresh = SpeedMonitor::new_at(tau, last_t)
+            .map_err(|e| CkptError::Corrupt(format!("invalid speed monitor in checkpoint: {e}")))?;
+        Ok(SpeedMonitor {
+            last_units,
+            ema,
+            ..fresh
+        })
     }
 }
 

@@ -33,16 +33,15 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use mqpi_ckpt::{CkptError, Dec, Enc};
+use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_engine::error::{EngineError, Result};
 use mqpi_obs::{Obs, TraceKind, SECOND_BUCKETS, UNIT_BUCKETS};
 
 use crate::admission::AdmissionPolicy;
 use crate::calendar::CalendarQueue;
-use crate::checkpoint as ckpt;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::intern::{Interner, Sym};
-use crate::job::{Job, JobState};
+use crate::job::{Job, JobSnapshot, JobState};
 use crate::rng::Rng;
 use crate::slab::{JobSlot, SessionSlab};
 use crate::speed::SpeedMonitor;
@@ -429,6 +428,15 @@ struct FaultState {
     log: Vec<InjectedFault>,
     stats: FaultStats,
 }
+wire_struct!(FaultState {
+    plan,
+    next_event,
+    rng,
+    rate_factor,
+    rate_restore_at,
+    log,
+    stats,
+});
 
 /// The simulated multi-query RDBMS.
 pub struct System {
@@ -446,6 +454,9 @@ pub struct System {
     /// Dense id → index into `finished` (`u32::MAX` = still live). Ids are
     /// assigned sequentially from 1, so the map is a plain vector.
     finished_of: Vec<u32>,
+    /// Sorted `(id, index into finished)` for the ids a restore would not
+    /// index densely (see [`System::restore`]); empty otherwise.
+    finished_far: Vec<(QueryId, u32)>,
     next_id: QueryId,
     faults: Option<FaultState>,
     error_policy: ErrorPolicy,
@@ -504,6 +515,7 @@ impl System {
             scheduled: CalendarQueue::new(),
             finished: Vec::new(),
             finished_of: Vec::new(),
+            finished_far: Vec::new(),
             next_id: 1,
             faults: None,
             error_policy: ErrorPolicy::Propagate,
@@ -1742,10 +1754,15 @@ impl System {
     /// The finished record for `id`, if it has left the system. Plain
     /// vector indexing on the dense id space — no hash map on this path.
     pub fn finished_record(&self, id: QueryId) -> Option<&FinishedQuery> {
-        let fi = *self.finished_of.get(id as usize)?;
-        if fi == u32::MAX {
-            return None;
-        }
+        let fi = match self.finished_of.get(id as usize) {
+            Some(&fi) if fi != u32::MAX => fi,
+            _ => {
+                let far = self
+                    .finished_far
+                    .binary_search_by_key(&id, |&(far_id, _)| far_id);
+                self.finished_far[far.ok()?].1
+            }
+        };
         self.finished.get(fi as usize)
     }
 
@@ -1803,17 +1820,9 @@ impl System {
             "every live slab row is owned by exactly one collection"
         );
         let mut e = Enc::new();
-        e.put_f64(self.cfg.rate);
-        e.put_f64(self.cfg.quantum_units);
-        ckpt::encode_admission(&mut e, self.cfg.admission);
-        e.put_f64(self.cfg.speed_tau);
-        ckpt::encode_rate_model(&mut e, self.cfg.rate_model);
-        ckpt::encode_step_mode(&mut e, self.cfg.step_mode);
-        e.put_f64(self.clock);
-        e.put_u64(self.next_id);
-        e.put_f64(self.executed_units);
-        e.put_u64(self.rejected);
-        ckpt::encode_error_policy(&mut e, self.error_policy);
+        self.cfg.enc(&mut e);
+        (self.clock, self.next_id, self.executed_units, self.rejected).enc(&mut e);
+        self.error_policy.enc(&mut e);
         // The calendar serializes in canonical (at, id) order — the exact
         // order future pops will see, since pop order is the total order by
         // (at, id) regardless of internal bucket layout — so rebuilding by
@@ -1822,15 +1831,9 @@ impl System {
         // Name table: first-seen order over (running, queue, scheduled).
         let mut index_of: Vec<u32> = vec![u32::MAX; self.names.len()];
         let mut table: Vec<Sym> = Vec::new();
-        for &h in self.running.iter().chain(self.queue.iter()) {
+        let live = self.running.iter().chain(self.queue.iter());
+        for h in live.chain(sched.iter().map(|entry| &entry.payload)) {
             let sym = self.slab.name[h.idx as usize];
-            if index_of[sym as usize] == u32::MAX {
-                index_of[sym as usize] = table.len() as u32;
-                table.push(sym);
-            }
-        }
-        for entry in &sched {
-            let sym = self.slab.name[entry.payload.idx as usize];
             if index_of[sym as usize] == u32::MAX {
                 index_of[sym as usize] = table.len() as u32;
                 table.push(sym);
@@ -1838,58 +1841,26 @@ impl System {
         }
         e.put_usize(table.len());
         for &sym in &table {
-            e.put_str(self.names.resolve(sym));
+            self.names.resolve(sym).enc(&mut e);
         }
         e.put_usize(self.running.len());
         for &h in &self.running {
-            self.encode_session(&mut e, h, &index_of)?;
+            self.enc_session(&mut e, h, &index_of)?;
         }
         e.put_usize(self.queue.len());
         for &h in &self.queue {
-            self.encode_session(&mut e, h, &index_of)?;
+            self.enc_session(&mut e, h, &index_of)?;
         }
         e.put_usize(sched.len());
         for entry in &sched {
             let i = entry.payload.idx as usize;
-            e.put_f64(entry.at);
-            e.put_u64(entry.id);
-            e.put_u32(index_of[self.slab.name[i] as usize]);
-            Self::encode_job(&mut e, &self.slab.job[i], self.slab.id[i])?;
-            e.put_f64(self.slab.weight[i]);
-            e.put_u32(self.slab.attempt[i]);
+            (entry.at, entry.id, index_of[self.slab.name[i] as usize]).enc(&mut e);
+            Self::job_snapshot(&self.slab.job[i], self.slab.id[i])?.enc(&mut e);
+            (self.slab.weight[i], self.slab.attempt[i]).enc(&mut e);
         }
-        e.put_usize(self.finished.len());
-        for f in &self.finished {
-            ckpt::encode_finished(&mut e, f);
-        }
-        match &self.faults {
-            None => e.put_bool(false),
-            Some(fs) => {
-                e.put_bool(true);
-                ckpt::encode_fault_plan(&mut e, &fs.plan);
-                e.put_usize(fs.next_event);
-                for w in fs.rng.state() {
-                    e.put_u64(w);
-                }
-                e.put_f64(fs.rate_factor);
-                e.put_f64(fs.rate_restore_at);
-                e.put_usize(fs.log.len());
-                for f in &fs.log {
-                    ckpt::encode_injected_fault(&mut e, f);
-                }
-                ckpt::encode_fault_stats(&mut e, &fs.stats);
-            }
-        }
-        match &self.event_feed {
-            None => e.put_bool(false),
-            Some(feed) => {
-                e.put_bool(true);
-                e.put_usize(feed.len());
-                for ev in feed {
-                    ckpt::encode_sim_event(&mut e, ev);
-                }
-            }
-        }
+        self.finished.enc(&mut e);
+        self.faults.enc(&mut e);
+        self.event_feed.enc(&mut e);
         Ok(e.into_bytes())
     }
 
@@ -1898,103 +1869,72 @@ impl System {
     /// [`System::set_obs`] before stepping if tracing should continue.
     pub fn restore(bytes: &[u8]) -> std::result::Result<System, CkptError> {
         let mut d = Dec::new(bytes);
-        let rate = d.get_f64()?;
-        let quantum_units = d.get_f64()?;
-        let admission = ckpt::decode_admission(&mut d)?;
-        let speed_tau = d.get_f64()?;
-        let rate_model = ckpt::decode_rate_model(&mut d)?;
-        let step_mode = ckpt::decode_step_mode(&mut d)?;
-        let cfg = SystemConfig {
-            rate,
-            quantum_units,
-            admission,
-            speed_tau,
-            rate_model,
-            step_mode,
-        };
-        let mut sys = System::try_new(cfg)
+        let mut sys = System::try_new(Wire::dec(&mut d)?)
             .map_err(|e| CkptError::Corrupt(format!("invalid config in checkpoint: {e}")))?;
-        sys.clock = d.get_f64()?;
-        sys.next_id = d.get_u64()?;
-        sys.executed_units = d.get_f64()?;
-        sys.rejected = d.get_u64()?;
-        sys.error_policy = ckpt::decode_error_policy(&mut d)?;
+        (sys.clock, sys.next_id, sys.executed_units, sys.rejected) = Wire::dec(&mut d)?;
+        sys.error_policy = Wire::dec(&mut d)?;
         // Intern the name table in encode order, so a re-encode of the
         // restored system derives the same first-seen order.
-        let nt = d.get_usize()?;
-        let mut table: Vec<Sym> = Vec::with_capacity(nt.min(4096));
-        for _ in 0..nt {
-            let name: Arc<str> = d.get_str()?.into();
-            table.push(sys.names.intern(name));
-        }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let h = sys.decode_session(&mut d, &table)?;
+        let table: Vec<Sym> = Vec::<Arc<str>>::dec(&mut d)?
+            .into_iter()
+            .map(|name| sys.names.intern(name))
+            .collect();
+        for _ in 0..d.get_usize()? {
+            let h = sys.dec_session(&mut d, &table)?;
             sys.running.push(h);
         }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let h = sys.decode_session(&mut d, &table)?;
+        for _ in 0..d.get_usize()? {
+            let h = sys.dec_session(&mut d, &table)?;
             sys.queue.push_back(h);
         }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let at = d.get_f64()?;
-            let id = d.get_u64()?;
-            let sym = table_sym(&table, d.get_u32()?)?;
-            let job = Self::decode_job(&mut d)?;
-            let weight = d.get_f64()?;
-            let attempt = d.get_u32()?;
+        for _ in 0..d.get_usize()? {
+            let (at, id, name): (f64, QueryId, u32) = Wire::dec(&mut d)?;
+            if !(at.is_finite() && at >= 0.0) {
+                return Err(CkptError::Corrupt(format!(
+                    "scheduled arrival {id} at time {at}"
+                )));
+            }
+            let sym = table_sym(&table, name)?;
+            let job = Self::job_from_snapshot(&mut d)?;
+            let (weight, attempt) = Wire::dec(&mut d)?;
             let monitor = sys.new_monitor();
             let h = sys.slab.alloc(id, sym, job, weight, at, monitor, attempt);
             sys.scheduled.push(at, id, h);
         }
-        let n = d.get_usize()?;
-        for _ in 0..n {
-            let rec = ckpt::decode_finished(&mut d)?;
+        sys.finished = Wire::dec(&mut d)?;
+        for (fi, rec) in sys.finished.iter().enumerate() {
+            // Ids are handed out below `next_id`, and the dense index costs
+            // four bytes per id: one past the cursor is corrupt, and one the
+            // payload's size cannot account for (possible after
+            // `close_admission` dropped scheduled ids) is indexed apart.
+            if rec.id >= sys.next_id {
+                return Err(CkptError::Corrupt(format!(
+                    "finished query {} at or beyond id cursor {}",
+                    rec.id, sys.next_id
+                )));
+            }
             let slot = rec.id as usize;
+            if slot > bytes.len() {
+                sys.finished_far.push((rec.id, fi as u32));
+                continue;
+            }
             if sys.finished_of.len() <= slot {
                 sys.finished_of.resize(slot + 1, u32::MAX);
             }
-            sys.finished_of[slot] = sys.finished.len() as u32;
-            sys.finished.push(rec);
+            sys.finished_of[slot] = fi as u32;
         }
-        if d.get_bool()? {
-            let plan = ckpt::decode_fault_plan(&mut d)?;
-            let next_event = d.get_usize()?;
-            if next_event > plan.events().len() {
+        sys.finished_far.sort_unstable();
+        sys.faults = Wire::dec(&mut d)?;
+        if let Some(fs) = &sys.faults {
+            if fs.next_event > fs.plan.events().len() {
                 return Err(CkptError::Corrupt(format!(
-                    "fault cursor {next_event} beyond {} events",
-                    plan.events().len()
+                    "fault cursor {} beyond {} events",
+                    fs.next_event,
+                    fs.plan.events().len()
                 )));
             }
-            let rng_state = [d.get_u64()?, d.get_u64()?, d.get_u64()?, d.get_u64()?];
-            let rate_factor = d.get_f64()?;
-            let rate_restore_at = d.get_f64()?;
-            let nl = d.get_usize()?;
-            let mut log = Vec::with_capacity(nl.min(4096));
-            for _ in 0..nl {
-                log.push(ckpt::decode_injected_fault(&mut d)?);
-            }
-            let stats = ckpt::decode_fault_stats(&mut d)?;
-            sys.faults = Some(FaultState {
-                plan,
-                next_event,
-                rng: Rng::from_state(rng_state),
-                rate_factor,
-                rate_restore_at,
-                log,
-                stats,
-            });
         }
-        if d.get_bool()? {
-            let n = d.get_usize()?;
-            let mut feed = Vec::with_capacity(n.min(4096));
-            for _ in 0..n {
-                feed.push(ckpt::decode_sim_event(&mut d)?);
-            }
-            sys.event_feed = Some(feed);
-        }
+        sys.event_feed = Wire::dec(&mut d)?;
         if !d.is_exhausted() {
             return Err(CkptError::Corrupt(format!(
                 "{} trailing bytes after system state",
@@ -2004,73 +1944,48 @@ impl System {
         Ok(sys)
     }
 
-    fn encode_job(e: &mut Enc, job: &JobState, id: QueryId) -> std::result::Result<(), CkptError> {
-        let snap = job.snapshot_state().ok_or_else(|| {
+    fn job_snapshot(job: &JobState, id: QueryId) -> std::result::Result<JobSnapshot, CkptError> {
+        job.snapshot_state().ok_or_else(|| {
             CkptError::Unsupported(format!("job of query {id} holds live engine state"))
-        })?;
-        ckpt::encode_job_snapshot(e, &snap);
-        Ok(())
+        })
     }
 
-    fn decode_job(d: &mut Dec<'_>) -> std::result::Result<JobState, CkptError> {
-        let snap = ckpt::decode_job_snapshot(d)?;
+    fn job_from_snapshot(d: &mut Dec<'_>) -> std::result::Result<JobState, CkptError> {
         Ok(JobState::Synthetic(
-            crate::job::SyntheticJob::from_snapshot(snap),
+            crate::job::SyntheticJob::from_snapshot(Wire::dec(d)?),
         ))
     }
 
-    fn encode_session(
+    fn enc_session(
         &self,
         e: &mut Enc,
         h: JobSlot,
         index_of: &[u32],
     ) -> std::result::Result<(), CkptError> {
-        let i = h.idx as usize;
-        e.put_u64(self.slab.id[i]);
-        e.put_u32(index_of[self.slab.name[i] as usize]);
-        Self::encode_job(e, &self.slab.job[i], self.slab.id[i])?;
-        e.put_f64(self.slab.weight[i]);
-        e.put_f64(self.slab.arrived[i]);
-        e.put_opt_f64(self.slab.started[i]);
-        e.put_f64(self.slab.credit[i]);
-        e.put_f64(self.slab.units_done[i]);
-        ckpt::encode_speed_monitor(e, &self.slab.monitor[i]);
-        e.put_bool(self.slab.blocked[i]);
-        match self.slab.rolling_back[i] {
-            Some((done, remaining)) => {
-                e.put_bool(true);
-                e.put_f64(done);
-                e.put_f64(remaining);
-            }
-            None => e.put_bool(false),
-        }
-        e.put_f64(self.slab.report_scale[i]);
-        e.put_u32(self.slab.attempt[i]);
+        let (i, s) = (h.idx as usize, &self.slab);
+        (s.id[i], index_of[s.name[i] as usize]).enc(e);
+        Self::job_snapshot(&s.job[i], s.id[i])?.enc(e);
+        (s.weight[i], s.arrived[i], s.started[i]).enc(e);
+        (s.credit[i], s.units_done[i]).enc(e);
+        s.monitor[i].enc(e);
+        (s.blocked[i], s.rolling_back[i]).enc(e);
+        (s.report_scale[i], s.attempt[i]).enc(e);
         Ok(())
     }
 
-    fn decode_session(
+    fn dec_session(
         &mut self,
         d: &mut Dec<'_>,
         table: &[Sym],
     ) -> std::result::Result<JobSlot, CkptError> {
-        let id = d.get_u64()?;
-        let sym = table_sym(table, d.get_u32()?)?;
-        let job = Self::decode_job(d)?;
-        let weight = d.get_f64()?;
-        let arrived = d.get_f64()?;
-        let started = d.get_opt_f64()?;
-        let credit = d.get_f64()?;
-        let units_done = d.get_f64()?;
-        let monitor = ckpt::decode_speed_monitor(d)?;
-        let blocked = d.get_bool()?;
-        let rolling_back = if d.get_bool()? {
-            Some((d.get_f64()?, d.get_f64()?))
-        } else {
-            None
-        };
-        let report_scale = d.get_f64()?;
-        let attempt = d.get_u32()?;
+        let (id, name): (QueryId, u32) = Wire::dec(d)?;
+        let sym = table_sym(table, name)?;
+        let job = Self::job_from_snapshot(d)?;
+        let (weight, arrived, started) = Wire::dec(d)?;
+        let (credit, units_done) = Wire::dec(d)?;
+        let monitor = Wire::dec(d)?;
+        let (blocked, rolling_back) = Wire::dec(d)?;
+        let (report_scale, attempt) = Wire::dec(d)?;
         let h = self
             .slab
             .alloc(id, sym, job, weight, arrived, monitor, attempt);
@@ -3033,6 +2948,48 @@ mod checkpoint_tests {
         let mut sys = System::new(SystemConfig::default());
         sys.submit("opaque", Box::new(OpaqueJob), 1.0);
         assert!(matches!(sys.checkpoint(), Err(CkptError::Unsupported(_))));
+    }
+
+    /// A finished record's id sizes the dense finished index, so it is
+    /// input like any length prefix: one the id cursor never handed out is
+    /// corrupt (it used to abort on a 4 PB `resize`), and one the payload
+    /// is too small to account for is indexed without the dense table.
+    #[test]
+    fn hostile_finished_id_is_rejected_not_allocated() {
+        let mut sys = chaos_system(5);
+        sys.run_until(12.0).unwrap();
+        let first = sys.finished()[0].clone();
+        let bytes = sys.checkpoint().unwrap();
+        // The record starts with its id, then the length-prefixed name.
+        let mut needle = first.id.to_le_bytes().to_vec();
+        needle.extend_from_slice(&(first.name.len() as u64).to_le_bytes());
+        needle.extend_from_slice(first.name.as_bytes());
+        let at = (0..bytes.len() - needle.len())
+            .find(|&i| bytes[i..].starts_with(&needle))
+            .unwrap();
+
+        let mut hostile = bytes.clone();
+        hostile[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
+        assert!(matches!(
+            System::restore(&hostile),
+            Err(CkptError::Corrupt(_))
+        ));
+
+        // `close_admission` drops scheduled arrivals without a record, so a
+        // sound checkpoint can hold ids far above anything in the payload.
+        let mut sparse = System::new(SystemConfig::default());
+        for i in 0..5_000 {
+            sparse.schedule(1e6 + i as f64, "never", Box::new(SyntheticJob::new(1)), 1.0);
+        }
+        sparse.close_admission();
+        let late = sparse.submit("late", Box::new(SyntheticJob::new(30)), 1.0);
+        sparse.run_until_idle(100.0).unwrap();
+        let bytes = sparse.checkpoint().unwrap();
+        assert!((late as usize) > bytes.len(), "fixture must be sparse");
+        let back = System::restore(&bytes).unwrap();
+        assert_eq!(back.finished_record(late).unwrap().id, late);
+        assert!(back.finished_record(late - 1).is_none());
+        assert_eq!(back.checkpoint().unwrap(), bytes);
     }
 
     /// Damaged bytes are rejected with typed errors, never a panic.

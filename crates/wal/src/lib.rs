@@ -64,7 +64,9 @@ use std::fs::{self, File};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use mqpi_ckpt::{crc32, sweep_stale_tmp, sync_dir, CkptError, Dec, Enc, Result};
+use mqpi_ckpt::{
+    crc32, sweep_stale_tmp, sync_dir, wire_enum, wire_struct, CkptError, Enc, Result, Wire,
+};
 use mqpi_obs::{Obs, TraceKind};
 
 /// First four bytes of every segment file.
@@ -208,129 +210,23 @@ const TAG_MARK: u8 = 11;
 const TAG_SIM_EVENT: u8 = 12;
 const TAG_NOTE: u8 = 13;
 
-impl WalRecord {
-    /// Append this record's payload encoding to `e`.
-    pub fn encode(&self, e: &mut Enc) {
-        match *self {
-            WalRecord::RegisterSession => e.put_u8(TAG_REGISTER),
-            WalRecord::CloseSession { session } => {
-                e.put_u8(TAG_CLOSE);
-                e.put_u64(session);
-            }
-            WalRecord::Submit {
-                session,
-                cost,
-                weight,
-            } => {
-                e.put_u8(TAG_SUBMIT);
-                e.put_u64(session);
-                e.put_f64(cost);
-                e.put_f64(weight);
-            }
-            WalRecord::Subscribe { session, query } => {
-                e.put_u8(TAG_SUBSCRIBE);
-                e.put_u64(session);
-                e.put_u64(query);
-            }
-            WalRecord::Abort { query } => {
-                e.put_u8(TAG_ABORT);
-                e.put_u64(query);
-            }
-            WalRecord::Reweight { query, weight } => {
-                e.put_u8(TAG_REWEIGHT);
-                e.put_u64(query);
-                e.put_f64(weight);
-            }
-            WalRecord::Refine { query, cost } => {
-                e.put_u8(TAG_REFINE);
-                e.put_u64(query);
-                e.put_f64(cost);
-            }
-            WalRecord::SetRate { rate } => {
-                e.put_u8(TAG_SET_RATE);
-                e.put_f64(rate);
-            }
-            WalRecord::Advance { dt } => {
-                e.put_u8(TAG_ADVANCE);
-                e.put_f64(dt);
-            }
-            WalRecord::Pump => e.put_u8(TAG_PUMP),
-            WalRecord::Mark { iter, digest } => {
-                e.put_u8(TAG_MARK);
-                e.put_u64(iter);
-                e.put_u64(digest);
-            }
-            WalRecord::Note { ref bytes } => {
-                e.put_u8(TAG_NOTE);
-                e.put_bytes(bytes);
-            }
-            WalRecord::SimEvent { tag, at, id, a, b } => {
-                e.put_u8(TAG_SIM_EVENT);
-                e.put_u8(tag);
-                e.put_f64(at);
-                e.put_u64(id);
-                e.put_f64(a);
-                e.put_f64(b);
-            }
-        }
-    }
-
-    /// Decode one record, rejecting unknown tags and trailing bytes.
-    pub fn decode(payload: &[u8]) -> Result<WalRecord> {
-        let mut d = Dec::new(payload);
-        let rec = match d.get_u8()? {
-            TAG_REGISTER => WalRecord::RegisterSession,
-            TAG_CLOSE => WalRecord::CloseSession {
-                session: d.get_u64()?,
-            },
-            TAG_SUBMIT => WalRecord::Submit {
-                session: d.get_u64()?,
-                cost: d.get_f64()?,
-                weight: d.get_f64()?,
-            },
-            TAG_SUBSCRIBE => WalRecord::Subscribe {
-                session: d.get_u64()?,
-                query: d.get_u64()?,
-            },
-            TAG_ABORT => WalRecord::Abort {
-                query: d.get_u64()?,
-            },
-            TAG_REWEIGHT => WalRecord::Reweight {
-                query: d.get_u64()?,
-                weight: d.get_f64()?,
-            },
-            TAG_REFINE => WalRecord::Refine {
-                query: d.get_u64()?,
-                cost: d.get_f64()?,
-            },
-            TAG_SET_RATE => WalRecord::SetRate { rate: d.get_f64()? },
-            TAG_ADVANCE => WalRecord::Advance { dt: d.get_f64()? },
-            TAG_PUMP => WalRecord::Pump,
-            TAG_MARK => WalRecord::Mark {
-                iter: d.get_u64()?,
-                digest: d.get_u64()?,
-            },
-            TAG_NOTE => WalRecord::Note {
-                bytes: d.get_bytes()?,
-            },
-            TAG_SIM_EVENT => WalRecord::SimEvent {
-                tag: d.get_u8()?,
-                at: d.get_f64()?,
-                id: d.get_u64()?,
-                a: d.get_f64()?,
-                b: d.get_f64()?,
-            },
-            t => return Err(CkptError::Corrupt(format!("wal record tag {t}"))),
-        };
-        if !d.is_exhausted() {
-            return Err(CkptError::Corrupt(format!(
-                "{} trailing bytes after wal record",
-                d.remaining()
-            )));
-        }
-        Ok(rec)
-    }
-}
+// One record is one frame payload: decode with [`Wire::from_bytes`], which
+// also rejects trailing bytes.
+wire_enum!(WalRecord, "wal record" {
+    TAG_REGISTER => RegisterSession,
+    TAG_CLOSE => CloseSession { session },
+    TAG_SUBMIT => Submit { session, cost, weight },
+    TAG_SUBSCRIBE => Subscribe { session, query },
+    TAG_ABORT => Abort { query },
+    TAG_REWEIGHT => Reweight { query, weight },
+    TAG_REFINE => Refine { query, cost },
+    TAG_SET_RATE => SetRate { rate },
+    TAG_ADVANCE => Advance { dt },
+    TAG_PUMP => Pump,
+    TAG_MARK => Mark { iter, digest },
+    TAG_NOTE => Note { bytes },
+    TAG_SIM_EVENT => SimEvent { tag, at, id, a, b },
+});
 
 // ---------------------------------------------------------------------------
 // knobs
@@ -351,6 +247,11 @@ pub struct WalKnobs {
     /// compaction; [`Wal::compact`] can still be invoked explicitly.
     pub compact_every: u64,
 }
+wire_struct!(WalKnobs {
+    flush_every_n,
+    flush_every_vt,
+    compact_every,
+});
 
 impl Default for WalKnobs {
     fn default() -> Self {
@@ -448,7 +349,7 @@ fn walk_frames(
     while pos < bytes.len() {
         let good = read_frame(bytes, pos)
             .filter(|f| f.seq == seq)
-            .and_then(|f| Some((WalRecord::decode(f.payload).ok()?, f)));
+            .and_then(|f| Some((WalRecord::from_bytes(f.payload, "wal record").ok()?, f)));
         let Some((rec, frame)) = good else {
             clean = false;
             break;
@@ -573,15 +474,9 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
             drop_bases.push(path.clone());
             continue;
         }
-        match mqpi_ckpt::read_file(path, BASE_KIND).and_then(|payload| {
-            let mut d = Dec::new(&payload);
-            let seq = d.get_u64()?;
-            let bytes = d.get_bytes()?;
-            if !d.is_exhausted() {
-                return Err(CkptError::Corrupt("trailing bytes after wal base".into()));
-            }
-            Ok((seq, bytes))
-        }) {
+        match mqpi_ckpt::read_file(path, BASE_KIND)
+            .and_then(|payload| <(u64, Vec<u8>)>::from_bytes(&payload, "wal base"))
+        {
             Ok((seq, bytes)) if seq == through => {
                 base = Some(bytes);
                 base_through = through;
@@ -977,7 +872,7 @@ impl Wal {
         header[5..].copy_from_slice(&seq.to_le_bytes());
         self.buf.extend_from_slice(&header);
         let mut e = Enc::wrap(std::mem::take(&mut self.buf));
-        rec.encode(&mut e);
+        rec.enc(&mut e);
         self.buf = e.into_bytes();
         let len = self.buf.len() - start - FRAME_HEADER_LEN;
         assert!(
@@ -1184,22 +1079,17 @@ mod tests {
     #[test]
     fn records_round_trip_bit_exactly() {
         for rec in sample_records() {
-            let mut e = Enc::new();
-            rec.encode(&mut e);
-            let bytes = e.into_bytes();
-            let back = WalRecord::decode(&bytes).unwrap();
+            let bytes = rec.to_bytes();
+            let back = WalRecord::from_bytes(&bytes, "wal record").unwrap();
             // NaN payloads survive: compare through re-encoding.
-            let mut e2 = Enc::new();
-            back.encode(&mut e2);
-            assert_eq!(bytes, e2.into_bytes(), "{rec:?}");
+            assert_eq!(bytes, back.to_bytes(), "{rec:?}");
         }
-        assert!(WalRecord::decode(&[200]).is_err());
-        assert!(WalRecord::decode(&[]).is_err());
+        assert!(WalRecord::from_bytes(&[200], "wal record").is_err());
+        assert!(WalRecord::from_bytes(&[], "wal record").is_err());
         // Trailing garbage is rejected, not ignored.
-        let mut e = Enc::new();
-        WalRecord::Pump.encode(&mut e);
-        e.put_u8(9);
-        assert!(WalRecord::decode(&e.into_bytes()).is_err());
+        let mut bytes = WalRecord::Pump.to_bytes();
+        bytes.push(9);
+        assert!(WalRecord::from_bytes(&bytes, "wal record").is_err());
     }
 
     #[test]
@@ -1224,11 +1114,7 @@ mod tests {
         assert_eq!(rec2.records.len(), sample_records().len());
         for (i, (seq, r)) in rec2.records.iter().enumerate() {
             assert_eq!(*seq, i as u64 + 1);
-            let mut a = Enc::new();
-            r.encode(&mut a);
-            let mut b = Enc::new();
-            sample_records()[i].encode(&mut b);
-            assert_eq!(a.into_bytes(), b.into_bytes());
+            assert_eq!(r.to_bytes(), sample_records()[i].to_bytes());
         }
         assert_eq!(wal2.next_seq(), sample_records().len() as u64 + 1);
         assert_eq!(rec2.last_mark(), Some((3, 0xDEAD)));
