@@ -143,10 +143,12 @@ fn bench_incremental_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Raw `System::step_discard` throughput at n = 10^5 and 10^6 — the same
-/// churn shape as `experiments --bench-sim`, here under criterion so the
-/// data-oriented core's per-step cost is tracked alongside the predictor.
-fn bench_sim_step_scaling(c: &mut Criterion) {
+/// Raw `System::step_discard` throughput at n = 10^5 and 10^6: n queries
+/// drained through 256 admission slots, the churn the end-to-end
+/// benchmark's `sim_churn` workload runs with a mirror attached, here under
+/// criterion so the data-oriented core's per-step cost is tracked alongside
+/// the predictor.
+fn bench_churn_drain(c: &mut Criterion) {
     use mqpi_sim::job::SyntheticJob;
     use mqpi_sim::system::{StepMode, System, SystemConfig};
     use mqpi_sim::AdmissionPolicy;
@@ -191,6 +193,6 @@ criterion_group!(
     benches,
     bench_predict_scaling,
     bench_incremental_scaling,
-    bench_sim_step_scaling
+    bench_churn_drain
 );
 criterion_main!(benches);

@@ -166,6 +166,77 @@ impl EnsembleReport {
             .filter(|c| c.plan != "calm" && c.ensemble_err < c.worst_member())
             .count()
     }
+
+    /// `BENCH_9.json`: every cell, and whether the 10 % / 2-win gate of
+    /// [`Self::check_acceptance`] passed, for a campaign of `runs`
+    /// replicates per cell seeded with `seed`.
+    pub fn bench_json(&self, runs: usize, seed: u64) -> String {
+        let passed = self.check_acceptance(0.10, 2).is_ok();
+        let calm_ok = self.check_acceptance(0.10, 0).is_ok();
+        let chaos_wins = self.chaos_wins();
+
+        let mut json = String::from("{\n");
+        json.push_str(
+            "  \"benchmark\": \"estimator ensemble: online selection + uncertainty bands (crates/bench/src/ensemble.rs)\",\n",
+        );
+        json.push_str(&format!(
+            "  \"config\": \"shapes {:?} x fault plans {:?}, {} replicates/cell, seed {}, horizon {}s, \
+             standard lineup with Koenig-style windowed-decayed-error selection and residual-quantile bands\",\n",
+            SHAPES,
+            PLANS,
+            runs,
+            seed,
+            HORIZON
+        ));
+        json.push_str(
+            "  \"metric\": \"mean winsorized relative error per estimator vs the ensemble band p50; \
+             p10-p90 coverage (nominal 0.8); mean band width; selector switches\",\n",
+        );
+        json.push_str("  \"estimators\": [");
+        for (i, n) in self.names.iter().enumerate() {
+            if i > 0 {
+                json.push_str(", ");
+            }
+            json.push_str(&format!("\"{n}\""));
+        }
+        json.push_str("],\n");
+        json.push_str("  \"cells\": [\n");
+        for (i, c) in self.cells.iter().enumerate() {
+            json.push_str(&format!(
+                "    {{ \"shape\": \"{}\", \"plan\": \"{}\", \"errors\": [",
+                c.shape, c.plan
+            ));
+            for (j, e) in c.est_errs.iter().enumerate() {
+                if j > 0 {
+                    json.push_str(", ");
+                }
+                json.push_str(&format!("{e:.4}"));
+            }
+            json.push_str(&format!(
+                "], \"ensemble_error\": {:.4}, \"coverage\": {:.3}, \"mean_width_s\": {:.2}, \
+                 \"switches\": {}, \"resolved\": {}, \"scored\": {} }}{}\n",
+                c.ensemble_err,
+                c.coverage,
+                c.mean_width,
+                c.switches,
+                c.resolved,
+                c.scored,
+                if i + 1 < self.cells.len() { "," } else { "" }
+            ));
+        }
+        json.push_str("  ],\n");
+        json.push_str("  \"acceptance\": {\n");
+        json.push_str(
+            "    \"calm_bound\": \"ensemble within 10% of best member on every calm cell\",\n",
+        );
+        json.push_str(&format!("    \"calm_ok\": {calm_ok},\n"));
+        json.push_str(&format!("    \"chaos_wins\": {chaos_wins},\n"));
+        json.push_str("    \"required_chaos_wins\": 2,\n");
+        json.push_str(&format!("    \"passed\": {passed}\n"));
+        json.push_str("  }\n");
+        json.push_str("}\n");
+        json
+    }
 }
 
 /// Outcome of a single replicate, folded into an [`EnsembleCell`] in run

@@ -20,6 +20,7 @@
 
 pub mod ablations;
 pub mod analytic;
+mod campaign;
 pub mod chaos;
 pub mod db;
 pub mod ensemble;
@@ -33,7 +34,6 @@ pub mod piserve;
 pub mod piwal;
 pub mod report;
 pub mod scq;
-pub mod simbench;
 pub mod speedup_exp;
 pub mod table1;
 pub mod traced;

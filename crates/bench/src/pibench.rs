@@ -1,43 +1,36 @@
-//! Incremental-predictor benchmarks (`experiments bench-pi`).
+//! Incremental predictor against rebuild-per-event (`experiments bench-pi`).
 //!
-//! The tentpole claim behind `core::incremental`: maintaining the fluid
-//! model by **delta updates** (amortized O(log n) per scheduler event,
-//! O(1) for rate changes) beats **rebuilding** the prediction with a fresh
+//! The claim behind `core::incremental`: maintaining the fluid model by
+//! **delta updates** (amortized O(log n) per scheduler event, O(1) for
+//! rate changes) beats **rebuilding** the prediction with a fresh
 //! `fluid::predict` call per event by orders of magnitude once the
-//! resident population is large. This module measures both sides under
-//! the same deterministic event stream and a PI-service serving loop on
-//! top:
+//! resident population is large. `bench-pi` asserts a floor on that ratio
+//! and nothing else; what the two sides cost in absolute terms is the
+//! criterion group `incremental_scaling`'s to track, and the end-to-end
+//! benchmark's (`benchmark/`) to budget.
 //!
 //! * **delta** — a resident population of n queries receives a scripted
 //!   stream of arrivals, finishes, re-weights, cost refinements, rate
 //!   changes, and clock advances, applied as [`IncrementalFluid`] delta
 //!   updates; each event is followed by one O(log n) point estimate (the
-//!   "someone is watching this query" read). Reports amortized ns/event,
-//!   p99 per-event latency, and events/sec.
+//!   "someone is watching this query" read).
 //! * **rebuild** — the same stream drives a plain snapshot state, and
 //!   every event triggers a full `fluid::predict` over all n queries (the
 //!   pre-incremental architecture: re-estimate everything on every
-//!   scheduler event, paper §2.3). Reports amortized ns/event.
-//! * **serve** — a [`PiService`] with thousands of subscribed sessions in
-//!   steady-state churn (submit + advance + pump per cycle), reporting
-//!   cycles/sec and pushes/sec.
+//!   scheduler event, paper §2.3).
 //!
-//! Every delta run ends with a bit-identity audit — `estimates_full`
+//! The delta run ends with a bit-identity audit — `estimates_full`
 //! against a fresh `predict` over the extracted live set — so a broken
-//! incremental structure cannot post a fast number.
-//!
-//! Methodology matches `simbench`: `MQPI_BENCH_REPS` repetitions
-//! (default 3), fastest run reported, because the 1-vCPU builder's
-//! kernel-noise bursts are strictly additive.
+//! incremental structure cannot pass the floor. Each side runs once: the
+//! floor is 10× where the reference box measures over 1000×.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use mqpi_core::fluid::{predict, FluidQuery};
 use mqpi_core::IncrementalFluid;
-use mqpi_pi::{PiConfig, PiService};
 
-use crate::simbench::reps;
+use crate::campaign::splitmix64;
 
 /// One scripted scheduler event. Ids are dense and FIFO: the generator
 /// retires the oldest live query so the population stays within ±1 of n.
@@ -49,13 +42,6 @@ pub enum Ev {
     Refine { id: u64, cost: f64 },
     Rate { rate: f64 },
     Advance { dt: f64 },
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Deterministic per-query cost in [10^5, 10^6) work units — large enough
@@ -112,30 +98,6 @@ pub fn event_stream(n: u64, events: usize) -> Vec<Ev> {
     out
 }
 
-/// Result of a delta-update run.
-#[derive(Debug, Clone)]
-pub struct DeltaResult {
-    pub n: u64,
-    pub events: usize,
-    /// Wall-clock seconds for the whole stream (best of [`reps`]).
-    pub wall_s: f64,
-    /// Amortized nanoseconds per event (apply + one point estimate).
-    pub ns_per_event: f64,
-    pub events_per_sec: f64,
-    /// 99th-percentile single-event latency, microseconds (one
-    /// instrumented pass; includes timer overhead).
-    pub p99_us: f64,
-}
-
-/// Result of a rebuild-per-event run.
-#[derive(Debug, Clone)]
-pub struct RebuildResult {
-    pub n: u64,
-    pub events: usize,
-    pub wall_s: f64,
-    pub ns_per_event: f64,
-}
-
 fn seed_fluid(n: u64) -> IncrementalFluid {
     let mut f = IncrementalFluid::with_capacity(1000.0, n as usize + 64);
     for id in 0..n {
@@ -173,55 +135,27 @@ fn apply_delta(f: &mut IncrementalFluid, ev: Ev) -> Option<f64> {
     }
 }
 
-/// Drive the event stream through delta updates. Best of [`reps`]
-/// repetitions for throughput, one extra instrumented pass for p99.
-pub fn delta(n: u64, events: usize) -> Result<DeltaResult, String> {
+/// Drive the event stream through delta updates, audit the result, and
+/// return the amortized nanoseconds per event (apply + one point estimate).
+pub fn delta(n: u64, events: usize) -> Result<f64, String> {
     let stream = event_stream(n, events);
-    let mut best: Option<f64> = None;
     let mut sink = 0.0f64;
-    for _ in 0..reps() {
-        let mut f = seed_fluid(n);
-        let t0 = Instant::now();
-        for &ev in &stream {
-            if let Some(e) = apply_delta(&mut f, ev) {
-                sink += e;
-            }
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        if best.is_none_or(|b| wall < b) {
-            best = Some(wall);
-        }
-        audit(&mut f)?;
-    }
-    let wall_s = best.ok_or("reps() >= 1")?;
-
-    // Instrumented pass for tail latency (timer overhead included, which
-    // only makes the reported p99 conservative).
-    let mut lat = Vec::with_capacity(events);
     let mut f = seed_fluid(n);
+    let t0 = Instant::now();
     for &ev in &stream {
-        let t0 = Instant::now();
         if let Some(e) = apply_delta(&mut f, ev) {
             sink += e;
         }
-        lat.push(t0.elapsed().as_nanos() as u64);
     }
-    lat.sort_unstable();
-    let p99 = lat[(lat.len() * 99 / 100).min(lat.len() - 1)] as f64 / 1e3;
+    let wall_s = t0.elapsed().as_secs_f64();
+    audit(&mut f)?;
     if !sink.is_finite() {
         return Err(format!("non-finite estimate sink {sink}"));
     }
-    Ok(DeltaResult {
-        n,
-        events,
-        wall_s,
-        ns_per_event: wall_s * 1e9 / events as f64,
-        events_per_sec: events as f64 / wall_s,
-        p99_us: p99,
-    })
+    Ok(wall_s * 1e9 / events as f64)
 }
 
-/// A broken incremental structure must not post a fast number: the
+/// A broken incremental structure must not pass the floor: the
 /// maintained state must still reproduce a fresh `predict` bit-for-bit.
 fn audit(f: &mut IncrementalFluid) -> Result<(), String> {
     let mut live = Vec::with_capacity(f.len());
@@ -250,144 +184,60 @@ fn audit(f: &mut IncrementalFluid) -> Result<(), String> {
 /// Drive the same stream through the pre-incremental architecture: a
 /// snapshot state plus a full `fluid::predict` over all n queries after
 /// every event. `events` is small because each event costs O(n log n).
-pub fn rebuild(n: u64, events: usize) -> Result<RebuildResult, String> {
+/// Returns the amortized nanoseconds per event.
+pub fn rebuild(n: u64, events: usize) -> Result<f64, String> {
     let stream = event_stream(n, events);
-    let mut best: Option<f64> = None;
     let mut sink = 0.0f64;
-    for _ in 0..reps() {
-        // Snapshot state: dense vec + id index, the cheapest honest
-        // bookkeeping an en-masse rebuilder would keep.
-        let mut live: Vec<FluidQuery> = (0..n)
-            .map(|id| FluidQuery {
-                id,
-                cost: cost_of(id),
-                weight: weight_of(id),
-            })
-            .collect();
-        let mut index: HashMap<u64, usize> = (0..n).map(|id| (id, id as usize)).collect();
-        let mut rate = 1000.0;
-        let t0 = Instant::now();
-        for &ev in &stream {
-            match ev {
-                Ev::Arrive { id, cost, weight } => {
-                    index.insert(id, live.len());
-                    live.push(FluidQuery { id, cost, weight });
-                }
-                Ev::Finish { id } => {
-                    if let Some(i) = index.remove(&id) {
-                        live.swap_remove(i);
-                        if i < live.len() {
-                            index.insert(live[i].id, i);
-                        }
-                    }
-                }
-                Ev::Reweight { id, weight } => {
-                    if let Some(&i) = index.get(&id) {
-                        live[i].weight = weight;
-                    }
-                }
-                Ev::Refine { id, cost } => {
-                    if let Some(&i) = index.get(&id) {
-                        live[i].cost = cost;
-                    }
-                }
-                Ev::Rate { rate: r } => rate = r,
-                Ev::Advance { .. } => {}
+    // Snapshot state: dense vec + id index, the cheapest honest
+    // bookkeeping an en-masse rebuilder would keep.
+    let mut live: Vec<FluidQuery> = (0..n)
+        .map(|id| FluidQuery {
+            id,
+            cost: cost_of(id),
+            weight: weight_of(id),
+        })
+        .collect();
+    let mut index: HashMap<u64, usize> = (0..n).map(|id| (id, id as usize)).collect();
+    let mut rate = 1000.0;
+    let t0 = Instant::now();
+    for &ev in &stream {
+        match ev {
+            Ev::Arrive { id, cost, weight } => {
+                index.insert(id, live.len());
+                live.push(FluidQuery { id, cost, weight });
             }
-            let p = predict(&live, &[], None, None, rate);
-            if p.finish_times.len() != live.len() {
-                return Err("rebuild: predict dropped queries".into());
+            Ev::Finish { id } => {
+                if let Some(i) = index.remove(&id) {
+                    live.swap_remove(i);
+                    if i < live.len() {
+                        index.insert(live[i].id, i);
+                    }
+                }
             }
-            sink += p.finish_times.last().map_or(0.0, |t| t.1);
+            Ev::Reweight { id, weight } => {
+                if let Some(&i) = index.get(&id) {
+                    live[i].weight = weight;
+                }
+            }
+            Ev::Refine { id, cost } => {
+                if let Some(&i) = index.get(&id) {
+                    live[i].cost = cost;
+                }
+            }
+            Ev::Rate { rate: r } => rate = r,
+            Ev::Advance { .. } => {}
         }
-        let wall = t0.elapsed().as_secs_f64();
-        if best.is_none_or(|b| wall < b) {
-            best = Some(wall);
+        let p = predict(&live, &[], None, None, rate);
+        if p.finish_times.len() != live.len() {
+            return Err("rebuild: predict dropped queries".into());
         }
+        sink += p.finish_times.last().map_or(0.0, |t| t.1);
     }
+    let wall_s = t0.elapsed().as_secs_f64();
     if !sink.is_finite() {
         return Err(format!("non-finite estimate sink {sink}"));
     }
-    let wall_s = best.ok_or("reps() >= 1")?;
-    Ok(RebuildResult {
-        n,
-        events,
-        wall_s,
-        ns_per_event: wall_s * 1e9 / events as f64,
-    })
-}
-
-/// Result of the service loop.
-#[derive(Debug, Clone)]
-pub struct ServeResult {
-    pub sessions: usize,
-    pub cycles: usize,
-    pub wall_s: f64,
-    pub cycles_per_sec: f64,
-    /// Estimate pushes delivered during the measured window.
-    pub pushes: u64,
-    pub pushes_per_sec: f64,
-    /// Pushes suppressed by the epsilon filter during the window.
-    pub suppressed: u64,
-}
-
-/// Steady-state serving: `sessions` subscribed sessions, a resident
-/// population of `sessions` queries, one submit + advance + pump cycle per
-/// iteration. Best of [`reps`] repetitions.
-pub fn serve(sessions: usize, cycles: usize) -> Result<ServeResult, String> {
-    const COST: f64 = 100.0;
-    const RATE: f64 = 10_000.0;
-    let mut best: Option<ServeResult> = None;
-    for _ in 0..reps() {
-        let mut svc = PiService::with_capacity(
-            PiConfig {
-                rate: RATE,
-                epsilon: 0.05,
-                slots: None,
-                ..PiConfig::default()
-            },
-            4 * sessions,
-        );
-        let sids: Vec<_> = (0..sessions).map(|_| svc.register_session()).collect();
-        for (i, &sid) in sids.iter().enumerate() {
-            svc.submit(sid, COST * (1.0 + (i % 7) as f64), 1.0);
-        }
-        let mut out = Vec::with_capacity(4 * sessions);
-        // Warm to steady state.
-        for i in 0..sessions {
-            svc.submit(sids[i % sessions], COST, 1.0);
-            svc.advance(COST / RATE);
-            out.clear();
-            svc.pump(&mut out);
-        }
-        let pushes0 = svc.stats().pushes;
-        let suppressed0 = svc.stats().suppressed;
-        let t0 = Instant::now();
-        for i in 0..cycles {
-            svc.submit(sids[i % sessions], COST, 1.0);
-            svc.advance(COST / RATE);
-            out.clear();
-            svc.pump(&mut out);
-        }
-        let wall_s = t0.elapsed().as_secs_f64();
-        if svc.live_queries() == 0 {
-            return Err("serve: population collapsed".into());
-        }
-        let pushes = svc.stats().pushes - pushes0;
-        let r = ServeResult {
-            sessions,
-            cycles,
-            wall_s,
-            cycles_per_sec: cycles as f64 / wall_s,
-            pushes,
-            pushes_per_sec: pushes as f64 / wall_s,
-            suppressed: svc.stats().suppressed - suppressed0,
-        };
-        if best.as_ref().is_none_or(|b| r.wall_s < b.wall_s) {
-            best = Some(r);
-        }
-    }
-    best.ok_or_else(|| "reps() >= 1".into())
+    Ok(wall_s * 1e9 / events as f64)
 }
 
 #[cfg(test)]
@@ -397,17 +247,9 @@ mod tests {
     #[test]
     fn delta_and_rebuild_run_clean_at_small_scale() {
         let d = delta(500, 2_000).expect("delta");
-        assert!(d.ns_per_event > 0.0);
-        assert!(d.p99_us > 0.0);
+        assert!(d > 0.0);
         let r = rebuild(500, 50).expect("rebuild");
-        assert!(r.ns_per_event > d.ns_per_event, "rebuild must cost more");
-    }
-
-    #[test]
-    fn serve_pushes_estimates() {
-        let s = serve(64, 500).expect("serve");
-        assert!(s.pushes > 0);
-        assert!(s.cycles_per_sec > 0.0);
+        assert!(r > d, "rebuild must cost more");
     }
 
     #[test]

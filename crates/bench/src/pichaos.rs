@@ -30,9 +30,9 @@
 //! happy path.
 
 use std::collections::HashSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use mqpi_ckpt::{Dec, Enc, Wire};
+use mqpi_ckpt::{Enc, Wire};
 use mqpi_pi::{
     BreakerConfig, EstimatePush, LadderConfig, PiConfig, PiService, SessionId, SystemMirror,
 };
@@ -41,6 +41,9 @@ use mqpi_sim::{
     SystemConfig,
 };
 
+use crate::campaign::{
+    fnv_fold, fold_push, load_snapshot, save_snapshot, snapshot_path, splitmix64, FNV_OFFSET,
+};
 use crate::parallel;
 
 /// Campaign configuration.
@@ -104,32 +107,6 @@ pub struct ChaosRow {
     pub digest: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fold_push(h: u64, p: &EstimatePush) -> u64 {
-    let mut h = fnv_fold(h, &p.session.to_le_bytes());
-    h = fnv_fold(h, &p.query.to_le_bytes());
-    h = fnv_fold(h, &p.at.to_bits().to_le_bytes());
-    h = fnv_fold(h, &p.estimate.to_bits().to_le_bytes());
-    fnv_fold(h, &[p.done as u8])
-}
-
 /// Per-replicate service: scarce slots, short advances, every hardening
 /// feature armed. Odd replicates run the always-trip breaker.
 fn service_config(rep: usize) -> PiConfig {
@@ -160,46 +137,6 @@ fn service_config(rep: usize) -> PiConfig {
         }),
         ..PiConfig::default()
     }
-}
-
-fn snapshot_path(dir: &Path, seed: u64) -> PathBuf {
-    dir.join(format!("chaos-{seed:016x}.ckpt"))
-}
-
-/// Mid-replicate snapshot: loop position, digest state, the driver's
-/// session handles and live-query list, and the full service checkpoint.
-fn save_snapshot(
-    dir: &Path,
-    seed: u64,
-    iter: usize,
-    digest: u64,
-    sids: &[SessionId],
-    live: &[u64],
-    svc: &PiService,
-) -> Result<(), String> {
-    let mut e = Enc::new();
-    (iter, digest).enc(&mut e);
-    u64::enc_slice(sids, &mut e);
-    u64::enc_slice(live, &mut e);
-    svc.checkpoint().enc(&mut e);
-    mqpi_ckpt::atomic_write(&snapshot_path(dir, seed), &e.into_bytes())
-        .map_err(|e| format!("checkpoint write: {e}"))
-}
-
-type Snapshot = (usize, u64, Vec<SessionId>, Vec<u64>, PiService);
-
-fn load_snapshot(dir: &Path, seed: u64) -> Result<Option<Snapshot>, String> {
-    let path = snapshot_path(dir, seed);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("checkpoint read {}: {e}", path.display())),
-    };
-    type LoopState = (usize, u64, Vec<SessionId>, Vec<u64>);
-    let ((iter, digest, sids, live), payload): (LoopState, Vec<u8>) =
-        Wire::dec(&mut Dec::new(&bytes)).map_err(|e| e.to_string())?;
-    let svc = PiService::restore(&payload).map_err(|e| format!("restore: {e}"))?;
-    Ok(Some((iter, digest, sids, live, svc)))
 }
 
 /// The final full estimate set must be bit-identical to a from-scratch
@@ -344,7 +281,7 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
     let seed = cfg.seed.wrapping_add(rep as u64);
     let resumed = if cfg.resume {
         if let Some(dir) = &cfg.checkpoint_dir {
-            load_snapshot(dir, seed)?
+            load_snapshot(&snapshot_path(dir, "chaos", seed))?
         } else {
             None
         }
@@ -352,7 +289,7 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
         None
     };
     let (start_iter, mut digest, mut sids, mut live, mut svc) = match resumed {
-        Some((iter, digest, sids, live, svc)) => (iter, digest, sids, live, svc),
+        Some(((iter, digest, sids, live), svc)) => (iter, digest, sids, live, svc),
         None => {
             let mut svc = PiService::try_with_capacity(service_config(rep), 4 * cfg.sessions)
                 .map_err(|e| format!("config: {e}"))?;
@@ -458,7 +395,12 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
 
         if let Some(dir) = &cfg.checkpoint_dir {
             if cfg.checkpoint_every > 0 && (i + 1) % cfg.checkpoint_every == 0 {
-                save_snapshot(dir, seed, i + 1, digest, &sids, &live, &svc)?;
+                // Loop position, digest state, session handles, live-query list.
+                let mut state = Enc::new();
+                (i + 1, digest).enc(&mut state);
+                u64::enc_slice(&sids, &mut state);
+                u64::enc_slice(&live, &mut state);
+                save_snapshot(&snapshot_path(dir, "chaos", seed), state, &svc)?;
             }
         }
     }

@@ -26,6 +26,9 @@ use mqpi_ckpt::{Dec, Enc, Wire};
 use mqpi_pi::{EstimatePush, PiConfig, PiService, Standby};
 use mqpi_wal::WalKnobs;
 
+use crate::campaign::{
+    fold_push, load_snapshot, save_snapshot, snapshot_path, splitmix64, FNV_OFFSET,
+};
 use crate::parallel;
 
 /// Campaign configuration.
@@ -97,69 +100,6 @@ pub struct ReplicateRow {
     pub digest: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-fn fold_push(h: u64, p: &EstimatePush) -> u64 {
-    let mut h = fnv_fold(h, &p.session.to_le_bytes());
-    h = fnv_fold(h, &p.query.to_le_bytes());
-    h = fnv_fold(h, &p.at.to_bits().to_le_bytes());
-    h = fnv_fold(h, &p.estimate.to_bits().to_le_bytes());
-    fnv_fold(h, &[p.done as u8])
-}
-
-fn snapshot_path(dir: &Path, seed: u64) -> PathBuf {
-    dir.join(format!("run-{seed:016x}.ckpt"))
-}
-
-/// Mid-replicate snapshot: loop position, digest state, the driver's
-/// live-query list (abort/re-weight targets), and the full service
-/// checkpoint — everything the loop needs to continue bit-identically.
-fn save_snapshot(
-    dir: &Path,
-    seed: u64,
-    iter: usize,
-    digest: u64,
-    live: &[u64],
-    svc: &PiService,
-) -> Result<(), String> {
-    // The durable driver's note, then the service's own checkpoint as a blob.
-    let mut e = Enc::wrap(note_bytes(iter, digest, live));
-    svc.checkpoint().enc(&mut e);
-    mqpi_ckpt::atomic_write(&snapshot_path(dir, seed), &e.into_bytes())
-        .map_err(|e| format!("checkpoint write: {e}"))
-}
-
-type Snapshot = (usize, u64, Vec<u64>, PiService);
-
-fn load_snapshot(dir: &Path, seed: u64) -> Result<Option<Snapshot>, String> {
-    let path = snapshot_path(dir, seed);
-    let bytes = match std::fs::read(&path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(format!("checkpoint read {}: {e}", path.display())),
-    };
-    let (iter, digest, live, payload): (usize, u64, Vec<u64>, Vec<u8>) =
-        Wire::dec(&mut Dec::new(&bytes)).map_err(|e| e.to_string())?;
-    let svc = PiService::restore(&payload).map_err(|e| format!("restore: {e}"))?;
-    Ok(Some((iter, digest, live, svc)))
-}
-
 /// The scripted service configuration every replicate runs.
 fn service_config(wal: Option<WalKnobs>) -> PiConfig {
     PiConfig {
@@ -218,7 +158,7 @@ fn run_one(cfg: &ServeCampaign, rep: usize) -> Result<ReplicateRow, String> {
     }
     let resumed = if cfg.resume {
         if let Some(dir) = &cfg.checkpoint_dir {
-            load_snapshot(dir, seed)?
+            load_snapshot(&snapshot_path(dir, "run", seed))?
         } else {
             None
         }
@@ -226,7 +166,7 @@ fn run_one(cfg: &ServeCampaign, rep: usize) -> Result<ReplicateRow, String> {
         None
     };
     let (start_iter, mut digest, mut live, mut svc) = match resumed {
-        Some((iter, digest, live, svc)) => (iter, digest, live, svc),
+        Some(((iter, digest, live), svc)) => (iter, digest, live, svc),
         None => {
             let mut svc = PiService::with_capacity(service_config(None), 4 * cfg.sessions);
             for _ in 0..cfg.sessions {
@@ -246,7 +186,9 @@ fn run_one(cfg: &ServeCampaign, rep: usize) -> Result<ReplicateRow, String> {
 
         if let Some(dir) = &cfg.checkpoint_dir {
             if cfg.checkpoint_every > 0 && (i + 1) % cfg.checkpoint_every == 0 {
-                save_snapshot(dir, seed, i + 1, digest, &live, &svc)?;
+                // The durable driver's note doubles as the loop state.
+                let state = Enc::wrap(note_bytes(i + 1, digest, &live));
+                save_snapshot(&snapshot_path(dir, "run", seed), state, &svc)?;
             }
         }
     }

@@ -26,6 +26,7 @@ use std::path::{Path, PathBuf};
 use mqpi_pi::{EstimatePush, PiConfig, PiService, SessionId, Standby};
 use mqpi_wal::WalKnobs;
 
+use crate::campaign::{fnv_fold, splitmix64, FNV_OFFSET};
 use crate::parallel;
 
 /// Campaign configuration.
@@ -81,29 +82,18 @@ pub struct WalChaosRow {
     pub digest: u64,
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold_push(mut h: u64, p: &EstimatePush) -> u64 {
-    for v in [
+/// Not [`crate::campaign::fold_push`]: `done` folds here as eight bytes,
+/// there as one, and changing either would move every recorded digest.
+fn fold_push(h: u64, p: &EstimatePush) -> u64 {
+    [
         p.session,
         p.query,
         p.at.to_bits(),
         p.estimate.to_bits(),
         u64::from(p.done),
-    ] {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    ]
+    .iter()
+    .fold(h, |h, v| fnv_fold(h, &v.to_le_bytes()))
 }
 
 fn service_config(wal: Option<WalKnobs>) -> PiConfig {

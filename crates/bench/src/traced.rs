@@ -351,6 +351,41 @@ pub fn run_all(seed: u64) -> Result<Vec<TracedRun>> {
     SCENARIOS.iter().map(|s| run_scenario(s, seed)).collect()
 }
 
+/// The `--trace-out` file: every scenario's event log under a
+/// `# scenario=<name> seed=<seed>` header.
+pub fn trace_export(runs: &[TracedRun], seed: u64) -> String {
+    let mut out = String::new();
+    for r in runs {
+        out.push_str(&format!("# scenario={} seed={seed}\n", r.scenario));
+        out.push_str(&r.trace);
+    }
+    out
+}
+
+/// The `--metrics-out` file: every registry's rows prefixed with the
+/// scenario name (CSV), or each registry nested under the scenario key
+/// (`json`).
+pub fn metrics_export(runs: &[TracedRun], json: bool) -> String {
+    let mut out = String::new();
+    if json {
+        out.push_str("{\n");
+        for (i, r) in runs.iter().enumerate() {
+            let body = r.metrics_json.trim_end().replace('\n', "\n  ");
+            out.push_str(&format!("  \"{}\": {body}", r.scenario));
+            out.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
+        }
+        out.push_str("}\n");
+    } else {
+        out.push_str("scenario,family,name,value,detail\n");
+        for r in runs {
+            for line in r.metrics_csv.lines().skip(1) {
+                out.push_str(&format!("{},{line}\n", r.scenario));
+            }
+        }
+    }
+    out
+}
+
 /// Run `runs` seeded replicates of one scenario across up to `jobs` worker
 /// threads. Replicate `r` uses seed `seed0 + r`; results come back in run
 /// order, so the output is bit-identical for any `jobs` value.

@@ -12,6 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use mqpi_bench::chaos::{self, CheckpointCfg};
 use mqpi_obs::Obs;
@@ -190,6 +191,7 @@ fn pi_service_restore_survives_mutation_corpus() {
         if bytes == clean {
             continue; // mutation was a no-op; nothing to assert
         }
+        let started = Instant::now();
         match PiService::restore(&bytes) {
             Err(_) => rejected += 1,
             Ok(mut survivor) => {
@@ -201,6 +203,13 @@ fn pi_service_restore_survives_mutation_corpus() {
                 survivor.pump(&mut out);
             }
         }
+        // A hostile length must be refused where the container's bytes
+        // run out, not after work in proportion to what it claims.
+        assert!(
+            started.elapsed() < Duration::from_secs(2),
+            "case {case} took {:?}",
+            started.elapsed()
+        );
     }
     assert_eq!(rejected, 300, "every corrupted checkpoint must be rejected");
 }

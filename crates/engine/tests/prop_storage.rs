@@ -38,7 +38,8 @@ fn mask_of(bits: u64) -> ColumnMask {
 /// A pruned decode skips materialising columns, never checking them: over a
 /// corpus of 300 corrupted encodings (truncations, bit flips, overwritten
 /// bytes, junk appended) it fails on exactly the inputs a full decode fails
-/// on, whatever the mask.
+/// on, whatever the mask, and either decode of any of them ends inside a
+/// wall-clock budget.
 #[test]
 fn pruned_decode_errors_exactly_when_full_decode_does() {
     let rows = [
@@ -69,12 +70,20 @@ fn pruned_decode_errors_exactly_when_full_decode_does() {
             2 => bytes[at] = rnd() as u8,
             _ => bytes.extend((0..1 + rnd() % 4).map(|_| rnd() as u8)),
         }
+        let started = std::time::Instant::now();
         let full = tuple::decode(&bytes);
         for mask in [ColumnMask::NONE, ColumnMask::ALL, mask_of(rnd())] {
             let mut row = Vec::new();
             let pruned = tuple::decode_into(&bytes, mask, &mut row);
             assert_eq!(pruned.is_err(), full.is_err(), "mutation {i}: {bytes:?}");
         }
+        // A corrupt count or length must fail where the bytes run out, not
+        // after looping or allocating in proportion to it.
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "mutation {i} took {:?}",
+            started.elapsed()
+        );
         if full.is_err() {
             failed += 1;
         } else {

@@ -9,6 +9,7 @@
 
 use std::fs;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 use mqpi_obs::Obs;
 use mqpi_wal::{Wal, WalKnobs, WalRecord};
@@ -108,6 +109,11 @@ fn frame_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
     out
 }
 
+/// Wall-time budget for one mutant (open, verify, reopen): a corrupt
+/// length must end the scan where the bytes run out, not after looping or
+/// allocating in proportion to the number it claims.
+const CASE_BUDGET: Duration = Duration::from_secs(2);
+
 #[test]
 fn corrupt_segment_corpus_never_panics_and_never_invents_records() {
     let (name, bytes, records) = pristine();
@@ -168,6 +174,7 @@ fn corrupt_segment_corpus_never_panics_and_never_invents_records() {
 
         let dir = tmpdir(&format!("case-{case}"));
         fs::write(dir.join(&name), &m).unwrap();
+        let started = Instant::now();
         match Wal::open(&dir, knobs, Obs::disabled()) {
             Err(_) => rejected += 1,
             Ok((wal, rec)) => {
@@ -204,6 +211,11 @@ fn corrupt_segment_corpus_never_panics_and_never_invents_records() {
                 assert_eq!(rec2.records.len(), n, "case {case}: reopen must agree");
             }
         }
+        assert!(
+            started.elapsed() < CASE_BUDGET,
+            "case {case} took {:?}",
+            started.elapsed()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
