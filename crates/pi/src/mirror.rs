@@ -28,7 +28,9 @@
 //! * `Departed` — removes the query from whichever structure holds it.
 //!   The fluid model may already have retired it at a predicted-completion
 //!   boundary; the event is then a no-op, and the simulator stays the
-//!   source of truth for *when* queries actually left.
+//!   source of truth for *when* queries actually left. `Blocked`,
+//!   `Resumed` and `CostRefined` for such a query are no-ops too: the
+//!   scheduler still runs its last sub-unit of credit, so they are honest.
 //!
 //! # Hostile-event hardening
 //!
@@ -336,7 +338,7 @@ impl SystemMirror {
                     self.blocked.insert(id, (cost, w));
                 } else if self.blocked.contains_key(&id) {
                     self.quarantine("duplicate", id, at);
-                } else {
+                } else if !self.retired.contains(&id) {
                     self.quarantine("unknown_id", id, at);
                 }
             }
@@ -349,7 +351,7 @@ impl SystemMirror {
                     }
                 } else if self.fluid.contains(id) {
                     self.quarantine("duplicate", id, at);
-                } else {
+                } else if !self.retired.contains(&id) {
                     self.quarantine("unknown_id", id, at);
                 }
             }
@@ -757,6 +759,51 @@ mod tests {
             "estimate stayed in a sane range"
         );
         assert_eq!(m.quarantine_stats().total(), 13);
+    }
+
+    /// The model retires a query at its predicted finish while the
+    /// scheduler still owes it its last sub-unit of credit (quantum steps
+    /// grant a tenth of a unit each). Blocking and resuming it in that
+    /// window are honest events: nothing is quarantined.
+    #[test]
+    fn block_during_last_sub_unit_is_not_quarantined() {
+        let mut sys = System::new(SystemConfig {
+            rate: 10.0,
+            quantum_units: 0.2,
+            ..SystemConfig::default()
+        });
+        sys.enable_event_feed();
+        let a = sys.submit("a", Box::new(SyntheticJob::new(3)), 1.0);
+        sys.submit("b", Box::new(SyntheticJob::new(40)), 1.0);
+        let mut m = SystemMirror::for_system(&sys);
+        let (mut evs, mut retired) = (Vec::new(), Vec::new());
+        let mut sync = |sys: &mut System, m: &mut SystemMirror, retired: &mut Vec<u64>| {
+            evs.clear();
+            sys.drain_events(&mut evs);
+            m.apply_all(&evs);
+            m.advance_to(sys.now());
+            m.drain_predicted_done(retired);
+        };
+        let mut lagged = false;
+        while sys.has_work() {
+            sync(&mut sys, &mut m, &mut retired);
+            if !lagged && retired.contains(&a) && sys.running_ids().contains(&a) {
+                lagged = true;
+                sys.block(a).expect("block");
+                for _ in 0..3 {
+                    sys.step().expect("step");
+                    sync(&mut sys, &mut m, &mut retired);
+                }
+                sys.resume(a).expect("resume");
+                sync(&mut sys, &mut m, &mut retired);
+                assert!(sys.running_ids().contains(&a), "still owed a sub-unit");
+            }
+            sys.step().expect("step");
+        }
+        sync(&mut sys, &mut m, &mut retired);
+        assert!(lagged, "the scheduler never lagged the model");
+        assert_eq!(m.quarantine_stats(), QuarantineStats::default());
+        assert_eq!((m.live(), m.blocked_count()), (0, 0));
     }
 
     #[test]

@@ -78,24 +78,18 @@ pub trait Job: Send {
     }
 }
 
-/// How the scheduler actually holds a job: common job kinds run through a
-/// monomorphic enum arm (inline state, static dispatch, no pointer chase),
-/// and the [`Job`] trait is reduced to the cold-path escape hatch for
-/// engine cursors and custom jobs.
+/// A whole job as the scheduler takes one in (submission, retry, restore):
+/// common job kinds run through a monomorphic enum arm (inline state,
+/// static dispatch, no pointer chase), and the [`Job`] trait is reduced to
+/// the cold-path escape hatch for engine cursors and custom jobs. The slab
+/// stores it [`JobState::split`]: a synthetic job's `total`/`done` counters
+/// as plain columns, which the running set (`running::RunningSet`) copies
+/// into its own on admission, and a [`JobRest`] for everything else.
 pub(crate) enum JobState {
-    /// Fast path: the job state lives inline in the slab column.
+    /// Fast path: counters and fields inline, static dispatch.
     Synthetic(SyntheticJob),
     /// Cold path: anything else, behind the original trait object.
     Dyn(Box<dyn Job>),
-}
-
-impl std::fmt::Debug for JobState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JobState::Synthetic(j) => f.debug_tuple("Synthetic").field(j).finish(),
-            JobState::Dyn(_) => f.write_str("Dyn(..)"),
-        }
-    }
 }
 
 impl JobState {
@@ -108,65 +102,97 @@ impl JobState {
         }
     }
 
-    /// Placeholder stored in freed slab rows (drops any boxed job now).
-    pub(crate) fn vacant() -> Self {
-        JobState::Synthetic(SyntheticJob::new(0))
-    }
-
-    #[inline]
-    pub(crate) fn run(&mut self, budget: u64) -> Result<u64> {
-        match self {
-            JobState::Synthetic(j) => j.run(budget),
-            JobState::Dyn(j) => j.run(budget),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn finished(&self) -> bool {
-        match self {
-            JobState::Synthetic(j) => Job::finished(j),
-            JobState::Dyn(j) => j.finished(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn progress(&self) -> JobProgress {
-        match self {
-            JobState::Synthetic(j) => Job::progress(j),
-            JobState::Dyn(j) => j.progress(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn exact_remaining(&self) -> Option<f64> {
-        match self {
-            JobState::Synthetic(j) => Job::exact_remaining(j),
-            JobState::Dyn(j) => j.exact_remaining(),
-        }
-    }
-
-    pub(crate) fn inject_failure(&mut self) -> bool {
-        match self {
-            JobState::Synthetic(j) => Job::inject_failure(j),
-            JobState::Dyn(j) => j.inject_failure(),
-        }
-    }
-
-    /// Pristine restart copy, staying on the fast path when possible.
-    pub(crate) fn restart(&self) -> Option<JobState> {
+    /// Split into the `(total, done)` counters a step reads and the rest.
+    /// An opaque job has no counters (`0, 0`); the step never reads them.
+    pub(crate) fn split(self) -> (u64, u64, JobRest) {
         match self {
             JobState::Synthetic(j) => {
-                let boxed = Job::restart(j)?;
-                Some(JobState::from_box(boxed))
+                let rest = SyntheticRest {
+                    claimed_estimate: j.claimed_estimate,
+                    report_scale: j.report_scale,
+                    fail_armed: j.fail_armed,
+                };
+                (j.total, j.done, JobRest::Synthetic(rest))
             }
-            JobState::Dyn(j) => j.restart().map(JobState::from_box),
+            JobState::Dyn(j) => (0, 0, JobRest::Dyn(j)),
+        }
+    }
+}
+
+/// A [`SyntheticJob`]'s fields other than its `total`/`done` counters.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SyntheticRest {
+    claimed_estimate: f64,
+    report_scale: f64,
+    fail_armed: bool,
+}
+
+impl SyntheticRest {
+    fn join(self, total: u64, done: u64) -> SyntheticJob {
+        SyntheticJob {
+            total,
+            done,
+            claimed_estimate: self.claimed_estimate,
+            report_scale: self.report_scale,
+            fail_armed: self.fail_armed,
+        }
+    }
+}
+
+/// A job minus its `(total, done)` counters, which live in plain columns
+/// beside it: every cold operation reassembles the whole job around them,
+/// so [`SyntheticJob`]'s arithmetic stays in one place.
+pub(crate) enum JobRest {
+    Synthetic(SyntheticRest),
+    Dyn(Box<dyn Job>),
+}
+
+impl std::fmt::Debug for JobRest {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobRest::Synthetic(r) => f.debug_tuple("Synthetic").field(r).finish(),
+            JobRest::Dyn(_) => f.write_str("Dyn(..)"),
+        }
+    }
+}
+
+impl JobRest {
+    /// Placeholder stored in freed slab rows (drops any boxed job now).
+    pub(crate) fn vacant() -> Self {
+        JobState::Synthetic(SyntheticJob::new(0)).split().2
+    }
+
+    /// A synthetic job with no armed failure: its step is `total`/`done`
+    /// arithmetic alone.
+    pub(crate) fn plain(&self) -> bool {
+        matches!(self, JobRest::Synthetic(r) if !r.fail_armed)
+    }
+
+    /// Call `f` on the whole job.
+    #[inline]
+    pub(crate) fn with<R>(&self, total: u64, done: u64, f: impl FnOnce(&dyn Job) -> R) -> R {
+        match self {
+            JobRest::Synthetic(r) => f(&r.join(total, done)),
+            JobRest::Dyn(j) => f(j.as_ref()),
         }
     }
 
-    pub(crate) fn snapshot_state(&self) -> Option<JobSnapshot> {
+    /// Call `f` on the whole job and write back what it changed.
+    pub(crate) fn with_mut<R>(
+        &mut self,
+        total: u64,
+        done: &mut u64,
+        f: impl FnOnce(&mut dyn Job) -> R,
+    ) -> R {
         match self {
-            JobState::Synthetic(j) => Job::snapshot_state(j),
-            JobState::Dyn(j) => j.snapshot_state(),
+            JobRest::Synthetic(r) => {
+                let mut j = r.join(total, *done);
+                let out = f(&mut j);
+                *done = j.done;
+                r.fail_armed = j.fail_armed;
+                out
+            }
+            JobRest::Dyn(j) => f(j.as_mut()),
         }
     }
 }

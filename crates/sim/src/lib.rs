@@ -29,6 +29,7 @@ pub mod faults;
 mod intern;
 pub mod job;
 pub mod rng;
+mod running;
 mod slab;
 pub mod speed;
 pub mod system;

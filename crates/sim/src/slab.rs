@@ -4,18 +4,24 @@
 //! boxed job, monitor, bookkeeping) in a `Vec<Session>`, so every scheduler
 //! pass strode over cold fields and chased a `Box<dyn Job>` pointer per
 //! session. The slab stores each field as its own column indexed by a slot,
-//! so the per-step passes (weight sum, event horizon, grant, speed
-//! monitors) each stream over exactly the columns they read.
+//! so each pass reads only the columns it needs.
 //!
 //! Slots are handed out as [`JobSlot`] — a `u32` index plus a generation
 //! stamp bumped on every free, so a stale handle trips a `debug_assert`
-//! instead of silently reading a recycled query's state. The runnable and
-//! admission-queue collections store bare slots; the retry-`attempt` count
-//! and finished-index live here as columns, replacing the two per-id
+//! instead of silently reading a recycled query's state. The admission
+//! queue and the calendar store bare slots; the retry-`attempt` count and
+//! finished-index live here as columns, replacing the two per-id
 //! `HashMap`s the hot path used to hit.
+//!
+//! A running session keeps its row for the cold columns, but what a step
+//! reads — weight, blocked, credit, `units_done`, monitor and the job's
+//! `total`/`done` — moves on admission into the running set's own columns
+//! (`crate::running::RunningSet`), in running order. Those slab columns
+//! then hold the values as of admission and are read only while a session
+//! waits (queued or scheduled).
 
 use crate::intern::Sym;
-use crate::job::JobState;
+use crate::job::{JobProgress, JobRest, JobSnapshot, JobState};
 use crate::speed::SpeedMonitor;
 use crate::system::QueryId;
 
@@ -36,7 +42,10 @@ pub(crate) struct SessionSlab {
     live: usize,
     pub(crate) id: Vec<QueryId>,
     pub(crate) name: Vec<Sym>,
-    pub(crate) job: Vec<JobState>,
+    /// The job beside its counters (a running job's too: cold paths read it).
+    pub(crate) job: Vec<JobRest>,
+    pub(crate) total: Vec<u64>,
+    pub(crate) done: Vec<u64>,
     pub(crate) weight: Vec<f64>,
     pub(crate) arrived: Vec<f64>,
     pub(crate) started: Vec<Option<f64>>,
@@ -86,11 +95,14 @@ impl SessionSlab {
         monitor: SpeedMonitor,
         attempt: u32,
     ) -> JobSlot {
+        let (total, done, job) = job.split();
         if let Some(idx) = self.free.pop() {
             let i = idx as usize;
             self.id[i] = id;
             self.name[i] = name;
             self.job[i] = job;
+            self.total[i] = total;
+            self.done[i] = done;
             self.weight[i] = weight;
             self.arrived[i] = arrived;
             self.started[i] = None;
@@ -113,6 +125,8 @@ impl SessionSlab {
             self.id.push(id);
             self.name.push(name);
             self.job.push(job);
+            self.total.push(total);
+            self.done.push(done);
             self.weight.push(weight);
             self.arrived.push(arrived);
             self.started.push(None);
@@ -133,9 +147,19 @@ impl SessionSlab {
     pub(crate) fn free(&mut self, h: JobSlot) {
         let i = self.at(h);
         self.gen[i] = self.gen[i].wrapping_add(1);
-        self.job[i] = JobState::vacant();
+        self.job[i] = JobRest::vacant();
         self.free.push(h.idx);
         self.live -= 1;
+    }
+
+    /// Progress of waiting row `i`'s job.
+    pub(crate) fn progress(&self, i: usize) -> JobProgress {
+        self.job[i].with(self.total[i], self.done[i], |j| j.progress())
+    }
+
+    /// Checkpoint state of waiting row `i`'s job.
+    pub(crate) fn snapshot_state(&self, i: usize) -> Option<JobSnapshot> {
+        self.job[i].with(self.total[i], self.done[i], |j| j.snapshot_state())
     }
 }
 

@@ -11,7 +11,7 @@ use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_engine::error::{EngineError, Result};
 
 /// Exponentially-smoothed speed estimate over virtual time.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SpeedMonitor {
     tau: f64,
     last_t: f64,
@@ -78,7 +78,7 @@ impl SpeedMonitor {
     #[inline]
     pub(crate) fn update_with_alpha(&mut self, t: f64, units: f64, dt: f64, tau: f64, alpha: f64) {
         if t - self.last_t != dt || self.tau != tau {
-            self.update(t, units);
+            self.update_out_of_step(t, units);
             return;
         }
         // dt > 0 here: the caller skips the monitor pass entirely when the
@@ -90,6 +90,16 @@ impl SpeedMonitor {
         });
         self.last_t = t;
         self.last_units = units;
+    }
+
+    /// The full update with its own `exp()`, kept out of the scheduler's
+    /// fused pass: a monitor is out of lockstep only when it missed an
+    /// update the others got or carries another `tau` (a hand-made
+    /// checkpoint), which stepping alone never produces.
+    #[cold]
+    #[inline(never)]
+    fn update_out_of_step(&mut self, t: f64, units: f64) {
+        self.update(t, units);
     }
 }
 

@@ -20,9 +20,16 @@
 //! # Data-oriented core
 //!
 //! Session state lives in a struct-of-arrays slab
-//! (`crate::slab::SessionSlab`): the running set, admission queue, and
-//! scheduled-arrival timeline store 8-byte [`JobSlot`] handles, and each
-//! per-step pass streams over exactly the columns it reads. Names are
+//! (`crate::slab::SessionSlab`); the admission queue and the
+//! scheduled-arrival timeline store 8-byte [`JobSlot`] handles into it.
+//! The running set (`crate::running::RunningSet`) owns, in running order,
+//! the columns a step reads — weight, blocked, credit, units done, monitor,
+//! and a synthetic job's counters — so the step streams over contiguous
+//! columns however the slab's rows were recycled; rows move in on
+//! admission, and every removal keeps the order. In event mode the step's
+//! one common-case walk is the fused grant/monitor/finish pass, which also
+//! summarises the next step's weight pass; admissions fold into that
+//! summary and every other change to the running set drops it. Names are
 //! interned to `u32` symbols and resolved only at trace/report boundaries;
 //! the arrival timeline is a bucketed [`CalendarQueue`] with O(1) amortized
 //! push/pop instead of a binary heap of fat entries. The steady-state step
@@ -43,6 +50,7 @@ use crate::faults::{FaultKind, FaultPlan};
 use crate::intern::{Interner, Sym};
 use crate::job::{Job, JobSnapshot, JobState};
 use crate::rng::Rng;
+use crate::running::{Carry, Grant, RunningSet, Weights};
 use crate::slab::{JobSlot, SessionSlab};
 use crate::speed::SpeedMonitor;
 
@@ -446,7 +454,12 @@ pub struct System {
     slab: SessionSlab,
     /// Name symbols for the slab's `name` column.
     names: Interner,
-    running: Vec<JobSlot>,
+    /// Running sessions with the columns a step reads, in running order.
+    running: RunningSet,
+    /// The next step's weight pass, summarised by the last fused pass and
+    /// kept up by admissions; `None` whenever anything else changed the
+    /// running set (see [`System::step_bounded`]).
+    carry: Option<Carry>,
     queue: VecDeque<JobSlot>,
     /// Future arrivals, earliest first (keyed by `(at, id)`).
     scheduled: CalendarQueue<JobSlot>,
@@ -475,8 +488,9 @@ pub struct System {
     /// Scratch: completions collected during the current step. Owned by
     /// the system so the steady-state step path never allocates.
     scratch_done: Vec<QueryId>,
-    /// Scratch: ids whose jobs errored during the current step.
-    scratch_failed: Vec<QueryId>,
+    /// Scratch: positions (into `running`) of sessions whose jobs errored
+    /// during the current step, ascending.
+    scratch_failed: Vec<u32>,
     /// Scratch: positions (into `running`) of sessions that finished during
     /// the current step, recorded in ascending order by the fused pass.
     scratch_finish: Vec<u32>,
@@ -510,7 +524,8 @@ impl System {
             clock: 0.0,
             slab: SessionSlab::new(),
             names: Interner::new(),
-            running: Vec::new(),
+            running: RunningSet::default(),
+            carry: None,
             queue: VecDeque::new(),
             scheduled: CalendarQueue::new(),
             finished: Vec::new(),
@@ -671,34 +686,13 @@ impl System {
                 TraceKind::Arrival {
                     id: self.slab.id[i],
                     name: Arc::clone(self.names.resolve(self.slab.name[i])),
-                    cost: self.slab.job[i].progress().remaining,
+                    cost: self.slab.progress(i).remaining,
                 },
             );
             self.obs.counter_add("sim.arrivals", 1);
         }
         if self.cfg.admission.admits(self.occupied_slots()) {
-            self.slab.started[i] = Some(self.clock);
-            self.slab.monitor[i] = self.new_monitor();
-            if self.obs.is_enabled() {
-                self.obs.emit(
-                    self.clock,
-                    TraceKind::Admit {
-                        id: self.slab.id[i],
-                        waited: 0.0,
-                    },
-                );
-                self.obs.counter_add("sim.admitted", 1);
-            }
-            self.running.push(h);
-            if self.event_feed.is_some() {
-                let cost = self.slab.job[i].progress().remaining * self.slab.report_scale[i];
-                self.emit_event(SimEvent::Admitted {
-                    at: self.clock,
-                    id: self.slab.id[i],
-                    cost,
-                    weight: self.slab.weight[i],
-                });
-            }
+            self.start(h, 0.0);
         } else if self.cfg.admission.queue_accepts(self.queue.len()) {
             if self.obs.is_enabled() {
                 self.obs.emit(
@@ -712,7 +706,7 @@ impl System {
             }
             self.queue.push_back(h);
             if self.event_feed.is_some() {
-                let cost = self.slab.job[i].progress().remaining * self.slab.report_scale[i];
+                let cost = self.slab.progress(i).remaining * self.slab.report_scale[i];
                 self.emit_event(SimEvent::Enqueued {
                     at: self.clock,
                     id: self.slab.id[i],
@@ -734,7 +728,7 @@ impl System {
                 );
                 self.obs.counter_add("sim.rejected", 1);
             }
-            let est = self.slab.job[i].progress().remaining;
+            let est = self.slab.progress(i).remaining;
             let rec = FinishedQuery {
                 id: self.slab.id[i],
                 name: Arc::clone(self.names.resolve(self.slab.name[i])),
@@ -774,29 +768,38 @@ impl System {
             let Some(h) = self.queue.pop_front() else {
                 break;
             };
-            let i = self.slab.at(h);
-            self.slab.started[i] = Some(self.clock);
-            self.slab.monitor[i] = self.new_monitor();
-            if self.obs.is_enabled() {
-                self.obs.emit(
-                    self.clock,
-                    TraceKind::Admit {
-                        id: self.slab.id[i],
-                        waited: self.clock - self.slab.arrived[i],
-                    },
-                );
-                self.obs.counter_add("sim.admitted", 1);
-            }
-            self.running.push(h);
-            if self.event_feed.is_some() {
-                let cost = self.slab.job[i].progress().remaining * self.slab.report_scale[i];
-                self.emit_event(SimEvent::Admitted {
-                    at: self.clock,
+            let waited = self.clock - self.slab.arrived[self.slab.at(h)];
+            self.start(h, waited);
+        }
+    }
+
+    /// Start session `h` now, `waited` seconds after it arrived: a fresh
+    /// monitor, the end of the running order (folded into the carried
+    /// weight pass), an `Admit` trace and an `Admitted` event.
+    fn start(&mut self, h: JobSlot, waited: f64) {
+        let i = self.slab.at(h);
+        self.slab.started[i] = Some(self.clock);
+        self.slab.monitor[i] = self.new_monitor();
+        if self.obs.is_enabled() {
+            self.obs.emit(
+                self.clock,
+                TraceKind::Admit {
                     id: self.slab.id[i],
-                    cost,
-                    weight: self.slab.weight[i],
-                });
-            }
+                    waited,
+                },
+            );
+            self.obs.counter_add("sim.admitted", 1);
+        }
+        let k = self.running.admit(&self.slab, h);
+        self.running.fold(k, &mut self.carry);
+        if self.event_feed.is_some() {
+            let cost = self.running.progress(&self.slab, k).remaining * self.slab.report_scale[i];
+            self.emit_event(SimEvent::Admitted {
+                at: self.clock,
+                id: self.slab.id[i],
+                cost,
+                weight: self.running.weight[k],
+            });
         }
     }
 
@@ -816,40 +819,40 @@ impl System {
         self.scheduled.next_at()
     }
 
-    /// Remove `running[pos]`, record its terminal [`FinishedQuery`]
-    /// (completed, or aborted when the rollback job just drained), and
-    /// queue its id in `scratch_done`.
-    fn finish_at(&mut self, pos: usize) {
-        let h = self.running.remove(pos);
-        let si = h.idx as usize;
-        self.scratch_done.push(self.slab.id[si]);
-        // A rollback completion reports the *query's* progress at abort
-        // time, not the rollback job's counters; the rollback work itself
-        // is attributed to `rollback_units`.
-        let (kind, units_done, remaining_at_end, rollback_units) = match self.slab.rolling_back[si]
-        {
-            Some((done, remaining)) => (
-                FinishKind::Aborted,
-                done,
-                remaining,
-                self.slab.units_done[si] - done,
-            ),
-            None => (FinishKind::Completed, self.slab.units_done[si], 0.0, 0.0),
-        };
-        let rec = FinishedQuery {
-            id: self.slab.id[si],
-            name: Arc::clone(self.names.resolve(self.slab.name[si])),
-            weight: self.slab.weight[si],
-            arrived: self.slab.arrived[si],
-            started: self.slab.started[si],
+    /// The [`FinishedQuery`] of running session `k` leaving now because it
+    /// completed (`cause` `Completed`), was aborted or failed. A session
+    /// rolling back reports the *query's* progress at abort time, not the
+    /// rollback job's counters, and leaves as aborted; the rollback work is
+    /// attributed to `rollback_units`, so no work goes missing.
+    fn record_of(&self, k: usize, cause: FinishKind) -> FinishedQuery {
+        let i = self.running.slot[k].idx as usize;
+        let units = self.running.units_done[k];
+        let (kind, units_done, remaining_at_end, rollback_units) =
+            match (self.slab.rolling_back[i], cause) {
+                (Some((done, rem)), FinishKind::Completed) => {
+                    (FinishKind::Aborted, done, rem, units - done)
+                }
+                (Some((done, rem)), kind) => (kind, done, rem, units - done),
+                (None, FinishKind::Completed) => (FinishKind::Completed, units, 0.0, 0.0),
+                (None, kind) => (
+                    kind,
+                    units,
+                    self.running.progress(&self.slab, k).remaining,
+                    0.0,
+                ),
+            };
+        FinishedQuery {
+            id: self.slab.id[i],
+            name: Arc::clone(self.names.resolve(self.slab.name[i])),
+            weight: self.running.weight[k],
+            arrived: self.slab.arrived[i],
+            started: self.slab.started[i],
             finished: self.clock,
             kind,
             units_done,
             remaining_at_end,
             rollback_units,
-        };
-        self.slab.free(h);
-        self.record_finished(rec);
+        }
     }
 
     fn record_finished(&mut self, rec: FinishedQuery) {
@@ -935,11 +938,11 @@ impl System {
 
     /// `Σ units_done` over live (running and queued) sessions.
     pub fn live_units_done(&self) -> f64 {
-        self.running
+        let queued = self
+            .queue
             .iter()
-            .chain(self.queue.iter())
-            .map(|&h| self.slab.units_done[h.idx as usize])
-            .sum()
+            .map(|&h| self.slab.units_done[h.idx as usize]);
+        self.running.units_done.iter().copied().chain(queued).sum()
     }
 
     /// Queries shed by a bounded admission queue so far.
@@ -965,20 +968,22 @@ impl System {
         at.is_finite().then_some(at)
     }
 
-    /// Pick a running, not-rolling-back victim deterministically.
+    /// Pick a running, not-rolling-back victim deterministically: one
+    /// uniform draw over the eligible sessions' count, then a walk to it.
     fn pick_victim(&self, rng: &mut Rng) -> Option<usize> {
-        let eligible: Vec<usize> = self
+        let eligible = |h: &&JobSlot| self.slab.rolling_back[h.idx as usize].is_none();
+        let n = self.running.slot.iter().filter(eligible).count();
+        if n == 0 {
+            return None;
+        }
+        let nth = rng.below(n as u64) as usize;
+        let mut at = self
             .running
+            .slot
             .iter()
             .enumerate()
-            .filter(|(_, h)| self.slab.rolling_back[h.idx as usize].is_none())
-            .map(|(i, _)| i)
-            .collect();
-        if eligible.is_empty() {
-            None
-        } else {
-            Some(eligible[rng.below(eligible.len() as u64) as usize])
-        }
+            .filter(|(_, h)| eligible(h));
+        at.nth(nth).map(|(k, _)| k)
     }
 
     /// Resubmit a fresh copy of an aborted/failed query through the
@@ -1056,6 +1061,7 @@ impl System {
     }
 
     fn apply_fault(&mut self, fs: &mut FaultState, kind: FaultKind) {
+        self.carry = None;
         let mut log_victim = None;
         match kind {
             FaultKind::CostNoise { factor } => {
@@ -1063,13 +1069,13 @@ impl System {
                     fs.stats.skipped += 1;
                     return;
                 };
-                let si = self.running[i].idx as usize;
+                let si = self.running.slot[i].idx as usize;
                 self.slab.report_scale[si] *= factor;
                 log_victim = Some(self.slab.id[si]);
                 fs.stats.cost_noise += 1;
                 if self.event_feed.is_some() {
                     let remaining =
-                        self.slab.job[si].progress().remaining * self.slab.report_scale[si];
+                        self.running.progress(&self.slab, i).remaining * self.slab.report_scale[si];
                     self.emit_event(SimEvent::CostRefined {
                         at: self.clock,
                         id: self.slab.id[si],
@@ -1091,13 +1097,13 @@ impl System {
                     fs.stats.skipped += 1;
                     return;
                 };
-                let si = self.running[i].idx as usize;
-                let (id, weight) = (self.slab.id[si], self.slab.weight[si]);
+                let si = self.running.slot[i].idx as usize;
+                let (id, weight) = (self.slab.id[si], self.running.weight[i]);
                 let name = Arc::clone(self.names.resolve(self.slab.name[si]));
                 let prior_attempt = self.slab.attempt[si];
                 // Capture the restart copy before the abort replaces the
                 // victim's job with a rollback job.
-                let fresh = self.slab.job[si].restart();
+                let fresh = self.running.restart(&self.slab, i);
                 // invariant: the victim index came from `running` just above.
                 if self.abort_with_overhead(id, overhead).is_err() {
                     fs.stats.skipped += 1;
@@ -1119,12 +1125,11 @@ impl System {
                     fs.stats.skipped += 1;
                     return;
                 };
-                let si = self.running[i].idx as usize;
-                if !self.slab.job[si].inject_failure() {
+                if !self.running.inject_failure(&mut self.slab, i) {
                     fs.stats.skipped += 1;
                     return;
                 }
-                log_victim = Some(self.slab.id[si]);
+                log_victim = Some(self.slab.id[self.running.slot[i].idx as usize]);
                 fs.stats.page_faults += 1;
             }
         }
@@ -1144,29 +1149,6 @@ impl System {
             kind,
             victim: log_victim,
         });
-    }
-
-    /// Time until the next completion event, valid when every unblocked
-    /// running job reports [`Job::exact_remaining`]; `None` falls the step
-    /// back to the quantum path.
-    fn event_jump(&self, effective: f64, total_weight: f64) -> Option<f64> {
-        let mut dt = f64::INFINITY;
-        for &h in &self.running {
-            let i = h.idx as usize;
-            if self.slab.blocked[i] {
-                continue;
-            }
-            let remaining = self.slab.job[i].exact_remaining()?;
-            let need = (remaining - self.slab.credit[i]).max(0.0);
-            let speed = effective * self.slab.weight[i] / total_weight;
-            dt = dt.min(need / speed);
-        }
-        if !dt.is_finite() {
-            return None;
-        }
-        // Nudge past the exact completion instant so the integer floor of
-        // the finisher's credit still covers its last unit of work.
-        Some(dt * (1.0 + 1e-9) + 1e-12)
     }
 
     /// Advance one step (a quantum, or an event jump in
@@ -1205,9 +1187,9 @@ impl System {
     }
 
     /// One scheduler step. Steady state (work granted, nobody finishes,
-    /// no obs) touches only slab columns and the scratch buffers — no heap
-    /// allocation; `crates/sim/tests/alloc_free.rs` pins that down with a
-    /// counting allocator.
+    /// no obs) touches only running-set columns and the scratch buffers —
+    /// no heap allocation; `crates/sim/tests/alloc_free.rs` pins that down
+    /// with a counting allocator.
     fn step_bounded(&mut self, limit: f64) -> Result<()> {
         self.scratch_done.clear();
         self.scratch_failed.clear();
@@ -1255,34 +1237,35 @@ impl System {
         // the EMA smoothing factor is computed once (see
         // `SpeedMonitor::update_with_alpha`).
         let t_prev = self.clock;
-        // One pass over the weight/blocked columns; the f64 sum accumulates
-        // in running order. `unit_w` tracks whether every unblocked weight
-        // is exactly 1.0, which unlocks the shared-divisor shortcuts below
-        // (bit-identical; see the fused loop). In event mode the same pass
-        // carries the unit-weight jump's `min` of `remaining − credit` while
-        // `unit_w` holds and every job so far knows its remaining work
-        // (`exact`; a `None` cancels the jump, as in `event_jump`).
+        // The weight pass (`RunningSet::weigh`): active count, `Σw` in
+        // running order, whether every unblocked weight is exactly 1.0
+        // (`unit_w`, which unlocks the shared-divisor shortcuts below), and
+        // in event mode the unit-weight jump's `min` of `remaining − credit`.
+        // When the last step left a summary of it (`carry`: its fused pass
+        // saw only unit-weight plain jobs, and since then only admissions,
+        // each folded in, have touched the running set), that summary *is*
+        // this pass and the walk is skipped; debug builds walk anyway and
+        // compare every bit.
         let event_mode = self.cfg.step_mode == StepMode::EventDriven;
-        let mut active = 0usize;
-        let mut total_weight = 0.0f64;
-        let mut unit_w = true;
-        let mut exact = event_mode;
-        let mut need_min = f64::INFINITY;
-        for &h in &self.running {
-            let i = h.idx as usize;
-            if !self.slab.blocked[i] {
-                active += 1;
-                let w = self.slab.weight[i];
-                unit_w &= w == 1.0;
-                total_weight += w;
-                if exact && unit_w {
-                    match self.slab.job[i].exact_remaining() {
-                        Some(r) => need_min = need_min.min((r - self.slab.credit[i]).max(0.0)),
-                        None => exact = false,
-                    }
-                }
+        let weights = match self.carry.take() {
+            Some(carry) => {
+                let carried = Weights::carried(carry);
+                debug_assert_eq!(
+                    carried.bits(),
+                    self.running.weigh(&self.slab, event_mode).bits(),
+                    "the carried weight pass went stale"
+                );
+                carried
             }
-        }
+            None => self.running.weigh(&self.slab, event_mode),
+        };
+        let Weights {
+            active,
+            total_weight,
+            unit_w,
+            exact,
+            need_min,
+        } = weights;
         let effective = self
             .cfg
             .rate_model
@@ -1290,13 +1273,13 @@ impl System {
 
         let mut dt = self.cfg.quantum_units / self.cfg.rate;
         if event_mode && total_weight > 0.0 {
-            // Unit weights: the pre-pass `min` and one division stand in for
-            // `event_jump`'s second walk.
+            // Unit weights: the weight pass's `min` and one division stand
+            // in for `event_jump`'s second walk.
             let jump = if unit_w {
                 let dt = need_min / (effective / total_weight);
                 (exact && dt.is_finite()).then_some(dt * (1.0 + 1e-9) + 1e-12)
             } else {
-                self.event_jump(effective, total_weight)
+                self.running.event_jump(&self.slab, effective, total_weight)
             };
             if let Some(jump) = jump {
                 dt = jump;
@@ -1346,8 +1329,8 @@ impl System {
         } else {
             0.0
         };
-        let do_grant = total_weight > 0.0;
-        let grant = effective * dt;
+        let on = total_weight > 0.0;
+        let work = effective * dt;
         // Why the shortcuts of this step change no bit. With every weight
         // bit-equal to 1.0, `x * w / total_weight` is `x / total_weight` for
         // every session (multiplying by 1.0 is exact): the grant's division
@@ -1358,118 +1341,79 @@ impl System {
         // baseline x86-64): `floor(c) >= 1.0 ⇔ c >= 1.0`, and for `c >= 1`
         // the truncating, saturating cast gives `floor(c) as u64 == c as
         // u64` (infinity included; NaN fails either comparison).
-        let grant_each = if do_grant && unit_w {
-            grant / total_weight
-        } else {
-            0.0
+        let grant = Grant {
+            on,
+            unit_w,
+            each: if on && unit_w {
+                work / total_weight
+            } else {
+                0.0
+            },
+            work,
+            total_weight,
+            t_new,
+            mdt,
+            tau,
+            alpha,
+            summarise: event_mode && unit_w && exact,
+            isolate: self.error_policy == ErrorPolicy::Isolate,
         };
-        for k in 0..self.running.len() {
-            let i = self.running[k].idx as usize;
-            if do_grant && !self.slab.blocked[i] {
-                self.slab.credit[i] += if unit_w {
-                    grant_each
-                } else {
-                    grant * self.slab.weight[i] / total_weight
-                };
-                let credit = self.slab.credit[i];
-                if credit >= 1.0 {
-                    match self.slab.job[i].run(credit as u64) {
-                        Ok(used) => {
-                            self.slab.credit[i] -= used as f64;
-                            self.slab.units_done[i] += used as f64;
-                            self.executed_units += used as f64;
-                        }
-                        Err(e) => match self.error_policy {
-                            ErrorPolicy::Propagate => return Err(e),
-                            ErrorPolicy::Isolate => self.scratch_failed.push(self.slab.id[i]),
-                        },
-                    }
-                }
-            }
-            if mdt > 0.0 {
-                let done = self.slab.units_done[i];
-                self.slab.monitor[i].update_with_alpha(t_new, done, mdt, tau, alpha);
-            }
-            if self.slab.job[i].finished() {
-                self.scratch_finish.push(k as u32);
-            }
-        }
+        self.carry = self.running.serve(
+            &grant,
+            &mut self.slab.job,
+            &mut self.scratch_finish,
+            &mut self.scratch_failed,
+            &mut self.executed_units,
+        )?;
         self.clock = t_new;
 
         // Remove sessions whose jobs errored (graceful isolation): they
         // leave as `Failed` with their progress preserved, and — when a
         // fault plan is installed — are resubmitted per the retry policy.
         let any_failed = !self.scratch_failed.is_empty();
+        if any_failed {
+            self.carry = None;
+        }
         for fi in 0..self.scratch_failed.len() {
-            let id = self.scratch_failed[fi];
-            let Some(pos) = self
-                .running
-                .iter()
-                .position(|&h| self.slab.id[h.idx as usize] == id)
-            else {
-                continue;
-            };
-            let h = self.running.remove(pos);
-            let i = self.slab.at(h);
-            let (units_done, remaining_at_end, rollback_units) = match self.slab.rolling_back[i] {
-                Some((done, rem)) => (done, rem, self.slab.units_done[i] - done),
-                None => (
-                    self.slab.units_done[i],
-                    self.slab.job[i].progress().remaining,
-                    0.0,
-                ),
-            };
-            let name = Arc::clone(self.names.resolve(self.slab.name[i]));
-            let weight = self.slab.weight[i];
+            // Ascending positions: each earlier removal shifts the rest
+            // left by one.
+            let k = self.scratch_failed[fi] as usize - fi;
+            let rec = self.record_of(k, FinishKind::Failed);
             let mut faults = self.faults.take();
             if let Some(fs) = &mut faults {
                 fs.stats.failures += 1;
-                let fresh = self.slab.job[i].restart();
-                let prior_attempt = self.slab.attempt[i];
-                self.schedule_retry(fs, id, prior_attempt, &name, weight, fresh);
+                let fresh = self.running.restart(&self.slab, k);
+                let prior_attempt = self.slab.attempt[self.running.slot[k].idx as usize];
+                self.schedule_retry(fs, rec.id, prior_attempt, &rec.name, rec.weight, fresh);
             }
             self.faults = faults;
-            self.scratch_done.push(id);
-            let rec = FinishedQuery {
-                id,
-                name,
-                weight,
-                arrived: self.slab.arrived[i],
-                started: self.slab.started[i],
-                finished: self.clock,
-                kind: FinishKind::Failed,
-                units_done,
-                remaining_at_end,
-                rollback_units,
-            };
+            self.scratch_done.push(rec.id);
+            let h = self.running.remove(k);
             self.slab.free(h);
             self.record_finished(rec);
         }
 
-        // Collect finishers. The fused pass recorded their positions in
-        // `scratch_finish` (ascending running order); if the failure path
-        // above removed sessions those positions are stale, so rescan —
-        // identical result, just slower on that rare path.
+        // Finishers, in running order. The fused pass recorded their
+        // positions (ascending); if the failure path above removed sessions
+        // those positions are stale, so rescan — identical result, just
+        // slower on that rare path.
         if any_failed {
             self.scratch_finish.clear();
-            let mut i = 0;
-            while i < self.running.len() {
-                let si = self.running[i].idx as usize;
-                if self.slab.job[si].finished() {
-                    self.finish_at(i);
-                } else {
-                    i += 1;
+            for k in 0..self.running.len() {
+                if self.running.finished(&self.slab, k) {
+                    self.scratch_finish.push(k as u32);
                 }
             }
-        } else {
-            for fi in 0..self.scratch_finish.len() {
-                // Positions were recorded ascending, so each earlier
-                // removal shifts the remaining ones left by exactly one.
-                let pos = self.scratch_finish[fi] as usize - fi;
-                self.finish_at(pos);
-            }
-            self.scratch_finish.clear();
         }
+        for fi in 0..self.scratch_finish.len() {
+            let k = self.scratch_finish[fi] as usize;
+            let rec = self.record_of(k, FinishKind::Completed);
+            self.scratch_done.push(rec.id);
+            self.slab.free(self.running.slot[k]);
+            self.record_finished(rec);
+        }
+        self.running.compact(&self.scratch_finish);
+        self.scratch_finish.clear();
         if !self.scratch_done.is_empty() || any_failed {
             self.admit_from_queue();
         }
@@ -1523,14 +1467,10 @@ impl System {
     /// Block a running query: it keeps its slot but receives no more work
     /// (the paper's single-/multiple-query speed-up victim action).
     pub fn block(&mut self, id: QueryId) -> Result<()> {
-        match self
-            .running
-            .iter()
-            .find(|&&h| self.slab.id[h.idx as usize] == id)
-        {
-            Some(&h) => {
-                let i = self.slab.at(h);
-                self.slab.blocked[i] = true;
+        self.carry = None;
+        match self.running.position(&self.slab, id) {
+            Some(k) => {
+                self.running.blocked[k] = true;
                 if self.obs.is_enabled() {
                     self.obs.emit(self.clock, TraceKind::Block { id });
                 }
@@ -1543,14 +1483,10 @@ impl System {
 
     /// Resume a blocked query.
     pub fn resume(&mut self, id: QueryId) -> Result<()> {
-        match self
-            .running
-            .iter()
-            .find(|&&h| self.slab.id[h.idx as usize] == id)
-        {
-            Some(&h) => {
-                let i = self.slab.at(h);
-                self.slab.blocked[i] = false;
+        self.carry = None;
+        match self.running.position(&self.slab, id) {
+            Some(k) => {
+                self.running.blocked[k] = false;
                 if self.obs.is_enabled() {
                     self.obs.emit(self.clock, TraceKind::Resume { id });
                 }
@@ -1563,41 +1499,17 @@ impl System {
 
     /// Abort a running or queued query.
     pub fn abort(&mut self, id: QueryId) -> Result<()> {
-        if let Some(pos) = self
-            .running
-            .iter()
-            .position(|&h| self.slab.id[h.idx as usize] == id)
-        {
-            let h = self.running.remove(pos);
-            let i = self.slab.at(h);
+        self.carry = None;
+        if let Some(k) = self.running.position(&self.slab, id) {
             if self.obs.is_enabled() {
                 self.obs
                     .emit(self.clock, TraceKind::Abort { id, overhead: 0 });
                 self.obs.counter_add("sim.aborts", 1);
             }
             // Aborting a session that is already rolling back keeps the
-            // original query's counters; the rollback work done so far is
-            // attributed to `rollback_units` so no work goes missing.
-            let (units_done, remaining_at_end, rollback_units) = match self.slab.rolling_back[i] {
-                Some((done, rem)) => (done, rem, self.slab.units_done[i] - done),
-                None => (
-                    self.slab.units_done[i],
-                    self.slab.job[i].progress().remaining,
-                    0.0,
-                ),
-            };
-            let rec = FinishedQuery {
-                id,
-                name: Arc::clone(self.names.resolve(self.slab.name[i])),
-                weight: self.slab.weight[i],
-                arrived: self.slab.arrived[i],
-                started: self.slab.started[i],
-                finished: self.clock,
-                kind: FinishKind::Aborted,
-                units_done,
-                remaining_at_end,
-                rollback_units,
-            };
+            // original query's counters (see `record_of`).
+            let rec = self.record_of(k, FinishKind::Aborted);
+            let h = self.running.remove(k);
             self.slab.free(h);
             self.record_finished(rec);
             self.admit_from_queue();
@@ -1623,7 +1535,7 @@ impl System {
                     .emit(self.clock, TraceKind::Abort { id, overhead: 0 });
                 self.obs.counter_add("sim.aborts", 1);
             }
-            let est = self.slab.job[i].progress().remaining;
+            let est = self.slab.progress(i).remaining;
             let rec = FinishedQuery {
                 id,
                 name: Arc::clone(self.names.resolve(self.slab.name[i])),
@@ -1653,22 +1565,21 @@ impl System {
         if overhead == 0 {
             return self.abort(id);
         }
-        if let Some(&h) = self
-            .running
-            .iter()
-            .find(|&&h| self.slab.id[h.idx as usize] == id)
-        {
-            let i = self.slab.at(h);
+        self.carry = None;
+        if let Some(k) = self.running.position(&self.slab, id) {
+            let i = self.running.slot[k].idx as usize;
             if self.slab.rolling_back[i].is_some() {
                 return Err(EngineError::exec(format!(
                     "query {id} is already rolling back"
                 )));
             }
-            let remaining = self.slab.job[i].progress().remaining;
-            self.slab.rolling_back[i] = Some((self.slab.units_done[i], remaining));
-            self.slab.job[i] = JobState::Synthetic(crate::job::SyntheticJob::new(overhead));
-            self.slab.blocked[i] = false;
-            self.slab.credit[i] = 0.0;
+            let remaining = self.running.progress(&self.slab, k).remaining;
+            self.slab.rolling_back[i] = Some((self.running.units_done[k], remaining));
+            let rollback = crate::job::SyntheticJob::new(overhead);
+            self.running
+                .replace_job(&mut self.slab, k, JobState::Synthetic(rollback));
+            self.running.blocked[k] = false;
+            self.running.credit[k] = 0.0;
             if self.obs.is_enabled() {
                 self.obs.emit(self.clock, TraceKind::Abort { id, overhead });
                 self.obs.counter_add("sim.aborts", 1);
@@ -1707,24 +1618,22 @@ impl System {
         SystemSnapshot {
             time: self.clock,
             rate: self.cfg.rate,
-            running: self
-                .running
-                .iter()
-                .map(|&h| {
-                    let i = h.idx as usize;
-                    let p = self.slab.job[i].progress();
+            running: (0..self.running.len())
+                .map(|k| {
+                    let i = self.running.slot[k].idx as usize;
+                    let p = self.running.progress(&self.slab, k);
                     QueryState {
                         id: self.slab.id[i],
                         name: Arc::clone(self.names.resolve(self.slab.name[i])),
-                        weight: self.slab.weight[i],
+                        weight: self.running.weight[k],
                         arrived: self.slab.arrived[i],
                         started: self.slab.started[i].unwrap_or(self.slab.arrived[i]),
                         done: p.done,
                         // Injected cost noise distorts only what PIs see.
                         remaining: p.remaining * self.slab.report_scale[i],
                         initial_estimate: p.initial_estimate,
-                        observed_speed: self.slab.monitor[i].speed(),
-                        blocked: self.slab.blocked[i],
+                        observed_speed: self.running.monitor[k].speed(),
+                        blocked: self.running.blocked[k],
                         rolling_back: self.slab.rolling_back[i].is_some(),
                     }
                 })
@@ -1739,7 +1648,7 @@ impl System {
                         name: Arc::clone(self.names.resolve(self.slab.name[i])),
                         weight: self.slab.weight[i],
                         arrived: self.slab.arrived[i],
-                        est_cost: self.slab.job[i].progress().remaining * self.slab.report_scale[i],
+                        est_cost: self.slab.progress(i).remaining * self.slab.report_scale[i],
                     }
                 })
                 .collect(),
@@ -1769,6 +1678,7 @@ impl System {
     /// Ids of currently running (including blocked) queries.
     pub fn running_ids(&self) -> Vec<QueryId> {
         self.running
+            .slot
             .iter()
             .map(|&h| self.slab.id[h.idx as usize])
             .collect()
@@ -1831,7 +1741,7 @@ impl System {
         // Name table: first-seen order over (running, queue, scheduled).
         let mut index_of: Vec<u32> = vec![u32::MAX; self.names.len()];
         let mut table: Vec<Sym> = Vec::new();
-        let live = self.running.iter().chain(self.queue.iter());
+        let live = self.running.slot.iter().chain(self.queue.iter());
         for h in live.chain(sched.iter().map(|entry| &entry.payload)) {
             let sym = self.slab.name[h.idx as usize];
             if index_of[sym as usize] == u32::MAX {
@@ -1843,19 +1753,37 @@ impl System {
         for &sym in &table {
             self.names.resolve(sym).enc(&mut e);
         }
-        e.put_usize(self.running.len());
-        for &h in &self.running {
-            self.enc_session(&mut e, h, &index_of)?;
+        let rs = &self.running;
+        e.put_usize(rs.len());
+        for k in 0..rs.len() {
+            let state = Sched {
+                job: rs.snapshot_state(&self.slab, k),
+                weight: rs.weight[k],
+                credit: rs.credit[k],
+                units_done: rs.units_done[k],
+                monitor: &rs.monitor[k],
+                blocked: rs.blocked[k],
+            };
+            self.enc_session(&mut e, rs.slot[k], &index_of, state)?;
         }
         e.put_usize(self.queue.len());
         for &h in &self.queue {
-            self.enc_session(&mut e, h, &index_of)?;
+            let i = h.idx as usize;
+            let state = Sched {
+                job: self.slab.snapshot_state(i),
+                weight: self.slab.weight[i],
+                credit: self.slab.credit[i],
+                units_done: self.slab.units_done[i],
+                monitor: &self.slab.monitor[i],
+                blocked: self.slab.blocked[i],
+            };
+            self.enc_session(&mut e, h, &index_of, state)?;
         }
         e.put_usize(sched.len());
         for entry in &sched {
             let i = entry.payload.idx as usize;
             (entry.at, entry.id, index_of[self.slab.name[i] as usize]).enc(&mut e);
-            Self::job_snapshot(&self.slab.job[i], self.slab.id[i])?.enc(&mut e);
+            Self::job_snapshot(self.slab.snapshot_state(i), self.slab.id[i])?.enc(&mut e);
             (self.slab.weight[i], self.slab.attempt[i]).enc(&mut e);
         }
         self.finished.enc(&mut e);
@@ -1881,7 +1809,7 @@ impl System {
             .collect();
         for _ in 0..d.get_usize()? {
             let h = sys.dec_session(&mut d, &table)?;
-            sys.running.push(h);
+            sys.running.admit(&sys.slab, h);
         }
         for _ in 0..d.get_usize()? {
             let h = sys.dec_session(&mut d, &table)?;
@@ -1944,8 +1872,11 @@ impl System {
         Ok(sys)
     }
 
-    fn job_snapshot(job: &JobState, id: QueryId) -> std::result::Result<JobSnapshot, CkptError> {
-        job.snapshot_state().ok_or_else(|| {
+    fn job_snapshot(
+        job: Option<JobSnapshot>,
+        id: QueryId,
+    ) -> std::result::Result<JobSnapshot, CkptError> {
+        job.ok_or_else(|| {
             CkptError::Unsupported(format!("job of query {id} holds live engine state"))
         })
     }
@@ -1961,14 +1892,15 @@ impl System {
         e: &mut Enc,
         h: JobSlot,
         index_of: &[u32],
+        state: Sched<'_>,
     ) -> std::result::Result<(), CkptError> {
         let (i, s) = (h.idx as usize, &self.slab);
         (s.id[i], index_of[s.name[i] as usize]).enc(e);
-        Self::job_snapshot(&s.job[i], s.id[i])?.enc(e);
-        (s.weight[i], s.arrived[i], s.started[i]).enc(e);
-        (s.credit[i], s.units_done[i]).enc(e);
-        s.monitor[i].enc(e);
-        (s.blocked[i], s.rolling_back[i]).enc(e);
+        Self::job_snapshot(state.job, s.id[i])?.enc(e);
+        (state.weight, s.arrived[i], s.started[i]).enc(e);
+        (state.credit, state.units_done).enc(e);
+        state.monitor.enc(e);
+        (state.blocked, s.rolling_back[i]).enc(e);
         (s.report_scale[i], s.attempt[i]).enc(e);
         Ok(())
     }
@@ -1998,6 +1930,17 @@ impl System {
         self.slab.report_scale[i] = report_scale;
         Ok(h)
     }
+}
+
+/// A live session's scheduling state, read where it lives: the running
+/// set's columns while it runs, the slab's while it waits.
+struct Sched<'a> {
+    job: Option<JobSnapshot>,
+    weight: f64,
+    credit: f64,
+    units_done: f64,
+    monitor: &'a SpeedMonitor,
+    blocked: bool,
 }
 
 fn table_sym(table: &[Sym], idx: u32) -> std::result::Result<Sym, CkptError> {

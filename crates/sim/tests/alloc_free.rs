@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::system::{StepMode, System, SystemConfig};
-use mqpi_sim::AdmissionPolicy;
+use mqpi_sim::{AdmissionPolicy, FaultEvent, FaultKind, FaultPlan, RetryPolicy};
 
 /// Counts the allocations of the calling thread. Frees are not counted:
 /// the contract under test is "no new memory", not "no memory traffic".
@@ -142,5 +142,78 @@ fn churn_steps_allocate_only_amortized_growth() {
     assert!(
         during < steps / 100,
         "churn allocated {during} times over {steps} steps — dispatch is not allocation-free"
+    );
+}
+
+/// A full house of 256 (the `sim_churn` regime): a burst far deeper than
+/// the slots, so every step that finishes someone admits a successor into
+/// the running set and compacts it. Only amortized growth of the finished
+/// log may allocate.
+#[test]
+fn full_house_churn_allocates_only_amortized_growth() {
+    let mut sys = System::new(SystemConfig {
+        rate: 1e4,
+        admission: AdmissionPolicy::MaxConcurrent(256),
+        step_mode: StepMode::EventDriven,
+        ..Default::default()
+    });
+    let name: Arc<str> = "alloc".into();
+    for i in 0..24_000u64 {
+        let job = Box::new(SyntheticJob::new(50 + i.wrapping_mul(37) % 101));
+        sys.schedule(0.0, Arc::clone(&name), job, 1.0);
+    }
+    for _ in 0..1_000 {
+        sys.step_discard().unwrap();
+    }
+    let before = allocs();
+    let mut finished = 0;
+    for _ in 0..5_000 {
+        finished += sys.step_discard().unwrap();
+        assert_eq!(sys.running_ids().len(), 256, "the house must stay full");
+    }
+    let during = allocs() - before - 5_000; // `running_ids` allocates once a call
+    assert!(finished > 1_000, "too little churn to measure ({finished})");
+    assert!(
+        during < 50,
+        "full-house churn allocated {during} times over 5000 steps"
+    );
+}
+
+/// Cost noise every few steps: picking the victim must not collect the
+/// eligible sessions into a fresh `Vec` per fault; only the fault log grows.
+#[test]
+fn cost_noise_steps_allocate_only_amortized_growth() {
+    let mut sys = System::new(SystemConfig {
+        rate: 1e6,
+        quantum_units: 512.0,
+        ..Default::default()
+    });
+    let name: Arc<str> = "alloc".into();
+    for _ in 0..64 {
+        let job = Box::new(SyntheticJob::new(u64::MAX / 2));
+        sys.submit(Arc::clone(&name), job, 1.0);
+    }
+    let noise = |i: usize| FaultEvent {
+        at: 0.01 + 0.002 * i as f64,
+        kind: FaultKind::CostNoise { factor: 1.01 },
+    };
+    sys.install_faults(FaultPlan::new(
+        (0..2_000).map(noise).collect(),
+        5,
+        RetryPolicy::none(),
+    ));
+    for _ in 0..100 {
+        sys.step_discard().unwrap();
+    }
+    let before = allocs();
+    for _ in 0..6_000 {
+        sys.step_discard().unwrap();
+    }
+    let during = allocs() - before;
+    let applied = sys.fault_stats().unwrap().cost_noise;
+    assert!(applied > 1_000, "too few faults to measure ({applied})");
+    assert!(
+        during < 50,
+        "{applied} cost-noise faults allocated {during} times"
     );
 }
