@@ -7,7 +7,8 @@
 //! vectors are drained with `append` (capacity retained), and the id maps
 //! never grow past their high-water mark. A counting
 //! `#[global_allocator]` turns that from a code-review promise into a
-//! hard test.
+//! hard test. The same allocator keeps a high-water mark of live bytes,
+//! which pins what a recovery holds at once.
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -17,13 +18,16 @@ use std::cell::Cell;
 
 use mqpi_ckpt::{decode_container, encode_container, CkptError};
 use mqpi_obs::Obs;
-use mqpi_pi::{PiConfig, PiService, CKPT_KIND_SERVICE};
+use mqpi_pi::{EstimatePush, PiConfig, PiService, CKPT_KIND_SERVICE};
 
-/// Counts the allocations of the calling thread, and remembers its largest
-/// single request. Frees are not counted: the contract under test is "no
-/// new memory", not "no memory traffic". Both are per thread because the
-/// test harness runs this file's tests on parallel threads, and one test's
-/// warm-up must not show up in the other's measured window.
+/// Counts the allocations of the calling thread, remembers its largest
+/// single request, and tracks the bytes it holds live and their high-water
+/// mark. Frees are not counted as allocations: the contract under test is
+/// "no new memory", not "no memory traffic". All of it is per thread
+/// because the test harness runs this file's tests on parallel threads,
+/// and one test's work must not show up in another's measured window. (A
+/// block freed on another thread than the one that allocated it moves both
+/// threads' live bytes; no measured window here hands memory across.)
 struct CountingAlloc;
 
 thread_local! {
@@ -31,6 +35,8 @@ thread_local! {
     // the allocator neither allocates nor registers a thread-exit hook.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static LARGEST: Cell<usize> = const { Cell::new(0) };
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn count_one(size: usize) {
@@ -39,18 +45,29 @@ fn count_one(size: usize) {
     let _ = LARGEST.try_with(|c| c.set(c.get().max(size)));
 }
 
+/// Move the thread's live bytes by `delta` and raise the high-water mark.
+fn hold(delta: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        hold(layout.size() as i64);
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        hold(-(layout.size() as i64));
         unsafe { SystemAlloc.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one(new_size);
+        hold(new_size as i64 - layout.size() as i64);
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -61,6 +78,16 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocations made so far by the thread that asks.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Run `f` and return its result with the most bytes the calling thread
+/// held at once while it ran, above what it held before.
+fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    let peak = PEAK.with(Cell::get) - before;
+    (out, usize::try_from(peak).unwrap_or(0))
 }
 
 /// Steady-state churn — one arrival and roughly one completion per tick,
@@ -391,4 +418,67 @@ fn hostile_count_in_a_checkpoint_reserves_no_more_than_the_file() {
         "a {}-byte checkpoint made restore request {largest} bytes",
         sealed.len()
     );
+}
+
+/// An at-mark recovery streams: it holds the read window, one commit batch
+/// and one mark interval besides the service and the pushes it returns, so
+/// on a log of about 100 000 records its high-water mark stays below the
+/// returned pushes' capacity plus 1 MiB (0.27 MB above it when written).
+/// Reading each segment whole and decoding every record into one vector
+/// before replaying peaked 5.47 MB above it on this log.
+#[test]
+fn at_mark_recovery_holds_no_more_than_its_pushes_and_a_mebibyte() {
+    const ITERATIONS: u64 = 30_000;
+    const MARK_EVERY: u64 = 1_024;
+    let dir = std::env::temp_dir().join(format!("mqpi-pi-alloc-recover-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = PiConfig {
+        rate: 100.0,
+        epsilon: 0.02,
+        slots: Some(16),
+        wal: Some(mqpi_wal::WalKnobs {
+            flush_every_n: 4096,
+            flush_every_vt: 1e18,
+            compact_every: 0,
+        }),
+        ..PiConfig::default()
+    };
+    let records = {
+        let (mut svc, _) = PiService::open_durable(cfg, &dir).unwrap();
+        let sid = svc.register_session();
+        let mut out = Vec::new();
+        for i in 1..=ITERATIONS {
+            svc.submit(sid, 1.0 + (i % 71) as f64 * 0.1, 1.0);
+            if i % 3 == 0 {
+                svc.reweight(i - 1, 0.5 + (i % 5) as f64);
+            }
+            svc.advance(0.02 + (i % 7) as f64 * 0.01);
+            out.clear();
+            svc.pump(&mut out);
+            if i % MARK_EVERY == 0 {
+                svc.wal_mark(i, 0);
+            }
+        }
+        svc.wal_sync();
+        svc.wal().unwrap().records_since_base()
+    };
+    assert!(records >= 100_000, "only {records} records");
+
+    let ((svc, rec), peak) = peak_during(|| PiService::open_durable_at_mark(cfg, &dir).unwrap());
+    let pushes = rec.pushes.capacity() * std::mem::size_of::<EstimatePush>();
+    assert_eq!(
+        rec.last_mark,
+        Some((ITERATIONS / MARK_EVERY * MARK_EVERY, 0))
+    );
+    assert!(rec.replayed + rec.sealed == records && rec.sealed > 0);
+    println!(
+        "at-mark recovery of {records} records: peak {peak} B, pushes {pushes} B ({} pushes)",
+        rec.pushes.len()
+    );
+    assert!(
+        peak < pushes + (1 << 20),
+        "recovering {records} records held {peak} B at once; its pushes take {pushes} B"
+    );
+    drop(svc);
+    let _ = std::fs::remove_dir_all(&dir);
 }

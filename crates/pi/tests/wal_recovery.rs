@@ -13,7 +13,7 @@
 use std::path::PathBuf;
 
 use mqpi_pi::{EstimatePush, PiConfig, PiService, SessionId, Standby};
-use mqpi_wal::WalKnobs;
+use mqpi_wal::{WalKnobs, WalRecord};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -690,7 +690,6 @@ fn cursor_standby_equals_a_fresh_standby_after_every_catch_up() {
 /// log driven by hand, because every service call commits its own frame.
 #[test]
 fn cursor_waits_at_torn_frames_and_open_batches() {
-    use mqpi_wal::WalRecord;
     let knobs = WalKnobs {
         flush_every_n: u32::MAX,
         flush_every_vt: 1e18,
@@ -920,4 +919,546 @@ fn segment_truncated_behind_the_cursor_falls_back_to_a_full_scan() {
     assert_streams_identical(&got.pushes, &want.pushes, "rebuilt stream");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&copy);
+}
+
+// ---------------------------------------------------------------------------
+// the streaming open against the collected route
+// ---------------------------------------------------------------------------
+
+/// The log policy of the differential logs: flushes and compactions happen
+/// only where the generator asks for them.
+const HAND_KNOBS: WalKnobs = WalKnobs {
+    flush_every_n: u32::MAX,
+    flush_every_vt: 1e18,
+    compact_every: 0,
+};
+
+/// A frame longer than the scan's 64 KiB read window.
+const LONG_NOTE: usize = 70_000;
+
+/// How a generated log ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum End {
+    /// Dropped mid-stream: whatever was not flushed is gone.
+    Kill,
+    /// A mark, committed and flushed, is the last record.
+    MarkLast,
+    /// A committed mark, then a batch that is flushed but never committed.
+    OpenBatch,
+}
+
+/// What is done to the directory after the generator dies.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Damage {
+    None,
+    /// The newest segment cut at a random length.
+    Torn,
+    /// One byte of the newest segment's frames flipped.
+    Flip,
+    /// The newest segment split in two at a frame boundary (inside the
+    /// open batch when there is one), so a batch can span the edge.
+    Split,
+    /// The files a compaction retired put back and the newest base
+    /// damaged, so the scan walks the older base's segment and the newer
+    /// one as one chain.
+    Revive,
+}
+
+/// The driver frontier each base carries, by the sequence it covers.
+type Frontiers = Vec<(u64, Option<(u64, u64)>, Option<Vec<u8>>)>;
+
+fn list_sorted(dir: &std::path::Path) -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read log dir")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    paths
+}
+
+fn segments(dir: &std::path::Path) -> Vec<PathBuf> {
+    list_sorted(dir)
+        .into_iter()
+        .filter(|p| p.to_string_lossy().ends_with(".seg"))
+        .collect()
+}
+
+fn snapshot(dir: &std::path::Path) -> Vec<(PathBuf, Vec<u8>)> {
+    list_sorted(dir)
+        .into_iter()
+        .map(|p| {
+            let bytes = std::fs::read(&p).expect("read log file");
+            (p, bytes)
+        })
+        .collect()
+}
+
+fn copy_dir(from: &std::path::Path, tag: &str) -> PathBuf {
+    let to = tmpdir(tag);
+    for (p, bytes) in snapshot(from) {
+        std::fs::write(to.join(p.file_name().expect("file name")), bytes).expect("copy");
+    }
+    to
+}
+
+/// FNV-1a over every file in `dir`: name, length and bytes, in name order.
+fn dir_digest(dir: &std::path::Path) -> u64 {
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (p, bytes) in snapshot(dir) {
+        eat(p
+            .file_name()
+            .expect("file name")
+            .to_string_lossy()
+            .as_bytes());
+        eat(&(bytes.len() as u64).to_le_bytes());
+        eat(&bytes);
+    }
+    h
+}
+
+/// `(start, end, seq, commit)` of each well-formed frame of a segment, in
+/// order, up to the first one that is not: a whole-file walk that shares
+/// no code with the log's reader.
+fn frames_of(seg: &[u8]) -> Vec<(usize, usize, u64, bool)> {
+    let mut out = Vec::new();
+    let Some(first) = seg.get(8..16) else {
+        return out;
+    };
+    let mut seq = u64::from_le_bytes(first.try_into().expect("8 bytes"));
+    let mut pos = 16;
+    while let Some(head) = seg.get(pos..pos + 13) {
+        let len = u32::from_le_bytes(head[..4].try_into().expect("4 bytes")) as usize;
+        let Some(trailer) = seg.get(pos + 13 + len..pos + 17 + len) else {
+            break;
+        };
+        let crc = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
+        let frame_seq = u64::from_le_bytes(head[5..13].try_into().expect("8 bytes"));
+        if crc != mqpi_ckpt::crc32(&seg[pos..pos + 13 + len]) || head[4] > 1 || frame_seq != seq {
+            break;
+        }
+        out.push((pos, pos + 17 + len, seq, head[4] == 1));
+        pos += 17 + len;
+        seq += 1;
+    }
+    out
+}
+
+/// Journal random service commands through a detached log by hand: random
+/// batch edges, flushes and compactions, marks and notes (some longer than
+/// the read window) as `marks` and `long_notes` allow, then end as `end`
+/// says and damage the directory as `damage` says. Returns the frontier
+/// each base carries, which the collected route's oracle needs.
+fn random_log(
+    dir: &std::path::Path,
+    seed: u64,
+    marks: bool,
+    long_notes: bool,
+    end: End,
+    damage: Damage,
+) -> Frontiers {
+    let (mut svc, _) =
+        PiService::open_durable(base_cfg(Some(HAND_KNOBS)), dir).expect("durable open");
+    let mut wal = svc.detach_wal().expect("a journaling service");
+    let mut frontiers: Frontiers = vec![(0, None, None)];
+    let (mut last_mark, mut last_note) = (None, None);
+    let mut retired = Vec::new();
+    let mut pushes = Vec::new();
+    let mut journal = |wal: &mut mqpi_wal::Wal, svc: &mut PiService, rec: WalRecord| {
+        if let WalRecord::Mark { iter, digest } = rec {
+            last_mark = Some((iter, digest));
+        }
+        if let WalRecord::Note { ref bytes } = rec {
+            last_note = Some(bytes.clone());
+        }
+        wal.append(&rec);
+        svc.apply_record(&rec, &mut pushes);
+        (last_mark, last_note.clone())
+    };
+    journal(&mut wal, &mut svc, WalRecord::RegisterSession);
+    wal.commit(0.0).expect("commit");
+    let steps = 200 + splitmix64(seed) % 1_800;
+    let mut submitted = 0u64;
+    for step in 0..steps {
+        let r = splitmix64(seed ^ step.wrapping_mul(0x2545_F491_4F6C_DD1D));
+        let sessions = svc.session_ids();
+        let session = match sessions.len() {
+            0 => (r >> 8) % 3,
+            n => sessions[(r >> 8) as usize % n],
+        };
+        let query = 1 + (r >> 12) % (submitted + 1);
+        let rec = match r % 40 {
+            0..=11 => {
+                submitted += 1;
+                WalRecord::Submit {
+                    session,
+                    cost: 0.5 + ((r >> 24) % 80) as f64 * 0.1,
+                    weight: 1.0 + ((r >> 32) % 3) as f64,
+                }
+            }
+            12..=17 => WalRecord::Advance {
+                dt: 0.01 + ((r >> 24) % 20) as f64 * 0.01,
+            },
+            18..=24 => WalRecord::Pump,
+            25 => WalRecord::Abort { query },
+            26 => WalRecord::Reweight {
+                query,
+                weight: 0.5 + ((r >> 24) % 4) as f64,
+            },
+            27 => WalRecord::Refine {
+                query,
+                cost: 0.2 + ((r >> 24) % 30) as f64 * 0.1,
+            },
+            28 => WalRecord::SetRate {
+                rate: 5.0 + ((r >> 24) % 10) as f64,
+            },
+            29..=31 => WalRecord::Subscribe { session, query },
+            32 if r.is_multiple_of(7) => WalRecord::CloseSession { session },
+            32 => WalRecord::RegisterSession,
+            33 | 34 if marks => WalRecord::Mark {
+                iter: step,
+                digest: r,
+            },
+            35 => {
+                let len = if long_notes && (r >> 20).is_multiple_of(6) {
+                    LONG_NOTE
+                } else {
+                    ((r >> 24) % 200) as usize
+                };
+                WalRecord::Note {
+                    bytes: (0..len).map(|k| (k as u64 ^ r) as u8).collect(),
+                }
+            }
+            _ => WalRecord::Pump,
+        };
+        let frontier = journal(&mut wal, &mut svc, rec);
+        let vt = svc.now();
+        if !(r >> 44).is_multiple_of(3) {
+            wal.commit(vt).expect("commit");
+        }
+        if (r >> 48).is_multiple_of(40) {
+            wal.flush(vt).expect("flush");
+        }
+        if (r >> 52).is_multiple_of(600) {
+            // Commit and flush first, so what the compaction retires is on
+            // disk exactly as the snapshot has it.
+            wal.commit(vt).expect("commit");
+            wal.flush(vt).expect("flush");
+            retired = snapshot(dir);
+            wal.compact(&svc.checkpoint(), vt).expect("compact");
+            frontiers.push((wal.next_seq() - 1, frontier.0, frontier.1));
+        }
+    }
+    let vt = svc.now();
+    let mut open_from = None;
+    match end {
+        End::Kill => {}
+        End::MarkLast | End::OpenBatch => {
+            journal(
+                &mut wal,
+                &mut svc,
+                WalRecord::Mark {
+                    iter: steps,
+                    digest: seed,
+                },
+            );
+            wal.commit(vt).expect("commit");
+            if end == End::OpenBatch {
+                open_from = Some(wal.next_seq());
+                journal(&mut wal, &mut svc, WalRecord::Advance { dt: 0.03 });
+                journal(&mut wal, &mut svc, WalRecord::Pump);
+                journal(&mut wal, &mut svc, WalRecord::Advance { dt: 0.05 });
+            }
+            wal.flush(vt).expect("flush");
+        }
+    }
+    drop(wal); // SIGKILL: the buffer past the last flush is lost
+
+    let r = splitmix64(seed ^ 0xDA3A6E);
+    let newest = segments(dir).pop().expect("a live segment");
+    let mut bytes = std::fs::read(&newest).expect("log file i/o");
+    match damage {
+        Damage::None => {}
+        Damage::Torn => {
+            bytes.truncate(16 + (r as usize) % (bytes.len() - 15));
+            std::fs::write(&newest, &bytes).expect("log file i/o");
+        }
+        Damage::Flip if bytes.len() > 16 => {
+            let at = 16 + (r as usize) % (bytes.len() - 16);
+            bytes[at] ^= 1 << ((r >> 32) % 8);
+            std::fs::write(&newest, &bytes).expect("log file i/o");
+        }
+        Damage::Flip => {}
+        Damage::Split => {
+            let frames = frames_of(&bytes);
+            let inside: Vec<_> = match open_from {
+                Some(seq) => frames.iter().filter(|f| f.2 > seq).collect(),
+                None => frames.iter().skip(1).collect(),
+            };
+            if let Some(&&(at, _, seq, _)) = inside.get((r as usize) % inside.len().max(1)) {
+                let mut second = Vec::with_capacity(16 + bytes.len() - at);
+                second.extend_from_slice(b"MQWL");
+                second.extend_from_slice(&1u32.to_le_bytes());
+                second.extend_from_slice(&seq.to_le_bytes());
+                second.extend_from_slice(&bytes[at..]);
+                std::fs::write(dir.join(format!("wal-{seq:016x}.seg")), second)
+                    .expect("log file i/o");
+                std::fs::write(&newest, &bytes[..at]).expect("log file i/o");
+            }
+        }
+        Damage::Revive if !retired.is_empty() => {
+            let bases: Vec<PathBuf> = list_sorted(dir)
+                .into_iter()
+                .filter(|p| p.to_string_lossy().ends_with(".ckpt"))
+                .collect();
+            for (p, old) in &retired {
+                std::fs::write(p, old).expect("log file i/o");
+            }
+            let newest_base = bases.last().expect("a base");
+            let mut base = std::fs::read(newest_base).expect("log file i/o");
+            let mid = base.len() / 2;
+            base[mid] ^= 0x40;
+            std::fs::write(newest_base, base).expect("log file i/o");
+        }
+        Damage::Revive => {}
+    }
+    if r.is_multiple_of(4) {
+        std::fs::write(dir.join("base-0000000000000000.ckpt.tmp"), b"torn").expect("log file i/o");
+    }
+    frontiers
+}
+
+/// Everything an open recovers that the two routes must agree on.
+#[derive(Debug, PartialEq)]
+struct Opened {
+    state: u64,
+    push_bits: Vec<[u64; 5]>,
+    pushes_at_mark: usize,
+    last_mark: Option<(u64, u64)>,
+    last_note: Option<Vec<u8>>,
+    replayed: u64,
+    sealed: u64,
+    truncated_bytes: u64,
+    resumed: bool,
+    swept_tmp: usize,
+    next_seq: u64,
+    dir: u64,
+}
+
+fn push_bits(pushes: &[EstimatePush]) -> Vec<[u64; 5]> {
+    pushes
+        .iter()
+        .map(|p| {
+            [
+                p.session,
+                p.query,
+                p.at.to_bits(),
+                p.estimate.to_bits(),
+                u64::from(p.done),
+            ]
+        })
+        .collect()
+}
+
+/// The route recovery took before it streamed, kept as the oracle: the
+/// collected `Wal::open`, the service restored from the base, then
+/// `records[..boundary]` replayed, where the boundary is just past the
+/// newest mark at a mark and the end otherwise; then the sealing
+/// compaction. Also returns the collected record count.
+fn collected_route(dir: &std::path::Path, at_mark: bool, frontiers: &Frontiers) -> (Opened, usize) {
+    let cfg = base_cfg(Some(HAND_KNOBS));
+    let (mut wal, rec) =
+        mqpi_wal::Wal::open(dir, HAND_KNOBS, mqpi_obs::Obs::disabled()).expect("collected open");
+    let mut svc = match &rec.base {
+        Some(bytes) => PiService::restore(bytes).expect("restore the base"),
+        None => PiService::try_new(cfg).expect("valid config"),
+    };
+    let boundary = if at_mark {
+        rec.records
+            .iter()
+            .rposition(|(_, r)| matches!(r, WalRecord::Mark { .. }))
+            .map_or(0, |i| i + 1)
+    } else {
+        rec.records.len()
+    };
+    let (mut last_mark, mut last_note) = match frontiers.iter().find(|f| f.0 == rec.base_through) {
+        Some((_, mark, note)) if rec.base.is_some() => (*mark, note.clone()),
+        _ => (None, None),
+    };
+    let (mut pushes, mut pushes_at_mark) = (Vec::new(), 0);
+    for (seq, r) in &rec.records[..boundary] {
+        assert!(*seq > rec.base_through);
+        match r {
+            WalRecord::Mark { iter, digest } => {
+                last_mark = Some((*iter, *digest));
+                pushes_at_mark = pushes.len();
+            }
+            WalRecord::Note { bytes } => last_note = Some(bytes.clone()),
+            _ => {}
+        }
+        svc.apply_record(r, &mut pushes);
+    }
+    let sealed = (rec.records.len() - boundary) as u64;
+    if rec.base.is_none() || sealed > 0 {
+        wal.compact(&svc.checkpoint(), svc.now()).expect("compact");
+    }
+    let opened = Opened {
+        state: svc.state_digest(),
+        push_bits: push_bits(&pushes),
+        pushes_at_mark,
+        last_mark,
+        last_note,
+        replayed: boundary as u64,
+        sealed,
+        truncated_bytes: rec.truncated_bytes,
+        resumed: rec.resumed,
+        swept_tmp: rec.swept_tmp,
+        next_seq: wal.next_seq(),
+        dir: 0,
+    };
+    drop(wal);
+    (
+        Opened {
+            dir: dir_digest(dir),
+            ..opened
+        },
+        rec.records.len(),
+    )
+}
+
+fn streaming_route(dir: &std::path::Path, at_mark: bool) -> Opened {
+    let cfg = base_cfg(Some(HAND_KNOBS));
+    let (svc, rec) = if at_mark {
+        PiService::open_durable_at_mark(cfg, dir)
+    } else {
+        PiService::open_durable(cfg, dir)
+    }
+    .expect("durable open");
+    let opened = Opened {
+        state: svc.state_digest(),
+        push_bits: push_bits(&rec.pushes),
+        pushes_at_mark: rec.pushes_at_mark,
+        last_mark: rec.last_mark,
+        last_note: rec.last_note,
+        replayed: rec.replayed,
+        sealed: rec.sealed,
+        truncated_bytes: rec.truncated_bytes,
+        resumed: rec.resumed,
+        swept_tmp: rec.swept_tmp,
+        next_seq: svc.wal().expect("an attached log").next_seq(),
+        dir: 0,
+    };
+    drop(svc);
+    Opened {
+        dir: dir_digest(dir),
+        ..opened
+    }
+}
+
+/// With one segment, a whole-file walk says independently of the log's
+/// reader what a scan must find past `base_through`: how many records are
+/// committed, and how many bytes follow the last commit frame.
+fn one_segment_frontier(dir: &std::path::Path, base_through: u64) -> Option<(usize, u64)> {
+    let [seg] = &segments(dir)[..] else {
+        return None;
+    };
+    let bytes = std::fs::read(seg).expect("log file i/o");
+    let first = u64::from_le_bytes(bytes.get(8..16)?.try_into().ok()?);
+    if bytes.get(..4)? != b"MQWL" || first > base_through + 1 {
+        return None;
+    }
+    let frames = frames_of(&bytes);
+    let last_commit = frames.iter().rposition(|f| f.3);
+    let committed = last_commit.map_or(0, |i| {
+        frames[..=i].iter().filter(|f| f.2 > base_through).count()
+    });
+    let keep = last_commit.map_or(16, |i| frames[i].1);
+    Some((committed, (bytes.len() - keep) as u64))
+}
+
+/// The streaming open — records applied as the scan reads them, at a mark
+/// or plain — recovers exactly what the collected route does, on random
+/// logs: killed at random offsets, torn, flipped mid-log, split into
+/// multi-segment chains, chained across a compaction, with no mark at all,
+/// a mark as the last committed record, and an uncommitted batch past the
+/// last mark that spans a segment edge. Where the directory holds one
+/// segment, a whole-file walk also checks the scan's frontier.
+#[test]
+fn streaming_open_equals_the_collected_route() {
+    use std::collections::BTreeMap;
+    let ends = [End::Kill, End::MarkLast, End::OpenBatch];
+    let damages = [
+        Damage::None,
+        Damage::Torn,
+        Damage::Flip,
+        Damage::Split,
+        Damage::Revive,
+    ];
+    let mut seen: BTreeMap<&str, usize> = BTreeMap::new();
+    for case in 0..45u64 {
+        let seed = splitmix64(0x51DE_CA5E ^ case);
+        let end = ends[(case % 3) as usize];
+        let damage = damages[((case / 3) % 5) as usize];
+        let marks = case % 9 != 3;
+        let long_notes = case % 4 != 1;
+        let dir = tmpdir(&format!("diff-{case}"));
+        let frontiers = random_log(&dir, seed, marks, long_notes, end, damage);
+        let chain = segments(&dir).len();
+        for at_mark in [false, true] {
+            let what =
+                format!("case {case} ({end:?}, {damage:?}, marks {marks}), at mark {at_mark}");
+            let oracle_dir = copy_dir(&dir, &format!("diff-{case}-oracle"));
+            let stream_dir = copy_dir(&dir, &format!("diff-{case}-stream"));
+            let base_through = mqpi_wal::WalCursor::default()
+                .advance(&oracle_dir, &mqpi_obs::Obs::disabled())
+                .expect("scan")
+                .base_through;
+            let frontier = one_segment_frontier(&oracle_dir, base_through);
+            let (want, collected) = collected_route(&oracle_dir, at_mark, &frontiers);
+            let got = streaming_route(&stream_dir, at_mark);
+            if let Some((committed, truncated)) = frontier {
+                assert_eq!(collected, committed, "{what}: committed records");
+                assert_eq!(want.truncated_bytes, truncated, "{what}: truncated bytes");
+                *seen.entry("one segment").or_default() += 1;
+            }
+            assert_eq!(got, want, "{what}");
+            let mut note =
+                |k: &'static str, hit: bool| *seen.entry(k).or_default() += usize::from(hit);
+            note("sealed", got.sealed > 0);
+            note("truncated", got.truncated_bytes > 0);
+            note("replayed", got.replayed > 0);
+            note("chain", chain > 1);
+            note("no mark at all", !marks && end == End::Kill);
+            note(
+                "open batch split",
+                end == End::OpenBatch && damage == Damage::Split && chain > 1,
+            );
+            note("mark last", end == End::MarkLast && damage == Damage::None);
+            note("swept", got.swept_tmp > 0);
+            let _ = std::fs::remove_dir_all(&oracle_dir);
+            let _ = std::fs::remove_dir_all(&stream_dir);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    println!("opens by kind: {seen:?}");
+    for k in [
+        "sealed",
+        "truncated",
+        "replayed",
+        "chain",
+        "no mark at all",
+        "open batch split",
+        "mark last",
+        "swept",
+        "one segment",
+    ] {
+        assert!(
+            seen.get(k).copied().unwrap_or(0) >= 2,
+            "too few {k} cases: {seen:?}"
+        );
+    }
 }

@@ -43,6 +43,14 @@
 //! flags it, by the next append, or by the flush that writes it out
 //! uncommitted. No frame reaches the file unsealed.
 //!
+//! # Recovery
+//!
+//! The recovery scan reads each segment through one reused 64 KiB window
+//! and hands each record, and each commit frame, to a [`ScanSink`] as it
+//! reads them. [`Wal::open`] collects them into [`WalRecovered`];
+//! [`Wal::open_with`] lets the owner apply each batch once it commits, so
+//! recovery's memory is the window plus one batch, not the log.
+//!
 //! # Tailing
 //!
 //! A [`WalCursor`] reads a directory another process is appending to,
@@ -61,7 +69,7 @@
 //! point leaves a recoverable directory.
 
 use std::fs::{self, File};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
 use mqpi_ckpt::{
@@ -322,6 +330,120 @@ fn read_frame(bytes: &[u8], pos: usize) -> Option<Frame<'_>> {
     })
 }
 
+/// Bytes a scan or a tail asks a segment file for at a time: the bound on
+/// recovery's read buffer. Not a knob. A frame longer than this grows the
+/// buffer to that frame only.
+const READ_WINDOW: usize = 64 << 10;
+
+/// The shortest frame there is: a one-byte record's.
+const MIN_FRAME_LEN: usize = FRAME_HEADER_LEN + 1 + FRAME_TRAILER_LEN;
+
+/// One segment file read front to back through a reused buffer:
+/// `buf[pos..end]` holds the bytes read and not yet consumed, and `src`
+/// yields the rest of the segment up to the length it was opened at.
+struct Window<'b> {
+    src: io::Take<File>,
+    buf: &'b mut Vec<u8>,
+    pos: usize,
+    end: usize,
+    /// File offset of `buf[pos]`.
+    at: u64,
+}
+
+impl<'b> Window<'b> {
+    /// The `len` bytes of `file` from offset `at`, where `file` stands.
+    fn new(file: File, at: u64, len: u64, buf: &'b mut Vec<u8>) -> Self {
+        Window {
+            src: file.take(len),
+            buf,
+            pos: 0,
+            end: 0,
+            at,
+        }
+    }
+
+    /// The bytes read and not yet consumed.
+    fn rest(&self) -> &[u8] {
+        &self.buf[self.pos..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.at += n as u64;
+    }
+
+    /// Have `want` bytes unconsumed, or every byte left if the segment ends
+    /// first. A refill carries the unconsumed bytes — the front of a frame
+    /// the last read cut — to the start of the buffer and reads behind
+    /// them. The buffer grows past [`READ_WINDOW`] only to hold one frame,
+    /// and never past what the segment holds, so a corrupt length costs no
+    /// allocation.
+    fn fill(&mut self, want: usize) -> io::Result<()> {
+        let have = self.end - self.pos;
+        if have >= want || self.src.limit() == 0 {
+            return Ok(());
+        }
+        self.buf.copy_within(self.pos..self.end, 0);
+        (self.pos, self.end) = (0, have);
+        let left = have as u64 + self.src.limit();
+        let target = (want as u64).min(left) as usize;
+        let room = ((READ_WINDOW as u64).min(left) as usize).max(target);
+        if self.buf.len() < room {
+            self.buf.resize(room, 0);
+        }
+        while self.end < target {
+            match self.src.read(&mut self.buf[self.end..room]) {
+                Ok(0) => break,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The unconsumed bytes, holding the whole next frame when the segment
+    /// does: its header, then as many bytes as a sane length claims.
+    fn frame(&mut self) -> io::Result<&[u8]> {
+        self.fill(FRAME_HEADER_LEN + FRAME_TRAILER_LEN)?;
+        if let Some(len) = self.rest().get(..4).map(|b| le_u32(b) as usize) {
+            if len <= MAX_RECORD_LEN {
+                self.fill(FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN)?;
+            }
+        }
+        Ok(self.rest())
+    }
+}
+
+/// Where a recovery scan hands what it reads, in log order, as it reads it.
+///
+/// The scan calls [`ScanSink::base`] once; then, segment by segment,
+/// [`ScanSink::record`] for each well-formed record past the base and
+/// [`ScanSink::commit`] at each frame that ends a commit batch. A record is
+/// committed once a `commit` follows it. Records still uncommitted when the
+/// scan ends are a torn or open batch: the log truncates them, and the sink
+/// must drop them. [`Wal::open`] is the scan with a sink that collects;
+/// [`Wal::open_with`] lets the owner apply each batch as it commits, so
+/// what recovery holds no longer grows with the log.
+pub trait ScanSink {
+    /// The newest decodable base: the owner's checkpoint bytes and the
+    /// sequence number they cover, or `(None, 0)`. Called before any
+    /// record.
+    fn base(&mut self, base: Option<Vec<u8>>, through: u64);
+
+    /// A segment of `len` bytes is about to be walked. No frame is shorter
+    /// than a one-byte record's 18, which bounds the records it can hand
+    /// over. The default ignores it.
+    fn segment(&mut self, _len: u64) {}
+
+    /// The next well-formed record past the base, not yet committed.
+    fn record(&mut self, seq: u64, rec: WalRecord);
+
+    /// A commit frame: every record handed over since the previous
+    /// `commit` is committed.
+    fn commit(&mut self);
+}
+
 /// How far a walk over a run of frames got.
 struct Walk {
     /// Sequence number the frame after the last good one must carry.
@@ -329,45 +451,61 @@ struct Walk {
     /// Whether every byte belonged to a good frame (`false`: the walk
     /// stopped at a torn, corrupt, out-of-sequence or undecodable one).
     clean: bool,
-    /// The last commit frame met: the offset just past it, its sequence
-    /// number, and `records.len()` once its record was pushed.
-    commit: Option<(usize, u64, usize)>,
+    /// The last commit frame met: the file offset just past it and its
+    /// sequence number.
+    commit: Option<(u64, u64)>,
 }
 
-/// Walk `bytes[pos..]`, whose frames must number consecutively from `seq`,
-/// pushing every decoded record past `skip_through` onto `records`. What
-/// the walk pushed after its last commit frame is an open or torn batch:
-/// the caller truncates `records` back to the committed length.
+/// Walk the frames under `win`, which must number consecutively from `seq`,
+/// handing every decoded record past `skip_through` to `sink`, and every
+/// commit frame, as the window reads them.
+///
+/// The inner loop walks every whole frame the window already holds as a
+/// plain slice; the window refills only when the next frame runs past its
+/// end. A frame that is still bad once the window holds all of it that the
+/// segment has ends the walk.
 fn walk_frames(
-    bytes: &[u8],
-    mut pos: usize,
+    win: &mut Window<'_>,
     mut seq: u64,
     skip_through: u64,
-    records: &mut Vec<(u64, WalRecord)>,
-) -> Walk {
+    sink: &mut impl ScanSink,
+) -> io::Result<Walk> {
     let (mut commit, mut clean) = (None, true);
-    while pos < bytes.len() {
-        let good = read_frame(bytes, pos)
+    loop {
+        let at = win.at;
+        let bytes = win.frame()?;
+        if bytes.is_empty() {
+            break;
+        }
+        let mut pos = 0;
+        while let Some((rec, flags, end)) = read_frame(bytes, pos)
             .filter(|f| f.seq == seq)
-            .and_then(|f| Some((WalRecord::from_bytes(f.payload, "wal record").ok()?, f)));
-        let Some((rec, frame)) = good else {
+            .and_then(|f| {
+                let rec = WalRecord::from_bytes(f.payload, "wal record").ok()?;
+                Some((rec, f.flags, f.end))
+            })
+        {
+            pos = end;
+            if seq > skip_through {
+                sink.record(seq, rec);
+            }
+            if flags & FLAG_COMMIT != 0 {
+                sink.commit();
+                commit = Some((at + pos as u64, seq));
+            }
+            seq = seq.wrapping_add(1);
+        }
+        if pos == 0 {
             clean = false;
             break;
-        };
-        if seq > skip_through {
-            records.push((seq, rec));
         }
-        if frame.flags & FLAG_COMMIT != 0 {
-            commit = Some((frame.end, seq, records.len()));
-        }
-        seq = seq.wrapping_add(1);
-        pos = frame.end;
+        win.consume(pos);
     }
-    Walk {
+    Ok(Walk {
         next_seq: seq,
         clean,
         commit,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -404,9 +542,68 @@ impl WalRecovered {
     }
 }
 
+/// What [`Wal::open_with`] found, beside the base and the records it
+/// handed to its sink.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WalOpened {
+    /// Sequence number the base covers (0 without a base).
+    pub base_through: u64,
+    /// As [`WalRecovered::truncated_bytes`].
+    pub truncated_bytes: u64,
+    /// As [`WalRecovered::swept_tmp`].
+    pub swept_tmp: usize,
+    /// As [`WalRecovered::resumed`].
+    pub resumed: bool,
+}
+
+/// The collected form of a scan: the base and every committed record after
+/// it, in one vector reserved from the segments' lengths. Each record is
+/// moved once, into a vector that never regrows; the slack is never
+/// touched, and [`Collect::into_recovered`] gives it back.
+#[derive(Default)]
+struct Collect {
+    base: Option<Vec<u8>>,
+    records: Vec<(u64, WalRecord)>,
+    committed: usize,
+}
+
+impl ScanSink for Collect {
+    fn base(&mut self, base: Option<Vec<u8>>, _through: u64) {
+        self.base = base;
+    }
+
+    fn segment(&mut self, len: u64) {
+        self.records.reserve(len as usize / MIN_FRAME_LEN);
+    }
+
+    fn record(&mut self, seq: u64, rec: WalRecord) {
+        self.records.push((seq, rec));
+    }
+
+    fn commit(&mut self) {
+        self.committed = self.records.len();
+    }
+}
+
+impl Collect {
+    fn into_recovered(mut self, opened: WalOpened) -> WalRecovered {
+        self.records.truncate(self.committed);
+        self.records.shrink_to_fit();
+        WalRecovered {
+            base: self.base,
+            base_through: opened.base_through,
+            records: self.records,
+            truncated_bytes: opened.truncated_bytes,
+            swept_tmp: opened.swept_tmp,
+            resumed: opened.resumed,
+        }
+    }
+}
+
 struct ScanOutcome {
-    /// What the owner gets back (`swept_tmp` still 0: sweeping is `open`'s).
-    found: WalRecovered,
+    /// What the owner learns beside what its sink got (`swept_tmp` still
+    /// 0: sweeping is `open`'s).
+    opened: WalOpened,
     last_committed_seq: u64,
     /// Segment holding the last committed frame, its surviving byte length,
     /// and its header first-seq. `None` when no segment survives.
@@ -416,7 +613,7 @@ struct ScanOutcome {
     drop_segments: Vec<PathBuf>,
     /// Base files superseded by the chosen base.
     drop_bases: Vec<PathBuf>,
-    /// Segment bytes the scan read.
+    /// Length of every segment the scan walked.
     read_bytes: u64,
 }
 
@@ -457,11 +654,12 @@ fn list_dir(dir: &Path) -> Result<(Vec<NumberedFile>, Vec<NumberedFile>)> {
     Ok((bases, segs))
 }
 
-/// Scan a log directory without mutating it. Shared by [`Wal::open`]
-/// (which then applies the truncation/retirement the scan prescribes) and
+/// Scan a log directory without mutating it, handing the base and the
+/// records to `sink` as they are read. Shared by [`Wal::open_with`] (which
+/// then applies the truncation/retirement the scan prescribes) and
 /// [`WalCursor::advance`] (standby tailing: the primary still owns the
 /// files).
-fn scan(dir: &Path) -> Result<ScanOutcome> {
+fn scan(dir: &Path, sink: &mut impl ScanSink) -> Result<ScanOutcome> {
     let (bases, segs) = list_dir(dir)?;
     let any_state = !bases.is_empty() || !segs.is_empty();
 
@@ -486,6 +684,7 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
             _ => drop_bases.push(path.clone()),
         }
     }
+    sink.base(base, base_through);
 
     // The live window starts at the last segment that could contain
     // base_through + 1; anything earlier is fully covered by the base and
@@ -497,18 +696,18 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
     let mut drop_segments: Vec<PathBuf> = Vec::new();
     let mut truncated_bytes = 0u64;
     let mut read_bytes = 0u64;
-    let mut records = Vec::new();
-    let mut committed_len = 0usize;
     let mut last_committed_seq = base_through;
     for (_, p) in &segs[..scan_from.unwrap_or(0)] {
         drop_segments.push(p.clone());
     }
 
-    // Walk the chain. `keep` tracks the segment holding the newest
-    // committed frame and the byte length that survives in it; a commit
-    // batch may span segments (its earlier members live in fully kept
-    // predecessors), so records past the last commit stay in `records`
-    // across a segment edge and are cut only at the end.
+    // Walk the chain through one read window. `keep` tracks the segment
+    // holding the newest committed frame and the byte length that survives
+    // in it; a commit batch may span segments (its earlier members live in
+    // fully kept predecessors), so the sink holds records past the last
+    // commit across a segment edge. Lengths come from the files, not from
+    // how far the window read: a walk stops at the first bad frame.
+    let mut buf = Vec::new();
     let mut chain: Vec<(PathBuf, u64)> = Vec::new();
     let mut keep: Option<(usize, PathBuf, u64, u64)> = None;
     let mut expected_seq: Option<u64> = None;
@@ -521,14 +720,18 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
             ));
             continue;
         }
-        let bytes = fs::read(path)?;
-        read_bytes += bytes.len() as u64;
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        read_bytes += len;
         let idx = chain.len();
-        chain.push((path.clone(), bytes.len() as u64));
-        let header_ok = bytes.len() >= SEGMENT_HEADER_LEN
-            && &bytes[..4] == SEGMENT_MAGIC
-            && le_u32(&bytes[4..]) == SEGMENT_VERSION
-            && le_u64(&bytes[8..]) == first
+        chain.push((path.clone(), len));
+        let mut win = Window::new(file, 0, len, &mut buf);
+        win.fill(SEGMENT_HEADER_LEN)?;
+        let header = win.rest();
+        let header_ok = header.len() >= SEGMENT_HEADER_LEN
+            && &header[..4] == SEGMENT_MAGIC
+            && le_u32(&header[4..]) == SEGMENT_VERSION
+            && le_u64(&header[8..]) == first
             && expected_seq.is_none_or(|e| e == first);
         if !header_ok {
             // Untrustworthy segment: the committed frontier stays wherever
@@ -537,30 +740,19 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
             cut = true;
             continue;
         }
+        win.consume(SEGMENT_HEADER_LEN);
         if keep.is_none() {
             keep = Some((idx, path.clone(), SEGMENT_HEADER_LEN as u64, first));
         }
-        // No frame is smaller than a one-byte record's, so this bounds the
-        // count: each record is moved once, into a vector that never
-        // regrows. The slack is never touched and is given back below.
-        records.reserve(bytes.len() / (FRAME_HEADER_LEN + 1 + FRAME_TRAILER_LEN));
-        let walk = walk_frames(
-            &bytes,
-            SEGMENT_HEADER_LEN,
-            first,
-            base_through,
-            &mut records,
-        );
-        if let Some((end, seq, len)) = walk.commit {
-            committed_len = len;
+        sink.segment(len);
+        let walk = walk_frames(&mut win, first, base_through, sink)?;
+        if let Some((end, seq)) = walk.commit {
             last_committed_seq = seq;
-            keep = Some((idx, path.clone(), end as u64, first));
+            keep = Some((idx, path.clone(), end, first));
         }
         cut = !walk.clean;
         expected_seq = Some(walk.next_seq);
     }
-    records.truncate(committed_len);
-    records.shrink_to_fit();
 
     // Everything after the committed frontier — the kept segment's tail
     // plus every later segment whole — is a torn or uncommitted batch.
@@ -577,10 +769,8 @@ fn scan(dir: &Path) -> Result<ScanOutcome> {
     }
 
     Ok(ScanOutcome {
-        found: WalRecovered {
-            base,
+        opened: WalOpened {
             base_through,
-            records,
             truncated_bytes,
             swept_tmp: 0,
             resumed: any_state,
@@ -628,12 +818,13 @@ impl WalCursor {
         if let Some(found) = self.tail(dir, obs)? {
             return Ok(found);
         }
-        let scan = scan(dir)?;
+        let mut sink = Collect::default();
+        let scan = scan(dir, &mut sink)?;
         self.seg = scan.keep.as_ref().map(|&(_, len, first)| (first, len));
         self.next_seq = scan.last_committed_seq + 1;
-        self.base_through = scan.found.base_through;
+        self.base_through = scan.opened.base_through;
         obs.counter_add("wal.tail_bytes", scan.read_bytes);
-        Ok(scan.found)
+        Ok(sink.into_recovered(scan.opened))
     }
 
     /// The records committed past the cursor, or `None` when the cursor no
@@ -648,28 +839,27 @@ impl WalCursor {
             return Ok(None);
         };
         let mut file = File::open(path)?;
-        if file.metadata()?.len() < offset {
+        let len = file.metadata()?.len();
+        if len < offset {
             return Ok(None);
         }
         file.seek(SeekFrom::Start(offset))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        obs.counter_add("wal.tail_bytes", bytes.len() as u64);
+        obs.counter_add("wal.tail_bytes", len - offset);
 
-        let mut records = Vec::new();
-        let walk = walk_frames(&bytes, 0, self.next_seq, self.base_through, &mut records);
-        let (end, seq, len) = walk.commit.unwrap_or((0, self.next_seq - 1, 0));
-        records.truncate(len);
-        self.seg = Some((first, offset + end as u64));
+        let mut buf = Vec::new();
+        let mut win = Window::new(file, offset, len - offset, &mut buf);
+        let mut sink = Collect::default();
+        sink.segment(len - offset);
+        let walk = walk_frames(&mut win, self.next_seq, self.base_through, &mut sink)?;
+        let (end, seq) = walk.commit.unwrap_or((offset, self.next_seq - 1));
+        self.seg = Some((first, end));
         self.next_seq = seq + 1;
-        Ok(Some(WalRecovered {
-            base: None,
+        Ok(Some(sink.into_recovered(WalOpened {
             base_through: self.base_through,
-            records,
-            truncated_bytes: (bytes.len() - end) as u64,
+            truncated_bytes: len - end,
             swept_tmp: 0,
             resumed: true,
-        }))
+        })))
     }
 }
 
@@ -739,13 +929,36 @@ impl Wal {
     /// or uncommitted tail, and finish any interrupted retirement. Returns
     /// the log positioned for appending plus everything the owner needs to
     /// rebuild state (base bytes + committed record suffix).
+    ///
+    /// This is the collected form of [`Wal::open_with`]: the records are
+    /// gathered into one vector, reserved from each segment's length and
+    /// shrunk once, so it holds the whole committed suffix at once. An
+    /// owner that only replays the suffix can use [`Wal::open_with`] and
+    /// hold one commit batch instead.
     pub fn open(dir: &Path, knobs: WalKnobs, obs: Obs) -> Result<(Wal, WalRecovered)> {
+        let mut sink = Collect::default();
+        let (wal, opened) = Wal::open_with(dir, knobs, obs, &mut sink)?;
+        Ok((wal, sink.into_recovered(opened)))
+    }
+
+    /// [`Wal::open`] in one streaming pass: each segment is read through a
+    /// 64 KiB window and every record is handed to `sink` as the window
+    /// reads it (see [`ScanSink`] for the order and what "committed"
+    /// means). The files are truncated and retired only after the scan
+    /// has handed everything over, so what the sink saw is what the log
+    /// keeps.
+    pub fn open_with(
+        dir: &Path,
+        knobs: WalKnobs,
+        obs: Obs,
+        sink: &mut impl ScanSink,
+    ) -> Result<(Wal, WalOpened)> {
         if let Err(why) = knobs.validate() {
             return Err(CkptError::Unsupported(format!("wal knobs: {why}")));
         }
         fs::create_dir_all(dir)?;
         let swept_tmp = sweep_stale_tmp(dir)?;
-        let scan = scan(dir)?;
+        let scan = scan(dir, sink)?;
 
         for p in &scan.drop_bases {
             let _ = fs::remove_file(p);
@@ -776,18 +989,18 @@ impl Wal {
             }
         };
 
-        let recovered = WalRecovered {
+        let opened = WalOpened {
             swept_tmp,
-            ..scan.found
+            ..scan.opened
         };
-        if recovered.truncated_bytes > 0 {
-            obs.counter_add("wal.truncated_bytes", recovered.truncated_bytes);
+        if opened.truncated_bytes > 0 {
+            obs.counter_add("wal.truncated_bytes", opened.truncated_bytes);
             obs.emit(
                 0.0,
                 TraceKind::Wal {
                     action: "recovered_tail",
                     seq: scan.last_committed_seq,
-                    bytes: recovered.truncated_bytes,
+                    bytes: opened.truncated_bytes,
                 },
             );
         }
@@ -799,13 +1012,17 @@ impl Wal {
             seg_path,
             seg_first,
             next_seq,
-            records_since_base: recovered.records.len() as u64,
+            // Records number consecutively from the base, so these are
+            // the committed records the scan handed over.
+            records_since_base: scan
+                .last_committed_seq
+                .saturating_sub(scan.opened.base_through),
             buf: Vec::new(),
             buf_records: 0,
             open_frame: None,
             last_flush_vt: 0.0,
         };
-        Ok((wal, recovered))
+        Ok((wal, opened))
     }
 
     /// Directory this log lives in.
