@@ -1,17 +1,14 @@
-//! Scaling comparison of the virtual-time fluid predictor against the
-//! reference event-sweep implementation it replaced.
-//!
-//! Both predictors are run on identical inputs — running queries plus an
-//! admission queue plus predicted future arrivals, the hardest §2.4
-//! configuration — at n ∈ {100, 1k, 10k, 100k}. The reference sweep is
-//! `O(n²)` (each completion event rescans and `Vec::remove`s), so it is
-//! gated to n ≤ 10k; the virtual-time heap loop is `O((n + arrivals) log n)`
-//! and runs the full range.
+//! Scaling of the virtual-time fluid predictor on the hardest §2.4
+//! configuration — running queries plus an admission queue plus predicted
+//! future arrivals — at n ∈ {100, 1k, 10k, 100k, 1M}; of a full estimate
+//! set taken from a maintained `IncrementalFluid`, beside `predict` over the
+//! same state; of incremental maintenance against the rebuild it replaces;
+//! and of the simulator's event step.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use mqpi_core::fluid::{predict, predict_reference, FluidQuery, FutureArrivals};
+use mqpi_core::fluid::{predict, FluidQuery, FutureArrivals};
 use mqpi_sim::rng::Rng;
 
 fn queries(n: usize, seed: u64) -> Vec<FluidQuery> {
@@ -62,23 +59,6 @@ fn bench_predict_scaling(c: &mut Criterion) {
                 });
             },
         );
-        if n <= 10_000 {
-            g.bench_with_input(
-                BenchmarkId::new("reference_sweep", n),
-                &(&running, &queued),
-                |b, (r, q)| {
-                    b.iter(|| {
-                        black_box(predict_reference(
-                            black_box(r),
-                            black_box(q),
-                            slots,
-                            Some(&future),
-                            100.0,
-                        ))
-                    });
-                },
-            );
-        }
         // Per-id finish-time lookups over the prediction — the driver-loop
         // pattern (`remaining_for` for every tracked query per tick) that
         // the dense offset index replaced a `HashMap` for.
@@ -98,6 +78,43 @@ fn bench_predict_scaling(c: &mut Criterion) {
                 });
             },
         );
+    }
+    g.finish();
+}
+
+/// A full estimate set from a maintained model — the running half of the
+/// §2.4 workload admitted and advanced, the queued half and the arrival
+/// stream on top — against `predict` over the same extracted state. Both
+/// return the same bits; `estimates_full` hands the kernel the order its
+/// treap keeps instead of letting it sort.
+fn bench_estimates_full(c: &mut Criterion) {
+    use mqpi_core::IncrementalFluid;
+
+    let mut g = c.benchmark_group("estimates_full");
+    g.sample_size(10);
+    for n in [10_000usize, 100_000] {
+        let (running, queued, slots, future) = workload(n);
+        let mut f = IncrementalFluid::with_capacity(100.0, running.len());
+        for q in &running {
+            f.arrive(q.id, q.cost, q.weight);
+        }
+        f.advance(1.0);
+        let mut live = Vec::new();
+        f.extract_into(&mut live);
+        g.bench_function(BenchmarkId::new("predict", n), |b| {
+            b.iter(|| {
+                black_box(predict(
+                    black_box(&live),
+                    &queued,
+                    slots,
+                    Some(&future),
+                    100.0,
+                ))
+            });
+        });
+        g.bench_function(BenchmarkId::new("maintained_order", n), |b| {
+            b.iter(|| black_box(f.estimates_full(black_box(&queued), slots, Some(&future))));
+        });
     }
     g.finish();
 }
@@ -132,8 +149,8 @@ fn bench_incremental_scaling(c: &mut Criterion) {
             });
         });
         // Rebuild path: the full predict over all n the pre-incremental
-        // architecture would run for that same event (gated like the
-        // reference sweep — one call is seconds at 10^6).
+        // architecture would run for that same event (gated to n ≤ 10^5:
+        // one call is seconds at 10^6).
         if n <= 100_000 {
             g.bench_with_input(BenchmarkId::new("full_rebuild", n), &pop, |b, pop| {
                 b.iter(|| black_box(predict(black_box(pop), &[], None, None, 100.0)));
@@ -192,6 +209,7 @@ fn bench_churn_drain(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_predict_scaling,
+    bench_estimates_full,
     bench_incremental_scaling,
     bench_churn_drain
 );

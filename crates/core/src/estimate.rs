@@ -1,7 +1,7 @@
 //! Estimate types and error metrics.
 
-use std::collections::HashMap;
-
+use crate::fluid::FluidPrediction;
+use crate::id_index::IdIndex;
 use crate::sanitize::sanitize_seconds;
 
 /// A remaining-time estimate for one query.
@@ -16,9 +16,17 @@ pub struct Estimate {
 /// One batch of per-query estimates from a single prediction pass, indexed
 /// by query id. Driver loops fetch this once per tick and look queries up
 /// in O(1), instead of re-running the predictor per query.
+///
+/// The estimates are kept in the order the estimator produced them
+/// (completion order, for a fluid prediction) beside a position index by
+/// id, the one a [`FluidPrediction`] already carries. Like a map filled in
+/// that order, an id given twice keeps its last value, at its last
+/// position.
 #[derive(Debug, Clone, Default)]
 pub struct EstimateSet {
-    by_id: HashMap<u64, f64>,
+    /// `(id, seconds)`, one entry per id.
+    pairs: Vec<(u64, f64)>,
+    index: IdIndex,
     truncated: bool,
     degraded: u32,
 }
@@ -33,19 +41,38 @@ impl EstimateSet {
     /// estimator math produced, callers only ever see finite, non-negative
     /// remaining times. [`EstimateSet::degraded`] counts the repairs.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, f64)>, truncated: bool) -> Self {
+        let pairs: Vec<(u64, f64)> = pairs.into_iter().collect();
+        let index = IdIndex::build(&pairs);
+        Self::indexed(pairs, index, truncated)
+    }
+
+    /// [`EstimateSet::from_pairs`] over a prediction's finish times, in
+    /// completion order, taking over the prediction's id index instead of
+    /// building another.
+    pub fn from_prediction(p: FluidPrediction) -> Self {
+        let (pairs, index, truncated) = p.into_parts();
+        Self::indexed(pairs, index, truncated)
+    }
+
+    fn indexed(mut pairs: Vec<(u64, f64)>, mut index: IdIndex, truncated: bool) -> Self {
         let mut degraded = 0;
-        let by_id = pairs
-            .into_iter()
-            .map(|(id, raw)| {
-                let (t, was_degraded) = sanitize_seconds(raw);
-                if was_degraded {
-                    degraded += 1;
-                }
-                (id, t)
-            })
-            .collect();
+        for (_, t) in &mut pairs {
+            let (clean, was_degraded) = sanitize_seconds(*t);
+            *t = clean;
+            degraded += u32::from(was_degraded);
+        }
+        if index.ids() < pairs.len() {
+            // An id given twice: keep only the entry the index points at.
+            let mut at = 0;
+            pairs.retain(|&(id, _)| {
+                at += 1;
+                index.get(id) == Some(at - 1)
+            });
+            index = IdIndex::build(&pairs);
+        }
         Self {
-            by_id,
+            pairs,
+            index,
             truncated,
             degraded,
         }
@@ -59,15 +86,16 @@ impl EstimateSet {
 
     /// Remaining-seconds estimate for `id`, if the estimator produced one.
     pub fn get(&self, id: u64) -> Option<f64> {
-        self.by_id.get(&id).copied()
+        self.index.get(id).map(|p| self.pairs[p].1)
     }
 
+    /// Number of distinct ids.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.pairs.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.pairs.is_empty()
     }
 
     /// True when the underlying prediction hit its virtual-arrival cap
@@ -76,11 +104,13 @@ impl EstimateSet {
         self.truncated
     }
 
+    /// Every `(id, seconds)` in the order the estimator produced them (an
+    /// id given twice at its last position). The same on every run.
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.by_id.iter().map(|(&id, &t)| (id, t))
+        self.pairs.iter().copied()
     }
 
-    /// Materialize as [`Estimate`] records (unspecified order).
+    /// Materialize as [`Estimate`] records, in [`EstimateSet::iter`] order.
     pub fn to_vec(&self) -> Vec<Estimate> {
         self.iter()
             .map(|(id, remaining_seconds)| Estimate {
@@ -188,5 +218,61 @@ mod tests {
         for (_, t) in set.iter() {
             assert!(t.is_finite() && t >= 0.0);
         }
+    }
+
+    #[test]
+    fn a_duplicate_id_keeps_its_last_value_and_counts_once() {
+        let set = EstimateSet::from_pairs(
+            [(1, 1.0), (2, 2.0), (1, f64::NAN), (3, 3.0), (1, 4.0)],
+            false,
+        );
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.get(1), Some(4.0));
+        assert_eq!(set.get(2), Some(2.0));
+        // Every value is sanitized, the superseded NaN included.
+        assert_eq!(set.degraded(), 1);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [(2, 2.0), (3, 3.0), (1, 4.0)]
+        );
+        assert_eq!(set.to_vec().len(), 3);
+    }
+
+    #[test]
+    fn sparse_ids_take_the_sorted_index() {
+        let pairs = [(u64::MAX, 1.0), (0, 2.0), (1 << 40, 3.0), (0, 5.0)];
+        let set = EstimateSet::from_pairs(pairs, true);
+        assert!(matches!(set.index, IdIndex::Sorted(_)));
+        assert!(set.truncated());
+        assert_eq!(set.len(), 3);
+        assert_eq!(set.get(0), Some(5.0));
+        assert_eq!(set.get(u64::MAX), Some(1.0));
+        assert_eq!(set.get(1 << 40), Some(3.0));
+        assert_eq!(set.get(1), None);
+        assert_eq!(set.get(u64::MAX - 1), None);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            [(u64::MAX, 1.0), (1 << 40, 3.0), (0, 5.0)]
+        );
+
+        let dense = EstimateSet::from_pairs((10..20).map(|id| (id, id as f64)), false);
+        assert!(matches!(dense.index, IdIndex::Dense { .. }));
+        assert_eq!(dense.get(9), None);
+        assert_eq!(dense.get(19), Some(19.0));
+        assert!(EstimateSet::new().is_empty());
+        assert_eq!(EstimateSet::new().get(0), None);
+    }
+
+    #[test]
+    fn iter_follows_the_prediction_order() {
+        let finish = vec![(7, 0.5), (3, 1.0), (9, 1.0), (4, 2.5)];
+        let p = FluidPrediction::new(finish.clone(), false);
+        let set = EstimateSet::from_prediction(p);
+        assert_eq!(set.iter().collect::<Vec<_>>(), finish);
+        let ids: Vec<u64> = set.to_vec().iter().map(|e| e.id).collect();
+        assert_eq!(ids, [7, 3, 9, 4]);
+        let again = EstimateSet::from_pairs(finish.iter().copied(), false);
+        assert_eq!(again.iter().collect::<Vec<_>>(), finish);
+        assert_eq!(again.get(9), set.get(9));
     }
 }

@@ -25,6 +25,7 @@ pub mod adaptive;
 pub mod ensemble;
 pub mod estimate;
 pub mod fluid;
+mod id_index;
 pub mod incremental;
 pub mod multi;
 pub mod observe;

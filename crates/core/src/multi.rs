@@ -133,7 +133,7 @@ impl MultiQueryPi {
             None
         };
         let p = predict(&running, &queued, slots, future.as_ref(), rate);
-        EstimateSet::from_pairs(p.finish_times, p.truncated)
+        EstimateSet::from_prediction(p)
     }
 
     /// Estimate for one query. Convenience wrapper over [`Self::estimates`];

@@ -1,8 +1,8 @@
 //! Observability bridge for the estimators.
 //!
 //! One helper turns a finished [`EstimateSet`] into its observable
-//! footprint: an `estimate` trace event per query (sorted by query id —
-//! [`EstimateSet`] is hash-indexed, and trace output must be byte-stable),
+//! footprint: an `estimate` trace event per query (sorted by query id, so
+//! the trace does not depend on the order an estimator produced them in),
 //! a profiling span over the prediction pass, and sanitizer/emission
 //! counters. Both PIs expose `estimates_observed` wrappers built on it;
 //! the plain `estimates` methods stay observation-free so hot callers that

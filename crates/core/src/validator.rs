@@ -154,7 +154,11 @@ impl InvariantValidator {
         if queued_ids.len() != snap.queued.len() {
             self.violate(t, "duplicate_queued_id", "queue has duplicate ids".into());
         }
-        for id in running_ids.intersection(&queued_ids) {
+        // By id, not in set order, so the violations come out in the same
+        // order on every run.
+        let mut both: Vec<u64> = running_ids.intersection(&queued_ids).copied().collect();
+        both.sort_unstable();
+        for id in both {
             self.violate(
                 t,
                 "running_and_queued",
@@ -500,6 +504,52 @@ mod tests {
         );
         assert_eq!(resumed.checkpoint(), straight.checkpoint());
         assert!(InvariantValidator::restore(&[1, 2, 3]).is_err());
+    }
+
+    /// Violations come out in one order on every run: estimates in the
+    /// set's order, ids in both the running set and the queue by id. Each
+    /// `HashMap`/`HashSet` draws its own hash seed, so set order would
+    /// differ between the repetitions below.
+    #[test]
+    fn violation_order_is_the_same_every_time() {
+        let departed: Vec<u64> = (0..16).map(|i| 1_000 + i * 7_919 % 97).collect();
+        let run = || {
+            let mut v = InvariantValidator::new();
+            let queued: Vec<QueuedState> = (1..=6)
+                .rev()
+                .map(|id| QueuedState {
+                    id,
+                    name: "dup".into(),
+                    weight: 1.0,
+                    arrived: 0.0,
+                    est_cost: 10.0,
+                })
+                .collect();
+            let running = (1..=6).map(|id| state(id, 0.0, 100.0)).collect();
+            let est = EstimateSet::from_pairs(departed.iter().map(|&id| (id, 1.0)), false);
+            v.observe(
+                &snap(0.0, running, queued),
+                &est,
+                ValidationContext::default(),
+            );
+            v.violations()
+                .iter()
+                .map(|x| x.detail.clone())
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        let mut want: Vec<String> = (1..=6)
+            .map(|id| format!("query {id} is both running and queued"))
+            .collect();
+        want.extend(
+            departed
+                .iter()
+                .map(|id| format!("estimate references query {id} not in the snapshot")),
+        );
+        assert_eq!(first, want);
+        for _ in 0..8 {
+            assert_eq!(run(), first);
+        }
     }
 
     #[test]

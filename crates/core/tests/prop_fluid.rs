@@ -4,11 +4,38 @@
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use proptest::prelude::*;
 
-use mqpi_core::fluid::{
-    predict, predict_reference, standard_remaining_times, FluidQuery, FutureArrivals,
-};
+use common::predict_reference;
+use mqpi_core::fluid::{predict, standard_remaining_times, FluidQuery, FutureArrivals};
+
+fn q(id: u64, cost: f64, weight: f64) -> FluidQuery {
+    FluidQuery { id, cost, weight }
+}
+
+/// One hand-built case of the property below: a queue behind two slots and
+/// an arrival stream.
+#[test]
+fn virtual_time_agrees_with_reference_sweep() {
+    let running = [q(1, 500.0, 1.0), q(2, 100.0, 2.0), q(3, 321.0, 0.5)];
+    let queued = [q(4, 200.0, 1.0), q(5, 50.0, 4.0)];
+    let f = FutureArrivals {
+        period: 1.5,
+        cost: 120.0,
+        weight: 1.0,
+        max_arrivals: 64,
+    };
+    let fast = predict(&running, &queued, Some(2), Some(&f), 100.0);
+    let slow = predict_reference(&running, &queued, Some(2), Some(&f), 100.0);
+    assert_eq!(fast.truncated, slow.truncated);
+    assert_eq!(fast.finish_times.len(), slow.finish_times.len());
+    for (id, t) in &slow.finish_times {
+        let got = fast.remaining_for(*id).unwrap();
+        assert!((got - t).abs() < 1e-6, "id {id}: {got} vs {t}");
+    }
+}
 
 fn arb_queries(max_n: usize) -> impl Strategy<Value = Vec<FluidQuery>> {
     prop::collection::vec(

@@ -7,7 +7,10 @@
 //! 1. **Bit-exact against the `predict` oracle** — `estimates_full` must
 //!    return exactly what a fresh `fluid::predict` call over the extracted
 //!    live set returns (same bits, not just close), per the delta-update
-//!    contract.
+//!    contract: alone, and with a random queue, slot limit and arrival
+//!    stream on top. `estimates_full` hands the kernel the treap's order;
+//!    `fluid::predict` sorts for itself. Some arrivals are placed on an
+//!    existing query's tag, where the two orders can disagree.
 //! 2. **Analytically against the shadow** — remaining costs and point
 //!    estimates must agree with the naive simulation to tight relative
 //!    tolerance, so the treap bookkeeping can't drift from the model it
@@ -26,12 +29,15 @@
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
+use common::predict_reference;
 use mqpi_ckpt::Wire as _;
-use mqpi_core::fluid::{predict, predict_reference, FluidQuery};
+use mqpi_core::fluid::{predict, FluidPrediction, FluidQuery, FutureArrivals};
 use mqpi_core::IncrementalFluid;
 
 /// One scripted operation, decoded from raw generated scalars.
@@ -39,6 +45,12 @@ use mqpi_core::IncrementalFluid;
 enum Op {
     Arrive {
         cost: f64,
+        weight: f64,
+    },
+    /// Arrive on a live query's tag: the same remaining cost per weight,
+    /// so the new tag equals the old one or misses it by rounding.
+    ArriveTied {
+        pick: f64,
         weight: f64,
     },
     Finish {
@@ -68,7 +80,7 @@ enum Op {
 }
 
 fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec((0u8..12, 0.0f64..1.0, 0.0f64..1.0), 1..max_len).prop_map(|raw| {
+    prop::collection::vec((0u8..14, 0.0f64..1.0, 0.0f64..1.0), 1..max_len).prop_map(|raw| {
         raw.into_iter()
             .map(|(sel, a, b)| match sel {
                 // Bias toward arrivals so the structure grows.
@@ -91,10 +103,64 @@ fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
                 },
                 9 => Op::Advance { dt: a * 8.0 },
                 10 => Op::Rebuild,
-                _ => Op::Recode,
+                11 => Op::Recode,
+                _ => Op::ArriveTied {
+                    pick: a,
+                    weight: [0.5, 1.0, 2.0, 4.0, 0.3, 3.7][(b * 6.0) as usize % 6],
+                },
             })
             .collect()
     })
+}
+
+/// What rides on the live set in the full estimate of one case: a queue,
+/// a slot limit and a predicted arrival stream.
+#[derive(Debug, Clone)]
+struct Load {
+    queued: Vec<FluidQuery>,
+    slots: Option<usize>,
+    future: Option<FutureArrivals>,
+}
+
+fn arb_load() -> impl Strategy<Value = Load> {
+    (
+        prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..6),
+        0usize..8,
+        0.0f64..0.2,
+        1usize..40,
+    )
+        .prop_map(|(raw, slots_off, lam, cap)| Load {
+            queued: raw
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, b))| FluidQuery {
+                    id: 1_000_000 + i as u64,
+                    cost: 1.0 + a * 2000.0,
+                    weight: [0.5, 1.0, 2.0, 4.0][(b * 4.0) as usize % 4],
+                })
+                .collect(),
+            // 0 means no limit; otherwise 1..=7, often below the live count.
+            slots: (slots_off > 0).then_some(slots_off),
+            future: (lam > 0.02).then(|| FutureArrivals {
+                max_arrivals: cap,
+                ..FutureArrivals::from_rate(lam, 500.0, 1.0).unwrap()
+            }),
+        })
+}
+
+fn assert_same_bits(got: &FluidPrediction, want: &FluidPrediction) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.truncated, want.truncated);
+    prop_assert_eq!(got.finish_times.len(), want.finish_times.len());
+    for (a, b) in got.finish_times.iter().zip(want.finish_times.iter()) {
+        prop_assert_eq!(a.0, b.0);
+        prop_assert_eq!(
+            a.1.to_bits(),
+            b.1.to_bits(),
+            "estimates_full not bit-identical to fresh predict for {}",
+            a.0
+        );
+    }
+    Ok(())
 }
 
 /// Naive GPS fluid simulation: each live query drains at
@@ -196,7 +262,11 @@ proptest! {
     /// The maintained structure, the naive shadow, the `predict` oracle,
     /// and `predict_reference` all tell the same story at every step.
     #[test]
-    fn random_event_streams_match_oracles(ops in arb_ops(60), rate0 in 20.0f64..200.0) {
+    fn random_event_streams_match_oracles(
+        ops in arb_ops(60),
+        rate0 in 20.0f64..200.0,
+        load in arb_load(),
+    ) {
         let mut inc = IncrementalFluid::new(rate0);
         let mut shadow = Shadow { live: Vec::new(), rate: rate0 };
         let mut next_id = 0u64;
@@ -210,6 +280,17 @@ proptest! {
                     inc.arrive(next_id, cost, weight);
                     shadow.live.push(FluidQuery { id: next_id, cost, weight });
                     next_id += 1;
+                }
+                Op::ArriveTied { pick, weight } => {
+                    // The shadow may still hold a query the treap retired.
+                    let tied = pick_id(&shadow.live, pick)
+                        .and_then(|id| Some(inc.remaining_cost(id)? / inc.weight_of(id)?));
+                    if let Some(per_weight) = tied {
+                        let cost = per_weight * weight;
+                        inc.arrive(next_id, cost, weight);
+                        shadow.live.push(FluidQuery { id: next_id, cost, weight });
+                        next_id += 1;
+                    }
                 }
                 Op::Finish { pick } => {
                     if let Some(id) = pick_id(&shadow.live, pick) {
@@ -279,17 +360,17 @@ proptest! {
                 }
             }
 
-            // (1) Bit-exact vs the predict oracle over the extracted set.
+            // (1) Bit-exact vs the predict oracle over the extracted set,
+            // alone and under the case's load.
             let full = inc.estimates_full(&[], None, None);
             let fresh = predict(&extracted, &[], None, None, inc.rate());
-            prop_assert_eq!(full.finish_times.len(), fresh.finish_times.len());
-            for (a, b) in full.finish_times.iter().zip(fresh.finish_times.iter()) {
-                prop_assert_eq!(a.0, b.0);
-                prop_assert_eq!(
-                    a.1.to_bits(), b.1.to_bits(),
-                    "estimates_full not bit-identical to fresh predict for {}", a.0
-                );
-            }
+            assert_same_bits(&full, &fresh)?;
+            assert_same_bits(&inc.estimates_unhinted(&[], None, None), &fresh)?;
+            let future = load.future.as_ref();
+            assert_same_bits(
+                &inc.estimates_full(&load.queued, load.slots, future),
+                &predict(&extracted, &load.queued, load.slots, future, inc.rate()),
+            )?;
 
             // (4) The bulk read and the node handles.
             check_bulk_read(&inc, &extracted, &mut handles)?;
@@ -337,6 +418,16 @@ proptest! {
                     inc.arrive(*next_id, cost, weight);
                     live.push(*next_id);
                     *next_id += 1;
+                }
+                Op::ArriveTied { pick, weight } => {
+                    if !live.is_empty() {
+                        let i = ((pick * live.len() as f64) as usize).min(live.len() - 1);
+                        let per_weight =
+                            inc.remaining_cost(live[i]).unwrap() / inc.weight_of(live[i]).unwrap();
+                        inc.arrive(*next_id, per_weight * weight, weight);
+                        live.push(*next_id);
+                        *next_id += 1;
+                    }
                 }
                 Op::Finish { pick } | Op::Abort { pick } => {
                     if !live.is_empty() {

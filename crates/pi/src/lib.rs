@@ -1479,7 +1479,8 @@ impl PiService {
         }
         self.next_audit = self.clock + b.interval;
         self.stats.audit_checks += 1;
-        let p = self.fluid.estimates_full(&[], None, None);
+        // The oracle sorts for itself: it must not read the order it audits.
+        let p = self.fluid.estimates_unhinted(&[], None, None);
         let mut worst = 0.0f64;
         for &(id, t) in p.finish_times.iter().take(b.sample) {
             let Some(point) = self.fluid.estimate(id) else {
@@ -1973,7 +1974,7 @@ impl PiService {
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.rebuilds.full", 1);
         }
-        EstimateSet::from_pairs(p.finish_times.iter().copied(), p.truncated)
+        EstimateSet::from_prediction(p)
     }
 
     // -- write-ahead-log plumbing ------------------------------------------

@@ -321,6 +321,40 @@ fn swept_pumps_allocate_nothing() {
     );
 }
 
+/// A full estimate set (`estimates()`) allocates its result and the kernel's
+/// working vectors, a fixed number of blocks whatever the population: the
+/// treap-order scratch and the queue scratch keep their capacity from one
+/// call to the next, and nothing is allocated per query. Five blocks on a
+/// service with a queue and no arrival stream, at 2 000 and at 20 000 live
+/// queries; the one-heap kernel with its `HashMap` result made five too.
+#[test]
+fn repeated_full_estimates_allocate_the_same_at_any_population() {
+    let per_call = |live: usize| {
+        let mut svc = PiService::with_capacity(
+            PiConfig {
+                rate: 100.0,
+                slots: Some(live),
+                ..PiConfig::default()
+            },
+            live + 32,
+        );
+        let sid = svc.register_session();
+        for i in 0..live + 32 {
+            svc.submit(sid, 1e3 + (i * 7_919 % 10_007) as f64, 1.0 + (i % 4) as f64);
+        }
+        assert_eq!(svc.estimates().len(), live + 32);
+        let before = allocs();
+        let set = svc.estimates();
+        let during = allocs() - before;
+        assert_eq!(set.len(), live + 32);
+        during
+    };
+    let (small, large) = (per_call(2_000), per_call(20_000));
+    println!("estimates(): {small} allocations at 2 000 live, {large} at 20 000");
+    assert_eq!(small, large, "allocations grow with the population");
+    assert!(large <= 5, "{large} allocations per full estimate set");
+}
+
 /// The journaled warm path: with a log attached, `submit + advance + pump`
 /// frames each record in place in the segment buffer (no per-record
 /// `Vec`), seals it once, and a flush writes the buffer out and keeps its
