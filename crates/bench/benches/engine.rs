@@ -2,7 +2,7 @@
 //! query end to end — plus the PI-estimation overhead ablation (how much a
 //! snapshot + estimate costs per visibility mode).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use mqpi_bench::db;
@@ -76,7 +76,9 @@ fn bench_query(c: &mut Criterion) {
 /// per match. `inner_t(k, v, pad)` is shaped like `lineitem` (a 60-byte
 /// string nothing reads) and interleaves its keys, so the matches of one
 /// probe lie on different pages. Time per iteration is for 64 outer rows,
-/// that is `64 * fanout` matches.
+/// that is `64 * fanout` matches; the group reports matches per second,
+/// about one work unit each, so the inverse is comparable with
+/// `engine.ns_per_unit`.
 fn bench_correlated_probe(c: &mut Criterion) {
     const OUTER_ROWS: i64 = 64;
     const FANOUTS: [i64; 3] = [3, 30, 300];
@@ -122,6 +124,7 @@ fn bench_correlated_probe(c: &mut Criterion) {
                  (select sum(i.v) from inner_t i where i.k = o.k)"
             ))
             .unwrap();
+        g.throughput(Throughput::Elements((OUTER_ROWS * fanout) as u64));
         g.bench_with_input(BenchmarkId::new("fanout", fanout), &prepared, |b, p| {
             b.iter(|| {
                 let mut cur = p.open().unwrap();

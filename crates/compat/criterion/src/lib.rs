@@ -1,8 +1,9 @@
 //! Offline stand-in for `criterion`.
 //!
 //! Implements the API surface this workspace's benches use — groups,
-//! `bench_function`/`bench_with_input`, `BenchmarkId`, `sample_size`, and
-//! the `criterion_group!`/`criterion_main!` macros — with straightforward
+//! `bench_function`/`bench_with_input`, `BenchmarkId`, `sample_size`,
+//! `Throughput::Elements`, and the `criterion_group!`/`criterion_main!`
+//! macros — with straightforward
 //! wall-clock measurement (auto-calibrated iteration count, median of a
 //! few samples). `cargo bench -- --test` runs every benchmark body exactly
 //! once so CI can smoke-test benches without paying measurement time.
@@ -47,6 +48,14 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// Work per iteration, for a rate beside the time (only the variant the
+/// benches use).
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements processed per iteration; reported as elements per second.
+    Elements(u64),
+}
+
 #[derive(Debug, Clone)]
 struct Options {
     test_mode: bool,
@@ -88,6 +97,7 @@ impl Criterion {
             criterion: self,
             name: name.into(),
             sample_size: 10,
+            throughput: None,
         }
     }
 
@@ -97,7 +107,7 @@ impl Criterion {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let opts = self.opts.clone();
-        run_benchmark(&opts, None, &id.into(), 10, f);
+        run_benchmark(&opts, None, &id.into(), 10, None, f);
         self
     }
 }
@@ -106,12 +116,19 @@ pub struct BenchmarkGroup<'a> {
     criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         assert!(n >= 2, "sample_size must be at least 2");
         self.sample_size = n;
+        self
+    }
+
+    /// Work per iteration of the benchmarks defined after this call.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
 
@@ -125,7 +142,14 @@ impl BenchmarkGroup<'_> {
         f: impl FnMut(&mut Bencher),
     ) -> &mut Self {
         let opts = self.criterion.opts.clone();
-        run_benchmark(&opts, Some(&self.name), &id.into(), self.sample_size, f);
+        run_benchmark(
+            &opts,
+            Some(&self.name),
+            &id.into(),
+            self.sample_size,
+            self.throughput,
+            f,
+        );
         self
     }
 
@@ -191,6 +215,7 @@ fn run_benchmark(
     group: Option<&str>,
     id: &BenchmarkId,
     _sample_size: usize,
+    throughput: Option<Throughput>,
     mut f: impl FnMut(&mut Bencher),
 ) {
     let full = match group {
@@ -212,8 +237,14 @@ fn run_benchmark(
     } else if let Some(d) = b.measured {
         // The `mean_ns` field is machine-readable for scripts that collect
         // before/after numbers.
+        let rate = match throughput {
+            Some(Throughput::Elements(n)) if !d.is_zero() => {
+                format!("   thrpt: {:.3} Melem/s", n as f64 / d.as_secs_f64() / 1e6)
+            }
+            _ => String::new(),
+        };
         println!(
-            "{full:<60} time: {:>12}   mean_ns: {}",
+            "{full:<60} time: {:>12}   mean_ns: {}{rate}",
             format_duration(d),
             d.as_nanos()
         );

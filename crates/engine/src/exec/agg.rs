@@ -39,12 +39,20 @@ fn gkey(v: &Value) -> GKey {
     }
 }
 
+/// A `sum()` total: exact while every input is an `Int`, in `f64` from the
+/// first `Float` on.
+#[derive(Debug, Clone, Copy)]
+enum Total {
+    Int(i128),
+    Float(f64),
+}
+
 /// Accumulator for one aggregate in one group.
 #[derive(Debug, Clone)]
 enum AggState {
     Count(u64),
-    /// (sum as f64, all inputs were Int, saw any non-null)
-    Sum(f64, bool, bool),
+    /// (total, saw any non-null)
+    Sum(Total, bool),
     /// (sum, count) — NULLs excluded
     Avg(f64, u64),
     Min(Option<Value>),
@@ -55,7 +63,7 @@ impl AggState {
     fn new(func: AggFunc) -> Self {
         match func {
             AggFunc::Count => AggState::Count(0),
-            AggFunc::Sum => AggState::Sum(0.0, true, false),
+            AggFunc::Sum => AggState::Sum(Total::Int(0), false),
             AggFunc::Avg => AggState::Avg(0.0, 0),
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
@@ -72,16 +80,20 @@ impl AggState {
                     Some(_) => *n += 1,
                 }
             }
-            AggState::Sum(total, all_int, seen) => {
+            AggState::Sum(total, seen) => {
                 if let Some(v) = v {
-                    if !v.is_null() {
-                        let x = v.as_f64().ok_or_else(|| {
-                            EngineError::exec(format!("sum() over non-numeric {v:?}"))
-                        })?;
-                        *total += x;
-                        *all_int &= matches!(v, Value::Int(_));
-                        *seen = true;
-                    }
+                    *total = match (*total, v) {
+                        (_, Value::Null) => return Ok(()),
+                        (Total::Int(t), Value::Int(x)) => Total::Int(t + i128::from(*x)),
+                        // The exact total converts once, at the first Float.
+                        (Total::Int(t), Value::Float(x)) => Total::Float(t as f64 + x),
+                        (Total::Float(t), Value::Int(x)) => Total::Float(t + *x as f64),
+                        (Total::Float(t), Value::Float(x)) => Total::Float(t + x),
+                        (_, Value::Str(_)) => {
+                            return Err(EngineError::exec(format!("sum() over non-numeric {v:?}")))
+                        }
+                    };
+                    *seen = true;
                 }
             }
             AggState::Avg(total, n) => {
@@ -122,15 +134,12 @@ impl AggState {
     fn finish(&self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(*n as i64),
-            AggState::Sum(total, all_int, seen) => {
-                if !*seen {
-                    Value::Null
-                } else if *all_int && total.fract() == 0.0 && total.abs() < 9e18 {
-                    Value::Int(*total as i64)
-                } else {
-                    Value::Float(*total)
-                }
-            }
+            AggState::Sum(_, false) => Value::Null,
+            AggState::Sum(Total::Int(t), true) => match i64::try_from(*t) {
+                Ok(t) => Value::Int(t),
+                Err(_) => Value::Float(*t as f64),
+            },
+            AggState::Sum(Total::Float(t), true) => Value::Float(*t),
             AggState::Avg(total, n) => {
                 if *n == 0 {
                     Value::Null
@@ -151,7 +160,41 @@ type GroupEntry = (
     Vec<Option<std::collections::HashSet<GKey>>>,
 );
 
-fn new_entry(gvals: Tuple, aggs: &[AggSpec]) -> GroupEntry {
+/// Where an aggregate's argument comes from, decided when the operator is
+/// built.
+enum Arg {
+    /// `count(*)`: no argument.
+    Star,
+    /// A plain input column (`PhysExpr::Input`), read by reference from the
+    /// row buffer: no clone, no `Result<Value>` per row.
+    Column(usize),
+    /// A computed argument, evaluated per row.
+    Expr(PhysExpr),
+}
+
+/// One aggregate as the operator runs it.
+struct Agg {
+    func: AggFunc,
+    distinct: bool,
+    arg: Arg,
+}
+
+impl From<AggSpec> for Agg {
+    fn from(spec: AggSpec) -> Self {
+        let arg = match spec.arg {
+            None => Arg::Star,
+            Some(PhysExpr::Input(i)) => Arg::Column(i),
+            Some(e) => Arg::Expr(e),
+        };
+        Agg {
+            func: spec.func,
+            distinct: spec.distinct,
+            arg,
+        }
+    }
+}
+
+fn new_entry(gvals: Tuple, aggs: &[Agg]) -> GroupEntry {
     (
         gvals,
         aggs.iter().map(|a| AggState::new(a.func)).collect(),
@@ -168,7 +211,7 @@ fn new_entry(gvals: Tuple, aggs: &[AggSpec]) -> GroupEntry {
 pub struct Aggregate {
     child: Box<dyn Operator>,
     group: Vec<PhysExpr>,
-    aggs: Vec<AggSpec>,
+    aggs: Vec<Agg>,
     /// Groups in first-seen order, which is the output order. A scalar
     /// aggregate has its one group here from the start and never hashes.
     groups: Vec<GroupEntry>,
@@ -193,7 +236,7 @@ impl Aggregate {
         let mut agg = Aggregate {
             child,
             group,
-            aggs,
+            aggs: aggs.into_iter().map(Agg::from).collect(),
             groups: Vec::new(),
             index: HashMap::new(),
             row: Tuple::new(),
@@ -254,21 +297,26 @@ impl Operator for Aggregate {
                         }
                     };
                     let (_, states, seen) = &mut self.groups[at];
-                    for ((spec, state), seen) in self.aggs.iter().zip(states).zip(seen) {
-                        match &spec.arg {
-                            None => state.update(None)?,
-                            Some(e) => {
-                                let v = eval(e, row, ctx)?;
-                                if let Some(seen) = seen {
-                                    // DISTINCT: fold each value only once
-                                    // (NULLs are skipped by update anyway).
-                                    if !v.is_null() && !seen.insert(gkey(&v)) {
-                                        continue;
-                                    }
-                                }
-                                state.update(Some(&v))?;
+                    for ((agg, state), seen) in self.aggs.iter().zip(states).zip(seen) {
+                        let evaluated;
+                        let v = match &agg.arg {
+                            Arg::Star => None,
+                            Arg::Column(i) => Some(row.get(*i).ok_or_else(|| {
+                                EngineError::exec(format!("input column {i} out of range"))
+                            })?),
+                            Arg::Expr(e) => {
+                                evaluated = eval(e, row, ctx)?;
+                                Some(&evaluated)
+                            }
+                        };
+                        if let (Some(seen), Some(v)) = (seen, v) {
+                            // DISTINCT: fold each value only once (NULLs
+                            // are skipped by update anyway).
+                            if !v.is_null() && !seen.insert(gkey(v)) {
+                                continue;
                             }
                         }
+                        state.update(v)?;
                     }
                 }
                 Pulled::Pending => return Ok(Step::Pending),

@@ -266,6 +266,83 @@ fn count_distinct_and_sum_distinct() {
     );
 }
 
+/// `sum(x) group by g` over a table whose groups hold `groups[g]`, scanned
+/// in that order (a `Float` column keeps the `Int` tag of an `Int` value).
+fn sums(groups: &[&[Value]]) -> Vec<Value> {
+    let mut db = Database::new();
+    let schema = Schema::from_pairs(&[("g", ColumnType::Int), ("x", ColumnType::Float)]);
+    db.create_table("nums", schema.unwrap()).unwrap();
+    let rows: Vec<Vec<Value>> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(g, xs)| {
+            xs.iter()
+                .map(move |x| vec![Value::Int(g as i64), x.clone()])
+        })
+        .collect();
+    db.insert("nums", &rows).unwrap();
+    db.analyze("nums").unwrap();
+    db.execute("select g, sum(x) from nums group by g order by g")
+        .unwrap()
+        .into_iter()
+        .map(|r| r[1].clone())
+        .collect()
+}
+
+#[test]
+fn integer_sum_is_exact_past_2_pow_53() {
+    let big = 1i64 << 53;
+    // Summed as f64, 2^53 + 1 rounds back to 2^53.
+    assert_eq!(
+        sums(&[&[Value::Int(big), Value::Int(1)]]),
+        [Value::Int(big + 1)]
+    );
+}
+
+#[test]
+fn integer_sum_overflowing_i64_turns_float() {
+    let max = Value::Int(i64::MAX);
+    let got = sums(&[
+        // The running total leaves i64 and comes back: still exact.
+        &[max.clone(), Value::Int(1), Value::Int(-1)],
+        // It ends outside i64: the exact total, rounded once.
+        &[max.clone(), max],
+    ]);
+    assert_eq!(
+        got,
+        [Value::Int(i64::MAX), Value::Float(2.0 * i64::MAX as f64)]
+    );
+}
+
+#[test]
+fn mixed_sum_keeps_its_float_value() {
+    let got = sums(&[
+        &[
+            Value::Int(3),
+            Value::Int(4),
+            Value::Float(0.25),
+            Value::Int(5),
+        ],
+        &[Value::Float(-0.0), Value::Int(2)],
+        &[Value::Float(-0.0)],
+        &[Value::Null, Value::Int(7)],
+        &[Value::Null],
+    ]);
+    // Left-to-right f64 addition from 0.0, as before the exact Int total.
+    assert_eq!(
+        got,
+        [
+            Value::Float(((0.0 + 3.0 + 4.0) + 0.25) + 5.0),
+            Value::Float((0.0 + -0.0) + 2.0),
+            Value::Float(0.0 + -0.0),
+            Value::Int(7),
+            Value::Null,
+        ]
+    );
+    // A literal 0.0 + -0.0 is +0.0: the sign of a lone -0.0 is not kept.
+    assert!(matches!(got[2], Value::Float(f) if f.is_sign_positive()));
+}
+
 #[test]
 fn count_distinct_per_group() {
     let db = db();
