@@ -153,7 +153,7 @@ const RUN_KIND: &str = "chaos-run";
 /// When passed to [`run_ckpt`], every replicate periodically snapshots its
 /// complete state — scheduler, validator, collected samples — to
 /// `dir/run-<seed:016x>.ckpt` via atomic temp-file + rename, and writes a
-/// final "done" record holding its folded [`RunOutcome`] on completion.
+/// final "done" record holding its folded `RunOutcome` on completion.
 /// A killed campaign restarted with `resume = true` then skips finished
 /// replicates, continues partially-finished ones from their last snapshot,
 /// and runs never-started ones from scratch — producing a report

@@ -16,7 +16,8 @@
 
 use mqpi_ckpt::{CkptError, Wire};
 use mqpi_core::{
-    Ensemble, InvariantValidator, MultiQueryPi, SingleQueryPi, ValidationContext, Visibility,
+    observe_estimates, Ensemble, Estimator, InvariantValidator, MultiQueryPi, SingleQueryPi,
+    ValidationContext, Visibility,
 };
 use mqpi_engine::error::{EngineError, Result};
 use mqpi_obs::Obs;
@@ -223,10 +224,13 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
                     }
                     seen_finished += 1;
                 }
-                ens.tick_observed(&snap).point_set()
+                ens.tick(&snap).point_set()
             } else {
-                let _ = single.estimates_observed(&snap, &obs);
-                multi.estimates_observed(&snap, &obs)
+                let s_set = single.estimates(&snap);
+                observe_estimates(&obs, single.name(), single.span(), snap.time, &s_set);
+                let m_set = multi.estimates(&snap);
+                observe_estimates(&obs, multi.name(), multi.span(), snap.time, &m_set);
+                m_set
             };
 
             let rate_degraded = sys.current_rate() < sys.rate() - 1e-9;
@@ -248,9 +252,10 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
             if wlm {
                 if victim.is_none() && snap.time >= 10.0 {
                     let loads = QueryLoad::from_snapshot(&snap);
-                    if let Some(c) =
-                        mqpi_wlm::best_single_victim_observed(&loads, target, RATE, &obs, snap.time)
-                    {
+                    let choice = mqpi_wlm::best_single_victim(&loads, target, RATE);
+                    let victim_id = choice.map(|c| c.victim);
+                    mqpi_wlm::record_decision(&obs, snap.time, "speedup_victim", victim_id);
+                    if let Some(c) = choice {
                         sys.block(c.victim)?;
                         victim = Some(c.victim);
                     }
@@ -261,14 +266,15 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
                     }
                 } else if resumed && !abort_planned && snap.time >= 40.0 {
                     let loads = QueryLoad::from_snapshot(&snap);
-                    let plan = mqpi_wlm::greedy_abort_plan_observed(
+                    let plan = mqpi_wlm::greedy_abort_plan(
                         &loads,
                         RATE,
                         10.0,
                         LostWorkCase::CompletedWork,
-                        &obs,
-                        snap.time,
                     );
+                    for &id in &plan.abort {
+                        mqpi_wlm::record_decision(&obs, snap.time, "maintenance_abort", Some(id));
+                    }
                     for id in plan.abort {
                         sys.abort(id)?;
                     }

@@ -53,7 +53,8 @@ use std::time::{Duration, Instant};
 use mqpi_bench::chaos::{self, CheckpointCfg};
 use mqpi_ckpt::Wire as _;
 use mqpi_core::{
-    Ensemble, InvariantValidator, MultiQueryPi, SingleQueryPi, ValidationContext, Visibility,
+    observe_estimates, Ensemble, InvariantValidator, MultiQueryPi, SingleQueryPi,
+    ValidationContext, Visibility,
 };
 use mqpi_obs::{Obs, SECOND_BUCKETS};
 use mqpi_pi::{BreakerConfig, LadderConfig, PiConfig, PiService, CKPT_KIND_SERVICE};
@@ -300,7 +301,9 @@ fn obs() -> Obs {
         );
     }
     sys.run_until(2.0).unwrap();
-    let _ = single.estimates_observed(&sys.snapshot(), &obs);
+    let snap = sys.snapshot();
+    let set = single.estimates(&snap);
+    observe_estimates(&obs, "single", "core.predict.single", snap.time, &set);
     obs.gauge_set("test.gauge", 0.1 + 0.2);
     obs.histogram_observe("test.latency", SECOND_BUCKETS, 7.5);
     let mut span = obs.span("test.span");

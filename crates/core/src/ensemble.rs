@@ -41,9 +41,9 @@ use crate::single::SingleQueryPi;
 ///
 /// Implementations may be stateful (the speed-EWMA family keeps per-query
 /// monitors), hence `&mut self`; stateless estimators simply ignore it.
-/// The provided `estimates_observed` is the one shared observed-emission
-/// path ([`crate::observe::emit_observed`]), so no implementation
-/// copy-pastes its own trace/counter block.
+/// Estimators never record anything: a traced caller hands the set,
+/// [`Estimator::name`] and [`Estimator::span`] to
+/// [`crate::observe::observe_estimates`].
 pub trait Estimator {
     /// Stable estimator family tag (`single`, `multi`, `dne`, `tgn`,
     /// `ewma`, …) — carried by trace events and used in reports.
@@ -57,15 +57,6 @@ pub trait Estimator {
     /// the snapshot. Every value is sanitized by [`EstimateSet`]: finite
     /// and non-negative, whatever the estimator math produced.
     fn estimates(&mut self, snap: &SystemSnapshot) -> EstimateSet;
-
-    /// Like [`Estimator::estimates`], additionally recording the pass
-    /// through `obs`: one `estimate` trace event per query (sorted by id),
-    /// the estimator's profiling span, and emission/sanitizer counters.
-    /// With a disabled handle this is exactly `estimates`.
-    fn estimates_observed(&mut self, snap: &SystemSnapshot, obs: &Obs) -> EstimateSet {
-        let est = self.estimates(snap);
-        crate::observe::emit_observed(obs, self.name(), self.span(), snap.time, est)
-    }
 
     /// Append any mutable estimator state to a checkpoint. Stateless
     /// estimators write nothing; whatever is written here must be read
@@ -385,8 +376,8 @@ impl Ring {
     }
 }
 
-/// One estimator-selection decision, surfaced by [`EnsembleTick`] and (via
-/// [`Ensemble::tick_observed`]) as a `selector` trace event.
+/// One estimator-selection decision, surfaced by [`EnsembleTick`] and, on
+/// an attached [`Obs`] handle, as a `selector` trace event.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectorDecision {
     /// Query the decision is for.
@@ -435,7 +426,7 @@ struct Pending {
 /// Wu-style percentile bands.
 ///
 /// Drive it with three calls:
-/// * [`Ensemble::tick`] (or `tick_observed`) at every sampling point;
+/// * [`Ensemble::tick`] at every sampling point;
 /// * [`Ensemble::resolve`] when a query *completes* (realized finish time
 ///   known) — this is what scores the estimators;
 /// * [`Ensemble::forget`] when a query leaves without completing (abort,
@@ -575,7 +566,10 @@ impl Ensemble {
 
     /// One sampling tick: run every member estimator over the snapshot,
     /// buffer the samples for later scoring, make selector decisions, and
-    /// band the chosen estimates.
+    /// band the chosen estimates. The attached [`Obs`] handle records a
+    /// `selector` event per decision, one `estimate` event per query
+    /// (`pi=ensemble`, the band p50), the `core.predict.ensemble` span, and
+    /// assignment/switch counters.
     pub fn tick(&mut self, snap: &SystemSnapshot) -> EnsembleTick {
         let sets: Vec<EstimateSet> = self
             .estimators
@@ -693,20 +687,11 @@ impl Ensemble {
             });
         }
 
-        EnsembleTick {
+        let out = EnsembleTick {
             banded,
             sets,
             decisions,
-        }
-    }
-
-    /// [`Ensemble::tick`], additionally recording the pass on the attached
-    /// [`Obs`] handle: `selector` trace events for every decision, one
-    /// `estimate` event per query (`pi=ensemble`, the band p50), the
-    /// `core.predict.ensemble` span, and assignment/switch counters. With
-    /// a disabled handle this is exactly `tick`.
-    pub fn tick_observed(&mut self, snap: &SystemSnapshot) -> EnsembleTick {
-        let out = self.tick(snap);
+        };
         if !self.obs.is_enabled() {
             return out;
         }
@@ -1151,11 +1136,8 @@ mod tests {
         let mut ens = two_member();
         ens.set_obs(Obs::enabled());
         let s = snap(0.0, vec![state(1, 500.0, 0.0, None)]);
-        let _ = ens.tick_observed(&s);
-        let obs_handle = {
-            // Re-borrow through a fresh tick to read counters.
-            ens.obs.clone()
-        };
+        let _ = ens.tick(&s);
+        let obs_handle = ens.obs.clone();
         let trace = obs_handle.render_trace();
         assert!(trace.contains("selector id=1 from=- to=multi"), "{trace}");
         assert!(trace.contains("estimate pi=ensemble id=1"), "{trace}");

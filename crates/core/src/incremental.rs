@@ -42,10 +42,10 @@
 //! independent of the order events built it. Aggregates are recomputed from
 //! children on every structural change (never incrementally adjusted), so
 //! they are a pure function of shape and weights. Consequently the same
-//! event sequence produces bit-identical state on every run, and
-//! [`IncrementalFluid::encode`] / [`IncrementalFluid::decode`] round-trip
-//! to byte-identical re-encodings (the codec writes nodes in admission
-//! order; the decoder re-inserts them and lands on the same unique treap).
+//! event sequence produces bit-identical state on every run, and the
+//! [`Wire`] encoding round-trips to byte-identical re-encodings (the
+//! codec writes nodes in admission order; the decoder re-inserts them and
+//! lands on the same unique treap).
 //!
 //! Full estimate sets ([`IncrementalFluid::estimates_full`]) extract the
 //! live set in admission order and run the *same* `predict` kernel a fresh

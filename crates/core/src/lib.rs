@@ -43,11 +43,8 @@ pub use estimate::{relative_error, Band, BandedEstimate, Estimate, EstimateSet};
 pub use fluid::{standard_remaining_times, FluidPrediction, FluidQuery, FutureArrivals};
 pub use incremental::{DeltaCounters, IncrementalFluid};
 pub use multi::{FutureWorkload, MultiQueryPi, Visibility};
-pub use observe::{emit_observed, observe_estimates};
+pub use observe::observe_estimates;
 pub use percent::{PercentDonePi, TimeFractionPi};
-pub use sanitize::{
-    sanitize_fraction, sanitize_fraction_counted, sanitize_percent, sanitize_percent_counted,
-    sanitize_seconds, sanitize_seconds_counted, MAX_REMAINING_SECONDS,
-};
+pub use sanitize::{sanitize_fraction, sanitize_percent, sanitize_seconds, MAX_REMAINING_SECONDS};
 pub use single::SingleQueryPi;
 pub use validator::{InvariantValidator, ValidationContext, Violation};

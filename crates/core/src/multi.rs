@@ -142,21 +142,6 @@ impl MultiQueryPi {
     pub fn estimate(&self, snap: &SystemSnapshot, id: u64) -> Option<f64> {
         self.estimates(snap).get(id)
     }
-
-    /// Like [`Self::estimates`], additionally recording the pass through
-    /// `obs`: one `estimate` trace event per query (stamped with the
-    /// snapshot time, sorted by id), the `core.predict.multi` profiling
-    /// span, and estimate/sanitizer counters. With a disabled handle this
-    /// is exactly [`Self::estimates`].
-    pub fn estimates_observed(&self, snap: &SystemSnapshot, obs: &mqpi_obs::Obs) -> EstimateSet {
-        crate::observe::emit_observed(
-            obs,
-            "multi",
-            "core.predict.multi",
-            snap.time,
-            self.estimates(snap),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -4,9 +4,14 @@
 //! footprint: an `estimate` trace event per query (sorted by query id, so
 //! the trace does not depend on the order an estimator produced them in),
 //! a profiling span over the prediction pass, and sanitizer/emission
-//! counters. Both PIs expose `estimates_observed` wrappers built on it;
-//! the plain `estimates` methods stay observation-free so hot callers that
-//! never trace pay nothing.
+//! counters. It borrows the set, so observing an estimate cannot change
+//! it. A traced caller runs an estimator's `estimates` and then hands the
+//! set here with the estimator's [`name`] and [`span`]; the estimators
+//! themselves stay observation-free, so callers that never trace pay
+//! nothing.
+//!
+//! [`name`]: crate::ensemble::Estimator::name
+//! [`span`]: crate::ensemble::Estimator::span
 
 use mqpi_obs::{Obs, TraceKind};
 
@@ -42,23 +47,6 @@ pub fn observe_estimates(
     if est.degraded() > 0 {
         obs.counter_add("core.sanitize.degraded", u64::from(est.degraded()));
     }
-}
-
-/// The one observed-emission path every estimator shares: take the set a
-/// prediction pass produced, record its footprint, and hand the set back.
-/// Observation is a pure read, so the returned set is exactly the input —
-/// the `*_observed` wrappers on every [`crate::ensemble::Estimator`] are
-/// one-line delegations to this helper instead of copy-pasted
-/// emission blocks.
-pub fn emit_observed(
-    obs: &Obs,
-    pi: &'static str,
-    span: &'static str,
-    at: f64,
-    est: EstimateSet,
-) -> EstimateSet {
-    observe_estimates(obs, pi, span, at, &est);
-    est
 }
 
 #[cfg(test)]

@@ -48,39 +48,6 @@ pub fn sanitize_percent(raw: f64) -> (f64, bool) {
     (f * 100.0, degraded)
 }
 
-/// Counted variant of [`sanitize_seconds`]: a degradation also increments
-/// the metrics registry (`core.sanitize.degraded` plus the per-shape
-/// counter `core.sanitize.seconds_degraded`), so campaigns can read repair
-/// totals from the same place as every other counter.
-pub fn sanitize_seconds_counted(raw: f64, obs: &mqpi_obs::Obs) -> (f64, bool) {
-    let out = sanitize_seconds(raw);
-    count_degraded(out.1, obs, "core.sanitize.seconds_degraded");
-    out
-}
-
-/// Counted variant of [`sanitize_fraction`] (see
-/// [`sanitize_seconds_counted`]).
-pub fn sanitize_fraction_counted(raw: f64, obs: &mqpi_obs::Obs) -> (f64, bool) {
-    let out = sanitize_fraction(raw);
-    count_degraded(out.1, obs, "core.sanitize.fraction_degraded");
-    out
-}
-
-/// Counted variant of [`sanitize_percent`] (see
-/// [`sanitize_seconds_counted`]).
-pub fn sanitize_percent_counted(raw: f64, obs: &mqpi_obs::Obs) -> (f64, bool) {
-    let out = sanitize_percent(raw);
-    count_degraded(out.1, obs, "core.sanitize.percent_degraded");
-    out
-}
-
-fn count_degraded(degraded: bool, obs: &mqpi_obs::Obs, shape: &'static str) {
-    if degraded && obs.is_enabled() {
-        obs.counter_add("core.sanitize.degraded", 1);
-        obs.counter_add(shape, 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,62 +88,5 @@ mod tests {
         assert_eq!(sanitize_percent(130.0), (100.0, true));
         assert_eq!(sanitize_percent(-5.0), (0.0, true));
         assert_eq!(sanitize_percent(f64::NAN), (0.0, true));
-    }
-
-    #[test]
-    fn counted_seconds_edge_cases_increment_registry() {
-        let obs = mqpi_obs::Obs::enabled();
-        // NaN / ±∞ / negative / beyond-cap all degrade and count.
-        assert_eq!(
-            sanitize_seconds_counted(f64::NAN, &obs),
-            (MAX_REMAINING_SECONDS, true)
-        );
-        assert_eq!(
-            sanitize_seconds_counted(f64::INFINITY, &obs),
-            (MAX_REMAINING_SECONDS, true)
-        );
-        assert_eq!(
-            sanitize_seconds_counted(f64::NEG_INFINITY, &obs),
-            (0.0, true)
-        );
-        assert_eq!(sanitize_seconds_counted(-0.5, &obs), (0.0, true));
-        assert_eq!(
-            sanitize_seconds_counted(MAX_REMAINING_SECONDS * 2.0, &obs),
-            (MAX_REMAINING_SECONDS, true)
-        );
-        assert_eq!(obs.counter("core.sanitize.degraded"), 5);
-        assert_eq!(obs.counter("core.sanitize.seconds_degraded"), 5);
-        // Cap boundary and clean values pass through uncounted.
-        assert_eq!(
-            sanitize_seconds_counted(MAX_REMAINING_SECONDS, &obs),
-            (MAX_REMAINING_SECONDS, false)
-        );
-        assert_eq!(sanitize_seconds_counted(0.0, &obs), (0.0, false));
-        assert_eq!(sanitize_seconds_counted(12.5, &obs), (12.5, false));
-        assert_eq!(obs.counter("core.sanitize.degraded"), 5);
-    }
-
-    #[test]
-    fn counted_fraction_and_percent_share_the_total() {
-        let obs = mqpi_obs::Obs::enabled();
-        assert_eq!(sanitize_fraction_counted(1.7, &obs), (1.0, true));
-        assert_eq!(sanitize_fraction_counted(-0.1, &obs), (0.0, true));
-        assert_eq!(sanitize_fraction_counted(f64::NAN, &obs), (0.0, true));
-        assert_eq!(sanitize_percent_counted(130.0, &obs), (100.0, true));
-        assert_eq!(sanitize_percent_counted(50.0, &obs), (50.0, false));
-        assert_eq!(obs.counter("core.sanitize.fraction_degraded"), 3);
-        assert_eq!(obs.counter("core.sanitize.percent_degraded"), 1);
-        assert_eq!(obs.counter("core.sanitize.degraded"), 4);
-    }
-
-    #[test]
-    fn counted_variants_are_noops_when_disabled() {
-        let obs = mqpi_obs::Obs::disabled();
-        assert_eq!(
-            sanitize_seconds_counted(f64::NAN, &obs),
-            (MAX_REMAINING_SECONDS, true)
-        );
-        assert_eq!(sanitize_fraction_counted(-1.0, &obs), (0.0, true));
-        assert_eq!(obs.counter("core.sanitize.degraded"), 0);
     }
 }

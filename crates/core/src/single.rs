@@ -57,21 +57,6 @@ impl SingleQueryPi {
             false,
         )
     }
-
-    /// Like [`Self::estimates`], additionally recording the pass through
-    /// `obs`: one `estimate` trace event per query (stamped with the
-    /// snapshot time, sorted by id), the `core.predict.single` profiling
-    /// span, and estimate/sanitizer counters. With a disabled handle this
-    /// is exactly [`Self::estimates`].
-    pub fn estimates_observed(&self, snap: &SystemSnapshot, obs: &mqpi_obs::Obs) -> EstimateSet {
-        crate::observe::emit_observed(
-            obs,
-            "single",
-            "core.predict.single",
-            snap.time,
-            self.estimates(snap),
-        )
-    }
 }
 
 #[cfg(test)]

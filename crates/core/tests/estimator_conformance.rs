@@ -15,8 +15,11 @@
 //!    or four.
 //! 4. **Graceful on degenerate snapshots.** Empty systems yield empty
 //!    sets; a fresh lone query yields exactly `cost / rate`.
-//! 5. **Observation is a pure read.** `estimates_observed` returns the
-//!    same set as `estimates`, with or without an enabled handle.
+//!
+//! That observation is a pure read needs no rule here: estimators never
+//! record, and `observe::observe_estimates` only borrows the set a pass
+//! returned, so the type guarantees it cannot change the estimates. What
+//! it records is pinned by `observe.rs`'s `emits_sorted_events_and_counters`.
 //!
 //! The suite is lineup-driven: adding an estimator to [`lineup`] runs it
 //! through every rule with no further test code.
@@ -25,7 +28,6 @@ use mqpi_core::ensemble::Estimator;
 use mqpi_core::{
     DriverNodePi, FutureWorkload, MultiQueryPi, SingleQueryPi, SpeedEwmaPi, TotalWorkPi, Visibility,
 };
-use mqpi_obs::Obs;
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::rng::Rng;
 use mqpi_sim::system::{QueryState, QueuedState, StepMode, System, SystemConfig, SystemSnapshot};
@@ -270,57 +272,4 @@ fn fresh_lone_query_estimates_cost_over_rate() {
             assert!((v - 5.0).abs() < 1e-9, "{name}: expected 5.0, got {v}");
         }
     }
-}
-
-#[test]
-fn observed_path_returns_identical_sets() {
-    // Mid-run snapshot with enough variety to exercise every code path:
-    // warm speeds, a cold query, a queue.
-    let mut s = snap(
-        20.0,
-        100.0,
-        vec![
-            state(1, 400.0, 600.0, Some(35.0)),
-            state(2, 90.0, 10.0, None),
-            state(3, 250.0, 250.0, Some(50.0)),
-        ],
-    );
-    s.running[1].started = 18.0;
-    s.queued.push(QueuedState {
-        id: 4,
-        name: "w".into(),
-        weight: 1.0,
-        arrived: 19.0,
-        est_cost: 300.0,
-    });
-    for obs in [Obs::disabled(), Obs::enabled()] {
-        for (name, mut est) in lineup() {
-            // Stateful estimators must see the same history on both paths.
-            let mut twin = lineup()
-                .into_iter()
-                .find(|(n, _)| *n == name)
-                .map(|(_, e)| e)
-                .unwrap();
-            let plain = est.estimates(&s);
-            let observed = twin.estimates_observed(&s, &obs);
-            let norm = |set: &mqpi_core::EstimateSet| {
-                let mut v: Vec<(u64, f64)> = set.iter().collect();
-                v.sort_by_key(|&(id, _)| id);
-                v
-            };
-            assert_eq!(
-                norm(&plain),
-                norm(&observed),
-                "{name}: observed path changed the estimates"
-            );
-            assert_eq!(plain.truncated(), observed.truncated(), "{name}");
-            assert_eq!(plain.degraded(), observed.degraded(), "{name}");
-        }
-    }
-    // And the observed path actually observed: events landed on the handle.
-    let obs = Obs::enabled();
-    let mut pi = SingleQueryPi::new();
-    let set = Estimator::estimates_observed(&mut pi, &s, &obs);
-    assert_eq!(obs.events_len(), set.len());
-    assert_eq!(obs.counter("core.estimates.emitted"), set.len() as u64);
 }

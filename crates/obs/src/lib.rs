@@ -227,9 +227,8 @@ impl Obs {
             .map_or_else(MetricsRegistry::new, |st| st.metrics.clone())
     }
 
-    /// Metrics as deterministic JSON (includes the profile table as
-    /// counters-like rows via [`Obs::profile_csv`] callers; the JSON body
-    /// itself covers counters/gauges/histograms).
+    /// Metrics as deterministic JSON: counters, gauges and histograms. The
+    /// profile table is not included; read it with [`Obs::profile`].
     pub fn metrics_json(&self) -> String {
         self.lock()
             .map_or_else(|| "{}\n".to_string(), |st| st.metrics.to_json())

@@ -297,15 +297,6 @@ impl PiService {
         Self::open_durable_impl(cfg, dir, Obs::disabled(), true)
     }
 
-    /// [`PiService::open_durable_at_mark`] with an observability handle.
-    pub fn open_durable_at_mark_with_obs(
-        cfg: PiConfig,
-        dir: &Path,
-        obs: Obs,
-    ) -> Result<(PiService, DurableRecovery), CkptError> {
-        Self::open_durable_impl(cfg, dir, obs, true)
-    }
-
     fn open_durable_impl(
         cfg: PiConfig,
         dir: &Path,

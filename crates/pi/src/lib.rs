@@ -899,18 +899,36 @@ impl PiService {
     /// expiry order) — the `queued` input [`PiService::estimates`] feeds
     /// the predict kernel. Allocates; audit/test path.
     pub fn queued_set(&self) -> Vec<FluidQuery> {
-        let mut out: Vec<FluidQuery> = Vec::with_capacity(self.queue.len() + self.backoff.len());
-        out.extend(self.queue.iter().map(|q| FluidQuery {
+        self.waiting().collect()
+    }
+
+    /// Waiting work in admission order: the FIFO queue, then backoff
+    /// entries in expiry order. Position `i` is `queue[i]` below
+    /// `queue.len()` and `backoff[i - queue.len()]` from there on.
+    fn waiting(&self) -> impl Iterator<Item = FluidQuery> + '_ {
+        let queued = self.queue.iter().map(|q| FluidQuery {
             id: q.id,
             cost: q.cost,
             weight: q.weight,
-        }));
-        out.extend(self.backoff.iter().map(|b| FluidQuery {
+        });
+        let backoff = self.backoff.iter().map(|b| FluidQuery {
             id: b.id,
             cost: b.cost,
             weight: b.weight,
-        }));
-        out
+        });
+        queued.chain(backoff)
+    }
+
+    /// Remove the entry at position `pos` of [`PiService::waiting`].
+    fn remove_waiting(&mut self, pos: usize) {
+        match pos.checked_sub(self.queue.len()) {
+            None => {
+                self.queue.remove(pos);
+            }
+            Some(i) => {
+                self.backoff.remove(i);
+            }
+        }
     }
 
     /// Handles of every live session, in slot order. A recovered or
@@ -1176,10 +1194,7 @@ impl PiService {
             return;
         };
         let live = self.fluid.contains(query);
-        if !live
-            && !self.queue.iter().any(|q| q.id == query)
-            && !self.backoff.iter().any(|b| b.id == query)
-        {
+        if !live && !self.waiting().any(|q| q.id == query) {
             return;
         }
         // Idempotent: a session already on this query's chain would
@@ -1354,33 +1369,20 @@ impl PiService {
     /// Live queries are never shed. Returns false when nothing is
     /// sheddable.
     fn shed_one(&mut self) -> bool {
-        let mut best: Option<(f64, u64, bool, usize)> = None;
-        for (i, q) in self.queue.iter().enumerate() {
+        let mut best: Option<(f64, u64, usize)> = None;
+        for (pos, q) in self.waiting().enumerate() {
             let better = match best {
                 None => true,
-                Some((w, id, _, _)) => q.weight < w || (q.weight == w && q.id > id),
+                Some((w, id, _)) => q.weight < w || (q.weight == w && q.id > id),
             };
             if better {
-                best = Some((q.weight, q.id, false, i));
+                best = Some((q.weight, q.id, pos));
             }
         }
-        for (i, b) in self.backoff.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some((w, id, _, _)) => b.weight < w || (b.weight == w && b.id > id),
-            };
-            if better {
-                best = Some((b.weight, b.id, true, i));
-            }
-        }
-        let Some((_, id, in_backoff, idx)) = best else {
+        let Some((_, id, pos)) = best else {
             return false;
         };
-        if in_backoff {
-            self.backoff.remove(idx);
-        } else {
-            self.queue.remove(idx);
-        }
+        self.remove_waiting(pos);
         self.stats.shed += 1;
         self.depart(id, false);
         if self.obs.is_enabled() {
@@ -1598,21 +1600,14 @@ impl PiService {
             self.evaluate_tier();
             return true;
         }
-        if let Some(pos) = self.queue.iter().position(|q| q.id == query) {
-            self.queue.remove(pos);
-            self.stats.aborted += 1;
-            self.depart(query, false);
-            self.evaluate_tier();
-            return true;
-        }
-        if let Some(pos) = self.backoff.iter().position(|b| b.id == query) {
-            self.backoff.remove(pos);
-            self.stats.aborted += 1;
-            self.depart(query, false);
-            self.evaluate_tier();
-            return true;
-        }
-        false
+        let Some(pos) = self.waiting().position(|q| q.id == query) else {
+            return false;
+        };
+        self.remove_waiting(pos);
+        self.stats.aborted += 1;
+        self.depart(query, false);
+        self.evaluate_tier();
+        true
     }
 
     /// Change a query's scheduling weight (priority change, §4), wherever
@@ -1637,15 +1632,15 @@ impl PiService {
             }
             return true;
         }
-        if let Some(q) = self.queue.iter_mut().find(|q| q.id == query) {
-            q.weight = weight;
-            return true;
+        let queued = self.queue.iter_mut().map(|q| (q.id, &mut q.weight));
+        let backoff = self.backoff.iter_mut().map(|b| (b.id, &mut b.weight));
+        match queued.chain(backoff).find(|(id, _)| *id == query) {
+            Some((_, w)) => {
+                *w = weight;
+                true
+            }
+            None => false,
         }
-        if let Some(b) = self.backoff.iter_mut().find(|b| b.id == query) {
-            b.weight = weight;
-            return true;
-        }
-        false
     }
 
     /// Replace a live query's remaining-cost estimate (cost refinement).
@@ -1956,16 +1951,7 @@ impl PiService {
         let _span = self.obs.span("pi.estimates_full");
         let mut queued = std::mem::take(&mut self.scratch_queued);
         queued.clear();
-        queued.extend(self.queue.iter().map(|q| FluidQuery {
-            id: q.id,
-            cost: q.cost,
-            weight: q.weight,
-        }));
-        queued.extend(self.backoff.iter().map(|b| FluidQuery {
-            id: b.id,
-            cost: b.cost,
-            weight: b.weight,
-        }));
+        queued.extend(self.waiting());
         let future = FutureArrivals::from_rate(self.arrivals.lambda(), self.mean_cost.mean(), 1.0);
         let p = self
             .fluid
@@ -2135,8 +2121,7 @@ impl PiService {
             // bytes (and hence state digests) match the uninterrupted run.
             WalRecord::Mark { iter, digest } => self.wal_mark_cache = Some((iter, digest)),
             WalRecord::Note { ref bytes } => self.wal_note_cache = Some(bytes.clone()),
-            // SimEvents belong to a mirror-level replay
-            // ([`SystemMirror::apply_journaled`]).
+            // Simulator feed taps describe a mirror, not the service.
             WalRecord::SimEvent { .. } => {}
         }
     }

@@ -40,9 +40,9 @@
 //! is therefore screened *before* it can reach the fluid model (whose
 //! `arrive` rightfully panics on duplicates and non-positive weights).
 //! Malformed events are **quarantined** — counted per reason in
-//! [`QuarantineStats`], surfaced through optional
-//! [`Obs`](mqpi_obs::Obs) counters/traces, and otherwise ignored — so a
-//! hostile stream degrades estimate freshness, never process integrity.
+//! [`QuarantineStats`], surfaced through optional [`Obs`] counters/traces,
+//! and otherwise ignored — so a hostile stream degrades estimate
+//! freshness, never process integrity.
 //! When quarantine counts grow, [`SystemMirror::resync`] rebuilds the
 //! mirror from an authoritative [`System`] snapshot in one call.
 //!
@@ -52,11 +52,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mqpi_ckpt::CkptError;
 use mqpi_core::IncrementalFluid;
 use mqpi_obs::{Obs, TraceKind};
 use mqpi_sim::{FinishKind, SimEvent, System};
-use mqpi_wal::{Wal, WalRecord};
 
 /// Counts of events rejected by the mirror's input screening, by reason.
 ///
@@ -459,34 +457,6 @@ impl SystemMirror {
         if let Some(obs) = &self.obs {
             obs.counter_add("pi.mirror.resyncs", 1);
         }
-    }
-
-    /// Journal `ev` to `wal` as a [`WalRecord::SimEvent`] and commit,
-    /// *then* apply it to the mirror (append-before-apply, like the
-    /// service's own command journaling). Hostile events are journaled
-    /// too — replay must repeat their quarantine decisions and counters
-    /// exactly. Returns the record's journal sequence number.
-    pub fn apply_tapped(&mut self, ev: SimEvent, wal: &mut Wal) -> Result<u64, CkptError> {
-        let (tag, at, id, a, b) = ev.to_tap();
-        let seq = wal.append(&WalRecord::SimEvent { tag, at, id, a, b });
-        let vt = if at.is_finite() { at } else { self.clock };
-        wal.commit(vt)?;
-        self.apply(ev);
-        Ok(seq)
-    }
-
-    /// Apply a journaled [`WalRecord::SimEvent`] during replay. Returns
-    /// `false` (and changes nothing) for any other record kind or a tap
-    /// quintuple that does not decode — a hand-crafted log degrades to
-    /// skipped events, never a panic.
-    pub fn apply_journaled(&mut self, rec: &WalRecord) -> bool {
-        if let WalRecord::SimEvent { tag, at, id, a, b } = *rec {
-            if let Some(ev) = SimEvent::from_tap(tag, at, id, a, b) {
-                self.apply(ev);
-                return true;
-            }
-        }
-        false
     }
 }
 

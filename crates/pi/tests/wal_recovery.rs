@@ -1380,6 +1380,121 @@ fn one_segment_frontier(dir: &std::path::Path, base_through: u64) -> Option<(usi
     Some((committed, (bytes.len() - keep) as u64))
 }
 
+/// Simulator feed taps ([`WalRecord::SimEvent`]) describe a mirror, not the
+/// service: a log with tap frames journaled between its commands — well
+/// formed ones and garbage alike — recovers, plainly and at a mark, to the
+/// same state and the same pushes as the same log without them.
+#[test]
+fn journaled_sim_events_replay_as_no_ops() {
+    const TAPS: [(u8, f64, u64, f64, f64); 9] = [
+        (1, 0.0, 1, 4.0, 1.0),
+        (2, 0.1, 2, 7.5, 2.0),
+        (3, 0.2, 1, 0.0, 0.0),
+        (4, 0.3, 2, 0.0, 0.0),
+        (5, 0.4, 2, 0.0, 0.0),
+        (6, 0.5, 2, 3.25, 0.0),
+        (7, 0.6, 0, 9.0, 0.0),
+        (0, f64::NAN, u64::MAX, f64::INFINITY, -1.0),
+        (200, -5.0, 7, f64::NAN, f64::NEG_INFINITY),
+    ];
+    // Journal the same commands into a fresh log, with a tap frame after
+    // every command but the marks when `taps` (so each iteration still ends
+    // on its mark); returns the directory, the live state and pushes, and
+    // how many taps went in.
+    let write = |tag: &str, taps: bool| {
+        let dir = tmpdir(tag);
+        let (mut svc, _) =
+            PiService::open_durable(base_cfg(Some(HAND_KNOBS)), &dir).expect("durable open");
+        let mut wal = svc.detach_wal().expect("a journaling service");
+        let (mut pushes, mut tapped) = (Vec::new(), 0u64);
+        let mut journal = |wal: &mut mqpi_wal::Wal, svc: &mut PiService, rec: WalRecord| {
+            wal.append(&rec);
+            svc.apply_record(&rec, &mut pushes);
+            if taps && !matches!(rec, WalRecord::Mark { .. }) {
+                let (tag, at, id, a, b) = TAPS[tapped as usize % TAPS.len()];
+                wal.append(&WalRecord::SimEvent { tag, at, id, a, b });
+                tapped += 1;
+            }
+        };
+        journal(&mut wal, &mut svc, WalRecord::RegisterSession);
+        let session = svc.session_ids()[0];
+        for i in 1..=40u64 {
+            let r = splitmix64(0x7A9_0000 ^ i);
+            journal(
+                &mut wal,
+                &mut svc,
+                WalRecord::Submit {
+                    session,
+                    cost: 2.0 + (r % 50) as f64 * 0.3,
+                    weight: 1.0 + ((r >> 8) % 3) as f64,
+                },
+            );
+            let query = 1 + (r >> 16) % i;
+            let control = match (r >> 24) % 5 {
+                0 => WalRecord::Abort { query },
+                1 => WalRecord::Reweight {
+                    query,
+                    weight: 0.5 + ((r >> 32) % 4) as f64,
+                },
+                2 => WalRecord::Refine {
+                    query,
+                    cost: 1.0 + ((r >> 32) % 20) as f64 * 0.25,
+                },
+                3 => WalRecord::Subscribe { session, query },
+                _ => WalRecord::SetRate {
+                    rate: 8.0 + ((r >> 32) % 5) as f64,
+                },
+            };
+            journal(&mut wal, &mut svc, control);
+            journal(&mut wal, &mut svc, WalRecord::Advance { dt: 0.07 });
+            journal(&mut wal, &mut svc, WalRecord::Pump);
+            journal(&mut wal, &mut svc, WalRecord::Mark { iter: i, digest: r });
+            wal.commit(svc.now()).expect("commit");
+        }
+        wal.flush(svc.now()).expect("flush");
+        drop(wal);
+        (dir, svc.state_digest(), push_bits(&pushes), tapped)
+    };
+    let (plain_dir, plain_state, plain_pushes, _) = write("taps-without", false);
+    let (tap_dir, tap_state, tap_pushes, tapped) = write("taps-with", true);
+    assert_eq!(tap_state, plain_state, "taps moved the live state");
+    assert_eq!(tap_pushes, plain_pushes, "taps moved the live pushes");
+    assert_eq!(tapped, 1 + 40 * 4);
+    assert!(!plain_pushes.is_empty());
+    for at_mark in [false, true] {
+        let tag = if at_mark { "at-mark" } else { "plain" };
+        let plain_copy = copy_dir(&plain_dir, &format!("taps-without-{tag}"));
+        let tap_copy = copy_dir(&tap_dir, &format!("taps-with-{tag}"));
+        let open = |dir: &std::path::Path| {
+            let cfg = base_cfg(Some(HAND_KNOBS));
+            if at_mark {
+                PiService::open_durable_at_mark(cfg, dir)
+            } else {
+                PiService::open_durable(cfg, dir)
+            }
+            .expect("durable open")
+        };
+        let (want_svc, want) = open(&plain_copy);
+        let (got_svc, got) = open(&tap_copy);
+        assert_eq!(
+            got.replayed,
+            want.replayed + tapped,
+            "{tag}: taps not replayed"
+        );
+        assert_eq!(want_svc.state_digest(), plain_state, "{tag}");
+        assert_eq!(got_svc.state_digest(), plain_state, "{tag}");
+        assert_eq!(push_bits(&want.pushes), plain_pushes, "{tag}");
+        assert_eq!(push_bits(&got.pushes), plain_pushes, "{tag}");
+        assert_eq!(got.last_mark, want.last_mark, "{tag}");
+        assert_eq!(got.pushes_at_mark, want.pushes_at_mark, "{tag}");
+        assert_eq!((got.sealed, want.sealed), (0, 0), "{tag}");
+        let _ = std::fs::remove_dir_all(&plain_copy);
+        let _ = std::fs::remove_dir_all(&tap_copy);
+    }
+    let _ = std::fs::remove_dir_all(&plain_dir);
+    let _ = std::fs::remove_dir_all(&tap_dir);
+}
+
 /// The streaming open — records applied as the scan reads them, at a mark
 /// or plain — recovers exactly what the collected route does, on random
 /// logs: killed at random offsets, torn, flipped mid-log, split into

@@ -11,8 +11,11 @@
 //!
 //! [`SimEvent`] has a second, deliberately separate form: the
 //! `(tag, at, id, a, b)` quintuple of [`SimEvent::to_tap`], which the
-//! write-ahead log journals as `WalRecord::SimEvent`. The two number their
-//! variants differently and neither is derived from the other.
+//! write-ahead log can carry as a `WalRecord::SimEvent` frame and the
+//! `golden_step` digests read. It is write-only: nothing decodes it back
+//! into an event, and service replay skips the frame. The two number their
+//! variants differently (checkpoint tags 0–6, tap tags 1–7) and neither is
+//! derived from the other.
 
 use mqpi_ckpt::{wire_enum, wire_struct, CkptError, Dec, Enc, Result, Wire};
 

@@ -21,7 +21,7 @@
 //!
 //! Session state lives in a struct-of-arrays slab
 //! (`crate::slab::SessionSlab`); the admission queue and the
-//! scheduled-arrival timeline store 8-byte [`JobSlot`] handles into it.
+//! scheduled-arrival timeline store 8-byte `JobSlot` handles into it.
 //! The running set (`crate::running::RunningSet`) owns, in running order,
 //! the columns a step reads — weight, blocked, credit, units done, monitor,
 //! and a synthetic job's counters — so the step streams over contiguous
@@ -298,8 +298,9 @@ impl SimEvent {
     }
 
     /// Flatten to the `(tag, at, id, a, b)` wire quintuple used by
-    /// journaling layers (e.g. a WAL `SimEvent` record). Inverse of
-    /// [`SimEvent::from_tap`].
+    /// journaling layers (e.g. a WAL `SimEvent` record) and by digests
+    /// over the event feed. Tags run 1–7 in variant order; a departure
+    /// carries its [`FinishKind`] as 0–3 in `a`.
     pub fn to_tap(&self) -> (u8, f64, u64, f64, f64) {
         match *self {
             SimEvent::Admitted {
@@ -328,45 +329,6 @@ impl SimEvent {
             SimEvent::CostRefined { at, id, remaining } => (6, at, id, remaining, 0.0),
             SimEvent::RateChanged { at, rate } => (7, at, 0, rate, 0.0),
         }
-    }
-
-    /// Rebuild an event from its [`SimEvent::to_tap`] quintuple. Returns
-    /// `None` for an unknown tag or an unrepresentable payload (so
-    /// journal replay can skip — not panic on — hand-crafted records).
-    pub fn from_tap(tag: u8, at: f64, id: u64, a: f64, b: f64) -> Option<SimEvent> {
-        Some(match tag {
-            1 => SimEvent::Admitted {
-                at,
-                id,
-                cost: a,
-                weight: b,
-            },
-            2 => SimEvent::Enqueued {
-                at,
-                id,
-                cost: a,
-                weight: b,
-            },
-            3 => {
-                let kind = match a as u8 {
-                    0 => FinishKind::Completed,
-                    1 => FinishKind::Aborted,
-                    2 => FinishKind::Failed,
-                    3 => FinishKind::Rejected,
-                    _ => return None,
-                };
-                SimEvent::Departed { at, id, kind }
-            }
-            4 => SimEvent::Blocked { at, id },
-            5 => SimEvent::Resumed { at, id },
-            6 => SimEvent::CostRefined {
-                at,
-                id,
-                remaining: a,
-            },
-            7 => SimEvent::RateChanged { at, rate: a },
-            _ => return None,
-        })
     }
 }
 

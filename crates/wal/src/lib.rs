@@ -18,7 +18,7 @@
 //!   Each frame is `len:u32 | flags:u8 | seq:u64 | payload | crc:u32`,
 //!   little-endian, with the CRC-32 (same polynomial as `mqpi-ckpt`)
 //!   covering everything before it. Payloads are [`WalRecord`]s encoded
-//!   with the `ckpt` [`Enc`]/[`Dec`] codec.
+//!   with the `ckpt` [`Enc`]/[`Dec`](mqpi_ckpt::Dec) codec.
 //! * `base-<through_seq:016x>.ckpt` — a compaction anchor: a standard
 //!   `ckpt` container (kind [`BASE_KIND`]) whose payload is the sequence
 //!   number the snapshot covers plus the owner's own checkpoint bytes.

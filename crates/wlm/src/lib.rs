@@ -12,17 +12,30 @@
 //!   maintenance at time `t` so the lost work is minimized (greedy knapsack,
 //!   the exact oracle optimum used for the paper's "theoretical limitation"
 //!   curve, and the three decision policies compared in Fig. 11).
+//!
+//! The decisions are pure functions. A traced caller records each one it
+//! acts on with [`record_decision`].
 
 pub mod maintenance;
 pub mod policies;
 pub mod speedup;
 
 pub use maintenance::{
-    greedy_abort_plan, greedy_abort_plan_observed, greedy_abort_plan_with_overhead,
-    optimal_abort_set, AbortPlan, LostWorkCase,
+    greedy_abort_plan, greedy_abort_plan_with_overhead, optimal_abort_set, AbortPlan, LostWorkCase,
 };
 pub use policies::{decide_aborts, MaintenanceMethod};
 pub use speedup::{
-    best_multi_victim, best_multi_victim_observed, best_single_victim, best_single_victim_observed,
-    best_single_victims, QueryLoad, VictimChoice,
+    best_multi_victim, best_single_victim, best_single_victims, QueryLoad, VictimChoice,
 };
+
+/// Record one workload-management decision on `obs`: a `wlm` trace event
+/// stamped with the caller's virtual time `at`, carrying `action` (e.g.
+/// `speedup_victim`, `multi_victim`, `maintenance_abort`) and the chosen
+/// query (`None` records the explicit absence of a choice), and one tick
+/// of the `wlm.decisions` counter.
+pub fn record_decision(obs: &mqpi_obs::Obs, at: f64, action: &'static str, id: Option<u64>) {
+    if obs.is_enabled() {
+        obs.emit(at, mqpi_obs::TraceKind::WlmDecision { action, id });
+        obs.counter_add("wlm.decisions", 1);
+    }
+}

@@ -100,27 +100,6 @@ pub fn greedy_abort_plan_with_overhead(
     }
 }
 
-/// Observed variant of [`greedy_abort_plan`]: each planned abort is also
-/// emitted as a `wlm` trace event with action `maintenance_abort` (one
-/// event per aborted query, in abort order), stamped with the caller's
-/// virtual time `at`, and counted under `wlm.decisions`.
-pub fn greedy_abort_plan_observed(
-    queries: &[QueryLoad],
-    rate: f64,
-    deadline: f64,
-    case: LostWorkCase,
-    obs: &mqpi_obs::Obs,
-    at: f64,
-) -> AbortPlan {
-    let plan = greedy_abort_plan(queries, rate, deadline, case);
-    if obs.is_enabled() {
-        for id in &plan.abort {
-            crate::speedup::emit_decision(obs, at, "maintenance_abort", Some(*id));
-        }
-    }
-    plan
-}
-
 /// Exact optimum by exhaustive subset search (feasible for the paper's
 /// `n = 10`; panics above 25 queries). Minimizes lost work subject to the
 /// kept queries finishing by the deadline. This is the paper's "theoretical
@@ -272,8 +251,10 @@ mod tests {
     fn observed_plan_emits_one_event_per_abort() {
         let obs = mqpi_obs::Obs::enabled();
         let qs: Vec<QueryLoad> = (1..=5).map(|i| q(i, 0.0, 100.0)).collect();
-        let plan =
-            greedy_abort_plan_observed(&qs, 10.0, 25.0, LostWorkCase::CompletedWork, &obs, 3.0);
+        let plan = greedy_abort_plan(&qs, 10.0, 25.0, LostWorkCase::CompletedWork);
+        for &id in &plan.abort {
+            crate::record_decision(&obs, 3.0, "maintenance_abort", Some(id));
+        }
         assert_eq!(plan.abort.len(), 3);
         assert_eq!(obs.counter("wlm.decisions"), 3);
         let trace = obs.render_trace();
@@ -281,9 +262,6 @@ mod tests {
         for (line, id) in trace.lines().zip(&plan.abort) {
             assert_eq!(line, format!("t=3 wlm action=maintenance_abort id={id}"));
         }
-        // Identical plan with observation off.
-        let plain = greedy_abort_plan(&qs, 10.0, 25.0, LostWorkCase::CompletedWork);
-        assert_eq!(plan, plain);
     }
 
     #[test]

@@ -102,42 +102,6 @@ pub fn best_single_victim(queries: &[QueryLoad], target: u64, rate: f64) -> Opti
     best
 }
 
-/// Observed variant of [`best_single_victim`]: the decision (or the
-/// explicit absence of one) is also emitted as a `wlm` trace event with
-/// action `speedup_victim`, stamped with the caller's virtual time `at`,
-/// and counted under `wlm.decisions`.
-pub fn best_single_victim_observed(
-    queries: &[QueryLoad],
-    target: u64,
-    rate: f64,
-    obs: &mqpi_obs::Obs,
-    at: f64,
-) -> Option<VictimChoice> {
-    let choice = best_single_victim(queries, target, rate);
-    emit_decision(obs, at, "speedup_victim", choice.map(|c| c.victim));
-    choice
-}
-
-/// Observed variant of [`best_multi_victim`] (action `multi_victim`); see
-/// [`best_single_victim_observed`].
-pub fn best_multi_victim_observed(
-    queries: &[QueryLoad],
-    rate: f64,
-    obs: &mqpi_obs::Obs,
-    at: f64,
-) -> Option<VictimChoice> {
-    let choice = best_multi_victim(queries, rate);
-    emit_decision(obs, at, "multi_victim", choice.map(|c| c.victim));
-    choice
-}
-
-pub(crate) fn emit_decision(obs: &mqpi_obs::Obs, at: f64, action: &'static str, id: Option<u64>) {
-    if obs.is_enabled() {
-        obs.emit(at, mqpi_obs::TraceKind::WlmDecision { action, id });
-        obs.counter_add("wlm.decisions", 1);
-    }
-}
-
 /// §3.1 general case — greedily choose `h` victims. Benefits of blocking
 /// multiple victims are additive (paper's observation), so the greedy
 /// repeats single-victim selection on the shrinking set.
@@ -497,11 +461,15 @@ mod tests {
     fn observed_variants_emit_decisions() {
         let obs = mqpi_obs::Obs::enabled();
         let queries = [q(1, 1000.0, 1.0), q(2, 5.0, 1.0), q(3, 2000.0, 1.0)];
-        let choice = best_single_victim_observed(&queries, 1, 100.0, &obs, 7.0).unwrap();
+        let choice = best_single_victim(&queries, 1, 100.0).unwrap();
         assert_eq!(choice.victim, 3);
-        let multi = best_multi_victim_observed(&queries, 100.0, &obs, 8.0).unwrap();
-        // No decision on a too-small set still emits the (absent) outcome.
-        assert!(best_single_victim_observed(&queries[..1], 1, 100.0, &obs, 9.0).is_none());
+        crate::record_decision(&obs, 7.0, "speedup_victim", Some(choice.victim));
+        let multi = best_multi_victim(&queries, 100.0).unwrap();
+        crate::record_decision(&obs, 8.0, "multi_victim", Some(multi.victim));
+        // No decision on a too-small set still records the (absent) outcome.
+        let none = best_single_victim(&queries[..1], 1, 100.0);
+        assert!(none.is_none());
+        crate::record_decision(&obs, 9.0, "speedup_victim", none.map(|c| c.victim));
         assert_eq!(obs.counter("wlm.decisions"), 3);
         let trace = obs.render_trace();
         assert_eq!(
@@ -513,11 +481,11 @@ mod tests {
                 multi.victim
             )
         );
-        // Observation never changes the decision.
-        assert_eq!(
-            best_single_victim(&queries, 1, 100.0),
-            best_single_victim_observed(&queries, 1, 100.0, &mqpi_obs::Obs::disabled(), 0.0)
-        );
+        // A disabled handle records nothing.
+        let off = mqpi_obs::Obs::disabled();
+        crate::record_decision(&off, 0.0, "speedup_victim", Some(3));
+        assert_eq!(off.events_len(), 0);
+        assert_eq!(off.counter("wlm.decisions"), 0);
     }
 
     #[test]
