@@ -1577,3 +1577,164 @@ fn streaming_open_equals_the_collected_route() {
         );
     }
 }
+
+/// Live calls and [`PiService::apply_record`] run one dispatch: a
+/// journaling service driven through its public calls and a detached one
+/// fed the same records agree on every return value, every push and the
+/// state after every command — through the admission queue, deadlines
+/// and backoff, every ladder tier and breaker rebuilds — and the log the
+/// live calls wrote recovers to that same state.
+#[test]
+fn live_calls_and_apply_record_share_one_dispatch() {
+    use mqpi_pi::{BreakerConfig, LadderConfig, Outcome};
+    let cfg = PiConfig {
+        rate: 10.0,
+        slots: Some(3),
+        queue_deadline: Some(0.3),
+        retry: mqpi_sim::RetryPolicy {
+            base_delay: 0.2,
+            multiplier: 2.0,
+            max_delay: 1.0,
+            max_attempts: 2,
+        },
+        ladder: Some(LadderConfig {
+            widen_enter: 5,
+            widen_exit: 4,
+            finals_enter: 8,
+            finals_exit: 6,
+            shed_enter: 11,
+            shed_exit: 9,
+            epsilon_factor: 2.0,
+        }),
+        // A negative tolerance trips, and rebuilds, on every audit.
+        breaker: Some(BreakerConfig {
+            interval: 0.5,
+            tolerance: -1.0,
+            sample: 4,
+        }),
+        wal: Some(WalKnobs {
+            flush_every_n: 16,
+            flush_every_vt: 1e18,
+            compact_every: 97,
+        }),
+        ..PiConfig::default()
+    };
+    let applied = |ok: bool| if ok { Outcome::Done } else { Outcome::Skipped };
+    let dir = tmpdir("one-dispatch");
+    let (mut live, _) = PiService::open_durable(cfg, &dir).expect("durable open");
+    let mut replica = PiService::try_new(cfg).expect("service");
+    let (mut live_out, mut replica_out) = (Vec::new(), Vec::new());
+    let mut outcomes = [0u32; 4];
+    let mut submitted = 0u64;
+    for step in 0..2_000u64 {
+        let r = splitmix64(0x0D15_BA7C ^ step);
+        let sessions = live.session_ids();
+        // Now and then a handle that may be closed, stale or never issued.
+        let session = match sessions.len() {
+            n if n == 0 || r.is_multiple_of(13) => (((r >> 40) % 3) << 32) | ((r >> 8) % 4),
+            n => sessions[(r >> 8) as usize % n],
+        };
+        let query = 1 + (r >> 16) % (submitted + 2);
+        // Now and then an argument the boundary must sanitize.
+        let odd = |x: f64| if (r >> 58) == 0 { f64::NAN } else { x };
+        let (rec, want) = match r % 32 {
+            0..=5 if sessions.contains(&session) => {
+                let cost = odd(0.2 + ((r >> 24) % 40) as f64 * 0.05);
+                let weight = 1.0 + ((r >> 32) % 3) as f64;
+                submitted += 1;
+                let id = live.submit(session, cost, weight);
+                let rec = WalRecord::Submit {
+                    session,
+                    cost,
+                    weight,
+                };
+                (rec, Outcome::Query(id))
+            }
+            0..=9 => {
+                let sid = live.register_session();
+                (WalRecord::RegisterSession, Outcome::Session(sid))
+            }
+            10 => {
+                live.close_session(session);
+                (WalRecord::CloseSession { session }, Outcome::Done)
+            }
+            11..=13 => {
+                live.subscribe(session, query);
+                (WalRecord::Subscribe { session, query }, Outcome::Done)
+            }
+            14..=17 => {
+                let dt = 0.05 + ((r >> 24) % 15) as f64 * 0.02;
+                live.advance(dt);
+                (WalRecord::Advance { dt }, Outcome::Done)
+            }
+            18 => (WalRecord::Abort { query }, applied(live.abort(query))),
+            19 => {
+                let weight = odd(0.5 + ((r >> 24) % 4) as f64);
+                let ok = live.reweight(query, weight);
+                (WalRecord::Reweight { query, weight }, applied(ok))
+            }
+            20 => {
+                let cost = odd(((r >> 24) % 30) as f64 * 0.5);
+                let ok = live.refine_cost(query, cost);
+                (WalRecord::Refine { query, cost }, applied(ok))
+            }
+            21 => {
+                let rate = 6.0 + ((r >> 24) % 8) as f64;
+                live.set_rate(rate);
+                (WalRecord::SetRate { rate }, Outcome::Done)
+            }
+            22 => {
+                live.wal_mark(step, r);
+                let rec = WalRecord::Mark {
+                    iter: step,
+                    digest: r,
+                };
+                (rec, Outcome::Done)
+            }
+            23 => {
+                let bytes: Vec<u8> = (0..(r >> 24) % 40).map(|k| (k ^ r) as u8).collect();
+                assert!(live.wal_note(&bytes));
+                (WalRecord::Note { bytes }, Outcome::Done)
+            }
+            _ => {
+                live.pump(&mut live_out);
+                (WalRecord::Pump, Outcome::Done)
+            }
+        };
+        let got = replica.apply_record(&rec, &mut replica_out);
+        assert_eq!(got, want, "step {step}: {rec:?}");
+        assert_eq!(
+            replica.state_digest(),
+            live.state_digest(),
+            "step {step}: {rec:?}"
+        );
+        // What the live calls journaled replays to the same state.
+        if step % 250 == 249 {
+            live.wal_sync();
+            let standby = Standby::new(cfg, &dir).expect("standby");
+            assert_eq!(
+                standby.service().state_digest(),
+                replica.state_digest(),
+                "step {step}: the log"
+            );
+        }
+        outcomes[match got {
+            Outcome::Done => 0,
+            Outcome::Skipped => 1,
+            Outcome::Session(_) => 2,
+            Outcome::Query(_) => 3,
+        }] += 1;
+    }
+    assert_streams_identical(&replica_out, &live_out, "live vs apply_record");
+    let stats = replica.stats();
+    println!("outcomes {outcomes:?}, {stats:?}");
+    assert!(outcomes.iter().all(|&n| n > 0), "{outcomes:?}");
+    assert!(stats.pushes > 0 && stats.sanitized > 0 && stats.shed > 0);
+    assert!(stats.deadline_requeued > 0 && stats.deadline_rejected > 0);
+    assert!(stats.degraded_pumps > 0 && stats.audit_rebuilds > 0);
+    live.wal_sync();
+    drop(live);
+    let (recovered, _) = PiService::open_durable(cfg, &dir).expect("recovery");
+    assert_eq!(recovered.state_digest(), replica.state_digest());
+    let _ = std::fs::remove_dir_all(&dir);
+}
