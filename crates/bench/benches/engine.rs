@@ -8,6 +8,7 @@ use std::hint::black_box;
 use mqpi_bench::db;
 use mqpi_core::multi::FutureWorkload;
 use mqpi_core::{MultiQueryPi, SingleQueryPi, Visibility};
+use mqpi_engine::tuple::ColumnMask;
 use mqpi_engine::{ColumnType, Database, Schema, Value, WorkMeter};
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::system::{System, SystemConfig};
@@ -22,7 +23,13 @@ fn bench_storage(c: &mut Criterion) {
             let m = WorkMeter::new();
             let mut st = mqpi_engine::heap::ScanState::new();
             let mut n = 0u64;
-            while let Some((_, row)) = lineitem.heap.scan_next(&mut st, &m).unwrap() {
+            let mut row = Vec::new();
+            while lineitem
+                .heap
+                .scan_next(&mut st, &m, ColumnMask::ALL, &mut row)
+                .unwrap()
+                .is_some()
+            {
                 n += row.len() as u64;
             }
             black_box(n)

@@ -562,17 +562,6 @@ impl IncrementalFluid {
         self.counters.rate_changes += 1;
     }
 
-    /// Real seconds until the next completion of the live set (ignoring
-    /// queue/future injections), or `None` when idle.
-    pub fn next_completion(&self) -> Option<f64> {
-        let m = self.nodes.leftmost(self.root);
-        if m == NIL {
-            return None;
-        }
-        let w = self.nodes.sub_w[self.root as usize];
-        Some(((self.nodes.tag[m as usize] - self.vt) * w / self.rate).max(0.0))
-    }
-
     /// Advance real time by `dt`, crossing any completion tags on the way.
     /// Queries whose tags are crossed leave the live set and are queued in
     /// the due buffer ([`IncrementalFluid::drain_due`]) in completion

@@ -158,11 +158,6 @@ impl BTreeIndex {
         self.height
     }
 
-    /// Number of nodes ("index pages").
-    pub fn node_count(&self) -> u64 {
-        self.nodes.len() as u64
-    }
-
     /// Number of leaf nodes.
     pub fn leaf_count(&self) -> u64 {
         self.nodes

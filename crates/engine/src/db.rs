@@ -50,7 +50,7 @@ use crate::plan::planner::{plan_query, PlannedQuery};
 use crate::schema::Schema;
 use crate::sql::parse_query;
 use crate::stats::TableStats;
-use crate::tuple::Tuple;
+use crate::tuple::{ColumnMask, Tuple};
 use crate::value::Value;
 
 /// A secondary index over one column.
@@ -186,7 +186,11 @@ impl Database {
         let scratch = WorkMeter::new();
         let mut st = ScanState::new();
         let mut entries = Vec::with_capacity(t.heap.row_count() as usize);
-        while let Some((rid, row)) = t.heap.scan_next(&mut st, &scratch)? {
+        let mut row = Tuple::new();
+        while let Some(rid) = t
+            .heap
+            .scan_next(&mut st, &scratch, ColumnMask::ALL, &mut row)?
+        {
             entries.push((row[column].clone(), rid));
         }
         entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -217,9 +221,14 @@ impl Database {
         let mut st = ScanState::new();
         let mut sample = Vec::new();
         let mut i = 0u64;
-        while let Some((_, row)) = t.heap.scan_next(&mut st, &scratch)? {
+        let mut row = Tuple::new();
+        while t
+            .heap
+            .scan_next(&mut st, &scratch, ColumnMask::ALL, &mut row)?
+            .is_some()
+        {
             if i.is_multiple_of(stride) {
-                sample.push(row);
+                sample.push(std::mem::take(&mut row));
             }
             i += 1;
         }
@@ -286,6 +295,7 @@ impl Prepared {
             initial_estimate: self.est_cost,
             finished: false,
             rows: Vec::new(),
+            row: Tuple::new(),
             page_fault_armed: false,
         })
     }
@@ -308,6 +318,8 @@ pub struct Cursor {
     initial_estimate: f64,
     finished: bool,
     rows: Vec<Tuple>,
+    /// The buffer the root's rows are pulled into.
+    row: Tuple,
     /// When set, the next non-trivial `run` installment fails with a
     /// storage error (deterministic fault-injection hook).
     page_fault_armed: bool,
@@ -353,8 +365,8 @@ impl Cursor {
         }
         self.ctx.arm_budget(budget);
         let outcome = loop {
-            match self.root.next(&self.ctx) {
-                Ok(Step::Row(row)) => self.rows.push(row),
+            match self.root.next(&self.ctx, &mut self.row) {
+                Ok(Step::Row) => self.rows.push(std::mem::take(&mut self.row)),
                 Ok(Step::Pending) => break Ok(()),
                 Ok(Step::Done) => {
                     self.finished = true;

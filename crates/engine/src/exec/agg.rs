@@ -8,7 +8,7 @@ use std::collections::HashMap;
 
 use crate::error::{EngineError, Result};
 use crate::exec::eval::eval;
-use crate::exec::{ExecContext, Operator, Pulled, Step};
+use crate::exec::{ExecContext, Operator, Step};
 use crate::plan::cost::cpu_units;
 use crate::plan::physical::{AggFunc, AggSpec, NodeEst, PhysExpr};
 use crate::tuple::Tuple;
@@ -218,8 +218,8 @@ pub struct Aggregate {
     /// Group key -> position in `groups`.
     index: HashMap<Vec<GKey>, usize>,
     /// The child's current row; input is only read, so one buffer serves
-    /// every pull ([`Operator::next_into`]).
-    row: Tuple,
+    /// every pull.
+    input: Tuple,
     input_done: bool,
     pos: usize,
     est: NodeEst,
@@ -239,7 +239,7 @@ impl Aggregate {
             aggs: aggs.into_iter().map(Agg::from).collect(),
             groups: Vec::new(),
             index: HashMap::new(),
-            row: Tuple::new(),
+            input: Tuple::new(),
             input_done: false,
             pos: 0,
             est,
@@ -271,15 +271,15 @@ impl Operator for Aggregate {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, out: &mut Tuple) -> Result<Step> {
         while !self.input_done {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.child.next_into(ctx, &mut self.row)? {
-                Pulled::Row => {
+            match self.child.next(ctx, &mut self.input)? {
+                Step::Row => {
                     ctx.meter.cpu_tick();
-                    let row = &self.row;
+                    let row = &self.input;
                     let at = if self.group.is_empty() {
                         0
                     } else {
@@ -319,8 +319,8 @@ impl Operator for Aggregate {
                         state.update(v)?;
                     }
                 }
-                Pulled::Pending => return Ok(Step::Pending),
-                Pulled::Done => self.input_done = true,
+                Step::Pending => return Ok(Step::Pending),
+                Step::Done => self.input_done = true,
             }
         }
         let Some((gvals, states, _)) = self.groups.get(self.pos) else {
@@ -331,9 +331,10 @@ impl Operator for Aggregate {
         }
         self.pos += 1;
         ctx.meter.cpu_tick();
-        let mut row = gvals.clone();
-        row.extend(states.iter().map(|s| s.finish()));
-        Ok(Step::Row(row))
+        out.clear();
+        out.extend_from_slice(gvals);
+        out.extend(states.iter().map(|s| s.finish()));
+        Ok(Step::Row)
     }
 
     fn rewind(&mut self) {
@@ -395,7 +396,7 @@ impl Operator for Distinct {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
             return Ok(Step::Done);
         }
@@ -403,12 +404,12 @@ impl Operator for Distinct {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.child.next(ctx)? {
-                Step::Row(row) => {
+            match self.child.next(ctx, row)? {
+                Step::Row => {
                     ctx.meter.cpu_tick();
                     let key: Vec<GKey> = row.iter().map(gkey).collect();
                     if self.seen.insert(key) {
-                        return Ok(Step::Row(row));
+                        return Ok(Step::Row);
                     }
                 }
                 Step::Pending => return Ok(Step::Pending),

@@ -77,26 +77,26 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
             plan,
             outer_args,
             site,
-        } => run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
-            let Some(row) = next_row(op, sub_ctx)? else {
+        } => run_subplan(*site, plan, outer_args, input, ctx, |op, row, sub_ctx| {
+            if !next_row(op, row, sub_ctx)? {
                 return Ok(Value::Null);
-            };
-            if next_row(op, sub_ctx)?.is_some() {
+            }
+            // Out of the buffer before the second pull overwrites it.
+            let first = (!row.is_empty()).then(|| row.swap_remove(0));
+            if next_row(op, row, sub_ctx)? {
                 return Err(EngineError::exec(
                     "scalar subquery returned more than one row",
                 ));
             }
-            row.into_iter()
-                .next()
-                .ok_or_else(|| EngineError::exec("scalar subquery returned a zero-column row"))
+            first.ok_or_else(|| EngineError::exec("scalar subquery returned a zero-column row"))
         }),
         PhysExpr::Exists {
             plan,
             outer_args,
             site,
-        } => run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
+        } => run_subplan(*site, plan, outer_args, input, ctx, |op, row, sub_ctx| {
             // Short-circuit after the first row.
-            let found = next_row(op, sub_ctx)?.is_some();
+            let found = next_row(op, row, sub_ctx)?;
             Ok(Value::Int(i64::from(found)))
         }),
         PhysExpr::InSubquery {
@@ -107,7 +107,7 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
             site,
         } => {
             let needle = eval(expr, input, ctx)?;
-            run_subplan(*site, plan, outer_args, input, ctx, |op, sub_ctx| {
+            run_subplan(*site, plan, outer_args, input, ctx, |op, row, sub_ctx| {
                 // SQL three-valued IN: TRUE on any match; UNKNOWN if no
                 // match but a NULL was seen (or the needle is NULL and the
                 // set is non-empty); FALSE otherwise. NOT IN negates
@@ -115,15 +115,15 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
                 let mut saw_null = needle.is_null();
                 let mut saw_any = false;
                 let mut matched = false;
-                while let Some(row) = next_row(op, sub_ctx)? {
+                while next_row(op, row, sub_ctx)? {
                     saw_any = true;
-                    let v = row.into_iter().next().ok_or_else(|| {
+                    let v = row.first().ok_or_else(|| {
                         EngineError::exec("IN subquery returned a zero-column row")
                     })?;
                     if v.is_null() {
                         saw_null = true;
                     } else if !needle.is_null()
-                        && needle.sql_cmp(&v) == Some(std::cmp::Ordering::Equal)
+                        && needle.sql_cmp(v) == Some(std::cmp::Ordering::Equal)
                     {
                         matched = true;
                         break;
@@ -164,24 +164,25 @@ pub fn eval(e: &PhysExpr, input: &[Value], ctx: &ExecContext) -> Result<Value> {
 }
 
 /// One invocation of the subquery at `site`: bind `outer_args` (evaluated
-/// against the outer `input`) as its params and hand its operator tree to
-/// `consume`. The tree is the one kept from the site's previous invocation,
-/// or a new one; afterwards it is rewound and kept. Invocations run on an
-/// unbudgeted child context, so they never suspend (see
-/// [`ExecContext::subquery`]).
+/// against the outer `input`) as its params and hand its operator tree and
+/// row buffer to `consume`. The tree is the one kept from the site's
+/// previous invocation, or a new one; afterwards it is rewound and kept.
+/// Invocations run on an unbudgeted child context, so they never suspend
+/// (see [`ExecContext::subquery`]).
 fn run_subplan<T>(
     site: SiteId,
     plan: &PlanNode,
     outer_args: &[PhysExpr],
     input: &[Value],
     ctx: &ExecContext,
-    consume: impl FnOnce(&mut dyn Operator, &ExecContext) -> Result<T>,
+    consume: impl FnOnce(&mut dyn Operator, &mut Tuple, &ExecContext) -> Result<T>,
 ) -> Result<T> {
     let mut sub = match ctx.take_subplan(site) {
         Some(sub) => sub,
         None => Subplan {
             op: build(plan, &ctx.tables)?,
             params: Vec::with_capacity(outer_args.len()),
+            row: Tuple::new(),
         },
     };
     sub.params.clear();
@@ -189,18 +190,19 @@ fn run_subplan<T>(
         sub.params.push(eval(a, input, ctx)?);
     }
     let sub_ctx = ctx.subquery(std::mem::take(&mut sub.params));
-    let out = consume(sub.op.as_mut(), &sub_ctx)?;
+    let out = consume(sub.op.as_mut(), &mut sub.row, &sub_ctx)?;
     sub.params = sub_ctx.params;
     sub.op.rewind();
     ctx.keep_subplan(site, sub);
     Ok(out)
 }
 
-/// The next row of a subquery's tree, `None` when it is done.
-fn next_row(op: &mut dyn Operator, sub_ctx: &ExecContext) -> Result<Option<Tuple>> {
-    match op.next(sub_ctx)? {
-        Step::Row(row) => Ok(Some(row)),
-        Step::Done => Ok(None),
+/// Pull the next row of a subquery's tree into `row`; false when the tree
+/// is done.
+fn next_row(op: &mut dyn Operator, row: &mut Tuple, sub_ctx: &ExecContext) -> Result<bool> {
+    match op.next(sub_ctx, row)? {
+        Step::Row => Ok(true),
+        Step::Done => Ok(false),
         Step::Pending => Err(EngineError::exec(
             "subquery suspended on an unbudgeted context",
         )),

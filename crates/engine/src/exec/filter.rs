@@ -64,29 +64,29 @@ impl Operator for Filter {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         loop {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            let row = match self.child.next(ctx)? {
-                Step::Row(r) => r,
+            match self.child.next(ctx, row)? {
+                Step::Row => {}
                 Step::Pending => return Ok(Step::Pending),
                 Step::Done => {
                     self.done = true;
                     return Ok(Step::Done);
                 }
-            };
+            }
             self.consumed += 1;
             let before = ctx.meter.used();
             ctx.meter.cpu_tick();
-            let pass = eval_pred(&self.pred, &row, ctx)?;
+            let pass = eval_pred(&self.pred, row, ctx)?;
             let after = ctx.meter.used();
             self.eval_cost.observe((after - before) as f64);
             self.selectivity.observe(f64::from(pass));
             if pass {
                 self.emitted += 1;
-                return Ok(Step::Row(row));
+                return Ok(Step::Row);
             }
         }
     }
@@ -119,6 +119,8 @@ impl Operator for Filter {
 pub struct Project {
     child: Box<dyn Operator>,
     exprs: Vec<PhysExpr>,
+    /// The child's current row.
+    input: Tuple,
     done: bool,
 }
 
@@ -128,6 +130,7 @@ impl Project {
         Project {
             child,
             exprs,
+            input: Tuple::new(),
             done: false,
         }
     }
@@ -145,18 +148,21 @@ impl Operator for Project {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
-        let row = match self.child.next(ctx)? {
-            Step::Row(r) => r,
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
+        match self.child.next(ctx, &mut self.input)? {
+            Step::Row => {}
             Step::Pending => return Ok(Step::Pending),
             Step::Done => {
                 self.done = true;
                 return Ok(Step::Done);
             }
-        };
+        }
         ctx.meter.cpu_tick();
-        let out: Result<Tuple> = self.exprs.iter().map(|e| eval(e, &row, ctx)).collect();
-        Ok(Step::Row(out?))
+        row.clear();
+        for e in &self.exprs {
+            row.push(eval(e, &self.input, ctx)?);
+        }
+        Ok(Step::Row)
     }
 
     fn rewind(&mut self) {
@@ -210,21 +216,17 @@ impl Operator for Limit {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.emitted >= self.n {
             return Ok(Step::Done);
         }
-        match self.child.next(ctx)? {
-            Step::Row(row) => {
-                self.emitted += 1;
-                Ok(Step::Row(row))
-            }
-            Step::Pending => Ok(Step::Pending),
-            Step::Done => {
-                self.emitted = self.n; // exhausted
-                Ok(Step::Done)
-            }
+        let step = self.child.next(ctx, row)?;
+        match step {
+            Step::Row => self.emitted += 1,
+            Step::Pending => {}
+            Step::Done => self.emitted = self.n, // exhausted
         }
+        Ok(step)
     }
 
     fn rewind(&mut self) {

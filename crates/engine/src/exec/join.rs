@@ -51,7 +51,9 @@ pub struct NestedLoopJoin {
     pred: Option<PhysExpr>,
     inner: Vec<Tuple>,
     inner_done: bool,
-    current: Option<Tuple>,
+    /// The outer row being joined with `inner`, when `has_outer`.
+    outer: Tuple,
+    has_outer: bool,
     pos: usize,
     est: NodeEst,
     emitted: u64,
@@ -72,7 +74,8 @@ impl NestedLoopJoin {
             pred,
             inner: Vec::new(),
             inner_done: false,
-            current: None,
+            outer: Tuple::new(),
+            has_outer: false,
             pos: 0,
             est,
             emitted: 0,
@@ -93,7 +96,7 @@ impl Operator for NestedLoopJoin {
         vec![self.left.as_ref(), self.right.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
             return Ok(Step::Done);
         }
@@ -101,8 +104,8 @@ impl Operator for NestedLoopJoin {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.right.next(ctx)? {
-                Step::Row(r) => self.inner.push(r),
+            match self.right.next(ctx, row)? {
+                Step::Row => self.inner.push(std::mem::take(row)),
                 Step::Pending => return Ok(Step::Pending),
                 Step::Done => self.inner_done = true,
             }
@@ -111,10 +114,10 @@ impl Operator for NestedLoopJoin {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            if self.current.is_none() {
-                match self.left.next(ctx)? {
-                    Step::Row(l) => {
-                        self.current = Some(l);
+            if !self.has_outer {
+                match self.left.next(ctx, &mut self.outer)? {
+                    Step::Row => {
+                        self.has_outer = true;
                         self.pos = 0;
                     }
                     Step::Pending => return Ok(Step::Pending),
@@ -124,10 +127,6 @@ impl Operator for NestedLoopJoin {
                     }
                 }
             }
-            let l = self
-                .current
-                .as_ref()
-                .expect("invariant: outer row refilled by the loop above");
             while self.pos < self.inner.len() {
                 if ctx.exhausted() {
                     return Ok(Step::Pending);
@@ -135,19 +134,19 @@ impl Operator for NestedLoopJoin {
                 let r = &self.inner[self.pos];
                 self.pos += 1;
                 ctx.meter.cpu_tick();
-                let mut out = Vec::with_capacity(l.len() + r.len());
-                out.extend_from_slice(l);
-                out.extend_from_slice(r);
+                row.clear();
+                row.extend_from_slice(&self.outer);
+                row.extend_from_slice(r);
                 let pass = match &self.pred {
-                    Some(p) => eval_pred(p, &out, ctx)?,
+                    Some(p) => eval_pred(p, row, ctx)?,
                     None => true,
                 };
                 if pass {
                     self.emitted += 1;
-                    return Ok(Step::Row(out));
+                    return Ok(Step::Row);
                 }
             }
-            self.current = None;
+            self.has_outer = false;
         }
     }
 
@@ -156,7 +155,7 @@ impl Operator for NestedLoopJoin {
         self.right.rewind();
         self.inner.clear();
         self.inner_done = false;
-        self.current = None;
+        self.has_outer = false;
         self.pos = 0;
         self.emitted = 0;
         self.done = false;
@@ -176,11 +175,11 @@ impl Operator for NestedLoopJoin {
         } else {
             self.right.remaining_units()
         };
-        let pending = self
-            .current
-            .as_ref()
-            .map(|_| (inner_n - self.pos as f64).max(0.0))
-            .unwrap_or(0.0);
+        let pending = if self.has_outer {
+            (inner_n - self.pos as f64).max(0.0)
+        } else {
+            0.0
+        };
         build
             + self.left.remaining_units()
             + cpu_units(self.left.remaining_rows() * inner_n.max(1.0) + pending)
@@ -202,10 +201,12 @@ pub struct HashJoin {
     right_key: PhysExpr,
     table: HashMap<HKey, Vec<Tuple>>,
     build_done: bool,
-    /// Probe tuple being expanded, its key into `table`, and the next match
-    /// position. Storing the key (not a clone of the match vector) avoids
-    /// deep-copying every matching build tuple once per probe row.
-    current: Option<(Tuple, HKey, usize)>,
+    /// The probe row being expanded.
+    probe: Tuple,
+    /// `probe`'s key into `table` and the next match position, while it
+    /// has matches left. Storing the key (not a clone of the match vector)
+    /// avoids deep-copying every matching build tuple once per probe row.
+    current: Option<(HKey, usize)>,
     est: NodeEst,
     emitted: u64,
     done: bool,
@@ -227,6 +228,7 @@ impl HashJoin {
             right_key,
             table: HashMap::new(),
             build_done: false,
+            probe: Tuple::new(),
             current: None,
             est,
             emitted: 0,
@@ -247,7 +249,7 @@ impl Operator for HashJoin {
         vec![self.left.as_ref(), self.right.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
             return Ok(Step::Done);
         }
@@ -255,12 +257,12 @@ impl Operator for HashJoin {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.right.next(ctx)? {
-                Step::Row(r) => {
+            match self.right.next(ctx, row)? {
+                Step::Row => {
                     ctx.meter.cpu_tick();
-                    let k = eval(&self.right_key, &r, ctx)?;
+                    let k = eval(&self.right_key, row, ctx)?;
                     if let Some(hk) = hkey(&k) {
-                        self.table.entry(hk).or_default().push(r);
+                        self.table.entry(hk).or_default().push(std::mem::take(row));
                     }
                 }
                 Step::Pending => return Ok(Step::Pending),
@@ -268,29 +270,28 @@ impl Operator for HashJoin {
             }
         }
         loop {
-            if let Some((l, hk, pos)) = &mut self.current {
+            if let Some((hk, pos)) = &mut self.current {
                 let matches = self.table.get(hk).expect("key present at probe time");
                 if *pos < matches.len() {
-                    let m = &matches[*pos];
-                    let mut out = Vec::with_capacity(l.len() + m.len());
-                    out.extend_from_slice(l);
-                    out.extend_from_slice(m);
+                    row.clear();
+                    row.extend_from_slice(&self.probe);
+                    row.extend_from_slice(&matches[*pos]);
                     *pos += 1;
                     self.emitted += 1;
-                    return Ok(Step::Row(out));
+                    return Ok(Step::Row);
                 }
                 self.current = None;
             }
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            match self.left.next(ctx)? {
-                Step::Row(l) => {
+            match self.left.next(ctx, &mut self.probe)? {
+                Step::Row => {
                     ctx.meter.cpu_tick();
-                    let k = eval(&self.left_key, &l, ctx)?;
+                    let k = eval(&self.left_key, &self.probe, ctx)?;
                     if let Some(hk) = hkey(&k) {
                         if self.table.contains_key(&hk) {
-                            self.current = Some((l, hk, 0));
+                            self.current = Some((hk, 0));
                         }
                     }
                 }
@@ -343,7 +344,11 @@ pub struct IndexNLJoin {
     key: PhysExpr,
     /// Columns of the inner row that anything above the join reads.
     needed: ColumnMask,
-    current: Option<(Tuple, Vec<Rid>, usize)>,
+    /// The outer row being expanded, its matching rids, and the next of
+    /// them to fetch. The buffers outlive a rewind.
+    outer: Tuple,
+    rids: Vec<Rid>,
+    pos: usize,
     /// Scratch row reused across heap fetches (one fetch per match).
     fetch_buf: Tuple,
     probe_cost: SmoothedMean,
@@ -378,7 +383,9 @@ impl IndexNLJoin {
             column,
             key,
             needed,
-            current: None,
+            outer: Tuple::new(),
+            rids: Vec::new(),
+            pos: 0,
             fetch_buf: Tuple::new(),
             probe_cost: SmoothedMean::with_prior(prior_probe, 0.05),
             fanout: SmoothedMean::with_prior(prior_fanout, 0.05),
@@ -399,7 +406,7 @@ impl Operator for IndexNLJoin {
         vec![self.left.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
             return Ok(Step::Done);
         }
@@ -407,45 +414,40 @@ impl Operator for IndexNLJoin {
             if ctx.exhausted() {
                 return Ok(Step::Pending);
             }
-            if let Some((l, rids, pos)) = &mut self.current {
-                if *pos < rids.len() {
-                    let rid = rids[*pos];
-                    *pos += 1;
-                    let row = &mut self.fetch_buf;
-                    self.table
-                        .heap
-                        .fetch_into(rid, &ctx.meter, self.needed, row)?;
-                    ctx.meter.cpu_tick();
-                    let mut out = Vec::with_capacity(l.len() + row.len());
-                    out.extend_from_slice(l);
-                    out.append(row);
-                    return Ok(Step::Row(out));
-                }
-                self.current = None;
+            if let Some(&rid) = self.rids.get(self.pos) {
+                self.pos += 1;
+                let fetched = &mut self.fetch_buf;
+                self.table
+                    .heap
+                    .fetch_into(rid, &ctx.meter, self.needed, fetched)?;
+                ctx.meter.cpu_tick();
+                row.clear();
+                row.extend_from_slice(&self.outer);
+                row.append(fetched);
+                return Ok(Step::Row);
             }
-            match self.left.next(ctx)? {
-                Step::Row(l) => {
+            match self.left.next(ctx, &mut self.outer)? {
+                Step::Row => {
                     let before = ctx.meter.used();
-                    let k = eval(&self.key, &l, ctx)?;
-                    let rids = if k.is_null() {
-                        Vec::new()
-                    } else {
+                    let k = eval(&self.key, &self.outer, ctx)?;
+                    self.rids.clear();
+                    self.pos = 0;
+                    if !k.is_null() {
                         self.table
                             .index_on(self.column)
                             .expect("index checked at build")
                             .tree
-                            .lookup(&k, &ctx.meter)
-                    };
+                            .lookup_into(&k, &ctx.meter, &mut self.rids);
+                    }
+                    let matches = self.rids.len() as f64;
                     let lookup_units = (ctx.meter.used() - before) as f64;
                     // Full per-outer-tuple cost: index descent + one heap
                     // fetch per match + per-match CPU (fetches happen as we
                     // stream, but they are deterministic, so fold them in).
-                    let total =
-                        lookup_units + rids.len() as f64 * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64);
+                    let total = lookup_units + matches * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64);
                     self.probe_cost.observe(total);
-                    self.fanout.observe(rids.len() as f64);
-                    self.table.heap.resolve(&rids);
-                    self.current = Some((l, rids, 0));
+                    self.fanout.observe(matches);
+                    self.table.heap.resolve(&self.rids);
                 }
                 Step::Pending => return Ok(Step::Pending),
                 Step::Done => {
@@ -458,7 +460,8 @@ impl Operator for IndexNLJoin {
 
     fn rewind(&mut self) {
         self.left.rewind();
-        self.current = None;
+        self.rids.clear();
+        self.pos = 0;
         self.probe_cost.reset();
         self.fanout.reset();
         self.done = false;
@@ -468,11 +471,7 @@ impl Operator for IndexNLJoin {
         if self.done {
             return 0.0;
         }
-        let pending = self
-            .current
-            .as_ref()
-            .map(|(_, rids, pos)| (rids.len() - pos) as f64)
-            .unwrap_or(0.0);
+        let pending = (self.rids.len() - self.pos) as f64;
         self.left.remaining_units()
             + self.left.remaining_rows() * self.probe_cost.get()
             + pending * (1.0 + 1.0 / CPU_TICKS_PER_UNIT as f64)
@@ -482,11 +481,7 @@ impl Operator for IndexNLJoin {
         if self.done {
             return 0.0;
         }
-        let pending = self
-            .current
-            .as_ref()
-            .map(|(_, rids, pos)| (rids.len() - pos) as f64)
-            .unwrap_or(0.0);
+        let pending = (self.rids.len() - self.pos) as f64;
         self.left.remaining_rows() * self.fanout.get() + pending
     }
 }

@@ -1,14 +1,14 @@
 //! Volcano-style execution with work accounting and progress refinement.
 //!
-//! Operators implement [`Operator`]: a pull-based `next` plus two
-//! *refinement* methods used by progress indicators —
-//! [`Operator::remaining_units`] (how much work this subtree still needs,
-//! continuously refined from observed behaviour) and
+//! Operators implement [`Operator`]: a pull-based `next` that writes each
+//! row into a buffer the caller owns, plus two *refinement* methods used by
+//! progress indicators — [`Operator::remaining_units`] (how much work this
+//! subtree still needs, continuously refined from observed behaviour) and
 //! [`Operator::remaining_rows`]. Work done is not attributed per-operator:
-//! the shared [`WorkMeter`] records total units
-//! consumed by the query, and the cursor reports `done = meter.used()`,
-//! `remaining = root.remaining_units()`. This mirrors the paper's PI model,
-//! where a query has a single refined remaining-cost number `c`.
+//! the shared [`WorkMeter`] records total units consumed by the query, and
+//! the cursor reports `done = meter.used()`, `remaining =
+//! root.remaining_units()`. This mirrors the paper's PI model, where a query
+//! has a single refined remaining-cost number `c`.
 
 pub mod agg;
 pub mod eval;
@@ -58,16 +58,18 @@ pub struct ExecContext {
     sites: Arc<Mutex<Vec<Option<Subplan>>>>,
 }
 
-/// A subquery site's operator tree and parameter vector. Kept from one
-/// outer row to the next: the tree is rewound, the vector refilled, and
-/// buffers inside the operators (an index probe's rid list) keep their
-/// capacity. It holds no [`ExecContext`], which would tie the site table
-/// into a reference cycle.
+/// A subquery site's operator tree, parameter vector and result row. Kept
+/// from one outer row to the next: the tree is rewound, the vector
+/// refilled, and the row and the buffers inside the operators (an index
+/// probe's rid list) keep their capacity. It holds no [`ExecContext`],
+/// which would tie the site table into a reference cycle.
 pub(crate) struct Subplan {
     /// Root operator, in its just-built state.
     pub op: Box<dyn Operator>,
     /// Storage for the correlation parameters of the next evaluation.
     pub params: Vec<Value>,
+    /// The buffer the tree's rows are pulled into.
+    pub row: Tuple,
 }
 
 /// Shared "no deadline" sentinel for subquery contexts. Subquery invocations
@@ -170,25 +172,14 @@ impl ExecContext {
 }
 
 /// Result of one pull on an operator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// One output tuple.
-    Row(Tuple),
+    /// The caller's buffer holds the next output tuple.
+    Row,
     /// The installment's work budget ran out mid-stream; call `next` again
     /// in the next installment to resume exactly where execution stopped.
     Pending,
     /// The operator has produced all of its output.
-    Done,
-}
-
-/// Result of one pull by reference ([`Operator::next_into`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pulled {
-    /// The caller's buffer holds the next output tuple.
-    Row,
-    /// As [`Step::Pending`].
-    Pending,
-    /// As [`Step::Done`].
     Done,
 }
 
@@ -197,26 +188,13 @@ pub enum Pulled {
 /// `Send` so that a whole cursor (and with it a simulated system) can move
 /// into a worker thread of the parallel experiment harness.
 pub trait Operator: Send {
-    /// Produce the next output tuple, charging work to `ctx.meter` and
-    /// suspending with [`Step::Pending`] when the budget deadline passes.
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step>;
-
-    /// [`Operator::next`] for a consumer that only reads the tuple: the
-    /// output lands in `row`, a buffer the consumer reuses across pulls.
-    /// Same charges and same suspension points as `next`. The leaf scans
-    /// override it to decode straight into `row`, so a row crosses the
-    /// scan → aggregate edge without a `Vec` of its own; for every other
-    /// operator the default moves the owned tuple in.
-    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
-        Ok(match self.next(ctx)? {
-            Step::Row(r) => {
-                *row = r;
-                Pulled::Row
-            }
-            Step::Pending => Pulled::Pending,
-            Step::Done => Pulled::Done,
-        })
-    }
+    /// Produce the next output tuple into `row`, charging work to
+    /// `ctx.meter` and suspending with [`Step::Pending`] when the budget
+    /// deadline passes. On [`Step::Row`] the operator has overwritten
+    /// whatever `row` held; on `Pending` and `Done` its contents are
+    /// unspecified. The caller owns the buffer and reuses it across pulls,
+    /// so a row crosses an operator edge without a `Vec` of its own.
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step>;
 
     /// Put the subtree back into its just-built state, wherever execution
     /// stopped, keeping what its buffers have allocated: a subquery site

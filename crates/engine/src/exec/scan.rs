@@ -5,23 +5,12 @@ use std::sync::Arc;
 use crate::db::Table;
 use crate::error::{EngineError, Result};
 use crate::exec::eval::eval;
-use crate::exec::{ExecContext, Operator, Pulled, Step};
+use crate::exec::{ExecContext, Operator, Step};
 use crate::heap::{Rid, ScanState};
 use crate::meter::CPU_TICKS_PER_UNIT;
 use crate::plan::cost::cpu_units;
 use crate::plan::physical::{NodeEst, PhysExpr};
 use crate::tuple::{ColumnMask, Tuple};
-
-/// `next` of a leaf scan, in terms of its `next_into`: one code path
-/// fetches and decodes, whether the row leaves owned or by reference.
-fn next_owned(op: &mut impl Operator, ctx: &ExecContext) -> Result<Step> {
-    let mut row = Tuple::new();
-    Ok(match op.next_into(ctx, &mut row)? {
-        Pulled::Row => Step::Row(row),
-        Pulled::Pending => Step::Pending,
-        Pulled::Done => Step::Done,
-    })
-}
 
 /// Full sequential scan. Progress is exact: pages remaining are known.
 pub struct SeqScan {
@@ -54,27 +43,23 @@ impl Operator for SeqScan {
         "op.seq_scan"
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
-        next_owned(self, ctx)
-    }
-
-    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
-            return Ok(Pulled::Done);
+            return Ok(Step::Done);
         }
         if ctx.exhausted() {
-            return Ok(Pulled::Pending);
+            return Ok(Step::Pending);
         }
         let heap = &self.table.heap;
-        match heap.scan_next_into(&mut self.st, &ctx.meter, self.needed, row)? {
+        match heap.scan_next(&mut self.st, &ctx.meter, self.needed, row)? {
             Some(_) => {
                 ctx.meter.cpu_tick();
                 self.emitted += 1;
-                Ok(Pulled::Row)
+                Ok(Step::Row)
             }
             None => {
                 self.done = true;
-                Ok(Pulled::Done)
+                Ok(Step::Done)
             }
         }
     }
@@ -152,13 +137,9 @@ impl Operator for IndexScanEq {
         "op.index_scan_eq"
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
-        next_owned(self, ctx)
-    }
-
-    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if ctx.exhausted() {
-            return Ok(Pulled::Pending);
+            return Ok(Step::Pending);
         }
         let heap = &self.table.heap;
         if !self.probed {
@@ -175,12 +156,12 @@ impl Operator for IndexScanEq {
             self.probed = true;
         }
         let Some(&rid) = self.rids.get(self.pos) else {
-            return Ok(Pulled::Done);
+            return Ok(Step::Done);
         };
         self.pos += 1;
         heap.fetch_into(rid, &ctx.meter, self.needed, row)?;
         ctx.meter.cpu_tick();
-        Ok(Pulled::Row)
+        Ok(Step::Row)
     }
 
     fn rewind(&mut self) {
@@ -263,16 +244,12 @@ impl Operator for IndexScanRange {
         "op.index_scan_range"
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
-        next_owned(self, ctx)
-    }
-
-    fn next_into(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Pulled> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         if self.done {
-            return Ok(Pulled::Done);
+            return Ok(Step::Done);
         }
         if ctx.exhausted() {
-            return Ok(Pulled::Pending);
+            return Ok(Step::Pending);
         }
         let heap = &self.table.heap;
         if self.pos == self.rids.len() {
@@ -297,13 +274,13 @@ impl Operator for IndexScanRange {
         }
         let Some(&rid) = self.rids.get(self.pos) else {
             self.done = true;
-            return Ok(Pulled::Done);
+            return Ok(Step::Done);
         };
         self.pos += 1;
         heap.fetch_into(rid, &ctx.meter, self.needed, row)?;
         ctx.meter.cpu_tick();
         self.emitted += 1;
-        Ok(Pulled::Row)
+        Ok(Step::Row)
     }
 
     fn rewind(&mut self) {

@@ -25,6 +25,8 @@ enum Phase {
 pub struct Sort {
     child: Box<dyn Operator>,
     keys: Vec<SortKey>,
+    /// Rows with their precomputed keys; each row is moved out as it is
+    /// emitted.
     buffer: Vec<(Vec<Value>, Tuple)>,
     phase: Phase,
     pos: usize,
@@ -57,20 +59,20 @@ impl Operator for Sort {
         vec![self.child.as_ref()]
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Result<Step> {
+    fn next(&mut self, ctx: &ExecContext, row: &mut Tuple) -> Result<Step> {
         loop {
             match &mut self.phase {
                 Phase::Drain => {
                     if ctx.exhausted() {
                         return Ok(Step::Pending);
                     }
-                    match self.child.next(ctx)? {
-                        Step::Row(r) => {
+                    match self.child.next(ctx, row)? {
+                        Step::Row => {
                             ctx.meter.cpu_tick();
                             // Schwartzian transform: precompute key vectors.
                             let kv: Result<Vec<Value>> =
-                                self.keys.iter().map(|k| eval(&k.expr, &r, ctx)).collect();
-                            self.buffer.push((kv?, r));
+                                self.keys.iter().map(|k| eval(&k.expr, row, ctx)).collect();
+                            self.buffer.push((kv?, std::mem::take(row)));
                         }
                         Step::Pending => return Ok(Step::Pending),
                         Step::Done => {
@@ -106,10 +108,10 @@ impl Operator for Sort {
                     if ctx.exhausted() {
                         return Ok(Step::Pending);
                     }
-                    let row = self.buffer[self.pos].1.clone();
+                    *row = std::mem::take(&mut self.buffer[self.pos].1);
                     self.pos += 1;
                     ctx.meter.cpu_tick();
-                    return Ok(Step::Row(row));
+                    return Ok(Step::Row);
                 }
             }
         }

@@ -7,7 +7,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::meter::WorkMeter;
-use crate::page::{Page, SlotId, PAGE_SIZE};
+use crate::page::{Page, SlotId};
 use crate::tuple::{self, ColumnMask, Tuple};
 use crate::value::Value;
 
@@ -143,7 +143,7 @@ impl HeapFile {
     /// self-referential borrows), decoded into `row` with only the columns
     /// `mask` keeps. Returns its rid, or `None` at the end of the file.
     /// Charges one unit the first time each page is entered.
-    pub fn scan_next_into(
+    pub fn scan_next(
         &self,
         st: &mut ScanState,
         meter: &WorkMeter,
@@ -173,14 +173,6 @@ impl HeapFile {
         }
     }
 
-    /// [`HeapFile::scan_next_into`] with a fresh, fully decoded row.
-    pub fn scan_next(&self, st: &mut ScanState, meter: &WorkMeter) -> Result<Option<(Rid, Tuple)>> {
-        let mut row = Tuple::new();
-        Ok(self
-            .scan_next_into(st, meter, ColumnMask::ALL, &mut row)?
-            .map(|rid| (rid, row)))
-    }
-
     /// Pages not yet entered by the scan at `st` (used for exact progress).
     pub fn pages_remaining(&self, st: &ScanState) -> u64 {
         let total = self.pages.len();
@@ -202,11 +194,6 @@ impl ScanState {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Estimated page size used by planners for width-based estimates.
-pub fn pages_for_bytes(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE as u64).max(1)
 }
 
 #[cfg(test)]
@@ -242,7 +229,12 @@ mod tests {
         let m = WorkMeter::new();
         let mut st = ScanState::new();
         let mut seen = 0i64;
-        while let Some((_, t)) = h.scan_next(&mut st, &m).unwrap() {
+        let mut t = Tuple::new();
+        while h
+            .scan_next(&mut st, &m, ColumnMask::ALL, &mut t)
+            .unwrap()
+            .is_some()
+        {
             assert_eq!(t[0], Value::Int(seen));
             seen += 1;
         }
@@ -263,12 +255,19 @@ mod tests {
         let total_pages = h.page_count();
         assert_eq!(h.pages_remaining(&st), total_pages);
         // Pull half the rows, then the rest.
+        let mut row = Tuple::new();
         for _ in 0..500 {
-            h.scan_next(&mut st, &m).unwrap().unwrap();
+            h.scan_next(&mut st, &m, ColumnMask::ALL, &mut row)
+                .unwrap()
+                .unwrap();
         }
         assert!(h.pages_remaining(&st) < total_pages);
         let mut rest = 0;
-        while h.scan_next(&mut st, &m).unwrap().is_some() {
+        while h
+            .scan_next(&mut st, &m, ColumnMask::ALL, &mut row)
+            .unwrap()
+            .is_some()
+        {
             rest += 1;
         }
         assert_eq!(rest, 500);
@@ -288,7 +287,11 @@ mod tests {
         let h = HeapFile::new();
         let m = WorkMeter::new();
         let mut st = ScanState::new();
-        assert!(h.scan_next(&mut st, &m).unwrap().is_none());
+        let mut row = Tuple::new();
+        assert!(h
+            .scan_next(&mut st, &m, ColumnMask::ALL, &mut row)
+            .unwrap()
+            .is_none());
         assert_eq!(m.used(), 0);
     }
 }

@@ -37,11 +37,6 @@ pub fn index_probe_cost(meta: IndexMeta, matches: f64) -> f64 {
     meta.height as f64 + leaves + matches + cpu_units(matches)
 }
 
-/// Cost of an index range scan returning `matches` rows.
-pub fn index_range_cost(meta: IndexMeta, matches: f64) -> f64 {
-    index_probe_cost(meta, matches)
-}
-
 /// Cost of sorting `rows` tuples (comparison CPU; input cost excluded).
 pub fn sort_cost(rows: f64) -> f64 {
     if rows <= 1.0 {

@@ -32,6 +32,7 @@ fn db() -> &'static Database {
             .collect();
         db.insert("t", &rows).unwrap();
         db.create_index("t", "a").unwrap();
+        db.create_index("t", "b").unwrap();
         db.create_table(
             "u",
             Schema::from_pairs(&[("a", ColumnType::Int), ("label", ColumnType::Str)]).unwrap(),
@@ -145,7 +146,9 @@ fn larger_budgets_agree_too() {
 /// A subquery site runs one operator tree once per outer row, rewinding it
 /// in between. Wherever the previous run stopped, a rewound tree must be
 /// indistinguishable from a newly built one: same estimates before the
-/// first pull, same rows, same units.
+/// first pull, same rows, same units. Every subtree of every shape is
+/// checked as a root of its own, so each operator meets the junk-filled
+/// buffer of `pull` itself.
 #[test]
 fn rewound_tree_runs_like_a_new_one() {
     use mqpi_engine::exec::{build, ExecContext, Operator, Step, TableSet};
@@ -155,12 +158,19 @@ fn rewound_tree_runs_like_a_new_one() {
 
     /// Pull up to `limit` rows on a meter of their own (so no fraction of a
     /// unit carries over from an earlier run): the rows and what they cost.
-    fn pull(op: &mut dyn Operator, tables: &Arc<TableSet>, limit: usize) -> Run {
+    /// Every pull goes into one buffer, refilled beforehand with `junk`
+    /// values, so an operator that appends to the buffer instead of
+    /// overwriting it returns other rows at `junk = 7` (wider than any row
+    /// here) than at `junk = 0`.
+    fn pull(op: &mut dyn Operator, tables: &Arc<TableSet>, limit: usize, junk: usize) -> Run {
         let ctx = ExecContext::new(Arc::clone(tables));
         let mut rows = Vec::new();
+        let mut row = Vec::new();
         while rows.len() < limit {
-            match op.next(&ctx).unwrap() {
-                Step::Row(r) => rows.push(r),
+            row.clear();
+            row.resize(junk, Value::str("junk"));
+            match op.next(&ctx, &mut row).unwrap() {
+                Step::Row => rows.push(row.clone()),
                 Step::Done => break,
                 Step::Pending => panic!("no budget is armed"),
             }
@@ -168,7 +178,7 @@ fn rewound_tree_runs_like_a_new_one() {
         (rows, ctx.meter.used())
     }
 
-    // Between them, every operator.
+    // Between them, every operator, each with rows to emit.
     let shapes = [
         "select b * 2, s from t where b % 7 = 0",
         "select b from t where a = 13 order by b",
@@ -180,23 +190,47 @@ fn rewound_tree_runs_like_a_new_one() {
         "select u.label, t.b from u join t on u.a = t.a where t.b < 90",
         "select x.a, y.a from u x, u y where x.a < y.a",
         "select u.a from u where 50 < (select count(*) from t where t.a = u.a)",
+        // Selective enough on the unique `t.b` for the index paths.
+        "select s from t where b = 1234",
+        "select s from t where b < 20",
+        "select u.label, t.s from u join t on u.a = t.b where u.a < 10",
+        "select t.s, u.label from t join u on t.b = u.a",
     ];
     let db = db();
+    let mut emitting = std::collections::BTreeSet::new();
     for sql in shapes {
         let plan = db.prepare(sql).unwrap().plan;
         let tables = Arc::new(plan.tables.clone());
-        let mut op = build(&plan.root, &tables).unwrap();
-        let new = (op.remaining_units(), op.remaining_rows());
-        let want = pull(op.as_mut(), &tables, usize::MAX);
-        assert!(!want.0.is_empty(), "{sql}");
-        // After a full run, and after one cut short at each of a few points.
-        for stop_after in [usize::MAX, 0, 1, want.0.len() / 2] {
-            op.rewind();
-            assert_eq!((op.remaining_units(), op.remaining_rows()), new, "{sql}");
-            let got = pull(op.as_mut(), &tables, usize::MAX);
-            assert!(got == want, "{sql}: {} units, want {}", got.1, want.1);
-            op.rewind();
-            pull(op.as_mut(), &tables, stop_after);
+        let mut nodes = vec![&plan.root];
+        while let Some(node) = nodes.pop() {
+            nodes.extend(node.children());
+            let empty = pull(
+                build(node, &tables).unwrap().as_mut(),
+                &tables,
+                usize::MAX,
+                0,
+            );
+            let mut op = build(node, &tables).unwrap();
+            let what = format!("{sql} [{}]", op.label());
+            let new = (op.remaining_units(), op.remaining_rows());
+            let want = pull(op.as_mut(), &tables, usize::MAX, 7);
+            if !want.0.is_empty() {
+                emitting.insert(op.profile_tag());
+            }
+            assert!(
+                want == empty,
+                "{what}: rows differ from an emptied buffer's"
+            );
+            // After a full run, and after one cut short at each of a few points.
+            for stop_after in [usize::MAX, 0, 1, want.0.len() / 2] {
+                op.rewind();
+                assert_eq!((op.remaining_units(), op.remaining_rows()), new, "{what}");
+                let got = pull(op.as_mut(), &tables, usize::MAX, 7);
+                assert!(got == want, "{what}: {} units, want {}", got.1, want.1);
+                op.rewind();
+                pull(op.as_mut(), &tables, stop_after, 7);
+            }
         }
     }
+    assert_eq!(emitting.len(), 12, "operators with rows: {emitting:?}");
 }

@@ -164,7 +164,8 @@ proptest! {
         let m = WorkMeter::new();
         let mut st = ScanState::new();
         let mut i = 0;
-        while let Some((rid, row)) = heap.scan_next(&mut st, &m).unwrap() {
+        let mut row = Vec::new();
+        while let Some(rid) = heap.scan_next(&mut st, &m, ColumnMask::ALL, &mut row).unwrap() {
             prop_assert_eq!(rid, rids[i]);
             for (a, b) in row.iter().zip(&rows[i]) {
                 prop_assert!(a.total_cmp(b).is_eq());

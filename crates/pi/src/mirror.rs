@@ -108,7 +108,7 @@ pub struct SystemMirror {
     /// compare against this baseline, not the lifetime totals.
     quarantine_at_resync: QuarantineStats,
     resyncs: u64,
-    obs: Option<Obs>,
+    obs: Obs,
 }
 
 impl SystemMirror {
@@ -124,7 +124,7 @@ impl SystemMirror {
             quarantine: QuarantineStats::default(),
             quarantine_at_resync: QuarantineStats::default(),
             resyncs: 0,
-            obs: None,
+            obs: Obs::disabled(),
         }
     }
 
@@ -139,7 +139,7 @@ impl SystemMirror {
     /// reported via `pi.mirror.quarantine.*` counters and `quarantine`
     /// trace events.
     pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = Some(obs);
+        self.obs = obs;
     }
 
     /// The maintained incremental model.
@@ -235,11 +235,9 @@ impl SystemMirror {
             ),
         };
         *slot += 1;
-        if let Some(obs) = &self.obs {
-            obs.counter_add("pi.mirror.quarantined", 1);
-            obs.counter_add(counter, 1);
-            obs.emit(at, TraceKind::Quarantine { kind, id });
-        }
+        self.obs.counter_add("pi.mirror.quarantined", 1);
+        self.obs.counter_add(counter, 1);
+        self.obs.emit(at, TraceKind::Quarantine { kind, id });
     }
 
     /// Advance the fluid model by `dt`, recording any ids it retires at
@@ -454,9 +452,7 @@ impl SystemMirror {
         // Reset the backoff window: damage counted before the rebuild is
         // historical and must not make a fresh mirror look unhealthy.
         self.quarantine_at_resync = self.quarantine;
-        if let Some(obs) = &self.obs {
-            obs.counter_add("pi.mirror.resyncs", 1);
-        }
+        self.obs.counter_add("pi.mirror.resyncs", 1);
     }
 }
 
@@ -617,6 +613,8 @@ mod tests {
     #[test]
     fn hostile_events_are_quarantined_not_applied() {
         let mut m = SystemMirror::new(10.0);
+        let obs = Obs::enabled();
+        m.set_obs(obs.clone());
         m.apply(SimEvent::Admitted {
             at: 0.0,
             id: 1,
@@ -729,6 +727,34 @@ mod tests {
             "estimate stayed in a sane range"
         );
         assert_eq!(m.quarantine_stats().total(), 13);
+
+        // Each quarantine is counted and traced.
+        let stats = m.quarantine_stats();
+        for (name, n) in [
+            ("pi.mirror.quarantined", 13),
+            ("pi.mirror.quarantine.duplicate", stats.duplicate),
+            ("pi.mirror.quarantine.unknown_id", stats.unknown_id),
+            ("pi.mirror.quarantine.out_of_order", stats.out_of_order),
+            ("pi.mirror.quarantine.non_finite", stats.non_finite),
+        ] {
+            assert_eq!(obs.counter(name), n, "{name}");
+        }
+        assert_eq!(
+            obs.render_trace(),
+            "t=1 quarantine kind=duplicate id=1\n\
+             t=1 quarantine kind=non_finite id=3\n\
+             t=1 quarantine kind=non_finite id=4\n\
+             t=1 quarantine kind=non_finite id=5\n\
+             t=1 quarantine kind=non_finite id=1\n\
+             t=1 quarantine kind=out_of_order id=6\n\
+             t=1 quarantine kind=unknown_id id=99\n\
+             t=1 quarantine kind=unknown_id id=42\n\
+             t=1 quarantine kind=unknown_id id=42\n\
+             t=1 quarantine kind=duplicate id=1\n\
+             t=1 quarantine kind=non_finite id=1\n\
+             t=1 quarantine kind=non_finite id=0\n\
+             t=1 quarantine kind=non_finite id=0\n"
+        );
     }
 
     /// The model retires a query at its predicted finish while the
@@ -791,9 +817,12 @@ mod tests {
         sys.drain_events(&mut dropped);
 
         let mut m = SystemMirror::for_system(&sys);
+        let obs = Obs::enabled();
+        m.set_obs(obs.clone());
         assert_eq!(m.live(), 0, "mirror starts desynchronised");
         m.resync(&sys);
         assert_eq!(m.resyncs(), 1);
+        assert_eq!(obs.counter("pi.mirror.resyncs"), 1);
         assert_eq!(m.live(), sys.running_ids().len());
         assert_eq!(m.queued(), sys.queued_ids().len());
 

@@ -529,16 +529,6 @@ impl System {
         }
     }
 
-    /// Whether the delta-event feed is on.
-    pub fn event_feed_enabled(&self) -> bool {
-        self.event_feed.is_some()
-    }
-
-    /// Stop publishing and drop any undrained events.
-    pub fn disable_event_feed(&mut self) {
-        self.event_feed = None;
-    }
-
     /// Move all buffered events (in application order) into `out`. The
     /// internal buffer keeps its capacity, so a steady drain loop does not
     /// allocate. No-op while the feed is disabled.
@@ -1121,23 +1111,15 @@ impl System {
         Ok(std::mem::take(&mut self.scratch_done))
     }
 
-    /// Advance one step without surrendering the completion buffer: the
-    /// ids of queries that completed stay readable via
-    /// [`System::last_completed`] until the next step. Unlike
-    /// [`System::step`] — whose returned `Vec` forces a fresh allocation
-    /// on every step that completes something — this never allocates in
-    /// steady state, so tight drive loops that only count completions
-    /// (benchmarks, progress replay) should prefer it.
+    /// Advance one step and return how many queries completed in it,
+    /// keeping the completion buffer. Unlike [`System::step`] — whose
+    /// returned `Vec` forces a fresh allocation on every step that
+    /// completes something — this never allocates in steady state, so
+    /// tight drive loops that only count completions (benchmarks, progress
+    /// replay) should prefer it.
     pub fn step_discard(&mut self) -> Result<usize> {
         self.step_bounded(f64::INFINITY)?;
         Ok(self.scratch_done.len())
-    }
-
-    /// Ids of queries that completed during the most recent
-    /// [`System::step_discard`] call (empty after a plain `step`, which
-    /// moves the buffer to its caller).
-    pub fn last_completed(&self) -> &[QueryId] {
-        &self.scratch_done
     }
 
     /// Like [`System::step`], but never advances the clock past `limit` —
@@ -1397,8 +1379,8 @@ impl System {
             self.obs.gauge_set("sim.clock", self.clock);
         }
         // Completions stay in `scratch_done`; the public wrappers either
-        // hand the buffer out (`step`) or expose it in place
-        // (`step_discard` + `last_completed`).
+        // hand the buffer out (`step`) or count it in place
+        // (`step_discard`).
         Ok(())
     }
 
