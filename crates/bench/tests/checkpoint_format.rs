@@ -9,7 +9,11 @@
 //! campaign's partial and done snapshots. The constants were blessed on the
 //! commit *before* that move (hand-written `encode_x`/`decode_x` pairs); a
 //! round trip cannot see a field that moved in both directions at once,
-//! these can. A mismatch prints the digest it got.
+//! these can. A mismatch prints the digest it got. `golden_system_event_driven`
+//! was re-blessed once since (1361222405240568382 → 10103178070978927665,
+//! on parent 6b5df9b): after its weight-2 job finishes, its unit-weight
+//! pair runs on the event-mode tag path, whose speed monitors sample the
+//! fluid rate, and the monitor bytes moved; the layout did not.
 //!
 //! Mutations tried against this file in release mode
 //! (`cargo test --release -p mqpi-bench --test checkpoint_format`), each
@@ -360,7 +364,7 @@ fn golden_system_quantum() {
 #[test]
 fn golden_system_event_driven() {
     let bytes = system_event_driven().checkpoint().unwrap();
-    assert_golden("event-driven system", &bytes, 670, 1361222405240568382);
+    assert_golden("event-driven system", &bytes, 670, 10103178070978927665);
     let back = System::restore(&bytes).unwrap();
     assert_eq!(back.checkpoint().unwrap(), bytes, "re-encode is canonical");
 }
