@@ -23,7 +23,6 @@
 
 pub mod admission;
 pub mod arrivals;
-pub mod calendar;
 mod checkpoint;
 pub mod faults;
 mod intern;

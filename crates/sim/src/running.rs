@@ -104,11 +104,6 @@ pub(crate) struct Weights {
     pub(crate) total_weight: f64,
     /// Every unblocked weight is exactly 1.0.
     pub(crate) unit_w: bool,
-    /// Event mode, and every unblocked job consulted answered
-    /// `exact_remaining` (consulted while `unit_w` holds).
-    pub(crate) exact: bool,
-    /// `min (remaining − credit).max(0.0)` over the jobs consulted.
-    pub(crate) need_min: f64,
 }
 
 /// What one step hands every session, computed once per step.
@@ -167,7 +162,7 @@ impl RunningSet {
         self.slot.iter().position(|h| slab.id[h.idx as usize] == id)
     }
 
-    /// Put slab row `h` (a session leaving the queue or the calendar, with
+    /// Put slab row `h` (a session leaving the queue or the timeline, with
     /// a fresh monitor, so in lockstep at `now`) at the end of the running
     /// order; returns its position. On the tag path the row is anchored at
     /// its service so far, or, if the path cannot serve it, the path turns
@@ -540,18 +535,12 @@ impl RunningSet {
         ran
     }
 
-    /// The weight pass: active count, `Σw` in running order, `unit_w`,
-    /// and in event mode the unit-weight jump's `min` of `remaining −
-    /// credit` for as long as `unit_w` holds and every job so far knows its
-    /// remaining work (a `None` cancels the jump, as in
-    /// [`RunningSet::event_jump`]).
-    pub(crate) fn weigh(&self, slab: &SessionSlab, event_mode: bool) -> Weights {
+    /// The weight pass: active count, `Σw` in running order and `unit_w`.
+    pub(crate) fn weigh(&self) -> Weights {
         let mut w = Weights {
             active: 0,
             total_weight: 0.0,
             unit_w: true,
-            exact: event_mode,
-            need_min: f64::INFINITY,
         };
         for k in 0..self.len() {
             if self.blocked[k] {
@@ -561,19 +550,13 @@ impl RunningSet {
             let weight = self.weight[k];
             w.unit_w &= weight == 1.0;
             w.total_weight += weight;
-            if w.exact && w.unit_w {
-                match self.exact_remaining(slab, k) {
-                    Some(r) => w.need_min = w.need_min.min((r - self.credit[k]).max(0.0)),
-                    None => w.exact = false,
-                }
-            }
         }
         w
     }
 
-    /// Time until the next completion under weights that are not all 1.0,
-    /// valid when every unblocked job reports its exact remaining work;
-    /// `None` falls the step back to the quantum path.
+    /// Time until the next completion, valid when every unblocked job
+    /// reports its exact remaining work; `None` falls the step back to the
+    /// quantum path.
     pub(crate) fn event_jump(
         &self,
         slab: &SessionSlab,

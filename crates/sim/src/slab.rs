@@ -9,8 +9,8 @@
 //! Slots are handed out as [`JobSlot`] — a `u32` index plus a generation
 //! stamp bumped on every free, so a stale handle trips a `debug_assert`
 //! instead of silently reading a recycled query's state. The admission
-//! queue and the calendar store bare slots; the retry-`attempt` count and
-//! finished-index live here as columns, replacing the two per-id
+//! queue and the arrival timeline store bare slots; the retry-`attempt`
+//! count and finished-index live here as columns, replacing the two per-id
 //! `HashMap`s the hot path used to hit.
 //!
 //! A running session keeps its row for the cold columns, but what a step

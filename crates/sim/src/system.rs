@@ -32,13 +32,12 @@
 //! from a heap, and one branch-free pass over the monitors; every other set
 //! takes the fused grant/monitor/finish pass over every session. Names are
 //! interned to `u32` symbols and resolved only at trace/report boundaries;
-//! the arrival timeline is a bucketed [`CalendarQueue`] with O(1) amortized
-//! push/pop instead of a binary heap of fat entries. The steady-state step
-//! path performs no heap allocation: completion ids accumulate in scratch
-//! buffers owned by the `System`. See `DESIGN.md` §12 for the layout and
-//! the determinism argument.
+//! the arrival timeline is a `BTreeMap` from `(at, id)` to the slot. The
+//! steady-state step path performs no heap allocation: completion ids
+//! accumulate in scratch buffers owned by the `System`. See `DESIGN.md` §12
+//! for the layout and the determinism argument.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
@@ -46,7 +45,6 @@ use mqpi_engine::error::{EngineError, Result};
 use mqpi_obs::{Obs, TraceKind, SECOND_BUCKETS, UNIT_BUCKETS};
 
 use crate::admission::AdmissionPolicy;
-use crate::calendar::CalendarQueue;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::intern::{Interner, Sym};
 use crate::job::{Job, JobSnapshot, JobState};
@@ -420,8 +418,11 @@ pub struct System {
     /// Running sessions with the columns a step reads, in running order.
     running: RunningSet,
     queue: VecDeque<JobSlot>,
-    /// Future arrivals, earliest first (keyed by `(at, id)`).
-    scheduled: CalendarQueue<JobSlot>,
+    /// Future arrivals, keyed by `(at.to_bits(), id)`: for the finite,
+    /// non-negative times [`System::schedule_state`] admits, the bit
+    /// pattern orders like the time, so the map iterates earliest first
+    /// and same-instant arrivals FIFO by id.
+    scheduled: BTreeMap<(u64, QueryId), JobSlot>,
     finished: Vec<FinishedQuery>,
     /// Dense id → index into `finished` (`u32::MAX` = still live). Ids are
     /// assigned sequentially from 1, so the map is a plain vector.
@@ -487,7 +488,7 @@ impl System {
             names: Interner::new(),
             running: RunningSet::default(),
             queue: VecDeque::new(),
-            scheduled: CalendarQueue::new(),
+            scheduled: BTreeMap::new(),
             finished: Vec::new(),
             finished_of: Vec::new(),
             finished_far: Vec::new(),
@@ -576,7 +577,10 @@ impl System {
     /// Submit a query now; starts immediately or queues per the admission
     /// policy.
     pub fn submit(&mut self, name: impl Into<Arc<str>>, job: Box<dyn Job>, weight: f64) -> QueryId {
-        assert!(weight > 0.0, "scheduling weight must be positive");
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "scheduling weight must be positive and finite, got {weight}"
+        );
         let id = self.next_id;
         self.next_id += 1;
         let sym = self.names.intern(name.into());
@@ -602,12 +606,15 @@ impl System {
         job: Box<dyn Job>,
         weight: f64,
     ) -> QueryId {
-        assert!(weight > 0.0, "scheduling weight must be positive");
+        assert!(
+            weight > 0.0 && weight.is_finite(),
+            "scheduling weight must be positive and finite, got {weight}"
+        );
         self.schedule_state(at, name.into(), JobState::from_box(job), weight, 0)
     }
 
     /// Allocate a slab row for a future arrival and enter it in the
-    /// calendar. The monitor is a placeholder: [`System::process_due_arrivals`]
+    /// timeline. The monitor is a placeholder: [`System::process_due_arrivals`]
     /// installs a fresh one at pop time, exactly like the old core created
     /// the session at pop time.
     fn schedule_state(
@@ -620,11 +627,17 @@ impl System {
     ) -> QueryId {
         let id = self.next_id;
         self.next_id += 1;
-        let at = at.max(self.clock);
+        // `+ 0.0` turns -0.0 into 0.0: the timeline's key is the bit
+        // pattern, which orders like the time only without the sign bit.
+        let at = at.max(self.clock) + 0.0;
+        assert!(
+            at.is_finite() && at >= 0.0,
+            "arrival time must be finite and non-negative, got {at}"
+        );
         let sym = self.names.intern(name);
         let monitor = self.new_monitor();
         let h = self.slab.alloc(id, sym, job, weight, at, monitor, attempt);
-        self.scheduled.push(at, id, h);
+        self.scheduled.insert((at.to_bits(), id), h);
         id
     }
 
@@ -697,15 +710,11 @@ impl System {
     }
 
     fn process_due_arrivals(&mut self) {
-        while let Some((at, _)) = self.scheduled.peek() {
-            if at > self.clock {
+        while let Some(next) = self.scheduled.first_entry() {
+            if f64::from_bits(next.key().0) > self.clock {
                 break;
             }
-            // invariant: peek just returned Some, so pop cannot fail.
-            let Some(e) = self.scheduled.pop() else {
-                break;
-            };
-            let h = e.payload;
+            let h = next.remove();
             let i = self.slab.at(h);
             self.slab.monitor[i] = self.new_monitor();
             self.place(h);
@@ -766,7 +775,9 @@ impl System {
     }
 
     fn next_arrival_at(&self) -> Option<f64> {
-        self.scheduled.next_at()
+        self.scheduled
+            .first_key_value()
+            .map(|(&(bits, _), _)| f64::from_bits(bits))
     }
 
     /// The [`FinishedQuery`] of running session `k` leaving now because it
@@ -1328,16 +1339,13 @@ impl System {
     /// grant / monitor / finish pass over every session.
     fn step_fused(&mut self, limit: f64, event_mode: bool, t_prev: f64, tau: f64) -> Result<()> {
         // The weight pass (`RunningSet::weigh`): active count, `Σw` in
-        // running order, whether every unblocked weight is exactly 1.0
-        // (`unit_w`, which unlocks the shared-divisor shortcuts below), and
-        // in event mode the unit-weight jump's `min` of `remaining − credit`.
+        // running order, and whether every unblocked weight is exactly 1.0
+        // (`unit_w`, which unlocks the grant's shared divisor below).
         let Weights {
             active,
             total_weight,
             unit_w,
-            exact,
-            need_min,
-        } = self.running.weigh(&self.slab, event_mode);
+        } = self.running.weigh();
         let effective = self
             .cfg
             .rate_model
@@ -1345,15 +1353,7 @@ impl System {
 
         let mut dt = self.cfg.quantum_units / self.cfg.rate;
         if event_mode && total_weight > 0.0 {
-            // Unit weights: the weight pass's `min` and one division stand
-            // in for `event_jump`'s second walk.
-            let jump = if unit_w {
-                let dt = need_min / (effective / total_weight);
-                (exact && dt.is_finite()).then_some(dt * (1.0 + 1e-9) + 1e-12)
-            } else {
-                self.running.event_jump(&self.slab, effective, total_weight)
-            };
-            if let Some(jump) = jump {
+            if let Some(jump) = self.running.event_jump(&self.slab, effective, total_weight) {
                 dt = jump;
             }
         }
@@ -1373,13 +1373,10 @@ impl System {
         // Why the shortcuts of this step change no bit. With every weight
         // bit-equal to 1.0, `x * w / total_weight` is `x / total_weight` for
         // every session (multiplying by 1.0 is exact): the grant's division
-        // hoists out of the loop, and all sessions share one speed `effective
-        // / total_weight`. IEEE division by a positive constant is monotone,
-        // so `min_i(need_i / speed)` equals `min_i(need_i) / speed` — the
-        // jump above. And the grant needs no `floor()` (a libm call on
-        // baseline x86-64): `floor(c) >= 1.0 ⇔ c >= 1.0`, and for `c >= 1`
-        // the truncating, saturating cast gives `floor(c) as u64 == c as
-        // u64` (infinity included; NaN fails either comparison).
+        // hoists out of the loop. And the grant needs no `floor()` (a libm
+        // call on baseline x86-64): `floor(c) >= 1.0 ⇔ c >= 1.0`, and for
+        // `c >= 1` the truncating, saturating cast gives `floor(c) as u64 ==
+        // c as u64` (infinity included; NaN fails either comparison).
         let grant = Grant {
             on,
             unit_w,
@@ -1573,10 +1570,9 @@ impl System {
     /// O1: "no new queries are allowed to enter the RDBMS"). Pending
     /// scheduled arrivals are dropped; queued queries stay queued.
     pub fn close_admission(&mut self) {
-        for e in self.scheduled.sorted_entries() {
-            self.slab.free(e.payload);
+        for (_, h) in std::mem::take(&mut self.scheduled) {
+            self.slab.free(h);
         }
-        self.scheduled.clear();
     }
 
     /// Snapshot for progress indicators.
@@ -1666,7 +1662,7 @@ impl System {
 /// Checkpointing serializes the *complete* simulated world — config, clock,
 /// a compacted name table, every live session (job counters, GPS credit,
 /// speed monitor, retry attempt), the admission queue in order, the
-/// scheduled-arrival calendar in canonical `(at, id)` order, all finished
+/// scheduled-arrival timeline in canonical `(at, id)` order, all finished
 /// records, and the fault injector's plan cursor, RNG stream position,
 /// active rate dip, log, and stats. Restoring and continuing is
 /// bit-identical to never having stopped: every subsequent step reads
@@ -1705,16 +1701,14 @@ impl System {
         )
             .enc(&mut e);
         self.error_policy.enc(&mut e);
-        // The calendar serializes in canonical (at, id) order — the exact
-        // order future pops will see, since pop order is the total order by
-        // (at, id) regardless of internal bucket layout — so rebuilding by
-        // pushes reproduces identical behavior.
-        let sched = self.scheduled.sorted_entries();
+        // The timeline serializes in map order, `(at, id)` — the order
+        // future arrivals will pop in — so rebuilding by inserts reproduces
+        // identical behavior.
         // Name table: first-seen order over (running, queue, scheduled).
         let mut index_of: Vec<u32> = vec![u32::MAX; self.names.len()];
         let mut table: Vec<Sym> = Vec::new();
         let live = self.running.slot.iter().chain(self.queue.iter());
-        for h in live.chain(sched.iter().map(|entry| &entry.payload)) {
+        for h in live.chain(self.scheduled.values()) {
             let sym = self.slab.name[h.idx as usize];
             if index_of[sym as usize] == u32::MAX {
                 index_of[sym as usize] = table.len() as u32;
@@ -1752,10 +1746,11 @@ impl System {
             };
             self.enc_session(&mut e, h, &index_of, state)?;
         }
-        e.put_usize(sched.len());
-        for entry in &sched {
-            let i = entry.payload.idx as usize;
-            (entry.at, entry.id, index_of[self.slab.name[i] as usize]).enc(&mut e);
+        e.put_usize(self.scheduled.len());
+        for (&(at, id), h) in &self.scheduled {
+            let i = h.idx as usize;
+            let name = index_of[self.slab.name[i] as usize];
+            (f64::from_bits(at), id, name).enc(&mut e);
             Self::job_snapshot(self.slab.snapshot_state(i), self.slab.id[i])?.enc(&mut e);
             (self.slab.weight[i], self.slab.attempt[i]).enc(&mut e);
         }
@@ -1790,7 +1785,7 @@ impl System {
         }
         for _ in 0..d.get_usize()? {
             let (at, id, name): (f64, QueryId, u32) = Wire::dec(&mut d)?;
-            if !(at.is_finite() && at >= 0.0) {
+            if !(at.is_finite() && at.is_sign_positive()) {
                 return Err(CkptError::Corrupt(format!(
                     "scheduled arrival {id} at time {at}"
                 )));
@@ -1798,9 +1793,14 @@ impl System {
             let sym = table_sym(&table, name)?;
             let job = Self::job_from_snapshot(&mut d)?;
             let (weight, attempt) = Wire::dec(&mut d)?;
+            check_weight(id, weight)?;
             let monitor = sys.new_monitor();
             let h = sys.slab.alloc(id, sym, job, weight, at, monitor, attempt);
-            sys.scheduled.push(at, id, h);
+            if sys.scheduled.insert((at.to_bits(), id), h).is_some() {
+                return Err(CkptError::Corrupt(format!(
+                    "scheduled arrival {id} at time {at} repeated"
+                )));
+            }
         }
         sys.finished = Wire::dec(&mut d)?;
         for (fi, rec) in sys.finished.iter().enumerate() {
@@ -1887,6 +1887,7 @@ impl System {
         let sym = table_sym(table, name)?;
         let job = Self::job_from_snapshot(d)?;
         let (weight, arrived, started) = Wire::dec(d)?;
+        check_weight(id, weight)?;
         let (credit, units_done) = Wire::dec(d)?;
         let monitor = Wire::dec(d)?;
         let (blocked, rolling_back) = Wire::dec(d)?;
@@ -1924,6 +1925,18 @@ fn smoothing(mdt: f64, tau: f64) -> f64 {
         1.0 - (-mdt / tau).exp()
     } else {
         0.0
+    }
+}
+
+/// A decoded weight must be one [`System::submit`] would accept: a NaN or
+/// infinite one makes `Σw` non-finite, and the system never grants work.
+fn check_weight(id: QueryId, weight: f64) -> std::result::Result<(), CkptError> {
+    if weight > 0.0 && weight.is_finite() {
+        Ok(())
+    } else {
+        Err(CkptError::Corrupt(format!(
+            "query {id} has weight {weight}"
+        )))
     }
 }
 
@@ -2173,6 +2186,58 @@ mod tests {
         assert!((at(a) - 1.0).abs() < 1e-9);
         assert!((at(b) - 5.0).abs() < 0.2);
         assert!((at(c) - 9.0).abs() < 0.2);
+
+        // Same-instant arrivals scheduled out of time order, then a burst
+        // of 1 000 at one instant behind four slots: arrivals place in
+        // `(at, id)` order, so same-instant ones FIFO by id, and the queue
+        // admits them in that order too.
+        let mut c = cfg(100.0, 4.0);
+        c.admission = AdmissionPolicy::MaxConcurrent(4);
+        let mut sys = System::new(c);
+        sys.enable_event_feed();
+        let mut expect: Vec<(f64, QueryId)> = Vec::new();
+        for at in [3.0, 1.0, 3.0, 2.0, 1.0, 3.0, 2.0] {
+            let id = sys.schedule(at, "tie", Box::new(SyntheticJob::new(10)), 1.0);
+            expect.push((at, id));
+        }
+        for _ in 0..1_000 {
+            let id = sys.schedule(4.0, "burst", Box::new(SyntheticJob::new(10)), 1.0);
+            expect.push((4.0, id));
+        }
+        expect.sort_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+        let expect: Vec<QueryId> = expect.into_iter().map(|(_, id)| id).collect();
+        sys.run_until_idle(1e9).unwrap();
+        let mut events = Vec::new();
+        sys.drain_events(&mut events);
+        let (mut placed, mut admitted, mut enqueued) = (Vec::new(), Vec::new(), 0);
+        for ev in &events {
+            match *ev {
+                SimEvent::Admitted { id, .. } => {
+                    admitted.push(id);
+                    if !placed.contains(&id) {
+                        placed.push(id);
+                    }
+                }
+                SimEvent::Enqueued { id, .. } => {
+                    enqueued += 1;
+                    placed.push(id);
+                }
+                _ => {}
+            }
+        }
+        assert!(enqueued >= 996, "the burst must queue behind four slots");
+        assert_eq!(placed, expect);
+        assert_eq!(admitted, expect);
+
+        // -0.0 is time zero, not a bit pattern that sorts after every
+        // positive time.
+        let mut sys = System::new(cfg(100.0, 4.0));
+        let later = sys.schedule(1.0, "later", Box::new(SyntheticJob::new(10)), 1.0);
+        let zero = sys.schedule(-0.0, "zero", Box::new(SyntheticJob::new(10)), 1.0);
+        sys.run_until_idle(1e9).unwrap();
+        let at = |id| sys.finished_record(id).unwrap().started.unwrap();
+        assert_eq!(at(zero), 0.0);
+        assert_eq!(at(later), 1.0);
     }
 
     #[test]
@@ -3041,5 +3106,94 @@ mod checkpoint_tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(System::restore(&trailing).is_err());
+
+        // Weights `submit` and `schedule` refuse, on a running session and
+        // on a scheduled arrival: one NaN would make `Σw` NaN and no
+        // session would be granted work again.
+        let mut sys = System::new(SystemConfig::default());
+        sys.submit("run", Box::new(SyntheticJob::new(500)), 3.25);
+        sys.schedule(7.0, "later", Box::new(SyntheticJob::new(500)), 5.75);
+        let bytes = sys.checkpoint().unwrap();
+        for weight in [3.25f64, 5.75] {
+            let needle = weight.to_bits().to_le_bytes();
+            let at = (0..=bytes.len() - 8)
+                .filter(|&i| bytes[i..i + 8] == needle)
+                .collect::<Vec<_>>();
+            assert_eq!(at.len(), 1, "weight {weight} must be encoded once");
+            for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+                let mut hostile = bytes.clone();
+                hostile[at[0]..at[0] + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+                assert!(
+                    matches!(System::restore(&hostile), Err(CkptError::Corrupt(_))),
+                    "weight {weight} -> {bad} must be rejected"
+                );
+            }
+        }
+
+        // Two scheduled arrivals with one `(at, id)`: the timeline would
+        // keep only one of them.
+        let mut sys = System::new(SystemConfig::default());
+        let a = sys.schedule(7.0, "twin", Box::new(SyntheticJob::new(500)), 1.0);
+        let b = sys.schedule(7.0, "twin", Box::new(SyntheticJob::new(500)), 1.0);
+        let bytes = sys.checkpoint().unwrap();
+        let mut needle = 7.0f64.to_bits().to_le_bytes().to_vec();
+        needle.extend_from_slice(&b.to_le_bytes());
+        let at = (0..=bytes.len() - needle.len())
+            .find(|&i| bytes[i..].starts_with(&needle))
+            .unwrap();
+        let mut hostile = bytes.clone();
+        hostile[at + 8..at + 16].copy_from_slice(&a.to_le_bytes());
+        assert!(matches!(
+            System::restore(&hostile),
+            Err(CkptError::Corrupt(_))
+        ));
+    }
+
+    /// Checkpoint round trip at n = 10^5: restoring a mid-flight checkpoint
+    /// reproduces the same bytes, and driving the original and the restored
+    /// system in lockstep produces identical completions and identical
+    /// bytes again at the end.
+    #[test]
+    fn checkpoint_round_trip_at_1e5_is_bit_identical() {
+        let n = 100_000usize;
+        let rate = 1e5;
+        let spacing = 950.0 / rate * 1.05;
+        let mut sys = System::new(SystemConfig {
+            rate,
+            quantum_units: 16.0,
+            admission: AdmissionPolicy::MaxConcurrent(256),
+            speed_tau: 10.0,
+            step_mode: StepMode::EventDriven,
+            ..Default::default()
+        });
+        let name: Arc<str> = "ckpt".into();
+        for i in 0..n {
+            sys.schedule(
+                i as f64 * spacing,
+                Arc::clone(&name),
+                Box::new(SyntheticJob::new(500 + (i as u64).wrapping_mul(37) % 900)),
+                1.0,
+            );
+        }
+        // Run into the steady state so the checkpoint captures a busy
+        // system: running sessions, queued arrivals, and a non-trivial
+        // finished log.
+        for _ in 0..20_000 {
+            sys.step_discard().unwrap();
+        }
+        let bytes = sys.checkpoint().unwrap();
+        let mut restored = System::restore(&bytes).unwrap();
+        assert_eq!(
+            restored.checkpoint().unwrap(),
+            bytes,
+            "restore(checkpoint(s)) must re-encode to the same bytes"
+        );
+        for step in 0..20_000 {
+            let a = sys.step().unwrap();
+            let b = restored.step().unwrap();
+            assert_eq!(a, b, "completion divergence at resumed step {step}");
+            assert_eq!(sys.now().to_bits(), restored.now().to_bits());
+        }
+        assert_eq!(sys.checkpoint().unwrap(), restored.checkpoint().unwrap());
     }
 }

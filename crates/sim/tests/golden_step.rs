@@ -155,7 +155,7 @@ impl Recorder {
     }
 
     /// Fold a checkpoint's bytes: credits, monitors and job counters of
-    /// every live session, the calendar, the injector.
+    /// every live session, the arrival timeline, the injector.
     fn fold_checkpoint(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.digest = (self.digest ^ b as u64).wrapping_mul(FNV_PRIME);
