@@ -47,6 +47,21 @@
 //! decoders see the damage. Every case must come back as a typed error or
 //! as a state that still works, inside a wall-time budget, without a panic
 //! or an allocation the payload cannot justify.
+//!
+//! **Liveness.** A survivor is driven, not only re-encoded: a `System` to
+//! idle under a step bound derived from its own work ([`drain_system`]), a
+//! `PiService` or an `IncrementalFluid` past its drain time with every
+//! estimate finite and non-negative. Two corpora cover the event-driven
+//! `System` (the tag path) and a standalone `IncrementalFluid`. Every
+//! corpus but the quantum `System`'s also flips bit 62 of every byte, which
+//! turns 1.0 into +∞ and 1.5 into NaN; there, a flipped high bit of a fault
+//! plan's burst size would submit billions of sessions (open, ROADMAP 16).
+//! Before weights, costs and rates had one domain (`mqpi_sim::domain`),
+//! the quantum and event-driven `System` corpora aborted on allocations of
+//! 4.5 PB and 2.3 EB (a live id far past the finished index resized it),
+//! the `IncrementalFluid` sweep failed on a weight of +∞, and the
+//! `PiService` corpus on two random cases and nine sweep cases (waiting
+//! weights of +∞, or so small that the tag overflowed).
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -57,8 +72,8 @@ use std::time::{Duration, Instant};
 use mqpi_bench::chaos::{self, CheckpointCfg};
 use mqpi_ckpt::Wire as _;
 use mqpi_core::{
-    observe_estimates, Ensemble, InvariantValidator, MultiQueryPi, SingleQueryPi,
-    ValidationContext, Visibility,
+    observe_estimates, Ensemble, FluidQuery, IncrementalFluid, InvariantValidator, MultiQueryPi,
+    SingleQueryPi, ValidationContext, Visibility,
 };
 use mqpi_obs::{Obs, SECOND_BUCKETS};
 use mqpi_pi::{BreakerConfig, LadderConfig, PiConfig, PiService, CKPT_KIND_SERVICE};
@@ -526,14 +541,36 @@ fn pi_service_restore_survives_resealed_payload_mutations() {
         }
         svc.advance(0.5);
         svc.pump(&mut out);
+        drain_service(&mut svc);
         true
     });
     assert!(rejected >= 600 && survived > 0, "{rejected} / {survived}");
+    // One slot, and a waiting query of weight 1.0 and cost 1.5: bit 62
+    // turns them into +∞ and NaN.
+    let mut small = PiService::new(PiConfig {
+        slots: Some(1),
+        ..PiConfig::default()
+    });
+    let s = small.register_session();
+    small.submit(s, 100.0, 2.0);
+    small.submit(s, 1.5, 1.0);
+    let small = mqpi_ckpt::decode_container(&small.checkpoint(), CKPT_KIND_SERVICE).unwrap();
+    for payload in [&payload, &small] {
+        flip_bit_62(payload, |mutated| {
+            let sealed = mqpi_ckpt::encode_container(CKPT_KIND_SERVICE, mutated);
+            let Ok(mut svc) = PiService::restore(&sealed) else {
+                return false;
+            };
+            drain_service(&mut svc);
+            true
+        });
+    }
 }
 
 #[test]
 fn system_restore_survives_raw_mutations() {
     let clean = system_quantum().checkpoint().unwrap();
+    let mut outcomes = std::collections::BTreeMap::new();
     let (rejected, survived) = run_corpus(&clean, 1500, |mutated| {
         let Ok(sys) = System::restore(mutated) else {
             return false;
@@ -541,9 +578,13 @@ fn system_restore_survives_raw_mutations() {
         assert_eq!(mutated.len(), clean.len(), "wrong length accepted");
         // Whatever decoded encodes again: no field is half-restored.
         sys.checkpoint().unwrap();
+        *outcomes
+            .entry(drain_system(sys, mutated.len()))
+            .or_insert(0) += 1;
         true
     });
     assert!(rejected >= 600 && survived > 0, "{rejected} / {survived}");
+    assert!(outcomes[&Drive::Drained] > 600, "{outcomes:?}");
 }
 
 #[test]
@@ -578,4 +619,205 @@ fn wal_record_decode_survives_raw_mutations() {
             r.is_ok()
         });
     }
+}
+
+// ---------------------------------------------------------------------------
+// liveness: every survivor is driven, not only re-encoded
+// ---------------------------------------------------------------------------
+
+/// Most steps one survivor is driven for. A survivor whose own step bound
+/// is larger is driven this far, and is not required to drain.
+const STEP_CAP: u64 = 50_000;
+
+/// How a driven survivor ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Drive {
+    /// It reached idle inside its step bound.
+    Drained,
+    /// Its step bound is beyond [`STEP_CAP`] (a mutated job total of 2^40
+    /// units, or a contention `alpha` of 1e306 that leaves no work a
+    /// quantum); no invariant broke up to the cap.
+    Long,
+    /// Its drain time is beyond `f64` (a rate so small that its work takes
+    /// more than 1.8e308 seconds); the clock and the work done only grew.
+    Unrepresentable,
+}
+
+/// Drive a restored system to idle. Job failures are isolated and a
+/// blocked session is resumed (it waits for its caller, not for the
+/// scheduler). The step bound is derived from the system's own state at
+/// every step: `64 + 4·n + 16·W/q` for `n` payload bytes (each arrival,
+/// fault event, completion and admission decodes from at least one byte),
+/// quantum `q`, and work `W`: the units executed since the restore plus
+/// what the running and queued sessions report as remaining, so a
+/// scheduled arrival or a fault's rollback adds to it when it shows up.
+/// `W` counts at the rate the contention model gives the sessions running
+/// now; the factor 16 is slack for rate dips, later contention and cost
+/// noise. `executed_units` stays finite and never decreases, nor does the
+/// clock.
+fn drain_system(mut sys: System, payload_len: usize) -> Drive {
+    sys.set_error_policy(ErrorPolicy::Isolate);
+    let q = sys.config().quantum_units;
+    let base = 64.0 + 4.0 * payload_len as f64;
+    let (start, mut last, mut clock) = (sys.executed_units(), sys.executed_units(), sys.now());
+    let mut steps = 0u64;
+    while sys.has_work() {
+        let snap = sys.snapshot();
+        let mut remaining: f64 = snap.queued.iter().map(|w| w.est_cost.max(0.0)).sum();
+        for r in &snap.running {
+            remaining += r.remaining.max(0.0);
+            if r.blocked {
+                sys.resume(r.id).unwrap();
+            }
+        }
+        // Work runs at the contended rate of the sessions running now.
+        let n = snap.running.len().max(1);
+        let rate = sys.config().rate_model.effective_rate(sys.rate(), n);
+        if !(clock + remaining / rate).is_finite() {
+            return Drive::Unrepresentable;
+        }
+        let bound = base + 16.0 * (last - start + remaining) * (sys.rate() / rate) / q;
+        if steps >= STEP_CAP && bound > STEP_CAP as f64 {
+            return Drive::Long;
+        }
+        assert!(
+            (steps as f64) < bound,
+            "not idle after {steps} steps, bound {bound}"
+        );
+        sys.step().unwrap();
+        steps += 1;
+        let done = sys.executed_units();
+        assert!(
+            done.is_finite() && done >= last,
+            "executed units {last} -> {done}"
+        );
+        assert!(sys.now() >= clock, "clock {clock} -> {}", sys.now());
+        (last, clock) = (done, sys.now());
+    }
+    Drive::Drained
+}
+
+/// `Σ cost / C`: work is conserved, so with no arrivals the queries drain
+/// in that many seconds. `None` when every cost is finite and the time is
+/// beyond `f64` (a rate of 1e-310, say): +∞ is then the rounded truth and
+/// there is nothing to drive. A cost that is not finite fails the test.
+fn drain_time(queries: &[FluidQuery], rate: f64) -> Option<f64> {
+    for q in queries {
+        assert!(q.cost.is_finite(), "query {} holds {} units", q.id, q.cost);
+    }
+    let work: f64 = queries.iter().map(|q| q.cost).sum();
+    Some(work / rate).filter(|t| t.is_finite())
+}
+
+/// Drive a restored model past its drain time. Every estimate read on the
+/// way is finite and non-negative.
+fn drain_fluid(f: &mut IncrementalFluid) {
+    let mut live = Vec::new();
+    for _ in 0..4 {
+        f.extract_into(&mut live);
+        let Some(horizon) = drain_time(&live, f.rate()) else {
+            return;
+        };
+        for q in &live {
+            let e = f.estimate(q.id).unwrap();
+            assert!(e.is_finite() && e >= 0.0, "query {} reads {e}", q.id);
+        }
+        if live.is_empty() {
+            return;
+        }
+        f.advance(horizon * (1.0 + 1e-9) + 1e-9);
+    }
+    panic!("{} queries live past the drain time", f.len());
+}
+
+/// Drive a restored service past its drain time: live and waiting work
+/// drains within its [`drain_time`], and a waiting query is admitted, or
+/// rejected by its deadline, within one more backoff delay and deadline.
+/// Every point estimate read on the way is finite and non-negative, and
+/// live plus waiting reaches 0.
+fn drain_service(svc: &mut PiService) {
+    let pending = |s: &PiService| s.live_queries() + s.queued_queries() + s.backoff_queries();
+    let rounds = 8 + 2 * pending(svc);
+    for _ in 0..rounds {
+        let mut all = svc.live_set();
+        let live = all.len();
+        all.extend(svc.queued_set());
+        let Some(horizon) = drain_time(&all, svc.model_rate()) else {
+            return;
+        };
+        for q in &all[..live] {
+            let e = svc.point_estimate(q.id).unwrap();
+            assert!(e.is_finite() && e >= 0.0, "query {} reads {e}", q.id);
+        }
+        if pending(svc) == 0 {
+            return;
+        }
+        let cfg = svc.config();
+        svc.advance(horizon + cfg.retry.max_delay + cfg.queue_deadline.unwrap_or(0.0) + 1.0);
+    }
+    panic!(
+        "{} queries pending after {rounds} drain rounds",
+        pending(svc)
+    );
+}
+
+/// Every single-bit flip of bit 6 of every byte: bit 62 of each `f64` in
+/// the payload, aligned or not. It turns 1.0 into +∞ and 1.5 into NaN.
+fn flip_bit_62(clean: &[u8], mut case_fn: impl FnMut(&[u8]) -> bool) -> (u32, u32) {
+    let (mut rejected, mut survived) = (0, 0);
+    for pos in 0..clean.len() {
+        let mut bytes = clean.to_vec();
+        bytes[pos] ^= 1 << 6;
+        if case_fn(&bytes) {
+            survived += 1;
+        } else {
+            rejected += 1;
+        }
+    }
+    (rejected, survived)
+}
+
+#[test]
+fn event_driven_system_restore_survivors_drain() {
+    let clean = system_event_driven().checkpoint().unwrap();
+    let mut outcomes = std::collections::BTreeMap::new();
+    let mut case = |mutated: &[u8]| {
+        let Ok(sys) = System::restore(mutated) else {
+            return false;
+        };
+        *outcomes
+            .entry(drain_system(sys, mutated.len()))
+            .or_insert(0) += 1;
+        true
+    };
+    let (rejected, survived) = run_corpus(&clean, 1500, &mut case);
+    assert!(rejected >= 600 && survived > 0, "{rejected} / {survived}");
+    flip_bit_62(&clean, &mut case);
+    assert!(outcomes[&Drive::Drained] > 600, "{outcomes:?}");
+}
+
+#[test]
+fn incremental_fluid_restore_survivors_drain() {
+    // Weight 1.0 and a virtual time in [1, 2): bit 62 turns them into +∞
+    // and NaN.
+    let mut f = IncrementalFluid::new(100.0);
+    f.arrive(1, 500.0, 1.0);
+    f.arrive(2, 240.0, 1.5);
+    f.arrive(3, 60.0, 0.75);
+    f.advance(0.05);
+    f.finish(3);
+    f.arrive(4, 90.0, 2.5);
+    assert!((1.0..2.0).contains(&f.virtual_time()));
+    let clean = f.to_bytes();
+    let mut case = |mutated: &[u8]| {
+        let Ok(mut f) = IncrementalFluid::from_bytes(mutated, "fluid") else {
+            return false;
+        };
+        drain_fluid(&mut f);
+        true
+    };
+    let (rejected, survived) = run_corpus(&clean, 1500, &mut case);
+    assert!(rejected > 0 && survived > 0, "{rejected} / {survived}");
+    let (rejected, survived) = flip_bit_62(&clean, &mut case);
+    assert!(rejected > 0 && survived > 0, "{rejected} / {survived}");
 }

@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 
 use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_obs::{Obs, TraceKind, ERROR_BUCKETS};
+use mqpi_sim::domain;
 use mqpi_sim::speed::SpeedMonitor;
 use mqpi_sim::system::{QueryState, SystemSnapshot};
 
@@ -546,7 +547,7 @@ impl Ensemble {
             .filter(|r| !r.blocked)
             .map(|r| r.weight)
             .sum();
-        if total_w <= 0.0 || snap.rate.is_nan() || snap.rate <= 0.0 {
+        if total_w <= 0.0 || domain::rate(snap.rate).is_err() {
             return 0.0;
         }
         let (mut observed, mut fair) = (0.0, 0.0);

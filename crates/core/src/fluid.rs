@@ -32,6 +32,8 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 
+use mqpi_sim::domain;
+
 use crate::id_index::IdIndex;
 
 /// One query as the fluid model sees it.
@@ -136,22 +138,24 @@ pub fn predict_invocations() -> u64 {
 /// ```
 ///
 /// # Panics
-/// Panics if any weight is ≤ 0 or `rate` is ≤ 0.
+/// Panics if `rate` or any weight is not finite and positive, or any cost
+/// is not finite (a negative cost counts as 0, [`domain::cost`]).
 pub fn standard_remaining_times(queries: &[FluidQuery], rate: f64) -> Vec<f64> {
-    assert!(rate > 0.0, "rate must be positive");
+    domain::rate(rate).expect("rate must be positive and finite");
     let n = queries.len();
     if n == 0 {
         return Vec::new();
     }
-    for q in queries {
-        assert!(q.weight > 0.0, "weights must be positive");
-        assert!(q.cost >= 0.0, "costs must be non-negative");
-    }
-    // Sort indices by virtual finish time d = c/w.
+    // Virtual finish time d = c/w of each query, in input order.
+    let finish: Vec<f64> = queries
+        .iter()
+        .map(|q| {
+            domain::cost(q.cost).expect("costs must be finite")
+                / domain::weight(q.weight).expect("weights must be positive and finite")
+        })
+        .collect();
     let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        (queries[a].cost / queries[a].weight).total_cmp(&(queries[b].cost / queries[b].weight))
-    });
+    order.sort_by(|&a, &b| finish[a].total_cmp(&finish[b]));
     // Suffix weight sums over the sorted order.
     let mut suffix_w = vec![0.0; n + 1];
     for k in (0..n).rev() {
@@ -161,8 +165,7 @@ pub fn standard_remaining_times(queries: &[FluidQuery], rate: f64) -> Vec<f64> {
     let mut t = 0.0;
     let mut d_prev = 0.0;
     for k in 0..n {
-        let q = &queries[order[k]];
-        let d = q.cost / q.weight;
+        let d = finish[order[k]];
         t += (d - d_prev) * suffix_w[k] / rate;
         d_prev = d;
         out[order[k]] = t;
@@ -353,6 +356,9 @@ impl VirtualClock {
 /// completion one pop from the run or the heap, so the whole prediction is
 /// `O(n log n + arrivals·log h)` with `h` the later admissions in flight —
 /// property-tested to agree with the dense reference sweep.
+///
+/// # Panics
+/// Panics if `rate` is not finite and positive, or `slots` is `Some(0)`.
 pub fn predict(
     running: &[FluidQuery],
     queued: &[FluidQuery],
@@ -381,7 +387,7 @@ pub(crate) fn predict_kernel(
     rate: f64,
 ) -> (FluidPrediction, bool) {
     PREDICT_INVOCATIONS.fetch_add(1, AtomicOrdering::Relaxed);
-    assert!(rate > 0.0, "rate must be positive");
+    domain::rate(rate).expect("rate must be positive and finite");
     if let Some(k) = slots {
         assert!(k >= 1, "admission limit must be at least 1");
     }

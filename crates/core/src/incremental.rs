@@ -64,6 +64,7 @@
 use std::collections::HashMap;
 
 use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
+use mqpi_sim::domain;
 
 use crate::fluid::{predict, predict_kernel, FluidPrediction, FluidQuery, FutureArrivals};
 
@@ -339,15 +340,15 @@ pub struct IncrementalFluid {
 
 impl IncrementalFluid {
     /// # Panics
-    /// Panics if `rate` is not positive.
+    /// Panics if `rate` is not finite and positive.
     pub fn new(rate: f64) -> Self {
         Self::with_capacity(rate, 0)
     }
 
     /// # Panics
-    /// Panics if `rate` is not positive.
+    /// Panics if `rate` is not finite and positive.
     pub fn with_capacity(rate: f64, cap: usize) -> Self {
-        assert!(rate > 0.0, "rate must be positive");
+        domain::rate(rate).expect("rate must be positive and finite");
         IncrementalFluid {
             rate,
             vt: 0.0,
@@ -457,15 +458,22 @@ impl IncrementalFluid {
         self.root = self.nodes.remove(self.root, s, tag, seq);
     }
 
+    /// The tag `V + c/w`, held at `f64::MAX` when a tiny weight overflows
+    /// it: the query still finishes last, and sums over tags stay finite.
+    fn tag_for(&self, cost: f64, weight: f64) -> f64 {
+        (self.vt + cost / weight).min(f64::MAX)
+    }
+
     /// Admit a query with the given remaining cost and weight. Its virtual
     /// finish tag `V + cost/weight` is fixed here, exactly as
     /// `fluid::predict` admits it.
     ///
     /// # Panics
-    /// Panics if `weight` is not positive or `id` is already live.
+    /// Panics if `weight` is not finite and positive, `cost` is not finite
+    /// (a negative cost counts as 0), or `id` is already live.
     pub fn arrive(&mut self, id: u64, cost: f64, weight: f64) {
-        assert!(weight > 0.0, "weights must be positive");
-        let tag = self.vt + cost.max(0.0) / weight;
+        domain::weight(weight).expect("weights must be positive and finite");
+        let tag = self.tag_for(domain::cost(cost).expect("costs must be finite"), weight);
         let seq = self.next_seq;
         self.next_seq += 1;
         let s = self.nodes.alloc(id, weight, tag, seq);
@@ -510,9 +518,9 @@ impl IncrementalFluid {
     /// Returns false if `id` is not live.
     ///
     /// # Panics
-    /// Panics if `weight` is not positive.
+    /// Panics if `weight` is not finite and positive.
     pub fn reweight(&mut self, id: u64, weight: f64) -> bool {
-        assert!(weight > 0.0, "weights must be positive");
+        domain::weight(weight).expect("weights must be positive and finite");
         let Some(&s) = self.by_id.get(&id) else {
             return false;
         };
@@ -520,7 +528,7 @@ impl IncrementalFluid {
         let cost = ((self.nodes.tag[i] - self.vt) * self.nodes.weight[i]).max(0.0);
         self.remove_tree(s);
         self.nodes.weight[i] = weight;
-        self.nodes.tag[i] = self.vt + cost / weight;
+        self.nodes.tag[i] = self.tag_for(cost, weight);
         self.nodes.sub_w[i] = weight;
         self.nodes.sub_wv[i] = weight * self.nodes.tag[i];
         self.nodes.sub_n[i] = 1;
@@ -533,13 +541,17 @@ impl IncrementalFluid {
 
     /// Replace a live query's remaining cost (cost refinement, §2.1).
     /// Returns false if `id` is not live.
+    ///
+    /// # Panics
+    /// Panics if `cost` is not finite (a negative cost counts as 0).
     pub fn refine_cost(&mut self, id: u64, cost: f64) -> bool {
+        let cost = domain::cost(cost).expect("costs must be finite");
         let Some(&s) = self.by_id.get(&id) else {
             return false;
         };
         let i = s as usize;
         self.remove_tree(s);
-        self.nodes.tag[i] = self.vt + cost.max(0.0) / self.nodes.weight[i];
+        self.nodes.tag[i] = self.tag_for(cost, self.nodes.weight[i]);
         self.nodes.sub_w[i] = self.nodes.weight[i];
         self.nodes.sub_wv[i] = self.nodes.weight[i] * self.nodes.tag[i];
         self.nodes.sub_n[i] = 1;
@@ -555,9 +567,9 @@ impl IncrementalFluid {
     /// describe).
     ///
     /// # Panics
-    /// Panics if `rate` is not positive.
+    /// Panics if `rate` is not finite and positive.
     pub fn set_rate(&mut self, rate: f64) {
-        assert!(rate > 0.0, "rate must be positive");
+        domain::rate(rate).expect("rate must be positive and finite");
         self.rate = rate;
         self.counters.rate_changes += 1;
     }
@@ -854,7 +866,7 @@ impl IncrementalFluid {
         self.by_id.clear();
         let mut sanitized = 0usize;
         for (id, seq, mut tag, mut weight) in items {
-            if !weight.is_finite() || weight <= 0.0 {
+            if domain::weight(weight).is_err() {
                 weight = 1.0;
                 sanitized += 1;
             }
@@ -875,7 +887,8 @@ impl IncrementalFluid {
 /// By hand: nodes travel in admission order and the treap shape is not
 /// encoded, because it is the unique treap over the node set (see module
 /// docs); decoding rebuilds it exactly, so a re-encode is byte-identical.
-/// Weights, sequence numbers and ids are checked on the way in.
+/// The rate, `V`, weights, tags, sequence numbers and ids are checked on
+/// the way in.
 impl Wire for IncrementalFluid {
     fn enc(&self, e: &mut Enc) {
         (self.rate, self.vt, self.next_seq, self.len()).enc(e);
@@ -892,10 +905,11 @@ impl Wire for IncrementalFluid {
 
     fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
         let (rate, vt, next_seq, n): (f64, f64, u64, usize) = Wire::dec(d)?;
-        if rate.is_nan() || rate <= 0.0 {
-            return Err(CkptError::Corrupt(format!(
-                "non-positive rate {rate} in incremental-fluid state"
-            )));
+        let corrupt = |e: String| CkptError::Corrupt(format!("{e} in incremental-fluid state"));
+        let rate = domain::rate(rate).map_err(corrupt)?;
+        // A `V` or tag that is not finite is corrupt, as `rebuild` has it.
+        if !vt.is_finite() {
+            return Err(corrupt(format!("vt {vt} is not finite")));
         }
         // A node is 32 bytes on the wire: reserve for no more of them than
         // the bytes that remain could hold.
@@ -903,21 +917,16 @@ impl Wire for IncrementalFluid {
         f.vt = vt;
         for _ in 0..n {
             let (id, seq, tag, weight): (u64, u64, f64, f64) = Wire::dec(d)?;
-            if weight.is_nan() || weight <= 0.0 {
-                return Err(CkptError::Corrupt(format!(
-                    "non-positive weight {weight} for query {id} in incremental-fluid state"
-                )));
+            domain::weight(weight).map_err(|e| corrupt(format!("query {id}: {e}")))?;
+            if !tag.is_finite() {
+                return Err(corrupt(format!("query {id}: tag {tag} is not finite")));
             }
             if seq >= next_seq {
-                return Err(CkptError::Corrupt(format!(
-                    "sequence {seq} beyond cursor {next_seq} in incremental-fluid state"
-                )));
+                return Err(corrupt(format!("sequence {seq} beyond cursor {next_seq}")));
             }
             let s = f.nodes.alloc(id, weight, tag, seq);
             if f.by_id.insert(id, s).is_some() {
-                return Err(CkptError::Corrupt(format!(
-                    "duplicate query {id} in incremental-fluid state"
-                )));
+                return Err(corrupt(format!("duplicate query {id}")));
             }
             f.link_tail(s);
             f.insert_tree(s);

@@ -10,6 +10,7 @@
 //! * plus predicted future arrivals (§2.4) —
 //!   [`Visibility::with_future`].
 
+use mqpi_sim::domain;
 use mqpi_sim::system::SystemSnapshot;
 
 use crate::estimate::EstimateSet;
@@ -81,15 +82,10 @@ impl MultiQueryPi {
     /// is visible, for queued queries as well. One [`predict`] pass covers
     /// the whole snapshot; look individual queries up in the returned set.
     pub fn estimates(&self, snap: &SystemSnapshot) -> EstimateSet {
-        // The fluid model requires a positive rate; a paused or corrupt
-        // snapshot (rate 0, NaN) floors to an epsilon rate instead — the
-        // resulting huge estimates are capped by the sanitizer, and the
-        // estimator keeps its contract of never panicking on bad input.
-        let rate = if snap.rate.is_finite() && snap.rate > 0.0 {
-            snap.rate
-        } else {
-            1e-9
-        };
+        // A paused or corrupt snapshot (rate 0, NaN, ∞) floors to an epsilon
+        // rate: the sanitizer caps the huge estimates, and the estimator
+        // keeps its contract of never panicking on bad input.
+        let rate = domain::rate(snap.rate).unwrap_or(1e-9);
         let running: Vec<FluidQuery> = snap
             .running
             .iter()

@@ -5,6 +5,7 @@
 
 use mqpi_core::FluidQuery;
 use mqpi_obs::TraceKind;
+use mqpi_sim::domain;
 
 use crate::{PiService, Waiting, COMPLETION_RESIDUAL, NIL};
 
@@ -42,25 +43,21 @@ impl PiService {
         }
     }
 
-    /// Sanitize a submitted weight: non-finite or non-positive values are
+    /// Sanitize a submitted weight: one outside [`domain::weight`] is
     /// replaced with 1.0 (counted) instead of poisoning the model.
     fn sane_weight(&mut self, weight: f64) -> f64 {
-        if weight.is_finite() && weight > 0.0 {
-            weight
-        } else {
+        domain::weight(weight).unwrap_or_else(|_| {
             self.count_sanitized();
             1.0
-        }
+        })
     }
 
-    /// Sanitize a submitted cost: non-finite values become 0 (counted).
+    /// Sanitize a submitted cost: a non-finite one becomes 0 (counted).
     fn sane_cost(&mut self, cost: f64) -> f64 {
-        if cost.is_finite() {
-            cost.max(0.0)
-        } else {
+        domain::cost(cost).unwrap_or_else(|_| {
             self.count_sanitized();
             0.0
-        }
+        })
     }
 
     /// Count one non-finite input refused at the boundary.
@@ -282,15 +279,15 @@ impl PiService {
     }
 
     pub(crate) fn apply_refine(&mut self, query: u64, cost: f64) -> bool {
-        if !cost.is_finite() {
+        let Ok(cost) = domain::cost(cost) else {
             self.count_sanitized();
             return false;
-        }
+        };
         let Some(remaining) = self.fluid.remaining_cost(query) else {
             return false;
         };
         self.fluid.refine_cost(query, cost);
-        self.drift += (cost.max(0.0) - remaining).abs() / self.fluid.rate();
+        self.drift += (cost - remaining).abs() / self.fluid.rate();
         self.rearm_chain(query);
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.delta.refine", 1);

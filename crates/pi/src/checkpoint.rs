@@ -5,8 +5,9 @@ use std::collections::HashSet;
 
 use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_obs::Obs;
+use mqpi_sim::domain;
 
-use crate::{PiService, Sub, Waiting, NIL};
+use crate::{PiService, Sub, NIL};
 
 /// Checkpoint payload kind for a serialized [`PiService`].
 pub const CKPT_KIND_SERVICE: &str = "pi-service";
@@ -127,23 +128,22 @@ impl PiService {
     }
 
     /// What admission and the deadline service assume of a waiting query,
-    /// checked up front: a positive weight, no more expiries than the retry
-    /// policy allows, and an id below the cursor that nothing else in the
-    /// system holds.
-    fn check_queries(&self) -> Result<(), String> {
+    /// checked field by field: a weight and a cost in their domains (a
+    /// negative cost is stored as 0), attempts within the retry policy, and
+    /// an id below the cursor that nothing else holds.
+    fn check_queries(&mut self) -> Result<(), String> {
         let mut seen: HashSet<u64> = self.live_set().iter().map(|q| q.id).collect();
-        for &Waiting {
-            id,
-            weight,
-            attempts,
-            ..
-        } in self.queue.iter().chain(&self.backoff)
-        {
-            let sound = weight > 0.0 && attempts <= self.cfg.retry.max_attempts;
-            if !sound || !seen.insert(id) {
-                return Err(format!(
-                    "waiting query {id} is held twice, or weight {weight} or attempt {attempts} is out of range"
-                ));
+        let max_attempts = self.cfg.retry.max_attempts;
+        for w in self.queue.iter_mut().chain(&mut self.backoff) {
+            let id = w.id;
+            let named = |e| format!("waiting query {id}: {e}");
+            domain::weight(w.weight).map_err(named)?;
+            w.cost = domain::cost(w.cost).map_err(named)?;
+            if w.attempts > max_attempts {
+                return Err(named(format!("attempt {} > {max_attempts}", w.attempts)));
+            }
+            if !seen.insert(id) {
+                return Err(format!("waiting query {id} is held twice"));
             }
         }
         if let Some(id) = seen.iter().find(|&&id| id >= self.next_query) {

@@ -5,6 +5,7 @@
 //! to [`PiService::apply_record`]. Both reach the same dispatch, so a
 //! live call and its replay run the same code by construction.
 
+use mqpi_sim::domain;
 use mqpi_wal::{WalRecord, MAX_NOTE_LEN};
 
 use crate::{EstimatePush, PiService, SessionId};
@@ -123,10 +124,7 @@ impl PiService {
     /// # Panics
     /// Panics if `rate` is not finite and positive.
     pub fn set_rate(&mut self, rate: f64) {
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "rate must be finite and positive"
-        );
+        domain::rate(rate).expect("rate must be finite and positive");
         self.command(&WalRecord::SetRate { rate }, &mut Vec::new());
     }
 
@@ -249,7 +247,7 @@ impl PiService {
             WalRecord::Reweight { query, weight } => applied(self.apply_reweight(query, weight)),
             WalRecord::Refine { query, cost } => applied(self.apply_refine(query, cost)),
             WalRecord::SetRate { rate } => {
-                let valid = rate.is_finite() && rate > 0.0;
+                let valid = domain::rate(rate).is_ok();
                 if valid {
                     self.apply_set_rate(rate);
                 }

@@ -3,7 +3,7 @@
 //! [`PiConfig::validate`].
 
 use mqpi_ckpt::wire_struct;
-use mqpi_sim::RetryPolicy;
+use mqpi_sim::{domain, RetryPolicy};
 use mqpi_wal::WalKnobs;
 
 /// Watermarks for the graceful-degradation ladder. Load is the total
@@ -219,7 +219,7 @@ impl Default for PiConfig {
 impl PiConfig {
     /// Check every field, returning the first violation as a typed error.
     pub fn validate(&self) -> Result<(), PiConfigError> {
-        if !self.rate.is_finite() || self.rate <= 0.0 {
+        if domain::rate(self.rate).is_err() {
             return Err(PiConfigError::Rate(self.rate));
         }
         if !self.epsilon.is_finite() || self.epsilon < 0.0 {

@@ -38,7 +38,7 @@
 //! event buses drop, duplicate, and reorder, and instrumented engines
 //! occasionally report garbage (`NaN` costs, negative rates). Every event
 //! is therefore screened *before* it can reach the fluid model (whose
-//! `arrive` rightfully panics on duplicates and non-positive weights).
+//! `arrive` panics on duplicates and on values outside `mqpi_sim::domain`).
 //! Malformed events are **quarantined** — counted per reason in
 //! [`QuarantineStats`], surfaced through optional [`Obs`] counters/traces,
 //! and otherwise ignored — so a hostile stream degrades estimate
@@ -54,7 +54,7 @@ use std::collections::{HashMap, HashSet};
 
 use mqpi_core::IncrementalFluid;
 use mqpi_obs::{Obs, TraceKind};
-use mqpi_sim::{FinishKind, SimEvent, System};
+use mqpi_sim::{domain, FinishKind, SimEvent, System};
 
 /// Counts of events rejected by the mirror's input screening, by reason.
 ///
@@ -72,8 +72,8 @@ pub struct QuarantineStats {
     /// Events timestamped before the mirror's clock. Time never runs
     /// backwards in a single feed; these are replays or reorderings.
     pub out_of_order: u64,
-    /// Events carrying non-finite or otherwise unusable payloads
-    /// (`NaN`/`inf` timestamps or costs, weights `<= 0`, rates `<= 0`).
+    /// Events with a timestamp that is not finite, or a cost, weight or
+    /// rate outside its domain (`mqpi_sim::domain`).
     pub non_finite: u64,
 }
 
@@ -279,14 +279,23 @@ impl SystemMirror {
             self.model_advance(dt);
             self.clock = at;
         }
+        // A payload outside its domain never reaches the fluid model.
+        let in_domain = match ev {
+            SimEvent::Admitted { cost, weight, .. } | SimEvent::Enqueued { cost, weight, .. } => {
+                domain::cost(cost).and(domain::weight(weight)).is_ok()
+            }
+            SimEvent::CostRefined { remaining, .. } => domain::cost(remaining).is_ok(),
+            SimEvent::RateChanged { rate, .. } => domain::rate(rate).is_ok(),
+            _ => true,
+        };
+        if !in_domain {
+            self.quarantine("non_finite", event_id(&ev), at);
+            return;
+        }
         match ev {
             SimEvent::Admitted {
                 id, cost, weight, ..
             } => {
-                if !cost.is_finite() || !weight.is_finite() || weight <= 0.0 {
-                    self.quarantine("non_finite", id, at);
-                    return;
-                }
                 // An id that leaves the queue is in neither other table.
                 if self.queue.remove(&id).is_none()
                     && (self.fluid.contains(id) || self.blocked.contains_key(&id))
@@ -294,15 +303,11 @@ impl SystemMirror {
                     self.quarantine("duplicate", id, at);
                     return;
                 }
-                self.fluid.arrive(id, cost.max(0.0), weight);
+                self.fluid.arrive(id, cost, weight);
             }
             SimEvent::Enqueued {
                 id, cost, weight, ..
             } => {
-                if !cost.is_finite() || !weight.is_finite() || weight <= 0.0 {
-                    self.quarantine("non_finite", id, at);
-                    return;
-                }
                 if self.tracks(id) {
                     self.quarantine("duplicate", id, at);
                     return;
@@ -352,10 +357,6 @@ impl SystemMirror {
                 }
             }
             SimEvent::CostRefined { id, remaining, .. } => {
-                if !remaining.is_finite() {
-                    self.quarantine("non_finite", id, at);
-                    return;
-                }
                 if self.fluid.refine_cost(id, remaining) {
                     return;
                 }
@@ -368,10 +369,6 @@ impl SystemMirror {
                 }
             }
             SimEvent::RateChanged { rate, .. } => {
-                if !rate.is_finite() || rate <= 0.0 {
-                    self.quarantine("non_finite", 0, at);
-                    return;
-                }
                 self.fluid.set_rate(rate);
             }
         }
@@ -405,7 +402,7 @@ impl SystemMirror {
     /// the feed, not the current state); `resyncs` is incremented.
     pub fn resync(&mut self, sys: &System) {
         let snap = sys.snapshot();
-        self.fluid = IncrementalFluid::new(snap.rate.max(f64::MIN_POSITIVE));
+        self.fluid = IncrementalFluid::new(domain::rate(snap.rate).unwrap_or(f64::MIN_POSITIVE));
         self.queue.clear();
         self.queue.reserve(snap.queued.len());
         self.blocked.clear();
@@ -418,17 +415,12 @@ impl SystemMirror {
         self.retired.clear();
         self.retired.extend(sys.finished().iter().map(|f| f.id));
         self.clock = snap.time;
+        // Out-of-domain values are sanitized (weight 1, cost 0), as the
+        // service sanitizes a submission.
+        let weight = |w| domain::weight(w).unwrap_or(1.0);
+        let cost = |c| domain::cost(c).unwrap_or(0.0);
         for q in &snap.running {
-            let weight = if q.weight.is_finite() && q.weight > 0.0 {
-                q.weight
-            } else {
-                1.0
-            };
-            let cost = if q.remaining.is_finite() {
-                q.remaining.max(0.0)
-            } else {
-                0.0
-            };
+            let (cost, weight) = (cost(q.remaining), weight(q.weight));
             if q.blocked {
                 self.blocked.insert(q.id, (cost, weight));
             } else {
@@ -436,17 +428,8 @@ impl SystemMirror {
             }
         }
         for q in &snap.queued {
-            let weight = if q.weight.is_finite() && q.weight > 0.0 {
-                q.weight
-            } else {
-                1.0
-            };
-            let cost = if q.est_cost.is_finite() {
-                q.est_cost.max(0.0)
-            } else {
-                0.0
-            };
-            self.queue.insert(q.id, (cost, weight));
+            self.queue
+                .insert(q.id, (cost(q.est_cost), weight(q.weight)));
         }
         self.resyncs += 1;
         // Reset the backoff window: damage counted before the rebuild is

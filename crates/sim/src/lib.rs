@@ -19,11 +19,13 @@
 //! synthetic jobs), [`weights`] (priority → weight), [`admission`]
 //! (admission-queue policies), [`arrivals`] (Poisson arrival processes),
 //! [`speed`] (observed-speed monitors used by single-query PIs),
-//! [`system`] (the scheduler itself and its snapshots).
+//! [`system`] (the scheduler itself and its snapshots), [`domain`] (the
+//! one definition of a valid weight, cost and rate).
 
 pub mod admission;
 pub mod arrivals;
 mod checkpoint;
+pub mod domain;
 pub mod faults;
 mod intern;
 pub mod job;

@@ -70,7 +70,7 @@ impl Rng {
 
     /// Exponentially distributed with the given rate (mean `1/rate`).
     pub fn exp(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0);
+        crate::domain::rate(rate).expect("rate must be positive and finite");
         let u = loop {
             let u = self.f64();
             if u > 0.0 {

@@ -45,6 +45,7 @@ use mqpi_engine::error::{EngineError, Result};
 use mqpi_obs::{Obs, TraceKind, SECOND_BUCKETS, UNIT_BUCKETS};
 
 use crate::admission::AdmissionPolicy;
+use crate::domain;
 use crate::faults::{FaultKind, FaultPlan};
 use crate::intern::{Interner, Sym};
 use crate::job::{Job, JobSnapshot, JobState};
@@ -470,9 +471,7 @@ impl System {
 
     /// Create a system, rejecting invalid configurations as errors.
     pub fn try_new(cfg: SystemConfig) -> Result<Self> {
-        if !(cfg.rate > 0.0 && cfg.rate.is_finite()) {
-            return Err(EngineError::exec("system rate must be positive and finite"));
-        }
+        domain::rate(cfg.rate).map_err(|e| EngineError::exec(format!("system {e}")))?;
         if !(cfg.quantum_units > 0.0 && cfg.quantum_units.is_finite()) {
             return Err(EngineError::exec("quantum must be positive and finite"));
         }
@@ -577,10 +576,7 @@ impl System {
     /// Submit a query now; starts immediately or queues per the admission
     /// policy.
     pub fn submit(&mut self, name: impl Into<Arc<str>>, job: Box<dyn Job>, weight: f64) -> QueryId {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "scheduling weight must be positive and finite, got {weight}"
-        );
+        domain::weight(weight).unwrap_or_else(|e| panic!("scheduling {e}"));
         let id = self.next_id;
         self.next_id += 1;
         let sym = self.names.intern(name.into());
@@ -606,10 +602,7 @@ impl System {
         job: Box<dyn Job>,
         weight: f64,
     ) -> QueryId {
-        assert!(
-            weight > 0.0 && weight.is_finite(),
-            "scheduling weight must be positive and finite, got {weight}"
-        );
+        domain::weight(weight).unwrap_or_else(|e| panic!("scheduling {e}"));
         self.schedule_state(at, name.into(), JobState::from_box(job), weight, 0)
     }
 
@@ -846,13 +839,22 @@ impl System {
             id: rec.id,
             kind: rec.kind,
         });
-        let slot = rec.id as usize;
+        // A Vec<FinishedQuery> outgrows memory long before u32 wraps.
+        let (slot, fi) = (rec.id as usize, self.finished.len() as u32);
+        self.finished.push(rec);
+        // Ids are dense from 1. One far past the index (a restored id
+        // cursor) is kept apart rather than paid for with a resize.
+        if slot > 2 * self.finished_of.len() + 64 {
+            let at = self
+                .finished_far
+                .partition_point(|&(id, _)| id < slot as QueryId);
+            self.finished_far.insert(at, (slot as QueryId, fi));
+            return;
+        }
         if self.finished_of.len() <= slot {
             self.finished_of.resize(slot + 1, u32::MAX);
         }
-        // A Vec<FinishedQuery> outgrows memory long before u32 wraps.
-        self.finished_of[slot] = self.finished.len() as u32;
-        self.finished.push(rec);
+        self.finished_of[slot] = fi;
     }
 
     /// Install a fault plan. Events strictly in the past are applied on the
@@ -1793,7 +1795,7 @@ impl System {
             let sym = table_sym(&table, name)?;
             let job = Self::job_from_snapshot(&mut d)?;
             let (weight, attempt) = Wire::dec(&mut d)?;
-            check_weight(id, weight)?;
+            domain::weight(weight).map_err(|e| CkptError::Corrupt(format!("query {id}: {e}")))?;
             let monitor = sys.new_monitor();
             let h = sys.slab.alloc(id, sym, job, weight, at, monitor, attempt);
             if sys.scheduled.insert((at.to_bits(), id), h).is_some() {
@@ -1855,8 +1857,15 @@ impl System {
     }
 
     fn job_from_snapshot(d: &mut Dec<'_>) -> std::result::Result<JobState, CkptError> {
+        let s: JobSnapshot = Wire::dec(d)?;
+        if s.done > s.total {
+            return Err(CkptError::Corrupt(format!(
+                "job done {} of {}",
+                s.done, s.total
+            )));
+        }
         Ok(JobState::Synthetic(
-            crate::job::SyntheticJob::from_snapshot(Wire::dec(d)?),
+            crate::job::SyntheticJob::from_snapshot(s),
         ))
     }
 
@@ -1887,7 +1896,7 @@ impl System {
         let sym = table_sym(table, name)?;
         let job = Self::job_from_snapshot(d)?;
         let (weight, arrived, started) = Wire::dec(d)?;
-        check_weight(id, weight)?;
+        domain::weight(weight).map_err(|e| CkptError::Corrupt(format!("query {id}: {e}")))?;
         let (credit, units_done) = Wire::dec(d)?;
         let monitor = Wire::dec(d)?;
         let (blocked, rolling_back) = Wire::dec(d)?;
@@ -1925,18 +1934,6 @@ fn smoothing(mdt: f64, tau: f64) -> f64 {
         1.0 - (-mdt / tau).exp()
     } else {
         0.0
-    }
-}
-
-/// A decoded weight must be one [`System::submit`] would accept: a NaN or
-/// infinite one makes `Σw` non-finite, and the system never grants work.
-fn check_weight(id: QueryId, weight: f64) -> std::result::Result<(), CkptError> {
-    if weight > 0.0 && weight.is_finite() {
-        Ok(())
-    } else {
-        Err(CkptError::Corrupt(format!(
-            "query {id} has weight {weight}"
-        )))
     }
 }
 
@@ -3106,29 +3103,6 @@ mod checkpoint_tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(System::restore(&trailing).is_err());
-
-        // Weights `submit` and `schedule` refuse, on a running session and
-        // on a scheduled arrival: one NaN would make `Σw` NaN and no
-        // session would be granted work again.
-        let mut sys = System::new(SystemConfig::default());
-        sys.submit("run", Box::new(SyntheticJob::new(500)), 3.25);
-        sys.schedule(7.0, "later", Box::new(SyntheticJob::new(500)), 5.75);
-        let bytes = sys.checkpoint().unwrap();
-        for weight in [3.25f64, 5.75] {
-            let needle = weight.to_bits().to_le_bytes();
-            let at = (0..=bytes.len() - 8)
-                .filter(|&i| bytes[i..i + 8] == needle)
-                .collect::<Vec<_>>();
-            assert_eq!(at.len(), 1, "weight {weight} must be encoded once");
-            for bad in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
-                let mut hostile = bytes.clone();
-                hostile[at[0]..at[0] + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
-                assert!(
-                    matches!(System::restore(&hostile), Err(CkptError::Corrupt(_))),
-                    "weight {weight} -> {bad} must be rejected"
-                );
-            }
-        }
 
         // Two scheduled arrivals with one `(at, id)`: the timeline would
         // keep only one of them.

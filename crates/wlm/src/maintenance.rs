@@ -69,7 +69,7 @@ pub fn greedy_abort_plan_with_overhead(
     case: LostWorkCase,
     overhead: impl Fn(&QueryLoad) -> f64,
 ) -> AbortPlan {
-    assert!(rate > 0.0);
+    mqpi_sim::domain::rate(rate).expect("rate must be positive and finite");
     let mut order: Vec<(&QueryLoad, f64)> = queries
         .iter()
         .map(|q| (q, overhead(q).max(0.0)))
@@ -110,7 +110,7 @@ pub fn optimal_abort_set(
     deadline: f64,
     case: LostWorkCase,
 ) -> AbortPlan {
-    assert!(rate > 0.0);
+    mqpi_sim::domain::rate(rate).expect("rate must be positive and finite");
     let n = queries.len();
     assert!(n <= 25, "exhaustive search is exponential; n = {n}");
     let budget = rate * deadline; // kept work must fit in this

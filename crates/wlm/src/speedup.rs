@@ -68,7 +68,7 @@ pub struct VictimChoice {
 /// assert!((choice.benefit_seconds - 10.0).abs() < 1e-9);
 /// ```
 pub fn best_single_victim(queries: &[QueryLoad], target: u64, rate: f64) -> Option<VictimChoice> {
-    assert!(rate > 0.0);
+    mqpi_sim::domain::rate(rate).expect("rate must be positive and finite");
     let n = queries.len();
     if n < 2 {
         return None;
@@ -162,7 +162,7 @@ pub fn best_single_victim_equal_priority(
 /// total by `R_m = (w_m / C) · Σ_{j≤m} (n−j)(d_j − d_{j−1})`; the prefix sum
 /// makes the scan linear after the `O(n log n)` sort.
 pub fn best_multi_victim(queries: &[QueryLoad], rate: f64) -> Option<VictimChoice> {
-    assert!(rate > 0.0);
+    mqpi_sim::domain::rate(rate).expect("rate must be positive and finite");
     let n = queries.len();
     if n < 2 {
         return None;
