@@ -738,7 +738,8 @@ fn bench_pi(cx: &Ctx) -> Res {
 /// `--csv` (one `bench_ensemble.csv`, byte-identical at any `--jobs`).
 /// Asserts the acceptance gate — calm cells within 10 % of the best
 /// member, ≥ 2 fault cells strictly better than the worst member — and
-/// writes `BENCH_9.json`.
+/// writes `BENCH_9.json`, into the `--csv` directory when one is given and
+/// into the working directory otherwise.
 fn bench_ensemble(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let runs = if opts.small {
@@ -795,8 +796,15 @@ fn bench_ensemble(cx: &Ctx) -> Res {
 
     let accepted = rep.check_acceptance(0.10, 2);
     let json = rep.bench_json(runs, opts.seed);
-    mqpi_ckpt::atomic_write(std::path::Path::new("BENCH_9.json"), json.as_bytes())?;
-    eprintln!("# wrote BENCH_9.json");
+    // Next to the CSVs when `--csv DIR` is given, so a verification run
+    // leaves the tracked full-scale file alone.
+    let path = opts
+        .csv
+        .as_deref()
+        .unwrap_or(std::path::Path::new("."))
+        .join("BENCH_9.json");
+    mqpi_ckpt::atomic_write(&path, json.as_bytes())?;
+    eprintln!("# wrote {}", path.display());
 
     accepted.map_err(|e| format!("bench-ensemble: {e}").into())
 }

@@ -598,13 +598,6 @@ fn wal_record_decode_survives_raw_mutations() {
         WalRecord::Note {
             bytes: (0..200u8).collect(),
         },
-        WalRecord::SimEvent {
-            tag: 2,
-            at: 1.5,
-            id: 9,
-            a: 0.25,
-            b: -0.0,
-        },
     ];
     for rec in &records {
         let clean = rec.to_bytes();

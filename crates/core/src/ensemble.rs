@@ -265,97 +265,67 @@ impl Estimator for SpeedEwmaPi {
     }
 }
 
-/// Tuning knobs of the [`Ensemble`] selector and its bands. The defaults
-/// are what the bench harness and the PI scenarios run with.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleConfig {
-    /// Residual-window capacity per estimator (recent `actual / estimate`
-    /// ratios; band quantiles are computed over this window).
-    pub window: usize,
-    /// Per-resolved-sample decay of the error score: older errors fade
-    /// geometrically, so the score is a windowed decayed mean.
-    pub decay: f64,
-    /// Hysteresis: a challenger estimator must beat the incumbent's score
-    /// by this relative margin before a query switches to it.
-    pub switch_margin: f64,
-    /// Hysteresis, absolute arm: the challenger must also beat the
-    /// incumbent by this many points of relative error. When every member
-    /// is near-exact (a calm steady-state workload), relative margins
-    /// compare noise against noise — 0.004 "beats" 0.005 by 20 % — and
-    /// without this floor the selector would wander off its prior onto a
-    /// member whose model happens to fit only the current regime.
-    pub min_gain: f64,
-    /// Decayed evidence weight a member must accumulate before its score
-    /// ranks at all (one resolved query contributes 1.0, decayed per
-    /// resolution). Below it the score reads as `inf` and the lineup's
-    /// prior keeps the choice.
-    pub min_weight: f64,
-    /// Resolved residuals required before empirical quantiles replace the
-    /// prior band spread.
-    pub min_residuals: usize,
-    /// Prior band-ratio spread used before enough residuals exist:
-    /// `p10 = prior_lo · p50`, `p90 = prior_hi · p50`.
-    pub prior_lo: f64,
-    /// See [`EnsembleConfig::prior_lo`].
-    pub prior_hi: f64,
-    /// Baseline relative half-spread always added to the rate-uncertainty
-    /// band component.
-    pub base_spread: f64,
-    /// Realized remaining times below this are skipped when scoring (the
-    /// paper's campaigns do the same: near-zero actuals make relative
-    /// error explode without saying anything about the estimator).
-    pub min_actual: f64,
-    /// Per-sample relative-error cap (winsorization), matching the chaos
-    /// campaign's `ERR_CAP`.
-    pub err_cap: f64,
-    /// Upper bound on buffered unresolved samples; the oldest are dropped
-    /// beyond it so a never-finishing workload cannot grow memory
-    /// without bound.
-    pub max_pending: usize,
-}
+// Tuning of the [`Ensemble`] selector and its bands. Every caller runs
+// these values; none is a knob.
 
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        EnsembleConfig {
-            window: 64,
-            decay: 0.9,
-            switch_margin: 0.2,
-            min_gain: 0.05,
-            min_weight: 2.5,
-            min_residuals: 8,
-            prior_lo: 0.5,
-            prior_hi: 2.0,
-            base_spread: 0.05,
-            min_actual: 1.0,
-            err_cap: 100.0,
-            max_pending: 65_536,
-        }
-    }
-}
+/// Residual-window capacity per estimator (recent `actual / estimate`
+/// ratios; band quantiles are computed over this window).
+const WINDOW: usize = 64;
+/// Per-resolved-sample decay of the error score: older errors fade
+/// geometrically, so the score is a windowed decayed mean.
+const DECAY: f64 = 0.9;
+/// Hysteresis: a challenger estimator must beat the incumbent's score by
+/// this relative margin before a query switches to it.
+const SWITCH_MARGIN: f64 = 0.2;
+/// Hysteresis, absolute arm: the challenger must also beat the incumbent by
+/// this many points of relative error. When every member is near-exact (a
+/// calm steady-state workload), relative margins compare noise against
+/// noise — 0.004 "beats" 0.005 by 20 % — and without this floor the
+/// selector would wander off its prior onto a member whose model happens to
+/// fit only the current regime.
+const MIN_GAIN: f64 = 0.05;
+/// Decayed evidence weight a member must accumulate before its score ranks
+/// at all (one resolved query contributes 1.0, decayed per resolution, so
+/// three resolutions give 2.71). Below it the score reads as `inf` and the
+/// lineup's prior keeps the choice.
+const MIN_WEIGHT: f64 = 2.5;
+/// Resolved residuals required before empirical quantiles replace the
+/// prior band spread.
+const MIN_RESIDUALS: usize = 8;
+/// Prior band-ratio spread used before enough residuals exist:
+/// `p10 = PRIOR_LO · p50`, `p90 = PRIOR_HI · p50`.
+const PRIOR_LO: f64 = 0.5;
+/// See [`PRIOR_LO`].
+const PRIOR_HI: f64 = 2.0;
+/// Baseline relative half-spread always added to the rate-uncertainty band
+/// component.
+const BASE_SPREAD: f64 = 0.05;
+/// Realized remaining times below this are skipped when scoring (the
+/// paper's campaigns do the same: near-zero actuals make relative error
+/// explode without saying anything about the estimator).
+const MIN_ACTUAL: f64 = 1.0;
+/// Per-sample relative-error cap (winsorization), matching the chaos
+/// campaign's `ERR_CAP`.
+const ERR_CAP: f64 = 100.0;
+/// Upper bound on buffered unresolved samples; the oldest are dropped
+/// beyond it so a never-finishing workload cannot grow memory without
+/// bound.
+const MAX_PENDING: usize = 65_536;
 
-/// Bounded FIFO of recent residual ratios.
-#[derive(Debug, Clone)]
+/// Bounded FIFO of the [`WINDOW`] most recent residual ratios.
+#[derive(Debug, Clone, Default)]
 struct Ring {
-    cap: usize,
     buf: Vec<f64>,
     next: usize,
 }
 
 impl Ring {
-    fn new(cap: usize) -> Self {
-        Ring {
-            cap: cap.max(1),
-            buf: Vec::new(),
-            next: 0,
-        }
-    }
-
     fn push(&mut self, v: f64) {
-        if self.buf.len() < self.cap {
+        if self.buf.len() < WINDOW {
             self.buf.push(v);
         } else {
             self.buf[self.next] = v;
-            self.next = (self.next + 1) % self.cap;
+            self.next = (self.next + 1) % WINDOW;
         }
     }
 
@@ -434,7 +404,6 @@ struct Pending {
 ///   rejection) — its samples say nothing about estimator quality.
 pub struct Ensemble {
     estimators: Vec<Box<dyn Estimator>>,
-    cfg: EnsembleConfig,
     /// Per-estimator `(decayed error sum, decayed weight)`.
     scores: Vec<(f64, f64)>,
     residuals: Vec<Ring>,
@@ -465,7 +434,7 @@ impl Ensemble {
     /// Build an ensemble over the given member estimators. The member at
     /// index 0 is the default choice before any realized finish has been
     /// scored, so put the best prior there.
-    pub fn new(estimators: Vec<Box<dyn Estimator>>, cfg: EnsembleConfig) -> Self {
+    pub fn new(estimators: Vec<Box<dyn Estimator>>) -> Self {
         let n = estimators.len();
         let err_hists = estimators
             .iter()
@@ -473,9 +442,8 @@ impl Ensemble {
             .collect();
         Ensemble {
             estimators,
-            cfg,
             scores: vec![(0.0, 0.0); n],
-            residuals: vec![Ring::new(cfg.window); n],
+            residuals: vec![Ring::default(); n],
             choice: BTreeMap::new(),
             pending: Vec::new(),
             err_hists,
@@ -489,16 +457,13 @@ impl Ensemble {
     /// choice), `single`, `dne`, `tgn`, and `ewma` with the given
     /// smoothing constant.
     pub fn standard(visibility: Visibility, ewma_tau: f64) -> Self {
-        Ensemble::new(
-            vec![
-                Box::new(MultiQueryPi::new(visibility)),
-                Box::new(SingleQueryPi::new()),
-                Box::new(DriverNodePi::new()),
-                Box::new(TotalWorkPi::new()),
-                Box::new(SpeedEwmaPi::new(ewma_tau)),
-            ],
-            EnsembleConfig::default(),
-        )
+        Ensemble::new(vec![
+            Box::new(MultiQueryPi::new(visibility)),
+            Box::new(SingleQueryPi::new()),
+            Box::new(DriverNodePi::new()),
+            Box::new(TotalWorkPi::new()),
+            Box::new(SpeedEwmaPi::new(ewma_tau)),
+        ])
     }
 
     /// Attach an observability handle; selector decisions, ensemble
@@ -513,13 +478,13 @@ impl Ensemble {
     }
 
     /// Windowed decayed error score of member `i` — `inf` until the
-    /// member has accumulated [`EnsembleConfig::min_weight`] of decayed
+    /// member has accumulated `MIN_WEIGHT` (2.5) of decayed
     /// evidence. One resolved query is one observation; letting a single
     /// observation rank the members would hand selection to whichever
     /// member happened to fit the one query that finished first.
     pub fn score(&self, i: usize) -> f64 {
         let (s, w) = self.scores[i];
-        if w >= self.cfg.min_weight && w > 0.0 {
+        if w >= MIN_WEIGHT {
             s / w
         } else {
             f64::INFINITY
@@ -594,8 +559,8 @@ impl Ensemble {
                 ests,
             });
         }
-        if self.pending.len() > self.cfg.max_pending {
-            let excess = self.pending.len() - self.cfg.max_pending;
+        if self.pending.len() > MAX_PENDING {
+            let excess = self.pending.len() - MAX_PENDING;
             self.pending.drain(0..excess);
         }
 
@@ -608,8 +573,8 @@ impl Ensemble {
         let scores: Vec<f64> = (0..self.estimators.len()).map(|i| self.score(i)).collect();
         let beats = |challenger: f64, defender: f64| {
             challenger.is_finite()
-                && challenger < defender * (1.0 - self.cfg.switch_margin)
-                && defender - challenger > self.cfg.min_gain
+                && challenger < defender * (1.0 - SWITCH_MARGIN)
+                && defender - challenger > MIN_GAIN
         };
         let best = scores
             .iter()
@@ -673,14 +638,14 @@ impl Ensemble {
                 continue;
             };
             let ring = &self.residuals[k];
-            let (lo_q, hi_q) = if ring.len() >= self.cfg.min_residuals {
+            let (lo_q, hi_q) = if ring.len() >= MIN_RESIDUALS {
                 let sorted = ring.sorted();
                 (ring.quantile(&sorted, 0.10), ring.quantile(&sorted, 0.90))
             } else {
-                (self.cfg.prior_lo, self.cfg.prior_hi)
+                (PRIOR_LO, PRIOR_HI)
             };
-            let lo = lo_q.min(1.0 - d - self.cfg.base_spread).max(0.01);
-            let hi = hi_q.max(1.0 + d + self.cfg.base_spread);
+            let lo = lo_q.min(1.0 - d - BASE_SPREAD).max(0.01);
+            let hi = hi_q.max(1.0 + d + BASE_SPREAD);
             banded.push(BandedEstimate {
                 id,
                 band: Band::sanitized(p * lo, p, p * hi),
@@ -740,7 +705,7 @@ impl Ensemble {
     ///   chasing whichever query finished last.
     /// * Non-stationary workloads are handled by recency-weighting the
     ///   samples within a resolution (geometric in reverse sample order,
-    ///   reusing [`EnsembleConfig::decay`]). A long-lived query's early
+    ///   reusing the score's decay). A long-lived query's early
     ///   samples were estimated under a regime that may have ended — an
     ///   arrival burst, a fault window — and weighting them equally would
     ///   keep rewarding whichever member fit the *old* regime for the
@@ -753,7 +718,7 @@ impl Ensemble {
             .filter(|&pi| {
                 let p = &self.pending[pi];
                 p.id == id
-                    && finished_at - p.at >= self.cfg.min_actual
+                    && finished_at - p.at >= MIN_ACTUAL
                     && p.ests.iter().all(|e| e.is_finite())
             })
             .collect();
@@ -763,8 +728,8 @@ impl Ensemble {
             for (j, &pi) in idxs.iter().enumerate() {
                 let (at, est) = (self.pending[pi].at, self.pending[pi].ests[i]);
                 let actual = finished_at - at;
-                let err = relative_error(est, actual).min(self.cfg.err_cap);
-                let wgt = self.cfg.decay.powi((k - 1 - j) as i32);
+                let err = relative_error(est, actual).min(ERR_CAP);
+                let wgt = DECAY.powi((k - 1 - j) as i32);
                 err_sum += err * wgt;
                 wgt_sum += wgt;
                 let ratio = (actual / est.max(1e-9)).clamp(1e-3, 1e3);
@@ -776,8 +741,8 @@ impl Ensemble {
             }
             if wgt_sum > 0.0 {
                 let (s, w) = &mut self.scores[i];
-                *s = *s * self.cfg.decay + err_sum / wgt_sum;
-                *w = *w * self.cfg.decay + 1.0;
+                *s = *s * DECAY + err_sum / wgt_sum;
+                *w = *w * DECAY + 1.0;
             }
         }
         let scored = k as u64;
@@ -841,12 +806,11 @@ impl Ensemble {
         for score in &mut self.scores {
             *score = Wire::dec(&mut d)?;
         }
-        let cap = self.cfg.window.max(1);
         for ring in &mut self.residuals {
             let (buf, next): (Vec<f64>, usize) = Wire::dec(&mut d)?;
-            if buf.len() > cap {
+            if buf.len() > WINDOW {
                 return Err(CkptError::Corrupt(format!(
-                    "residual window of {} exceeds capacity {cap}",
+                    "residual window of {} exceeds capacity {WINDOW}",
                     buf.len()
                 )));
             }
@@ -856,7 +820,7 @@ impl Ensemble {
                     buf.len()
                 )));
             }
-            *ring = Ring { cap, buf, next };
+            *ring = Ring { buf, next };
         }
         self.choice = Wire::dec(&mut d)?;
         if let Some(c) = self.choice.values().find(|&&c| c as usize >= n) {
@@ -918,13 +882,10 @@ mod tests {
     }
 
     fn two_member() -> Ensemble {
-        Ensemble::new(
-            vec![
-                Box::new(MultiQueryPi::new(Visibility::concurrent_only())),
-                Box::new(SingleQueryPi::new()),
-            ],
-            EnsembleConfig::default(),
-        )
+        Ensemble::new(vec![
+            Box::new(MultiQueryPi::new(Visibility::concurrent_only())),
+            Box::new(SingleQueryPi::new()),
+        ])
     }
 
     #[test]
@@ -953,34 +914,32 @@ mod tests {
         // the single-query PI (observed) and the multi-query PI (nominal)
         // disagree 2:1. Resolve finishes consistent with the *observed*
         // speed; the selector must abandon the default (multi) for single.
-        // One resolved query is all the evidence this scenario has, so the
-        // evidence floor is lowered accordingly.
-        let mut ens = Ensemble::new(
-            vec![
-                Box::new(MultiQueryPi::new(Visibility::concurrent_only())),
-                Box::new(SingleQueryPi::new()),
-            ],
-            EnsembleConfig {
-                min_weight: 1.0,
-                ..EnsembleConfig::default()
-            },
-        );
-        let mk = |t: f64| {
+        // Three resolved queries clear the evidence floor (a decayed
+        // weight of 2.71 against `MIN_WEIGHT`'s 2.5).
+        let mut ens = two_member();
+        // Queries `a` and `b`, started at `t0`, sampled at `t`.
+        let mk = |t: f64, t0: f64, a: u64, b: u64| {
+            let done = 25.0 * (t - t0);
             snap(
                 t,
                 vec![
-                    state(1, 500.0 - 25.0 * t, 25.0 * t, Some(25.0)),
-                    state(2, 500.0 - 25.0 * t, 25.0 * t, Some(25.0)),
+                    state(a, 500.0 - done, done, Some(25.0)),
+                    state(b, 500.0 - done, done, Some(25.0)),
                 ],
             )
         };
         for i in 0..4 {
-            let _ = ens.tick(&mk(i as f64));
+            let _ = ens.tick(&mk(i as f64, 0.0, 1, 2));
         }
-        // Query 1 "finishes" where the 25 U/s world says it should.
+        // Queries "finish" where the 25 U/s world says they should.
         ens.resolve(1, 20.0);
+        ens.resolve(2, 20.0);
+        for i in 0..4 {
+            let _ = ens.tick(&mk(20.0 + i as f64, 20.0, 3, 4));
+        }
+        ens.resolve(3, 40.0);
         assert!(ens.score(1) < ens.score(0), "single should score better");
-        let out = ens.tick(&mk(4.0));
+        let out = ens.tick(&mk(24.0, 20.0, 4, 5));
         let switched: Vec<_> = out.decisions.iter().filter(|d| d.from != "-").collect();
         assert_eq!(switched.len(), 1, "decisions: {:?}", out.decisions);
         assert_eq!(switched[0].from, "multi");
@@ -1044,17 +1003,12 @@ mod tests {
 
     #[test]
     fn empirical_residuals_tighten_the_band() {
-        let cfg = EnsembleConfig {
-            min_residuals: 4,
-            ..Default::default()
-        };
-        let mut ens = Ensemble::new(
-            vec![Box::new(MultiQueryPi::new(Visibility::concurrent_only()))],
-            cfg,
-        );
-        // Several perfectly predicted completions: one lone query at rate
-        // 100 with cost 500 finishes in exactly 5 s.
-        for round in 0..6u64 {
+        let mut ens = Ensemble::new(vec![Box::new(MultiQueryPi::new(
+            Visibility::concurrent_only(),
+        ))]);
+        // `MIN_RESIDUALS` perfectly predicted completions: one lone query at
+        // rate 100 with cost 500 finishes in exactly 5 s.
+        for round in 0..MIN_RESIDUALS as u64 {
             let id = round + 1;
             let t0 = round as f64 * 10.0;
             let s = snap(t0, vec![state(id, 500.0, 0.0, Some(100.0))]);
@@ -1068,7 +1022,7 @@ mod tests {
         // and only the rate-uncertainty floor keeps the band open.
         assert!((b.p50 - 5.0).abs() < 1e-9, "p50 = {}", b.p50);
         assert!(b.width() < 5.0 * 0.2, "width = {}", b.width());
-        assert!(b.covers(5.0));
+        assert!(b.p10 <= 5.0 && 5.0 <= b.p90);
     }
 
     #[test]
@@ -1123,10 +1077,7 @@ mod tests {
         // Truncated.
         assert!(fresh.restore_state(&bytes[..bytes.len() - 1]).is_err());
         // Wrong lineup.
-        let mut solo = Ensemble::new(
-            vec![Box::new(SingleQueryPi::new())],
-            EnsembleConfig::default(),
-        );
+        let mut solo = Ensemble::new(vec![Box::new(SingleQueryPi::new())]);
         assert!(solo.restore_state(&bytes).is_err());
         // Intact bytes still restore.
         assert!(fresh.restore_state(&bytes).is_ok());

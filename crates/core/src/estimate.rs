@@ -4,15 +4,6 @@ use crate::fluid::FluidPrediction;
 use crate::id_index::IdIndex;
 use crate::sanitize::sanitize_seconds;
 
-/// A remaining-time estimate for one query.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Estimate {
-    /// Query id the estimate is for.
-    pub id: u64,
-    /// Estimated remaining execution time in (virtual) seconds.
-    pub remaining_seconds: f64,
-}
-
 /// One batch of per-query estimates from a single prediction pass, indexed
 /// by query id. Driver loops fetch this once per tick and look queries up
 /// in O(1), instead of re-running the predictor per query.
@@ -109,16 +100,6 @@ impl EstimateSet {
     pub fn iter(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.pairs.iter().copied()
     }
-
-    /// Materialize as [`Estimate`] records, in [`EstimateSet::iter`] order.
-    pub fn to_vec(&self) -> Vec<Estimate> {
-        self.iter()
-            .map(|(id, remaining_seconds)| Estimate {
-                id,
-                remaining_seconds,
-            })
-            .collect()
-    }
 }
 
 /// Percentile band around a remaining-time estimate. The point estimate is
@@ -138,15 +119,6 @@ pub struct Band {
 }
 
 impl Band {
-    /// Collapse to a zero-width band at `p` (no uncertainty information).
-    pub fn point(p: f64) -> Self {
-        Band {
-            p10: p,
-            p50: p,
-            p90: p,
-        }
-    }
-
     /// Sanitize each percentile and restore ordering, whatever the raw
     /// inputs were. Callers only ever see finite, ordered bands.
     pub fn sanitized(p10: f64, p50: f64, p90: f64) -> Self {
@@ -159,11 +131,6 @@ impl Band {
     /// Band width `p90 − p10` in seconds.
     pub fn width(&self) -> f64 {
         self.p90 - self.p10
-    }
-
-    /// Whether a realized remaining time fell inside the band.
-    pub fn covers(&self, actual: f64) -> bool {
-        self.p10 <= actual && actual <= self.p90
     }
 }
 
@@ -235,7 +202,6 @@ mod tests {
             set.iter().collect::<Vec<_>>(),
             [(2, 2.0), (3, 3.0), (1, 4.0)]
         );
-        assert_eq!(set.to_vec().len(), 3);
     }
 
     #[test]
@@ -269,7 +235,7 @@ mod tests {
         let p = FluidPrediction::new(finish.clone(), false);
         let set = EstimateSet::from_prediction(p);
         assert_eq!(set.iter().collect::<Vec<_>>(), finish);
-        let ids: Vec<u64> = set.to_vec().iter().map(|e| e.id).collect();
+        let ids: Vec<u64> = set.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, [7, 3, 9, 4]);
         let again = EstimateSet::from_pairs(finish.iter().copied(), false);
         assert_eq!(again.iter().collect::<Vec<_>>(), finish);

@@ -36,10 +36,9 @@ pub mod validator;
 
 pub use adaptive::ArrivalRateEstimator;
 pub use ensemble::{
-    DriverNodePi, Ensemble, EnsembleConfig, EnsembleTick, Estimator, SelectorDecision, SpeedEwmaPi,
-    TotalWorkPi,
+    DriverNodePi, Ensemble, EnsembleTick, Estimator, SelectorDecision, SpeedEwmaPi, TotalWorkPi,
 };
-pub use estimate::{relative_error, Band, BandedEstimate, Estimate, EstimateSet};
+pub use estimate::{relative_error, Band, BandedEstimate, EstimateSet};
 pub use fluid::{standard_remaining_times, FluidPrediction, FluidQuery, FutureArrivals};
 pub use incremental::{DeltaCounters, IncrementalFluid};
 pub use multi::{FutureWorkload, MultiQueryPi, Visibility};

@@ -296,11 +296,6 @@ impl InvariantValidator {
         &self.violations
     }
 
-    /// Whether no invariant has been violated.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// Serialize the validator's full state for a checkpoint. Maps and
     /// sets are written in sorted key order, so the encoding is canonical.
     /// The obs handle is excluded (re-install via
@@ -390,7 +385,11 @@ mod tests {
             let est = EstimateSet::from_pairs([(1, (1000.0 - done) / 100.0)], false);
             v.observe(&s, &est, ctx);
         }
-        assert!(v.is_clean(), "violations: {:?}", v.violations());
+        assert!(
+            v.violations().is_empty(),
+            "violations: {:?}",
+            v.violations()
+        );
     }
 
     #[test]
@@ -423,7 +422,7 @@ mod tests {
             // Estimate *grew* with no arrivals: a violation unless a fault
             // fired in the interval.
             v.observe(&s2, &EstimateSet::from_pairs([(1, 50.0)], false), ctx);
-            v.is_clean()
+            v.violations().is_empty()
         };
         assert!(!grow(false));
         assert!(grow(true));
@@ -556,9 +555,9 @@ mod tests {
     fn conservation_check_balances() {
         let mut v = InvariantValidator::new();
         v.check_conservation(10.0, 500.0, 200.0, &[], 1e-6);
-        assert!(!v.is_clean());
+        assert!(!v.violations().is_empty());
         let mut v = InvariantValidator::new();
         v.check_conservation(10.0, 200.0, 200.0, &[], 1e-6);
-        assert!(v.is_clean());
+        assert!(v.violations().is_empty());
     }
 }

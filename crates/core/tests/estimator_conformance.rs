@@ -252,7 +252,7 @@ fn empty_snapshot_yields_empty_set() {
         assert!(
             set.is_empty(),
             "{name} invented estimates: {:?}",
-            set.to_vec()
+            set.iter().collect::<Vec<_>>()
         );
         assert!(!set.truncated(), "{name} truncated an empty prediction");
     }

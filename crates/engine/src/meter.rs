@@ -67,11 +67,6 @@ impl WorkMeter {
         self.used.load(Ordering::Relaxed)
     }
 
-    /// Two meters are the *same* if they share the underlying counter.
-    pub fn same_as(&self, other: &WorkMeter) -> bool {
-        Arc::ptr_eq(&self.used, &other.used)
-    }
-
     /// Publish this meter's cumulative reading into an observability
     /// handle: gauge `engine.meter.used` plus a work-unit histogram sample
     /// of the delta since the caller's last observation. The meter itself
@@ -124,10 +119,10 @@ mod tests {
     fn clones_share_the_counter() {
         let m = WorkMeter::new();
         let m2 = m.clone();
+        let other = WorkMeter::new();
         m2.charge(5);
         assert_eq!(m.used(), 5);
-        assert!(m.same_as(&m2));
-        assert!(!m.same_as(&WorkMeter::new()));
+        assert_eq!(other.used(), 0);
     }
 
     /// The single-writer rule: clones charged from one thread, in any

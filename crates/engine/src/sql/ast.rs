@@ -104,19 +104,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Column reference helper.
-    pub fn col(table: Option<&str>, name: &str) -> Expr {
-        Expr::Column {
-            table: table.map(|t| t.to_ascii_lowercase()),
-            name: name.to_ascii_lowercase(),
-        }
-    }
-
-    /// Integer literal helper.
-    pub fn int(v: i64) -> Expr {
-        Expr::Literal(Value::Int(v))
-    }
-
     /// Walk the expression tree, calling `f` on every node (pre-order).
     pub fn walk<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
         f(self);
@@ -261,14 +248,21 @@ pub struct Query {
 mod tests {
     use super::*;
 
+    fn col(table: Option<&str>, name: &str) -> Expr {
+        Expr::Column {
+            table: table.map(|t| t.to_ascii_lowercase()),
+            name: name.to_ascii_lowercase(),
+        }
+    }
+
     #[test]
     fn walk_visits_every_node() {
         let e = Expr::Binary {
             op: BinOp::Add,
-            left: Box::new(Expr::int(1)),
+            left: Box::new(Expr::Literal(Value::Int(1))),
             right: Box::new(Expr::Unary {
                 op: UnaryOp::Neg,
-                expr: Box::new(Expr::col(Some("t"), "x")),
+                expr: Box::new(col(Some("t"), "x")),
             }),
         };
         let mut n = 0;
@@ -280,14 +274,14 @@ mod tests {
     fn contains_aggregate_detects_only_aggregates() {
         let agg = Expr::Func {
             name: "sum".into(),
-            args: vec![Expr::col(None, "x")],
+            args: vec![col(None, "x")],
             star: false,
             distinct: false,
         };
         assert!(agg.contains_aggregate());
         let scalar = Expr::Func {
             name: "abs".into(),
-            args: vec![Expr::col(None, "x")],
+            args: vec![col(None, "x")],
             star: false,
             distinct: false,
         };

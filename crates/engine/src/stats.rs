@@ -56,11 +56,6 @@ impl Histogram {
         let within = if hi > lo { (v - lo) / (hi - lo) } else { 1.0 };
         (i as f64 + within.clamp(0.0, 1.0)) / nb as f64
     }
-
-    /// Estimated fraction of values in `[lo, hi]`.
-    pub fn fraction_between(&self, lo: f64, hi: f64) -> f64 {
-        (self.fraction_le(hi) - self.fraction_le(lo)).max(0.0)
-    }
 }
 
 /// Number of most-common values tracked per column.
@@ -217,7 +212,7 @@ mod tests {
         assert!((h.fraction_le(499.0) - 0.5).abs() < 0.02);
         assert_eq!(h.fraction_le(-1.0), 0.0);
         assert_eq!(h.fraction_le(2000.0), 1.0);
-        assert!((h.fraction_between(250.0, 750.0) - 0.5).abs() < 0.03);
+        assert!((h.fraction_le(750.0) - h.fraction_le(250.0) - 0.5).abs() < 0.03);
     }
 
     #[test]

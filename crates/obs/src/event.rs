@@ -180,15 +180,6 @@ pub enum TraceKind {
         /// Worst relative divergence the audit observed.
         divergence: f64,
     },
-    /// A hostile simulator event was quarantined instead of applied.
-    Quarantine {
-        /// Stable reason label (`duplicate`, `unknown_id`, `out_of_order`,
-        /// `non_finite`).
-        kind: &'static str,
-        /// The event's query id (0 for events without one, e.g. a
-        /// non-finite rate change).
-        id: u64,
-    },
     /// Write-ahead-log lifecycle in the durability layer (`mqpi-wal`):
     /// recovery, flush, and compaction milestones. Emitted to the service's
     /// obs handle, never into per-scenario traces.
@@ -242,7 +233,6 @@ impl TraceKind {
             TraceKind::Deadline { .. } => "deadline",
             TraceKind::TierChange { .. } => "tier",
             TraceKind::Breaker { .. } => "breaker",
-            TraceKind::Quarantine { .. } => "quarantine",
             TraceKind::Wal { .. } => "wal",
             TraceKind::Selector { .. } => "selector",
         }
@@ -305,7 +295,6 @@ impl fmt::Display for TraceEvent {
             TraceKind::Breaker { action, divergence } => {
                 write!(f, " action={action} divergence={divergence}")
             }
-            TraceKind::Quarantine { kind, id } => write!(f, " kind={kind} id={id}"),
             TraceKind::Wal { action, seq, bytes } => {
                 write!(f, " action={action} seq={seq} bytes={bytes}")
             }
@@ -398,10 +387,6 @@ mod tests {
                 action: "trip",
                 divergence: 0.5,
             },
-            TraceKind::Quarantine {
-                kind: "duplicate",
-                id: 3,
-            },
             TraceKind::Wal {
                 action: "recovered_tail",
                 seq: 12,
@@ -424,7 +409,6 @@ mod tests {
                 "deadline",
                 "tier",
                 "breaker",
-                "quarantine",
                 "wal"
             ]
         );
@@ -450,17 +434,6 @@ mod tests {
             )
             .to_string(),
             "t=1 tier from=normal to=epsilon_widen load=12"
-        );
-        assert_eq!(
-            TraceEvent::new(
-                2.0,
-                TraceKind::Quarantine {
-                    kind: "non_finite",
-                    id: 0,
-                }
-            )
-            .to_string(),
-            "t=2 quarantine kind=non_finite id=0"
         );
         assert_eq!(
             TraceEvent::new(

@@ -208,11 +208,6 @@ impl Obs {
         }
     }
 
-    /// Current value of gauge `name`.
-    pub fn gauge(&self, name: &'static str) -> Option<f64> {
-        self.lock().and_then(|st| st.metrics.gauge(name))
-    }
-
     /// Observe `v` into fixed-bucket histogram `name`.
     #[inline]
     pub fn histogram_observe(&self, name: &'static str, bounds: &'static [f64], v: f64) {

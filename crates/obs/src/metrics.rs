@@ -98,11 +98,6 @@ impl MetricsRegistry {
         self.gauges.insert(name, v);
     }
 
-    /// Current value of gauge `name`, if ever set.
-    pub fn gauge(&self, name: &'static str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// Observe `v` into histogram `name` with the given fixed bounds.
     pub fn histogram_observe(&mut self, name: &'static str, bounds: &'static [f64], v: f64) {
         let h = self
@@ -301,7 +296,7 @@ mod tests {
         m.gauge_set("b.gauge", 1.5);
         assert_eq!(m.counter("a.count"), 5);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.gauge("b.gauge"), Some(1.5));
+        assert!(m.to_csv().contains("\ngauge,b.gauge,1.5,\n"));
     }
 
     #[test]

@@ -19,7 +19,7 @@ pub enum Outcome {
     /// may have moved. The live `abort`, `reweight` and `refine_cost`
     /// return `false` for it. Replay also skips records no live call
     /// produces against this state: a submit from a dead session, a rate
-    /// that is not finite and positive, a simulator tap.
+    /// that is not finite and positive.
     Skipped,
     /// `RegisterSession`: the new session's handle.
     Session(SessionId),
@@ -274,8 +274,6 @@ impl PiService {
                 note.extend_from_slice(bytes);
                 Outcome::Done
             }
-            // Simulator feed taps describe a mirror, not the service.
-            WalRecord::SimEvent { .. } => Outcome::Skipped,
         }
     }
 }

@@ -243,15 +243,9 @@ impl PiConfig {
                 return Err(PiConfigError::QueueDeadline(d));
             }
         }
-        for (field, value, min) in [
-            ("base_delay", self.retry.base_delay, 0.0),
-            ("multiplier", self.retry.multiplier, 1.0),
-            ("max_delay", self.retry.max_delay, 0.0),
-        ] {
-            if !value.is_finite() || value < min {
-                return Err(PiConfigError::Retry { field, value });
-            }
-        }
+        self.retry
+            .validate()
+            .map_err(|(field, value)| PiConfigError::Retry { field, value })?;
         if let Some(l) = self.ladder {
             if l.widen_enter == 0 {
                 return Err(PiConfigError::Ladder("widen_enter must be at least 1"));

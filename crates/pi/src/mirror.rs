@@ -40,9 +40,8 @@
 //! is therefore screened *before* it can reach the fluid model (whose
 //! `arrive` panics on duplicates and on values outside `mqpi_sim::domain`).
 //! Malformed events are **quarantined** — counted per reason in
-//! [`QuarantineStats`], surfaced through optional [`Obs`] counters/traces,
-//! and otherwise ignored — so a hostile stream degrades estimate
-//! freshness, never process integrity.
+//! [`QuarantineStats`] and otherwise ignored — so a hostile stream degrades
+//! estimate freshness, never process integrity.
 //! When quarantine counts grow, [`SystemMirror::resync`] rebuilds the
 //! mirror from an authoritative [`System`] snapshot in one call.
 //!
@@ -53,7 +52,6 @@
 use std::collections::{HashMap, HashSet};
 
 use mqpi_core::IncrementalFluid;
-use mqpi_obs::{Obs, TraceKind};
 use mqpi_sim::{domain, FinishKind, SimEvent, System};
 
 /// Counts of events rejected by the mirror's input screening, by reason.
@@ -108,7 +106,6 @@ pub struct SystemMirror {
     /// compare against this baseline, not the lifetime totals.
     quarantine_at_resync: QuarantineStats,
     resyncs: u64,
-    obs: Obs,
 }
 
 impl SystemMirror {
@@ -124,7 +121,6 @@ impl SystemMirror {
             quarantine: QuarantineStats::default(),
             quarantine_at_resync: QuarantineStats::default(),
             resyncs: 0,
-            obs: Obs::disabled(),
         }
     }
 
@@ -133,13 +129,6 @@ impl SystemMirror {
         let mut m = SystemMirror::new(sys.config().rate);
         m.clock = sys.now();
         m
-    }
-
-    /// Attach an observability handle; quarantined events are then
-    /// reported via `pi.mirror.quarantine.*` counters and `quarantine`
-    /// trace events.
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
     }
 
     /// The maintained incremental model.
@@ -213,33 +202,6 @@ impl SystemMirror {
         out.append(&mut self.predicted_done);
     }
 
-    /// Record one quarantined event: bump the per-reason counter and, if
-    /// an [`Obs`] is attached, the matching counters plus a trace event.
-    fn quarantine(&mut self, kind: &'static str, id: u64, at: f64) {
-        let (slot, counter) = match kind {
-            "duplicate" => (
-                &mut self.quarantine.duplicate,
-                "pi.mirror.quarantine.duplicate",
-            ),
-            "unknown_id" => (
-                &mut self.quarantine.unknown_id,
-                "pi.mirror.quarantine.unknown_id",
-            ),
-            "out_of_order" => (
-                &mut self.quarantine.out_of_order,
-                "pi.mirror.quarantine.out_of_order",
-            ),
-            _ => (
-                &mut self.quarantine.non_finite,
-                "pi.mirror.quarantine.non_finite",
-            ),
-        };
-        *slot += 1;
-        self.obs.counter_add("pi.mirror.quarantined", 1);
-        self.obs.counter_add(counter, 1);
-        self.obs.emit(at, TraceKind::Quarantine { kind, id });
-    }
-
     /// Advance the fluid model by `dt`, recording any ids it retires at
     /// predicted boundaries so their eventual `Departed` confirmations
     /// are recognised as legitimate.
@@ -267,11 +229,11 @@ impl SystemMirror {
     pub fn apply(&mut self, ev: SimEvent) {
         let at = ev.at();
         if !at.is_finite() {
-            self.quarantine("non_finite", event_id(&ev), self.clock);
+            self.quarantine.non_finite += 1;
             return;
         }
         if at < self.clock {
-            self.quarantine("out_of_order", event_id(&ev), self.clock);
+            self.quarantine.out_of_order += 1;
             return;
         }
         let dt = at - self.clock;
@@ -289,7 +251,7 @@ impl SystemMirror {
             _ => true,
         };
         if !in_domain {
-            self.quarantine("non_finite", event_id(&ev), at);
+            self.quarantine.non_finite += 1;
             return;
         }
         match ev {
@@ -300,7 +262,7 @@ impl SystemMirror {
                 if self.queue.remove(&id).is_none()
                     && (self.fluid.contains(id) || self.blocked.contains_key(&id))
                 {
-                    self.quarantine("duplicate", id, at);
+                    self.quarantine.duplicate += 1;
                     return;
                 }
                 self.fluid.arrive(id, cost, weight);
@@ -309,7 +271,7 @@ impl SystemMirror {
                 id, cost, weight, ..
             } => {
                 if self.tracks(id) {
-                    self.quarantine("duplicate", id, at);
+                    self.quarantine.duplicate += 1;
                     return;
                 }
                 self.queue.insert(id, (cost, weight));
@@ -328,7 +290,7 @@ impl SystemMirror {
                     // Rejected-at-submission queries were never admitted
                     // or enqueued, so an unmatched rejection is expected;
                     // any other unmatched departure is a phantom id.
-                    self.quarantine("unknown_id", id, at);
+                    self.quarantine.unknown_id += 1;
                 }
             }
             SimEvent::Blocked { id, .. } => {
@@ -338,22 +300,22 @@ impl SystemMirror {
                     self.fluid.abort(id);
                     self.blocked.insert(id, (cost, w));
                 } else if self.blocked.contains_key(&id) {
-                    self.quarantine("duplicate", id, at);
+                    self.quarantine.duplicate += 1;
                 } else if !self.retired.contains(&id) {
-                    self.quarantine("unknown_id", id, at);
+                    self.quarantine.unknown_id += 1;
                 }
             }
             SimEvent::Resumed { id, .. } => {
                 if let Some((cost, w)) = self.blocked.remove(&id) {
                     if self.fluid.contains(id) {
-                        self.quarantine("duplicate", id, at);
+                        self.quarantine.duplicate += 1;
                     } else {
                         self.fluid.arrive(id, cost, w);
                     }
                 } else if self.fluid.contains(id) {
-                    self.quarantine("duplicate", id, at);
+                    self.quarantine.duplicate += 1;
                 } else if !self.retired.contains(&id) {
-                    self.quarantine("unknown_id", id, at);
+                    self.quarantine.unknown_id += 1;
                 }
             }
             SimEvent::CostRefined { id, remaining, .. } => {
@@ -365,7 +327,7 @@ impl SystemMirror {
                 } else if let Some(q) = self.queue.get_mut(&id) {
                     q.0 = remaining;
                 } else if !self.retired.contains(&id) {
-                    self.quarantine("unknown_id", id, at);
+                    self.quarantine.unknown_id += 1;
                 }
             }
             SimEvent::RateChanged { rate, .. } => {
@@ -435,20 +397,6 @@ impl SystemMirror {
         // Reset the backoff window: damage counted before the rebuild is
         // historical and must not make a fresh mirror look unhealthy.
         self.quarantine_at_resync = self.quarantine;
-        self.obs.counter_add("pi.mirror.resyncs", 1);
-    }
-}
-
-/// Best-effort query id carried by an event, for quarantine reporting.
-fn event_id(ev: &SimEvent) -> u64 {
-    match *ev {
-        SimEvent::Admitted { id, .. }
-        | SimEvent::Enqueued { id, .. }
-        | SimEvent::Departed { id, .. }
-        | SimEvent::Blocked { id, .. }
-        | SimEvent::Resumed { id, .. }
-        | SimEvent::CostRefined { id, .. } => id,
-        SimEvent::RateChanged { .. } => 0,
     }
 }
 
@@ -596,8 +544,6 @@ mod tests {
     #[test]
     fn hostile_events_are_quarantined_not_applied() {
         let mut m = SystemMirror::new(10.0);
-        let obs = Obs::enabled();
-        m.set_obs(obs.clone());
         m.apply(SimEvent::Admitted {
             at: 0.0,
             id: 1,
@@ -710,34 +656,6 @@ mod tests {
             "estimate stayed in a sane range"
         );
         assert_eq!(m.quarantine_stats().total(), 13);
-
-        // Each quarantine is counted and traced.
-        let stats = m.quarantine_stats();
-        for (name, n) in [
-            ("pi.mirror.quarantined", 13),
-            ("pi.mirror.quarantine.duplicate", stats.duplicate),
-            ("pi.mirror.quarantine.unknown_id", stats.unknown_id),
-            ("pi.mirror.quarantine.out_of_order", stats.out_of_order),
-            ("pi.mirror.quarantine.non_finite", stats.non_finite),
-        ] {
-            assert_eq!(obs.counter(name), n, "{name}");
-        }
-        assert_eq!(
-            obs.render_trace(),
-            "t=1 quarantine kind=duplicate id=1\n\
-             t=1 quarantine kind=non_finite id=3\n\
-             t=1 quarantine kind=non_finite id=4\n\
-             t=1 quarantine kind=non_finite id=5\n\
-             t=1 quarantine kind=non_finite id=1\n\
-             t=1 quarantine kind=out_of_order id=6\n\
-             t=1 quarantine kind=unknown_id id=99\n\
-             t=1 quarantine kind=unknown_id id=42\n\
-             t=1 quarantine kind=unknown_id id=42\n\
-             t=1 quarantine kind=duplicate id=1\n\
-             t=1 quarantine kind=non_finite id=1\n\
-             t=1 quarantine kind=non_finite id=0\n\
-             t=1 quarantine kind=non_finite id=0\n"
-        );
     }
 
     /// The model retires a query at its predicted finish while the
@@ -800,12 +718,9 @@ mod tests {
         sys.drain_events(&mut dropped);
 
         let mut m = SystemMirror::for_system(&sys);
-        let obs = Obs::enabled();
-        m.set_obs(obs.clone());
         assert_eq!(m.live(), 0, "mirror starts desynchronised");
         m.resync(&sys);
         assert_eq!(m.resyncs(), 1);
-        assert_eq!(obs.counter("pi.mirror.resyncs"), 1);
         assert_eq!(m.live(), sys.running_ids().len());
         assert_eq!(m.queued(), sys.queued_ids().len());
 

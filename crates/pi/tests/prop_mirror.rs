@@ -343,7 +343,15 @@ impl Pair {
         self.real.apply(ev);
         self.model.apply(ev);
         self.applied += 1;
-        let id = ev.to_tap().2;
+        let id = match ev {
+            SimEvent::Admitted { id, .. }
+            | SimEvent::Enqueued { id, .. }
+            | SimEvent::Departed { id, .. }
+            | SimEvent::Blocked { id, .. }
+            | SimEvent::Resumed { id, .. }
+            | SimEvent::CostRefined { id, .. } => id,
+            SimEvent::RateChanged { .. } => 0,
+        };
         if !self.ids.contains(&id) {
             self.ids.push(id);
         }

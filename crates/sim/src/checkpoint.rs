@@ -9,13 +9,8 @@
 //! pattern. Enum variants are tagged with one byte; unknown tags decode to
 //! [`CkptError::Corrupt`], never a panic.
 //!
-//! [`SimEvent`] has a second, deliberately separate form: the
-//! `(tag, at, id, a, b)` quintuple of [`SimEvent::to_tap`], which the
-//! write-ahead log can carry as a `WalRecord::SimEvent` frame and the
-//! `golden_step` digests read. It is write-only: nothing decodes it back
-//! into an event, and service replay skips the frame. The two number their
-//! variants differently (checkpoint tags 0–6, tap tags 1–7) and neither is
-//! derived from the other.
+//! [`SimEvent`] has one wire form, the `wire_enum!` below (tags 0–6), which
+//! a checkpoint uses for the buffered event feed; nothing journals events.
 
 use mqpi_ckpt::{wire_enum, wire_struct, CkptError, Dec, Enc, Result, Wire};
 
@@ -94,15 +89,41 @@ wire_struct!(RetryPolicy {
 
 /// By hand: the events are private to [`FaultPlan`], which re-sorts them
 /// on the way in. They were written sorted and the sort is stable, so the
-/// order is preserved exactly.
+/// order is preserved exactly. A decoded plan must be one the injector can
+/// replay: see `check_fault` and [`RetryPolicy::validate`].
 impl Wire for FaultPlan {
     fn enc(&self, e: &mut Enc) {
         FaultEvent::enc_slice(self.events(), e);
         (self.seed, self.retry).enc(e);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Self> {
-        let (events, seed, retry) = Wire::dec(d)?;
+        let (events, seed, retry): (Vec<FaultEvent>, u64, RetryPolicy) = Wire::dec(d)?;
+        events.iter().try_for_each(check_fault)?;
+        retry.validate().map_err(|(field, value)| {
+            CkptError::Corrupt(format!("retry {field} out of range: {value}"))
+        })?;
         Ok(FaultPlan::new(events, seed, retry))
+    }
+}
+
+/// No fault time is NaN, and every factor is finite and > 0: a NaN dip
+/// factor would pass the injector's clamp and make the rate NaN. A burst's
+/// size stays unchecked, because no bound on it follows from the bytes.
+fn check_fault(ev: &FaultEvent) -> Result<()> {
+    let corrupt = |field: &str, v: f64| {
+        Err(CkptError::Corrupt(format!(
+            "fault {field} out of range: {v}"
+        )))
+    };
+    match ev.kind {
+        _ if ev.at.is_nan() => corrupt("time", ev.at),
+        FaultKind::CostNoise { factor } | FaultKind::RateDip { factor, .. }
+            if !(factor > 0.0 && factor.is_finite()) =>
+        {
+            corrupt("factor", factor)
+        }
+        FaultKind::RateDip { duration, .. } if duration.is_nan() => corrupt("duration", duration),
+        _ => Ok(()),
     }
 }
 

@@ -119,6 +119,21 @@ impl RetryPolicy {
         let d = self.base_delay * self.multiplier.powi(attempt as i32 - 1);
         Some(d.min(self.max_delay))
     }
+
+    /// Check every field: both delays finite and ≥ 0, the multiplier
+    /// finite and ≥ 1. Returns the first field out of range and its value.
+    pub fn validate(&self) -> Result<(), (&'static str, f64)> {
+        for (field, value, min) in [
+            ("base_delay", self.base_delay, 0.0),
+            ("multiplier", self.multiplier, 1.0),
+            ("max_delay", self.max_delay, 0.0),
+        ] {
+            if !value.is_finite() || value < min {
+                return Err((field, value));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// How many faults of each kind to generate, and from what parameter

@@ -289,15 +289,6 @@ impl SyntheticJob {
         }
     }
 
-    /// Job whose progress reports a (possibly wrong) initial estimate while
-    /// the true cost is `total`.
-    pub fn with_claimed_estimate(total: u64, claimed: f64) -> Self {
-        SyntheticJob {
-            claimed_estimate: claimed,
-            ..SyntheticJob::new(total)
-        }
-    }
-
     /// Job whose *reported remaining cost* is `scale ×` the truth —
     /// Assumption 2 violated by a controlled factor.
     pub fn with_report_scale(total: u64, scale: f64) -> Self {
@@ -404,8 +395,9 @@ mod tests {
 
     #[test]
     fn claimed_estimate_is_reported() {
-        let j = SyntheticJob::with_claimed_estimate(100, 40.0);
+        let j = SyntheticJob::with_report_scale(100, 0.4);
         assert_eq!(j.progress().initial_estimate, 40.0);
-        assert_eq!(j.progress().remaining, 100.0); // true remaining is exact
+        assert_eq!(j.progress().remaining, 40.0);
+        assert_eq!(j.exact_remaining(), Some(100.0)); // the truth stays exact
     }
 }

@@ -16,9 +16,9 @@
 //!    generalized-processor-sharing quanta in [`System::step`].
 //!
 //! Modules: [`job`] (the unit of schedulable work — engine cursors or
-//! synthetic jobs), [`weights`] (priority → weight), [`admission`]
-//! (admission-queue policies), [`arrivals`] (Poisson arrival processes),
-//! [`speed`] (observed-speed monitors used by single-query PIs),
+//! synthetic jobs), [`admission`] (admission-queue policies),
+//! [`arrivals`] (Poisson arrival processes), [`speed`] (observed-speed
+//! monitors used by single-query PIs),
 //! [`system`] (the scheduler itself and its snapshots), [`domain`] (the
 //! one definition of a valid weight, cost and rate).
 
@@ -34,7 +34,6 @@ mod running;
 mod slab;
 pub mod speed;
 pub mod system;
-pub mod weights;
 
 pub use admission::AdmissionPolicy;
 pub use arrivals::PoissonArrivals;
@@ -46,4 +45,3 @@ pub use system::{
     ErrorPolicy, FaultStats, FinishKind, FinishedQuery, InjectedFault, QueryId, QueryState,
     QueuedState, RateModel, SimEvent, StepMode, System, SystemConfig, SystemSnapshot,
 };
-pub use weights::Priority;

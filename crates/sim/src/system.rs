@@ -296,40 +296,6 @@ impl SimEvent {
             | SimEvent::RateChanged { at, .. } => at,
         }
     }
-
-    /// Flatten to the `(tag, at, id, a, b)` wire quintuple used by
-    /// journaling layers (e.g. a WAL `SimEvent` record) and by digests
-    /// over the event feed. Tags run 1–7 in variant order; a departure
-    /// carries its [`FinishKind`] as 0–3 in `a`.
-    pub fn to_tap(&self) -> (u8, f64, u64, f64, f64) {
-        match *self {
-            SimEvent::Admitted {
-                at,
-                id,
-                cost,
-                weight,
-            } => (1, at, id, cost, weight),
-            SimEvent::Enqueued {
-                at,
-                id,
-                cost,
-                weight,
-            } => (2, at, id, cost, weight),
-            SimEvent::Departed { at, id, kind } => {
-                let k = match kind {
-                    FinishKind::Completed => 0.0,
-                    FinishKind::Aborted => 1.0,
-                    FinishKind::Failed => 2.0,
-                    FinishKind::Rejected => 3.0,
-                };
-                (3, at, id, k, 0.0)
-            }
-            SimEvent::Blocked { at, id } => (4, at, id, 0.0, 0.0),
-            SimEvent::Resumed { at, id } => (5, at, id, 0.0, 0.0),
-            SimEvent::CostRefined { at, id, remaining } => (6, at, id, remaining, 0.0),
-            SimEvent::RateChanged { at, rate } => (7, at, 0, rate, 0.0),
-        }
-    }
 }
 
 /// What [`System::step`] does when a job's `run` fails mid-flight.
@@ -472,6 +438,13 @@ impl System {
     /// Create a system, rejecting invalid configurations as errors.
     pub fn try_new(cfg: SystemConfig) -> Result<Self> {
         domain::rate(cfg.rate).map_err(|e| EngineError::exec(format!("system {e}")))?;
+        if let RateModel::Contention { alpha } = cfg.rate_model {
+            if !(alpha.is_finite() && alpha >= 0.0) {
+                return Err(EngineError::exec(format!(
+                    "contention alpha must be finite and >= 0, got {alpha}"
+                )));
+            }
+        }
         if !(cfg.quantum_units > 0.0 && cfg.quantum_units.is_finite()) {
             return Err(EngineError::exec("quantum must be positive and finite"));
         }
@@ -1783,6 +1756,14 @@ impl System {
         }
         for _ in 0..d.get_usize()? {
             let h = sys.dec_session(&mut d, &table)?;
+            // Only a running query can be blocked (see `System::block`).
+            let i = sys.slab.at(h);
+            if sys.slab.blocked[i] {
+                return Err(CkptError::Corrupt(format!(
+                    "queued query {} is blocked",
+                    sys.slab.id[i]
+                )));
+            }
             sys.queue.push_back(h);
         }
         for _ in 0..d.get_usize()? {
@@ -1835,6 +1816,19 @@ impl System {
                     fs.next_event,
                     fs.plan.events().len()
                 )));
+            }
+            // A live dip keeps its factor in [1e-6, 1], and its expiry is a
+            // time or +∞.
+            if !(fs.rate_factor > 0.0 && fs.rate_factor <= 1.0) {
+                return Err(CkptError::Corrupt(format!(
+                    "fault rate_factor out of range: {}",
+                    fs.rate_factor
+                )));
+            }
+            if fs.rate_restore_at.is_nan() {
+                return Err(CkptError::Corrupt(
+                    "fault rate_restore_at is NaN".to_string(),
+                ));
             }
         }
         sys.event_feed = Wire::dec(&mut d)?;
@@ -2461,6 +2455,14 @@ mod tests {
             },
             SystemConfig {
                 rate: f64::NAN,
+                ..cfg(100.0, 4.0)
+            },
+            SystemConfig {
+                rate_model: RateModel::Contention { alpha: -0.5 },
+                ..cfg(100.0, 4.0)
+            },
+            SystemConfig {
+                rate_model: RateModel::Contention { alpha: f64::NAN },
                 ..cfg(100.0, 4.0)
             },
         ] {

@@ -1,5 +1,5 @@
 //! Golden fixture for `System::step`: one FNV-1a digest per scenario over
-//! every `SimEvent` the feed emits (`to_tap()` bits, drained after each
+//! every `SimEvent` the feed emits ([`to_tap`] bits, drained after each
 //! step), the `observed_speed` bits of every running query at each drain
 //! (the speed monitors), every `FinishedQuery` (`id`, `finished` bits,
 //! `units_done` bits), the bytes of `System::checkpoint()` at the end (and
@@ -106,8 +106,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use mqpi_engine::error::Result;
 use mqpi_sim::{
-    AdmissionPolicy, ErrorPolicy, FaultEvent, FaultKind, FaultPlan, Job, JobProgress, RetryPolicy,
-    Rng, SimEvent, StepMode, SyntheticJob, System, SystemConfig,
+    AdmissionPolicy, ErrorPolicy, FaultEvent, FaultKind, FaultPlan, FinishKind, Job, JobProgress,
+    RetryPolicy, Rng, SimEvent, StepMode, SyntheticJob, System, SystemConfig,
 };
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -118,6 +118,39 @@ fn fnv(mut h: u64, word: u64) -> u64 {
         h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// Flatten an event to the `(tag, at, id, a, b)` quintuple the digests
+/// fold. Tags run 1–7 in variant order; a departure carries its
+/// [`FinishKind`] as 0–3 in `a`.
+fn to_tap(ev: &SimEvent) -> (u8, f64, u64, f64, f64) {
+    match *ev {
+        SimEvent::Admitted {
+            at,
+            id,
+            cost,
+            weight,
+        } => (1, at, id, cost, weight),
+        SimEvent::Enqueued {
+            at,
+            id,
+            cost,
+            weight,
+        } => (2, at, id, cost, weight),
+        SimEvent::Departed { at, id, kind } => {
+            let k = match kind {
+                FinishKind::Completed => 0.0,
+                FinishKind::Aborted => 1.0,
+                FinishKind::Failed => 2.0,
+                FinishKind::Rejected => 3.0,
+            };
+            (3, at, id, k, 0.0)
+        }
+        SimEvent::Blocked { at, id } => (4, at, id, 0.0, 0.0),
+        SimEvent::Resumed { at, id } => (5, at, id, 0.0, 0.0),
+        SimEvent::CostRefined { at, id, remaining } => (6, at, id, remaining, 0.0),
+        SimEvent::RateChanged { at, rate } => (7, at, 0, rate, 0.0),
+    }
 }
 
 /// Folds a system's feed and finished roster as it is stepped.
@@ -143,7 +176,7 @@ impl Recorder {
         self.events.clear();
         sys.drain_events(&mut self.events);
         for ev in &self.events {
-            let (tag, at, id, a, b) = ev.to_tap();
+            let (tag, at, id, a, b) = to_tap(ev);
             for w in [tag as u64, at.to_bits(), id, a.to_bits(), b.to_bits()] {
                 self.digest = fnv(self.digest, w);
             }

@@ -300,7 +300,16 @@ impl Route {
         // at an idle wake-up that served nothing.
         let mut t_prev = before;
         for ev in &feed {
-            let (tag, at, id, _, _) = ev.to_tap();
+            let at = ev.at();
+            let (tag, id) = match *ev {
+                SimEvent::Admitted { id, .. } => (1, id),
+                SimEvent::Enqueued { id, .. } => (2, id),
+                SimEvent::Departed { id, .. } => (3, id),
+                SimEvent::Blocked { id, .. } => (4, id),
+                SimEvent::Resumed { id, .. } => (5, id),
+                SimEvent::CostRefined { id, .. } => (6, id),
+                SimEvent::RateChanged { .. } => (7, 0),
+            };
             self.events.push((tag, id, at));
             match *ev {
                 SimEvent::RateChanged { rate, .. } => self.rate = rate,

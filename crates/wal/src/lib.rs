@@ -109,10 +109,10 @@ const KNOWN_FLAGS: u8 = FLAG_COMMIT;
 // ---------------------------------------------------------------------------
 
 /// One logged PI-service event. The variants mirror the service's mutating
-/// API one-to-one (plus [`WalRecord::Mark`] for application-level progress
-/// and [`WalRecord::SimEvent`] for journaled simulator feed taps), so a log
-/// is exactly a serialized command history and replaying it is exactly
-/// re-invoking the API.
+/// API one-to-one (plus [`WalRecord::Mark`] and [`WalRecord::Note`] for
+/// application-level progress and driver state), so a log is exactly a
+/// serialized command history and replaying it is exactly re-invoking the
+/// API.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// `PiService::register_session` (the assigned id is deterministic).
@@ -188,20 +188,6 @@ pub enum WalRecord {
         /// Driver-defined bytes (bit-preserved).
         bytes: Vec<u8>,
     },
-    /// A journaled simulator feed event (mirror tap): a compact generic
-    /// shape — variant tag plus the numeric fields the mirror needs.
-    SimEvent {
-        /// Mirror-defined variant tag.
-        tag: u8,
-        /// Event virtual time.
-        at: f64,
-        /// Query id (0 when the variant has none).
-        id: u64,
-        /// First numeric field (variant-defined, bit-preserved).
-        a: f64,
-        /// Second numeric field (variant-defined, bit-preserved).
-        b: f64,
-    },
 }
 
 const TAG_REGISTER: u8 = 1;
@@ -215,7 +201,8 @@ const TAG_SET_RATE: u8 = 8;
 const TAG_ADVANCE: u8 = 9;
 const TAG_PUMP: u8 = 10;
 const TAG_MARK: u8 = 11;
-const TAG_SIM_EVENT: u8 = 12;
+// Tag 12 is retired: it carried a simulator feed tap that nothing wrote.
+// It decodes as an unknown tag (`Corrupt`) and is not to be reused.
 const TAG_NOTE: u8 = 13;
 
 // One record is one frame payload: decode with [`Wire::from_bytes`], which
@@ -233,7 +220,6 @@ wire_enum!(WalRecord, "wal record" {
     TAG_PUMP => Pump,
     TAG_MARK => Mark { iter, digest },
     TAG_NOTE => Note { bytes },
-    TAG_SIM_EVENT => SimEvent { tag, at, id, a, b },
 });
 
 // ---------------------------------------------------------------------------
@@ -1050,11 +1036,6 @@ impl Wal {
         self.knobs.compact_every > 0 && self.records_since_base >= self.knobs.compact_every
     }
 
-    /// Swap the observability handle (counters + trace events).
-    pub fn set_obs(&mut self, obs: Obs) {
-        self.obs = obs;
-    }
-
     /// Compute the open frame's CRC into the trailer `append` left blank.
     /// Called at the moment nothing can change the frame any more, so each
     /// frame is checksummed exactly once.
@@ -1282,13 +1263,6 @@ mod tests {
             WalRecord::Mark {
                 iter: 3,
                 digest: 0xDEAD,
-            },
-            WalRecord::SimEvent {
-                tag: 4,
-                at: 1.5,
-                id: 9,
-                a: -0.0,
-                b: f64::INFINITY,
             },
         ]
     }

@@ -5,12 +5,15 @@
 //! panic, and never a record the original run didn't write.
 //!
 //! Companion to the checkpoint corpus in `crates/bench/tests/crash_resume.rs`,
-//! aimed at the log-segment format instead of snapshot containers.
+//! aimed at the log-segment format instead of snapshot containers. A frame
+//! whose CRC holds but whose record tag is unknown (the retired tag 12
+//! among them) is corrupt too, and ends the log where it stands.
 
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use mqpi_ckpt::{CkptError, Wire};
 use mqpi_obs::Obs;
 use mqpi_wal::{Wal, WalKnobs, WalRecord};
 
@@ -36,7 +39,7 @@ const SEGMENT_HEADER: usize = 16;
 
 /// A varied, decodable record for sequence position `i`.
 fn record_for(i: u64) -> WalRecord {
-    match i % 6 {
+    match i % 5 {
         0 => WalRecord::Submit {
             session: i << 32,
             cost: 10.0 + i as f64,
@@ -47,13 +50,6 @@ fn record_for(i: u64) -> WalRecord {
         3 => WalRecord::Mark {
             iter: i,
             digest: splitmix64(i),
-        },
-        4 => WalRecord::SimEvent {
-            tag: 3,
-            at: i as f64,
-            id: i,
-            a: 1.0,
-            b: 0.0,
         },
         _ => WalRecord::Reweight {
             query: i,
@@ -229,4 +225,52 @@ fn corrupt_segment_corpus_never_panics_and_never_invents_records() {
         recovered_some + rejected > 0,
         "corpus produced no classified outcomes"
     );
+}
+
+/// Tags no record has. 12 is retired: it once carried a simulator feed
+/// event, and nothing ever wrote one.
+const UNKNOWN_TAGS: [u8; 4] = [0, 12, 14, 200];
+
+#[test]
+fn unknown_record_tags_are_corrupt() {
+    // A record under the retired tag, in the shape it used to have: a
+    // variant tag, a time, an id and two numbers.
+    let mut retired = vec![12, 3];
+    for word in [1.5f64.to_bits(), 9, 1.0f64.to_bits(), 0.0f64.to_bits()] {
+        retired.extend_from_slice(&word.to_le_bytes());
+    }
+    let payloads = UNKNOWN_TAGS.iter().map(|&t| vec![t]).chain([retired]);
+    for payload in payloads {
+        assert!(
+            matches!(
+                WalRecord::from_bytes(&payload, "wal record"),
+                Err(CkptError::Corrupt(_))
+            ),
+            "payload {payload:?} must be corrupt"
+        );
+    }
+
+    // The same tags inside a segment, in a frame whose CRC holds: the log
+    // ends before that frame, and reopens clean.
+    let (name, bytes, records) = pristine();
+    let frames = frame_ranges(&bytes);
+    let k = 20;
+    let (start, end) = frames[k];
+    let tag_at = start + 4 + 1 + 8;
+    for tag in UNKNOWN_TAGS {
+        let mut m = bytes.clone();
+        m[tag_at] = tag;
+        let crc = mqpi_ckpt::crc32(&m[start..end - 4]);
+        m[end - 4..end].copy_from_slice(&crc.to_le_bytes());
+        let dir = tmpdir(&format!("tag-{tag}"));
+        fs::write(dir.join(&name), &m).unwrap();
+        let (wal, rec) = Wal::open(&dir, WalKnobs::default(), Obs::disabled())
+            .expect("a bad frame ends the log, it does not reject it");
+        assert_eq!(rec.records, records[..k], "tag {tag}");
+        assert!(rec.truncated_bytes > 0, "tag {tag}");
+        drop(wal);
+        let (_, again) = Wal::open(&dir, WalKnobs::default(), Obs::disabled()).unwrap();
+        assert_eq!(again.truncated_bytes, 0, "tag {tag}");
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -20,7 +20,6 @@ pub mod tpcr;
 
 pub use scenario::{
     advance_fraction, average_query_cost, maintenance_scenario, mcq_scenario,
-    mcq_scenario_weighted, naq_scenario, naq_scenario_sizes, query_job, scq_scenario, McqConfig,
-    ScqConfig,
+    mcq_scenario_weighted, naq_scenario_sizes, query_job, scq_scenario, McqConfig, ScqConfig,
 };
 pub use tpcr::{TpcrConfig, TpcrDb, MAX_SIZE};

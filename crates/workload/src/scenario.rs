@@ -102,15 +102,11 @@ pub fn mcq_scenario_weighted(
     Ok((sys, out))
 }
 
-/// Build the NAQ system (§5.2.2): three queries with sizes 50, 10, 20 and
-/// an admission limit of two. Q1 and Q2 start; Q3 waits in the queue.
-/// Returns the system and `[Q1, Q2, Q3]` ids.
-pub fn naq_scenario(db: &TpcrDb, rate: f64) -> Result<(System, [QueryId; 3])> {
-    naq_scenario_sizes(db, rate, [50, 10, 20])
-}
-
-/// NAQ with explicit size classes (N1 must exceed N2 + N3 for the paper's
-/// "Q1 outlives both" shape to hold).
+/// Build the NAQ system (§5.2.2): three queries of the given size classes
+/// (the paper's are 50, 10, 20) and an admission limit of two. Q1 and Q2
+/// start; Q3 waits in the queue. N1 must exceed N2 + N3 for the paper's
+/// "Q1 outlives both" shape to hold. Returns the system and `[Q1, Q2, Q3]`
+/// ids.
 pub fn naq_scenario_sizes(
     db: &TpcrDb,
     rate: f64,

@@ -39,8 +39,6 @@ impl Default for TpcrConfig {
 pub struct TpcrDb {
     /// The engine database with `lineitem` and all `part_s<k>` tables.
     pub db: Database,
-    /// Number of distinct partkey values in `lineitem`.
-    pub partkey_domain: u64,
     /// The configuration it was built with.
     pub config: TpcrConfig,
 }
@@ -121,11 +119,7 @@ impl TpcrDb {
             db.insert(&name, &rows)?;
             db.analyze(&name)?;
         }
-        Ok(TpcrDb {
-            db,
-            partkey_domain: domain,
-            config,
-        })
+        Ok(TpcrDb { db, config })
     }
 
     /// The paper's query `Q_k` (§5.1): parts selling ≥25% below retail.
@@ -183,7 +177,6 @@ mod tests {
     #[test]
     fn builds_lineitem_and_part_tables() {
         let t = small();
-        assert_eq!(t.partkey_domain, 800);
         let li = t.db.table("lineitem").unwrap();
         assert_eq!(li.heap.row_count(), 24_000);
         assert!(li.index_on(0).is_some());
