@@ -2,10 +2,10 @@
 //! configuration — running queries plus an admission queue plus predicted
 //! future arrivals — at n ∈ {100, 1k, 10k, 100k, 1M}; of a full estimate
 //! set taken from a maintained `IncrementalFluid`, beside `predict` over the
-//! same state; of incremental maintenance against the rebuild it replaces;
-//! and of the simulator's event step.
+//! same state; of incremental maintenance against the rebuild it replaces,
+//! and of admission alone; and of the simulator's event step.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
 use mqpi_core::fluid::{predict, FluidQuery, FutureArrivals};
@@ -123,7 +123,8 @@ fn bench_estimates_full(c: &mut Criterion) {
 /// per-event delta application (arrive + finish keeps the population
 /// stable, followed by one O(log n) point estimate) against one full
 /// `predict` call over the same population — the "per scheduler event"
-/// cost the PI session service actually pays on each side.
+/// cost the PI session service actually pays on each side — plus the cost
+/// of filling an empty model (`populate`).
 fn bench_incremental_scaling(c: &mut Criterion) {
     use mqpi_core::IncrementalFluid;
 
@@ -156,6 +157,22 @@ fn bench_incremental_scaling(c: &mut Criterion) {
                 b.iter(|| black_box(predict(black_box(pop), &[], None, None, 100.0)));
             });
         }
+    }
+    // Admission alone: n arrivals into an empty model, at the live sizes of
+    // the end-to-end benchmark's `sim_churn` (256) and `fanout_idle`
+    // (20 000). Throughput is arrivals per second.
+    for n in [256usize, 20_000] {
+        let pop = queries(n, 3);
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_with_input(BenchmarkId::new("populate", n), &pop, |b, pop| {
+            b.iter(|| {
+                let mut f = IncrementalFluid::with_capacity(100.0, pop.len());
+                for q in pop {
+                    f.arrive(q.id, q.cost, q.weight);
+                }
+                black_box(f.len())
+            });
+        });
     }
     g.finish();
 }

@@ -158,6 +158,23 @@ impl Nodes {
         self.seq_next.reserve(cap);
     }
 
+    /// Empty every column, keeping its capacity, and the free list.
+    fn clear(&mut self) {
+        self.id.clear();
+        self.weight.clear();
+        self.tag.clear();
+        self.seq.clear();
+        self.prio.clear();
+        self.left.clear();
+        self.right.clear();
+        self.sub_w.clear();
+        self.sub_wv.clear();
+        self.sub_n.clear();
+        self.seq_prev.clear();
+        self.seq_next.clear();
+        self.free_head = NIL;
+    }
+
     fn alloc(&mut self, id: u64, weight: f64, tag: f64, seq: u64) -> u32 {
         let prio = splitmix64(seq);
         if self.free_head != NIL {
@@ -258,6 +275,28 @@ impl Nodes {
             self.pull(t);
             (a, t)
         }
+    }
+
+    /// Insert the lone node `s`, keyed `(tag, seq)`, into the subtree at
+    /// `t`; returns the new subtree root. One descent past the nodes that
+    /// outrank `s`, then a split of the first subtree `s` outranks: the
+    /// unique treap a whole-tree split and two merges would build.
+    fn insert(&mut self, t: u32, s: u32, tag: f64, seq: u64) -> u32 {
+        if t == NIL || self.prio_above(s, t) {
+            let (l, r) = self.split(t, tag, seq);
+            (self.left[s as usize], self.right[s as usize]) = (l, r);
+            self.pull(s);
+            return s;
+        }
+        if self.key_less(t, tag, seq) {
+            let r = self.insert(self.right[t as usize], s, tag, seq);
+            self.right[t as usize] = r;
+        } else {
+            let l = self.insert(self.left[t as usize], s, tag, seq);
+            self.left[t as usize] = l;
+        }
+        self.pull(t);
+        t
     }
 
     /// Merge trees where every key in `a` precedes every key in `b`.
@@ -447,10 +486,12 @@ impl IncrementalFluid {
     }
 
     fn insert_tree(&mut self, s: u32) {
+        #[cfg(test)]
+        if tests::SPLIT_MERGE.with(std::cell::Cell::get) {
+            return tests::insert_by_split_merge(self, s);
+        }
         let (tag, seq) = (self.nodes.tag[s as usize], self.nodes.seq[s as usize]);
-        let (l, r) = self.nodes.split(self.root, tag, seq);
-        let lm = self.nodes.merge(l, s);
-        self.root = self.nodes.merge(lm, r);
+        self.root = self.nodes.insert(self.root, s, tag, seq);
     }
 
     fn remove_tree(&mut self, s: u32) {
@@ -529,11 +570,6 @@ impl IncrementalFluid {
         self.remove_tree(s);
         self.nodes.weight[i] = weight;
         self.nodes.tag[i] = self.tag_for(cost, weight);
-        self.nodes.sub_w[i] = weight;
-        self.nodes.sub_wv[i] = weight * self.nodes.tag[i];
-        self.nodes.sub_n[i] = 1;
-        self.nodes.left[i] = NIL;
-        self.nodes.right[i] = NIL;
         self.insert_tree(s);
         self.counters.reweights += 1;
         true
@@ -552,11 +588,6 @@ impl IncrementalFluid {
         let i = s as usize;
         self.remove_tree(s);
         self.nodes.tag[i] = self.tag_for(cost, self.nodes.weight[i]);
-        self.nodes.sub_w[i] = self.nodes.weight[i];
-        self.nodes.sub_wv[i] = self.nodes.weight[i] * self.nodes.tag[i];
-        self.nodes.sub_n[i] = 1;
-        self.nodes.left[i] = NIL;
-        self.nodes.right[i] = NIL;
         self.insert_tree(s);
         self.counters.cost_refinements += 1;
         true
@@ -840,12 +871,13 @@ impl IncrementalFluid {
     /// self-heal. The live queries are walked in admission order, their
     /// `(id, seq, tag, weight)` tuples captured, and the whole structure
     /// (tree, admission list, id index, free list) reconstructed from
-    /// scratch. Sequence numbers and tags are preserved bit-for-bit, so a
-    /// healthy model rebuilds to bit-identical state (the unique-treap
-    /// property); a model poisoned by non-finite tags or weights is
-    /// sanitized on the way through (non-finite weight → 1, non-finite tag
-    /// → `V`, i.e. completes immediately). Returns the number of sanitized
-    /// fields. Counted as a full rebuild in [`DeltaCounters`].
+    /// scratch in the capacity it already holds. Sequence numbers and tags
+    /// are preserved bit-for-bit, so a healthy model rebuilds to
+    /// bit-identical state (the unique-treap property); a model poisoned by
+    /// non-finite tags or weights is sanitized on the way through
+    /// (non-finite weight → 1, non-finite tag → `V`, i.e. completes
+    /// immediately). Returns the number of sanitized fields. Counted as a
+    /// full rebuild in [`DeltaCounters`].
     pub fn rebuild(&mut self) -> usize {
         let mut items: Vec<(u64, u64, f64, f64)> = Vec::with_capacity(self.len());
         let mut cur = self.head;
@@ -862,7 +894,7 @@ impl IncrementalFluid {
         self.root = NIL;
         self.head = NIL;
         self.tail = NIL;
-        self.nodes = Nodes::with_capacity(items.len());
+        self.nodes.clear();
         self.by_id.clear();
         let mut sanitized = 0usize;
         for (id, seq, mut tag, mut weight) in items {
@@ -992,8 +1024,29 @@ impl IncrementalFluid {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
+    use proptest::prelude::*;
+
     use super::*;
     use crate::fluid::standard_remaining_times;
+
+    thread_local! {
+        /// Routes this thread's treap insertions through
+        /// [`insert_by_split_merge`] instead of `Nodes::insert`.
+        pub(super) static SPLIT_MERGE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The insertion `Nodes::insert` replaced, kept as its oracle: make the
+    /// node a singleton, split the whole tree at its key, merge twice.
+    pub(super) fn insert_by_split_merge(f: &mut IncrementalFluid, s: u32) {
+        let (n, i) = (&mut f.nodes, s as usize);
+        (n.left[i], n.right[i]) = (NIL, NIL);
+        (n.sub_w[i], n.sub_wv[i], n.sub_n[i]) = (n.weight[i], n.weight[i] * n.tag[i], 1);
+        let (l, r) = n.split(f.root, n.tag[i], n.seq[i]);
+        let lm = n.merge(l, s);
+        f.root = n.merge(lm, r);
+    }
 
     fn q(id: u64, cost: f64, weight: f64) -> FluidQuery {
         FluidQuery { id, cost, weight }
@@ -1303,5 +1356,108 @@ mod tests {
         let frozen = f.virtual_time();
         f.advance(100.0);
         assert_eq!(f.virtual_time(), frozen);
+    }
+
+    /// One scripted delta. Indices pick from small tables, so `cost/weight`
+    /// repeats and a burst of arrivals lands on one tag, ordered by `seq`.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Arrive { cost: usize, weight: usize },
+        Finish(usize),
+        Abort(usize),
+        Reweight(usize, usize),
+        RefineCost(usize, usize),
+        Advance(usize),
+        Rebuild,
+        Recode,
+    }
+
+    const COSTS: [f64; 5] = [0.0, 50.0, 100.0, 200.0, 400.0];
+    const WEIGHTS: [f64; 4] = [0.5, 1.0, 2.0, 4.0];
+    const STEPS: [f64; 5] = [0.0, 0.25, 1.0, 3.0, 10.0];
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        (0u8..12, any::<usize>(), 0..COSTS.len() * WEIGHTS.len()).prop_map(|(sel, p, k)| {
+            let (cost, weight) = (k % COSTS.len(), k / COSTS.len());
+            match sel {
+                // Mostly arrivals, so the tree grows.
+                0..=5 => Op::Arrive { cost, weight },
+                6 => Op::Finish(p),
+                7 => Op::Abort(p),
+                8 => Op::Reweight(p, weight),
+                9 => Op::RefineCost(p, cost),
+                10 => Op::Advance(p % STEPS.len()),
+                _ if p % 2 == 0 => Op::Rebuild,
+                _ => Op::Recode,
+            }
+        })
+    }
+
+    fn recode(f: &IncrementalFluid) -> IncrementalFluid {
+        let mut e = Enc::new();
+        f.enc(&mut e);
+        let bytes = e.into_bytes();
+        IncrementalFluid::dec(&mut Dec::new(&bytes)).unwrap()
+    }
+
+    /// Apply `op` to `f`; `id` is the id an arrival takes. Half the picks
+    /// fall on the three newest live queries, so a re-tag often lands on
+    /// the tag of a query admitted just after, and keys tie on `seq`s one
+    /// apart.
+    fn apply(f: &mut IncrementalFluid, op: Op, id: u64, live: &[FluidQuery]) {
+        let pick = |p: usize| match p % 2 {
+            0 => live[p / 2 % live.len()].id,
+            _ => live[live.len() - 1 - p / 2 % live.len().min(3)].id,
+        };
+        match op {
+            Op::Arrive { cost, weight } => f.arrive(id, COSTS[cost], WEIGHTS[weight]),
+            Op::Advance(dt) => f.advance(STEPS[dt]),
+            Op::Rebuild => assert_eq!(f.rebuild(), 0),
+            Op::Recode => *f = recode(f),
+            _ if live.is_empty() => {}
+            Op::Finish(p) => assert!(f.finish(pick(p))),
+            Op::Abort(p) => assert!(f.abort(pick(p))),
+            Op::Reweight(p, w) => assert!(f.reweight(pick(p), WEIGHTS[w])),
+            Op::RefineCost(p, c) => assert!(f.refine_cost(pick(p), COSTS[c])),
+        }
+    }
+
+    /// Node for node: the same root, links and counts, and the same bits
+    /// in every aggregate, slot by slot.
+    fn assert_same_tree(a: &IncrementalFluid, b: &IncrementalFluid) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (x, y) = (&a.nodes, &b.nodes);
+        assert_eq!(a.root, b.root, "root");
+        assert_eq!(x.left, y.left, "left");
+        assert_eq!(x.right, y.right, "right");
+        assert_eq!(x.sub_n, y.sub_n, "sub_n");
+        assert_eq!(bits(&x.sub_w), bits(&y.sub_w), "sub_w");
+        assert_eq!(bits(&x.sub_wv), bits(&y.sub_wv), "sub_wv");
+        assert_eq!(a.due, b.due, "due");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The single-descent insertion builds the tree the split + merge +
+        /// merge insertion it replaced builds, after every delta, rebuild
+        /// and decode of a random stream.
+        #[test]
+        fn single_descent_insert_matches_split_merge(
+            ops in prop::collection::vec(arb_op(), 1..400),
+        ) {
+            let (mut a, mut b) = (IncrementalFluid::new(100.0), IncrementalFluid::new(100.0));
+            let mut live = Vec::new();
+            for (id, op) in ops.into_iter().enumerate() {
+                a.extract_into(&mut live);
+                apply(&mut a, op, id as u64, &live);
+                SPLIT_MERGE.with(|c| c.set(true));
+                apply(&mut b, op, id as u64, &live);
+                SPLIT_MERGE.with(|c| c.set(false));
+                assert_same_tree(&a, &b);
+                a.check_invariants();
+                b.check_invariants();
+            }
+        }
     }
 }

@@ -44,6 +44,6 @@ pub use incremental::{DeltaCounters, IncrementalFluid};
 pub use multi::{FutureWorkload, MultiQueryPi, Visibility};
 pub use observe::observe_estimates;
 pub use percent::{PercentDonePi, TimeFractionPi};
-pub use sanitize::{sanitize_fraction, sanitize_percent, sanitize_seconds, MAX_REMAINING_SECONDS};
+pub use sanitize::{sanitize_fraction, sanitize_seconds, MAX_REMAINING_SECONDS};
 pub use single::SingleQueryPi;
 pub use validator::{InvariantValidator, ValidationContext, Violation};

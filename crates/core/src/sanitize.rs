@@ -4,8 +4,8 @@
 //! matter how badly the paper's Assumptions 1–3 are being violated
 //! underneath it (cost-estimate noise, rate dips, aborts, bursts). Every
 //! estimator output funnels through this module before a caller can see
-//! it: remaining times are finite and non-negative, fractions sit in
-//! `[0, 1]`, percentages in `[0, 100]`. Each function returns the value
+//! it: remaining times are finite and non-negative, and fractions sit in
+//! `[0, 1]`. Each function returns the value
 //! plus whether it had to be degraded, so campaigns can count how often
 //! the raw math went out of range.
 
@@ -42,12 +42,6 @@ pub fn sanitize_fraction(raw: f64) -> (f64, bool) {
     }
 }
 
-/// Sanitize a percentage into `[0, 100]`.
-pub fn sanitize_percent(raw: f64) -> (f64, bool) {
-    let (f, degraded) = sanitize_fraction(raw / 100.0);
-    (f * 100.0, degraded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,13 +74,5 @@ mod tests {
         assert_eq!(sanitize_fraction(-0.1), (0.0, true));
         assert_eq!(sanitize_fraction(1.7), (1.0, true));
         assert_eq!(sanitize_fraction(f64::NAN), (0.0, true));
-    }
-
-    #[test]
-    fn percent_clamps_to_0_100() {
-        assert_eq!(sanitize_percent(42.0), (42.0, false));
-        assert_eq!(sanitize_percent(130.0), (100.0, true));
-        assert_eq!(sanitize_percent(-5.0), (0.0, true));
-        assert_eq!(sanitize_percent(f64::NAN), (0.0, true));
     }
 }
