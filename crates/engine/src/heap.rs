@@ -7,7 +7,7 @@
 
 use crate::error::{EngineError, Result};
 use crate::meter::WorkMeter;
-use crate::page::{Page, SlotId};
+use crate::page::{Page, SlotId, MAX_TUPLE};
 use crate::tuple::{self, ColumnMask, Tuple};
 use crate::value::Value;
 
@@ -26,6 +26,8 @@ pub struct HeapFile {
     pages: Vec<Page>,
     row_count: u64,
     byte_count: u64,
+    /// The row being inserted, encoded; kept so inserts reuse one buffer.
+    encoded: Vec<u8>,
 }
 
 impl HeapFile {
@@ -49,9 +51,28 @@ impl HeapFile {
         self.byte_count
     }
 
+    /// Whether [`HeapFile::insert`] can store `row`: its encoding must fit
+    /// on an empty page. This is the only way an insert fails, so a caller
+    /// that checks a whole batch first never leaves it half written.
+    pub fn check_fits(row: &[Value]) -> Result<()> {
+        let len = tuple::encoded_len(row);
+        if len > MAX_TUPLE {
+            return Err(EngineError::storage(format!(
+                "tuple of {len} bytes is larger than a page holds ({MAX_TUPLE})"
+            )));
+        }
+        Ok(())
+    }
+
     /// Append a row; fills the last page and allocates a new one when full.
+    /// The row is encoded into a buffer the heap keeps, so an insert
+    /// allocates only the pages it opens. Fails, changing nothing, when
+    /// [`HeapFile::check_fits`] does.
     pub fn insert(&mut self, row: &[Value]) -> Result<Rid> {
-        let bytes = tuple::encode(row);
+        Self::check_fits(row)?;
+        self.encoded.clear();
+        tuple::encode_into(row, &mut self.encoded);
+        let bytes = &self.encoded;
         let need_new = match self.pages.last() {
             Some(p) => !p.fits(bytes.len()),
             None => true,
@@ -64,7 +85,7 @@ impl HeapFile {
             .pages
             .last_mut()
             .expect("invariant: a page was pushed when none fit")
-            .insert(&bytes)?;
+            .insert(bytes)?;
         self.row_count += 1;
         self.byte_count += bytes.len() as u64;
         Ok(Rid {

@@ -20,6 +20,9 @@ pub const PAGE_SIZE: usize = 8192;
 const HEADER_SIZE: usize = 4;
 const SLOT_SIZE: usize = 4;
 
+/// The largest tuple, in bytes, that fits on an empty page.
+pub const MAX_TUPLE: usize = PAGE_SIZE - HEADER_SIZE - SLOT_SIZE;
+
 /// Index of a slot within a page.
 pub type SlotId = u16;
 

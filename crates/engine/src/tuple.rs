@@ -44,6 +44,18 @@ pub fn encode_into(row: &[Value], out: &mut Vec<u8>) -> usize {
     out.len() - start
 }
 
+/// The number of bytes [`encode_into`] writes for `row`.
+pub fn encoded_len(row: &[Value]) -> usize {
+    2 + row
+        .iter()
+        .map(|v| match v {
+            Value::Null => 1,
+            Value::Int(_) | Value::Float(_) => 9,
+            Value::Str(s) => 5 + s.len(),
+        })
+        .sum::<usize>()
+}
+
 /// Encode a row into a fresh buffer.
 pub fn encode(row: &[Value]) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 * row.len() + 2);
@@ -175,6 +187,18 @@ mod tests {
         ];
         let bytes = encode(&row);
         assert_eq!(decode(&bytes).unwrap(), row);
+    }
+
+    #[test]
+    fn encoded_len_is_what_encode_writes() {
+        let row = vec![
+            Value::Int(42),
+            Value::Null,
+            Value::Float(-2.5),
+            Value::str("hello, wörld"),
+        ];
+        assert_eq!(encoded_len(&row), encode(&row).len());
+        assert_eq!(encoded_len(&[]), encode(&[]).len());
     }
 
     #[test]
