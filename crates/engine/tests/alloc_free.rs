@@ -169,3 +169,108 @@ fn warm_correlated_probe_allocates_nothing_per_match() {
         "allocations over {MEASURED_ROWS} outer rows"
     );
 }
+
+/// The table the build gates load: `lineitem`'s shape, a 60-byte string
+/// nothing indexes, keys in a scattered order.
+fn build_schema() -> Schema {
+    Schema::from_pairs(&[
+        ("k", ColumnType::Int),
+        ("q", ColumnType::Int),
+        ("price", ColumnType::Float),
+        ("comment", ColumnType::Str),
+    ])
+    .unwrap()
+}
+
+fn build_rows(n: i64) -> Vec<Vec<Value>> {
+    let comment = "x".repeat(60);
+    (0..n)
+        .map(|i| {
+            vec![
+                Value::Int(i * 7919 % 800),
+                Value::Int(1 + i % 50),
+                Value::Float(1.5 * (i % 97) as f64),
+                Value::str(&comment),
+            ]
+        })
+        .collect()
+}
+
+/// Times a vector that doubles from empty to `len` has allocated: one per
+/// power of two up to `len`.
+fn doublings(len: u64) -> u64 {
+    u64::from(u64::BITS - len.leading_zeros())
+}
+
+/// Inserting rows allocates the pages it fills and nothing per row: each
+/// row is encoded into one buffer the heap keeps. The heap's page table
+/// grows by doubling, which is the logarithmic term; the rest is a
+/// constant (the lower-cased table name, the encode buffer's first
+/// growth), the same at 2 000 rows as at 40 000.
+#[test]
+fn insert_allocates_pages_not_rows() {
+    for n in [2_000, 40_000] {
+        let rows = build_rows(n);
+        let mut db = Database::new();
+        db.create_table("t", build_schema()).unwrap();
+        let before = allocs();
+        db.insert("t", &rows).unwrap();
+        let made = allocs() - before;
+        let pages = db.table("t").unwrap().heap.page_count();
+        assert!(pages > 10, "{pages} pages");
+        let bound = pages + doublings(pages) + 8;
+        assert!(
+            made <= bound,
+            "{n} rows, {pages} pages: {made} allocations, bound {bound}"
+        );
+    }
+}
+
+/// `create_index` decodes only the key column and moves the key into its
+/// entry, so the 60-byte string of every row is never materialised: it
+/// allocates its entry vector, one scan buffer, and the tree's nodes (a
+/// leaf's entries; an internal node's keys and children, and internal
+/// nodes number fewer than leaves), with the arena and level lists growing
+/// by doubling.
+#[test]
+fn create_index_allocates_nothing_per_row() {
+    let rows = build_rows(40_000);
+    let mut db = Database::new();
+    db.create_table("t", build_schema()).unwrap();
+    db.insert("t", &rows).unwrap();
+    let before = allocs();
+    db.create_index("t", "k").unwrap();
+    let made = allocs() - before;
+    let table = db.table("t").unwrap();
+    let tree = &table.indexes[0].tree;
+    assert_eq!(tree.entry_count(), 40_000);
+    let leaves = tree.leaf_count();
+    let bound = 2 + 3 * leaves + 4 * doublings(2 * leaves) + 8;
+    assert!(
+        made <= bound,
+        "{leaves} leaves: {made} allocations, bound {bound}"
+    );
+}
+
+/// `analyze_sampled(0.1)` decodes every row but materialises only the
+/// sampled tenth: per sampled row its `Vec` and its string. Counting a
+/// column's values sorts references to them and clones only min, max and
+/// the MCVs; its buffers grow by doubling.
+#[test]
+fn analyze_allocates_per_sampled_row_not_per_scanned_row() {
+    let rows = build_rows(40_000);
+    let mut db = Database::new();
+    db.create_table("t", build_schema()).unwrap();
+    db.insert("t", &rows).unwrap();
+    let before = allocs();
+    db.analyze_sampled("t", 0.1).unwrap();
+    let made = allocs() - before;
+    let sampled = 4_000;
+    let ncols = 4;
+    let per_column = 2 * doublings(sampled) + 16;
+    let bound = 2 * sampled + ncols * per_column + 8;
+    assert!(
+        made <= bound,
+        "{sampled} sampled rows: {made} allocations, bound {bound}"
+    );
+}
