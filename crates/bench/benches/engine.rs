@@ -44,6 +44,39 @@ fn bench_storage(c: &mut Criterion) {
             black_box(idx.tree.lookup(&mqpi_engine::Value::Int(k), &m))
         });
     });
+    // The build, on the same 24k rows: `TpcrDb::build`'s three steps.
+    let schema = lineitem.schema.clone();
+    let mut rows = Vec::new();
+    let (m, mut st, mut row) = (WorkMeter::new(), Default::default(), Vec::new());
+    while lineitem
+        .heap
+        .scan_next(&mut st, &m, ColumnMask::ALL, &mut row)
+        .unwrap()
+        .is_some()
+    {
+        rows.push(row.clone());
+    }
+    let loaded = || {
+        let mut db = Database::new();
+        db.create_table("lineitem", schema.clone()).unwrap();
+        db.insert("lineitem", &rows).unwrap();
+        db
+    };
+    g.bench_function("insert_24k_rows", |b| b.iter(|| black_box(loaded())));
+    // A table takes one index per column, so each call loads a new one:
+    // subtract `insert_24k_rows` for the index build alone.
+    g.bench_function("create_index_24k_rows", |b| {
+        b.iter(|| {
+            let mut db = loaded();
+            db.create_index("lineitem", "partkey").unwrap();
+            black_box(db)
+        });
+    });
+    let mut db = loaded();
+    let fraction = tpcr.config.analyze_fraction;
+    g.bench_function("analyze_24k_rows", |b| {
+        b.iter(|| db.analyze_sampled("lineitem", fraction).unwrap());
+    });
     g.finish();
 }
 
