@@ -10,10 +10,12 @@
 //! environment variable, else available parallelism; `--jobs 1` is the
 //! serial path — results are bit-identical either way).
 //!
-//! What `--trace-out`/`--metrics-out` export, and how `--checkpoint-dir`,
-//! `--checkpoint-every` and `--resume-from` let a killed campaign resume
-//! to the uninterrupted report bit for bit, is in EXPERIMENTS.md
-//! ("Observability exports", "Crash-safe checkpoint/resume").
+//! What `--trace-out`/`--metrics-out` export, how `--checkpoint-dir`,
+//! `--checkpoint-every` and `--resume-from` let a killed `chaos` campaign
+//! resume to the uninterrupted report bit for bit, and how `--wal-dir`
+//! does the same for `pi-chaos` is in EXPERIMENTS.md ("Observability
+//! exports", "Crash-safe checkpoint/resume", "Served campaign"). A flag
+//! that no selected campaign reads is refused.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -23,7 +25,7 @@ use std::str::FromStr;
 use mqpi_bench::report::{f2, pct, TextTable};
 use mqpi_bench::{
     ablations, analytic, chaos, db, ensemble, maintenance, mcq, naq, parallel, pibench, pichaos,
-    piserve, piwal, scq, speedup_exp, table1, traced,
+    piwal, scq, speedup_exp, table1, traced,
 };
 use mqpi_workload::{McqConfig, TpcrDb};
 
@@ -51,6 +53,7 @@ struct Ctx<'a> {
 
 const ALL: &str = "all";
 const CHAOS: &str = "chaos";
+const PI_CHAOS: &str = "pi-chaos";
 const PI_WAL_CHAOS: &str = "pi-wal-chaos";
 
 /// Every subcommand, in the order a run prints them. Selection, the
@@ -70,8 +73,7 @@ const CAMPAIGNS: &[Campaign] = &[
     Campaign { names: &["fig11"], in_all: true, run: run_fig11 },
     Campaign { names: &[CHAOS], in_all: false, run: run_chaos },
     Campaign { names: &["bench-pi"], in_all: false, run: bench_pi },
-    Campaign { names: &["pi-serve"], in_all: false, run: pi_serve },
-    Campaign { names: &["pi-chaos"], in_all: false, run: pi_chaos },
+    Campaign { names: &[PI_CHAOS], in_all: false, run: pi_chaos },
     Campaign { names: &[PI_WAL_CHAOS], in_all: false, run: pi_wal_chaos },
     Campaign { names: &["bench-ensemble"], in_all: false, run: bench_ensemble },
 ];
@@ -95,7 +97,7 @@ fn usage() -> String {
          [--runs N] [--small] [--csv DIR] [--seed S] [--jobs N] [--chaos] \
          [--trace-out FILE] [--metrics-out FILE] \
          [--checkpoint-dir DIR] [--checkpoint-every N] [--resume-from PATH] \
-         [--wal-dir DIR] [--wal-flush-every N] [--standby]",
+         [--wal-dir DIR] [--wal-flush-every N]",
         known_names().collect::<Vec<_>>().join("|")
     )
 }
@@ -115,7 +117,6 @@ struct Opts {
     resume_from: Option<PathBuf>,
     wal_dir: Option<PathBuf>,
     wal_flush_every: Option<u32>,
-    standby: bool,
 }
 
 impl Opts {
@@ -142,14 +143,6 @@ impl Opts {
         cfg.resume = resume;
         cfg.obs = mqpi_obs::Obs::enabled();
         Some(cfg)
-    }
-
-    /// The `pi-*` campaigns' snapshot directory, and whether to resume
-    /// from it: `--resume-from` names the directory (`parse_args` refuses
-    /// it together with `--checkpoint-dir`).
-    fn snapshots(&self) -> (Option<PathBuf>, bool) {
-        let dir = self.resume_from.as_ref().or(self.checkpoint_dir.as_ref());
-        (dir.cloned(), self.resume_from.is_some())
     }
 }
 
@@ -188,7 +181,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
             "--resume-from" => opts.resume_from = Some(value(&mut args, &a)?),
             "--wal-dir" => opts.wal_dir = Some(value(&mut args, &a)?),
             "--wal-flush-every" => opts.wal_flush_every = Some(value(&mut args, &a)?),
-            "--standby" => opts.standby = true,
             "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
             _ => opts.what.push(a),
@@ -209,12 +201,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
     if opts.resume_from.is_some() && opts.checkpoint_dir.is_some() {
         return Err("--resume-from already names the snapshot dir; drop --checkpoint-dir".into());
     }
-    if (opts.wal_flush_every.is_some() || opts.standby)
-        && opts.wal_dir.is_none()
-        && !opts.what.iter().any(|w| w == PI_WAL_CHAOS)
-    {
-        return Err("--wal-flush-every/--standby need --wal-dir (durable pi-serve mode)".into());
-    }
     for w in &opts.what {
         if w != ALL && !known_names().any(|n| n == w) {
             return Err(format!(
@@ -222,6 +208,20 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
                 known_names().collect::<Vec<_>>().join(", ")
             ));
         }
+    }
+    // A flag no selected campaign reads is refused, not ignored.
+    let selected = |n: &str| opts.what.iter().any(|w| w == n);
+    let checkpointing = opts.checkpoint_dir.is_some()
+        || opts.checkpoint_every.is_some()
+        || opts.resume_from.is_some();
+    if checkpointing && !selected(CHAOS) {
+        return Err("--checkpoint-dir/--checkpoint-every/--resume-from serve only chaos".into());
+    }
+    if opts.wal_dir.is_some() && !selected(PI_CHAOS) && !selected(PI_WAL_CHAOS) {
+        return Err("--wal-dir serves only pi-chaos and pi-wal-chaos".into());
+    }
+    if opts.wal_flush_every.is_some() && !(opts.wal_dir.is_some() && selected(PI_CHAOS)) {
+        return Err("--wal-flush-every serves only pi-chaos --wal-dir".into());
     }
     if opts.what.is_empty() {
         opts.what.push(ALL.into());
@@ -809,48 +809,10 @@ fn bench_ensemble(cx: &Ctx) -> Res {
     accepted.map_err(|e| format!("bench-ensemble: {e}").into())
 }
 
-/// `pi-serve` ([`piserve`]): one digest row per replicate on stdout, which
-/// CI diffs across worker counts and across a SIGKILL + resume. Honors
-/// `--seed`, `--runs`, `--jobs`, the checkpoint flags and the WAL flags.
-fn pi_serve(cx: &Ctx) -> Res {
-    let opts = cx.opts;
-    let mut cfg = piserve::ServeCampaign {
-        seed: opts.seed,
-        replicates: opts.runs.min(64),
-        jobs: opts.jobs,
-        ..piserve::ServeCampaign::default()
-    };
-    if opts.small {
-        cfg.iters = 1_000;
-        cfg.sessions = 24;
-    }
-    (cfg.checkpoint_dir, cfg.resume) = opts.snapshots();
-    if let Some(every) = opts.checkpoint_every {
-        cfg.checkpoint_every = every;
-    }
-    cfg.wal_dir = opts.wal_dir.clone();
-    if let Some(n) = opts.wal_flush_every {
-        cfg.wal_flush_every = n;
-    }
-    cfg.standby = opts.standby;
-    let rows = piserve::run_campaign(&cfg)?;
-    println!(
-        "== pi-serve: {} replicates x {} iters, {} sessions ==",
-        cfg.replicates, cfg.iters, cfg.sessions
-    );
-    for r in &rows {
-        println!(
-            "pi-serve rep={} seed={:016x} pushes={} digest={:016x}",
-            r.rep, r.seed, r.pushes, r.digest
-        );
-    }
-    eprintln!("# pi-serve: {} replicates clean", rows.len());
-    Ok(())
-}
-
-/// `pi-chaos` ([`pichaos`]): the overload campaign's digest rows, diffed by
-/// CI like `pi-serve`'s. Honors `--seed`, `--runs`, `--jobs` and the
-/// checkpoint flags.
+/// `pi-chaos` ([`pichaos`]): one digest row per replicate on stdout, which
+/// CI diffs across worker counts and across a SIGKILL and a rerun against
+/// the same `--wal-dir`. Honors `--seed`, `--runs`, `--jobs`, `--wal-dir`
+/// and `--wal-flush-every`.
 fn pi_chaos(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let mut cfg = pichaos::ChaosCampaign {
@@ -863,9 +825,9 @@ fn pi_chaos(cx: &Ctx) -> Res {
         cfg.iters = 800;
         cfg.sessions = 12;
     }
-    (cfg.checkpoint_dir, cfg.resume) = opts.snapshots();
-    if let Some(every) = opts.checkpoint_every {
-        cfg.checkpoint_every = every;
+    cfg.wal_dir = opts.wal_dir.clone();
+    if let Some(n) = opts.wal_flush_every {
+        cfg.wal_flush_every = n;
     }
     let rows = pichaos::run_campaign(&cfg)?;
     println!(
@@ -1000,6 +962,41 @@ mod tests {
         assert!(err.contains("'fig12'"), "{err}");
         for n in known_names() {
             assert!(err.contains(n), "{n} missing from: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_no_selected_campaign_reads_is_refused() {
+        // Each line ends with the flag to refuse and its value.
+        for args in [
+            "fig1 --small --checkpoint-dir d",
+            "pi-chaos --checkpoint-dir d",
+            "pi-wal-chaos --small --runs 1 --resume-from d",
+            "pi-chaos --checkpoint-every 2 --resume-from d",
+            "--chaos --small --runs 1 --wal-dir d",
+            "all --wal-dir d",
+            "pi-chaos --wal-flush-every 3",
+            "pi-wal-chaos --wal-dir d --wal-flush-every 3",
+        ] {
+            let argv: Vec<_> = args.split(' ').collect();
+            let flag = argv[argv.len() - 2];
+            let err = parse(&argv).err();
+            let err = err.unwrap_or_else(|| panic!("{args} was accepted"));
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_flag_a_selected_campaign_reads_is_accepted() {
+        for args in [
+            "--chaos --checkpoint-dir d --checkpoint-every 2",
+            "chaos pi-chaos --resume-from d",
+            "pi-chaos --wal-dir d --wal-flush-every 8",
+            "pi-wal-chaos --wal-dir d",
+        ] {
+            let argv: Vec<_> = args.split(' ').collect();
+            let opts = parse(&argv).unwrap_or_else(|e| panic!("{args}: {e}"));
+            assert!(opts.is_some(), "{args} is not --help");
         }
     }
 }

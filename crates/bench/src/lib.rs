@@ -30,7 +30,6 @@ pub mod naq;
 pub mod parallel;
 pub mod pibench;
 pub mod pichaos;
-pub mod piserve;
 pub mod piwal;
 pub mod report;
 pub mod scq;

@@ -1,8 +1,8 @@
 //! Deterministic PI-service overload campaign (`experiments pi-chaos`).
 //!
-//! Where `pi-serve` pins the *steady-state* estimate streams, this
-//! campaign drives every overload-hardening path at once and pins the
-//! result:
+//! The served campaign: one [`PiService`] per replicate, driven by a
+//! seeded multi-session script through every overload-hardening path at
+//! once, with the result pinned:
 //!
 //! * **Queue deadlines + backoff** — slots are scarce and advances are
 //!   short, so queued work expires, re-queues through
@@ -28,11 +28,20 @@
 //! mirror's quarantine tally, so CI's jobs-independence and
 //! SIGKILL-resume diffs pin the entire overload machinery, not just the
 //! happy path.
+//!
+//! **Journaled run.** With a `wal_dir`, each replicate journals every
+//! service command to a write-ahead log under `<wal_dir>/run-<seed>`,
+//! closes each iteration with a note of the driver's state and a mark,
+//! syncs every `wal_flush_every` iterations and compacts every 64 syncs.
+//! A rerun against the same directory resumes each replicate from its
+//! last synced iteration, so a SIGKILLed campaign reruns to the rows of
+//! an uninterrupted one. The plain and the journaled run share one
+//! iteration body, and their rows are equal.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use mqpi_ckpt::{Enc, Wire};
+use mqpi_ckpt::{Dec, Enc, Wire};
 use mqpi_pi::{
     BreakerConfig, EstimatePush, LadderConfig, PiConfig, PiService, SessionId, SystemMirror,
 };
@@ -41,9 +50,9 @@ use mqpi_sim::{
     SystemConfig,
 };
 
-use crate::campaign::{
-    fnv_fold, fold_push, load_snapshot, save_snapshot, snapshot_path, splitmix64, FNV_OFFSET,
-};
+use mqpi_wal::WalKnobs;
+
+use crate::campaign::{fnv_fold, fold_push, splitmix64, FNV_OFFSET};
 use crate::parallel;
 
 /// Campaign configuration.
@@ -59,12 +68,16 @@ pub struct ChaosCampaign {
     pub sessions: usize,
     /// Worker threads.
     pub jobs: usize,
-    /// Snapshot directory (None = no checkpointing).
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Iterations between snapshots.
-    pub checkpoint_every: usize,
-    /// Load existing snapshots before running (crash resume).
-    pub resume: bool,
+    /// Journal each replicate under `<wal_dir>/run-<seed>` and resume it
+    /// from that log on a rerun (None = no journal).
+    pub wal_dir: Option<PathBuf>,
+    /// Iterations per group commit (fsync) in a journaled run. A crash
+    /// loses at most `wal_flush_every - 1` iterations, which the rerun
+    /// drives again.
+    pub wal_flush_every: u32,
+    /// Fault injection for a journaled run: abort every replicate after
+    /// this many iterations without syncing, a SIGKILL stand-in for tests.
+    pub die_at: Option<usize>,
 }
 
 impl Default for ChaosCampaign {
@@ -75,9 +88,9 @@ impl Default for ChaosCampaign {
             iters: 3_000,
             sessions: 24,
             jobs: 1,
-            checkpoint_dir: None,
-            checkpoint_every: 500,
-            resume: false,
+            wal_dir: None,
+            wal_flush_every: 1,
+            die_at: None,
         }
     }
 }
@@ -109,7 +122,7 @@ pub struct ChaosRow {
 
 /// Per-replicate service: scarce slots, short advances, every hardening
 /// feature armed. Odd replicates run the always-trip breaker.
-fn service_config(rep: usize) -> PiConfig {
+fn service_config(rep: usize, wal: Option<WalKnobs>) -> PiConfig {
     PiConfig {
         rate: 400.0,
         epsilon: 0.05,
@@ -135,6 +148,7 @@ fn service_config(rep: usize) -> PiConfig {
             tolerance: if rep % 2 == 1 { -1.0 } else { 1e-9 },
             sample: 32,
         }),
+        wal,
         ..PiConfig::default()
     }
 }
@@ -276,35 +290,56 @@ fn hostile_mirror_phase(seed: u64) -> Result<u64, String> {
     Ok(total)
 }
 
-/// Run one replicate from `start_iter` (0 on a fresh start) to completion.
-fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
-    let seed = cfg.seed.wrapping_add(rep as u64);
-    let resumed = if cfg.resume {
-        if let Some(dir) = &cfg.checkpoint_dir {
-            load_snapshot(&snapshot_path(dir, "chaos", seed))?
-        } else {
-            None
-        }
-    } else {
-        None
-    };
-    let (start_iter, mut digest, mut sids, mut live, mut svc) = match resumed {
-        Some(((iter, digest, sids, live), svc)) => (iter, digest, sids, live, svc),
-        None => {
-            let mut svc = PiService::try_with_capacity(service_config(rep), 4 * cfg.sessions)
-                .map_err(|e| format!("config: {e}"))?;
-            let sids: Vec<SessionId> = (0..cfg.sessions).map(|_| svc.register_session()).collect();
-            (0, FNV_OFFSET, sids, Vec::new(), svc)
-        }
-    };
-
-    // Invariant trackers (not checkpointed: they restart after a resume,
+/// The driver's state between iterations. A journaled run writes the
+/// first three fields in its note every iteration and reads them back on
+/// a resume.
+struct Driver {
+    digest: u64,
+    sids: Vec<SessionId>,
+    live: Vec<u64>,
+    // Invariant trackers (not journaled: they restart after a resume,
     // which can only miss violations, never invent them).
-    let mut finals_seen: HashSet<(SessionId, u64)> = HashSet::new();
-    let mut last_final_at = f64::NEG_INFINITY;
+    finals_seen: HashSet<(SessionId, u64)>,
+    last_final_at: f64,
+}
 
-    let mut out: Vec<EstimatePush> = Vec::with_capacity(4 * cfg.sessions);
-    for i in start_iter..cfg.iters {
+impl Driver {
+    fn new(digest: u64, sids: Vec<SessionId>, live: Vec<u64>) -> Driver {
+        Driver {
+            digest,
+            sids,
+            live,
+            finals_seen: HashSet::new(),
+            last_final_at: f64::NEG_INFINITY,
+        }
+    }
+
+    /// A fresh replicate: register the fleet (journaled, when `svc` is).
+    fn fresh(svc: &mut PiService, sessions: usize) -> Driver {
+        let sids = (0..sessions).map(|_| svc.register_session()).collect();
+        Driver::new(FNV_OFFSET, sids, Vec::new())
+    }
+
+    /// The note a journaled run writes after iteration `iter - 1`: loop
+    /// position, digest state, session handles, live-query list.
+    fn note(&self, iter: usize) -> Vec<u8> {
+        let mut e = Enc::new();
+        (iter, self.digest).enc(&mut e);
+        u64::enc_slice(&self.sids, &mut e);
+        u64::enc_slice(&self.live, &mut e);
+        e.into_bytes()
+    }
+
+    /// Iteration `i` of the script — a pure function of `(seed, i)` and
+    /// the driver's state — with the in-loop checks.
+    fn iterate(
+        &mut self,
+        svc: &mut PiService,
+        seed: u64,
+        i: usize,
+        out: &mut Vec<EstimatePush>,
+    ) -> Result<(), String> {
+        let (sids, live) = (&mut self.sids, &mut self.live);
         let r = splitmix64(seed ^ (i as u64).wrapping_mul(0x2545_f491_4f6c_dd1d));
         let sid = sids[(r % sids.len() as u64) as usize];
         match r % 20 {
@@ -364,25 +399,25 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
         }
         svc.advance(0.002 + (r % 24) as f64 * 0.004);
         out.clear();
-        svc.pump(&mut out);
-        for p in &out {
-            if finals_seen.contains(&(p.session, p.query)) {
+        svc.pump(out);
+        for p in out.iter() {
+            if self.finals_seen.contains(&(p.session, p.query)) {
                 return Err(format!(
                     "iter {i}: push for ({:#x}, {}) after its final",
                     p.session, p.query
                 ));
             }
             if p.done {
-                if p.at + 1e-9 < last_final_at {
+                if p.at + 1e-9 < self.last_final_at {
                     return Err(format!(
-                        "iter {i}: final at {} regressed below {last_final_at}",
-                        p.at
+                        "iter {i}: final at {} regressed below {}",
+                        p.at, self.last_final_at
                     ));
                 }
-                last_final_at = p.at;
-                finals_seen.insert((p.session, p.query));
+                self.last_final_at = p.at;
+                self.finals_seen.insert((p.session, p.query));
             }
-            digest = fold_push(digest, p);
+            self.digest = fold_push(self.digest, p);
         }
         live.retain(|&q| !out.iter().any(|p| p.done && p.query == q));
 
@@ -392,18 +427,83 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
                 return Err(format!("iter {i}: ledger out of balance: {l:?}"));
             }
         }
+        Ok(())
+    }
+}
 
-        if let Some(dir) = &cfg.checkpoint_dir {
-            if cfg.checkpoint_every > 0 && (i + 1) % cfg.checkpoint_every == 0 {
-                // Loop position, digest state, session handles, live-query list.
-                let mut state = Enc::new();
-                (i + 1, digest).enc(&mut state);
-                u64::enc_slice(&sids, &mut state);
-                u64::enc_slice(&live, &mut state);
-                save_snapshot(&snapshot_path(dir, "chaos", seed), state, &svc)?;
+/// Open the replicate's log in `dir` and resume from its last note, or
+/// start fresh on an empty log. Replay stops at the last mark, so the
+/// service sits on the iteration boundary the note describes.
+fn open_journal(
+    cfg: &ChaosCampaign,
+    rep: usize,
+    dir: &Path,
+) -> Result<(PiService, usize, Driver), String> {
+    // Explicit group commit: nothing reaches the disk until the driver's
+    // own sync points, so a crash never strands the log mid-iteration.
+    let knobs = WalKnobs {
+        flush_every_n: u32::MAX,
+        flush_every_vt: 1e18,
+        compact_every: 0,
+    };
+    let (mut svc, rec) = PiService::open_durable_at_mark(service_config(rep, Some(knobs)), dir)
+        .map_err(|e| format!("wal open {}: {e}", dir.display()))?;
+    let Some(bytes) = &rec.last_note else {
+        // A fresh log, or a crash before the first sync: the replayed
+        // service is empty.
+        let driver = Driver::fresh(&mut svc, cfg.sessions);
+        return Ok((svc, 0, driver));
+    };
+    let (iter, digest, sids, live): (usize, u64, Vec<SessionId>, Vec<u64>) =
+        Wire::dec(&mut Dec::new(bytes)).map_err(|e| e.to_string())?;
+    eprintln!(
+        "# pi-chaos rep={rep}: resumed from iteration {iter} ({} records replayed, {} bytes truncated)",
+        rec.replayed, rec.truncated_bytes
+    );
+    Ok((svc, iter, Driver::new(digest, sids, live)))
+}
+
+/// Run one replicate to completion; with a `wal_dir`, journaled and
+/// resumed from its log.
+fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
+    let seed = cfg.seed.wrapping_add(rep as u64);
+    let journaled = cfg.wal_dir.is_some();
+    let (mut svc, start_iter, mut driver) = match &cfg.wal_dir {
+        Some(root) => open_journal(cfg, rep, &root.join(format!("run-{seed:016x}")))?,
+        None => {
+            let mut svc = PiService::try_with_capacity(service_config(rep, None), 4 * cfg.sessions)
+                .map_err(|e| format!("config: {e}"))?;
+            let driver = Driver::fresh(&mut svc, cfg.sessions);
+            (svc, 0, driver)
+        }
+    };
+
+    let sync_every = cfg.wal_flush_every.max(1) as usize;
+    let mut out: Vec<EstimatePush> = Vec::with_capacity(4 * cfg.sessions);
+    for i in start_iter..cfg.iters {
+        driver.iterate(&mut svc, seed, i, &mut out)?;
+        if !journaled {
+            continue;
+        }
+        // The note and the mark close the iteration's batch, so driver and
+        // service recover from one frontier.
+        let done = i + 1;
+        svc.wal_note(&driver.note(done));
+        svc.wal_mark(done as u64, driver.digest);
+        if cfg.die_at == Some(done) {
+            // Simulated SIGKILL: drop the service with the group commit
+            // still buffered; everything since the last sync is lost.
+            return Err(format!("rep {rep}: simulated crash at iteration {done}"));
+        }
+        if done.is_multiple_of(sync_every) {
+            svc.wal_sync();
+            // Compact every 64 syncs, always on a synced boundary.
+            if done.is_multiple_of(sync_every * 64) {
+                svc.wal_compact_now();
             }
         }
     }
+    svc.wal_sync();
 
     let l = svc.ledger();
     if !l.balanced() {
@@ -415,6 +515,7 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
     let s = svc.stats();
     // Fold the overload counters and the mirror tally into the digest so
     // jobs/resume diffs pin the hardening paths, not just the pushes.
+    let mut digest = driver.digest;
     for v in [
         s.deadline_expired,
         s.deadline_requeued,
@@ -448,8 +549,8 @@ fn run_one(cfg: &ChaosCampaign, rep: usize) -> Result<ChaosRow, String> {
 /// Run the campaign; rows come back in replicate order regardless of
 /// worker interleaving, so output is bit-identical across `--jobs`.
 pub fn run_campaign(cfg: &ChaosCampaign) -> Result<Vec<ChaosRow>, String> {
-    if let Some(dir) = &cfg.checkpoint_dir {
-        std::fs::create_dir_all(dir).map_err(|e| format!("checkpoint dir: {e}"))?;
+    if let Some(dir) = &cfg.wal_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("wal dir: {e}"))?;
     }
     let results = parallel::run_indexed(cfg.jobs, cfg.replicates, |rep| run_one(cfg, rep));
     results.into_iter().collect()
@@ -493,26 +594,57 @@ mod tests {
         assert!(total(|r| r.quarantined) > 0, "mirror quarantined nothing");
     }
 
-    #[test]
-    fn chaos_snapshot_resumes_bit_identically() {
-        let dir = std::env::temp_dir().join(format!("pichaos-test-{}", std::process::id()));
+    /// A scratch log directory, emptied first.
+    fn wal_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("pichaos-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
 
+    #[test]
+    fn journal_is_transparent() {
+        // Four replicates run both breaker kinds; 600 iterations cross the
+        // compaction at 64 syncs for both flush intervals.
+        let plain = run_campaign(&small()).expect("plain");
+        for every in [1, 8] {
+            let dir = wal_dir(&format!("transparent-{every}"));
+            let cfg = ChaosCampaign {
+                wal_dir: Some(dir.clone()),
+                wal_flush_every: every,
+                ..small()
+            };
+            let journaled = run_campaign(&cfg).expect("journaled");
+            assert_eq!(plain, journaled, "journaled rows, flush every {every}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn resumes_from_the_log_after_losing_unsynced_work() {
         let straight = run_campaign(&small()).expect("straight");
+        let dir = wal_dir("resume");
+        let cfg = ChaosCampaign {
+            wal_dir: Some(dir.clone()),
+            wal_flush_every: 8,
+            ..small()
+        };
 
-        let mut partial = small();
-        partial.checkpoint_dir = Some(dir.clone());
-        partial.checkpoint_every = 100;
-        partial.iters = 350; // dies mid-flight, last snapshot at 300
-        run_campaign(&partial).expect("partial");
+        // Every replicate dies at iteration 556. The last sync was at 552
+        // and the last compaction at 512, so 553..=556 die in the buffer
+        // and recovery restores the compacted base, then replays.
+        let crashed = ChaosCampaign {
+            die_at: Some(556),
+            ..cfg.clone()
+        };
+        let err = run_campaign(&crashed).expect_err("the simulated crash must surface");
+        assert!(err.contains("simulated crash"), "{err}");
+        let seed = cfg.seed;
+        let (_, resumes_at, _) = open_journal(&cfg, 0, &dir.join(format!("run-{seed:016x}")))
+            .expect("reopen the first replicate's log");
+        assert_eq!(resumes_at, 552, "the rerun must resume at the last sync");
 
-        let mut resumed_cfg = small();
-        resumed_cfg.checkpoint_dir = Some(dir.clone());
-        resumed_cfg.checkpoint_every = 100;
-        resumed_cfg.resume = true;
-        let resumed = run_campaign(&resumed_cfg).expect("resumed");
-        assert_eq!(straight, resumed, "resumed chaos digests diverged");
-
+        let rows = run_campaign(&cfg).expect("rerun");
+        assert_eq!(straight, rows, "the rerun from the log diverged");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -17,13 +17,11 @@
 //!
 //! Modules: [`job`] (the unit of schedulable work — engine cursors or
 //! synthetic jobs), [`admission`] (admission-queue policies),
-//! [`arrivals`] (Poisson arrival processes), [`speed`] (observed-speed
-//! monitors used by single-query PIs),
+//! [`speed`] (observed-speed monitors used by single-query PIs),
 //! [`system`] (the scheduler itself and its snapshots), [`domain`] (the
 //! one definition of a valid weight, cost and rate).
 
 pub mod admission;
-pub mod arrivals;
 mod checkpoint;
 pub mod domain;
 pub mod faults;
@@ -36,7 +34,6 @@ pub mod speed;
 pub mod system;
 
 pub use admission::AdmissionPolicy;
-pub use arrivals::PoissonArrivals;
 pub use faults::{FaultEvent, FaultKind, FaultMix, FaultPlan, RetryPolicy};
 pub use job::{CursorJob, Job, JobProgress, JobSnapshot, SyntheticJob};
 pub use rng::{Rng, Zipf};
