@@ -223,11 +223,57 @@ fn bench_churn_drain(c: &mut Criterion) {
     g.finish();
 }
 
+/// One event-mode step at a full house of n unit-weight jobs (the tag
+/// path) with n more queued behind them, in time a step: each step's
+/// finishers are replaced by as many fresh jobs at the back of the queue,
+/// so the house stays full and the queue deep however many steps the
+/// measurement takes. What a step costs here should follow what changed
+/// (one finisher, one admission), not the n that runs.
+fn bench_tag_full_house(c: &mut Criterion) {
+    use mqpi_sim::job::SyntheticJob;
+    use mqpi_sim::system::{StepMode, System, SystemConfig};
+    use mqpi_sim::AdmissionPolicy;
+    use std::sync::Arc;
+
+    let mut g = c.benchmark_group("sim_step_scaling");
+    for n in [256usize, 1_024, 4_096] {
+        g.bench_with_input(BenchmarkId::new("tag_full_house", n), &n, |b, &n| {
+            let mut sys = System::new(SystemConfig {
+                rate: 1e4,
+                admission: AdmissionPolicy::MaxConcurrent(n),
+                step_mode: StepMode::EventDriven,
+                ..Default::default()
+            });
+            let name: Arc<str> = "bench".into();
+            let mut i = 0u64;
+            let mut submit = |sys: &mut System, count: usize| {
+                for _ in 0..count {
+                    i += 1;
+                    let job = SyntheticJob::new(2_000 + i.wrapping_mul(7_919) % 20_000);
+                    sys.submit(Arc::clone(&name), Box::new(job), 1.0);
+                }
+            };
+            submit(&mut sys, 2 * n);
+            for _ in 0..4 * n {
+                let done = sys.step_discard().unwrap();
+                submit(&mut sys, done);
+            }
+            b.iter(|| {
+                let done = sys.step_discard().unwrap();
+                submit(&mut sys, done);
+                done
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_predict_scaling,
     bench_estimates_full,
     bench_incremental_scaling,
-    bench_churn_drain
+    bench_churn_drain,
+    bench_tag_full_house
 );
 criterion_main!(benches);

@@ -53,10 +53,10 @@
 //! `PiService` or an `IncrementalFluid` past its drain time with every
 //! estimate finite and non-negative. Two corpora cover the event-driven
 //! `System` (the tag path) and a standalone `IncrementalFluid`. Every
-//! corpus but the quantum `System`'s also flips bit 62 of every byte, which
-//! turns 1.0 into +∞ and 1.5 into NaN; there, a flipped high bit of a fault
-//! plan's burst size would submit billions of sessions (open, ROADMAP 16).
-//! Before weights, costs and rates had one domain (`mqpi_sim::domain`),
+//! corpus also flips bit 62 of every byte, which turns 1.0 into +∞ and 1.5
+//! into NaN. The quantum `System`'s sweep has run since a fault plan's
+//! burst size got its bound (`mqpi_sim::domain::MAX_BURST`): a flipped high
+//! bit of it would submit billions of sessions. Before weights, costs and rates had one domain (`mqpi_sim::domain`),
 //! the quantum and event-driven `System` corpora aborted on allocations of
 //! 4.5 PB and 2.3 EB (a live id far past the finished index resized it),
 //! the `IncrementalFluid` sweep failed on a weight of +∞, and the
@@ -571,7 +571,7 @@ fn pi_service_restore_survives_resealed_payload_mutations() {
 fn system_restore_survives_raw_mutations() {
     let clean = system_quantum().checkpoint().unwrap();
     let mut outcomes = std::collections::BTreeMap::new();
-    let (rejected, survived) = run_corpus(&clean, 1500, |mutated| {
+    let mut case = |mutated: &[u8]| {
         let Ok(sys) = System::restore(mutated) else {
             return false;
         };
@@ -582,8 +582,10 @@ fn system_restore_survives_raw_mutations() {
             .entry(drain_system(sys, mutated.len()))
             .or_insert(0) += 1;
         true
-    });
+    };
+    let (rejected, survived) = run_corpus(&clean, 1500, &mut case);
     assert!(rejected >= 600 && survived > 0, "{rejected} / {survived}");
+    flip_bit_62(&clean, &mut case);
     assert!(outcomes[&Drive::Drained] > 600, "{outcomes:?}");
 }
 

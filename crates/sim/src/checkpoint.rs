@@ -106,9 +106,9 @@ impl Wire for FaultPlan {
     }
 }
 
-/// No fault time is NaN, and every factor is finite and > 0: a NaN dip
-/// factor would pass the injector's clamp and make the rate NaN. A burst's
-/// size stays unchecked, because no bound on it follows from the bytes.
+/// No fault time is NaN, every factor is finite and > 0 (a NaN dip factor
+/// would pass the injector's clamp and make the rate NaN), and a burst is
+/// in [`crate::domain::burst`]'s bound.
 fn check_fault(ev: &FaultEvent) -> Result<()> {
     let corrupt = |field: &str, v: f64| {
         Err(CkptError::Corrupt(format!(
@@ -123,6 +123,9 @@ fn check_fault(ev: &FaultEvent) -> Result<()> {
             corrupt("factor", factor)
         }
         FaultKind::RateDip { duration, .. } if duration.is_nan() => corrupt("duration", duration),
+        FaultKind::Burst { queries, .. } => crate::domain::burst(queries)
+            .map(drop)
+            .map_err(|e| CkptError::Corrupt(format!("fault {e}"))),
         _ => Ok(()),
     }
 }
@@ -212,6 +215,25 @@ mod tests {
         assert!(corrupt::<AdmissionPolicy>(7));
         assert!(corrupt::<ErrorPolicy>(2));
         assert!(corrupt::<SimEvent>(7));
+    }
+
+    #[test]
+    fn oversized_burst_is_corrupt_and_named() {
+        let burst = |queries| FaultEvent {
+            at: 1.0,
+            kind: FaultKind::Burst { queries, cost: 10 },
+        };
+        let bytes = |queries: u32| {
+            let mut e = Enc::new();
+            (vec![burst(queries)], 7u64, RetryPolicy::none()).enc(&mut e);
+            e.into_bytes()
+        };
+        let max = crate::domain::MAX_BURST;
+        assert!(FaultPlan::from_bytes(&bytes(max), "plan").is_ok());
+        match FaultPlan::from_bytes(&bytes(max + 1), "plan") {
+            Err(CkptError::Corrupt(msg)) => assert!(msg.contains("burst queries"), "{msg}"),
+            other => panic!("an oversized burst decoded: {other:?}"),
+        }
     }
 
     #[test]

@@ -43,7 +43,8 @@ pub enum FaultKind {
     /// Submit `queries` synthetic queries of `cost` units each at once —
     /// an arrival burst that can overload the admission policy.
     Burst {
-        /// Number of queries in the burst.
+        /// Number of queries in the burst, at most
+        /// [`crate::domain::MAX_BURST`].
         queries: u32,
         /// True cost of each burst query, in work units.
         cost: u64,
@@ -215,7 +216,16 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// Build a plan from explicit events (sorted by time; ties keep their
     /// given order).
+    ///
+    /// # Panics
+    ///
+    /// If a burst is larger than [`crate::domain::MAX_BURST`].
     pub fn new(mut events: Vec<FaultEvent>, seed: u64, retry: RetryPolicy) -> Self {
+        for ev in &events {
+            if let FaultKind::Burst { queries, .. } = ev.kind {
+                crate::domain::burst(queries).unwrap_or_else(|e| panic!("fault {e}"));
+            }
+        }
         events.sort_by(|a, b| a.at.total_cmp(&b.at));
         FaultPlan {
             events,
@@ -227,6 +237,10 @@ impl FaultPlan {
     /// Generate a plan deterministically from a seed: event times are
     /// uniform over `[0, horizon)` and parameters are drawn from the mix's
     /// ranges. The same `(seed, horizon, mix)` always yields the same plan.
+    ///
+    /// # Panics
+    ///
+    /// If the mix's burst sizes reach past [`crate::domain::MAX_BURST`].
     pub fn generate(seed: u64, horizon: f64, mix: &FaultMix) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
         let mut events = Vec::with_capacity(mix.total());
@@ -355,6 +369,27 @@ mod tests {
         assert_eq!(p.delay_for(5), None); // budget exhausted
         assert_eq!(p.delay_for(0), None);
         assert_eq!(RetryPolicy::none().delay_for(1), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "burst queries must be at most")]
+    fn oversized_burst_is_refused_by_the_constructor() {
+        let kind = FaultKind::Burst {
+            queries: crate::domain::MAX_BURST + 1,
+            cost: 10,
+        };
+        FaultPlan::new(vec![FaultEvent { at: 0.0, kind }], 1, RetryPolicy::none());
+    }
+
+    #[test]
+    #[should_panic(expected = "burst queries must be at most")]
+    fn oversized_burst_mix_is_refused_by_generate() {
+        let mix = FaultMix {
+            bursts: 1,
+            burst_queries: (crate::domain::MAX_BURST + 1, crate::domain::MAX_BURST + 1),
+            ..FaultMix::default()
+        };
+        FaultPlan::generate(1, 10.0, &mix);
     }
 
     #[test]

@@ -9,16 +9,20 @@
 //! session for the cold columns the slab keeps (id, name, the rest of the
 //! job, times, rollback, report scale, attempt). Rows move in on admission
 //! ([`RunningSet::admit`]) and leave on departure. Every column is `Copy`,
-//! so removals are memmoves.
+//! so a squeeze copies plain values.
 //!
 //! Running order is observable: it is the order `Σw` accumulates in for
 //! weighted sets, the order finishers leave in (and with it `Departed`
 //! events and `FinishedQuery` records), snapshot order, `pick_victim`'s
-//! index and the checkpoint encoding. Admission appends; every removal
-//! keeps the survivors' order ([`RunningSet::remove`] shifts every column,
-//! [`RunningSet::compact`] drops a step's finishers moving each survivor
-//! once). Each row also carries its admission number (`seq`), which is
-//! therefore ascending in running order.
+//! index and the checkpoint encoding. Admission appends. A departure
+//! ([`RunningSet::remove`], [`RunningSet::depart`]) leaves a hole: the row
+//! is marked gone and keeps its place, so a position stays valid while the
+//! step that found it runs, and every walk of running order
+//! ([`RunningSet::order`]) skips holes. [`RunningSet::squeeze`] drops them
+//! all in one pass, moving each survivor once, when they reach half the
+//! rows (and at least [`SQUEEZE_MIN`]) and before the fused loop, which
+//! streams over dense columns. The tag path's heap entries name their row
+//! by position, so a squeeze moves them too.
 //!
 //! # The tag path
 //!
@@ -31,14 +35,27 @@
 //! advances `v` and pops the due tags ([`RunningSet::serve_tags`]), and the
 //! `done`, `credit` and `units_done` columns of an unblocked row hold the
 //! values as of its anchoring: [`RunningSet::settled`] derives the current
-//! ones from `v` wherever they are read. A blocked row receives nothing, so its
-//! columns are its truth. The monitors run as one lane of f64 EMAs
-//! ([`crate::speed::fluid_step`]). A session the tag path cannot serve —
-//! a weight that is not 1.0, an opaque or failure-armed job — turns it off
+//! ones from `v` wherever they are read. A blocked row receives nothing, so
+//! its columns are its truth.
+//!
+//! The monitors are replayed, not stepped. Every session's EMA takes the
+//! same sample a step — the fluid rate, or 0 while blocked — so a step
+//! appends its `(rate, alpha)` to a log, and each row keeps its EMA as of
+//! a log index. A read ([`RunningSet::speed`], [`RunningSet::monitor_at`],
+//! a block or unblock, turning the path off) replays the entries since,
+//! one [`crate::speed::sample`] each in step order, so it holds the bits
+//! that sampling the row on every step would have given, and keeps the
+//! result; a row that leaves unread costs nothing. Once the log reaches
+//! [`LOG_ROWS`] entries a running row, the rows still behind its first
+//! half are brought up to date and that half is dropped.
+//!
+//! A session the tag path cannot serve — a weight that is not 1.0, an
+//! opaque or failure-armed job — turns it off
 //! ([`RunningSet::untag`]), which writes every derived value back, and the
 //! fused loop ([`RunningSet::serve`]) runs until [`RunningSet::try_tag`]
 //! finds the set eligible again, its monitors in lockstep included.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -46,12 +63,24 @@ use mqpi_engine::error::Result;
 
 use crate::job::{Job, JobProgress, JobRest, JobSnapshot, JobState};
 use crate::slab::{JobSlot, SessionSlab};
-use crate::speed::{fluid_step, SpeedMonitor};
+use crate::speed::{sample, SpeedMonitor};
 
 /// Fractional bits of the tag path's fixed-point service: a credit below
 /// one unit is then an f64 on the 2⁻⁵² grid, exact both ways.
 const FRAC: u32 = 52;
 const ONE_F: f64 = (1u64 << FRAC) as f64;
+
+/// The monitor log is trimmed once it holds this many entries a running
+/// row, and never below [`LOG_MIN`]: long enough that a trim seldom
+/// brings forward a row about to leave unread (at a full house of 256 a
+/// `sim_churn` row lives about 460 steps, and the log drops its first half
+/// every 2 048).
+const LOG_ROWS: usize = 16;
+const LOG_MIN: usize = 64;
+
+/// Holes are squeezed out once they are half the rows and at least this
+/// many: a squeeze then costs a few moves a departure whatever the size.
+const SQUEEZE_MIN: usize = 64;
 
 /// Running sessions, one row per session in every column, in running order.
 #[derive(Debug, Default)]
@@ -69,14 +98,25 @@ pub(crate) struct RunningSet {
     done: Vec<u64>,
     /// [`JobRest::plain`]: the step runs this job from `total`/`done` alone.
     plain: Vec<bool>,
-    /// Admission number, ascending in running order.
-    seq: Vec<u64>,
-    next_seq: u64,
+    /// A row that has left; its slab row may already serve another session.
+    gone: Vec<bool>,
+    holes: usize,
     /// Tag path only: the fixed-point service `v − anchor` of an unblocked
-    /// row, and every row's monitor EMA as a lane.
+    /// row, and every row's monitor EMA as of a log entry, which `&self`
+    /// reads bring forward.
     anchor: Vec<i128>,
-    lane: Vec<f64>,
+    lanes: RefCell<Lanes>,
     tags: Tags,
+    /// Scratch: the rows a squeeze keeps.
+    squeezed: Vec<u32>,
+}
+
+/// The tag path's monitor lanes, per row.
+#[derive(Debug, Default)]
+struct Lanes {
+    /// The EMA ([`SpeedMonitor::lane`]'s encoding) after log entry `at − 1`.
+    ema: Vec<f64>,
+    at: Vec<u64>,
 }
 
 /// The tag path's shared state (see the module docs).
@@ -87,12 +127,23 @@ struct Tags {
     v: i128,
     /// Unblocked rows.
     active: usize,
-    /// `(anchor + total, seq)` of every unblocked row, and stale entries
-    /// of rows since blocked, removed or re-anchored, which
-    /// [`RunningSet::live_tag`] tells apart.
-    heap: BinaryHeap<Reverse<(i128, u64)>>,
-    /// Scratch: the entries a step popped.
-    due: Vec<(u64, i128)>,
+    /// `(anchor + total, position)` of every unblocked row, and stale
+    /// entries of rows since blocked, removed or re-anchored, which
+    /// [`RunningSet::live_tag`] tells apart. A squeeze moves the positions.
+    heap: BinaryHeap<Reverse<(i128, u32)>>,
+    /// Scratch: the `(position, tag)` entries a step popped.
+    due: Vec<(u32, i128)>,
+    /// `(rate, alpha)` of every step since the path turned on that updated
+    /// the monitors (`mdt > 0`), from entry `base` on.
+    log: Vec<(f64, f64)>,
+    base: u64,
+}
+
+impl Tags {
+    /// Index of the next log entry.
+    fn end(&self) -> u64 {
+        self.base + self.log.len() as u64
+    }
 }
 
 /// The weight pass's result: what a step's grant and event jump need.
@@ -149,17 +200,29 @@ fn finished_cold(job: &JobRest, total: u64, done: u64) -> bool {
 }
 
 impl RunningSet {
+    /// Running sessions, holes not counted.
     pub(crate) fn len(&self) -> usize {
-        self.slot.len()
+        self.slot.len() - self.holes
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.slot.is_empty()
+        self.len() == 0
+    }
+
+    /// Positions of the running sessions, in running order.
+    pub(crate) fn order(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.slot.len()).filter(|&k| !self.gone[k])
+    }
+
+    /// Whether the row at `k` has left (a hole not yet squeezed out).
+    pub(crate) fn is_gone(&self, k: usize) -> bool {
+        self.gone[k]
     }
 
     /// Position of query `id`, if it is running.
     pub(crate) fn position(&self, slab: &SessionSlab, id: u64) -> Option<usize> {
-        self.slot.iter().position(|h| slab.id[h.idx as usize] == id)
+        self.order()
+            .find(|&k| slab.id[self.slot[k].idx as usize] == id)
     }
 
     /// Put slab row `h` (a session leaving the queue or the timeline, with
@@ -178,10 +241,11 @@ impl RunningSet {
         self.total.push(slab.total[i]);
         self.done.push(slab.done[i]);
         self.plain.push(slab.job[i].plain());
-        self.seq.push(self.next_seq);
-        self.next_seq += 1;
+        self.gone.push(false);
         self.anchor.push(0);
-        self.lane.push(slab.monitor[i].lane());
+        let lanes = self.lanes.get_mut();
+        lanes.ema.push(slab.monitor[i].lane());
+        lanes.at.push(self.tags.end());
         let k = self.slot.len() - 1;
         let mut ran = 0;
         if self.tags.on {
@@ -198,41 +262,72 @@ impl RunningSet {
         (k, ran)
     }
 
-    /// Remove the session at `k`, keeping the order of the rest. Its
-    /// derived values must have been settled ([`RunningSet::settle`]).
+    /// The session at `k` leaves; its position holds a hole until the next
+    /// squeeze. Its derived values must have been settled
+    /// ([`RunningSet::settle`]).
     pub(crate) fn remove(&mut self, k: usize) -> JobSlot {
+        debug_assert!(!self.gone[k], "a hole removed");
         if self.tags.on && !self.blocked[k] {
             self.tags.active -= 1;
         }
-        self.weight.remove(k);
-        self.blocked.remove(k);
-        self.credit.remove(k);
-        self.units_done.remove(k);
-        self.monitor.remove(k);
-        self.total.remove(k);
-        self.done.remove(k);
-        self.plain.remove(k);
-        self.seq.remove(k);
-        self.anchor.remove(k);
-        self.lane.remove(k);
-        self.slot.remove(k)
+        self.gone[k] = true;
+        self.holes += 1;
+        self.slot[k]
     }
 
-    /// Remove the sessions at `gone` (ascending positions), keeping the
-    /// order of the rest.
-    pub(crate) fn compact(&mut self, gone: &[u32]) {
-        compact(&mut self.slot, gone);
-        compact(&mut self.weight, gone);
-        compact(&mut self.blocked, gone);
-        compact(&mut self.credit, gone);
-        compact(&mut self.units_done, gone);
-        compact(&mut self.monitor, gone);
-        compact(&mut self.total, gone);
-        compact(&mut self.done, gone);
-        compact(&mut self.plain, gone);
-        compact(&mut self.seq, gone);
-        compact(&mut self.anchor, gone);
-        compact(&mut self.lane, gone);
+    /// A step's finishers at `gone` leave (a finisher is no longer active
+    /// on the tag path); the holes are squeezed out once they are half the
+    /// rows and at least [`SQUEEZE_MIN`].
+    pub(crate) fn depart(&mut self, gone: &[u32]) {
+        for &k in gone {
+            debug_assert!(!self.gone[k as usize], "a hole departed");
+            self.gone[k as usize] = true;
+        }
+        self.holes += gone.len();
+        if self.holes >= SQUEEZE_MIN.max(self.len()) {
+            self.squeeze();
+        }
+    }
+
+    /// Drop every hole, keeping the order of the rest: the survivors past
+    /// the first hole move forward, each once.
+    pub(crate) fn squeeze(&mut self) {
+        if self.holes == 0 {
+            return;
+        }
+        let first = self.gone.iter().position(|&g| g).unwrap_or(0);
+        let mut keep = std::mem::take(&mut self.squeezed);
+        keep.clear();
+        keep.extend((first as u32..self.slot.len() as u32).filter(|&k| !self.gone[k as usize]));
+        gather(&mut self.slot, first, &keep);
+        gather(&mut self.weight, first, &keep);
+        gather(&mut self.blocked, first, &keep);
+        gather(&mut self.credit, first, &keep);
+        gather(&mut self.units_done, first, &keep);
+        gather(&mut self.monitor, first, &keep);
+        gather(&mut self.total, first, &keep);
+        gather(&mut self.done, first, &keep);
+        gather(&mut self.plain, first, &keep);
+        gather(&mut self.gone, first, &keep);
+        gather(&mut self.anchor, first, &keep);
+        let lanes = self.lanes.get_mut();
+        gather(&mut lanes.ema, first, &keep);
+        gather(&mut lanes.at, first, &keep);
+        // The heap's entries follow their rows; a departed row's go.
+        let mut heap = std::mem::take(&mut self.tags.heap).into_vec();
+        heap.retain_mut(|Reverse((_, k))| {
+            if (*k as usize) < first {
+                return true;
+            }
+            let Ok(j) = keep.binary_search(k) else {
+                return false;
+            };
+            *k = (first + j) as u32;
+            true
+        });
+        self.tags.heap = BinaryHeap::from(heap);
+        self.holes = 0;
+        self.squeezed = keep;
     }
 
     /// The job at `k`, whole, for a cold read.
@@ -306,10 +401,13 @@ impl RunningSet {
     /// first step) or unblocked as a job the path cannot run turns the
     /// path off, which returns the units it settles.
     fn reblock(&mut self, k: usize, blocked: bool, now: f64) -> u64 {
-        let was = std::mem::replace(&mut self.blocked[k], blocked);
         if !self.tags.on {
+            self.blocked[k] = blocked;
             return 0;
         }
+        // The lane replays at the rate of the state it had.
+        self.lane(k);
+        let was = std::mem::replace(&mut self.blocked[k], blocked);
         if !was {
             // Its heap entry goes stale.
             self.tags.active -= 1;
@@ -333,7 +431,7 @@ impl RunningSet {
     /// The session at `k`'s observed speed.
     pub(crate) fn speed(&self, k: usize) -> Option<f64> {
         if self.tags.on {
-            let lane = self.lane[k];
+            let lane = self.lane(k);
             (!lane.is_nan()).then_some(lane)
         } else {
             self.monitor[k].speed()
@@ -343,7 +441,7 @@ impl RunningSet {
     /// The session at `k`'s monitor, as a checkpoint writes it.
     pub(crate) fn monitor_at(&self, k: usize, now: f64) -> SpeedMonitor {
         if self.tags.on {
-            self.monitor[k].with_lane(now, self.settled(k).2, self.lane[k])
+            self.monitor[k].with_lane(now, self.settled(k).2, self.lane(k))
         } else {
             self.monitor[k]
         }
@@ -383,9 +481,42 @@ impl RunningSet {
         if !self.tags.on {
             return 0;
         }
-        (0..self.len())
-            .map(|k| self.settled(k).0 - self.done[k])
-            .sum()
+        self.order().map(|k| self.settled(k).0 - self.done[k]).sum()
+    }
+
+    /// Row `k`'s monitor EMA as of the last logged step: the entries since
+    /// its lane was last brought forward are replayed — the step's rate,
+    /// or 0 while blocked — and the result kept.
+    fn lane(&self, k: usize) -> f64 {
+        let t = &self.tags;
+        let mut lanes = self.lanes.borrow_mut();
+        let mut e = lanes.ema[k];
+        let inst = |rate| if self.blocked[k] { 0.0 } else { rate };
+        for &(rate, alpha) in &t.log[(lanes.at[k] - t.base) as usize..] {
+            sample(&mut e, inst(rate), alpha);
+        }
+        lanes.ema[k] = e;
+        lanes.at[k] = t.end();
+        e
+    }
+
+    /// Log one step's monitor sample, and trim the log once it is long:
+    /// the rows still behind its first half are brought forward, and that
+    /// half is dropped.
+    fn log_step(&mut self, rate: f64, alpha: f64) {
+        self.tags.log.push((rate, alpha));
+        if self.tags.log.len() < LOG_MIN.max(LOG_ROWS * self.len()) {
+            return;
+        }
+        let half = self.tags.log.len() / 2;
+        let keep = self.tags.base + half as u64;
+        for k in 0..self.slot.len() {
+            if !self.gone[k] && self.lanes.get_mut().at[k] < keep {
+                self.lane(k);
+            }
+        }
+        self.tags.log.drain(..half);
+        self.tags.base = keep;
     }
 
     /// Whether the tag path can serve the unblocked row `k`.
@@ -402,17 +533,17 @@ impl RunningSet {
         self.anchor[k] = t.v - service;
         t.heap.push(Reverse((
             self.anchor[k] + ((self.total[k] as i128) << FRAC),
-            self.seq[k],
+            k as u32,
         )));
         t.active += 1;
     }
 
-    /// Position of the row whose heap entry `(tag, seq)` is live: the row
-    /// is still running, unblocked and anchored as when the entry went in.
-    fn live_tag(&self, tag: i128, seq: u64) -> Option<usize> {
-        let k = self.seq.binary_search(&seq).ok()?;
-        let live = !self.blocked[k] && self.anchor[k] + ((self.total[k] as i128) << FRAC) == tag;
-        live.then_some(k)
+    /// Whether the heap entry `(tag, k)` is live: row `k` is still running,
+    /// unblocked and anchored as when the entry went in.
+    fn live_tag(&self, tag: i128, k: usize) -> bool {
+        !self.gone[k]
+            && !self.blocked[k]
+            && self.anchor[k] + ((self.total[k] as i128) << FRAC) == tag
     }
 
     /// Turn the tag path on, if it is off and can serve the set: event
@@ -423,7 +554,7 @@ impl RunningSet {
         if self.tags.on {
             return true;
         }
-        for k in 0..self.len() {
+        for k in self.order() {
             let eligible = self.monitor[k].in_step(now, tau)
                 && if self.blocked[k] {
                     !self.finished(slab, k)
@@ -437,9 +568,16 @@ impl RunningSet {
         self.tags.v = 0;
         self.tags.active = 0;
         self.tags.heap.clear();
+        self.tags.log.clear();
+        self.tags.base = 0;
         self.tags.on = true;
-        for k in 0..self.len() {
-            self.lane[k] = self.monitor[k].lane();
+        for k in 0..self.slot.len() {
+            if self.gone[k] {
+                continue;
+            }
+            let lanes = self.lanes.get_mut();
+            lanes.ema[k] = self.monitor[k].lane();
+            lanes.at[k] = 0;
             if !self.blocked[k] {
                 self.anchor_at(k);
             }
@@ -454,12 +592,16 @@ impl RunningSet {
             return 0;
         }
         let mut ran = 0;
-        for k in 0..self.len() {
+        for k in 0..self.slot.len() {
+            if self.gone[k] {
+                continue;
+            }
             self.monitor[k] = self.monitor_at(k, now);
             ran += self.settle(k);
         }
         self.tags.on = false;
         self.tags.heap.clear();
+        self.tags.log.clear();
         ran
     }
 
@@ -477,8 +619,8 @@ impl RunningSet {
     /// The smallest live `tag − v`, in work units (`None` without an
     /// unblocked row); stale heap entries on top are dropped.
     pub(crate) fn tag_need(&mut self) -> Option<f64> {
-        while let Some(&Reverse((tag, seq))) = self.tags.heap.peek() {
-            if self.live_tag(tag, seq).is_some() {
+        while let Some(&Reverse((tag, k))) = self.tags.heap.peek() {
+            if self.live_tag(tag, k as usize) {
                 return Some((tag - self.tags.v).max(0) as f64 / ONE_F);
             }
             self.tags.heap.pop();
@@ -488,9 +630,9 @@ impl RunningSet {
 
     /// One tag-path step: every unblocked row receives `each` units of
     /// service (floored to the 2⁻⁵² grid) by one add to `v`; the due tags
-    /// pop; every monitor lane takes the step's fluid rate `rate` (0 when
-    /// blocked) when `mdt > 0`; and the finishers are settled at their
-    /// totals and recorded in running order (ascending positions) in
+    /// pop; when `mdt > 0` the step's fluid rate `rate` (0 when blocked)
+    /// and `alpha` join the monitor log; and the finishers are settled at
+    /// their totals and recorded in running order (ascending positions) in
     /// `finish`. Returns the units settled.
     pub(crate) fn serve_tags(
         &mut self,
@@ -505,26 +647,26 @@ impl RunningSet {
         }
         let mut due = std::mem::take(&mut self.tags.due);
         due.clear();
-        while let Some(&Reverse((tag, seq))) = self.tags.heap.peek() {
+        while let Some(&Reverse((tag, k))) = self.tags.heap.peek() {
             if tag > self.tags.v {
                 break;
             }
             self.tags.heap.pop();
-            due.push((seq, tag));
+            due.push((k, tag));
         }
         if mdt > 0.0 {
-            let blocked = (self.tags.active < self.len()).then_some(&self.blocked[..]);
-            fluid_step(&mut self.lane, blocked, rate, alpha);
+            self.log_step(rate, alpha);
         }
-        // Running order is admission order; a row re-anchored at the same
+        // Finishers leave in running order; a row re-anchored at the same
         // tag has two entries.
         due.sort_unstable();
         due.dedup();
         let mut ran = 0;
-        for &(seq, tag) in &due {
-            let Some(k) = self.live_tag(tag, seq) else {
+        for &(k, tag) in &due {
+            let k = k as usize;
+            if !self.live_tag(tag, k) {
                 continue;
-            };
+            }
             ran += self.total[k] - self.done[k];
             self.units_done[k] += (self.total[k] - self.done[k]) as f64;
             self.done[k] = self.total[k];
@@ -537,12 +679,13 @@ impl RunningSet {
 
     /// The weight pass: active count, `Σw` in running order and `unit_w`.
     pub(crate) fn weigh(&self) -> Weights {
+        debug_assert_eq!(self.holes, 0, "the weight pass over holes");
         let mut w = Weights {
             active: 0,
             total_weight: 0.0,
             unit_w: true,
         };
-        for k in 0..self.len() {
+        for k in 0..self.slot.len() {
             if self.blocked[k] {
                 continue;
             }
@@ -564,7 +707,7 @@ impl RunningSet {
         total_weight: f64,
     ) -> Option<f64> {
         let mut dt = f64::INFINITY;
-        for k in 0..self.len() {
+        for k in 0..self.slot.len() {
             if self.blocked[k] {
                 continue;
             }
@@ -601,7 +744,8 @@ impl RunningSet {
         executed: &mut f64,
     ) -> Result<()> {
         debug_assert!(!self.tags.on, "the fused pass on the tag path");
-        let n = self.len();
+        debug_assert_eq!(self.holes, 0, "the fused pass over holes");
+        let n = self.slot.len();
         let weight = &self.weight[..n];
         let blocked = &self.blocked[..n];
         let credit = &mut self.credit[..n];
@@ -664,18 +808,11 @@ impl RunningSet {
     }
 }
 
-/// Drop the rows at `gone` (ascending) from `col`: each run of survivors
-/// between two gaps moves left once, by one `copy_within`.
-fn compact<T: Copy>(col: &mut Vec<T>, gone: &[u32]) {
-    let Some(&first) = gone.first() else {
-        return;
-    };
-    let mut to = first as usize;
-    for (j, &p) in gone.iter().enumerate() {
-        let from = p as usize + 1;
-        let end = gone.get(j + 1).map_or(col.len(), |&q| q as usize);
-        col.copy_within(from..end, to);
-        to += end - from;
+/// Keep rows `..first` and then the rows at `keep` (ascending, all at or
+/// past `first`), in that order.
+fn gather<T: Copy>(col: &mut Vec<T>, first: usize, keep: &[u32]) {
+    for (to, &from) in (first..).zip(keep) {
+        col[to] = col[from as usize];
     }
-    col.truncate(to);
+    col.truncate(first + keep.len());
 }

@@ -125,31 +125,16 @@ impl SpeedMonitor {
     }
 }
 
-/// One step of the tag path's monitors, in lanes ([`SpeedMonitor::lane`]):
-/// each EMA moves by the step's shared `alpha` toward its session's fluid
-/// rate, `rate` for an unblocked session and 0 for a blocked one (the
-/// `blocked` column, `None` when no session is blocked), and a lane
-/// without a sample yet takes that rate itself. Branch-free, so the pass
-/// is one streaming read-modify-write; without a blocked session it reads
-/// no `blocked` column, which halves its cost.
-pub(crate) fn fluid_step(lanes: &mut [f64], blocked: Option<&[bool]>, rate: f64, alpha: f64) {
-    #[inline(always)]
-    fn sample(e: &mut f64, inst: f64, alpha: f64) {
-        let next = *e + alpha * (inst - *e);
-        *e = if e.is_nan() { inst } else { next };
-    }
-    match blocked {
-        Some(blocked) => {
-            for (e, &b) in lanes.iter_mut().zip(blocked) {
-                sample(e, if b { 0.0 } else { rate }, alpha);
-            }
-        }
-        None => {
-            for e in lanes.iter_mut() {
-                sample(e, rate, alpha);
-            }
-        }
-    }
+/// One sample of a tag-path monitor in its lane ([`SpeedMonitor::lane`]):
+/// the EMA moves by the step's shared `alpha` toward the session's fluid
+/// rate `inst` (0 while blocked), and a lane without a sample yet takes
+/// `inst` itself. The running set replays a row's logged steps through
+/// this, in step order, so a lane read late holds the bits it would hold
+/// had every step sampled it.
+#[inline(always)]
+pub(crate) fn sample(e: &mut f64, inst: f64, alpha: f64) {
+    let next = *e + alpha * (inst - *e);
+    *e = if e.is_nan() { inst } else { next };
 }
 
 /// By hand: `tau` is validated again on the way in, as in

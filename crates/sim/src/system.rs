@@ -26,11 +26,14 @@
 //! the columns a step reads — weight, blocked, credit, units done, monitor,
 //! and a synthetic job's counters — so the step streams over contiguous
 //! columns however the slab's rows were recycled; rows move in on
-//! admission, and every removal keeps the order. In event mode, while every
+//! admission, and a departure leaves a hole that walks skip until one pass
+//! squeezes the holes out, keeping the order. In event mode, while every
 //! unblocked session is a unit-weight plain job, a step runs in virtual
 //! time: one add to a fixed-point service clock, the due finish tags popped
-//! from a heap, and one branch-free pass over the monitors; every other set
-//! takes the fused grant/monitor/finish pass over every session. Names are
+//! from a heap, and one `(rate, alpha)` entry appended to a log that each
+//! monitor replays when it is read; no session is visited that did not
+//! finish. Every other set takes the fused grant/monitor/finish pass over
+//! every session. Names are
 //! interned to `u32` symbols and resolved only at trace/report boundaries;
 //! the arrival timeline is a `BTreeMap` from `(at, id)` to the slot. The
 //! steady-state step path performs no heap allocation: completion ids
@@ -878,7 +881,7 @@ impl System {
             .queue
             .iter()
             .map(|&h| self.slab.units_done[h.idx as usize]);
-        let running = (0..self.running.len()).map(|k| self.running.settled(k).2);
+        let running = self.running.order().map(|k| self.running.settled(k).2);
         running.chain(queued).sum()
     }
 
@@ -908,19 +911,14 @@ impl System {
     /// Pick a running, not-rolling-back victim deterministically: one
     /// uniform draw over the eligible sessions' count, then a walk to it.
     fn pick_victim(&self, rng: &mut Rng) -> Option<usize> {
-        let eligible = |h: &&JobSlot| self.slab.rolling_back[h.idx as usize].is_none();
-        let n = self.running.slot.iter().filter(eligible).count();
+        let rs = &self.running;
+        let eligible = |&k: &usize| self.slab.rolling_back[rs.slot[k].idx as usize].is_none();
+        let n = rs.order().filter(eligible).count();
         if n == 0 {
             return None;
         }
         let nth = rng.below(n as u64) as usize;
-        let mut at = self
-            .running
-            .slot
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| eligible(h));
-        at.nth(nth).map(|(k, _)| k)
+        rs.order().filter(eligible).nth(nth)
     }
 
     /// Resubmit a fresh copy of an aborted/failed query through the
@@ -1186,9 +1184,8 @@ impl System {
         // fault plan is installed — are resubmitted per the retry policy.
         let any_failed = !self.scratch_failed.is_empty();
         for fi in 0..self.scratch_failed.len() {
-            // Ascending positions: each earlier removal shifts the rest
-            // left by one.
-            let k = self.scratch_failed[fi] as usize - fi;
+            // A removal leaves a hole: the other positions stay valid.
+            let k = self.scratch_failed[fi] as usize;
             let rec = self.record_of(k, FinishKind::Failed);
             let mut faults = self.faults.take();
             if let Some(fs) = &mut faults {
@@ -1204,17 +1201,12 @@ impl System {
             self.record_finished(rec);
         }
 
-        // Finishers, in running order. The fused pass recorded their
-        // positions (ascending); if the failure path above removed sessions
-        // those positions are stale, so rescan — identical result, just
-        // slower on that rare path.
+        // Finishers, in running order: the positions the pass recorded
+        // (ascending), less a session that failed and finished at once,
+        // which has left above.
         if any_failed {
-            self.scratch_finish.clear();
-            for k in 0..self.running.len() {
-                if self.running.finished(&self.slab, k) {
-                    self.scratch_finish.push(k as u32);
-                }
-            }
+            let rs = &self.running;
+            self.scratch_finish.retain(|&k| !rs.is_gone(k as usize));
         }
         for fi in 0..self.scratch_finish.len() {
             let k = self.scratch_finish[fi] as usize;
@@ -1223,7 +1215,7 @@ impl System {
             self.slab.free(self.running.slot[k]);
             self.record_finished(rec);
         }
-        self.running.compact(&self.scratch_finish);
+        self.running.depart(&self.scratch_finish);
         self.scratch_finish.clear();
         if !self.scratch_done.is_empty() || any_failed {
             self.admit_from_queue();
@@ -1313,6 +1305,8 @@ impl System {
     /// failure-armed job): the weight pass, the jump, and the fused
     /// grant / monitor / finish pass over every session.
     fn step_fused(&mut self, limit: f64, event_mode: bool, t_prev: f64, tau: f64) -> Result<()> {
+        // The passes below stream over dense columns.
+        self.running.squeeze();
         // The weight pass (`RunningSet::weigh`): active count, `Σw` in
         // running order, and whether every unblocked weight is exactly 1.0
         // (`unit_w`, which unlocks the grant's shared divisor below).
@@ -1555,7 +1549,9 @@ impl System {
         SystemSnapshot {
             time: self.clock,
             rate: self.cfg.rate,
-            running: (0..self.running.len())
+            running: self
+                .running
+                .order()
                 .map(|k| {
                     let i = self.running.slot[k].idx as usize;
                     let p = self.running.progress(&self.slab, k);
@@ -1614,11 +1610,10 @@ impl System {
 
     /// Ids of currently running (including blocked) queries.
     pub fn running_ids(&self) -> Vec<QueryId> {
-        self.running
-            .slot
-            .iter()
-            .map(|&h| self.slab.id[h.idx as usize])
-            .collect()
+        let rs = &self.running;
+        let mut ids = Vec::with_capacity(rs.len());
+        ids.extend(rs.order().map(|k| self.slab.id[rs.slot[k].idx as usize]));
+        ids
     }
 
     /// Ids of currently queued queries, front first.
@@ -1682,8 +1677,9 @@ impl System {
         // Name table: first-seen order over (running, queue, scheduled).
         let mut index_of: Vec<u32> = vec![u32::MAX; self.names.len()];
         let mut table: Vec<Sym> = Vec::new();
-        let live = self.running.slot.iter().chain(self.queue.iter());
-        for h in live.chain(self.scheduled.values()) {
+        let rs = &self.running;
+        let running = rs.order().map(|k| &rs.slot[k]);
+        for h in running.chain(&self.queue).chain(self.scheduled.values()) {
             let sym = self.slab.name[h.idx as usize];
             if index_of[sym as usize] == u32::MAX {
                 index_of[sym as usize] = table.len() as u32;
@@ -1694,9 +1690,8 @@ impl System {
         for &sym in &table {
             self.names.resolve(sym).enc(&mut e);
         }
-        let rs = &self.running;
         e.put_usize(rs.len());
-        for k in 0..rs.len() {
+        for k in rs.order() {
             let (_, credit, units_done) = rs.settled(k);
             let state = Sched {
                 job: rs.snapshot_state(&self.slab, k),

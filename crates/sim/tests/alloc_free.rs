@@ -217,3 +217,55 @@ fn cost_noise_steps_allocate_only_amortized_growth() {
         "{applied} cost-noise faults allocated {during} times"
     );
 }
+
+/// The tag path at a full house of 16 with a deep queue, two sessions
+/// blocked throughout: the monitor log is trimmed every 128 steps (each
+/// trim replays the blocked sessions' lanes) and the holes finishers leave
+/// are squeezed out every 64 departures. Once warm, nothing allocates. The
+/// finished log and its index by id still double as they fill, so the
+/// warm-up runs past 4 096 records (the log then has room for 8 192) and
+/// on to the step that next allocates, where the index doubles past the
+/// ids finished so far; the window ends before either fills again.
+#[test]
+fn tag_path_trims_and_squeezes_allocate_nothing() {
+    let mut sys = System::new(SystemConfig {
+        rate: 1e4,
+        admission: AdmissionPolicy::MaxConcurrent(16),
+        step_mode: StepMode::EventDriven,
+        ..Default::default()
+    });
+    let name: Arc<str> = "alloc".into();
+    for i in 0..10_000u64 {
+        let job = Box::new(SyntheticJob::new(20 + i.wrapping_mul(37) % 200));
+        sys.schedule(0.0, Arc::clone(&name), job, 1.0);
+    }
+    sys.step_discard().unwrap();
+    for id in sys.running_ids().into_iter().take(2) {
+        sys.block(id).unwrap();
+    }
+    while sys.finished().len() <= 4_096 {
+        sys.step_discard().unwrap();
+    }
+    loop {
+        let before = allocs();
+        sys.step_discard().unwrap();
+        if allocs() > before {
+            break;
+        }
+    }
+    let before = allocs();
+    let mut steps = 0u64;
+    while sys.finished().len() < 8_000 {
+        sys.step_discard().unwrap();
+        steps += 1;
+    }
+    let during = allocs() - before;
+    assert!(
+        steps >= 5 * 128,
+        "too few steps for several trims ({steps})"
+    );
+    assert_eq!(
+        during, 0,
+        "tag-path churn allocated {during} times over {steps} steps"
+    );
+}
