@@ -10,19 +10,21 @@
 //! environment variable, else available parallelism; `--jobs 1` is the
 //! serial path — results are bit-identical either way).
 //!
-//! What `--trace-out`/`--metrics-out` export, how `--checkpoint-dir`,
-//! `--checkpoint-every` and `--resume-from` let a killed `chaos` campaign
-//! resume to the uninterrupted report bit for bit, and how `--wal-dir`
-//! does the same for `pi-chaos` is in EXPERIMENTS.md ("Observability
-//! exports", "Crash-safe checkpoint/resume", "Served campaign"). A flag
-//! that no selected campaign reads is refused.
+//! What `--trace-out`/`--metrics-out` export, and how rerunning a killed
+//! `chaos` campaign with the same `--checkpoint-dir` (or `pi-chaos` with
+//! the same `--wal-dir`) resumes it to the uninterrupted report bit for
+//! bit, is in EXPERIMENTS.md ("Observability exports", "Crash-safe
+//! checkpoint/resume", "Served campaign"). A flag that no selected
+//! campaign reads is refused. `experiments verify NAME… [flags]` runs the
+//! checks the named rows declare ([`verify`](mod@verify)).
 
 use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 
-use mqpi_bench::report::{f2, pct, TextTable};
+use mqpi_bench::report::{f2, key_values, pct, Column, TextTable};
+use mqpi_bench::verify::{self, Checks, Resume};
 use mqpi_bench::{
     ablations, analytic, chaos, db, ensemble, maintenance, mcq, naq, parallel, pibench, pichaos,
     piwal, scq, speedup_exp, table1, traced,
@@ -40,6 +42,8 @@ struct Campaign {
     /// the robustness gates.
     in_all: bool,
     run: fn(&Ctx) -> Res,
+    /// What `experiments verify` checks for it.
+    checks: Checks,
 }
 
 /// What a runner is handed: the options, the database, and which names of
@@ -55,27 +59,42 @@ const ALL: &str = "all";
 const CHAOS: &str = "chaos";
 const PI_CHAOS: &str = "pi-chaos";
 const PI_WAL_CHAOS: &str = "pi-wal-chaos";
+const VERIFY: &str = "verify";
+
+#[rustfmt::skip]
+const TRACE: Checks = Checks { trace: true, ..Checks::NONE };
+#[rustfmt::skip]
+const JOBS: Checks = Checks { jobs: true, ..Checks::NONE };
+#[rustfmt::skip]
+const JOBS_TRACE: Checks = Checks { jobs: true, trace: true, ..Checks::NONE };
 
 /// Every subcommand, in the order a run prints them. Selection, the
 /// unknown-name error and `--help` are all read off this table.
 #[rustfmt::skip]
 const CAMPAIGNS: &[Campaign] = &[
-    Campaign { names: &["table1"], in_all: true, run: run_table1 },
-    Campaign { names: &["fig1"], in_all: true, run: run_fig1 },
-    Campaign { names: &["fig2"], in_all: true, run: run_fig2 },
-    Campaign { names: &["fig3", "fig4"], in_all: true, run: run_fig3_fig4 },
-    Campaign { names: &["fig5"], in_all: true, run: run_fig5 },
-    Campaign { names: &["fig6", "fig7"], in_all: true, run: run_fig6_fig7 },
-    Campaign { names: &["fig8", "fig9"], in_all: true, run: run_fig8_fig9 },
-    Campaign { names: &["fig10"], in_all: true, run: run_fig10 },
-    Campaign { names: &["speedup"], in_all: true, run: run_speedup },
-    Campaign { names: &["ablations"], in_all: true, run: run_ablations },
-    Campaign { names: &["fig11"], in_all: true, run: run_fig11 },
-    Campaign { names: &[CHAOS], in_all: false, run: run_chaos },
-    Campaign { names: &["bench-pi"], in_all: false, run: bench_pi },
-    Campaign { names: &[PI_CHAOS], in_all: false, run: pi_chaos },
-    Campaign { names: &[PI_WAL_CHAOS], in_all: false, run: pi_wal_chaos },
-    Campaign { names: &["bench-ensemble"], in_all: false, run: bench_ensemble },
+    Campaign { names: &["table1"], in_all: true, run: run_table1, checks: TRACE },
+    Campaign { names: &["fig1"], in_all: true, run: run_fig1, checks: TRACE },
+    Campaign { names: &["fig2"], in_all: true, run: run_fig2, checks: TRACE },
+    Campaign { names: &["fig3", "fig4"], in_all: true, run: run_fig3_fig4, checks: TRACE },
+    Campaign { names: &["fig5"], in_all: true, run: run_fig5, checks: TRACE },
+    Campaign { names: &["fig6", "fig7"], in_all: true, run: run_fig6_fig7, checks: JOBS_TRACE },
+    Campaign { names: &["fig8", "fig9"], in_all: true, run: run_fig8_fig9, checks: JOBS_TRACE },
+    Campaign { names: &["fig10"], in_all: true, run: run_fig10, checks: TRACE },
+    Campaign { names: &["speedup"], in_all: true, run: run_speedup, checks: JOBS_TRACE },
+    Campaign { names: &["ablations"], in_all: true, run: run_ablations, checks: JOBS_TRACE },
+    Campaign { names: &["fig11"], in_all: true, run: run_fig11, checks: JOBS_TRACE },
+    Campaign { names: &[CHAOS], in_all: false, run: run_chaos, checks: Checks {
+        resume: Some(Resume { dir_flag: "--checkpoint-dir", resumed: "resumed=" }),
+        ..JOBS
+    } },
+    Campaign { names: &["bench-pi"], in_all: false, run: bench_pi, checks: Checks::NONE },
+    Campaign { names: &[PI_CHAOS], in_all: false, run: pi_chaos, checks: Checks {
+        counters: &["deadlines=", "tiers=", "trips=", "sanitized=", "quarantined="],
+        resume: Some(Resume { dir_flag: "--wal-dir", resumed: "resumed from iteration " }),
+        ..JOBS
+    } },
+    Campaign { names: &[PI_WAL_CHAOS], in_all: false, run: pi_wal_chaos, checks: JOBS },
+    Campaign { names: &["bench-ensemble"], in_all: false, run: bench_ensemble, checks: JOBS },
 ];
 
 fn known_names() -> impl Iterator<Item = &'static str> {
@@ -93,10 +112,9 @@ impl Campaign {
 
 fn usage() -> String {
     format!(
-        "usage: experiments [{ALL}|{}] \
+        "usage: experiments [{VERIFY}] [{ALL}|{}] \
          [--runs N] [--small] [--csv DIR] [--seed S] [--jobs N] [--chaos] \
-         [--trace-out FILE] [--metrics-out FILE] \
-         [--checkpoint-dir DIR] [--checkpoint-every N] [--resume-from PATH] \
+         [--trace-out FILE] [--metrics-out FILE] [--checkpoint-dir DIR] \
          [--wal-dir DIR] [--wal-flush-every N]",
         known_names().collect::<Vec<_>>().join("|")
     )
@@ -113,37 +131,10 @@ struct Opts {
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: Option<usize>,
-    resume_from: Option<PathBuf>,
     wal_dir: Option<PathBuf>,
     wal_flush_every: Option<u32>,
-}
-
-impl Opts {
-    /// Build the chaos campaign's checkpoint configuration from the
-    /// `--checkpoint-*`/`--resume-from` flags, or `None` when neither a
-    /// snapshot directory nor a resume source was given.
-    fn checkpoint_cfg(&self) -> Option<chaos::CheckpointCfg> {
-        let (dir, resume) = match (&self.resume_from, &self.checkpoint_dir) {
-            (Some(p), _) => {
-                // Accept either the snapshot directory itself or one of
-                // the run-*.ckpt files inside it.
-                let dir = if p.is_dir() {
-                    p.clone()
-                } else {
-                    p.parent().map_or_else(|| PathBuf::from("."), PathBuf::from)
-                };
-                (dir, true)
-            }
-            (None, Some(d)) => (d.clone(), false),
-            (None, None) => return None,
-        };
-        let mut cfg = chaos::CheckpointCfg::new(dir);
-        cfg.every = self.checkpoint_every.unwrap_or(1);
-        cfg.resume = resume;
-        cfg.obs = mqpi_obs::Obs::enabled();
-        Some(cfg)
-    }
+    /// `verify`: run the named rows' checks instead of the campaigns.
+    verify: bool,
 }
 
 /// The value following `flag`, parsed.
@@ -177,12 +168,11 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
             "--trace-out" => opts.trace_out = Some(value(&mut args, &a)?),
             "--metrics-out" => opts.metrics_out = Some(value(&mut args, &a)?),
             "--checkpoint-dir" => opts.checkpoint_dir = Some(value(&mut args, &a)?),
-            "--checkpoint-every" => opts.checkpoint_every = Some(value(&mut args, &a)?),
-            "--resume-from" => opts.resume_from = Some(value(&mut args, &a)?),
             "--wal-dir" => opts.wal_dir = Some(value(&mut args, &a)?),
             "--wal-flush-every" => opts.wal_flush_every = Some(value(&mut args, &a)?),
             "--help" | "-h" => return Ok(None),
             other if other.starts_with('-') => return Err(format!("unknown flag {other}")),
+            VERIFY if !opts.verify => opts.verify = true,
             _ => opts.what.push(a),
         }
     }
@@ -192,15 +182,6 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
     if opts.jobs == 0 {
         return Err("--jobs must be at least 1".into());
     }
-    if opts.checkpoint_every.is_some()
-        && opts.checkpoint_dir.is_none()
-        && opts.resume_from.is_none()
-    {
-        return Err("--checkpoint-every needs --checkpoint-dir (or --resume-from)".into());
-    }
-    if opts.resume_from.is_some() && opts.checkpoint_dir.is_some() {
-        return Err("--resume-from already names the snapshot dir; drop --checkpoint-dir".into());
-    }
     for w in &opts.what {
         if w != ALL && !known_names().any(|n| n == w) {
             return Err(format!(
@@ -209,13 +190,17 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
             ));
         }
     }
-    // A flag no selected campaign reads is refused, not ignored.
+    if opts.what.is_empty() {
+        opts.what.push(ALL.into());
+    }
+    // A flag no selected campaign reads is refused, not ignored; under
+    // `verify`, by each run, which may get a state directory from it.
+    if opts.verify {
+        return Ok(Some(opts));
+    }
     let selected = |n: &str| opts.what.iter().any(|w| w == n);
-    let checkpointing = opts.checkpoint_dir.is_some()
-        || opts.checkpoint_every.is_some()
-        || opts.resume_from.is_some();
-    if checkpointing && !selected(CHAOS) {
-        return Err("--checkpoint-dir/--checkpoint-every/--resume-from serve only chaos".into());
+    if opts.checkpoint_dir.is_some() && !selected(CHAOS) {
+        return Err("--checkpoint-dir serves only chaos".into());
     }
     if opts.wal_dir.is_some() && !selected(PI_CHAOS) && !selected(PI_WAL_CHAOS) {
         return Err("--wal-dir serves only pi-chaos and pi-wal-chaos".into());
@@ -223,14 +208,12 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<Opts>, St
     if opts.wal_flush_every.is_some() && !(opts.wal_dir.is_some() && selected(PI_CHAOS)) {
         return Err("--wal-flush-every serves only pi-chaos --wal-dir".into());
     }
-    if opts.what.is_empty() {
-        opts.what.push(ALL.into());
-    }
     Ok(Some(opts))
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args(std::env::args().skip(1)) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_args(args.iter().cloned()) {
         Ok(Some(o)) => o,
         Ok(None) => {
             println!("{}", usage());
@@ -241,6 +224,37 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let (what, done) = if opts.verify {
+        ("verify", verify(&opts, args))
+    } else {
+        ("experiment", run(&opts))
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{what} failed: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `verify`: the checks of the named rows ([`Campaign::checks`]), run on
+/// this binary with the same arguments less the word `verify`.
+fn verify(opts: &Opts, mut args: Vec<String>) -> Res {
+    if let Some(i) = args.iter().position(|a| a == VERIFY) {
+        args.remove(i);
+    }
+    let asked = |c: &&Campaign| c.asked(&opts.what).contains(&true);
+    let rows: Vec<Checks> = CAMPAIGNS.iter().filter(asked).map(|c| c.checks).collect();
+    Ok(verify::run(
+        &std::env::current_exe()?,
+        args,
+        opts.jobs,
+        &rows,
+    )?)
+}
+
+fn run(opts: &Opts) -> Res {
     let tpcr: &TpcrDb = if opts.small {
         db::small()
     } else {
@@ -255,16 +269,6 @@ fn main() -> ExitCode {
         opts.runs,
         opts.jobs
     );
-    match run(&opts, tpcr) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("experiment failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run(opts: &Opts, tpcr: &TpcrDb) -> Res {
     for c in CAMPAIGNS {
         let asked = c.asked(&opts.what);
         if asked.contains(&true) {
@@ -326,25 +330,15 @@ fn stage_table(stages: &[analytic::Stage]) -> TextTable {
 }
 
 fn run_table1(cx: &Ctx) -> Res {
-    let mut t = TextTable::new(&[
-        "relation",
-        "paper tuples",
-        "paper size",
-        "our tuples",
-        "our bytes",
-        "our pages",
-    ]);
-    for r in table1::run(cx.tpcr) {
-        t.row(vec![
-            r.relation,
-            r.paper_tuples,
-            r.paper_size,
-            r.ours_tuples.to_string(),
-            r.ours_bytes.to_string(),
-            r.ours_pages.to_string(),
-        ]);
-    }
-    cx.emit(0, "", &t);
+    let columns: &[Column<table1::DataSetRow>] = &[
+        ("relation", |r| r.relation.clone()),
+        ("paper tuples", |r| r.paper_tuples.clone()),
+        ("paper size", |r| r.paper_size.clone()),
+        ("our tuples", |r| r.ours_tuples.to_string()),
+        ("our bytes", |r| r.ours_bytes.to_string()),
+        ("our pages", |r| r.ours_pages.to_string()),
+    ];
+    cx.emit(0, "", &TextTable::of(columns, &table1::run(cx.tpcr)));
     Ok(())
 }
 
@@ -370,28 +364,22 @@ fn run_fig3_fig4(cx: &Ctx) -> Res {
         10.0,
     )?;
     if cx.asked[0] {
-        let mut t = TextTable::new(&[
-            "time (s)",
-            "actual remaining (s)",
-            "single-query est (s)",
-            "multi-query est (s)",
-        ]);
-        for s in &r.samples {
-            t.row(vec![
-                f2(s.t),
-                f2(s.actual_remaining),
-                f2(s.single_est),
-                f2(s.multi_est),
-            ]);
-        }
+        let columns: &[Column<mcq::McqSample>] = &[
+            ("time (s)", |s| f2(s.t)),
+            ("actual remaining (s)", |s| f2(s.actual_remaining)),
+            ("single-query est (s)", |s| f2(s.single_est)),
+            ("multi-query est (s)", |s| f2(s.multi_est)),
+        ];
+        let t = TextTable::of(columns, &r.samples);
         let detail = format!(" (MCQ, tracked query size class {})", r.target_size);
         cx.emit(0, &detail, &t);
     }
     if cx.asked[1] {
-        let mut t = TextTable::new(&["time (s)", "execution speed (U/s)"]);
-        for s in &r.samples {
-            t.row(vec![f2(s.t), f2(s.observed_speed)]);
-        }
+        let columns: &[Column<mcq::McqSample>] = &[
+            ("time (s)", |s| f2(s.t)),
+            ("execution speed (U/s)", |s| f2(s.observed_speed)),
+        ];
+        let t = TextTable::of(columns, &r.samples);
         let detail = format!(" (speed increased {:.1}x over the run)", r.speed_increase);
         cx.emit(1, &detail, &t);
     }
@@ -400,22 +388,14 @@ fn run_fig3_fig4(cx: &Ctx) -> Res {
 
 fn run_fig5(cx: &Ctx) -> Res {
     let r = naq::run(cx.tpcr, db::RATE, [50, 10, 20], 10.0)?;
-    let mut t = TextTable::new(&[
-        "time (s)",
-        "actual remaining (s)",
-        "single-query est (s)",
-        "multi (no queue) est (s)",
-        "multi (queue) est (s)",
-    ]);
-    for s in &r.samples {
-        t.row(vec![
-            f2(s.t),
-            f2(s.actual_remaining),
-            f2(s.single_est),
-            f2(s.multi_no_queue_est),
-            f2(s.multi_queue_est),
-        ]);
-    }
+    let columns: &[Column<naq::NaqSample>] = &[
+        ("time (s)", |s| f2(s.t)),
+        ("actual remaining (s)", |s| f2(s.actual_remaining)),
+        ("single-query est (s)", |s| f2(s.single_est)),
+        ("multi (no queue) est (s)", |s| f2(s.multi_no_queue_est)),
+        ("multi (queue) est (s)", |s| f2(s.multi_queue_est)),
+    ];
+    let t = TextTable::of(columns, &r.samples);
     let detail = format!(
         " (NAQ; Q3 starts at {:.0}s, finishes at {:.0}s, Q1 at {:.0}s)",
         r.q3_start, r.q3_finish, r.q1_finish
@@ -474,20 +454,13 @@ fn run_fig10(cx: &Ctx) -> Res {
     let name = cx.names[0];
     for lp in [0.04, 0.05] {
         let s = scq::run_adaptive_trace(cx.tpcr, 0.03, lp, cx.opts.seed, db::RATE, 10.0)?;
-        let mut t = TextTable::new(&[
-            "time (s)",
-            "actual remaining (s)",
-            "multi-query est (s)",
-            "lambda estimate",
-        ]);
-        for x in &s {
-            t.row(vec![
-                f2(x.t),
-                f2(x.actual_remaining),
-                f2(x.est_remaining),
-                format!("{:.4}", x.lambda_est),
-            ]);
-        }
+        let columns: &[Column<scq::AdaptiveSample>] = &[
+            ("time (s)", |x| f2(x.t)),
+            ("actual remaining (s)", |x| f2(x.actual_remaining)),
+            ("multi-query est (s)", |x| f2(x.est_remaining)),
+            ("lambda estimate", |x| format!("{:.4}", x.lambda_est)),
+        ];
+        let t = TextTable::of(columns, &s);
         let title = format!("{name} (lambda'={lp}, true lambda=0.03)");
         let file = format!("{name}_lp{}", (lp * 100.0) as u32);
         emit_as(cx.opts, &title, &file, &t);
@@ -556,22 +529,14 @@ fn run_ablations(cx: &Ctx) -> Res {
         db::RATE,
         opts.jobs,
     )?;
-    let mut t = TextTable::new(&[
-        "rollback units",
-        "oblivious UW/TW",
-        "aware UW/TW",
-        "oblivious late",
-        "aware late",
-    ]);
-    for p in &ov {
-        t.row(vec![
-            f2(p.overhead_units),
-            pct(p.oblivious_uw),
-            pct(p.aware_uw),
-            pct(p.oblivious_late),
-            pct(p.aware_late),
-        ]);
-    }
+    let columns: &[Column<ablations::OverheadPoint>] = &[
+        ("rollback units", |p| f2(p.overhead_units)),
+        ("oblivious UW/TW", |p| pct(p.oblivious_uw)),
+        ("aware UW/TW", |p| pct(p.aware_uw)),
+        ("oblivious late", |p| pct(p.oblivious_late)),
+        ("aware late", |p| pct(p.aware_late)),
+    ];
+    let t = TextTable::of(columns, &ov);
     let title = "ablation O (abort/rollback overhead in maintenance planning)";
     emit_as(opts, title, "ablation_overhead", &t);
     Ok(())
@@ -582,22 +547,14 @@ fn run_fig11(cx: &Ctx) -> Res {
     let fracs = [0.2, 0.4, 0.6, 0.8, 1.0];
     let runs = opts.runs.clamp(1, 10);
     let pts = maintenance::run(cx.tpcr, &fracs, runs, opts.seed, db::RATE, opts.jobs)?;
-    let mut t = TextTable::new(&[
-        "t / t_finish",
-        "no PI (UW/TW)",
-        "single-query PI",
-        "multi-query PI",
-        "theoretical limit",
-    ]);
-    for p in &pts {
-        t.row(vec![
-            f2(p.t_frac),
-            pct(p.no_pi),
-            pct(p.single_pi),
-            pct(p.multi_pi),
-            pct(p.oracle),
-        ]);
-    }
+    let columns: &[Column<maintenance::MaintenancePoint>] = &[
+        ("t / t_finish", |p| f2(p.t_frac)),
+        ("no PI (UW/TW)", |p| pct(p.no_pi)),
+        ("single-query PI", |p| pct(p.single_pi)),
+        ("multi-query PI", |p| pct(p.multi_pi)),
+        ("theoretical limit", |p| pct(p.oracle)),
+    ];
+    let t = TextTable::of(columns, &pts);
     let detail = format!(" (scheduled maintenance, {runs} runs)");
     cx.emit(0, &detail, &t);
     Ok(())
@@ -608,40 +565,28 @@ fn run_fig11(cx: &Ctx) -> Res {
 fn run_chaos(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let intensities = [0.0, 2.0, 5.0, 10.0];
-    let ckpt = opts.checkpoint_cfg();
-    let rep = chaos::run_ckpt(&intensities, opts.runs, opts.seed, opts.jobs, ckpt.as_ref())?;
-    let mut t = TextTable::new(&[
-        "shape",
-        "faults/100s",
-        "injected",
-        "skipped",
-        "completed",
-        "failed",
-        "retries",
-        "rejected",
-        "single rel. err",
-        "multi rel. err",
-        "degraded",
-        "nonfinite",
-        "violations",
-    ]);
-    for p in &rep.points {
-        t.row(vec![
-            p.shape.to_string(),
-            f2(p.intensity),
-            p.faults_injected.to_string(),
-            p.faults_skipped.to_string(),
-            p.completed.to_string(),
-            p.failures.to_string(),
-            p.retries.to_string(),
-            p.rejected.to_string(),
-            pct(p.single_err),
-            pct(p.multi_err),
-            p.degraded.to_string(),
-            p.nonfinite.to_string(),
-            p.violations.to_string(),
-        ]);
-    }
+    let ckpt = opts.checkpoint_dir.as_ref().map(|dir| {
+        let mut cfg = chaos::CheckpointCfg::new(dir);
+        cfg.obs = mqpi_obs::Obs::enabled();
+        cfg
+    });
+    let rep = chaos::run(&intensities, opts.runs, opts.seed, opts.jobs, ckpt.as_ref())?;
+    let columns: &[Column<chaos::ChaosPoint>] = &[
+        ("shape", |p| p.shape.to_string()),
+        ("faults/100s", |p| f2(p.intensity)),
+        ("injected", |p| p.faults_injected.to_string()),
+        ("skipped", |p| p.faults_skipped.to_string()),
+        ("completed", |p| p.completed.to_string()),
+        ("failed", |p| p.failures.to_string()),
+        ("retries", |p| p.retries.to_string()),
+        ("rejected", |p| p.rejected.to_string()),
+        ("single rel. err", |p| pct(p.single_err)),
+        ("multi rel. err", |p| pct(p.multi_err)),
+        ("degraded", |p| p.degraded.to_string()),
+        ("nonfinite", |p| p.nonfinite.to_string()),
+        ("violations", |p| p.violations.to_string()),
+    ];
+    let t = TextTable::of(columns, &rep.points);
     let detail = format!(
         " ({} faults injected, {} violations, {} non-finite estimates, {} runs/cell)",
         rep.total_faults, rep.total_violations, rep.total_nonfinite, opts.runs
@@ -749,20 +694,21 @@ fn bench_ensemble(cx: &Ctx) -> Res {
     };
     let rep = ensemble::run(runs, opts.seed, opts.jobs)?;
 
-    let mut headers = vec!["shape".to_string(), "plan".to_string()];
-    headers.extend(rep.names.iter().map(|n| format!("{n} err")));
-    headers.extend(
-        [
-            "ensemble err",
-            "coverage",
-            "width (s)",
-            "switches",
-            "scored",
-        ]
-        .map(String::from),
-    );
-    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    let mut t = TextTable::new(&header_refs);
+    let members: Vec<String> = rep.names.iter().map(|n| format!("{n} err")).collect();
+    let tail = [
+        "ensemble err",
+        "coverage",
+        "width (s)",
+        "switches",
+        "scored",
+    ];
+    let members = members.iter().map(String::as_str);
+    let headers: Vec<&str> = ["shape", "plan"]
+        .into_iter()
+        .chain(members)
+        .chain(tail)
+        .collect();
+    let mut t = TextTable::new(&headers);
     for c in &rep.cells {
         let mut row = vec![c.shape.to_string(), c.plan.to_string()];
         row.extend(c.est_errs.iter().map(|&e| pct(e)));
@@ -810,8 +756,8 @@ fn bench_ensemble(cx: &Ctx) -> Res {
 }
 
 /// `pi-chaos` ([`pichaos`]): one digest row per replicate on stdout, which
-/// CI diffs across worker counts and across a SIGKILL and a rerun against
-/// the same `--wal-dir`. Honors `--seed`, `--runs`, `--jobs`, `--wal-dir`
+/// `verify` compares across worker counts and across a SIGKILL and a rerun
+/// against the same `--wal-dir`. Honors `--seed`, `--runs`, `--jobs`, `--wal-dir`
 /// and `--wal-flush-every`.
 fn pi_chaos(cx: &Ctx) -> Res {
     let opts = cx.opts;
@@ -819,13 +765,13 @@ fn pi_chaos(cx: &Ctx) -> Res {
         seed: opts.seed,
         replicates: opts.runs.min(64),
         jobs: opts.jobs,
+        wal_dir: opts.wal_dir.clone(),
         ..pichaos::ChaosCampaign::default()
     };
     if opts.small {
         cfg.iters = 800;
         cfg.sessions = 12;
     }
-    cfg.wal_dir = opts.wal_dir.clone();
     if let Some(n) = opts.wal_flush_every {
         cfg.wal_flush_every = n;
     }
@@ -834,21 +780,20 @@ fn pi_chaos(cx: &Ctx) -> Res {
         "== pi-chaos: {} replicates x {} iters, {} sessions ==",
         cfg.replicates, cfg.iters, cfg.sessions
     );
+    let columns: &[Column<pichaos::ChaosRow>] = &[
+        ("rep", |r| r.rep.to_string()),
+        ("seed", |r| format!("{:016x}", r.seed)),
+        ("pushes", |r| r.pushes.to_string()),
+        ("deadlines", |r| r.deadlines.to_string()),
+        ("tiers", |r| r.tier_transitions.to_string()),
+        ("shed", |r| r.shed.to_string()),
+        ("trips", |r| r.trips.to_string()),
+        ("sanitized", |r| r.sanitized.to_string()),
+        ("quarantined", |r| r.quarantined.to_string()),
+        ("digest", |r| format!("{:016x}", r.digest)),
+    ];
     for r in &rows {
-        println!(
-            "pi-chaos rep={} seed={:016x} pushes={} deadlines={} tiers={} shed={} trips={} \
-             sanitized={} quarantined={} digest={:016x}",
-            r.rep,
-            r.seed,
-            r.pushes,
-            r.deadlines,
-            r.tier_transitions,
-            r.shed,
-            r.trips,
-            r.sanitized,
-            r.quarantined,
-            r.digest
-        );
+        println!("{}", key_values(PI_CHAOS, columns, r));
     }
     eprintln!("# pi-chaos: {} replicates clean", rows.len());
     Ok(())
@@ -856,64 +801,42 @@ fn pi_chaos(cx: &Ctx) -> Res {
 
 /// `pi-wal-chaos` ([`piwal`]): kill, torn tail, replay and failover per
 /// replicate, every path converging on the reference digest. Rows are a
-/// pure function of the seed; CI diffs them (and the CSV) across `--jobs`.
+/// pure function of the seed, and so is the CSV.
 fn pi_wal_chaos(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let mut cfg = piwal::WalChaosCampaign {
         seed: opts.seed,
         replicates: opts.runs.min(32),
         jobs: opts.jobs,
+        wal_root: opts.wal_dir.clone(),
         ..piwal::WalChaosCampaign::default()
     };
     if opts.small {
         cfg.iters = 150;
     }
-    cfg.wal_root = opts.wal_dir.clone();
     let rows = piwal::run_campaign(&cfg)?;
     println!(
         "== pi-wal-chaos: {} replicates x {} iters ==",
         cfg.replicates, cfg.iters
     );
-    let mut t = TextTable::new(&[
-        "rep",
-        "seed",
-        "kill_at",
-        "mutation",
-        "fail_at",
-        "replayed",
-        "truncated_bytes",
-        "resumed_from",
-        "pushes",
-        "digest",
-    ]);
+    let mut columns: [Column<piwal::WalChaosRow>; 10] = [
+        ("rep", |r| r.rep.to_string()),
+        ("seed", |r| format!("{:016x}", r.seed)),
+        ("kill_at", |r| r.kill_at.to_string()),
+        ("mutation", |r| r.mutation.to_string()),
+        ("fail_at", |r| r.fail_at.to_string()),
+        ("replayed", |r| r.replayed.to_string()),
+        ("truncated", |r| r.truncated_bytes.to_string()),
+        ("resumed_from", |r| r.resumed_from.to_string()),
+        ("pushes", |r| r.pushes.to_string()),
+        ("digest", |r| format!("{:016x}", r.digest)),
+    ];
     for r in &rows {
-        println!(
-            "pi-wal-chaos rep={} seed={:016x} kill_at={} mutation={} fail_at={} replayed={} \
-             truncated={} resumed_from={} pushes={} digest={:016x}",
-            r.rep,
-            r.seed,
-            r.kill_at,
-            r.mutation,
-            r.fail_at,
-            r.replayed,
-            r.truncated_bytes,
-            r.resumed_from,
-            r.pushes,
-            r.digest
-        );
-        t.row(vec![
-            r.rep.to_string(),
-            format!("{:016x}", r.seed),
-            r.kill_at.to_string(),
-            r.mutation.to_string(),
-            r.fail_at.to_string(),
-            r.replayed.to_string(),
-            r.truncated_bytes.to_string(),
-            r.resumed_from.to_string(),
-            r.pushes.to_string(),
-            format!("{:016x}", r.digest),
-        ]);
+        println!("{}", key_values(PI_WAL_CHAOS, &columns, r));
     }
+    // The CSV names `truncated` in full.
+    columns[6].0 = "truncated_bytes";
+    let t = TextTable::of(&columns, &rows);
     if let Some(dir) = &opts.csv {
         t.write_csv(&dir.join("pi-wal-chaos.csv"))?;
     }
@@ -934,9 +857,16 @@ mod tests {
         let names: Vec<_> = known_names().collect();
         let help = usage();
         for (i, n) in names.iter().enumerate() {
-            assert!(!names[..i].contains(n) && *n != ALL, "{n} named twice");
+            assert!(
+                !names[..i].contains(n) && ![ALL, VERIFY].contains(n),
+                "{n} named twice"
+            );
             assert!(help.contains(&format!("|{n}")), "{n} missing from --help");
         }
+        assert!(
+            help.contains(&format!("[{VERIFY}]")),
+            "verify missing from --help"
+        );
         assert!(matches!(parse(&["--small", "--help"]), Ok(None)));
     }
 
@@ -971,8 +901,6 @@ mod tests {
         for args in [
             "fig1 --small --checkpoint-dir d",
             "pi-chaos --checkpoint-dir d",
-            "pi-wal-chaos --small --runs 1 --resume-from d",
-            "pi-chaos --checkpoint-every 2 --resume-from d",
             "--chaos --small --runs 1 --wal-dir d",
             "all --wal-dir d",
             "pi-chaos --wal-flush-every 3",
@@ -989,14 +917,26 @@ mod tests {
     #[test]
     fn a_flag_a_selected_campaign_reads_is_accepted() {
         for args in [
-            "--chaos --checkpoint-dir d --checkpoint-every 2",
-            "chaos pi-chaos --resume-from d",
+            "--chaos --checkpoint-dir d",
+            "chaos pi-chaos --checkpoint-dir d",
             "pi-chaos --wal-dir d --wal-flush-every 8",
             "pi-wal-chaos --wal-dir d",
+            // `verify` gives pi-chaos its `--wal-dir`.
+            "verify pi-chaos --wal-flush-every 8",
         ] {
             let argv: Vec<_> = args.split(' ').collect();
             let opts = parse(&argv).unwrap_or_else(|e| panic!("{args}: {e}"));
             assert!(opts.is_some(), "{args} is not --help");
+        }
+    }
+
+    #[test]
+    fn the_deleted_resume_flags_are_unknown() {
+        // A rerun with the same `--checkpoint-dir` resumes; there is no
+        // other resume flag, and no snapshot stride.
+        for flag in ["--resume-from", "--checkpoint-every"] {
+            let err = parse(&["--chaos", "--checkpoint-dir", "d", flag, "2"]).err();
+            assert_eq!(err.as_deref(), Some(&*format!("unknown flag {flag}")));
         }
     }
 }

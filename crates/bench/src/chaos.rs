@@ -24,7 +24,7 @@
 //! families. Replicates fan out across worker threads and fold in run
 //! order, so the report is bit-identical for any `--jobs` value.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +61,7 @@ const ERR_CAP: f64 = 100.0;
 pub const SHAPES: &[&str] = &["mcq", "naq", "scq", "bounded"];
 
 /// Aggregated outcome of one (shape, intensity) cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosPoint {
     /// Shape name (one of [`SHAPES`]).
     pub shape: &'static str,
@@ -150,13 +150,14 @@ const RUN_KIND: &str = "chaos-run";
 
 /// Crash-safe checkpointing for a chaos campaign.
 ///
-/// When passed to [`run_ckpt`], every replicate periodically snapshots its
-/// complete state — scheduler, validator, collected samples — to
-/// `dir/run-<seed:016x>.ckpt` via atomic temp-file + rename, and writes a
-/// final "done" record holding its folded `RunOutcome` on completion.
-/// A killed campaign restarted with `resume = true` then skips finished
-/// replicates, continues partially-finished ones from their last snapshot,
-/// and runs never-started ones from scratch — producing a report
+/// When passed to [`run`], every replicate snapshots its complete
+/// state — scheduler, validator, collected samples — after each estimator
+/// tick to `dir/run-<seed:016x>.ckpt` via atomic temp-file + rename, and
+/// writes a final "done" record holding its folded `RunOutcome` on
+/// completion. Each replicate first loads whatever `dir` holds for its
+/// seed, so rerunning a killed campaign with the same directory skips
+/// finished replicates, continues partially-finished ones from their last
+/// snapshot, and runs never-started ones from scratch — producing a report
 /// bit-identical to an uninterrupted campaign.
 ///
 /// Unreadable snapshots (truncated, corrupt, wrong version) never abort
@@ -166,11 +167,6 @@ const RUN_KIND: &str = "chaos-run";
 pub struct CheckpointCfg {
     /// Snapshot directory (created on demand).
     pub dir: PathBuf,
-    /// Snapshot every N estimator ticks (0 disables periodic snapshots;
-    /// the final "done" record is still written).
-    pub every: usize,
-    /// Load existing snapshots from `dir` before running each replicate.
-    pub resume: bool,
     /// Campaign-level handle for checkpoint lifecycle events and the
     /// `ckpt.saved` / `ckpt.resumed` / `ckpt.done_skipped` /
     /// `ckpt.rejected` counters. Trace-event *order* is nondeterministic
@@ -187,13 +183,11 @@ pub struct CheckpointCfg {
 }
 
 impl CheckpointCfg {
-    /// Checkpointing into `dir`: snapshot every tick, no resume, no
-    /// observability. Override the public fields as needed.
+    /// Checkpointing into `dir`, without observability. Override the
+    /// public fields as needed.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointCfg {
             dir: dir.into(),
-            every: 1,
-            resume: false,
             obs: Obs::disabled(),
             crash_after_ticks: None,
             crash_after_runs: None,
@@ -213,14 +207,10 @@ impl CheckpointCfg {
         self.obs.counter_add(counter, 1);
     }
 
+    /// The snapshot file a replicate seeded with `seed` reads and writes.
     fn run_path(&self, seed: u64) -> PathBuf {
-        run_snapshot_path(&self.dir, seed)
+        self.dir.join(format!("run-{seed:016x}.ckpt"))
     }
-}
-
-/// The snapshot file a replicate seeded with `seed` reads and writes.
-pub fn run_snapshot_path(dir: &Path, seed: u64) -> PathBuf {
-    dir.join(format!("run-{seed:016x}.ckpt"))
 }
 
 fn ckpt_err(e: CkptError) -> EngineError {
@@ -305,7 +295,8 @@ fn read_snapshot(payload: &[u8]) -> std::result::Result<RunSnapshot, CkptError> 
     Ok(snap)
 }
 
-/// A replicate's snapshot on resume; `None` starts it fresh.
+/// A replicate's snapshot in the checkpoint directory; `None` starts it
+/// fresh.
 fn load_run_snapshot(c: &CheckpointCfg, seed: u64) -> Option<RunSnapshot> {
     let path = c.run_path(seed);
     let loaded = match mqpi_ckpt::read_file(&path, RUN_KIND) {
@@ -371,11 +362,11 @@ fn one_run(
     let per_kind = ((intensity * HORIZON / 100.0) / 5.0).round() as usize;
     let faulty = per_kind > 0;
 
-    // On resume, a finished replicate short-circuits to its recorded
-    // outcome and a partial one picks up from its last snapshot; both
-    // paths are bit-identical to running the replicate straight through.
+    // A finished replicate short-circuits to its recorded outcome and a
+    // partial one picks up from its last snapshot; both paths are
+    // bit-identical to running the replicate straight through.
     let revived = match ckpt {
-        Some(c) if c.resume => match load_run_snapshot(c, seed) {
+        Some(c) => match load_run_snapshot(c, seed) {
             Some(RunSnapshot::Done(o)) => {
                 c.note("done_skip", seed);
                 return Ok(o);
@@ -386,7 +377,7 @@ fn one_run(
             }
             None => None,
         },
-        _ => None,
+        None => None,
     };
     let PartialRun {
         mut sys,
@@ -461,13 +452,11 @@ fn one_run(
             }
             p.tick += 1;
             if let Some(c) = ckpt {
-                if c.every > 0 && p.tick.is_multiple_of(c.every) {
-                    let bytes = partial_snapshot(&sys, &validator, &p).map_err(ckpt_err)?;
-                    mqpi_ckpt::write_file(&c.run_path(seed), RUN_KIND, &bytes).map_err(ckpt_err)?;
-                    c.note("saved", seed);
-                    if c.crash_after_ticks == Some(p.tick) {
-                        return Err(EngineError::exec("simulated crash after checkpoint"));
-                    }
+                let bytes = partial_snapshot(&sys, &validator, &p).map_err(ckpt_err)?;
+                mqpi_ckpt::write_file(&c.run_path(seed), RUN_KIND, &bytes).map_err(ckpt_err)?;
+                c.note("saved", seed);
+                if c.crash_after_ticks == Some(p.tick) {
+                    return Err(EngineError::exec("simulated crash after checkpoint"));
                 }
             }
         }
@@ -546,17 +535,12 @@ fn one_run(
 }
 
 /// Run a chaos campaign over `SHAPES` × `intensities` with `runs` seeded
-/// replicates per cell, using up to `jobs` worker threads. Output is
-/// bit-identical for any `jobs` value.
-pub fn run(intensities: &[f64], runs: usize, seed0: u64, jobs: usize) -> Result<ChaosReport> {
-    run_ckpt(intensities, runs, seed0, jobs, None)
-}
-
-/// [`run`] with optional crash-safe checkpointing (see [`CheckpointCfg`]).
-/// Per-run snapshot files are keyed by seed, so the same
-/// (`intensities`, `runs`, `seed0`) campaign must be used when resuming;
-/// `jobs` may differ — the folded report stays bit-identical.
-pub fn run_ckpt(
+/// replicates per cell, using up to `jobs` worker threads, optionally
+/// checkpointed (see [`CheckpointCfg`]). Output is bit-identical for any
+/// `jobs` value. Per-run snapshot files are keyed by seed, so a directory
+/// resumes only the same (`intensities`, `runs`, `seed0`) campaign; `jobs`
+/// may differ.
+pub fn run(
     intensities: &[f64],
     runs: usize,
     seed0: u64,
@@ -575,12 +559,9 @@ pub fn run_ckpt(
             let cell = (si * intensities.len() + ii) as u64;
             let outcomes = crate::parallel::run_indexed(jobs, runs, |r| {
                 let seed = seed0 + (cell << 32) + r as u64;
-                if let Some(c) = ckpt {
-                    if let Some(n) = c.crash_after_runs {
-                        if c.done_runs.load(Ordering::SeqCst) >= n {
-                            return Err(EngineError::exec("simulated campaign crash"));
-                        }
-                    }
+                let done = |c: &CheckpointCfg| c.done_runs.load(Ordering::SeqCst);
+                if ckpt.is_some_and(|c| c.crash_after_runs.is_some_and(|n| done(c) >= n)) {
+                    return Err(EngineError::exec("simulated campaign crash"));
                 }
                 let o = one_run(shape, intensity, seed, ckpt);
                 if let (Some(c), true) = (ckpt, o.is_ok()) {
@@ -592,17 +573,7 @@ pub fn run_ckpt(
                 shape,
                 intensity,
                 runs,
-                faults_injected: 0,
-                faults_skipped: 0,
-                completed: 0,
-                failures: 0,
-                retries: 0,
-                rejected: 0,
-                single_err: 0.0,
-                multi_err: 0.0,
-                degraded: 0,
-                nonfinite: 0,
-                violations: 0,
+                ..ChaosPoint::default()
             };
             let (mut ss, mut sn, mut ms, mut mn) = (0.0, 0u64, 0.0, 0u64);
             for (r, o) in outcomes.into_iter().enumerate() {
@@ -647,7 +618,7 @@ mod tests {
 
     #[test]
     fn campaign_is_clean_and_degrades_gracefully() {
-        let rep = run(&[0.0, 10.0], 2, 42, 2).unwrap();
+        let rep = run(&[0.0, 10.0], 2, 42, 2, None).unwrap();
         assert_eq!(
             rep.total_violations, 0,
             "invariant violations: {:?}",
@@ -682,7 +653,7 @@ mod tests {
 
     #[test]
     fn faults_make_estimates_worse_on_average() {
-        let rep = run(&[0.0, 10.0], 3, 7, 2).unwrap();
+        let rep = run(&[0.0, 10.0], 3, 7, 2, None).unwrap();
         let sum_at = |i: f64| {
             rep.points
                 .iter()
@@ -702,8 +673,8 @@ mod tests {
 
     #[test]
     fn campaign_is_bit_identical_across_jobs() {
-        let serial = run(&[0.0, 5.0], 2, 11, 1).unwrap();
-        let parallel = run(&[0.0, 5.0], 2, 11, 4).unwrap();
+        let serial = run(&[0.0, 5.0], 2, 11, 1, None).unwrap();
+        let parallel = run(&[0.0, 5.0], 2, 11, 4, None).unwrap();
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
     }
 
@@ -719,14 +690,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let mut crashing = CheckpointCfg::new(&dir);
-        crashing.every = 3;
         crashing.crash_after_ticks = Some(6);
         let err = one_run("bounded", 5.0, 12345, Some(&crashing)).unwrap_err();
         assert!(err.to_string().contains("simulated crash"), "{err}");
 
         let mut resuming = CheckpointCfg::new(&dir);
-        resuming.every = 3;
-        resuming.resume = true;
         resuming.obs = Obs::enabled();
         let resumed = one_run("bounded", 5.0, 12345, Some(&resuming)).unwrap();
         assert_eq!(straight, resumed, "resumed run diverged from straight run");
@@ -746,7 +714,6 @@ mod tests {
         assert_eq!(plain, snapped);
         // A second pass resumes straight off the "done" record.
         let mut again = CheckpointCfg::new(&dir);
-        again.resume = true;
         again.obs = Obs::enabled();
         let skipped = one_run("naq", 2.0, 777, Some(&again)).unwrap();
         assert_eq!(plain, skipped);

@@ -241,7 +241,7 @@ impl EnsembleReport {
 
 /// Outcome of a single replicate, folded into an [`EnsembleCell`] in run
 /// order so parallel campaigns reproduce the serial sums bit for bit.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 struct RunOutcome {
     est_sums: Vec<f64>,
     est_ns: Vec<u64>,
@@ -352,10 +352,6 @@ fn one_run(shape: &'static str, plan: &'static str, seed: u64) -> Result<RunOutc
     let mut o = RunOutcome {
         est_sums: vec![0.0; n_est],
         est_ns: vec![0; n_est],
-        ens_sum: 0.0,
-        ens_n: 0,
-        covered: 0,
-        scored: 0,
         width_sum,
         width_n,
         switches: ens.switches(),
@@ -365,6 +361,7 @@ fn one_run(shape: &'static str, plan: &'static str, seed: u64) -> Result<RunOutc
             .iter()
             .filter(|f| f.kind == FinishKind::Completed)
             .count() as u64,
+        ..RunOutcome::default()
     };
     for (t, id, ests, p10, p50, p90) in &samples {
         let Some(f) = sys.finished_record(*id) else {
@@ -409,15 +406,7 @@ pub fn run(runs: usize, seed0: u64, jobs: usize) -> Result<EnsembleReport> {
             let mut agg = RunOutcome {
                 est_sums: vec![0.0; n_est],
                 est_ns: vec![0; n_est],
-                ens_sum: 0.0,
-                ens_n: 0,
-                covered: 0,
-                scored: 0,
-                width_sum: 0.0,
-                width_n: 0,
-                switches: 0,
-                resolved: 0,
-                completed: 0,
+                ..RunOutcome::default()
             };
             for o in outcomes {
                 let o = o?;

@@ -36,3 +36,4 @@ pub mod scq;
 pub mod speedup_exp;
 pub mod table1;
 pub mod traced;
+pub mod verify;

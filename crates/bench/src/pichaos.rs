@@ -25,9 +25,9 @@
 //! work-conservation ledger stays balanced, no estimate follows a final
 //! push, and final timestamps never regress. The per-replicate FNV-1a
 //! digest covers the push stream *plus* the overload counters and the
-//! mirror's quarantine tally, so CI's jobs-independence and
-//! SIGKILL-resume diffs pin the entire overload machinery, not just the
-//! happy path.
+//! mirror's quarantine tally, so `experiments verify pi-chaos`, which
+//! compares rows across worker counts and across a SIGKILL and a rerun,
+//! pins the entire overload machinery, not just the happy path.
 //!
 //! **Journaled run.** With a `wal_dir`, each replicate journals every
 //! service command to a write-ahead log under `<wal_dir>/run-<seed>`,

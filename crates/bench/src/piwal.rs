@@ -19,7 +19,7 @@
 //!    digest.
 //!
 //! Every row field is a pure function of the replicate seed, so rows are
-//! byte-identical across `--jobs` values — CI diffs them.
+//! byte-identical across `--jobs` values (`experiments verify`).
 
 use std::path::{Path, PathBuf};
 

@@ -3,6 +3,9 @@
 use std::fmt::Write as _;
 use std::path::Path;
 
+/// A column of [`TextTable::of`]: its header and how an item renders in it.
+pub type Column<T> = (&'static str, fn(&T) -> String);
+
 /// A simple column-aligned text table.
 pub struct TextTable {
     headers: Vec<String>,
@@ -18,6 +21,16 @@ impl TextTable {
         }
     }
 
+    /// One row per item, one cell per column.
+    pub fn of<T>(columns: &[Column<T>], items: &[T]) -> Self {
+        let mut t = TextTable::new(&columns.iter().map(|c| c.0).collect::<Vec<_>>());
+        t.rows = items
+            .iter()
+            .map(|it| columns.iter().map(|c| (c.1)(it)).collect())
+            .collect();
+        t
+    }
+
     /// Append a row (must match the header arity).
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
@@ -26,7 +39,6 @@ impl TextTable {
 
     /// Render with aligned columns.
     pub fn render(&self) -> String {
-        let ncols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -47,7 +59,6 @@ impl TextTable {
         for row in &self.rows {
             line(&mut out, row);
         }
-        let _ = ncols;
         out
     }
 
@@ -66,21 +77,18 @@ impl TextTable {
                 c.to_string()
             }
         };
-        s.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        s.push('\n');
-        for row in &self.rows {
+        for row in std::iter::once(&self.headers).chain(&self.rows) {
             s.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
             s.push('\n');
         }
         mqpi_ckpt::atomic_write(path, s.as_bytes())
     }
+}
+
+/// `prefix key=value…`, one pair per column: a served campaign's stdout row.
+pub fn key_values<T>(prefix: &str, columns: &[Column<T>], item: &T) -> String {
+    let pairs = columns.iter().map(|(k, f)| format!(" {k}={}", f(item)));
+    std::iter::once(prefix.to_string()).chain(pairs).collect()
 }
 
 /// Format a float with 2 decimals.

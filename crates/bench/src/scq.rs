@@ -9,7 +9,7 @@
 
 use mqpi_core::adaptive::ArrivalRateEstimator;
 use mqpi_core::multi::FutureWorkload;
-use mqpi_core::{relative_error, MultiQueryPi, SingleQueryPi, Visibility};
+use mqpi_core::{relative_error, EstimateSet, MultiQueryPi, SingleQueryPi, Visibility};
 use mqpi_engine::error::Result;
 use mqpi_sim::system::QueryId;
 use mqpi_workload::{average_query_cost, scq_scenario, ScqConfig, TpcrDb};
@@ -61,16 +61,11 @@ fn one_run(db: &TpcrDb, cfg: ScqConfig, pi_lambda: f64) -> Result<RunErrors> {
 
     // One prediction pass per estimator covers all ten initial queries.
     let snap0 = sys.snapshot();
-    let single_set = single.estimates(&snap0);
-    let multi_set = multi.estimates(&snap0);
-    let single0: Vec<f64> = initial
-        .iter()
-        .map(|(id, _)| single_set.get(*id).unwrap_or(f64::NAN))
-        .collect();
-    let multi0: Vec<f64> = initial
-        .iter()
-        .map(|(id, _)| multi_set.get(*id).unwrap_or(f64::NAN))
-        .collect();
+    let at0 = |set: EstimateSet| -> Vec<f64> {
+        let est = |(id, _): &(QueryId, _)| set.get(*id).unwrap_or(f64::NAN);
+        initial.iter().map(est).collect()
+    };
+    let (single0, multi0) = (at0(single.estimates(&snap0)), at0(multi.estimates(&snap0)));
 
     // Run until every initial query finished.
     let ids: Vec<QueryId> = initial.iter().map(|(id, _)| *id).collect();
@@ -91,17 +86,13 @@ fn one_run(db: &TpcrDb, cfg: ScqConfig, pi_lambda: f64) -> Result<RunErrors> {
         .max_by(|a, b| a.1.total_cmp(b.1))
         .unwrap()
         .0;
+    let errors = |est: Vec<f64>| -> Vec<f64> {
+        let err = |(e, a): (f64, &f64)| relative_error(e, *a);
+        est.into_iter().zip(&actual).map(err).collect()
+    };
     Ok(RunErrors {
-        single: single0
-            .iter()
-            .zip(&actual)
-            .map(|(e, a)| relative_error(*e, *a))
-            .collect(),
-        multi: multi0
-            .iter()
-            .zip(&actual)
-            .map(|(e, a)| relative_error(*e, *a))
-            .collect(),
+        single: errors(single0),
+        multi: errors(multi0),
         last_idx,
     })
 }

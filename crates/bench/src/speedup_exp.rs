@@ -19,7 +19,7 @@ use mqpi_workload::{mcq_scenario_weighted, McqConfig, TpcrDb};
 
 /// Mean measured speed-up (seconds) per policy, plus the optimal policy's
 /// mean *predicted* speed-up for calibration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SpeedupResult {
     /// §3.1 optimal victim, measured.
     pub optimal: f64,
@@ -149,14 +149,7 @@ pub fn run(db: &TpcrDb, runs: usize, seed0: u64, rate: f64, jobs: usize) -> Resu
             baseline - finish_time(db, seed, rate, s.target, Some(randoms[r]))?,
         ])
     });
-    let mut acc = SpeedupResult {
-        optimal: 0.0,
-        optimal_predicted: 0.0,
-        heaviest: 0.0,
-        largest: 0.0,
-        random: 0.0,
-        samples: 0,
-    };
+    let mut acc = SpeedupResult::default();
     for (m, s) in measured.into_iter().zip(&setups) {
         let [opt, heavy, large, random] = m?;
         acc.optimal += opt;

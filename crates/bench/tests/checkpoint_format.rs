@@ -434,9 +434,8 @@ fn golden_obs() {
 fn golden_chaos_snapshots() {
     let dir = scratch_dir("partial");
     let mut crashing = CheckpointCfg::new(&dir);
-    crashing.every = 3;
     crashing.crash_after_ticks = Some(6);
-    chaos::run_ckpt(&[5.0], 2, 77, 1, Some(&crashing)).expect_err("replicates crash at tick 6");
+    chaos::run(&[5.0], 2, 77, 1, Some(&crashing)).expect_err("replicates crash at tick 6");
     assert_eq!(
         dir_digest(&dir),
         (2, 3196266587235789856),
@@ -445,7 +444,7 @@ fn golden_chaos_snapshots() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let dir = scratch_dir("done");
-    chaos::run_ckpt(&[5.0], 1, 77, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
+    chaos::run(&[5.0], 1, 77, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
     assert_eq!(
         dir_digest(&dir),
         (4, 12571851467801336719),

@@ -1,8 +1,8 @@
 //! Kill-then-resume determinism for checkpointed chaos campaigns.
 //!
 //! A campaign that crashes mid-way (simulated via [`CheckpointCfg`]'s
-//! crash hooks — the CI smoke job does it with a real `SIGKILL`) and is
-//! then resumed from its snapshot directory must produce a report
+//! crash hooks — `experiments verify chaos` does it with a real `SIGKILL`)
+//! and is then rerun against its snapshot directory must produce a report
 //! bit-identical to an uninterrupted campaign, at `--jobs 1` and
 //! `--jobs 4` alike. Snapshots that were truncated, overwritten with
 //! garbage, re-kinded, or version-bumped must be rejected — observably,
@@ -30,22 +30,19 @@ fn scratch_dir(tag: &str) -> PathBuf {
 
 #[test]
 fn killed_campaign_resumes_bit_identically_at_jobs_1_and_4() {
-    let straight = chaos::run(INTENSITIES, RUNS, SEED, 1).unwrap();
+    let straight = chaos::run(INTENSITIES, RUNS, SEED, 1, None).unwrap();
     for jobs in [1usize, 4] {
         let dir = scratch_dir(&format!("kill{jobs}"));
 
         let mut crashing = CheckpointCfg::new(&dir);
-        crashing.every = 2;
         crashing.crash_after_runs = Some(5);
-        let err = chaos::run_ckpt(INTENSITIES, RUNS, SEED, jobs, Some(&crashing))
+        let err = chaos::run(INTENSITIES, RUNS, SEED, jobs, Some(&crashing))
             .expect_err("campaign must crash");
         assert!(err.to_string().contains("simulated"), "jobs={jobs}: {err}");
 
         let mut resuming = CheckpointCfg::new(&dir);
-        resuming.every = 2;
-        resuming.resume = true;
         resuming.obs = Obs::enabled();
-        let resumed = chaos::run_ckpt(INTENSITIES, RUNS, SEED, jobs, Some(&resuming)).unwrap();
+        let resumed = chaos::run(INTENSITIES, RUNS, SEED, jobs, Some(&resuming)).unwrap();
         assert_eq!(
             format!("{straight:?}"),
             format!("{resumed:?}"),
@@ -65,12 +62,12 @@ fn killed_campaign_resumes_bit_identically_at_jobs_1_and_4() {
 
 #[test]
 fn unreadable_snapshots_are_rejected_observably_and_rerun() {
-    let straight = chaos::run(INTENSITIES, RUNS, SEED, 1).unwrap();
+    let straight = chaos::run(INTENSITIES, RUNS, SEED, 1, None).unwrap();
     let dir = scratch_dir("corrupt");
 
     // Populate the snapshot dir with a full, clean campaign.
     let seeding = CheckpointCfg::new(&dir);
-    chaos::run_ckpt(INTENSITIES, RUNS, SEED, 1, Some(&seeding)).unwrap();
+    chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&seeding)).unwrap();
 
     let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -96,9 +93,8 @@ fn unreadable_snapshots_are_rejected_observably_and_rerun() {
     std::fs::write(&files[3], &bumped).unwrap();
 
     let mut resuming = CheckpointCfg::new(&dir);
-    resuming.resume = true;
     resuming.obs = Obs::enabled();
-    let resumed = chaos::run_ckpt(INTENSITIES, RUNS, SEED, 1, Some(&resuming)).unwrap();
+    let resumed = chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&resuming)).unwrap();
     assert_eq!(
         format!("{straight:?}"),
         format!("{resumed:?}"),
