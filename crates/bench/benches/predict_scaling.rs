@@ -3,7 +3,8 @@
 //! future arrivals — at n ∈ {100, 1k, 10k, 100k, 1M}; of a full estimate
 //! set taken from a maintained `IncrementalFluid`, beside `predict` over the
 //! same state; of incremental maintenance against the rebuild it replaces,
-//! and of admission alone; and of the simulator's event step.
+//! and of admission alone; of the simulator's event step; and of the
+//! serving path's per-event and per-command bookkeeping.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
@@ -268,12 +269,96 @@ fn bench_tag_full_house(c: &mut Criterion) {
     g.finish();
 }
 
+/// The serving path, where every event and command goes through the id
+/// maps (`IncrementalFluid::by_id`, the mirror's tables, the service's
+/// `by_query`). `mirror_feed` applies a `sim_churn`-shaped feed — 256
+/// slots, exact costs of 50 to 150 units, Poisson arrivals at 0.9 of
+/// capacity and one burst of 4 000 that fills the queue, about 10^5
+/// events, generated untimed — to a fresh `SystemMirror`, per event.
+/// `pi_command` is one `durable_churn`-shaped iteration of a 16-slot
+/// service without a log: a submit, in 3 of 16 an abort, reweight or
+/// refine of a recent query, an advance and a pump, at the stationary
+/// backlog.
+fn bench_serving_path(c: &mut Criterion) {
+    use mqpi_pi::{EstimatePush, PiConfig, PiService, SystemMirror};
+    use mqpi_sim::job::SyntheticJob;
+    use mqpi_sim::system::{StepMode, System, SystemConfig};
+    use mqpi_sim::AdmissionPolicy;
+    use std::sync::Arc;
+
+    let mut g = c.benchmark_group("serving_path");
+    let rate = 10_000.0;
+    let mut sys = System::new(SystemConfig {
+        rate,
+        admission: AdmissionPolicy::MaxConcurrent(256),
+        step_mode: StepMode::EventDriven,
+        ..Default::default()
+    });
+    sys.enable_event_feed();
+    let mut rng = Rng::seed_from_u64(43);
+    let name: Arc<str> = "feed".into();
+    let mut at = 0.0;
+    for i in 0..40_000 {
+        at += rng.exp(0.9 * rate / 100.0);
+        for _ in 0..if i == 10_000 { 4_000 } else { 1 } {
+            let job = Box::new(SyntheticJob::new(50 + rng.below(101)));
+            sys.schedule(at, Arc::clone(&name), job, 1.0);
+        }
+    }
+    let mut feed = Vec::new();
+    while sys.has_work() {
+        sys.step_discard().unwrap();
+        sys.drain_events(&mut feed);
+    }
+    g.throughput(Throughput::Elements(feed.len() as u64));
+    g.bench_function("mirror_feed", |b| {
+        b.iter(|| {
+            let mut mirror = SystemMirror::new(rate);
+            mirror.apply_all(black_box(&feed));
+            mirror.live()
+        });
+    });
+
+    let mut svc = PiService::new(PiConfig {
+        rate: 100.0,
+        epsilon: 0.02,
+        slots: Some(16),
+        ..PiConfig::default()
+    });
+    let session = svc.register_session();
+    let mut out: Vec<EstimatePush> = Vec::new();
+    let mut rng = Rng::seed_from_u64(44);
+    let mut iteration = move |svc: &mut PiService| {
+        let r = rng.next_u64();
+        let cost = 1.0 + (r % 71) as f64 * 0.1;
+        let q = svc.submit(session, cost, [0.5, 1.0, 2.0, 4.0][(r >> 7) as usize % 4]);
+        let recent = q.wrapping_sub((r >> 24) % 7);
+        match (r >> 16) % 16 {
+            0 => _ = svc.abort(recent),
+            1 => _ = svc.reweight(recent, 0.5 + ((r >> 32) % 5) as f64),
+            2 => _ = svc.refine_cost(recent, 0.5 + ((r >> 32) % 40) as f64 * 0.2),
+            _ => {}
+        }
+        svc.advance(0.02 + ((r >> 40) % 7) as f64 * 0.01);
+        out.clear();
+        svc.pump(&mut out);
+        out.len()
+    };
+    for _ in 0..8_192 {
+        iteration(&mut svc);
+    }
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("pi_command", |b| b.iter(|| iteration(&mut svc)));
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_predict_scaling,
     bench_estimates_full,
     bench_incremental_scaling,
     bench_churn_drain,
-    bench_tag_full_house
+    bench_tag_full_house,
+    bench_serving_path
 );
 criterion_main!(benches);

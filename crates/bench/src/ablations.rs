@@ -5,6 +5,7 @@
 
 use mqpi_core::{relative_error, MultiQueryPi, SingleQueryPi, Visibility};
 use mqpi_engine::error::Result;
+use mqpi_sim::idmap::IdMap;
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::rng::{Rng, Zipf};
 use mqpi_sim::system::{RateModel, System, SystemConfig};
@@ -284,7 +285,7 @@ pub fn abort_overhead(
             let snap = base.snapshot();
             let ids: Vec<u64> = snap.running.iter().map(|q| q.id).collect();
             base.run_until_idle(rt + 1e7)?;
-            let total: std::collections::HashMap<u64, f64> = ids
+            let total: IdMap<f64> = ids
                 .iter()
                 .map(|id| (*id, base.finished_record(*id).unwrap().units_done))
                 .collect();

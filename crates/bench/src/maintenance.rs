@@ -16,9 +16,8 @@
 //! evaluated on an *identical* system state — the simulation equivalent of
 //! the paper re-running the same workload.
 
-use std::collections::HashMap;
-
 use mqpi_engine::error::Result;
+use mqpi_sim::idmap::IdMap;
 use mqpi_sim::system::{QueryId, System};
 use mqpi_sim::FinishKind;
 use mqpi_wlm::{decide_aborts, optimal_abort_set, LostWorkCase, MaintenanceMethod, QueryLoad};
@@ -49,11 +48,11 @@ struct Baseline {
     /// Time for all ten to finish with no interference.
     t_finish: f64,
     /// Work done by `rt` per query.
-    done_at_rt: HashMap<QueryId, f64>,
+    done_at_rt: IdMap<f64>,
     /// Actual remaining cost at `rt` per query.
-    remaining: HashMap<QueryId, f64>,
+    remaining: IdMap<f64>,
     /// Actual total cost per query (`done + remaining`).
-    total: HashMap<QueryId, f64>,
+    total: IdMap<f64>,
 }
 
 fn build_scenario(db: &TpcrDb, zipf_a: f64, seed: u64, rate: f64) -> Result<System> {
@@ -65,12 +64,12 @@ fn baseline(db: &TpcrDb, zipf_a: f64, seed: u64, rate: f64) -> Result<Baseline> 
     let rt = sys.now();
     let snap = sys.snapshot();
     let ids: Vec<QueryId> = snap.running.iter().map(|q| q.id).collect();
-    let done_at_rt: HashMap<QueryId, f64> = snap.running.iter().map(|q| (q.id, q.done)).collect();
+    let done_at_rt: IdMap<f64> = snap.running.iter().map(|q| (q.id, q.done)).collect();
     // Let the ten run to completion with no interference (the warm-up loop
     // stopped resubmitting, and nothing is scheduled).
     sys.run_until_idle(rt + 1e7)?;
-    let mut remaining = HashMap::new();
-    let mut total = HashMap::new();
+    let mut remaining = IdMap::default();
+    let mut total = IdMap::default();
     let mut t_finish: f64 = 0.0;
     for id in &ids {
         let rec = sys

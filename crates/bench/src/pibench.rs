@@ -24,11 +24,11 @@
 //! incremental structure cannot pass the floor. Each side runs once: the
 //! floor is 10× where the reference box measures over 1000×.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use mqpi_core::fluid::{predict, FluidQuery};
 use mqpi_core::IncrementalFluid;
+use mqpi_sim::idmap::IdMap;
 
 use crate::campaign::splitmix64;
 
@@ -197,7 +197,7 @@ pub fn rebuild(n: u64, events: usize) -> Result<f64, String> {
             weight: weight_of(id),
         })
         .collect();
-    let mut index: HashMap<u64, usize> = (0..n).map(|id| (id, id as usize)).collect();
+    let mut index: IdMap<usize> = (0..n).map(|id| (id, id as usize)).collect();
     let mut rate = 1000.0;
     let t0 = Instant::now();
     for &ev in &stream {

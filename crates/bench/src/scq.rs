@@ -11,6 +11,7 @@ use mqpi_core::adaptive::ArrivalRateEstimator;
 use mqpi_core::multi::FutureWorkload;
 use mqpi_core::{relative_error, EstimateSet, MultiQueryPi, SingleQueryPi, Visibility};
 use mqpi_engine::error::Result;
+use mqpi_sim::idmap::IdSet;
 use mqpi_sim::system::QueryId;
 use mqpi_workload::{average_query_cost, scq_scenario, ScqConfig, TpcrDb};
 
@@ -225,8 +226,7 @@ pub fn run_adaptive_trace(
     // Prior strength: one prior-period's worth of pseudo-observation, so
     // evidence overtakes the prior within a few inter-arrival times.
     let mut rate_est = ArrivalRateEstimator::new(lambda_prime, 120.0);
-    let mut seen_ids: std::collections::HashSet<QueryId> =
-        initial.iter().map(|(id, _)| *id).collect();
+    let mut seen_ids: IdSet = initial.iter().map(|(id, _)| *id).collect();
     let mut last_obs_t = 0.0;
 
     let mut raw: Vec<(f64, f64, f64)> = Vec::new();

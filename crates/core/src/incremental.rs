@@ -61,10 +61,9 @@
 //! sort. A full set costs two `O(n)` walks and that pass; the kernel's
 //! heap holds only the queue and the predicted arrivals.
 
-use std::collections::HashMap;
-
 use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_sim::domain;
+use mqpi_sim::idmap::{IdMap, IdState};
 
 use crate::fluid::{predict, predict_kernel, FluidPrediction, FluidQuery, FutureArrivals};
 
@@ -360,7 +359,7 @@ pub struct IncrementalFluid {
     next_seq: u64,
     root: u32,
     nodes: Nodes,
-    by_id: HashMap<u64, u32>,
+    by_id: IdMap<u32>,
     /// Admission-order list endpoints.
     head: u32,
     tail: u32,
@@ -394,7 +393,7 @@ impl IncrementalFluid {
             next_seq: 0,
             root: NIL,
             nodes: Nodes::with_capacity(cap),
-            by_id: HashMap::with_capacity(cap),
+            by_id: IdMap::with_capacity_and_hasher(cap, IdState::default()),
             head: NIL,
             tail: NIL,
             due: Vec::with_capacity(cap.min(64)),

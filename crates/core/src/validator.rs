@@ -18,9 +18,8 @@
 //! * work is conserved across abort → rollback → retry
 //!   ([`InvariantValidator::check_conservation`]).
 
-use std::collections::{HashMap, HashSet};
-
 use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
+use mqpi_sim::idmap::{IdMap, IdSet};
 use mqpi_sim::system::{FinishedQuery, SystemSnapshot};
 
 use crate::estimate::EstimateSet;
@@ -73,12 +72,12 @@ pub struct InvariantValidator {
     /// quantum discretization.
     slack: f64,
     last_time: Option<f64>,
-    last_estimates: HashMap<u64, f64>,
+    last_estimates: IdMap<f64>,
     /// Ids visible (running ∪ queued) at the previous observation.
-    last_ids: HashSet<u64>,
+    last_ids: IdSet,
     /// Per-running-query (done, blocked, rolling_back) at the previous
     /// observation.
-    last_running: HashMap<u64, (f64, bool, bool)>,
+    last_running: IdMap<(f64, bool, bool)>,
     violations: Vec<Violation>,
     /// Observability handle: every violation is also emitted as a
     /// `violation` trace event and counted under
@@ -105,9 +104,9 @@ impl InvariantValidator {
         InvariantValidator {
             slack,
             last_time: None,
-            last_estimates: HashMap::new(),
-            last_ids: HashSet::new(),
-            last_running: HashMap::new(),
+            last_estimates: IdMap::default(),
+            last_ids: IdSet::default(),
+            last_running: IdMap::default(),
             violations: Vec::new(),
             obs: mqpi_obs::Obs::disabled(),
         }
@@ -142,8 +141,8 @@ impl InvariantValidator {
         }
 
         // Rule: id consistency inside the snapshot.
-        let running_ids: HashSet<u64> = snap.running.iter().map(|r| r.id).collect();
-        let queued_ids: HashSet<u64> = snap.queued.iter().map(|q| q.id).collect();
+        let running_ids: IdSet = snap.running.iter().map(|r| r.id).collect();
+        let queued_ids: IdSet = snap.queued.iter().map(|q| q.id).collect();
         if running_ids.len() != snap.running.len() {
             self.violate(
                 t,
@@ -180,7 +179,7 @@ impl InvariantValidator {
             }
         }
 
-        let visible: HashSet<u64> = running_ids.union(&queued_ids).copied().collect();
+        let visible: IdSet = running_ids.union(&queued_ids).copied().collect();
 
         // Rules: estimates are sane and reference only visible queries.
         for (id, remaining) in est.iter() {
@@ -301,7 +300,7 @@ impl InvariantValidator {
     /// The obs handle is excluded (re-install via
     /// [`InvariantValidator::set_obs`] after restore).
     pub fn checkpoint(&self) -> Vec<u8> {
-        fn sorted<V: Copy>(m: &HashMap<u64, V>) -> Vec<(u64, V)> {
+        fn sorted<V: Copy>(m: &IdMap<V>) -> Vec<(u64, V)> {
             let mut pairs: Vec<(u64, V)> = m.iter().map(|(k, v)| (*k, *v)).collect();
             pairs.sort_unstable_by_key(|(id, _)| *id);
             pairs
@@ -507,7 +506,7 @@ mod tests {
 
     /// Violations come out in one order on every run: estimates in the
     /// set's order, ids in both the running set and the queue by id. Each
-    /// `HashMap`/`HashSet` draws its own hash seed, so set order would
+    /// `IdMap`/`IdSet` draws its own hash key, so set order would
     /// differ between the repetitions below.
     #[test]
     fn violation_order_is_the_same_every_time() {

@@ -1,11 +1,10 @@
 //! Checkpoint, restore and the state digest, with the structural checks
 //! a decoded payload must pass before the service trusts it.
 
-use std::collections::HashSet;
-
 use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_obs::Obs;
 use mqpi_sim::domain;
+use mqpi_sim::idmap::IdSet;
 
 use crate::{PiService, Sub, NIL};
 
@@ -132,7 +131,7 @@ impl PiService {
     /// negative cost is stored as 0), attempts within the retry policy, and
     /// an id below the cursor that nothing else holds.
     fn check_queries(&mut self) -> Result<(), String> {
-        let mut seen: HashSet<u64> = self.live_set().iter().map(|q| q.id).collect();
+        let mut seen: IdSet = self.live_set().iter().map(|q| q.id).collect();
         let max_attempts = self.cfg.retry.max_attempts;
         for w in self.queue.iter_mut().chain(&mut self.backoff) {
             let id = w.id;
@@ -146,14 +145,16 @@ impl PiService {
                 return Err(format!("waiting query {id} is held twice"));
             }
         }
-        if let Some(id) = seen.iter().find(|&&id| id >= self.next_query) {
+        // The smallest offender, so that the error does not depend on the
+        // sets' random order.
+        if let Some(id) = seen.iter().filter(|&&id| id >= self.next_query).min() {
             return Err(format!(
                 "query {id} at or beyond cursor {}",
                 self.next_query
             ));
         }
         let known = |q: &&u64| seen.contains(q) || self.pending_final.contains(q);
-        match self.by_query.keys().find(|q| !known(q)) {
+        match self.by_query.keys().filter(|q| !known(q)).min() {
             Some(q) => Err(format!(
                 "subscribers of query {q}, which is not in the system"
             )),

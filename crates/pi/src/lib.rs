@@ -101,6 +101,7 @@ use mqpi_ckpt::wire_struct;
 use mqpi_core::adaptive::MeanCostEstimator;
 use mqpi_core::{ArrivalRateEstimator, EstimateSet, FluidQuery, FutureArrivals, IncrementalFluid};
 use mqpi_obs::Obs;
+use mqpi_sim::idmap::{IdMap, IdState};
 use mqpi_wal::Wal;
 
 mod admission;
@@ -309,9 +310,9 @@ pub struct PiService {
     session_free: Vec<u32>,
     subs: Vec<Sub>,
     sub_free: Vec<u32>,
-    /// query id → head of its subscriber chain. Sorted-key encoding keeps
-    /// checkpoints canonical; lookups go through a plain hash map.
-    by_query: std::collections::HashMap<u64, u32>,
+    /// query id → head of its subscriber chain, in an `IdMap` (keyed per
+    /// map, so its order is random: the encoding sorts the keys).
+    by_query: IdMap<u32>,
     next_query: u64,
     arrivals: ArrivalRateEstimator,
     mean_cost: MeanCostEstimator,
@@ -413,7 +414,7 @@ impl PiService {
             session_free: Vec::with_capacity(cap.min(1024)),
             subs: Vec::with_capacity(cap),
             sub_free: Vec::with_capacity(cap.min(1024)),
-            by_query: std::collections::HashMap::with_capacity(cap),
+            by_query: IdMap::with_capacity_and_hasher(cap, IdState::default()),
             drift: 0.0,
             due_key: Vec::with_capacity(cap),
             due_floor: f64::INFINITY,

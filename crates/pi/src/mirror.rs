@@ -49,9 +49,8 @@
 //! it, so estimates queried between batches are always relative to the
 //! last applied event time.
 
-use std::collections::{HashMap, HashSet};
-
 use mqpi_core::IncrementalFluid;
+use mqpi_sim::idmap::{IdMap, IdSet};
 use mqpi_sim::{domain, FinishKind, SimEvent, System};
 
 /// Counts of events rejected by the mirror's input screening, by reason.
@@ -89,17 +88,17 @@ pub struct SystemMirror {
     /// Queued (not yet admitted) queries: id → (cost, weight). An id lives
     /// in at most one of `fluid`, `queue` and `blocked`: every insertion
     /// below is screened against the other two.
-    queue: HashMap<u64, (f64, f64)>,
+    queue: IdMap<(f64, f64)>,
     /// Blocked queries withdrawn from the GPS pool: id → (remaining cost,
     /// weight).
-    blocked: HashMap<u64, (f64, f64)>,
+    blocked: IdMap<(f64, f64)>,
     clock: f64,
     /// Ids the fluid model retired at predicted completion boundaries.
     predicted_done: Vec<u64>,
     /// Ids retired by the model whose `Departed` confirmation is still
     /// outstanding — a later `Departed` for one of these is legitimate,
     /// not an unknown id. Entries leave when the confirmation arrives.
-    retired: HashSet<u64>,
+    retired: IdSet,
     quarantine: QuarantineStats,
     /// Quarantine counters as of the last [`resync`](Self::resync):
     /// backoff decisions ("have things gone wrong *since* the rebuild?")
@@ -113,11 +112,11 @@ impl SystemMirror {
     pub fn new(rate: f64) -> Self {
         SystemMirror {
             fluid: IncrementalFluid::new(rate),
-            queue: HashMap::new(),
-            blocked: HashMap::new(),
+            queue: IdMap::default(),
+            blocked: IdMap::default(),
             clock: 0.0,
             predicted_done: Vec::new(),
-            retired: HashSet::new(),
+            retired: IdSet::default(),
             quarantine: QuarantineStats::default(),
             quarantine_at_resync: QuarantineStats::default(),
             resyncs: 0,

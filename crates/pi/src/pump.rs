@@ -46,7 +46,7 @@ impl PiService {
         let pushes_before = self.stats.pushes;
         let finals = std::mem::take(&mut self.pending_final);
         for &query in &finals {
-            let Some(&head) = self.by_query.get(&query) else {
+            let Some(head) = self.by_query.remove(&query) else {
                 continue;
             };
             let mut cur = head;
@@ -64,7 +64,6 @@ impl PiService {
                 self.free_sub(cur);
                 cur = sub.next_same_query;
             }
-            self.by_query.remove(&query);
         }
         let mut finals = finals;
         finals.clear();

@@ -158,7 +158,8 @@ impl PiService {
     /// and not yet subscribed to by this session.
     pub(crate) fn attach_sub(&mut self, slot: u32, query: u64, live: bool) {
         let next_ss = self.sessions[slot as usize].sub_head;
-        let next_sq = self.by_query.get(&query).copied().unwrap_or(NIL);
+        let sub_slot = self.sub_free.pop().unwrap_or(self.subs.len() as u32);
+        let next_sq = self.by_query.insert(query, sub_slot).unwrap_or(NIL);
         let rec = Sub {
             active: true,
             session: slot,
@@ -169,17 +170,15 @@ impl PiService {
             next_same_query: next_sq,
             prev_same_query: NIL,
         };
-        let sub_slot = if let Some(s) = self.sub_free.pop() {
-            self.subs[s as usize] = rec;
-            self.due_key[s as usize] = f64::NEG_INFINITY;
-            self.node_of[s as usize] = NIL;
-            s
+        if let Some(s) = self.subs.get_mut(sub_slot as usize) {
+            *s = rec;
+            self.due_key[sub_slot as usize] = f64::NEG_INFINITY;
+            self.node_of[sub_slot as usize] = NIL;
         } else {
             self.subs.push(rec);
             self.due_key.push(f64::NEG_INFINITY);
             self.node_of.push(NIL);
-            (self.subs.len() - 1) as u32
-        };
+        }
         self.due_floor = f64::NEG_INFINITY;
         self.live_subs += u64::from(live);
         if next_ss != NIL {
@@ -189,7 +188,6 @@ impl PiService {
             self.subs[next_sq as usize].prev_same_query = sub_slot;
         }
         self.sessions[slot as usize].sub_head = sub_slot;
-        self.by_query.insert(query, sub_slot);
         if self.obs.is_enabled() {
             self.obs.counter_add("pi.subscribed", 1);
         }

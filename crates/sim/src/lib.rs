@@ -19,12 +19,14 @@
 //! synthetic jobs), [`admission`] (admission-queue policies),
 //! [`speed`] (observed-speed monitors used by single-query PIs),
 //! [`system`] (the scheduler itself and its snapshots), [`domain`] (the
-//! one definition of a valid weight, cost and rate).
+//! one definition of a valid weight, cost and rate), [`idmap`] (the keyed
+//! hasher of every map keyed by a query id).
 
 pub mod admission;
 mod checkpoint;
 pub mod domain;
 pub mod faults;
+pub mod idmap;
 mod intern;
 pub mod job;
 pub mod rng;

@@ -41,13 +41,18 @@
 //! The monitors are replayed, not stepped. Every session's EMA takes the
 //! same sample a step — the fluid rate, or 0 while blocked — so a step
 //! appends its `(rate, alpha)` to a log, and each row keeps its EMA as of
-//! a log index. A read ([`RunningSet::speed`], [`RunningSet::monitor_at`],
-//! a block or unblock, turning the path off) replays the entries since,
-//! one [`crate::speed::sample`] each in step order, so it holds the bits
-//! that sampling the row on every step would have given, and keeps the
-//! result; a row that leaves unread costs nothing. Once the log reaches
-//! [`LOG_ROWS`] entries a running row, the rows still behind its first
-//! half are brought up to date and that half is dropped.
+//! a log index. A read replays the entries since, one
+//! [`crate::speed::sample`] each in step order, so it holds the bits that
+//! sampling the row on every step would have given, and keeps the result;
+//! a row that leaves unread costs nothing. One routine,
+//! [`RunningSet::replay`], does every replay: a whole-set read (a snapshot,
+//! a checkpoint, turning the path off) brings all rows forward in one walk
+//! of the log, sampling at each entry every row that has reached it, so
+//! the rows' sample chains run side by side; a single-row read
+//! ([`RunningSet::speed`], a block or unblock) is the same walk over one
+//! row. Once the log reaches [`LOG_ROWS`] entries a running row, the rows
+//! still behind its first half are brought up to date and that half is
+//! dropped.
 //!
 //! A session the tag path cannot serve — a weight that is not 1.0, an
 //! opaque or failure-armed job — turns it off
@@ -117,6 +122,12 @@ struct Lanes {
     /// The EMA ([`SpeedMonitor::lane`]'s encoding) after log entry `at − 1`.
     ema: Vec<f64>,
     at: Vec<u64>,
+    /// Scratch for [`RunningSet::replay`]: the `(at, position)` of the rows
+    /// it brings forward, by `at`, and their EMAs and blocked flags in that
+    /// order while it walks.
+    due: Vec<(u64, u32)>,
+    run_ema: Vec<f64>,
+    run_blocked: Vec<bool>,
 }
 
 /// The tag path's shared state (see the module docs).
@@ -484,20 +495,66 @@ impl RunningSet {
         self.order().map(|k| self.settled(k).0 - self.done[k]).sum()
     }
 
-    /// Row `k`'s monitor EMA as of the last logged step: the entries since
-    /// its lane was last brought forward are replayed — the step's rate,
-    /// or 0 while blocked — and the result kept.
+    /// Row `k`'s monitor EMA as of the last logged step.
     fn lane(&self, k: usize) -> f64 {
-        let t = &self.tags;
-        let mut lanes = self.lanes.borrow_mut();
-        let mut e = lanes.ema[k];
-        let inst = |rate| if self.blocked[k] { 0.0 } else { rate };
-        for &(rate, alpha) in &t.log[(lanes.at[k] - t.base) as usize..] {
-            sample(&mut e, inst(rate), alpha);
+        self.replay([k], self.tags.end());
+        self.lanes.borrow().ema[k]
+    }
+
+    /// Bring every running row's lane forward to the last logged step. A
+    /// whole-set read calls this first, so that its row reads find their
+    /// lanes current.
+    pub(crate) fn replay_all(&self) {
+        if self.tags.on {
+            self.replay(self.order(), self.tags.end());
         }
-        lanes.ema[k] = e;
-        lanes.at[k] = t.end();
-        e
+    }
+
+    /// Bring the lanes of those `rows` that are behind log entry `behind`
+    /// forward to the last logged step, in one walk of the log from the
+    /// smallest `at`: each entry samples, in one pass, every row whose `at`
+    /// it has reached — the step's rate, or 0 while blocked. Each row takes
+    /// the entries from its own `at` on, in log order, as a replay of that
+    /// row alone would, so the bits are the same; the rows' chains are
+    /// independent, so they overlap.
+    fn replay(&self, rows: impl IntoIterator<Item = usize>, behind: u64) {
+        let t = &self.tags;
+        let end = t.end();
+        let mut lanes = self.lanes.borrow_mut();
+        let Lanes {
+            ema,
+            at,
+            due,
+            run_ema,
+            run_blocked,
+        } = &mut *lanes;
+        due.clear();
+        due.extend(
+            rows.into_iter()
+                .filter(|&k| at[k] < behind)
+                .map(|k| (at[k], k as u32)),
+        );
+        due.sort_unstable();
+        let Some(&(first, _)) = due.first() else {
+            return;
+        };
+        run_ema.clear();
+        run_blocked.clear();
+        let mut joined = 0;
+        for (i, &(rate, alpha)) in (first..).zip(&t.log[(first - t.base) as usize..]) {
+            while let Some(&(_, k)) = due.get(joined).filter(|&&(a, _)| a <= i) {
+                run_ema.push(ema[k as usize]);
+                run_blocked.push(self.blocked[k as usize]);
+                joined += 1;
+            }
+            for (e, &blocked) in run_ema.iter_mut().zip(run_blocked.iter()) {
+                sample(e, if blocked { 0.0 } else { rate }, alpha);
+            }
+        }
+        for (&(_, k), &e) in due.iter().zip(run_ema.iter()) {
+            ema[k as usize] = e;
+            at[k as usize] = end;
+        }
     }
 
     /// Log one step's monitor sample, and trim the log once it is long:
@@ -510,11 +567,7 @@ impl RunningSet {
         }
         let half = self.tags.log.len() / 2;
         let keep = self.tags.base + half as u64;
-        for k in 0..self.slot.len() {
-            if !self.gone[k] && self.lanes.get_mut().at[k] < keep {
-                self.lane(k);
-            }
-        }
+        self.replay(self.order(), keep);
         self.tags.log.drain(..half);
         self.tags.base = keep;
     }
@@ -591,6 +644,7 @@ impl RunningSet {
         if !self.tags.on {
             return 0;
         }
+        self.replay_all();
         let mut ran = 0;
         for k in 0..self.slot.len() {
             if self.gone[k] {

@@ -1546,6 +1546,7 @@ impl System {
 
     /// Snapshot for progress indicators.
     pub fn snapshot(&self) -> SystemSnapshot {
+        self.running.replay_all();
         SystemSnapshot {
             time: self.clock,
             rate: self.cfg.rate,
@@ -1691,6 +1692,7 @@ impl System {
             self.names.resolve(sym).enc(&mut e);
         }
         e.put_usize(rs.len());
+        rs.replay_all();
         for k in rs.order() {
             let (_, credit, units_done) = rs.settled(k);
             let state = Sched {
@@ -3166,5 +3168,108 @@ mod checkpoint_tests {
             assert_eq!(sys.now().to_bits(), restored.now().to_bits());
         }
         assert_eq!(sys.checkpoint().unwrap(), restored.checkpoint().unwrap());
+    }
+}
+
+/// The tag path's two kinds of monitor read against each other: a
+/// whole-set read (`snapshot`, one walk of the log for every row) and a
+/// single-row read (`RunningSet::speed`, the same walk over one row).
+#[cfg(test)]
+mod lane_reads {
+    use std::sync::Arc;
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::job::SyntheticJob;
+    use crate::rng::Rng;
+
+    /// Two systems run one random event-mode history with blocks and
+    /// resumes. `a` is read whole at random gaps, `b` one random row at a
+    /// time, so their lanes stand at different log entries; at random
+    /// points `a`'s snapshot speeds must equal `b`'s rows read one by one,
+    /// bit for bit. Returns how many of those points were on the tag path.
+    fn whole_equals_by_row(seed: u64) -> usize {
+        let mut rng = Rng::seed_from_u64(seed);
+        let cfg = SystemConfig {
+            rate: 1_000.0,
+            admission: AdmissionPolicy::MaxConcurrent(4 + rng.below(60) as usize),
+            speed_tau: if rng.below(2) == 0 { 0.5 } else { 10.0 },
+            step_mode: StepMode::EventDriven,
+            ..Default::default()
+        };
+        let (mut a, mut b) = (System::new(cfg), System::new(cfg));
+        let name: Arc<str> = "lane".into();
+        let mut at = 0.0;
+        for _ in 0..300 + rng.below(600) {
+            let load = 0.7 + 0.6 * rng.f64();
+            at += rng.exp(load * 1_000.0 / 60.0);
+            let cost = 1 + rng.below(120);
+            for sys in [&mut a, &mut b] {
+                let job = Box::new(SyntheticJob::new(cost));
+                sys.schedule(at, Arc::clone(&name), job, 1.0);
+            }
+        }
+        let speeds = |sys: &System| -> Vec<Option<u64>> {
+            let rs = &sys.running;
+            rs.order().map(|k| rs.speed(k).map(f64::to_bits)).collect()
+        };
+        let mut tagged = 0;
+        for _ in 0..40_000 {
+            if !a.has_work() {
+                break;
+            }
+            let ids = a.running_ids();
+            if !ids.is_empty() && rng.below(8) == 0 {
+                let id = ids[rng.below(ids.len() as u64) as usize];
+                let k = a.running.position(&a.slab, id).unwrap();
+                let blocked = a.running.blocked[k];
+                for sys in [&mut a, &mut b] {
+                    if blocked {
+                        sys.resume(id).unwrap();
+                    } else {
+                        sys.block(id).unwrap();
+                    }
+                }
+            }
+            a.step_discard().unwrap();
+            b.step_discard().unwrap();
+            if rng.below(50) == 0 {
+                a.snapshot();
+            }
+            if !b.running.is_empty() && rng.below(4) == 0 {
+                let nth = rng.below(b.running.len() as u64) as usize;
+                let k = b.running.order().nth(nth).unwrap();
+                b.running.speed(k);
+            }
+            if rng.below(100) == 0 {
+                let whole: Vec<Option<u64>> = a
+                    .snapshot()
+                    .running
+                    .iter()
+                    .map(|q| q.observed_speed.map(f64::to_bits))
+                    .collect();
+                assert_eq!(whole, speeds(&b), "seed {seed} at t = {}", a.now());
+                tagged += usize::from(b.running.tagged());
+            }
+        }
+        tagged
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn whole_set_lane_reads_equal_row_by_row_reads(seed in any::<u64>()) {
+            whole_equals_by_row(seed);
+        }
+    }
+
+    /// Fixed seeds, so a failure reproduces without the property runner,
+    /// and enough comparisons on the tag path to mean something.
+    #[test]
+    fn whole_set_lane_reads_equal_row_by_row_reads_fixed_seeds() {
+        let tagged: usize = (0..4).map(whole_equals_by_row).sum();
+        assert!(tagged >= 20, "only {tagged} comparisons on the tag path");
     }
 }
