@@ -200,7 +200,6 @@ fn bench_churn_drain(c: &mut Criterion) {
                     rate,
                     quantum_units: 16.0,
                     admission: AdmissionPolicy::MaxConcurrent(256),
-                    speed_tau: 10.0,
                     step_mode: StepMode::EventDriven,
                     ..Default::default()
                 });

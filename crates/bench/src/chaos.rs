@@ -324,7 +324,6 @@ fn build_system(shape: &str, rng: &mut Rng) -> System {
         rate: RATE,
         quantum_units: 16.0,
         admission,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });

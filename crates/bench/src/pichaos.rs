@@ -130,7 +130,6 @@ fn service_config(rep: usize, wal: Option<WalKnobs>) -> PiConfig {
         queue_deadline: Some(0.5),
         retry: RetryPolicy {
             base_delay: 0.25,
-            multiplier: 2.0,
             max_delay: 2.0,
             max_attempts: 3,
         },
@@ -141,7 +140,6 @@ fn service_config(rep: usize, wal: Option<WalKnobs>) -> PiConfig {
             finals_exit: 18,
             shed_enter: 48,
             shed_exit: 36,
-            epsilon_factor: 4.0,
         }),
         breaker: Some(BreakerConfig {
             interval: 2.0,
@@ -149,7 +147,6 @@ fn service_config(rep: usize, wal: Option<WalKnobs>) -> PiConfig {
             sample: 32,
         }),
         wal,
-        ..PiConfig::default()
     }
 }
 

@@ -90,7 +90,6 @@ fn build_system(scenario: &str, rng: &mut Rng, obs: &Obs) -> System {
         rate: RATE,
         quantum_units: 16.0,
         admission,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });

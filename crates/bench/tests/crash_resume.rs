@@ -134,7 +134,6 @@ fn pi_service_restore_survives_mutation_corpus() {
         queue_deadline: Some(0.3),
         retry: RetryPolicy {
             base_delay: 0.2,
-            multiplier: 2.0,
             max_delay: 1.0,
             max_attempts: 2,
         },

@@ -157,7 +157,7 @@ fn system() -> Vec<u8> {
 /// dip's factor of 1e-7 is clamped to an injector factor of 1e-6 until
 /// 2.75 (0.5 + 2.25). A cost-noise event of factor 1.375 waits at 7.125 and
 /// a dip of factor 0.34375 for 1.75 s at 9.375, under a retry policy of
-/// 0.4375 × 1.5625^k capped at 6.5. (The applied dip's own values are also
+/// 0.4375 × 2^k capped at 6.5. (The applied dip's own values are also
 /// in the injector's log, so its rows are the pending dip's.)
 fn faulted() -> Vec<u8> {
     let mut sys = System::new(SystemConfig {
@@ -168,7 +168,6 @@ fn faulted() -> Vec<u8> {
     let noise = FaultKind::CostNoise { factor: 1.375 };
     let retry = RetryPolicy {
         base_delay: 0.4375,
-        multiplier: 1.5625,
         max_delay: 6.5,
         max_attempts: 2,
     };
@@ -255,11 +254,6 @@ fn decoders_accept_exactly_the_domain() {
             "retry base delay",
             0.4375,
             Domain::AtLeast("base_delay", 0.0),
-        ),
-        (
-            "retry multiplier",
-            1.5625,
-            Domain::AtLeast("multiplier", 1.0),
         ),
         ("retry max delay", 6.5, Domain::AtLeast("max_delay", 0.0)),
         (

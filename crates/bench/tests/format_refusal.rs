@@ -1,0 +1,94 @@
+//! Artifacts an older format version wrote are refused with a typed error.
+//!
+//! `fixtures/v3/` holds files written at `FORMAT_VERSION` 3, the last
+//! version before the one-value configuration fields left the payloads:
+//!
+//! * `system.ckpt` — a `System` checkpoint (event mode, two slots, a fault
+//!   plan, four jobs and a scheduled arrival, stepped to t = 5) framed as a
+//!   container of kind `system`;
+//! * `service.ckpt` — a `PiService` checkpoint (two slots, a deadline, the
+//!   default retry policy and ladder, four subscribed queries, one pump);
+//! * `wal/` — the log of a durable service (flush every record, compaction
+//!   every 8) left by a crash after 51 commands: a base through record 48
+//!   and a segment holding the three records past it.
+//!
+//! Each must fail with `VersionMismatch { found: 3, expected:
+//! FORMAT_VERSION }`, not decode as garbage, panic or start fresh. Before
+//! the log refused an old base, `open_durable` on `wal/` succeeded: it
+//! skipped the base as damaged, counted the segment it anchors as a
+//! 102-byte torn tail, deleted both and started an empty service.
+
+// Test code: unwrap/expect on known-good fixtures is fine here.
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+use mqpi_ckpt::{CkptError, FORMAT_VERSION};
+use mqpi_pi::{PiConfig, PiService, Standby};
+use mqpi_sim::System;
+
+fn fixture(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/v3")
+        .join(name)
+}
+
+#[track_caller]
+fn assert_v3<T>(what: &str, got: Result<T, CkptError>) {
+    match got {
+        Err(CkptError::VersionMismatch { found: 3, expected }) if expected == FORMAT_VERSION => {}
+        Err(e) => panic!("{what}: {e}"),
+        Ok(_) => panic!("{what}: a version-3 artifact was accepted"),
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let p = e.unwrap().path();
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            (name, fs::read(&p).unwrap())
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn v3_checkpoints_are_refused() {
+    assert_v3(
+        "system",
+        mqpi_ckpt::read_file(&fixture("system.ckpt"), "system").and_then(|p| System::restore(&p)),
+    );
+    let bytes = fs::read(fixture("service.ckpt")).unwrap();
+    assert_v3("service", PiService::restore(&bytes));
+}
+
+#[test]
+fn v3_log_is_refused_and_left_as_it_was() {
+    let old = files(&fixture("wal"));
+    assert_eq!(old.len(), 2, "a base and a segment");
+    // Open a copy: a reader that still took the directory for damage
+    // would delete the fixture.
+    let dir = std::env::temp_dir().join(format!("mqpi_format_refusal_{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    for (name, bytes) in &old {
+        fs::write(dir.join(name), bytes).unwrap();
+    }
+
+    let cfg = PiConfig::default();
+    assert_v3("open_durable", PiService::open_durable(cfg, &dir));
+    assert_eq!(files(&dir), old, "open_durable changed the log");
+    assert_v3(
+        "open_durable_at_mark",
+        PiService::open_durable_at_mark(cfg, &dir),
+    );
+    assert_eq!(files(&dir), old, "open_durable_at_mark changed the log");
+    assert_v3("standby", Standby::new(cfg, &dir));
+    assert_eq!(files(&dir), old, "the standby changed the log");
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -45,7 +45,12 @@ use std::sync::Arc;
 ///
 /// v3: `PiService` payloads grew a WAL-policy section, and the durability
 /// layer (`mqpi-wal`) introduced segment and base-snapshot payload kinds.
-pub const FORMAT_VERSION: u32 = 3;
+///
+/// v4: the configuration values that had one value in every caller left
+/// the payloads with their fields: `SystemConfig::speed_tau`, `PiConfig`'s
+/// four arrival and cost priors, `LadderConfig::epsilon_factor` and
+/// `RetryPolicy::multiplier` (inside fault plans and `PiConfig`).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// File magic, first four bytes of every snapshot.
 pub const MAGIC: &[u8; 4] = b"MQPI";

@@ -159,7 +159,6 @@ fn pure_progress_system(seed: u64) -> System {
     let mut sys = System::new(SystemConfig {
         rate: 100.0,
         quantum_units: 16.0,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });

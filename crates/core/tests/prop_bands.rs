@@ -38,7 +38,6 @@ fn run_chaos(seed: u64, faults_per_kind: usize) -> BandOutcome {
     let mut sys = System::new(SystemConfig {
         rate: 100.0,
         quantum_units: 16.0,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });

@@ -27,7 +27,6 @@ proptest! {
             rate: 100.0,
             quantum_units: 8.0,
             admission: AdmissionPolicy::MaxConcurrent(slots),
-            speed_tau: 10.0,
             step_mode: StepMode::Quantum,
             ..Default::default()
         });

@@ -20,7 +20,6 @@ fn build(seed: u64, costs: &[u64], slots: usize, per_kind: usize) -> System {
         rate: 100.0,
         quantum_units: 8.0,
         admission: AdmissionPolicy::MaxConcurrent(slots),
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });

@@ -128,18 +128,27 @@ impl PiService {
 
     /// What admission and the deadline service assume of a waiting query,
     /// checked field by field: a weight and a cost in their domains (a
-    /// negative cost is stored as 0), attempts within the retry policy, and
-    /// an id below the cursor that nothing else holds.
+    /// negative cost is stored as 0), attempts within the retry policy, a
+    /// backoff that ends within one `max_delay` of now (it began at or
+    /// before now), and an id below the cursor that nothing else holds.
     fn check_queries(&mut self) -> Result<(), String> {
         let mut seen: IdSet = self.live_set().iter().map(|q| q.id).collect();
         let max_attempts = self.cfg.retry.max_attempts;
-        for w in self.queue.iter_mut().chain(&mut self.backoff) {
+        let backoff_end = self.clock + self.cfg.retry.max_delay;
+        let queued = self.queue.len();
+        for (i, w) in self.queue.iter_mut().chain(&mut self.backoff).enumerate() {
             let id = w.id;
             let named = |e| format!("waiting query {id}: {e}");
             domain::weight(w.weight).map_err(named)?;
             w.cost = domain::cost(w.cost).map_err(named)?;
             if w.attempts > max_attempts {
                 return Err(named(format!("attempt {} > {max_attempts}", w.attempts)));
+            }
+            if i >= queued && (w.until > backoff_end || w.until.is_nan()) {
+                return Err(named(format!(
+                    "backoff until {} beyond {backoff_end}",
+                    w.until
+                )));
             }
             if !seen.insert(id) {
                 return Err(format!("waiting query {id} is held twice"));

@@ -24,9 +24,6 @@ pub struct LadderConfig {
     pub shed_enter: usize,
     /// Shedding stops once load falls to this value.
     pub shed_exit: usize,
-    /// Multiplier applied to the push epsilon in the EpsilonWiden tier
-    /// and above (≥ 1).
-    pub epsilon_factor: f64,
 }
 wire_struct!(LadderConfig {
     widen_enter,
@@ -35,7 +32,6 @@ wire_struct!(LadderConfig {
     finals_exit,
     shed_enter,
     shed_exit,
-    epsilon_factor,
 });
 
 impl Default for LadderConfig {
@@ -47,7 +43,6 @@ impl Default for LadderConfig {
             finals_exit: 24,
             shed_enter: 64,
             shed_exit: 48,
-            epsilon_factor: 4.0,
         }
     }
 }
@@ -91,14 +86,6 @@ pub enum PiConfigError {
     Epsilon(f64),
     /// `slots` must be at least 1 when bounded.
     ZeroSlots,
-    /// A prior (λ′, its strength, c̄′, or its strength) must be finite and
-    /// non-negative.
-    Prior {
-        /// Which prior field.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
     /// `queue_deadline` must be finite and positive when set.
     QueueDeadline(f64),
     /// A retry-policy field is out of range.
@@ -124,9 +111,6 @@ impl std::fmt::Display for PiConfigError {
                 write!(f, "epsilon must be finite and non-negative, got {v}")
             }
             PiConfigError::ZeroSlots => write!(f, "admission limit must be at least 1"),
-            PiConfigError::Prior { field, value } => {
-                write!(f, "{field} must be finite and non-negative, got {value}")
-            }
             PiConfigError::QueueDeadline(v) => {
                 write!(f, "queue_deadline must be finite and positive, got {v}")
             }
@@ -153,14 +137,6 @@ pub struct PiConfig {
     /// Admission limit (`None` = unlimited): queries beyond it wait in a
     /// FIFO queue, exactly like `fluid::predict`'s `slots` input.
     pub slots: Option<usize>,
-    /// Prior arrival rate λ′ for the shared arrival model.
-    pub lambda_prior: f64,
-    /// Strength of the λ prior, in seconds of pseudo-observation.
-    pub lambda_prior_time: f64,
-    /// Prior mean query cost c̄′ for the shared cost model.
-    pub cost_prior: f64,
-    /// Strength of the cost prior, in pseudo-samples.
-    pub cost_prior_strength: f64,
     /// Virtual seconds a queued query may wait for admission before its
     /// deadline fires (`None` = wait forever).
     pub queue_deadline: Option<f64>,
@@ -186,10 +162,6 @@ wire_struct!(PiConfig {
     rate,
     epsilon,
     slots,
-    lambda_prior,
-    lambda_prior_time,
-    cost_prior,
-    cost_prior_strength,
     queue_deadline,
     retry,
     ladder,
@@ -203,10 +175,6 @@ impl Default for PiConfig {
             rate: 100.0,
             epsilon: 0.25,
             slots: None,
-            lambda_prior: 0.0,
-            lambda_prior_time: 60.0,
-            cost_prior: 500.0,
-            cost_prior_strength: 3.0,
             queue_deadline: None,
             retry: RetryPolicy::none(),
             ladder: None,
@@ -227,16 +195,6 @@ impl PiConfig {
         }
         if self.slots == Some(0) {
             return Err(PiConfigError::ZeroSlots);
-        }
-        for (field, value) in [
-            ("lambda_prior", self.lambda_prior),
-            ("lambda_prior_time", self.lambda_prior_time),
-            ("cost_prior", self.cost_prior),
-            ("cost_prior_strength", self.cost_prior_strength),
-        ] {
-            if !value.is_finite() || value < 0.0 {
-                return Err(PiConfigError::Prior { field, value });
-            }
         }
         if let Some(d) = self.queue_deadline {
             if !d.is_finite() || d <= 0.0 {
@@ -272,9 +230,6 @@ impl PiConfig {
             }
             if l.shed_exit >= l.shed_enter {
                 return Err(PiConfigError::Ladder("shed_exit must be below shed_enter"));
-            }
-            if !l.epsilon_factor.is_finite() || l.epsilon_factor < 1.0 {
-                return Err(PiConfigError::Ladder("epsilon_factor must be at least 1"));
             }
         }
         if let Some(b) = self.breaker {

@@ -15,8 +15,8 @@ use crate::{LadderConfig, PiService};
 pub enum LoadTier {
     /// Full service: every subscription pushed at the configured epsilon.
     Normal = 0,
-    /// Push epsilon multiplied by [`LadderConfig::epsilon_factor`] —
-    /// estimates widen instead of disappearing.
+    /// Push epsilon multiplied by four (the pump's `EPSILON_WIDEN_FACTOR`)
+    /// — estimates widen instead of disappearing.
     EpsilonWiden = 1,
     /// Only final (completion) pushes are delivered.
     FinalsOnly = 2,

@@ -296,6 +296,16 @@ wire_struct!(Waiting {
     until,
 });
 
+/// Prior arrival rate λ′ of the shared arrival model: none, so λ is what
+/// the service has seen.
+const LAMBDA_PRIOR: f64 = 0.0;
+/// Strength of the λ prior, in seconds of pseudo-observation.
+const LAMBDA_PRIOR_TIME: f64 = 60.0;
+/// Prior mean query cost c̄′ of the shared cost model.
+const COST_PRIOR: f64 = 500.0;
+/// Strength of the cost prior, in pseudo-samples.
+const COST_PRIOR_STRENGTH: f64 = 3.0;
+
 /// The always-on PI session service. See the crate docs for the design.
 #[derive(Debug)]
 pub struct PiService {
@@ -422,8 +432,8 @@ impl PiService {
             sweep: Vec::with_capacity(cap),
             live_subs: 0,
             next_query: 1,
-            arrivals: ArrivalRateEstimator::new(cfg.lambda_prior, cfg.lambda_prior_time),
-            mean_cost: MeanCostEstimator::new(cfg.cost_prior, cfg.cost_prior_strength),
+            arrivals: ArrivalRateEstimator::new(LAMBDA_PRIOR, LAMBDA_PRIOR_TIME),
+            mean_cost: MeanCostEstimator::new(COST_PRIOR, COST_PRIOR_STRENGTH),
             pending_arrivals: 0,
             pending_final: Vec::with_capacity(cap.min(1024)),
             tier: LoadTier::Normal,
@@ -748,12 +758,51 @@ mod tests {
         assert!(PiService::restore(&bytes).is_err());
     }
 
+    /// A backoff began at or before the checkpoint's clock and lasts at
+    /// most `max_delay`: one that ends later (a flipped exponent bit made
+    /// it 1e154) would keep its query waiting for ever, and NaN would
+    /// never end either.
     #[test]
-    fn arrival_model_learns_from_traffic() {
+    fn restore_rejects_a_backoff_past_max_delay() {
         let mut s = PiService::new(PiConfig {
-            lambda_prior: 0.0,
+            slots: Some(1),
+            queue_deadline: Some(0.3),
+            retry: RetryPolicy::default(),
             ..PiConfig::default()
         });
+        let sid = s.register_session();
+        s.submit(sid, 1e4, 1.0);
+        s.submit(sid, 10.0, 1.0);
+        s.advance(0.5);
+        assert_eq!(s.backoff.len(), 1);
+        let until = s.backoff[0].until;
+        let payload = mqpi_ckpt::decode_container(&s.checkpoint(), CKPT_KIND_SERVICE).unwrap();
+        let at = (0..payload.len() - 8)
+            .find(|&i| payload[i..i + 8] == until.to_bits().to_le_bytes())
+            .unwrap();
+        let end = s.now() + RetryPolicy::default().max_delay;
+        for (v, ok) in [
+            (end, true),
+            (end.next_up(), false),
+            (f64::NAN, false),
+            (1e154, false),
+        ] {
+            let mut hostile = payload.clone();
+            hostile[at..at + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+            let got = PiService::restore(&mqpi_ckpt::encode_container(CKPT_KIND_SERVICE, &hostile));
+            match got {
+                Ok(_) => assert!(ok, "backoff until {v} accepted"),
+                Err(mqpi_ckpt::CkptError::Corrupt(m)) => {
+                    assert!(!ok && m.contains("backoff"), "{v}: {m}")
+                }
+                Err(e) => panic!("{v}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_model_learns_from_traffic() {
+        let mut s = PiService::new(PiConfig::default());
         let sid = s.register_session();
         for _ in 0..100 {
             s.submit(sid, 10.0, 1.0);
@@ -785,26 +834,11 @@ mod tests {
                 ..base
             },
             PiConfig {
-                lambda_prior: f64::NAN,
-                ..base
-            },
-            PiConfig {
-                cost_prior: -3.0,
-                ..base
-            },
-            PiConfig {
                 queue_deadline: Some(0.0),
                 ..base
             },
             PiConfig {
                 queue_deadline: Some(f64::NAN),
-                ..base
-            },
-            PiConfig {
-                retry: RetryPolicy {
-                    multiplier: 0.5,
-                    ..RetryPolicy::default()
-                },
                 ..base
             },
             PiConfig {
@@ -817,13 +851,6 @@ mod tests {
             PiConfig {
                 ladder: Some(LadderConfig {
                     widen_exit: 99,
-                    ..LadderConfig::default()
-                }),
-                ..base
-            },
-            PiConfig {
-                ladder: Some(LadderConfig {
-                    epsilon_factor: 0.5,
                     ..LadderConfig::default()
                 }),
                 ..base

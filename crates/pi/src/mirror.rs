@@ -123,9 +123,10 @@ impl SystemMirror {
         }
     }
 
-    /// Mirror configured from a live system (rate and current clock).
+    /// Mirror configured from a live system (the rate in effect, a dip
+    /// included, and the current clock).
     pub fn for_system(sys: &System) -> Self {
-        let mut m = SystemMirror::new(sys.config().rate);
+        let mut m = SystemMirror::new(sys.current_rate());
         m.clock = sys.now();
         m
     }
@@ -363,7 +364,10 @@ impl SystemMirror {
     /// the feed, not the current state); `resyncs` is incremented.
     pub fn resync(&mut self, sys: &System) {
         let snap = sys.snapshot();
-        self.fluid = IncrementalFluid::new(domain::rate(snap.rate).unwrap_or(f64::MIN_POSITIVE));
+        // The snapshot reports the nominal rate; a mirror that followed the
+        // feed holds the rate in effect (`RateChanged`), dip included.
+        self.fluid =
+            IncrementalFluid::new(domain::rate(sys.current_rate()).unwrap_or(f64::MIN_POSITIVE));
         self.queue.clear();
         self.queue.reserve(snap.queued.len());
         self.blocked.clear();
@@ -402,7 +406,10 @@ impl SystemMirror {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mqpi_sim::{AdmissionPolicy, StepMode, SyntheticJob, SystemConfig};
+    use mqpi_sim::{
+        AdmissionPolicy, FaultEvent, FaultKind, FaultPlan, RetryPolicy, StepMode, SyntheticJob,
+        SystemConfig,
+    };
 
     fn cfg(slots: Option<usize>) -> SystemConfig {
         SystemConfig {
@@ -736,5 +743,52 @@ mod tests {
         assert_eq!(m.live(), 0);
         assert_eq!(m.queued(), 0);
         assert_eq!(m.quarantine_stats().total(), 0);
+    }
+
+    /// A mirror built or resynced during a rate dip starts at the rate in
+    /// effect, as one that followed the feed's `RateChanged` does: six
+    /// 2 000-unit jobs at rate 50, the rate cut to a quarter at t = 1,
+    /// read at t = 5 — 952 s to go, not the nominal rate's 238 s.
+    #[test]
+    fn mirror_built_or_resynced_in_a_rate_dip_reads_the_dipped_rate() {
+        let mut sys = System::new(cfg(None));
+        sys.enable_event_feed();
+        let dip = FaultKind::RateDip {
+            factor: 0.25,
+            duration: 1e4,
+        };
+        let plan = FaultPlan::new(
+            vec![FaultEvent { at: 1.0, kind: dip }],
+            0,
+            RetryPolicy::none(),
+        );
+        sys.install_faults(plan);
+        let ids: Vec<_> = (0..6)
+            .map(|i| sys.submit(format!("q{i}"), Box::new(SyntheticJob::new(2_000)), 1.0))
+            .collect();
+        let mut follower = SystemMirror::for_system(&sys);
+        sys.run_until(5.0).expect("run");
+        let mut evs = Vec::new();
+        sys.drain_events(&mut evs);
+        follower.apply_all(&evs);
+        follower.advance_to(sys.now());
+        assert_eq!(sys.current_rate(), 12.5);
+
+        assert_eq!(SystemMirror::for_system(&sys).fluid().rate(), 12.5);
+        let mut resynced = SystemMirror::new(50.0);
+        resynced.resync(&sys);
+        for id in ids {
+            let (a, b) = (
+                follower.estimate(id).unwrap(),
+                resynced.estimate(id).unwrap(),
+            );
+            assert!((a - 952.0).abs() < 1e-6, "query {id}: follower reads {a}");
+            // The snapshot counts whole units done: 1 984 of 2 000 left,
+            // where the follower's fluid model holds 1 983.3.
+            assert!(
+                (a - b).abs() < 1e-3 * a,
+                "query {id}: resynced reads {b}, follower {a}"
+            );
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! The pump and its filter: final pushes, then a read of only the
 //! subscriptions whose due-key `clock + drift` has reached (DESIGN.md §13).
 
+use mqpi_core::IncrementalFluid;
+
 use crate::session::make_sid;
 use crate::{EstimatePush, LoadTier, PiService, NIL};
 
@@ -12,10 +14,35 @@ use crate::{EstimatePush, LoadTier, PiService, NIL};
 /// 40-level descent, small against any epsilon worth configuring.
 const FP_MARGIN_REL: f64 = 1e-12;
 
+/// What the ladder's `EpsilonWiden` tier multiplies the push epsilon by.
+const EPSILON_WIDEN_FACTOR: f64 = 4.0;
+
 /// The push predicate: a subscription last told `last_push` (NaN =
 /// nothing yet) is pushed `est` when it moved by more than `epsilon`.
 fn moved(last_push: f64, est: f64, epsilon: f64) -> bool {
     last_push.is_nan() || (est - last_push).abs() > epsilon
+}
+
+/// The estimate of `query` for the subscription whose node handle is
+/// `node`: out of this pump's sweep column when there is one, else by a
+/// descent. Either way through the handle while that still names the
+/// query, and through the id index (refreshing the handle) when it does
+/// not. `None`: the query is not live.
+fn read_estimate(
+    fluid: &IncrementalFluid,
+    sweep: &[f64],
+    node: &mut u32,
+    query: u64,
+    swept: bool,
+) -> Option<f64> {
+    if !fluid.holds(*node, query) {
+        *node = fluid.slot_of(query)?;
+    }
+    if swept {
+        Some(sweep[*node as usize])
+    } else {
+        fluid.estimate_at(*node, query)
+    }
 }
 
 impl PiService {
@@ -69,7 +96,7 @@ impl PiService {
         finals.clear();
         self.pending_final = finals;
         let (epsilon, finals_only) = match (self.cfg.ladder, self.tier) {
-            (Some(l), LoadTier::EpsilonWiden) => (self.cfg.epsilon * l.epsilon_factor, false),
+            (Some(_), LoadTier::EpsilonWiden) => (self.cfg.epsilon * EPSILON_WIDEN_FACTOR, false),
             (Some(_), LoadTier::FinalsOnly | LoadTier::Shed) => (self.cfg.epsilon, true),
             _ => (self.cfg.epsilon, false),
         };
@@ -147,44 +174,55 @@ impl PiService {
             (self.fluid.virtual_time() * self.fluid.total_weight() / self.fluid.rate()).abs();
         let (mut pushed, mut reads) = (0, 0);
         let mut floor = f64::INFINITY;
-        for slot in 0..self.subs.len() {
-            let key = self.due_key[slot];
+        // The loop stores into the columns, so it reads every field through
+        // a local: loaded once, not again after each store.
+        let PiService {
+            clock,
+            fluid,
+            sessions,
+            subs,
+            due_key,
+            node_of,
+            sweep,
+            ..
+        } = self;
+        let (clock, fluid, sweep) = (*clock, &*fluid, &*sweep);
+        for slot in 0..subs.len() {
+            let key = due_key[slot];
             if s < key {
-                #[cfg(debug_assertions)]
-                self.assert_within_epsilon(slot, epsilon);
                 floor = floor.min(key);
                 continue;
             }
-            let sub = self.subs[slot];
+            let sub = subs[slot];
             let Some(est) = sub
                 .active
-                .then(|| self.read_estimate(slot, sub.query, swept))
+                .then(|| read_estimate(fluid, sweep, &mut node_of[slot], sub.query, swept))
                 .flatten()
             else {
                 // Free, or queued behind the admission limit: parked
                 // until `subscribe` or admission re-arms the slot.
-                self.due_key[slot] = f64::INFINITY;
+                due_key[slot] = f64::INFINITY;
                 continue;
             };
             debug_assert_eq!(
                 Some(est.to_bits()),
-                self.fluid.estimate(sub.query).map(f64::to_bits),
+                fluid.estimate(sub.query).map(f64::to_bits),
                 "slot {slot} (query {}) read through node {}, swept: {swept}",
                 sub.query,
-                self.node_of[slot]
+                node_of[slot]
             );
             reads += 1;
             let push = moved(sub.last_push, est, epsilon);
             let last = if push { est } else { sub.last_push };
             if push {
                 out.push(EstimatePush {
-                    session: make_sid(sub.session, self.sessions[sub.session as usize].gen),
+                    session: make_sid(sub.session, sessions[sub.session as usize].gen),
                     query: sub.query,
-                    at: self.clock,
+                    at: clock,
                     estimate: est,
                     done: false,
                 });
-                self.subs[slot].last_push = est;
+                subs[slot].last_push = est;
                 pushed += 1;
             }
             let slack = epsilon - (est - last).abs();
@@ -192,33 +230,21 @@ impl PiService {
             let key = s + slack - margin;
             // A key that is not a number can promise nothing.
             let key = if key.is_nan() { f64::NEG_INFINITY } else { key };
-            self.due_key[slot] = key;
+            due_key[slot] = key;
             floor = floor.min(key);
         }
         self.due_floor = floor;
+        // Every slot not due now, the skipped ones included: the exact
+        // predicate must agree that it has nothing to push.
+        #[cfg(debug_assertions)]
+        (0..self.subs.len())
+            .filter(|&slot| s < self.due_key[slot])
+            .for_each(|slot| self.assert_within_epsilon(slot, epsilon));
         (pushed, reads)
     }
 
-    /// The estimate of `query` for subscription slot `slot`: out of this
-    /// pump's sweep column when there is one, else by a descent. Either
-    /// way through the slot's node handle while that still names the
-    /// query, and through the id index (refreshing the handle) when it
-    /// does not. `None`: the query is not live.
-    fn read_estimate(&mut self, slot: usize, query: u64, swept: bool) -> Option<f64> {
-        let mut node = self.node_of[slot];
-        if !self.fluid.holds(node, query) {
-            node = self.fluid.slot_of(query)?;
-            self.node_of[slot] = node;
-        }
-        if swept {
-            Some(self.sweep[node as usize])
-        } else {
-            self.fluid.estimate_at(node, query)
-        }
-    }
-
-    /// Debug cross-check of one skipped slot: the exact predicate must
-    /// agree that there is nothing to push.
+    /// Debug cross-check of one slot that is not due: the exact predicate
+    /// must agree that there is nothing to push.
     #[cfg(debug_assertions)]
     fn assert_within_epsilon(&self, slot: usize, epsilon: f64) {
         let sub = self.subs[slot];

@@ -20,7 +20,6 @@ fn full_estimates_equal_a_fresh_predict_at_twenty_thousand_live() {
             rate: 1_000.0,
             epsilon: 0.05,
             slots: Some(LIVE),
-            lambda_prior: 0.5,
             ..PiConfig::default()
         },
         LIVE + QUEUED,

@@ -22,7 +22,6 @@ fn deadline_config() -> PiConfig {
         queue_deadline: Some(0.5),
         retry: RetryPolicy {
             base_delay: 0.25,
-            multiplier: 2.0,
             max_delay: 4.0,
             max_attempts: 2,
         },
@@ -87,7 +86,6 @@ fn ladder_walks_up_under_load_and_down_with_hysteresis() {
         finals_exit: 6,
         shed_enter: 16,
         shed_exit: 12,
-        epsilon_factor: 4.0,
     };
     let mut svc = PiService::new(PiConfig {
         rate: 100.0,
@@ -220,7 +218,6 @@ fn checkpoint_roundtrip_mid_overload_is_bit_identical() {
         queue_deadline: Some(0.4),
         retry: RetryPolicy {
             base_delay: 0.2,
-            multiplier: 2.0,
             max_delay: 1.0,
             max_attempts: 3,
         },
@@ -231,7 +228,6 @@ fn checkpoint_roundtrip_mid_overload_is_bit_identical() {
             finals_exit: 6,
             shed_enter: 40,
             shed_exit: 30,
-            epsilon_factor: 2.0,
         }),
         breaker: Some(BreakerConfig {
             interval: 0.5,

@@ -60,7 +60,7 @@ struct VecMirror {
 impl VecMirror {
     fn for_system(sys: &System) -> Self {
         VecMirror {
-            fluid: IncrementalFluid::new(sys.config().rate),
+            fluid: IncrementalFluid::new(sys.current_rate()),
             queue: Vec::new(),
             blocked: HashMap::new(),
             clock: sys.now(),
@@ -221,7 +221,7 @@ impl VecMirror {
 
     fn resync(&mut self, sys: &System) {
         let snap = sys.snapshot();
-        self.fluid = IncrementalFluid::new(snap.rate.max(f64::MIN_POSITIVE));
+        self.fluid = IncrementalFluid::new(sys.current_rate().max(f64::MIN_POSITIVE));
         self.queue.clear();
         self.blocked.clear();
         self.predicted_done.clear();

@@ -119,7 +119,6 @@ fn arb_ops(max_len: usize) -> impl Strategy<Value = Vec<Op>> {
 fn config(which: usize) -> PiConfig {
     let retry = RetryPolicy {
         base_delay: 0.25,
-        multiplier: 2.0,
         max_delay: 4.0,
         max_attempts: 2,
     };
@@ -130,7 +129,6 @@ fn config(which: usize) -> PiConfig {
         finals_exit: 6,
         shed_enter: 14,
         shed_exit: 10,
-        epsilon_factor: 4.0,
     };
     let breaker = BreakerConfig {
         interval: 0.5,
@@ -290,7 +288,8 @@ impl Oracle {
         }
         let cfg = svc.config();
         let epsilon = match (cfg.ladder, svc.tier()) {
-            (Some(l), LoadTier::EpsilonWiden) => Some(cfg.epsilon * l.epsilon_factor),
+            // The widened tier pushes at four times the epsilon.
+            (Some(_), LoadTier::EpsilonWiden) => Some(cfg.epsilon * 4.0),
             (Some(_), LoadTier::FinalsOnly | LoadTier::Shed) => None,
             _ => Some(cfg.epsilon),
         };

@@ -1478,7 +1478,6 @@ fn live_calls_and_apply_record_share_one_dispatch() {
         queue_deadline: Some(0.3),
         retry: mqpi_sim::RetryPolicy {
             base_delay: 0.2,
-            multiplier: 2.0,
             max_delay: 1.0,
             max_attempts: 2,
         },
@@ -1489,7 +1488,6 @@ fn live_calls_and_apply_record_share_one_dispatch() {
             finals_exit: 6,
             shed_enter: 11,
             shed_exit: 9,
-            epsilon_factor: 2.0,
         }),
         // A negative tolerance trips, and rebuilds, on every audit.
         breaker: Some(BreakerConfig {

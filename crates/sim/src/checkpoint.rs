@@ -26,7 +26,6 @@ wire_struct!(SystemConfig {
     rate,
     quantum_units,
     admission,
-    speed_tau,
     rate_model,
     step_mode,
 });
@@ -82,7 +81,6 @@ wire_enum!(FaultKind, "fault kind" {
 wire_struct!(FaultEvent { at, kind });
 wire_struct!(RetryPolicy {
     base_delay,
-    multiplier,
     max_delay,
     max_attempts,
 });

@@ -76,15 +76,17 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
+/// Each retry waits this many times as long as the one before.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+
 /// Capped exponential backoff with a max-attempts budget, governing how
 /// aborted or failed queries are resubmitted through the admission queue.
 /// The PI service reuses this exact shape for its queue-deadline backoff.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RetryPolicy {
-    /// Delay before the first retry, in virtual seconds.
+    /// Delay before the first retry, in virtual seconds; each later one
+    /// doubles.
     pub base_delay: f64,
-    /// Backoff multiplier per subsequent attempt (≥ 1).
-    pub multiplier: f64,
     /// Cap on any single delay.
     pub max_delay: f64,
     /// Total retries allowed per query chain (0 = never retry).
@@ -95,7 +97,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             base_delay: 1.0,
-            multiplier: 2.0,
             max_delay: 32.0,
             max_attempts: 3,
         }
@@ -117,19 +118,18 @@ impl RetryPolicy {
         if attempt == 0 || attempt > self.max_attempts {
             return None;
         }
-        let d = self.base_delay * self.multiplier.powi(attempt as i32 - 1);
+        let d = self.base_delay * BACKOFF_MULTIPLIER.powi(attempt as i32 - 1);
         Some(d.min(self.max_delay))
     }
 
-    /// Check every field: both delays finite and ≥ 0, the multiplier
-    /// finite and ≥ 1. Returns the first field out of range and its value.
+    /// Check every field: both delays finite and ≥ 0. Returns the first
+    /// field out of range and its value.
     pub fn validate(&self) -> Result<(), (&'static str, f64)> {
-        for (field, value, min) in [
-            ("base_delay", self.base_delay, 0.0),
-            ("multiplier", self.multiplier, 1.0),
-            ("max_delay", self.max_delay, 0.0),
+        for (field, value) in [
+            ("base_delay", self.base_delay),
+            ("max_delay", self.max_delay),
         ] {
-            if !value.is_finite() || value < min {
+            if !value.is_finite() || value < 0.0 {
                 return Err((field, value));
             }
         }
@@ -358,7 +358,6 @@ mod tests {
     fn retry_backoff_is_capped_exponential_with_budget() {
         let p = RetryPolicy {
             base_delay: 1.0,
-            multiplier: 2.0,
             max_delay: 5.0,
             max_attempts: 4,
         };

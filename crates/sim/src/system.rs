@@ -60,6 +60,9 @@ use crate::speed::SpeedMonitor;
 /// Identifier of a query within one `System`.
 pub type QueryId = u64;
 
+/// Time constant, in seconds, of the per-query observed-speed monitors.
+const SPEED_TAU: f64 = 10.0;
+
 /// How the aggregate processing rate depends on the number of running
 /// queries. The paper's Assumption 1 is [`RateModel::Constant`];
 /// [`RateModel::Contention`] deliberately violates it for the §4.1
@@ -111,8 +114,6 @@ pub struct SystemConfig {
     pub quantum_units: f64,
     /// Admission policy.
     pub admission: AdmissionPolicy,
-    /// Time constant of the per-query observed-speed monitors.
-    pub speed_tau: f64,
     /// How the aggregate rate responds to concurrency (Assumption 1 knob).
     pub rate_model: RateModel,
     /// Quantum grind vs event-driven fast-forward.
@@ -125,7 +126,6 @@ impl Default for SystemConfig {
             rate: 60.0,
             quantum_units: 16.0,
             admission: AdmissionPolicy::Unlimited,
-            speed_tau: 10.0,
             rate_model: RateModel::Constant,
             step_mode: StepMode::Quantum,
         }
@@ -397,9 +397,6 @@ pub struct System {
     /// Dense id → index into `finished` (`u32::MAX` = still live). Ids are
     /// assigned sequentially from 1, so the map is a plain vector.
     finished_of: Vec<u32>,
-    /// Sorted `(id, index into finished)` for the ids a restore would not
-    /// index densely (see [`System::restore`]); empty otherwise.
-    finished_far: Vec<(QueryId, u32)>,
     next_id: QueryId,
     faults: Option<FaultState>,
     error_policy: ErrorPolicy,
@@ -451,11 +448,6 @@ impl System {
         if !(cfg.quantum_units > 0.0 && cfg.quantum_units.is_finite()) {
             return Err(EngineError::exec("quantum must be positive and finite"));
         }
-        if !(cfg.speed_tau > 0.0 && cfg.speed_tau.is_finite()) {
-            return Err(EngineError::exec(
-                "speed monitor time constant must be positive and finite",
-            ));
-        }
         Ok(System {
             cfg,
             clock: 0.0,
@@ -466,7 +458,6 @@ impl System {
             scheduled: BTreeMap::new(),
             finished: Vec::new(),
             finished_of: Vec::new(),
-            finished_far: Vec::new(),
             next_id: 1,
             faults: None,
             error_policy: ErrorPolicy::Propagate,
@@ -520,13 +511,10 @@ impl System {
     }
 
     /// Fresh speed monitor for a session starting now.
-    ///
-    /// invariant: `speed_tau` was validated positive and finite in
-    /// [`System::try_new`], so the constructor cannot fail here.
     fn new_monitor(&self) -> SpeedMonitor {
-        match SpeedMonitor::new_at(self.cfg.speed_tau, self.clock) {
+        match SpeedMonitor::new_at(SPEED_TAU, self.clock) {
             Ok(m) => m,
-            Err(_) => unreachable!("speed_tau validated at construction"),
+            Err(_) => unreachable!("SPEED_TAU is positive and finite"),
         }
     }
 
@@ -818,15 +806,6 @@ impl System {
         // A Vec<FinishedQuery> outgrows memory long before u32 wraps.
         let (slot, fi) = (rec.id as usize, self.finished.len() as u32);
         self.finished.push(rec);
-        // Ids are dense from 1. One far past the index (a restored id
-        // cursor) is kept apart rather than paid for with a resize.
-        if slot > 2 * self.finished_of.len() + 64 {
-            let at = self
-                .finished_far
-                .partition_point(|&(id, _)| id < slot as QueryId);
-            self.finished_far.insert(at, (slot as QueryId, fi));
-            return;
-        }
         if self.finished_of.len() <= slot {
             self.finished_of.resize(slot + 1, u32::MAX);
         }
@@ -1171,12 +1150,11 @@ impl System {
         // the EMA smoothing factor is computed once (see
         // `SpeedMonitor::update_with_alpha`).
         let t_prev = self.clock;
-        let tau = self.cfg.speed_tau;
         let event_mode = self.cfg.step_mode == StepMode::EventDriven;
-        if event_mode && self.running.try_tag(&self.slab, self.clock, tau) {
-            self.step_tags(limit, t_prev, tau);
+        if event_mode && self.running.try_tag(&self.slab, self.clock, SPEED_TAU) {
+            self.step_tags(limit, t_prev);
         } else {
-            self.step_fused(limit, event_mode, t_prev, tau)?;
+            self.step_fused(limit, event_mode, t_prev)?;
         }
 
         // Remove sessions whose jobs errored (graceful isolation): they
@@ -1268,7 +1246,7 @@ impl System {
     /// job, so all run at the one speed `effective / active`, the jump is
     /// the smallest finish tag's distance at that speed, and the grant is
     /// one add to the running set's service clock.
-    fn step_tags(&mut self, limit: f64, t_prev: f64, tau: f64) {
+    fn step_tags(&mut self, limit: f64, t_prev: f64) {
         let active = self.running.tag_active();
         let total_weight = active as f64;
         let effective = self
@@ -1293,7 +1271,7 @@ impl System {
             each,
             effective / total_weight,
             mdt,
-            smoothing(mdt, tau),
+            smoothing(mdt, SPEED_TAU),
             &mut self.scratch_finish,
         );
         self.executed_units += ran as f64;
@@ -1304,7 +1282,7 @@ impl System {
     /// event mode with a weight that is not 1.0, an opaque or a
     /// failure-armed job): the weight pass, the jump, and the fused
     /// grant / monitor / finish pass over every session.
-    fn step_fused(&mut self, limit: f64, event_mode: bool, t_prev: f64, tau: f64) -> Result<()> {
+    fn step_fused(&mut self, limit: f64, event_mode: bool, t_prev: f64) -> Result<()> {
         // The passes below stream over dense columns.
         self.running.squeeze();
         // The weight pass (`RunningSet::weigh`): active count, `Σw` in
@@ -1358,8 +1336,8 @@ impl System {
             total_weight,
             t_new,
             mdt,
-            tau,
-            alpha: smoothing(mdt, tau),
+            tau: SPEED_TAU,
+            alpha: smoothing(mdt, SPEED_TAU),
             isolate: self.error_policy == ErrorPolicy::Isolate,
         };
         self.running.serve(
@@ -1535,15 +1513,6 @@ impl System {
         Err(EngineError::exec(format!("no such query {id}")))
     }
 
-    /// Stop admitting scheduled arrivals (the paper's maintenance operation
-    /// O1: "no new queries are allowed to enter the RDBMS"). Pending
-    /// scheduled arrivals are dropped; queued queries stay queued.
-    pub fn close_admission(&mut self) {
-        for (_, h) in std::mem::take(&mut self.scheduled) {
-            self.slab.free(h);
-        }
-    }
-
     /// Snapshot for progress indicators.
     pub fn snapshot(&self) -> SystemSnapshot {
         self.running.replay_all();
@@ -1595,17 +1564,10 @@ impl System {
     }
 
     /// The finished record for `id`, if it has left the system. Plain
-    /// vector indexing on the dense id space — no hash map on this path.
+    /// vector indexing on the dense id space — no hash map on this path
+    /// (a live id's `u32::MAX` indexes past `finished`).
     pub fn finished_record(&self, id: QueryId) -> Option<&FinishedQuery> {
-        let fi = match self.finished_of.get(id as usize) {
-            Some(&fi) if fi != u32::MAX => fi,
-            _ => {
-                let far = self
-                    .finished_far
-                    .binary_search_by_key(&id, |&(far_id, _)| far_id);
-                self.finished_far[far.ok()?].1
-            }
-        };
+        let fi = *self.finished_of.get(id as usize)?;
         self.finished.get(fi as usize)
     }
 
@@ -1783,28 +1745,7 @@ impl System {
             }
         }
         sys.finished = Wire::dec(&mut d)?;
-        for (fi, rec) in sys.finished.iter().enumerate() {
-            // Ids are handed out below `next_id`, and the dense index costs
-            // four bytes per id: one past the cursor is corrupt, and one the
-            // payload's size cannot account for (possible after
-            // `close_admission` dropped scheduled ids) is indexed apart.
-            if rec.id >= sys.next_id {
-                return Err(CkptError::Corrupt(format!(
-                    "finished query {} at or beyond id cursor {}",
-                    rec.id, sys.next_id
-                )));
-            }
-            let slot = rec.id as usize;
-            if slot > bytes.len() {
-                sys.finished_far.push((rec.id, fi as u32));
-                continue;
-            }
-            if sys.finished_of.len() <= slot {
-                sys.finished_of.resize(slot + 1, u32::MAX);
-            }
-            sys.finished_of[slot] = fi as u32;
-        }
-        sys.finished_far.sort_unstable();
+        sys.index_ids()?;
         sys.faults = Wire::dec(&mut d)?;
         if let Some(fs) = &sys.faults {
             if fs.next_event > fs.plan.events().len() {
@@ -1836,6 +1777,44 @@ impl System {
             )));
         }
         Ok(sys)
+    }
+
+    /// Check that the payload accounts for every id the cursor handed out
+    /// (`1..next_id`) exactly once — running, queued, scheduled or
+    /// finished, since nothing drops a query without a finished record —
+    /// and build the dense finished index.
+    fn index_ids(&mut self) -> std::result::Result<(), CkptError> {
+        let rs = &self.running;
+        let live = rs.order().map(|k| &rs.slot[k]);
+        let live = live.chain(&self.queue).chain(self.scheduled.values());
+        let held = self.slab.live() + self.finished.len();
+        let next_id = self.next_id;
+        if next_id.checked_sub(1) != Some(held as QueryId) {
+            return Err(CkptError::Corrupt(format!(
+                "id cursor {next_id} with {held} queries in the payload"
+            )));
+        }
+        // Slot 0 is never handed out.
+        let mut seen = vec![false; held + 1];
+        seen[0] = true;
+        let mut claim = |what: &str, id: QueryId| match seen.get_mut(id as usize) {
+            Some(s) if !*s => {
+                *s = true;
+                Ok(())
+            }
+            _ => Err(CkptError::Corrupt(format!(
+                "{what} query {id} repeated or not below id cursor {next_id}"
+            ))),
+        };
+        for h in live {
+            claim("live", self.slab.id[h.idx as usize])?;
+        }
+        self.finished_of = vec![u32::MAX; held + 1];
+        for (fi, rec) in self.finished.iter().enumerate() {
+            claim("finished", rec.id)?;
+            self.finished_of[rec.id as usize] = fi as u32;
+        }
+        Ok(())
     }
 
     fn job_snapshot(
@@ -1992,7 +1971,6 @@ mod tests {
             rate,
             quantum_units: quantum,
             admission: AdmissionPolicy::Unlimited,
-            speed_tau: 5.0,
             rate_model: RateModel::Constant,
             step_mode: StepMode::Quantum,
         }
@@ -2297,7 +2275,8 @@ mod tests {
         for i in 0..4 {
             sys.submit(format!("q{i}"), Box::new(SyntheticJob::new(100_000)), 1.0);
         }
-        sys.run_until(30.0).unwrap();
+        // Six monitor time constants: the EMA is within e^-6 of the speed.
+        sys.run_until(6.0 * SPEED_TAU).unwrap();
         let snap = sys.snapshot();
         let total: f64 = snap
             .running
@@ -2305,16 +2284,6 @@ mod tests {
             .map(|r| r.observed_speed.unwrap_or(0.0))
             .sum();
         assert!((total - 100.0).abs() < 2.0, "total speed = {total}");
-    }
-
-    #[test]
-    fn close_admission_drops_future_arrivals() {
-        let mut sys = System::new(cfg(100.0, 4.0));
-        sys.submit("now", Box::new(SyntheticJob::new(100)), 1.0);
-        sys.schedule(5.0, "later", Box::new(SyntheticJob::new(100)), 1.0);
-        sys.close_admission();
-        sys.run_until_idle(1e9).unwrap();
-        assert_eq!(sys.finished().len(), 1);
     }
 
     #[test]
@@ -2444,10 +2413,6 @@ mod tests {
             },
             SystemConfig {
                 quantum_units: -1.0,
-                ..cfg(100.0, 4.0)
-            },
-            SystemConfig {
-                speed_tau: 0.0,
                 ..cfg(100.0, 4.0)
             },
             SystemConfig {
@@ -2778,7 +2743,6 @@ mod checkpoint_tests {
             rate: 100.0,
             quantum_units: 8.0,
             admission: AdmissionPolicy::Bounded { slots: 3, queue: 2 },
-            speed_tau: 5.0,
             rate_model: RateModel::Contention { alpha: 0.05 },
             step_mode: StepMode::Quantum,
         });
@@ -2880,7 +2844,6 @@ mod checkpoint_tests {
         let mut sys = System::new(SystemConfig {
             rate: 400.0,
             admission: AdmissionPolicy::MaxConcurrent(8),
-            speed_tau: 3.0,
             step_mode: StepMode::EventDriven,
             ..SystemConfig::default()
         });
@@ -3051,8 +3014,7 @@ mod checkpoint_tests {
 
     /// A finished record's id sizes the dense finished index, so it is
     /// input like any length prefix: one the id cursor never handed out is
-    /// corrupt (it used to abort on a 4 PB `resize`), and one the payload
-    /// is too small to account for is indexed without the dense table.
+    /// corrupt (it used to abort on a 4 PB `resize`).
     #[test]
     fn hostile_finished_id_is_rejected_not_allocated() {
         let mut sys = chaos_system(5);
@@ -3071,24 +3033,52 @@ mod checkpoint_tests {
         hostile[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
         assert!(matches!(
             System::restore(&hostile),
-            Err(CkptError::Corrupt(_))
+            Err(CkptError::Corrupt(m)) if m.contains("finished query")
         ));
+    }
 
-        // `close_admission` drops scheduled arrivals without a record, so a
-        // sound checkpoint can hold ids far above anything in the payload.
-        let mut sparse = System::new(SystemConfig::default());
-        for i in 0..5_000 {
-            sparse.schedule(1e6 + i as f64, "never", Box::new(SyntheticJob::new(1)), 1.0);
+    /// Every id below the cursor is running, queued, scheduled or finished,
+    /// so a payload that leaves one unaccounted for — a sparse finished
+    /// roster under a raised cursor, a cursor below an id it holds, a
+    /// finished id given twice — is corrupt, not indexed apart.
+    #[test]
+    fn restore_rejects_ids_the_payload_cannot_account_for() {
+        let mut sys = chaos_system(5);
+        sys.run_until(12.0).unwrap();
+        assert!(sys.finished().len() >= 2);
+        let bytes = sys.checkpoint().unwrap();
+        System::restore(&bytes).unwrap();
+        let find = |needle: &[u8]| {
+            let mut hits =
+                (0..=bytes.len() - needle.len()).filter(|&i| bytes[i..].starts_with(needle));
+            let at = hits.next().unwrap();
+            assert!(hits.next().is_none(), "needle occurs once");
+            at
+        };
+        let corrupt = |at: usize, v: u64, field: &str| {
+            let mut hostile = bytes.clone();
+            hostile[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            match System::restore(&hostile) {
+                Err(CkptError::Corrupt(m)) if m.contains(field) => {}
+                other => panic!("{field} {v}: {:?}", other.map(drop)),
+            }
+        };
+
+        // The header: clock, then the id cursor.
+        let mut header = sys.clock.to_bits().to_le_bytes().to_vec();
+        header.extend_from_slice(&sys.next_id.to_le_bytes());
+        let cursor = find(&header) + 8;
+        for v in [sys.next_id + 1, sys.next_id + 5_000, sys.next_id - 1, 0] {
+            corrupt(cursor, v, "id cursor");
         }
-        sparse.close_admission();
-        let late = sparse.submit("late", Box::new(SyntheticJob::new(30)), 1.0);
-        sparse.run_until_idle(100.0).unwrap();
-        let bytes = sparse.checkpoint().unwrap();
-        assert!((late as usize) > bytes.len(), "fixture must be sparse");
-        let back = System::restore(&bytes).unwrap();
-        assert_eq!(back.finished_record(late).unwrap().id, late);
-        assert!(back.finished_record(late - 1).is_none());
-        assert_eq!(back.checkpoint().unwrap(), bytes);
+
+        // The second finished record claims the first one's id.
+        let (first, second) = (&sys.finished()[0], &sys.finished()[1]);
+        let mut needle = second.id.to_le_bytes().to_vec();
+        needle.extend_from_slice(&(second.name.len() as u64).to_le_bytes());
+        needle.extend_from_slice(second.name.as_bytes());
+        corrupt(find(&needle), first.id, "finished query");
+        corrupt(find(&needle), 0, "finished query");
     }
 
     /// Damaged bytes are rejected with typed errors, never a panic.
@@ -3135,7 +3125,6 @@ mod checkpoint_tests {
             rate,
             quantum_units: 16.0,
             admission: AdmissionPolicy::MaxConcurrent(256),
-            speed_tau: 10.0,
             step_mode: StepMode::EventDriven,
             ..Default::default()
         });
@@ -3194,7 +3183,6 @@ mod lane_reads {
         let cfg = SystemConfig {
             rate: 1_000.0,
             admission: AdmissionPolicy::MaxConcurrent(4 + rng.below(60) as usize),
-            speed_tau: if rng.below(2) == 0 { 0.5 } else { 10.0 },
             step_mode: StepMode::EventDriven,
             ..Default::default()
         };

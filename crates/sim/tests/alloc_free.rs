@@ -70,7 +70,6 @@ fn warm_quantum_steps_allocate_nothing() {
         rate: 1e6,
         quantum_units: n as f64,
         admission: AdmissionPolicy::Unlimited,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });
@@ -112,7 +111,6 @@ fn churn_steps_allocate_only_amortized_growth() {
         rate,
         quantum_units: 16.0,
         admission: AdmissionPolicy::MaxConcurrent(256),
-        speed_tau: 10.0,
         step_mode: StepMode::EventDriven,
         ..Default::default()
     });

@@ -46,7 +46,6 @@ fn build(costs: &[u64], admission: AdmissionPolicy) -> System {
         rate: 100.0,
         quantum_units: 8.0,
         admission,
-        speed_tau: 10.0,
         step_mode: StepMode::Quantum,
         ..Default::default()
     });
@@ -217,5 +216,65 @@ proptest! {
             )
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// Nothing drops a query without a finished record, so every id below
+    /// the cursor is running, queued, scheduled or finished — what
+    /// `System::restore` now requires of a payload. At every seventh step
+    /// of a run with faults (bursts, aborts with retries, page faults,
+    /// dips), aborts by the driver, bounded shedding and future arrivals,
+    /// the checkpoint restores and re-encodes to itself; once idle, the
+    /// finished ids are exactly `1..=n`.
+    #[test]
+    fn every_id_below_the_cursor_is_accounted_for(
+        seed in any::<u64>(),
+        events in arb_events(),
+        costs in prop::collection::vec(100u64..3000, 2..8),
+        later in prop::collection::vec((0.0f64..HORIZON, 50u64..1500), 0..8),
+        admission in arb_admission(),
+        event_mode in any::<bool>(),
+        max_attempts in 0u32..4,
+        aborts in prop::collection::vec(any::<usize>(), 0..6),
+    ) {
+        let mut sys = System::new(SystemConfig {
+            rate: 100.0,
+            quantum_units: 8.0,
+            admission,
+            step_mode: if event_mode { StepMode::EventDriven } else { StepMode::Quantum },
+            ..Default::default()
+        });
+        sys.set_error_policy(ErrorPolicy::Isolate);
+        for (i, c) in costs.iter().enumerate() {
+            sys.submit(format!("q{i}"), Box::new(SyntheticJob::new(*c)), 1.0);
+        }
+        for &(at, c) in &later {
+            sys.schedule(at, "later", Box::new(SyntheticJob::new(c)), 1.0);
+        }
+        let retry = RetryPolicy { max_attempts, ..RetryPolicy::default() };
+        sys.install_faults(FaultPlan::new(events, seed, retry));
+        let mut aborts = aborts.into_iter();
+        let mut steps = 0u64;
+        while sys.has_work() {
+            sys.step().unwrap();
+            steps += 1;
+            prop_assert!(steps < 2_000_000, "runaway simulation");
+            if steps.is_multiple_of(11) {
+                let mut ids = sys.running_ids();
+                ids.extend(sys.queued_ids());
+                if let (false, Some(pick)) = (ids.is_empty(), aborts.next()) {
+                    sys.abort(ids[pick % ids.len()]).unwrap();
+                }
+            }
+            if steps.is_multiple_of(7) {
+                let bytes = sys.checkpoint().unwrap();
+                let back = System::restore(&bytes)
+                    .map_err(|e| TestCaseError::fail(format!("step {steps}: {e}")))?;
+                prop_assert_eq!(back.checkpoint().unwrap(), bytes);
+            }
+        }
+        let mut ids: Vec<u64> = sys.finished().iter().map(|f| f.id).collect();
+        ids.sort_unstable();
+        prop_assert!(ids.iter().copied().eq(1..=ids.len() as u64), "finished ids {:?}", ids);
+        System::restore(&sys.checkpoint().unwrap()).unwrap();
     }
 }

@@ -227,11 +227,11 @@ fn lazy_against_eager(seed: u64) -> Result<u64, String> {
     let mut rng = Rng::seed_from_u64(seed);
     let rate = if rng.below(2) == 0 { 100.0 } else { 10_000.0 };
     let slots = 1 + rng.below(48) as usize;
-    let tau = if rng.below(2) == 0 { 0.5 } else { 10.0 };
+    // The scheduler's speed-monitor time constant.
+    let tau = 10.0;
     let cfg = SystemConfig {
         rate,
         admission: AdmissionPolicy::MaxConcurrent(slots),
-        speed_tau: tau,
         step_mode: StepMode::EventDriven,
         ..Default::default()
     };

@@ -257,6 +257,7 @@ struct Route {
     worst_speed: f64,
 }
 
+/// The scheduler's speed-monitor time constant.
 const TAU: f64 = 10.0;
 
 impl Route {
@@ -264,7 +265,6 @@ impl Route {
         let mut sys = System::new(SystemConfig {
             rate,
             admission: AdmissionPolicy::MaxConcurrent(slots),
-            speed_tau: TAU,
             step_mode: StepMode::EventDriven,
             ..Default::default()
         });

@@ -49,7 +49,10 @@
 //! and hands each record, and each commit frame, to a [`ScanSink`] as it
 //! reads them. [`Wal::open`] collects them into [`WalRecovered`];
 //! [`Wal::open_with`] lets the owner apply each batch once it commits, so
-//! recovery's memory is the window plus one batch, not the log.
+//! recovery's memory is the window plus one batch, not the log. A base
+//! written at another `mqpi_ckpt::FORMAT_VERSION` fails the scan with
+//! [`CkptError::VersionMismatch`] before any file is touched: it is not
+//! damage, and skipping it would drop the segments it anchors.
 //!
 //! # Tailing
 //!
@@ -665,6 +668,10 @@ fn scan(dir: &Path, sink: &mut impl ScanSink) -> Result<ScanOutcome> {
                 base = Some(bytes);
                 base_through = through;
             }
+            // A base another format version wrote is not damage: the whole
+            // directory is that version's, and skipping the base would
+            // drop the segments it anchors. Refuse before touching a file.
+            Err(e @ CkptError::VersionMismatch { .. }) => return Err(e),
             // A damaged or mislabeled base is skipped, not fatal: an older
             // base plus a longer replay reaches the same state.
             _ => drop_bases.push(path.clone()),
