@@ -42,6 +42,31 @@
 //!   `0x10ff_9e7d_3eb0_89a8`;
 //! * `restore_mid_burst` `0x7ffb_8938_5547_639f` → `0xf25b_f8c8_1356_72d6`.
 //!
+//! All eleven were re-blessed once more, in a commit of their own, for
+//! checkpoint format version 4: each digest folds `System::checkpoint()`
+//! bytes, and the payload's `SystemConfig` lost `speed_tau` (one time
+//! constant, 10, is now the scheduler's) and a fault plan's retry policy
+//! its multiplier. No event, monitor, finish time or step count moved: the
+//! parent's code with only those two fields left out of the encoding
+//! records the same eleven digests. Old → new:
+//!
+//! * `burst_256_slots` `0x4581_d03f_441e_3213` → `0x670a_5307_9c5d_026f`;
+//! * `mixed_weights` `0x314a_1646_c6d2_cbe7` → `0x5f68_affa_c039_9813`;
+//! * `blocked_and_resumed` `0xd3e4_8b14_1480_2ef9` → `0x6696_7018_9bab_5e25`;
+//! * `opaque_job_falls_back_to_quantum` `0xd828_1e9f_689c_e319` →
+//!   `0x488a_768e_4bb6_e007`;
+//! * `nan_need_counts_as_zero` `0x8fad_2e2c_e258_55e2` →
+//!   `0x0f9e_cb35_0e1b_8276`;
+//! * `rate_dip` `0x7fc0_7c32_d535_c4e2` → `0x8e59_f773_65d4_b3de`;
+//! * `quantum_exact_unit_credit` `0xc872_1a9f_b1a8_272d` →
+//!   `0x7b01_360e_69df_b329`;
+//! * `quantum_mixed` `0x6fd2_24f1_6010_5695` → `0xdab0_5d88_7618_3991`;
+//! * `every_mutator_between_steps` `0x348a_4741_2ded_801c` →
+//!   `0x0bc0_f75a_b277_ef88`;
+//! * `opaque_joins_synthetic_full_house` `0x10ff_9e7d_3eb0_89a8` →
+//!   `0x5ddd_e3c4_4b73_08f4`;
+//! * `restore_mid_burst` `0xf25b_f8c8_1356_72d6` → `0xe2c5_b063_28fd_9c56`.
+//!
 //! Mutations of the tag path tried in release against the re-blessed
 //! digests and the tests beside them (`cargo test --release -p mqpi-sim`
 //! and `-p mqpi-core --test pi_vs_scheduler`); each fails at least the
@@ -666,16 +691,16 @@ macro_rules! golden {
 
 mod golden {
     golden! {
-        burst_256_slots = 0x4581_d03f_441e_3213u64;
-        mixed_weights = 0x314a_1646_c6d2_cbe7u64;
-        blocked_and_resumed = 0xd3e4_8b14_1480_2ef9u64;
-        opaque_job_falls_back_to_quantum = 0xd828_1e9f_689c_e319u64;
-        nan_need_counts_as_zero = 0x8fad_2e2c_e258_55e2u64;
-        rate_dip = 0x7fc0_7c32_d535_c4e2u64;
-        quantum_exact_unit_credit = 0xc872_1a9f_b1a8_272du64;
-        quantum_mixed = 0x6fd2_24f1_6010_5695u64;
-        every_mutator_between_steps = 0x348a_4741_2ded_801cu64;
-        opaque_joins_synthetic_full_house = 0x10ff_9e7d_3eb0_89a8u64;
-        restore_mid_burst = 0xf25b_f8c8_1356_72d6u64;
+        burst_256_slots = 0x670a_5307_9c5d_026fu64;
+        mixed_weights = 0x5f68_affa_c039_9813u64;
+        blocked_and_resumed = 0x6696_7018_9bab_5e25u64;
+        opaque_job_falls_back_to_quantum = 0x488a_768e_4bb6_e007u64;
+        nan_need_counts_as_zero = 0x0f9e_cb35_0e1b_8276u64;
+        rate_dip = 0x8e59_f773_65d4_b3deu64;
+        quantum_exact_unit_credit = 0x7b01_360e_69df_b329u64;
+        quantum_mixed = 0xdab0_5d88_7618_3991u64;
+        every_mutator_between_steps = 0x0bc0_f75a_b277_ef88u64;
+        opaque_joins_synthetic_full_house = 0x5ddd_e3c4_4b73_08f4u64;
+        restore_mid_burst = 0xe2c5_b063_28fd_9c56u64;
     }
 }

@@ -191,9 +191,18 @@ fn write_path_bytes_match_the_recorded_fixture() {
 /// - retired segment: `0xf40c_5a58_f05f_a17a` → `0xf3e8_85d5_dea5_c577`
 /// - after compaction: `0x1bb2_2118_39f3_a9b8` → `0xe283_53cc_dccf_41c8`
 /// - after close: `0x9c5a_9621_74b1_9072` → `0x386c_56ec_a3a1_63ed`
+///
+/// Re-blessed again, in a commit of its own, for checkpoint format
+/// version 4: the base the compaction writes is a `ckpt` container, whose
+/// version stamp moved from 3 to 4. The segments did not move (the first
+/// two digests hold). The parent's code with only `FORMAT_VERSION` at 4
+/// records the same digests. Old → new:
+///
+/// - after compaction: `0xe283_53cc_dccf_41c8` → `0x59d1_6404_4b20_736b`
+/// - after close: `0x386c_56ec_a3a1_63ed` → `0x02eb_3107_3f82_5cfa`
 const FIXTURE: [u64; 4] = [
     0x7413_f9f6_5226_893a,
     0xf3e8_85d5_dea5_c577,
-    0xe283_53cc_dccf_41c8,
-    0x386c_56ec_a3a1_63ed,
+    0x59d1_6404_4b20_736b,
+    0x02eb_3107_3f82_5cfa,
 ];
