@@ -174,6 +174,24 @@ fn bench_correlated_probe(c: &mut Criterion) {
             });
         });
     }
+    // The regime `sql_pipeline` runs in: the paper's query over all fifty
+    // size classes of the standard database, 12 750 probes into the whole
+    // 24 MB `lineitem` heap (`inner_t` above is about 2 MB). Reported per
+    // work unit, so the inverse is comparable with `engine.ns_per_unit`.
+    let tpcr = db::standard();
+    let mix: Vec<_> = (1..=tpcr.config.max_size)
+        .map(|k| tpcr.db.prepare(&tpcr.query_sql(k)).unwrap())
+        .collect();
+    let run_mix = || -> u64 {
+        mix.iter()
+            .map(|p| p.open().unwrap().run_to_completion().unwrap())
+            .sum()
+    };
+    let units = run_mix();
+    g.throughput(Throughput::Elements(units));
+    g.bench_function("tpcr_mix", |b| {
+        b.iter(|| assert_eq!(black_box(run_mix()), units));
+    });
     g.finish();
 }
 

@@ -18,6 +18,8 @@
 //! | Fig. 10 (adaptive correction over time) | [`scq::run_adaptive_trace`] |
 //! | Fig. 11 (maintenance: unfinished work) | [`maintenance::run`] |
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod analytic;
 mod campaign;

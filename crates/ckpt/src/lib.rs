@@ -29,6 +29,8 @@
 //! guarantees that what was written is exactly what is read back, or that
 //! the mismatch is reported.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::io;

@@ -21,6 +21,8 @@
 //! and runs them as an [`ensemble::Ensemble`]: online selection scored
 //! against realized finish times plus p10/p50/p90 uncertainty bands.
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod ensemble;
 pub mod estimate;

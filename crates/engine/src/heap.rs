@@ -11,6 +11,10 @@ use crate::page::{Page, SlotId, MAX_TUPLE};
 use crate::tuple::{self, ColumnMask, Tuple};
 use crate::value::Value;
 
+/// The stride, in bytes, at which [`HeapFile::resolve`] touches a tuple:
+/// the cache line of x86-64 and of most ARM cores.
+const CACHE_LINE: usize = 64;
+
 /// Record id: (page number, slot).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Rid {
@@ -138,21 +142,28 @@ impl HeapFile {
             .get(rid.slot)
     }
 
-    /// Pull the cache lines a fetch of each of `rids` will read (the page's
-    /// slot directory entry, the first and last tuple byte) without
-    /// charging anything: this is memory traffic ahead of the charged
-    /// [`HeapFile::fetch_into`] calls, not work. A fetch takes three
-    /// dependent misses, and fetches one after another, each decoded before
-    /// the next starts, take them one at a time. Here the loads of one rid
-    /// do not depend on those of another, so the processor has the misses
-    /// of several rids in flight at once, and the decodes that follow hit
-    /// cache. Bad rids and corrupt slot entries are skipped; the fetch
-    /// reports them.
+    /// Load every cache line a fetch of each of `rids` will read, without
+    /// charging anything: memory traffic ahead of the charged
+    /// [`HeapFile::fetch_into`] calls, not work. A fetch's loads depend on
+    /// each other (slot entry, then tuple), so fetches one after another
+    /// take their misses one at a time. Here no load of one rid depends on
+    /// a load of another, so the misses of many rids are in flight at once
+    /// and the decodes that follow hit cache. The first loop loads every
+    /// rid's page header and slot entry. The second, which then finds
+    /// those in cache, loads one tuple byte every 64 from the first, and
+    /// the last, so no line of the tuple is skipped. Bad rids and corrupt
+    /// slot entries are skipped; the fetch reports them.
     pub fn resolve(&self, rids: &[Rid]) {
         let mut seen = 0;
         for rid in rids {
-            if let Ok([first, .., last]) = self.tuple_bytes(*rid) {
-                seen ^= first ^ last;
+            if let Some(page) = self.pages.get(rid.page as usize) {
+                seen ^= page.touch_directory(rid.slot);
+            }
+        }
+        for rid in rids {
+            if let Ok(bytes) = self.tuple_bytes(*rid) {
+                seen = bytes.iter().step_by(CACHE_LINE).fold(seen, |a, b| a ^ b);
+                seen ^= bytes.last().copied().unwrap_or(0);
             }
         }
         // Keeps the loads: nothing else reads what they return.

@@ -28,6 +28,8 @@
 //! * [`db`] — the `Database` facade: DDL, loading, ANALYZE, `prepare`, and
 //!   resumable cursors.
 
+#![forbid(unsafe_code)]
+
 pub mod btree;
 pub mod db;
 pub mod error;

@@ -70,6 +70,15 @@ impl Page {
         (off, len)
     }
 
+    /// Load the header and slot `slot`'s directory entry, the bytes
+    /// [`Page::get`] reads first, checking and failing on nothing: the
+    /// first phase of [`crate::heap::HeapFile::resolve`]. An entry that
+    /// would lie past the page is not read.
+    pub(crate) fn touch_directory(&self, slot: SlotId) -> u8 {
+        let entry = HEADER_SIZE + slot as usize * SLOT_SIZE;
+        self.data[0] ^ self.data.get(entry).copied().unwrap_or(0)
+    }
+
     /// Number of tuples stored.
     pub fn slot_count(&self) -> u16 {
         self.nslots() as u16

@@ -182,6 +182,60 @@ proptest! {
         }
     }
 
+    /// `HeapFile::resolve` is total and inert: on random heaps and rid
+    /// lists mixing stored rids, pages past the end and slots past a page's
+    /// directory (some with entries past the page), it never panics, and
+    /// the fetches after it return what the same fetches return without
+    /// it, rows and errors, and charge the meter the same.
+    #[test]
+    fn resolve_is_total_and_leaves_every_fetch_as_it_was(
+        rows in prop::collection::vec(arb_row(), 0..120),
+        picks in prop::collection::vec((0u8..3, any::<u32>(), any::<u16>()), 0..60),
+        bits in any::<u64>(),
+    ) {
+        let mut heap = HeapFile::new();
+        let stored: Vec<Rid> = rows.iter().map(|r| heap.insert(r).unwrap()).collect();
+        let pages = heap.page_count() as u32;
+        let rids: Vec<Rid> = picks
+            .iter()
+            .map(|&(kind, a, b)| match kind {
+                0 if !stored.is_empty() => stored[a as usize % stored.len()],
+                1 => Rid { page: pages + a % 4, slot: b },
+                // A page holds fewer slots than the heap has rows.
+                _ => Rid { page: a % pages.max(1), slot: 120 + b % 4096 },
+            })
+            .collect();
+        let mask = mask_of(bits);
+        let fetch_all = |meter: &WorkMeter| -> Vec<Result<Vec<Value>, String>> {
+            rids.iter()
+                .map(|rid| {
+                    let mut row = vec![Value::Int(-1); 3];
+                    heap.fetch_into(*rid, meter, mask, &mut row)
+                        .map(|()| row)
+                        .map_err(|e| e.to_string())
+                })
+                .collect()
+        };
+        let plain_meter = WorkMeter::new();
+        let plain = fetch_all(&plain_meter);
+        let meter = WorkMeter::new();
+        heap.resolve(&rids);
+        let resolved = fetch_all(&meter);
+        prop_assert_eq!(meter.used(), plain_meter.used());
+        prop_assert_eq!(resolved.len(), plain.len());
+        for (got, want) in resolved.iter().zip(&plain) {
+            match (got, want) {
+                (Ok(got), Ok(want)) => {
+                    prop_assert_eq!(got.len(), want.len());
+                    for (a, b) in got.iter().zip(want) {
+                        prop_assert!(a.total_cmp(b).is_eq());
+                    }
+                }
+                (got, want) => prop_assert_eq!(got.as_ref().err(), want.as_ref().err()),
+            }
+        }
+    }
+
     #[test]
     fn btree_lookup_matches_reference_model(
         keys in prop::collection::vec(-50i64..50, 1..400),

@@ -30,6 +30,8 @@
 //! into a worker thread), but per-run access is single-threaded; the
 //! internal mutex is for soundness, never contended.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod metrics;
 pub mod profile;

@@ -95,6 +95,8 @@
 //! model deltas), `ladder`, `breaker`, `pump` (the push filter),
 //! `journal` (log plumbing), `checkpoint` and `config`.
 
+#![forbid(unsafe_code)]
+
 use std::collections::VecDeque;
 
 use mqpi_ckpt::wire_struct;

@@ -22,6 +22,8 @@
 //! one definition of a valid weight, cost and rate), [`idmap`] (the keyed
 //! hasher of every map keyed by a query id).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 mod checkpoint;
 pub mod domain;

@@ -50,9 +50,10 @@
 //! reads them. [`Wal::open`] collects them into [`WalRecovered`];
 //! [`Wal::open_with`] lets the owner apply each batch once it commits, so
 //! recovery's memory is the window plus one batch, not the log. A base
-//! written at another `mqpi_ckpt::FORMAT_VERSION` fails the scan with
+//! written at another `mqpi_ckpt::FORMAT_VERSION`, or a segment whose whole
+//! header carries another [`SEGMENT_VERSION`], fails the scan with
 //! [`CkptError::VersionMismatch`] before any file is touched: it is not
-//! damage, and skipping it would drop the segments it anchors.
+//! damage, and skipping it would drop the records it holds or anchors.
 //!
 //! # Tailing
 //!
@@ -70,6 +71,8 @@
 //! individually atomic+durable (`ckpt::atomic_write` semantics), and
 //! [`Wal::open`] finishes an interrupted retirement, so a crash at any
 //! point leaves a recoverable directory.
+
+#![forbid(unsafe_code)]
 
 use std::fs::{self, File};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
@@ -721,11 +724,23 @@ fn scan(dir: &Path, sink: &mut impl ScanSink) -> Result<ScanOutcome> {
         let mut win = Window::new(file, 0, len, &mut buf);
         win.fill(SEGMENT_HEADER_LEN)?;
         let header = win.rest();
-        let header_ok = header.len() >= SEGMENT_HEADER_LEN
-            && &header[..4] == SEGMENT_MAGIC
-            && le_u32(&header[4..]) == SEGMENT_VERSION
-            && le_u64(&header[8..]) == first
-            && expected_seq.is_none_or(|e| e == first);
+        let whole = header.len() >= SEGMENT_HEADER_LEN && &header[..4] == SEGMENT_MAGIC;
+        // Like a foreign base, a whole header of another version is not
+        // damage: cutting it would drop its records. A short one is a tail
+        // torn before the header was written out.
+        let found = if whole {
+            le_u32(&header[4..])
+        } else {
+            SEGMENT_VERSION
+        };
+        if found != SEGMENT_VERSION {
+            return Err(CkptError::VersionMismatch {
+                found,
+                expected: SEGMENT_VERSION,
+            });
+        }
+        let header_ok =
+            whole && le_u64(&header[8..]) == first && expected_seq.is_none_or(|e| e == first);
         if !header_ok {
             // Untrustworthy segment: the committed frontier stays wherever
             // the chain so far put it; this file and everything after is

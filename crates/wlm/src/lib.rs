@@ -16,6 +16,8 @@
 //! The decisions are pure functions. A traced caller records each one it
 //! acts on with [`record_decision`].
 
+#![forbid(unsafe_code)]
+
 pub mod maintenance;
 pub mod policies;
 pub mod speedup;

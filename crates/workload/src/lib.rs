@@ -15,6 +15,8 @@
 //! below suggested retail price" — a nested query whose correlated subquery
 //! index-scans `lineitem` once per part row, so its cost is ∝ k.
 
+#![forbid(unsafe_code)]
+
 pub mod scenario;
 pub mod tpcr;
 

@@ -24,6 +24,8 @@
 //! run concurrent queries under the simulator, and compare single- vs
 //! multi-query progress estimates.
 
+#![forbid(unsafe_code)]
+
 pub use mqpi_core as pi;
 pub use mqpi_engine as engine;
 pub use mqpi_sim as sim;
