@@ -408,6 +408,7 @@ fn run_fig6_fig7(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let lambdas = [0.0, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2];
     let pts = scq::run_known_lambda(cx.tpcr, &lambdas, opts.runs, opts.seed, db::RATE, opts.jobs)?;
+    eprintln!("{}", verify::folds(&pts));
     if cx.asked[0] {
         let t = err_table("lambda", &pts, |p| {
             (p.true_lambda, p.last_single, p.last_multi)
@@ -435,6 +436,7 @@ fn run_fig8_fig9(cx: &Ctx) -> Res {
         db::RATE,
         opts.jobs,
     )?;
+    eprintln!("{}", verify::folds(&pts));
     if cx.asked[0] {
         let t = err_table("lambda' (PI)", &pts, |p| {
             (p.pi_lambda, p.last_single, p.last_multi)
@@ -472,6 +474,7 @@ fn run_speedup(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let runs = opts.runs.clamp(1, 20);
     let r = speedup_exp::run(cx.tpcr, runs, opts.seed, db::RATE, opts.jobs)?;
+    eprintln!("{}", verify::folds(&r));
     let mut t = TextTable::new(&["victim policy", "mean measured speed-up (s)"]);
     t.row(vec!["optimal (sec. 3.1)".into(), f2(r.optimal)]);
     t.row(vec!["  (predicted)".into(), f2(r.optimal_predicted)]);
@@ -539,6 +542,7 @@ fn run_ablations(cx: &Ctx) -> Res {
     let t = TextTable::of(columns, &ov);
     let title = "ablation O (abort/rollback overhead in maintenance planning)";
     emit_as(opts, title, "ablation_overhead", &t);
+    eprintln!("{}", verify::folds(&(a1, a2, q, ov)));
     Ok(())
 }
 
@@ -547,6 +551,7 @@ fn run_fig11(cx: &Ctx) -> Res {
     let fracs = [0.2, 0.4, 0.6, 0.8, 1.0];
     let runs = opts.runs.clamp(1, 10);
     let pts = maintenance::run(cx.tpcr, &fracs, runs, opts.seed, db::RATE, opts.jobs)?;
+    eprintln!("{}", verify::folds(&pts));
     let columns: &[Column<maintenance::MaintenancePoint>] = &[
         ("t / t_finish", |p| f2(p.t_frac)),
         ("no PI (UW/TW)", |p| pct(p.no_pi)),
@@ -571,6 +576,7 @@ fn run_chaos(cx: &Ctx) -> Res {
         cfg
     });
     let rep = chaos::run(&intensities, opts.runs, opts.seed, opts.jobs, ckpt.as_ref())?;
+    eprintln!("{}", verify::folds(&rep));
     let columns: &[Column<chaos::ChaosPoint>] = &[
         ("shape", |p| p.shape.to_string()),
         ("faults/100s", |p| f2(p.intensity)),
@@ -677,14 +683,12 @@ fn bench_pi(cx: &Ctx) -> Res {
     Ok(())
 }
 
-/// Estimator-ensemble campaign (`bench-ensemble`): the standard lineup
-/// with online selection and uncertainty bands, swept over system shapes
-/// × fault plans. Honors `--runs`, `--seed`, `--jobs`, `--small` and
-/// `--csv` (one `bench_ensemble.csv`, byte-identical at any `--jobs`).
-/// Asserts the acceptance gate — calm cells within 10 % of the best
-/// member, ≥ 2 fault cells strictly better than the worst member — and
-/// writes `BENCH_9.json`, into the `--csv` directory when one is given and
-/// into the working directory otherwise.
+/// Band campaign (`bench-ensemble`): the multi-query PI's uncertainty
+/// bands swept over system shapes × fault plans. Honors `--runs`,
+/// `--seed`, `--jobs`, `--small` and `--csv` (one `bench_ensemble.csv`,
+/// byte-identical at any `--jobs`). Fails below the band floor
+/// ([`ensemble::check_bands`]): coverage under 0.5 or a non-finite value
+/// in any cell.
 fn bench_ensemble(cx: &Ctx) -> Res {
     let opts = cx.opts;
     let runs = if opts.small {
@@ -692,67 +696,27 @@ fn bench_ensemble(cx: &Ctx) -> Res {
     } else {
         opts.runs.min(20)
     };
-    let rep = ensemble::run(runs, opts.seed, opts.jobs)?;
-
-    let members: Vec<String> = rep.names.iter().map(|n| format!("{n} err")).collect();
-    let tail = [
-        "ensemble err",
-        "coverage",
-        "width (s)",
-        "switches",
-        "scored",
+    let cells = ensemble::run(runs, opts.seed, opts.jobs)?;
+    eprintln!("{}", verify::folds(&cells));
+    let columns: &[Column<ensemble::EnsembleCell>] = &[
+        ("shape", |c| c.shape.to_string()),
+        ("plan", |c| c.plan.to_string()),
+        ("p50 err", |c| pct(c.p50_err)),
+        ("coverage", |c| pct(c.coverage)),
+        ("width (s)", |c| f2(c.mean_width)),
+        ("scored", |c| c.scored.to_string()),
     ];
-    let members = members.iter().map(String::as_str);
-    let headers: Vec<&str> = ["shape", "plan"]
-        .into_iter()
-        .chain(members)
-        .chain(tail)
-        .collect();
-    let mut t = TextTable::new(&headers);
-    for c in &rep.cells {
-        let mut row = vec![c.shape.to_string(), c.plan.to_string()];
-        row.extend(c.est_errs.iter().map(|&e| pct(e)));
-        row.push(pct(c.ensemble_err));
-        row.push(pct(c.coverage));
-        row.push(f2(c.mean_width));
-        row.push(c.switches.to_string());
-        row.push(c.scored.to_string());
-        t.row(row);
-        eprintln!(
-            "# bench-ensemble {}/{}: ens={:.4} best={:.4} worst={:.4} cover={:.2} switches={}",
-            c.shape,
-            c.plan,
-            c.ensemble_err,
-            c.best_member(),
-            c.worst_member(),
-            c.coverage,
-            c.switches
-        );
-    }
-    println!(
-        "== bench-ensemble: online selection vs single estimators ({runs} runs/cell, seed {}) ==",
-        opts.seed
+    let title = format!(
+        "{}: bands around the multi-query PI ({runs} runs/cell, seed {})",
+        cx.names[0], opts.seed
     );
-    println!("{}", t.render());
-    if let Some(dir) = &opts.csv {
-        let path = dir.join("bench_ensemble.csv");
-        t.write_csv(&path)?;
-        eprintln!("# wrote {}", path.display());
-    }
-
-    let accepted = rep.check_acceptance(0.10, 2);
-    let json = rep.bench_json(runs, opts.seed);
-    // Next to the CSVs when `--csv DIR` is given, so a verification run
-    // leaves the tracked full-scale file alone.
-    let path = opts
-        .csv
-        .as_deref()
-        .unwrap_or(std::path::Path::new("."))
-        .join("BENCH_9.json");
-    mqpi_ckpt::atomic_write(&path, json.as_bytes())?;
-    eprintln!("# wrote {}", path.display());
-
-    accepted.map_err(|e| format!("bench-ensemble: {e}").into())
+    emit_as(
+        opts,
+        &title,
+        "bench_ensemble",
+        &TextTable::of(columns, &cells),
+    );
+    ensemble::check_bands(&cells).map_err(|e| format!("bench-ensemble: {e}").into())
 }
 
 /// `pi-chaos` ([`pichaos`]): one digest row per replicate on stdout, which
@@ -776,6 +740,7 @@ fn pi_chaos(cx: &Ctx) -> Res {
         cfg.wal_flush_every = n;
     }
     let rows = pichaos::run_campaign(&cfg)?;
+    eprintln!("{}", verify::folds(&rows));
     println!(
         "== pi-chaos: {} replicates x {} iters, {} sessions ==",
         cfg.replicates, cfg.iters, cfg.sessions
@@ -815,6 +780,7 @@ fn pi_wal_chaos(cx: &Ctx) -> Res {
         cfg.iters = 150;
     }
     let rows = piwal::run_campaign(&cfg)?;
+    eprintln!("{}", verify::folds(&rows));
     println!(
         "== pi-wal-chaos: {} replicates x {} iters ==",
         cfg.replicates, cfg.iters

@@ -44,7 +44,7 @@ use mqpi_sim::{FaultMix, FaultPlan};
 /// Virtual horizon of one chaos run, in seconds.
 pub const HORIZON: f64 = 400.0;
 /// Sampling cadence of the estimator/validator loop.
-const SAMPLE_INTERVAL: f64 = 5.0;
+pub(crate) const SAMPLE_INTERVAL: f64 = 5.0;
 /// Aggregate rate `C` for every shape.
 const RATE: f64 = 100.0;
 /// Concurrency slots for the queued shapes.
@@ -53,7 +53,7 @@ const SLOTS: usize = 3;
 /// remaining time can make a single sample's relative error astronomically
 /// large and swamp the cell mean; 100× (10 000 %) already reads as "the
 /// estimate was useless" without drowning the rest of the curve.
-const ERR_CAP: f64 = 100.0;
+pub(crate) const ERR_CAP: f64 = 100.0;
 
 /// The scheduler shapes a campaign sweeps. Each exercises a different part
 /// of the pipeline: `mcq` is pure concurrency, `naq` adds an admission
@@ -311,7 +311,9 @@ fn load_run_snapshot(c: &CheckpointCfg, seed: u64) -> Option<RunSnapshot> {
     loaded.ok()
 }
 
-fn build_system(shape: &str, rng: &mut Rng) -> System {
+/// The scheduler of `shape` (one of [`SHAPES`]) with its initial queries
+/// and, for `scq`, its arrival stream, all drawn from `rng`.
+pub(crate) fn build_system(shape: &str, rng: &mut Rng) -> System {
     let admission = match shape {
         "naq" => AdmissionPolicy::MaxConcurrent(SLOTS),
         "bounded" => AdmissionPolicy::Bounded {
@@ -342,6 +344,16 @@ fn build_system(shape: &str, rng: &mut Rng) -> System {
         }
     }
     sys
+}
+
+/// What the multi-query PI sees on `shape`: queue shapes get the paper's
+/// §2.3 visibility, so the PI predicts admissions, which keeps its
+/// estimates monotone across them.
+pub(crate) fn visibility(shape: &str) -> Visibility {
+    match shape {
+        "naq" | "bounded" => Visibility::with_queue(Some(SLOTS)),
+        _ => Visibility::concurrent_only(),
+    }
 }
 
 fn count_bad(set: &EstimateSet) -> u64 {
@@ -405,12 +417,7 @@ fn one_run(
 
     // The PIs themselves are stateless readers, rebuilt from the shape.
     let single = SingleQueryPi::new();
-    let multi = MultiQueryPi::new(match shape {
-        // Queue shapes get the paper's §2.3 visibility: the PI predicts
-        // admissions, which keeps its estimates monotone across them.
-        "naq" | "bounded" => Visibility::with_queue(Some(SLOTS)),
-        _ => Visibility::concurrent_only(),
-    });
+    let multi = MultiQueryPi::new(visibility(shape));
 
     loop {
         if sys.now() >= p.next_sample {

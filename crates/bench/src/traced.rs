@@ -16,7 +16,7 @@
 
 use mqpi_ckpt::{CkptError, Wire};
 use mqpi_core::{
-    observe_estimates, Ensemble, Estimator, InvariantValidator, MultiQueryPi, SingleQueryPi,
+    observe_estimates, BandedPi, EstimateSet, InvariantValidator, MultiQueryPi, SingleQueryPi,
     ValidationContext, Visibility,
 };
 use mqpi_engine::error::{EngineError, Result};
@@ -30,9 +30,6 @@ use mqpi_wlm::{LostWorkCase, QueryLoad};
 
 /// The scenarios [`run_scenario`] understands, in suite order.
 pub const SCENARIOS: &[&str] = &["mcq", "naq", "scq", "chaos", "wlm", "ensemble"];
-
-/// Smoothing constant of the ensemble scenario's speed-EWMA member.
-const EWMA_TAU: f64 = 4.0;
 
 /// Virtual horizon of one traced run, in seconds. Short on purpose: golden
 /// traces are review surfaces, so they should stay small enough to diff.
@@ -108,7 +105,7 @@ fn build_system(scenario: &str, rng: &mut Rng, obs: &Obs) -> System {
     if scenario == "scq" || scenario == "ensemble" {
         // A deterministic Poisson-ish arrival stream inside the horizon
         // (shorter for the ensemble scenario: arrivals plus faults already
-        // give the selector regimes to react to).
+        // give its bands regimes to cover).
         let mut t = 0.0;
         let arrivals = if scenario == "scq" { 5 } else { 3 };
         for i in 0..arrivals {
@@ -167,8 +164,8 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
             &FaultMix::even(2),
         ));
     } else if ensemble_mode {
-        // Rate dips are the fault family the speed-tracking members react
-        // to fastest — the regime changes that make the selector act.
+        // Rate dips move observed speeds away from the nominal rate, the
+        // regime change that widens the bands.
         sys.install_faults(FaultPlan::generate(
             seed ^ 0xE45E_3B1E_0F00_D5EE,
             HORIZON,
@@ -185,7 +182,7 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
         "naq" | "chaos" => Visibility::with_queue(Some(SLOTS)),
         _ => Visibility::concurrent_only(),
     });
-    let mut ens = Ensemble::standard(Visibility::concurrent_only(), EWMA_TAU);
+    let mut ens = BandedPi::new(Visibility::concurrent_only());
     ens.set_obs(obs.clone());
     let mut seen_finished = 0usize;
     // Slack covers quantum discretization over one sampling interval.
@@ -210,9 +207,9 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
         if sys.now() >= next_sample {
             let snap = sys.snapshot();
             let m_set = if ensemble_mode {
-                // Feed realized finish times to the selector before the
-                // tick, exactly as the bench-ensemble campaign does:
-                // completions are scored, aborts/errors are forgotten.
+                // Feed realized finish times to the bands before the tick,
+                // exactly as the bench-ensemble campaign does: completions
+                // are scored, aborts/errors are forgotten.
                 let done = sys.finished();
                 while seen_finished < done.len() {
                     let rec = &done[seen_finished];
@@ -223,12 +220,12 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
                     }
                     seen_finished += 1;
                 }
-                ens.tick(&snap).point_set()
+                EstimateSet::from_bands(&ens.tick(&snap))
             } else {
                 let s_set = single.estimates(&snap);
-                observe_estimates(&obs, single.name(), single.span(), snap.time, &s_set);
+                observe_estimates(&obs, "single", "core.predict.single", snap.time, &s_set);
                 let m_set = multi.estimates(&snap);
-                observe_estimates(&obs, multi.name(), multi.span(), snap.time, &m_set);
+                observe_estimates(&obs, "multi", "core.predict.multi", snap.time, &m_set);
                 m_set
             };
 
@@ -314,10 +311,10 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
                 sys = System::restore(&blobs.0).map_err(ckpt_err)?;
                 validator = InvariantValidator::restore(&blobs.1).map_err(ckpt_err)?;
                 obs = Obs::restore(&blobs.2).map_err(ckpt_err)?;
-                // The selector restores into a freshly built lineup (the
-                // member list itself is code, not state), just like the
-                // scheduler and validator restore into fresh objects.
-                ens = Ensemble::standard(Visibility::concurrent_only(), EWMA_TAU);
+                // The bands restore into a freshly built PI (its visibility
+                // is code, not state), just like the scheduler and
+                // validator restore into fresh objects.
+                ens = BandedPi::new(Visibility::concurrent_only());
                 ens.restore_state(&blobs.3).map_err(ckpt_err)?;
                 // Restored handles come back disconnected; re-wire the
                 // live observability channel exactly as at startup.
@@ -440,7 +437,6 @@ mod tests {
         assert!(wlm.trace.contains("wlm action=maintenance_abort"));
         assert!(wlm.trace.contains(" abort "));
         let ens = by_name("ensemble");
-        assert!(ens.trace.contains(" selector "), "no selector decisions");
         assert!(
             ens.trace.contains("estimate pi=ensemble"),
             "no ensemble estimates"

@@ -4,9 +4,14 @@
 //! Every run is a child process of the binary with its own `--csv`
 //! directory and, for a row that keeps state, its own state directory. The
 //! reference run is the command as given; each check varies one thing and
-//! requires stdout and every `--csv` file to be byte-equal to the
-//! reference's. The first mismatch fails, naming the check, the file and
-//! its first differing line.
+//! requires stdout, every `--csv` file and the `# folds` lines on stderr
+//! to be byte-equal to the reference's. The first mismatch fails, naming
+//! the check, the file and its first differing line.
+//!
+//! A row with a jobs check prints one `# folds` line ([`folds`]): a digest
+//! of its report at full precision. Printed tables round errors to one or
+//! two decimals, so without it a fold that visits runs in another order
+//! passes the jobs check unseen.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -41,8 +46,28 @@ pub struct Resume {
     pub resumed: &'static str,
 }
 
-/// A run's stdout (as `stdout`) and `--csv` files, by name.
+/// A run's stdout (as `stdout`), its `# folds` lines (as [`FOLDS_FILE`])
+/// and `--csv` files, by name.
 type Files = BTreeMap<String, Vec<u8>>;
+
+/// How a fold digest line starts on stderr.
+const FOLDS: &str = "# folds ";
+/// The name the `# folds` lines compare under.
+const FOLDS_FILE: &str = "stderr # folds";
+
+/// The stderr line a row with a jobs check prints once per run: FNV-1a
+/// over `report`'s `Debug` text, whose `f64`s print round-trip exact.
+pub fn folds(report: &impl std::fmt::Debug) -> String {
+    let text = format!("{report:?}");
+    let h = crate::campaign::fnv_fold(crate::campaign::FNV_OFFSET, text.as_bytes());
+    format!("{FOLDS}{h:016x}")
+}
+
+/// The `# folds` lines of `stderr`, in order.
+fn folds_lines(stderr: &str) -> Vec<u8> {
+    let lines: Vec<&str> = stderr.lines().filter(|l| l.starts_with(FOLDS)).collect();
+    lines.join("\n").into_bytes()
+}
 
 /// Run every check of `rows` on `exe args`, where `args` parse and resolve
 /// `--jobs` to `jobs`. A `--csv DIR` in `args` receives the reference run's
@@ -97,6 +122,7 @@ pub fn run(exe: &Path, mut args: Vec<String>, jobs: usize, rows: &[Checks]) -> R
             }
             let mut files = contents(&csv)?;
             files.insert("stdout".into(), out.stdout);
+            files.insert(FOLDS_FILE.into(), folds_lines(&stderr));
             Ok((files, stderr))
         };
         let reference = output("reference", csv.as_deref(), &[])?.0;
@@ -104,6 +130,18 @@ pub fn run(exe: &Path, mut args: Vec<String>, jobs: usize, rows: &[Checks]) -> R
         let mut counters = rows.iter().flat_map(|c| c.counters);
         if let Some(f) = counters.find(|f| !nonzero(&stdout, f)) {
             return Err(format!("counters: no nonzero {f} in stdout"));
+        }
+        let (want, got) = (
+            rows.iter().filter(|c| c.jobs).count(),
+            String::from_utf8_lossy(&reference[FOLDS_FILE])
+                .lines()
+                .count(),
+        );
+        if got != want {
+            return Err(format!(
+                "jobs: {got} `{}` lines on stderr for {want} rows with a jobs check",
+                FOLDS.trim_end()
+            ));
         }
         // The run's stderr, when its files equal the reference's.
         let check = |label: &str, extra: &[&str]| {

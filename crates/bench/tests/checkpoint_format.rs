@@ -5,7 +5,7 @@
 //! `mqpi_ckpt::Wire`: `System` (both step modes; faults armed, event feed
 //! on, a scheduled arrival, a blocked and a rolling-back session),
 //! `PiService` (deadlines, backoff, ladder, breaker, `wal` knobs, mark and
-//! note caches), `Ensemble`, `InvariantValidator`, `Obs`, and the chaos
+//! note caches), `BandedPi`, `InvariantValidator`, `Obs`, and the chaos
 //! campaign's partial and done snapshots. The constants were blessed on the
 //! commit *before* that move (hand-written `encode_x`/`decode_x` pairs); a
 //! round trip cannot see a field that moved in both directions at once,
@@ -98,7 +98,7 @@ use std::time::{Duration, Instant};
 use mqpi_bench::chaos::{self, CheckpointCfg};
 use mqpi_ckpt::Wire as _;
 use mqpi_core::{
-    observe_estimates, Ensemble, FluidQuery, IncrementalFluid, InvariantValidator, MultiQueryPi,
+    observe_estimates, BandedPi, FluidQuery, IncrementalFluid, InvariantValidator, MultiQueryPi,
     SingleQueryPi, ValidationContext, Visibility,
 };
 use mqpi_obs::{Obs, SECOND_BUCKETS};
@@ -275,10 +275,10 @@ fn sampled_run(mut tick: impl FnMut(&System), until: f64) -> System {
     sys
 }
 
-/// The standard five-member ensemble mid-run: scores, residual windows,
-/// per-query choices, unresolved samples and the EWMA member's monitors.
-fn ensemble() -> Ensemble {
-    let mut ens = Ensemble::standard(Visibility::concurrent_only(), 2.0);
+/// The banded multi-query PI mid-run: its residual window and unresolved
+/// samples.
+fn ensemble() -> BandedPi {
+    let mut ens = BandedPi::new(Visibility::concurrent_only());
     let mut seen = 0usize;
     sampled_run(
         |sys| {
@@ -421,7 +421,7 @@ fn golden_ensemble() {
     let ens = ensemble();
     let bytes = ens.checkpoint();
     assert_golden("ensemble", &bytes, 6695, 13977388904577923265);
-    let mut back = Ensemble::standard(Visibility::concurrent_only(), 2.0);
+    let mut back = BandedPi::new(Visibility::concurrent_only());
     back.restore_state(&bytes).unwrap();
     assert_eq!(back.checkpoint(), bytes, "re-encode is canonical");
 }

@@ -7,10 +7,15 @@
 //! wall-clock measurement (auto-calibrated iteration count, median of a
 //! few samples). `cargo bench -- --test` runs every benchmark body exactly
 //! once so CI can smoke-test benches without paying measurement time.
-//! A positional CLI argument filters benchmarks by substring, like the
-//! real crate.
+//! A positional CLI argument filters benchmarks by name: each of its
+//! `|`-separated alternatives is a substring, the slice of the real
+//! crate's regex filter that scripts use. A binary whose filter matched no
+//! benchmark says so on stderr; it still exits 0, because `cargo bench --
+//! FILTER` runs every bench binary of a package and most of them match
+//! nothing.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
@@ -54,6 +59,27 @@ impl From<String> for BenchmarkId {
 pub enum Throughput {
     /// Elements processed per iteration; reported as elements per second.
     Elements(u64),
+}
+
+/// Benchmarks this process has run (or smoke-tested) so far.
+static RAN: AtomicUsize = AtomicUsize::new(0);
+
+/// Whether `name` passes `filter`: any `|`-separated alternative of it is
+/// a substring of `name`.
+fn matches(filter: &str, name: &str) -> bool {
+    filter.split('|').any(|alt| name.contains(alt))
+}
+
+/// Called by [`criterion_main!`] after every group: a filter that matched
+/// no benchmark of this binary is named on stderr.
+#[doc(hidden)]
+pub fn report_unmatched() {
+    if RAN.load(Ordering::Relaxed) > 0 {
+        return;
+    }
+    if let Some(filter) = Options::from_args().filter {
+        eprintln!("no benchmark matched filter '{filter}'");
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -223,10 +249,11 @@ fn run_benchmark(
         None => id.id.clone(),
     };
     if let Some(filter) = &opts.filter {
-        if !full.contains(filter.as_str()) {
+        if !matches(filter, &full) {
             return;
         }
     }
+    RAN.fetch_add(1, Ordering::Relaxed);
     let mut b = Bencher {
         test_mode: opts.test_mode,
         measured: None,
@@ -268,6 +295,27 @@ macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
+            $crate::report_unmatched();
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::matches;
+
+    #[test]
+    fn a_filter_matches_when_any_alternative_is_a_substring() {
+        let name = "serving_path/mirror_feed";
+        assert!(matches("serving_path", name));
+        assert!(matches("mirror", name));
+        assert!(matches("tpcr_mix|mirror_feed", name));
+        assert!(matches("pi_command|serving", name));
+        assert!(!matches("tpcr_mix", name));
+        assert!(!matches("tpcr_mix|pi_command", name));
+        // Alternatives are substrings, not patterns.
+        assert!(!matches("serving.path", name));
+        // An empty alternative matches everything, as in a regex.
+        assert!(matches("tpcr_mix|", name));
+    }
 }

@@ -37,6 +37,11 @@ impl EstimateSet {
         Self::indexed(pairs, index, truncated)
     }
 
+    /// The point estimates (band p50s) of `bands`, in their order.
+    pub fn from_bands(bands: &[BandedEstimate]) -> Self {
+        Self::from_pairs(bands.iter().map(|b| (b.id, b.band.p50)), false)
+    }
+
     /// [`EstimateSet::from_pairs`] over a prediction's finish times, in
     /// completion order, taking over the prediction's id index instead of
     /// building another.
@@ -103,7 +108,7 @@ impl EstimateSet {
 }
 
 /// Percentile band around a remaining-time estimate. The point estimate is
-/// the band's p50; p10/p90 bound the plausible range given the chosen
+/// the band's p50; p10/p90 bound the plausible range given the
 /// estimator's recent residuals and the current rate uncertainty (Wu et
 /// al., *Uncertainty Aware Query Execution Time Prediction*: estimates
 /// should carry distributions, not points). Invariant: all three values
@@ -134,16 +139,13 @@ impl Band {
     }
 }
 
-/// A remaining-time estimate with uncertainty: one query's [`Band`] plus
-/// the estimator the ensemble selector chose to produce it.
+/// A remaining-time estimate with uncertainty: one query's [`Band`].
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct BandedEstimate {
     /// Query id the estimate is for.
     pub id: u64,
     /// p10/p50/p90 remaining-time percentiles.
     pub band: Band,
-    /// Name of the estimator that produced the point estimate.
-    pub chosen: &'static str,
 }
 
 /// The paper's relative-error metric (§5.2.3):

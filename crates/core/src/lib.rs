@@ -16,10 +16,9 @@
 //!
 //! [`adaptive`] provides the arrival-rate re-estimation that lets a
 //! multi-query PI correct bad information about the future (§5.2.3,
-//! Figs. 8-10). [`ensemble`] generalizes both families behind one
-//! [`ensemble::Estimator`] trait, adds three further estimator families,
-//! and runs them as an [`ensemble::Ensemble`]: online selection scored
-//! against realized finish times plus p10/p50/p90 uncertainty bands.
+//! Figs. 8-10). [`ensemble::BandedPi`] puts p10/p50/p90 uncertainty bands
+//! around the multi-query PI, fitted to its residuals over realized finish
+//! times.
 
 #![forbid(unsafe_code)]
 
@@ -37,9 +36,7 @@ pub mod single;
 pub mod validator;
 
 pub use adaptive::ArrivalRateEstimator;
-pub use ensemble::{
-    DriverNodePi, Ensemble, EnsembleTick, Estimator, SelectorDecision, SpeedEwmaPi, TotalWorkPi,
-};
+pub use ensemble::BandedPi;
 pub use estimate::{relative_error, Band, BandedEstimate, EstimateSet};
 pub use fluid::{standard_remaining_times, FluidPrediction, FluidQuery, FutureArrivals};
 pub use incremental::{DeltaCounters, IncrementalFluid};

@@ -6,12 +6,8 @@
 //! a profiling span over the prediction pass, and sanitizer/emission
 //! counters. It borrows the set, so observing an estimate cannot change
 //! it. A traced caller runs an estimator's `estimates` and then hands the
-//! set here with the estimator's [`name`] and [`span`]; the estimators
-//! themselves stay observation-free, so callers that never trace pay
-//! nothing.
-//!
-//! [`name`]: crate::ensemble::Estimator::name
-//! [`span`]: crate::ensemble::Estimator::span
+//! set here with the estimator's name and span; the estimators themselves
+//! stay observation-free, so callers that never trace pay nothing.
 
 use mqpi_obs::{Obs, TraceKind};
 

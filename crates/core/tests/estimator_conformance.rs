@@ -1,8 +1,8 @@
 //! Cross-estimator conformance suite.
 //!
-//! Every [`Estimator`] implementation — the paper's two PIs and the three
-//! ensemble families — must satisfy the same behavioural contract,
-//! whatever its internal model:
+//! The paper's two PIs — the single-query PI and the multi-query PI at its
+//! three visibilities — must satisfy the same behavioural contract,
+//! whatever their internal model:
 //!
 //! 1. **Finite outputs, always.** Whatever garbage a snapshot carries
 //!    (NaN costs, zero rate, negative speeds, clocks running backwards),
@@ -24,41 +24,34 @@
 //! The suite is lineup-driven: adding an estimator to [`lineup`] runs it
 //! through every rule with no further test code.
 
-use mqpi_core::ensemble::Estimator;
-use mqpi_core::{
-    DriverNodePi, FutureWorkload, MultiQueryPi, SingleQueryPi, SpeedEwmaPi, TotalWorkPi, Visibility,
-};
+use mqpi_core::{EstimateSet, FutureWorkload, MultiQueryPi, SingleQueryPi, Visibility};
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::rng::Rng;
 use mqpi_sim::system::{QueryState, QueuedState, StepMode, System, SystemConfig, SystemSnapshot};
 
+/// One estimator configuration: a snapshot in, its estimate set out.
+type Estimates = Box<dyn Fn(&SystemSnapshot) -> EstimateSet>;
+
 /// Every estimator configuration under contract. Labels keep assertion
-/// messages readable; boxes keep the suite generic over the trait.
-fn lineup() -> Vec<(&'static str, Box<dyn Estimator>)> {
+/// messages readable.
+fn lineup() -> Vec<(&'static str, Estimates)> {
+    let multi = |v: Visibility| -> Estimates {
+        let pi = MultiQueryPi::new(v);
+        Box::new(move |s| pi.estimates(s))
+    };
+    let future = FutureWorkload {
+        lambda: 0.1,
+        avg_cost: 200.0,
+        avg_weight: 1.0,
+    };
     vec![
-        ("single", Box::new(SingleQueryPi::new())),
-        (
-            "multi/concurrent",
-            Box::new(MultiQueryPi::new(Visibility::concurrent_only())),
-        ),
-        (
-            "multi/queue",
-            Box::new(MultiQueryPi::new(Visibility::with_queue(Some(3)))),
-        ),
+        ("single", Box::new(|s| SingleQueryPi::new().estimates(s))),
+        ("multi/concurrent", multi(Visibility::concurrent_only())),
+        ("multi/queue", multi(Visibility::with_queue(Some(3)))),
         (
             "multi/future",
-            Box::new(MultiQueryPi::new(Visibility::with_future(
-                Some(3),
-                FutureWorkload {
-                    lambda: 0.1,
-                    avg_cost: 200.0,
-                    avg_weight: 1.0,
-                },
-            ))),
+            multi(Visibility::with_future(Some(3), future)),
         ),
-        ("dne", Box::new(DriverNodePi::new())),
-        ("tgn", Box::new(TotalWorkPi::new())),
-        ("ewma", Box::new(SpeedEwmaPi::new(4.0))),
     ]
 }
 
@@ -140,8 +133,8 @@ fn adversarial_snapshots() -> Vec<(&'static str, SystemSnapshot)> {
 #[test]
 fn outputs_are_finite_on_adversarial_snapshots() {
     for (label, snap) in adversarial_snapshots() {
-        for (name, mut est) in lineup() {
-            let set = est.estimates(&snap);
+        for (name, est) in lineup() {
+            let set = est(&snap);
             for (id, v) in set.iter() {
                 assert!(
                     v.is_finite() && v >= 0.0,
@@ -171,10 +164,10 @@ fn pure_progress_system(seed: u64) -> System {
 
 #[test]
 fn remaining_estimates_never_increase_under_pure_progress() {
-    // Quantum discretization and EWMA warm-up allow tiny wobbles; anything
-    // beyond this slack means an estimator thinks progress is *undoing*.
+    // Quantum discretization allows tiny wobbles; anything beyond this
+    // slack means an estimator thinks progress is *undoing*.
     const SLACK: f64 = 1.0;
-    for (name, mut est) in lineup() {
+    for (name, est) in lineup() {
         let mut sys = pure_progress_system(42);
         let mut last: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
         let mut next_sample = 0.0;
@@ -182,7 +175,7 @@ fn remaining_estimates_never_increase_under_pure_progress() {
         while sys.has_work() {
             if sys.now() >= next_sample {
                 let snap = sys.snapshot();
-                let set = est.estimates(&snap);
+                let set = est(&snap);
                 for (id, v) in set.iter() {
                     if let Some(&prev) = last.get(&id) {
                         assert!(
@@ -204,15 +197,15 @@ fn remaining_estimates_never_increase_under_pure_progress() {
 
 /// One replicate's estimate log, at full float precision.
 fn replicate_log(seed: u64) -> String {
-    let mut lineup = lineup();
+    let lineup = lineup();
     let mut sys = pure_progress_system(seed);
     let mut log = String::new();
     let mut next_sample = 0.0;
     while sys.has_work() {
         if sys.now() >= next_sample {
             let snap = sys.snapshot();
-            for (name, est) in lineup.iter_mut() {
-                let set = est.estimates(&snap);
+            for (name, est) in &lineup {
+                let set = est(&snap);
                 let mut pairs: Vec<(u64, f64)> = set.iter().collect();
                 pairs.sort_by_key(|&(id, _)| id);
                 for (id, v) in pairs {
@@ -246,8 +239,8 @@ fn estimates_are_deterministic_across_worker_counts() {
 #[test]
 fn empty_snapshot_yields_empty_set() {
     let s = snap(0.0, 100.0, vec![]);
-    for (name, mut est) in lineup() {
-        let set = est.estimates(&s);
+    for (name, est) in lineup() {
+        let set = est(&s);
         assert!(
             set.is_empty(),
             "{name} invented estimates: {:?}",
@@ -263,8 +256,8 @@ fn fresh_lone_query_estimates_cost_over_rate() {
     // every estimator's model collapses to `t = c / C` — except the
     // future-visibility PI, which deliberately adds predicted load.
     let s = snap(0.0, 100.0, vec![state(7, 500.0, 0.0, None)]);
-    for (name, mut est) in lineup() {
-        let v = est.estimates(&s).get(7).expect(name);
+    for (name, est) in lineup() {
+        let v = est(&s).get(7).expect(name);
         if name == "multi/future" {
             assert!(v >= 5.0 - 1e-9, "{name}: {v} below the no-arrivals bound");
         } else {

@@ -1,21 +1,20 @@
 //! Property test: uncertainty-band calibration.
 //!
 //! Over seeded chaos workloads — random costs, random fault plans mixing
-//! cost noise and rate dips — the ensemble's p10/p90 bands must be
-//! *calibrated*: the realized remaining time should fall inside the band
-//! for roughly the nominal 80 % of samples. Exact calibration is not
+//! cost noise and rate dips — the banded multi-query PI's p10/p90 bands
+//! must be *calibrated*: the realized remaining time should fall inside
+//! the band for roughly the nominal 80 % of samples. Exact calibration is not
 //! achievable (residual windows are finite, faults are adversarial), so
 //! the property asserts a generous floor rather than a tight interval;
 //! what it rules out is bands that are decorative — ordered-looking but
 //! uncorrelated with realized outcomes.
 //!
 //! Structural invariants are checked exactly, on every emitted band:
-//! finite, non-negative, `p10 ≤ p50 ≤ p90`, and a chosen-estimator tag
-//! that names a real lineup member.
+//! finite, non-negative and `p10 ≤ p50 ≤ p90`.
 
 use proptest::prelude::*;
 
-use mqpi_core::{Ensemble, Visibility};
+use mqpi_core::{BandedPi, Visibility};
 use mqpi_sim::job::SyntheticJob;
 use mqpi_sim::rng::Rng;
 use mqpi_sim::system::{ErrorPolicy, FinishKind, StepMode, System, SystemConfig};
@@ -31,7 +30,7 @@ struct BandOutcome {
     scored: u32,
 }
 
-/// Drive one seeded chaos run with the standard ensemble and collect its
+/// Drive one seeded chaos run with the banded PI and collect its
 /// banded estimates plus post-hoc coverage against realized finishes.
 fn run_chaos(seed: u64, faults_per_kind: usize) -> BandOutcome {
     let mut rng = Rng::seed_from_u64(seed);
@@ -58,27 +57,25 @@ fn run_chaos(seed: u64, faults_per_kind: usize) -> BandOutcome {
         ));
     }
 
-    let mut ens = Ensemble::standard(Visibility::concurrent_only(), 4.0);
-    let names = ens.names();
+    let mut pi = BandedPi::new(Visibility::concurrent_only());
     let mut samples = Vec::new();
     let mut next_sample = 0.0;
     let mut seen_finished = 0usize;
     loop {
         if sys.now() >= next_sample {
-            // Feed realized finishes to the selector before estimating.
+            // Feed realized finishes to the bands before estimating.
             let finished = sys.finished();
             for rec in &finished[seen_finished..] {
                 if rec.kind == FinishKind::Completed {
-                    ens.resolve(rec.id, rec.finished);
+                    pi.resolve(rec.id, rec.finished);
                 } else {
-                    ens.forget(rec.id);
+                    pi.forget(rec.id);
                 }
             }
             seen_finished = finished.len();
 
             let snap = sys.snapshot();
-            let out = ens.tick(&snap);
-            for b in &out.banded {
+            for b in pi.tick(&snap) {
                 assert!(
                     b.band.p10.is_finite() && b.band.p50.is_finite() && b.band.p90.is_finite(),
                     "non-finite band at t={}: {:?}",
@@ -90,11 +87,6 @@ fn run_chaos(seed: u64, faults_per_kind: usize) -> BandOutcome {
                     "disordered band at t={}: {:?}",
                     snap.time,
                     b
-                );
-                assert!(
-                    names.contains(&b.chosen),
-                    "band tagged with unknown estimator {:?}",
-                    b.chosen
                 );
                 samples.push((snap.time, b.id, b.band.p10, b.band.p50, b.band.p90));
             }

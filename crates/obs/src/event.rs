@@ -114,7 +114,8 @@ pub enum TraceKind {
     },
     /// A progress indicator emitted a remaining-time estimate for one query.
     Estimate {
-        /// Estimator family (`single` or `multi`).
+        /// Estimator family (`single`, `multi`, or `ensemble` for the
+        /// banded multi-query PI).
         pi: &'static str,
         /// Query id the estimate is for.
         id: u64,
@@ -195,19 +196,6 @@ pub enum TraceKind {
         /// `compact`, replayed payload bytes on `replayed`.
         bytes: u64,
     },
-    /// The estimator-ensemble selector assigned or switched one query's
-    /// active estimator.
-    Selector {
-        /// Query id the decision is for.
-        id: u64,
-        /// Estimator the query was using (`-` on first assignment).
-        from: &'static str,
-        /// Estimator the query uses from now on.
-        to: &'static str,
-        /// Windowed decayed relative error of `to` at decision time
-        /// (`inf` before any realized finish has been scored).
-        score: f64,
-    },
 }
 
 impl TraceKind {
@@ -234,7 +222,6 @@ impl TraceKind {
             TraceKind::TierChange { .. } => "tier",
             TraceKind::Breaker { .. } => "breaker",
             TraceKind::Wal { .. } => "wal",
-            TraceKind::Selector { .. } => "selector",
         }
     }
 }
@@ -298,12 +285,6 @@ impl fmt::Display for TraceEvent {
             TraceKind::Wal { action, seq, bytes } => {
                 write!(f, " action={action} seq={seq} bytes={bytes}")
             }
-            TraceKind::Selector {
-                id,
-                from,
-                to,
-                score,
-            } => write!(f, " id={id} from={from} to={to} score={score}"),
         }
     }
 }

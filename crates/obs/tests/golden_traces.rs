@@ -134,12 +134,11 @@ fn golden_chaos_resumed_matches_straight_fixture() {
     );
 }
 
-/// Same crash-safe-resume contract for the selector: the ensemble run is
-/// cut mid-way, its selector scores, pending samples, residual windows,
-/// and per-query choices serialized and revived into a freshly built
-/// estimator lineup — and the continued run must still match the
-/// uninterrupted run's checked-in fixture byte for byte. This is the
-/// proof that selector state restores bit-identically, not just
+/// Same crash-safe-resume contract for the banded PI: the ensemble run is
+/// cut mid-way, its residual window and pending samples serialized and
+/// revived into a freshly built PI — and the continued run must still
+/// match the uninterrupted run's checked-in fixture byte for byte. This is
+/// the proof that band state restores bit-identically, not just
 /// approximately.
 #[test]
 fn golden_ensemble_resumed_matches_straight_fixture() {
