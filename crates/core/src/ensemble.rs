@@ -270,9 +270,10 @@ impl BandedPi {
                 residuals.len()
             )));
         }
-        if next > residuals.len() {
+        // The cursor moves only once the window is full, and stays inside it.
+        if next != 0 && !(residuals.len() == WINDOW && next < WINDOW) {
             return Err(CkptError::Corrupt(format!(
-                "residual cursor {next} beyond window of {}",
+                "residual cursor {next} invalid for a window of {}",
                 residuals.len()
             )));
         }
@@ -482,9 +483,19 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(fresh.restore_state(&long).is_err());
-        // A cursor past the window.
-        let bad = (vec![1.0f64], 2usize, Vec::<Pending>::new(), 0u64).to_bytes();
-        assert!(fresh.restore_state(&bad).is_err());
+        // A cursor past the window, one in a window not yet full, and one
+        // at the end of a full window (the next resolve would index it).
+        for (len, next) in [(1, 2), (3, 1), (WINDOW, WINDOW)] {
+            let bad = (vec![1.0f64; len], next, Vec::<Pending>::new(), 0u64).to_bytes();
+            assert!(fresh.restore_state(&bad).is_err(), "{len} {next}");
+        }
+        let full = (
+            vec![1.0f64; WINDOW],
+            WINDOW - 1,
+            Vec::<Pending>::new(),
+            0u64,
+        );
+        assert!(fresh.restore_state(&full.to_bytes()).is_ok());
         // Intact bytes still restore, and re-encode canonically.
         assert!(fresh.restore_state(&bytes).is_ok());
         assert_eq!(fresh.checkpoint(), bytes);
