@@ -603,11 +603,10 @@ fn run_chaos(cx: &Ctx) -> Res {
     }
     if let Some(c) = &ckpt {
         eprintln!(
-            "# checkpoints ({}): saved={} resumed={} done_skipped={} rejected={}",
+            "# checkpoints ({}): saved={} resumed={} rejected={}",
             c.dir.display(),
             c.obs.counter("ckpt.saved"),
             c.obs.counter("ckpt.resumed"),
-            c.obs.counter("ckpt.done_skipped"),
             c.obs.counter("ckpt.rejected"),
         );
     }

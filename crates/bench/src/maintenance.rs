@@ -266,4 +266,37 @@ mod tests {
         assert!(p.no_pi < 0.15, "no-PI at t=t_finish: {}", p.no_pi);
         assert_eq!(p.oracle, 0.0);
     }
+
+    /// Fig. 11's order (§5.3) at every deadline of the figure, on the two
+    /// tests' seeds above (3 runs at 500, 2 at 900). Margins, from
+    /// `experiments fig11 --small --seed S --runs N`: multi ≤ single by
+    /// 1.6 points at least (seed 500, t = 0.2); the oracle ≤ multi is exact
+    /// (both 0 at t = 1.0); at t = 1.0 multi and no-PI lose nothing while
+    /// the single PI over-aborts, 59.2 % and 35.6 % against a floor of
+    /// 30 %. About 2.5 s in a debug build on 2 cores.
+    #[test]
+    fn fig11_order_holds_at_every_deadline() {
+        let fracs = [0.2, 0.4, 0.6, 0.8, 1.0];
+        for (seed, runs) in [(500, 3), (900, 2)] {
+            let pts = run(db::small(), &fracs, runs, seed, 70.0, 2).unwrap();
+            for p in &pts {
+                let at = format!("seed {seed}, t={}", p.t_frac);
+                assert!(
+                    p.multi_pi <= p.single_pi,
+                    "{at}: multi {} vs single {}",
+                    p.multi_pi,
+                    p.single_pi
+                );
+                assert!(p.oracle <= p.multi_pi + 1e-9, "{at}: oracle {}", p.oracle);
+            }
+            let last = &pts[fracs.len() - 1];
+            assert_eq!(last.multi_pi, 0.0, "seed {seed}: multi at t_finish");
+            assert_eq!(last.no_pi, 0.0, "seed {seed}: no-PI at t_finish");
+            assert!(
+                last.single_pi >= 0.3,
+                "seed {seed}: single at t_finish {} does not over-abort",
+                last.single_pi
+            );
+        }
+    }
 }

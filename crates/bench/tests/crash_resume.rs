@@ -1,12 +1,14 @@
 //! Kill-then-resume determinism for checkpointed chaos campaigns.
 //!
 //! A campaign that crashes mid-way (simulated via [`CheckpointCfg`]'s
-//! crash hooks — `experiments verify chaos` does it with a real `SIGKILL`)
-//! and is then rerun against its snapshot directory must produce a report
-//! bit-identical to an uninterrupted campaign, at `--jobs 1` and
-//! `--jobs 4` alike. Snapshots that were truncated, overwritten with
+//! crash hook — `experiments verify chaos` does it with a real `SIGKILL`)
+//! and is then rerun against its checkpoint directory must produce a
+//! report bit-identical to an uninterrupted campaign, at `--jobs 1` and
+//! `--jobs 4` alike. An outcome file that was truncated, overwritten with
 //! garbage, re-kinded, or version-bumped must be rejected — observably,
-//! without a panic — and their replicates rerun from scratch.
+//! without a panic — and every replicate rerun from scratch. A directory
+//! written by a campaign over other intensities must not lend its
+//! outcomes to the wrong cells.
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -28,6 +30,12 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+fn observed(dir: &PathBuf) -> CheckpointCfg {
+    let mut cfg = CheckpointCfg::new(dir);
+    cfg.obs = Obs::enabled();
+    cfg
+}
+
 #[test]
 fn killed_campaign_resumes_bit_identically_at_jobs_1_and_4() {
     let straight = chaos::run(INTENSITIES, RUNS, SEED, 1, None).unwrap();
@@ -40,20 +48,20 @@ fn killed_campaign_resumes_bit_identically_at_jobs_1_and_4() {
             .expect_err("campaign must crash");
         assert!(err.to_string().contains("simulated"), "jobs={jobs}: {err}");
 
-        let mut resuming = CheckpointCfg::new(&dir);
-        resuming.obs = Obs::enabled();
+        let resuming = observed(&dir);
         let resumed = chaos::run(INTENSITIES, RUNS, SEED, jobs, Some(&resuming)).unwrap();
         assert_eq!(
             format!("{straight:?}"),
             format!("{resumed:?}"),
             "jobs={jobs}: resumed campaign diverged from the uninterrupted one"
         );
-        // At least the five pre-crash replicates come back from their
-        // "done" records instead of being recomputed.
+        // At least the five pre-crash replicates, the crashed cell's
+        // finished ones included, come back from the outcome file instead
+        // of being recomputed.
         assert!(
-            resuming.obs.counter("ckpt.done_skipped") >= 5,
-            "jobs={jobs}: only {} replicates were skipped",
-            resuming.obs.counter("ckpt.done_skipped")
+            resuming.obs.counter("ckpt.resumed") >= 5,
+            "jobs={jobs}: only {} replicates were resumed",
+            resuming.obs.counter("ckpt.resumed")
         );
         assert_eq!(resuming.obs.counter("ckpt.rejected"), 0);
         let _ = std::fs::remove_dir_all(&dir);
@@ -63,45 +71,87 @@ fn killed_campaign_resumes_bit_identically_at_jobs_1_and_4() {
 #[test]
 fn unreadable_snapshots_are_rejected_observably_and_rerun() {
     let straight = chaos::run(INTENSITIES, RUNS, SEED, 1, None).unwrap();
+    let replicates = (chaos::SHAPES.len() * INTENSITIES.len() * RUNS) as u64;
     let dir = scratch_dir("corrupt");
 
-    // Populate the snapshot dir with a full, clean campaign.
-    let seeding = CheckpointCfg::new(&dir);
-    chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&seeding)).unwrap();
-
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+    // Populate the directory with a full, clean campaign.
+    chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
         .collect();
-    files.sort();
-    assert!(files.len() >= 4, "expected one snapshot per replicate");
+    assert_eq!(files.len(), 1, "expected one outcome file: {files:?}");
+    let file = &files[0];
+    let whole = std::fs::read(file).unwrap();
 
-    // Four distinct ways for a snapshot to be unreadable.
-    let whole = std::fs::read(&files[0]).unwrap();
-    std::fs::write(&files[0], &whole[..whole.len() / 2]).unwrap(); // truncated
-    std::fs::write(&files[1], b"not a checkpoint at all").unwrap(); // garbage
-    std::fs::write(
-        &files[2],
-        mqpi_ckpt::encode_container("other-kind", b"payload"),
-    )
-    .unwrap();
-    let mut bumped = std::fs::read(&files[3]).unwrap(); // future version, valid CRC
+    // Four distinct ways for the file to be unreadable.
+    let mut bumped = whole.clone(); // future version, valid CRC
     bumped[4..8].copy_from_slice(&999u32.to_le_bytes());
     let crc = mqpi_ckpt::crc32(&bumped[..bumped.len() - 4]);
     let n = bumped.len();
     bumped[n - 4..].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&files[3], &bumped).unwrap();
+    let damaged = [
+        ("truncated", whole[..whole.len() / 2].to_vec()),
+        ("garbage", b"not a checkpoint at all".to_vec()),
+        (
+            "re-kinded",
+            mqpi_ckpt::encode_container("other-kind", b"payload"),
+        ),
+        ("version-bumped", bumped),
+    ];
+    for (how, bytes) in damaged {
+        std::fs::write(file, bytes).unwrap();
+        let resuming = observed(&dir);
+        let resumed = chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&resuming)).unwrap();
+        assert_eq!(
+            format!("{straight:?}"),
+            format!("{resumed:?}"),
+            "{how}: campaign with a rejected file diverged from the uninterrupted one"
+        );
+        assert_eq!(resuming.obs.counter("ckpt.rejected"), 1, "{how}");
+        assert_eq!(resuming.obs.counter("ckpt.resumed"), 0, "{how}");
+        assert_eq!(resuming.obs.counter("ckpt.saved"), replicates, "{how}");
+        assert!(
+            resuming.obs.render_trace().contains("ckpt action=rejected"),
+            "{how}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let mut resuming = CheckpointCfg::new(&dir);
-    resuming.obs = Obs::enabled();
-    let resumed = chaos::run(INTENSITIES, RUNS, SEED, 1, Some(&resuming)).unwrap();
+/// A temp file a kill left mid-write is swept on load, and the published
+/// file beside it still resumes every replicate.
+#[test]
+fn a_stray_temp_file_is_swept_on_load() {
+    let dir = scratch_dir("tmp");
+    chaos::run(&[5.0], 1, SEED, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
+    let stray = dir.join("outcomes.ckpt.tmp");
+    std::fs::write(&stray, b"half a write").unwrap();
+    let resuming = observed(&dir);
+    chaos::run(&[5.0], 1, SEED, 1, Some(&resuming)).unwrap();
+    assert!(!stray.exists(), "the stray temp file survived the load");
+    assert_eq!(
+        resuming.obs.counter("ckpt.resumed"),
+        chaos::SHAPES.len() as u64
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Seeds follow the cell's position in the intensity list, so the same
+/// seed names another (shape, intensity) pair in a campaign over another
+/// list. Outcomes are keyed by all three: a directory reused with a
+/// shorter list resumes nothing that belongs to another cell.
+#[test]
+fn a_directory_reused_with_other_intensities_reports_the_right_cells() {
+    let straight = chaos::run(&[5.0], 2, 3, 1, None).unwrap();
+    let dir = scratch_dir("reuse");
+    chaos::run(&[0.0, 5.0], 2, 3, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
+    let reused = chaos::run(&[5.0], 2, 3, 1, Some(&CheckpointCfg::new(&dir))).unwrap();
     assert_eq!(
         format!("{straight:?}"),
-        format!("{resumed:?}"),
-        "campaign with rejected snapshots diverged from the uninterrupted one"
+        format!("{reused:?}"),
+        "a reused directory changed the report"
     );
-    assert_eq!(resuming.obs.counter("ckpt.rejected"), 4);
-    assert!(resuming.obs.render_trace().contains("ckpt action=rejected"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,7 +1,7 @@
 //! `experiments verify` on the built binary: `pi-chaos` and `--chaos` pass
 //! their jobs and resume checks at a few runs, each resume check reports a
 //! kill with state files left behind, and a row that declares no check is
-//! refused. About 3 s in release and 10 s in a debug build (2 cores).
+//! refused. About 0.3 s in release and 2 s in a debug build (2 cores).
 
 use std::process::Command;
 

@@ -143,14 +143,15 @@ pub enum TraceKind {
         /// The query the decision targets, when there is one.
         id: Option<u64>,
     },
-    /// Checkpoint lifecycle: a snapshot was saved, resumed from, skipped
-    /// (already complete), or rejected as damaged. Emitted to the
-    /// campaign-level obs handle, never into per-scenario traces — those
-    /// must stay byte-identical to an uninterrupted run.
+    /// Checkpoint lifecycle: a finished run's outcome was saved, a run was
+    /// resumed (taken from the saved outcomes), or a checkpoint file was
+    /// rejected as damaged. Emitted to the campaign-level obs handle, never
+    /// into per-scenario traces — those must stay byte-identical to an
+    /// uninterrupted run.
     Checkpoint {
-        /// What happened: `saved`, `resumed`, `done_skip`, or `rejected`.
+        /// What happened: `saved`, `resumed`, or `rejected`.
         action: &'static str,
-        /// Seed of the run the snapshot belongs to.
+        /// Seed of the run (for a rejected file, the campaign's first seed).
         seed: u64,
     },
     /// A queued query's admission deadline fired in the PI service.
