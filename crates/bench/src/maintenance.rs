@@ -274,10 +274,19 @@ mod tests {
     /// (both 0 at t = 1.0); at t = 1.0 multi and no-PI lose nothing while
     /// the single PI over-aborts, 59.2 % and 35.6 % against a floor of
     /// 30 %. About 2.5 s in a debug build on 2 cores.
+    ///
+    /// Two claims pin what the order alone does not. §3.3's greedy aborts
+    /// in ascending loss per second saved: at t = 0.8 it loses 9.2 and 2.7
+    /// points more than the oracle, where a largest-first order (descending
+    /// `remaining − overhead`, loss ignored) loses 14.9 and 14.3; the bound
+    /// is 12. The single PI divides by each query's observed speed: at
+    /// t = 1.0 it aborts 59.2 % and 35.6 %, where the fair share in place
+    /// of observed speed aborts 65.1 % and 41.5 %; the caps are 62 % and
+    /// 38.5 %.
     #[test]
     fn fig11_order_holds_at_every_deadline() {
         let fracs = [0.2, 0.4, 0.6, 0.8, 1.0];
-        for (seed, runs) in [(500, 3), (900, 2)] {
+        for (seed, runs, single_cap) in [(500, 3, 0.62), (900, 2, 0.385)] {
             let pts = run(db::small(), &fracs, runs, seed, 70.0, 2).unwrap();
             for p in &pts {
                 let at = format!("seed {seed}, t={}", p.t_frac);
@@ -289,12 +298,19 @@ mod tests {
                 );
                 assert!(p.oracle <= p.multi_pi + 1e-9, "{at}: oracle {}", p.oracle);
             }
+            let late = &pts[3];
+            assert!(
+                late.multi_pi - late.oracle <= 0.12,
+                "seed {seed}, t=0.8: multi {} is more than 12 points above the oracle {}",
+                late.multi_pi,
+                late.oracle
+            );
             let last = &pts[fracs.len() - 1];
             assert_eq!(last.multi_pi, 0.0, "seed {seed}: multi at t_finish");
             assert_eq!(last.no_pi, 0.0, "seed {seed}: no-PI at t_finish");
             assert!(
-                last.single_pi >= 0.3,
-                "seed {seed}: single at t_finish {} does not over-abort",
+                (0.3..=single_cap).contains(&last.single_pi),
+                "seed {seed}: single at t_finish {} is outside [0.3, {single_cap}]",
                 last.single_pi
             );
         }

@@ -14,7 +14,6 @@
 //! and virtual time only (no wall clock, no global state), so a scenario's
 //! trace is byte-identical across runs, platforms, and `--jobs` values.
 
-use mqpi_ckpt::{CkptError, Wire};
 use mqpi_core::{
     observe_estimates, BandedPi, EstimateSet, InvariantValidator, MultiQueryPi, SingleQueryPi,
     ValidationContext, Visibility,
@@ -130,26 +129,6 @@ pub fn run_scenario(name: &str, seed: u64) -> Result<TracedRun> {
 /// site compiled down to a flag check — the basis of the zero-overhead
 /// acceptance tests.
 pub fn run_scenario_with(name: &str, seed: u64, obs: Obs) -> Result<TracedRun> {
-    run_scenario_impl(name, seed, obs, None)
-}
-
-/// [`run_scenario`], interrupted: at estimator tick `split_tick` the
-/// entire run state — scheduler, validator, observability buffers, and
-/// the scenario's own loop variables — is serialized through the
-/// checkpoint codec, decoded back into *fresh* objects that replace the
-/// live ones, and the run continues. The returned trace and metrics must
-/// be byte-identical to [`run_scenario`]'s, which the golden-trace suite
-/// asserts against the checked-in fixtures.
-pub fn run_scenario_resumed(name: &str, seed: u64, split_tick: usize) -> Result<TracedRun> {
-    run_scenario_impl(name, seed, Obs::enabled(), Some(split_tick))
-}
-
-fn ckpt_err(e: CkptError) -> EngineError {
-    EngineError::exec(format!("checkpoint: {e}"))
-}
-
-fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> Result<TracedRun> {
-    let mut obs = obs;
     let scenario = canon(name)?;
     let mut rng = Rng::seed_from_u64(seed);
     let mut sys = build_system(scenario, &mut rng, &obs);
@@ -202,7 +181,6 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
     let mut last_fault_count = 0usize;
     let mut prev_rate_degraded = false;
     let mut next_sample = 0.0;
-    let mut tick = 0usize;
     loop {
         if sys.now() >= next_sample {
             let snap = sys.snapshot();
@@ -280,47 +258,6 @@ fn run_scenario_impl(name: &str, seed: u64, obs: Obs, split: Option<usize>) -> R
 
             while next_sample <= sys.now() {
                 next_sample += SAMPLE_INTERVAL;
-            }
-            tick += 1;
-            if split == Some(tick) {
-                // Serialize the complete run state, then revive it into
-                // fresh objects in place of the live ones — exactly what a
-                // crash-restart would do, minus the process boundary.
-                // The four stateful parts travel as their own checkpoint
-                // blobs, the loop's variables beside them.
-                type Blobs = (Vec<u8>, Vec<u8>, Vec<u8>, Vec<u8>);
-                let blobs: Blobs = (
-                    sys.checkpoint().map_err(ckpt_err)?,
-                    validator.checkpoint(),
-                    obs.checkpoint(),
-                    ens.checkpoint(),
-                );
-                let flags = (victim, resumed, abort_planned, prev_rate_degraded);
-                let cursors = (last_fault_count, next_sample, seen_finished);
-                let cut = (blobs, flags, cursors).to_bytes();
-                let container = mqpi_ckpt::encode_container("traced-run", &cut);
-
-                let blobs: Blobs;
-                (
-                    blobs,
-                    (victim, resumed, abort_planned, prev_rate_degraded),
-                    (last_fault_count, next_sample, seen_finished),
-                ) = mqpi_ckpt::decode_container(&container, "traced-run")
-                    .and_then(|payload| Wire::from_bytes(&payload, "traced run"))
-                    .map_err(ckpt_err)?;
-                sys = System::restore(&blobs.0).map_err(ckpt_err)?;
-                validator = InvariantValidator::restore(&blobs.1).map_err(ckpt_err)?;
-                obs = Obs::restore(&blobs.2).map_err(ckpt_err)?;
-                // The bands restore into a freshly built PI (its visibility
-                // is code, not state), just like the scheduler and
-                // validator restore into fresh objects.
-                ens = BandedPi::new(Visibility::concurrent_only());
-                ens.restore_state(&blobs.3).map_err(ckpt_err)?;
-                // Restored handles come back disconnected; re-wire the
-                // live observability channel exactly as at startup.
-                sys.set_obs(obs.clone());
-                validator.set_obs(obs.clone());
-                ens.set_obs(obs.clone());
             }
         }
         if sys.now() >= HORIZON || !sys.has_work() {
@@ -447,29 +384,6 @@ mod tests {
     #[test]
     fn unknown_scenario_is_an_error() {
         assert!(run_scenario("nope", 1).is_err());
-    }
-
-    #[test]
-    fn resumed_scenarios_are_byte_identical_to_straight_runs() {
-        // Horizon 150 s at a 5 s cadence gives ~30 ticks; split mid-run.
-        for scenario in SCENARIOS {
-            let straight = run_scenario(scenario, 42).unwrap();
-            let resumed = run_scenario_resumed(scenario, 42, 12).unwrap();
-            assert_eq!(straight.trace, resumed.trace, "{scenario}: trace");
-            assert_eq!(
-                straight.metrics_json, resumed.metrics_json,
-                "{scenario}: metrics json"
-            );
-            assert_eq!(
-                straight.metrics_csv, resumed.metrics_csv,
-                "{scenario}: metrics csv"
-            );
-            assert_eq!(
-                straight.executed_units.to_bits(),
-                resumed.executed_units.to_bits(),
-                "{scenario}: executed units"
-            );
-        }
     }
 
     #[test]

@@ -3,9 +3,6 @@
 //! `fixtures/v3/` holds files written at `FORMAT_VERSION` 3, the last
 //! version before the one-value configuration fields left the payloads:
 //!
-//! * `system.ckpt` — a `System` checkpoint (event mode, two slots, a fault
-//!   plan, four jobs and a scheduled arrival, stepped to t = 5) framed as a
-//!   container of kind `system`;
 //! * `service.ckpt` — a `PiService` checkpoint (two slots, a deadline, the
 //!   default retry policy and ladder, four subscribed queries, one pump);
 //! * `wal/` — the log of a durable service (flush every record, compaction
@@ -31,7 +28,6 @@ use std::path::{Path, PathBuf};
 
 use mqpi_ckpt::{CkptError, FORMAT_VERSION};
 use mqpi_pi::{PiConfig, PiService, Standby};
-use mqpi_sim::System;
 use mqpi_wal::SEGMENT_VERSION;
 
 fn fixture(name: &str) -> PathBuf {
@@ -73,10 +69,6 @@ fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
 
 #[test]
 fn v3_checkpoints_are_refused() {
-    assert_v3(
-        "system",
-        mqpi_ckpt::read_file(&fixture("system.ckpt"), "system").and_then(|p| System::restore(&p)),
-    );
     let bytes = fs::read(fixture("service.ckpt")).unwrap();
     assert_v3("service", PiService::restore(&bytes));
 }

@@ -24,10 +24,10 @@
 //!   orphaned by a crash mid-write.
 //!
 //! The state encoders themselves live next to the state they snapshot
-//! (`sim::System::checkpoint`, `core::InvariantValidator::checkpoint`,
-//! `obs::Obs::checkpoint`); this crate knows nothing about them — it only
-//! guarantees that what was written is exactly what is read back, or that
-//! the mismatch is reported.
+//! (`pi::PiService::checkpoint`, `core::IncrementalFluid`'s [`Wire`], the
+//! chaos campaign's outcome file, the log's records and bases); this crate
+//! knows nothing about them — it only guarantees that what was written is
+//! exactly what is read back, or that the mismatch is reported.
 
 #![forbid(unsafe_code)]
 
@@ -43,7 +43,10 @@ use std::sync::Arc;
 /// guess).
 ///
 /// v2: `System` payloads grew a trailing delta-event-feed section, and the
-/// PI session service (`mqpi-pi`) introduced its own payload kinds.
+/// PI session service (`mqpi-pi`) introduced its own payload kinds. (The
+/// `System`, `InvariantValidator`, `BandedPi` and `Obs` payloads are gone
+/// since: nothing resumed them. Deleting them moved no byte a program
+/// writes, so it took no bump.)
 ///
 /// v3: `PiService` payloads grew a WAL-policy section, and the durability
 /// layer (`mqpi-wal`) introduced segment and base-snapshot payload kinds.
@@ -73,7 +76,7 @@ pub enum CkptError {
         expected: u32,
     },
     /// The snapshot holds a different payload schema than the caller asked
-    /// for (e.g. a `chaos-run` file passed to a trace restorer).
+    /// for (e.g. a log base passed where a service snapshot is expected).
     KindMismatch {
         /// Kind string found in the file.
         found: String,
@@ -82,8 +85,8 @@ pub enum CkptError {
     },
     /// Filesystem-level failure.
     Io(io::Error),
-    /// The live state cannot be snapshotted (e.g. a job backed by a live
-    /// engine cursor rather than serializable counters).
+    /// The request cannot be served as configured (e.g. a durable open or
+    /// a log with knobs out of range).
     Unsupported(String),
 }
 

@@ -9,14 +9,12 @@
 //!
 //! Every piece is deterministic: bands are pure functions of the
 //! tick/resolve call sequence, so the output is bit-identical across worker
-//! counts and checkpoint/restore cuts ([`BandedPi::checkpoint`] /
-//! [`BandedPi::restore_state`]).
+//! counts.
 //!
 //! The module, the `ensemble` trace tag (`estimate pi=ensemble`) and the
 //! `core.ensemble.*` metrics keep the name of the estimator ensemble this
 //! replaced; DESIGN.md §15 says why its selector went.
 
-use mqpi_ckpt::{wire_struct, CkptError, Enc, Wire};
 use mqpi_obs::{Obs, ERROR_BUCKETS};
 use mqpi_sim::domain;
 use mqpi_sim::system::SystemSnapshot;
@@ -62,7 +60,6 @@ struct Pending {
     id: u64,
     est: f64,
 }
-wire_struct!(Pending { at, id, est });
 
 /// The paper's multi-query PI with Wu-style percentile bands.
 ///
@@ -245,42 +242,6 @@ impl BandedPi {
     pub fn forget(&mut self, id: u64) {
         self.pending.retain(|p| p.id != id);
     }
-
-    /// Serialize all mutable state — the residual window, unresolved
-    /// samples and the resolved count. Restoring into a freshly
-    /// constructed `BandedPi` with the same visibility reproduces
-    /// subsequent output bit for bit.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.residuals.enc(&mut e);
-        self.next.enc(&mut e);
-        self.pending.enc(&mut e);
-        self.resolved.enc(&mut e);
-        e.into_bytes()
-    }
-
-    /// Restore state captured by [`BandedPi::checkpoint`] into this
-    /// `BandedPi`.
-    pub fn restore_state(&mut self, bytes: &[u8]) -> Result<(), CkptError> {
-        let (residuals, next, pending, resolved): (Vec<f64>, usize, Vec<Pending>, u64) =
-            Wire::from_bytes(bytes, "banded PI state")?;
-        if residuals.len() > WINDOW {
-            return Err(CkptError::Corrupt(format!(
-                "residual window of {} exceeds capacity {WINDOW}",
-                residuals.len()
-            )));
-        }
-        // The cursor moves only once the window is full, and stays inside it.
-        if next != 0 && !(residuals.len() == WINDOW && next < WINDOW) {
-            return Err(CkptError::Corrupt(format!(
-                "residual cursor {next} invalid for a window of {}",
-                residuals.len()
-            )));
-        }
-        (self.residuals, self.next, self.pending, self.resolved) =
-            (residuals, next, pending, resolved);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -394,11 +355,9 @@ mod tests {
         assert_eq!(pi.residuals[2], (WINDOW + 3) as f64 / 5.0);
     }
 
-    /// Bands of a faulted queue-shape run, one line per band at full
-    /// precision, and the final checkpoint; with `cut`, the state goes
-    /// through a checkpoint into a fresh `BandedPi` at that tick. Every p50
-    /// must be the PI's point.
-    fn faulted_run(cut: Option<usize>) -> (String, Vec<u8>) {
+    /// A faulted queue-shape run: every band's p50 must be the PI's point.
+    #[test]
+    fn p50_is_the_pi_point_on_a_faulted_run() {
         use mqpi_sim::admission::AdmissionPolicy;
         use mqpi_sim::job::SyntheticJob;
         use mqpi_sim::rng::Rng;
@@ -423,7 +382,6 @@ mod tests {
         let point = MultiQueryPi::new(vis);
         let mut pi = BandedPi::new(vis);
         let (mut next, mut seen, mut ticks) = (0.0, 0, 0);
-        let mut log = String::new();
         while sys.has_work() && sys.now() < 300.0 {
             if sys.now() >= next {
                 for rec in &sys.finished()[seen..] {
@@ -434,12 +392,6 @@ mod tests {
                     }
                 }
                 seen = sys.finished().len();
-                if cut == Some(ticks) {
-                    let bytes = pi.checkpoint();
-                    pi = BandedPi::new(vis);
-                    pi.restore_state(&bytes).unwrap();
-                    assert_eq!(pi.checkpoint(), bytes, "re-encode is canonical");
-                }
                 let snap = sys.snapshot();
                 let want = point.estimates(&snap);
                 let bands = pi.tick(&snap);
@@ -448,8 +400,6 @@ mod tests {
                 for b in &bands {
                     let p = want.get(b.id).map(f64::to_bits);
                     assert_eq!(Some(b.band.p50.to_bits()), p, "id {} t={}", b.id, snap.time);
-                    let Band { p10, p50, p90 } = b.band;
-                    log.push_str(&format!("{} {p10:.17e} {p50:.17e} {p90:.17e}\n", b.id));
                 }
                 ticks += 1;
                 while next <= sys.now() {
@@ -460,45 +410,6 @@ mod tests {
         }
         assert!(ticks > 20 && pi.resolved() > 0, "{ticks} ticks");
         assert!(!sys.fault_log().is_empty(), "no fault was applied");
-        (log, pi.checkpoint())
-    }
-
-    #[test]
-    fn p50_is_the_pi_point_on_a_faulted_run_and_across_a_checkpoint_cut() {
-        let (log, bytes) = faulted_run(None);
-        let (resumed_log, resumed_bytes) = faulted_run(Some(12));
-        assert_eq!(resumed_log, log, "resumed bands diverged");
-        assert_eq!(resumed_bytes, bytes, "final checkpoints diverged");
-    }
-
-    #[test]
-    fn corrupt_snapshots_are_rejected() {
-        let mut pi = banded();
-        let s = snap(0.0, vec![state(1, 500.0, 0.0, None)]);
-        let _ = pi.tick(&s);
-        let bytes = pi.checkpoint();
-        let mut fresh = banded();
-        // Truncated, and with trailing junk.
-        assert!(fresh.restore_state(&bytes[..bytes.len() - 1]).is_err());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(fresh.restore_state(&long).is_err());
-        // A cursor past the window, one in a window not yet full, and one
-        // at the end of a full window (the next resolve would index it).
-        for (len, next) in [(1, 2), (3, 1), (WINDOW, WINDOW)] {
-            let bad = (vec![1.0f64; len], next, Vec::<Pending>::new(), 0u64).to_bytes();
-            assert!(fresh.restore_state(&bad).is_err(), "{len} {next}");
-        }
-        let full = (
-            vec![1.0f64; WINDOW],
-            WINDOW - 1,
-            Vec::<Pending>::new(),
-            0u64,
-        );
-        assert!(fresh.restore_state(&full.to_bytes()).is_ok());
-        // Intact bytes still restore, and re-encode canonically.
-        assert!(fresh.restore_state(&bytes).is_ok());
-        assert_eq!(fresh.checkpoint(), bytes);
     }
 
     #[test]

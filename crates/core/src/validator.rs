@@ -18,7 +18,6 @@
 //! * work is conserved across abort → rollback → retry
 //!   ([`InvariantValidator::check_conservation`]).
 
-use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_sim::idmap::{IdMap, IdSet};
 use mqpi_sim::system::{FinishedQuery, SystemSnapshot};
 
@@ -33,22 +32,6 @@ pub struct Violation {
     pub rule: &'static str,
     /// Human-readable specifics.
     pub detail: String,
-}
-
-/// By hand: the rule identifier is re-interned to `&'static str`.
-impl Wire for Violation {
-    fn enc(&self, e: &mut Enc) {
-        e.put_f64(self.at);
-        e.put_str(self.rule);
-        e.put_str(&self.detail);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Self, CkptError> {
-        Ok(Violation {
-            at: d.get_f64()?,
-            rule: mqpi_obs::intern(&d.get_str()?),
-            detail: d.get_str()?,
-        })
-    }
 }
 
 /// What the validator may assume about the interval since the previous
@@ -294,49 +277,6 @@ impl InvariantValidator {
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }
-
-    /// Serialize the validator's full state for a checkpoint. Maps and
-    /// sets are written in sorted key order, so the encoding is canonical.
-    /// The obs handle is excluded (re-install via
-    /// [`InvariantValidator::set_obs`] after restore).
-    pub fn checkpoint(&self) -> Vec<u8> {
-        fn sorted<V: Copy>(m: &IdMap<V>) -> Vec<(u64, V)> {
-            let mut pairs: Vec<(u64, V)> = m.iter().map(|(k, v)| (*k, *v)).collect();
-            pairs.sort_unstable_by_key(|(id, _)| *id);
-            pairs
-        }
-        let mut e = Enc::new();
-        (self.slack, self.last_time).enc(&mut e);
-        sorted(&self.last_estimates).enc(&mut e);
-        let mut ids: Vec<u64> = self.last_ids.iter().copied().collect();
-        ids.sort_unstable();
-        ids.enc(&mut e);
-        sorted(&self.last_running).enc(&mut e);
-        self.violations.enc(&mut e);
-        e.into_bytes()
-    }
-
-    /// Rebuild a validator from [`InvariantValidator::checkpoint`] bytes.
-    /// The restored validator's obs handle is disabled.
-    pub fn restore(bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut d = Dec::new(bytes);
-        let (slack, last_time) = Wire::dec(&mut d)?;
-        let mut v = InvariantValidator::with_slack(slack);
-        v.last_time = last_time;
-        v.last_estimates = Vec::<(u64, f64)>::dec(&mut d)?.into_iter().collect();
-        v.last_ids = Vec::<u64>::dec(&mut d)?.into_iter().collect();
-        v.last_running = Vec::<(u64, (f64, bool, bool))>::dec(&mut d)?
-            .into_iter()
-            .collect();
-        v.violations = Wire::dec(&mut d)?;
-        if !d.is_exhausted() {
-            return Err(CkptError::Corrupt(format!(
-                "{} trailing bytes after validator state",
-                d.remaining()
-            )));
-        }
-        Ok(v)
-    }
 }
 
 #[cfg(test)]
@@ -468,40 +408,6 @@ mod tests {
             trace,
             "t=4 violation rule=time_monotone\nt=4 violation rule=work_conservation\n"
         );
-    }
-
-    #[test]
-    fn checkpoint_restore_continues_identically() {
-        let drive = |v: &mut InvariantValidator, range: std::ops::Range<u64>| {
-            let ctx = ValidationContext {
-                faults_in_interval: false,
-                check_monotonicity: true,
-            };
-            for k in range {
-                let t = k as f64;
-                let done = 100.0 * t;
-                let s = snap(t, vec![state(1, done, 1000.0 - done)], vec![]);
-                // The estimate grows at t=3 → one deliberate violation.
-                let est_t = if k == 3 {
-                    99.0
-                } else {
-                    (1000.0 - done) / 100.0
-                };
-                v.observe(&s, &EstimateSet::from_pairs([(1, est_t)], false), ctx);
-            }
-        };
-        let mut straight = InvariantValidator::with_slack(0.5);
-        drive(&mut straight, 0..8);
-        let mut first = InvariantValidator::with_slack(0.5);
-        drive(&mut first, 0..4);
-        let mut resumed = InvariantValidator::restore(&first.checkpoint()).unwrap();
-        drive(&mut resumed, 4..8);
-        assert_eq!(
-            format!("{:?}", resumed.violations()),
-            format!("{:?}", straight.violations())
-        );
-        assert_eq!(resumed.checkpoint(), straight.checkpoint());
-        assert!(InvariantValidator::restore(&[1, 2, 3]).is_err());
     }
 
     /// Violations come out in one order on every run: estimates in the

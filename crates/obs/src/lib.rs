@@ -36,48 +36,12 @@ pub mod event;
 pub mod metrics;
 pub mod profile;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-
-use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 pub use event::{TraceEvent, TraceKind};
 pub use metrics::{Histogram, MetricsRegistry, ERROR_BUCKETS, SECOND_BUCKETS, UNIT_BUCKETS};
 pub use profile::{Profile, SpanStat};
-
-/// Intern `s` into a `&'static str`. Metric and span names are static in
-/// normal operation; a checkpoint restore reads them back as owned
-/// strings, and this table maps each distinct name to one leaked static
-/// slice (the map lookups compare by value, so a restored name and its
-/// original static are interchangeable). The set of names is small and
-/// fixed, so the leak is bounded.
-pub fn intern(s: &str) -> &'static str {
-    static TABLE: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let table = TABLE.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut guard = table.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(hit) = guard.get(s) {
-        return hit;
-    }
-    let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-    guard.insert(leaked);
-    leaked
-}
-
-/// A name-keyed table on the wire: a count, then `(name, value)` pairs in
-/// name order.
-fn enc_named<V: Wire>(table: &BTreeMap<&'static str, V>, e: &mut Enc) {
-    e.put_usize(table.len());
-    for (name, v) in table {
-        e.put_str(name);
-        v.enc(e);
-    }
-}
-
-/// Inverse of [`enc_named`]; names are re-interned to `&'static str`.
-fn dec_named<V: Wire>(d: &mut Dec<'_>) -> mqpi_ckpt::Result<BTreeMap<&'static str, V>> {
-    let pairs = <(String, V)>::dec_vec(d)?;
-    Ok(pairs.into_iter().map(|(k, v)| (intern(&k), v)).collect())
-}
 
 /// Default trace ring-buffer capacity (events). Beyond it the *oldest*
 /// events are dropped and counted, so a trace always holds the most recent
@@ -92,12 +56,6 @@ struct State {
     dropped: u64,
     metrics: MetricsRegistry,
     profile: Profile,
-    /// Pre-rendered trace lines carried across a checkpoint restore.
-    /// Structured [`TraceEvent`]s do not survive a snapshot (their payloads
-    /// hold `&'static str` tags tied to the emitting build); their stable
-    /// line serialization does, and [`Obs::render_trace`] prepends it so a
-    /// resumed run's trace is byte-identical to an uninterrupted one.
-    preamble: String,
 }
 
 /// The per-run observability handle. Cheap to clone (an `Option<Arc>`);
@@ -168,15 +126,13 @@ impl Obs {
             .map_or_else(Vec::new, |st| st.events.iter().cloned().collect())
     }
 
-    /// Serialize the buffered events, one line each, oldest first — after
-    /// any preamble carried over from a checkpoint restore. A trailing
-    /// `# dropped=N` line records ring-buffer overflow.
+    /// Serialize the buffered events, one line each, oldest first. A
+    /// trailing `# dropped=N` line records ring-buffer overflow.
     pub fn render_trace(&self) -> String {
         let Some(st) = self.lock() else {
             return String::new();
         };
-        let mut out = String::with_capacity(st.preamble.len() + st.events.len() * 48);
-        out.push_str(&st.preamble);
+        let mut out = String::with_capacity(st.events.len() * 48);
         for e in &st.events {
             out.push_str(&e.to_string());
             out.push('\n');
@@ -280,67 +236,6 @@ impl Obs {
     pub fn span_stat(&self, name: &'static str) -> Option<SpanStat> {
         self.lock().and_then(|st| st.profile.span(name))
     }
-
-    // ---- checkpoint/restore ----
-
-    /// Serialize this handle's full recorded state for a checkpoint.
-    /// Buffered events travel as their stable rendered lines (becoming the
-    /// restored handle's preamble), so `render_trace` after a restore
-    /// continues byte-for-byte where the snapshot left off. The guarantee
-    /// requires no ring-buffer overflow before the snapshot (`dropped == 0`
-    /// — golden-trace runs stay far below the 65 536-event default
-    /// capacity); the dropped count itself is carried either way, so the
-    /// `# dropped=N` trailer stays exact.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        let Some(st) = self.lock() else {
-            e.put_bool(false);
-            return e.into_bytes();
-        };
-        e.put_bool(true);
-        e.put_usize(st.capacity);
-        e.put_u64(st.dropped);
-        let mut lines = String::with_capacity(st.preamble.len() + st.events.len() * 48);
-        lines.push_str(&st.preamble);
-        for ev in &st.events {
-            lines.push_str(&ev.to_string());
-            lines.push('\n');
-        }
-        e.put_str(&lines);
-        st.metrics.enc(&mut e);
-        st.profile.enc(&mut e);
-        e.into_bytes()
-    }
-
-    /// Rebuild a handle from [`Obs::checkpoint`] bytes. A disabled handle
-    /// restores disabled; an enabled one restores with an empty event ring,
-    /// the snapshot's rendered lines as preamble, and the metrics/profile
-    /// tables exactly as recorded.
-    pub fn restore(bytes: &[u8]) -> Result<Self, CkptError> {
-        let mut d = Dec::new(bytes);
-        if !d.get_bool()? {
-            return Ok(Obs::disabled());
-        }
-        let capacity = d.get_usize()?;
-        let dropped = d.get_u64()?;
-        let preamble = d.get_str()?;
-        let metrics = Wire::dec(&mut d)?;
-        let profile = Wire::dec(&mut d)?;
-        if !d.is_exhausted() {
-            return Err(CkptError::Corrupt(format!(
-                "{} trailing bytes after obs state",
-                d.remaining()
-            )));
-        }
-        Ok(Obs(Some(Arc::new(Mutex::new(State {
-            events: VecDeque::new(),
-            capacity: capacity.max(1),
-            dropped,
-            metrics,
-            profile,
-            preamble,
-        })))))
-    }
 }
 
 /// Scoped profiling guard returned by [`Obs::span`].
@@ -438,77 +333,5 @@ mod tests {
     fn handle_is_send_and_sync() {
         fn check<T: Send + Sync>() {}
         check::<Obs>();
-    }
-
-    #[test]
-    fn intern_is_stable_and_value_keyed() {
-        let a = intern("obs.test.some_name");
-        let b = intern(&String::from("obs.test.some_name"));
-        assert!(std::ptr::eq(a, b));
-        assert_eq!(a, "obs.test.some_name");
-    }
-
-    #[test]
-    fn checkpoint_restore_continues_byte_identically() {
-        // One straight run...
-        let straight = Obs::enabled();
-        // ...and one that checkpoints/restores halfway through the same
-        // emission sequence.
-        let first = Obs::enabled();
-        for obs in [&straight, &first] {
-            obs.emit(1.0, TraceKind::Reject { id: 1 });
-            obs.emit(
-                2.5,
-                TraceKind::Estimate {
-                    pi: "multi",
-                    id: 4,
-                    seconds: 7.25,
-                },
-            );
-            obs.counter_add("c.a", 3);
-            obs.gauge_set("g.b", 1.5);
-            obs.histogram_observe("h.c", UNIT_BUCKETS, 42.0);
-            let mut s = obs.span("sp");
-            s.add_units(9.0);
-        }
-        let resumed = Obs::restore(&first.checkpoint()).unwrap();
-        for obs in [&straight, &resumed] {
-            obs.emit(3.0, TraceKind::Block { id: 2 });
-            obs.counter_add("c.a", 1);
-            obs.histogram_observe("h.c", UNIT_BUCKETS, 0.5);
-            let mut s = obs.span("sp");
-            s.add_units(1.0);
-        }
-        assert_eq!(resumed.render_trace(), straight.render_trace());
-        assert_eq!(resumed.metrics_json(), straight.metrics_json());
-        assert_eq!(resumed.metrics_csv(), straight.metrics_csv());
-        assert_eq!(resumed.counter("c.a"), 4);
-        assert_eq!(resumed.span_stat("sp").unwrap().calls, 2);
-    }
-
-    #[test]
-    fn disabled_checkpoint_restores_disabled() {
-        let obs = Obs::restore(&Obs::disabled().checkpoint()).unwrap();
-        assert!(!obs.is_enabled());
-    }
-
-    #[test]
-    fn restore_carries_dropped_count() {
-        let obs = Obs::with_capacity(2);
-        for i in 0..4u64 {
-            obs.emit(i as f64, TraceKind::Reject { id: i });
-        }
-        let resumed = Obs::restore(&obs.checkpoint()).unwrap();
-        assert_eq!(resumed.events_dropped(), 2);
-        assert!(resumed.render_trace().ends_with("# dropped=2\n"));
-    }
-
-    #[test]
-    fn restore_rejects_garbage() {
-        assert!(Obs::restore(&[]).is_err());
-        assert!(Obs::restore(&[7u8; 3]).is_err());
-        let mut bytes = Obs::enabled().checkpoint();
-        bytes.push(0);
-        assert!(Obs::restore(&bytes).is_err());
     }
 }

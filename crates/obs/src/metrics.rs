@@ -14,8 +14,6 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
-
 /// Fixed bucket boundaries for work-unit-sized observations (a query's
 /// total work, a span's units). Upper-inclusive; values beyond the last
 /// bound land in the overflow bucket.
@@ -204,72 +202,6 @@ impl MetricsRegistry {
         }
         out
     }
-}
-
-/// Three name-keyed tables in `BTreeMap` key order, so two registries
-/// with equal contents produce identical bytes.
-impl Wire for MetricsRegistry {
-    fn enc(&self, e: &mut Enc) {
-        crate::enc_named(&self.counters, e);
-        crate::enc_named(&self.gauges, e);
-        crate::enc_named(&self.histograms, e);
-    }
-    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
-        Ok(MetricsRegistry {
-            counters: crate::dec_named(d)?,
-            gauges: crate::dec_named(d)?,
-            histograms: crate::dec_named(d)?,
-        })
-    }
-}
-
-/// By hand: decoded bounds are matched by value against the canonical
-/// bucket statics ([`UNIT_BUCKETS`], [`SECOND_BUCKETS`], [`ERROR_BUCKETS`])
-/// so the pointer-identity invariant of
-/// [`MetricsRegistry::histogram_observe`] keeps holding after a restore,
-/// and the counts must be one per bound plus the overflow bucket.
-impl Wire for Histogram {
-    fn enc(&self, e: &mut Enc) {
-        f64::enc_slice(self.bounds, e);
-        self.counts.enc(e);
-        (self.sum, self.n).enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
-        let bounds = canonical_bounds(&Vec::<f64>::dec(d)?);
-        let (counts, sum, n): (Vec<u64>, f64, u64) = Wire::dec(d)?;
-        if counts.len() != bounds.len() + 1 {
-            return Err(CkptError::Corrupt(format!(
-                "histogram with {} counts for {} bounds",
-                counts.len(),
-                bounds.len()
-            )));
-        }
-        Ok(Histogram {
-            bounds,
-            counts,
-            sum,
-            n,
-        })
-    }
-}
-
-/// Map decoded bucket bounds back onto the canonical statics when they
-/// match bit for bit, preserving pointer identity across a checkpoint
-/// round trip; unknown bound sets are leaked once (restores are rare and
-/// bound sets are tiny).
-fn canonical_bounds(decoded: &[f64]) -> &'static [f64] {
-    let same = |s: &[f64]| {
-        s.len() == decoded.len()
-            && s.iter()
-                .zip(decoded)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-    };
-    for canon in [UNIT_BUCKETS, SECOND_BUCKETS, ERROR_BUCKETS] {
-        if same(canon) {
-            return canon;
-        }
-    }
-    Box::leak(decoded.to_vec().into_boxed_slice())
 }
 
 /// JSON-safe float rendering: shortest round-trip, with `.0` forced onto

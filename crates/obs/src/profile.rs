@@ -18,24 +18,11 @@ pub struct SpanStat {
     /// Work units attributed to the span across all calls.
     pub units: f64,
 }
-mqpi_ckpt::wire_struct!(SpanStat { calls, units });
 
 /// The per-run profile table, keyed by static span names.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
     spans: BTreeMap<&'static str, SpanStat>,
-}
-
-/// One name-keyed table, sorted by span name via the `BTreeMap`.
-impl mqpi_ckpt::Wire for Profile {
-    fn enc(&self, e: &mut mqpi_ckpt::Enc) {
-        crate::enc_named(&self.spans, e);
-    }
-    fn dec(d: &mut mqpi_ckpt::Dec<'_>) -> mqpi_ckpt::Result<Self> {
-        Ok(Profile {
-            spans: crate::dec_named(d)?,
-        })
-    }
 }
 
 impl Profile {

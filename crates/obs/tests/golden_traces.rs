@@ -110,54 +110,6 @@ fn golden_ensemble() {
     check("ensemble");
 }
 
-/// Crash-safe resume against the review surface itself: a chaos run that
-/// is checkpointed mid-way, torn down, and revived from the snapshot must
-/// reproduce the *checked-in fixture* of the uninterrupted run byte for
-/// byte — trace preamble, continued events, metrics, everything. No
-/// separate fixture exists for the resumed run on purpose: it has to match
-/// the straight one.
-#[test]
-fn golden_chaos_resumed_matches_straight_fixture() {
-    let run = traced::run_scenario_resumed("chaos", GOLDEN_SEED, 12).expect("resumed run");
-    assert_eq!(run.violations, 0, "resumed chaos: invariant violations");
-    let got = artifact(&run);
-    let path = fixture_path("chaos");
-    if std::env::var_os("MQPI_BLESS").is_some_and(|v| v == "1") {
-        // Blessing is owned by `golden_chaos`; this test only compares.
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
-    assert_eq!(
-        got, want,
-        "resumed chaos run diverged from the straight run's fixture"
-    );
-}
-
-/// Same crash-safe-resume contract for the banded PI: the ensemble run is
-/// cut mid-way, its residual window and pending samples serialized and
-/// revived into a freshly built PI — and the continued run must still
-/// match the uninterrupted run's checked-in fixture byte for byte. This is
-/// the proof that band state restores bit-identically, not just
-/// approximately.
-#[test]
-fn golden_ensemble_resumed_matches_straight_fixture() {
-    let run = traced::run_scenario_resumed("ensemble", GOLDEN_SEED, 12).expect("resumed run");
-    assert_eq!(run.violations, 0, "resumed ensemble: invariant violations");
-    let got = artifact(&run);
-    let path = fixture_path("ensemble");
-    if std::env::var_os("MQPI_BLESS").is_some_and(|v| v == "1") {
-        // Blessing is owned by `golden_ensemble`; this test only compares.
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing fixture {} ({e})", path.display()));
-    assert_eq!(
-        got, want,
-        "resumed ensemble run diverged from the straight run's fixture"
-    );
-}
-
 /// The bless path must produce exactly what the check path compares:
 /// running any scenario twice yields identical artifacts.
 #[test]

@@ -3,9 +3,10 @@
 //! rate (Assumptions 1–3), and a fault burst submits a bounded number of
 //! sessions. Every boundary that takes one of these values asks here, and
 //! keeps its own policy for one outside: a live entry point panics, the
-//! event mirror quarantines, the service sanitizes and counts, a decoder
-//! returns `CkptError::Corrupt` (DESIGN.md §14). An error names the field
-//! and the value.
+//! event mirror quarantines, the service sanitizes and counts, and the two
+//! decoders (the service's checkpoint and the fluid model it holds) return
+//! `CkptError::Corrupt` (DESIGN.md §14). An error names the field and the
+//! value.
 
 /// A scheduling weight: finite and > 0. A NaN or infinite weight makes `Σw`
 /// non-finite, so no query is granted work again; a zero one divides by 0.

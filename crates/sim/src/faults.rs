@@ -92,6 +92,12 @@ pub struct RetryPolicy {
     /// Total retries allowed per query chain (0 = never retry).
     pub max_attempts: u32,
 }
+// `PiConfig` carries a retry policy, so the service's checkpoint encodes one.
+mqpi_ckpt::wire_struct!(RetryPolicy {
+    base_delay,
+    max_delay,
+    max_attempts,
+});
 
 impl Default for RetryPolicy {
     fn default() -> Self {

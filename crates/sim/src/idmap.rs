@@ -12,8 +12,8 @@
 //! with a secret 64-bit key per map it cannot compute which ids collide.
 //! [`IdState::default`] draws that key from [`RandomState`], so map
 //! iteration order is random per map and per process, as under std's
-//! default hasher: nothing may depend on it, and the checkpoints that
-//! encode a map sort its keys first.
+//! default hasher: nothing may depend on it, and the checkpoint that
+//! encodes a map (the service's) sorts its keys first.
 
 use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, HashSet};

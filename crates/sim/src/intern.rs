@@ -6,10 +6,8 @@
 //! seen before is a hash lookup with no allocation, so workloads that reuse
 //! a label (retries, bursts, benchmark streams) pay nothing per submission.
 //!
-//! Symbols are never observable outside the crate: checkpoints store a
-//! compacted name table and re-intern on restore, so symbol numbering is
-//! free to differ between a restored system and one that never stopped
-//! without any behavioral difference.
+//! Symbols are never observable outside the crate: every name leaves it
+//! as its `Arc<str>`, so symbol numbering decides no behaviour.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -50,11 +48,6 @@ impl Interner {
     #[inline]
     pub(crate) fn resolve(&self, sym: Sym) -> &Arc<str> {
         &self.names[sym as usize]
-    }
-
-    /// Number of distinct interned names (== one past the largest symbol).
-    pub(crate) fn len(&self) -> usize {
-        self.names.len()
     }
 }
 

@@ -59,15 +59,6 @@ pub trait Job: Send {
         None
     }
 
-    /// The job's complete state as serializable counters, for
-    /// checkpointing. `None` when the job holds live, non-serializable
-    /// state (engine cursors): a system containing such a job cannot be
-    /// snapshotted, which [`System::checkpoint`](crate::System::checkpoint)
-    /// reports as an `Unsupported` error rather than guessing.
-    fn snapshot_state(&self) -> Option<JobSnapshot> {
-        None
-    }
-
     /// Opt-in hook for the scheduler's monomorphic fast path. A job that
     /// *is* a [`SyntheticJob`] returns itself here, and the scheduler then
     /// stores it inline (no box, static dispatch) for the rest of its life.
@@ -78,7 +69,7 @@ pub trait Job: Send {
     }
 }
 
-/// A whole job as the scheduler takes one in (submission, retry, restore):
+/// A whole job as the scheduler takes one in (submission, retry, rollback):
 /// common job kinds run through a monomorphic enum arm (inline state,
 /// static dispatch, no pointer chase), and the [`Job`] trait is reduced to
 /// the cold-path escape hatch for engine cursors and custom jobs. The slab
@@ -197,22 +188,6 @@ impl JobRest {
     }
 }
 
-/// Serializable state of a [`SyntheticJob`], captured by
-/// [`Job::snapshot_state`] and revived by [`SyntheticJob::from_snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobSnapshot {
-    /// True total cost in units.
-    pub total: u64,
-    /// Units completed so far.
-    pub done: u64,
-    /// The claimed initial estimate.
-    pub claimed_estimate: f64,
-    /// Reported-remaining multiplier.
-    pub report_scale: f64,
-    /// Whether a failure is armed for the next run call.
-    pub fail_armed: bool,
-}
-
 /// A real engine cursor as a job.
 pub struct CursorJob {
     cursor: Cursor,
@@ -304,18 +279,6 @@ impl SyntheticJob {
     pub fn total(&self) -> u64 {
         self.total
     }
-
-    /// Revive a job from a [`JobSnapshot`], bit-identical to the job that
-    /// produced it.
-    pub fn from_snapshot(s: JobSnapshot) -> Self {
-        SyntheticJob {
-            total: s.total,
-            done: s.done,
-            claimed_estimate: s.claimed_estimate,
-            report_scale: s.report_scale,
-            fail_armed: s.fail_armed,
-        }
-    }
 }
 
 impl Job for SyntheticJob {
@@ -360,16 +323,6 @@ impl Job for SyntheticJob {
             report_scale: self.report_scale,
             ..SyntheticJob::new(self.total)
         }))
-    }
-
-    fn snapshot_state(&self) -> Option<JobSnapshot> {
-        Some(JobSnapshot {
-            total: self.total,
-            done: self.done,
-            claimed_estimate: self.claimed_estimate,
-            report_scale: self.report_scale,
-            fail_armed: self.fail_armed,
-        })
     }
 
     fn as_synthetic(&self) -> Option<&SyntheticJob> {

@@ -25,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-mod checkpoint;
 pub mod domain;
 pub mod faults;
 pub mod idmap;
@@ -39,7 +38,7 @@ pub mod system;
 
 pub use admission::AdmissionPolicy;
 pub use faults::{FaultEvent, FaultKind, FaultMix, FaultPlan, RetryPolicy};
-pub use job::{CursorJob, Job, JobProgress, JobSnapshot, SyntheticJob};
+pub use job::{CursorJob, Job, JobProgress, SyntheticJob};
 pub use rng::{Rng, Zipf};
 pub use speed::SpeedMonitor;
 pub use system::{

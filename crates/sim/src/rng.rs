@@ -81,20 +81,6 @@ impl Rng {
     }
 }
 
-/// The stream position, as the four raw state words: a restored generator
-/// resumes exactly where the snapshot left it.
-impl mqpi_ckpt::Wire for Rng {
-    fn enc(&self, e: &mut mqpi_ckpt::Enc) {
-        for w in self.s {
-            e.put_u64(w);
-        }
-    }
-    fn dec(d: &mut mqpi_ckpt::Dec<'_>) -> mqpi_ckpt::Result<Self> {
-        let s = [d.get_u64()?, d.get_u64()?, d.get_u64()?, d.get_u64()?];
-        Ok(Rng { s })
-    }
-}
-
 /// Sampler for the Zipfian distribution over ranks `1..=n` with exponent
 /// `a`: `P(k) ∝ 1/k^a`. Used for the paper's query-size distributions
 /// (`a = 1.2` in MCQ, `a = 2.2` in SCQ and workload management).

@@ -13,8 +13,8 @@
 //!
 //! Running order is observable: it is the order `Σw` accumulates in for
 //! weighted sets, the order finishers leave in (and with it `Departed`
-//! events and `FinishedQuery` records), snapshot order, `pick_victim`'s
-//! index and the checkpoint encoding. Admission appends. A departure
+//! events and `FinishedQuery` records), snapshot order and `pick_victim`'s
+//! index. Admission appends. A departure
 //! ([`RunningSet::remove`], [`RunningSet::depart`]) leaves a hole: the row
 //! is marked gone and keeps its place, so a position stays valid while the
 //! step that found it runs, and every walk of running order
@@ -46,7 +46,7 @@
 //! sampling the row on every step would have given, and keeps the result;
 //! a row that leaves unread costs nothing. One routine,
 //! [`RunningSet::replay`], does every replay: a whole-set read (a snapshot,
-//! a checkpoint, turning the path off) brings all rows forward in one walk
+//! turning the path off) brings all rows forward in one walk
 //! of the log, sampling at each entry every row that has reached it, so
 //! the rows' sample chains run side by side; a single-row read
 //! ([`RunningSet::speed`], a block or unblock) is the same walk over one
@@ -66,7 +66,7 @@ use std::collections::BinaryHeap;
 
 use mqpi_engine::error::Result;
 
-use crate::job::{Job, JobProgress, JobRest, JobSnapshot, JobState};
+use crate::job::{Job, JobProgress, JobRest, JobState};
 use crate::slab::{JobSlot, SessionSlab};
 use crate::speed::{sample, SpeedMonitor};
 
@@ -359,10 +359,6 @@ impl RunningSet {
         self.with(slab, k, |j| j.finished())
     }
 
-    pub(crate) fn snapshot_state(&self, slab: &SessionSlab, k: usize) -> Option<JobSnapshot> {
-        self.with(slab, k, |j| j.snapshot_state())
-    }
-
     /// Pristine restart copy, back on the fast path when possible.
     pub(crate) fn restart(&self, slab: &SessionSlab, k: usize) -> Option<JobState> {
         self.with(slab, k, |j| j.restart()).map(JobState::from_box)
@@ -446,15 +442,6 @@ impl RunningSet {
             (!lane.is_nan()).then_some(lane)
         } else {
             self.monitor[k].speed()
-        }
-    }
-
-    /// The session at `k`'s monitor, as a checkpoint writes it.
-    pub(crate) fn monitor_at(&self, k: usize, now: f64) -> SpeedMonitor {
-        if self.tags.on {
-            self.monitor[k].with_lane(now, self.settled(k).2, self.lane(k))
-        } else {
-            self.monitor[k]
         }
     }
 
@@ -650,7 +637,7 @@ impl RunningSet {
             if self.gone[k] {
                 continue;
             }
-            self.monitor[k] = self.monitor_at(k, now);
+            self.monitor[k] = self.monitor[k].with_lane(now, self.settled(k).2, self.lane(k));
             ran += self.settle(k);
         }
         self.tags.on = false;

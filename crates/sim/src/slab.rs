@@ -21,7 +21,7 @@
 //! waits (queued or scheduled).
 
 use crate::intern::Sym;
-use crate::job::{JobProgress, JobRest, JobSnapshot, JobState};
+use crate::job::{JobProgress, JobRest, JobState};
 use crate::speed::SpeedMonitor;
 use crate::system::QueryId;
 
@@ -39,7 +39,6 @@ pub(crate) struct JobSlot {
 pub(crate) struct SessionSlab {
     gen: Vec<u32>,
     free: Vec<u32>,
-    live: usize,
     pub(crate) id: Vec<QueryId>,
     pub(crate) name: Vec<Sym>,
     /// The job beside its counters (a running job's too: cold paths read it).
@@ -62,11 +61,6 @@ pub(crate) struct SessionSlab {
 impl SessionSlab {
     pub(crate) fn new() -> Self {
         SessionSlab::default()
-    }
-
-    /// Live (allocated, not freed) rows.
-    pub(crate) fn live(&self) -> usize {
-        self.live
     }
 
     /// Handle -> column index, generation-checked in debug builds.
@@ -113,7 +107,6 @@ impl SessionSlab {
             self.rolling_back[i] = None;
             self.report_scale[i] = 1.0;
             self.attempt[i] = attempt;
-            self.live += 1;
             JobSlot {
                 idx,
                 gen: self.gen[i],
@@ -137,7 +130,6 @@ impl SessionSlab {
             self.rolling_back.push(None);
             self.report_scale.push(1.0);
             self.attempt.push(attempt);
-            self.live += 1;
             JobSlot { idx, gen: 0 }
         }
     }
@@ -149,17 +141,11 @@ impl SessionSlab {
         self.gen[i] = self.gen[i].wrapping_add(1);
         self.job[i] = JobRest::vacant();
         self.free.push(h.idx);
-        self.live -= 1;
     }
 
     /// Progress of waiting row `i`'s job.
     pub(crate) fn progress(&self, i: usize) -> JobProgress {
         self.job[i].with(self.total[i], self.done[i], |j| j.progress())
-    }
-
-    /// Checkpoint state of waiting row `i`'s job.
-    pub(crate) fn snapshot_state(&self, i: usize) -> Option<JobSnapshot> {
-        self.job[i].with(self.total[i], self.done[i], |j| j.snapshot_state())
     }
 }
 
@@ -185,9 +171,7 @@ mod tests {
         let mut slab = SessionSlab::new();
         let a = mk(&mut slab, 1);
         let b = mk(&mut slab, 2);
-        assert_eq!(slab.live(), 2);
         slab.free(a);
-        assert_eq!(slab.live(), 1);
         let c = mk(&mut slab, 3);
         assert_eq!(c.idx, a.idx, "freed row is recycled");
         assert_ne!(c.gen, a.gen, "generation advances on recycle");

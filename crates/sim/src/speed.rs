@@ -7,7 +7,6 @@
 //! is precisely the behaviour that makes single-query PIs mispredict when
 //! concurrent queries finish.
 
-use mqpi_ckpt::{CkptError, Dec, Enc, Wire};
 use mqpi_engine::error::{EngineError, Result};
 
 /// Exponentially-smoothed speed estimate over virtual time.
@@ -116,8 +115,8 @@ impl SpeedMonitor {
 
     /// The full update with its own `exp()`, kept out of the scheduler's
     /// fused pass: a monitor is out of lockstep only when it missed an
-    /// update the others got or carries another `tau` (a hand-made
-    /// checkpoint), which stepping alone never produces.
+    /// update the others got or carries another `tau`, which stepping
+    /// alone never produces.
     #[cold]
     #[inline(never)]
     fn update_out_of_step(&mut self, t: f64, units: f64) {
@@ -135,24 +134,6 @@ impl SpeedMonitor {
 pub(crate) fn sample(e: &mut f64, inst: f64, alpha: f64) {
     let next = *e + alpha * (inst - *e);
     *e = if e.is_nan() { inst } else { next };
-}
-
-/// By hand: `tau` is validated again on the way in, as in
-/// [`SpeedMonitor::new`].
-impl Wire for SpeedMonitor {
-    fn enc(&self, e: &mut Enc) {
-        (self.tau, self.last_t, self.last_units, self.ema).enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> mqpi_ckpt::Result<Self> {
-        let (tau, last_t, last_units, ema) = Wire::dec(d)?;
-        let fresh = SpeedMonitor::new_at(tau, last_t)
-            .map_err(|e| CkptError::Corrupt(format!("invalid speed monitor in checkpoint: {e}")))?;
-        Ok(SpeedMonitor {
-            last_units,
-            ema,
-            ..fresh
-        })
-    }
 }
 
 #[cfg(test)]

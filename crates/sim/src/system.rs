@@ -43,15 +43,14 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use mqpi_ckpt::{wire_struct, CkptError, Dec, Enc, Wire};
 use mqpi_engine::error::{EngineError, Result};
 use mqpi_obs::{Obs, TraceKind, SECOND_BUCKETS, UNIT_BUCKETS};
 
 use crate::admission::AdmissionPolicy;
 use crate::domain;
 use crate::faults::{FaultKind, FaultPlan};
-use crate::intern::{Interner, Sym};
-use crate::job::{Job, JobSnapshot, JobState};
+use crate::intern::Interner;
+use crate::job::{Job, JobState};
 use crate::rng::Rng;
 use crate::running::{Grant, RunningSet, Weights};
 use crate::slab::{JobSlot, SessionSlab};
@@ -367,15 +366,6 @@ struct FaultState {
     log: Vec<InjectedFault>,
     stats: FaultStats,
 }
-wire_struct!(FaultState {
-    plan,
-    next_event,
-    rng,
-    rate_factor,
-    rate_restore_at,
-    log,
-    stats,
-});
 
 /// The simulated multi-query RDBMS.
 pub struct System {
@@ -1588,314 +1578,6 @@ impl System {
     }
 }
 
-// ---------------------------------------------------------------------------
-// checkpoint/restore
-// ---------------------------------------------------------------------------
-
-/// Checkpointing serializes the *complete* simulated world — config, clock,
-/// a compacted name table, every live session (job counters, GPS credit,
-/// speed monitor, retry attempt), the admission queue in order, the
-/// scheduled-arrival timeline in canonical `(at, id)` order, all finished
-/// records, and the fault injector's plan cursor, RNG stream position,
-/// active rate dip, log, and stats. Restoring and continuing is
-/// bit-identical to never having stopped: every subsequent step reads
-/// exactly the same state an uninterrupted run would have. (Slab slot
-/// numbering and interner symbols may differ after a restore; both are
-/// private and unobservable — iteration orders and pop orders are defined
-/// by the collections and `(at, id)`, never by slot or symbol values.)
-///
-/// The name table lists each distinct live name once, in first-seen order
-/// over (running, queue, scheduled); sessions reference table indices.
-/// Restore re-interns the table in that order, so re-encoding a restored
-/// system reproduces the same table — the encoding stays canonical.
-///
-/// Only the [`Obs`] handle is excluded: trace/metrics continuity is the
-/// observability layer's own concern (see `mqpi_obs::Obs::checkpoint`), and
-/// a restored system starts with a disabled handle until the caller
-/// re-installs one via [`System::set_obs`].
-impl System {
-    /// Serialize the full scheduler state. Fails with
-    /// [`CkptError::Unsupported`] when any live job cannot snapshot itself
-    /// (engine cursors hold live operator state); synthetic workloads —
-    /// everything the experiment campaigns run — always succeed.
-    pub fn checkpoint(&self) -> std::result::Result<Vec<u8>, CkptError> {
-        debug_assert_eq!(
-            self.slab.live(),
-            self.running.len() + self.queue.len() + self.scheduled.len(),
-            "every live slab row is owned by exactly one collection"
-        );
-        let mut e = Enc::new();
-        self.cfg.enc(&mut e);
-        (
-            self.clock,
-            self.next_id,
-            self.executed_units(),
-            self.rejected,
-        )
-            .enc(&mut e);
-        self.error_policy.enc(&mut e);
-        // The timeline serializes in map order, `(at, id)` — the order
-        // future arrivals will pop in — so rebuilding by inserts reproduces
-        // identical behavior.
-        // Name table: first-seen order over (running, queue, scheduled).
-        let mut index_of: Vec<u32> = vec![u32::MAX; self.names.len()];
-        let mut table: Vec<Sym> = Vec::new();
-        let rs = &self.running;
-        let running = rs.order().map(|k| &rs.slot[k]);
-        for h in running.chain(&self.queue).chain(self.scheduled.values()) {
-            let sym = self.slab.name[h.idx as usize];
-            if index_of[sym as usize] == u32::MAX {
-                index_of[sym as usize] = table.len() as u32;
-                table.push(sym);
-            }
-        }
-        e.put_usize(table.len());
-        for &sym in &table {
-            self.names.resolve(sym).enc(&mut e);
-        }
-        e.put_usize(rs.len());
-        rs.replay_all();
-        for k in rs.order() {
-            let (_, credit, units_done) = rs.settled(k);
-            let state = Sched {
-                job: rs.snapshot_state(&self.slab, k),
-                weight: rs.weight[k],
-                credit,
-                units_done,
-                monitor: rs.monitor_at(k, self.clock),
-                blocked: rs.blocked[k],
-            };
-            self.enc_session(&mut e, rs.slot[k], &index_of, state)?;
-        }
-        e.put_usize(self.queue.len());
-        for &h in &self.queue {
-            let i = h.idx as usize;
-            let state = Sched {
-                job: self.slab.snapshot_state(i),
-                weight: self.slab.weight[i],
-                credit: self.slab.credit[i],
-                units_done: self.slab.units_done[i],
-                monitor: self.slab.monitor[i],
-                blocked: self.slab.blocked[i],
-            };
-            self.enc_session(&mut e, h, &index_of, state)?;
-        }
-        e.put_usize(self.scheduled.len());
-        for (&(at, id), h) in &self.scheduled {
-            let i = h.idx as usize;
-            let name = index_of[self.slab.name[i] as usize];
-            (f64::from_bits(at), id, name).enc(&mut e);
-            Self::job_snapshot(self.slab.snapshot_state(i), self.slab.id[i])?.enc(&mut e);
-            (self.slab.weight[i], self.slab.attempt[i]).enc(&mut e);
-        }
-        self.finished.enc(&mut e);
-        self.faults.enc(&mut e);
-        self.event_feed.enc(&mut e);
-        Ok(e.into_bytes())
-    }
-
-    /// Rebuild a system from [`System::checkpoint`] bytes. The restored
-    /// system's obs handle is disabled; re-install one with
-    /// [`System::set_obs`] before stepping if tracing should continue.
-    pub fn restore(bytes: &[u8]) -> std::result::Result<System, CkptError> {
-        let mut d = Dec::new(bytes);
-        let mut sys = System::try_new(Wire::dec(&mut d)?)
-            .map_err(|e| CkptError::Corrupt(format!("invalid config in checkpoint: {e}")))?;
-        (sys.clock, sys.next_id, sys.executed_units, sys.rejected) = Wire::dec(&mut d)?;
-        sys.error_policy = Wire::dec(&mut d)?;
-        // Intern the name table in encode order, so a re-encode of the
-        // restored system derives the same first-seen order.
-        let table: Vec<Sym> = Vec::<Arc<str>>::dec(&mut d)?
-            .into_iter()
-            .map(|name| sys.names.intern(name))
-            .collect();
-        for _ in 0..d.get_usize()? {
-            let h = sys.dec_session(&mut d, &table)?;
-            sys.running.admit(&sys.slab, h, sys.clock);
-        }
-        for _ in 0..d.get_usize()? {
-            let h = sys.dec_session(&mut d, &table)?;
-            // Only a running query can be blocked (see `System::block`).
-            let i = sys.slab.at(h);
-            if sys.slab.blocked[i] {
-                return Err(CkptError::Corrupt(format!(
-                    "queued query {} is blocked",
-                    sys.slab.id[i]
-                )));
-            }
-            sys.queue.push_back(h);
-        }
-        for _ in 0..d.get_usize()? {
-            let (at, id, name): (f64, QueryId, u32) = Wire::dec(&mut d)?;
-            if !(at.is_finite() && at.is_sign_positive()) {
-                return Err(CkptError::Corrupt(format!(
-                    "scheduled arrival {id} at time {at}"
-                )));
-            }
-            let sym = table_sym(&table, name)?;
-            let job = Self::job_from_snapshot(&mut d)?;
-            let (weight, attempt) = Wire::dec(&mut d)?;
-            domain::weight(weight).map_err(|e| CkptError::Corrupt(format!("query {id}: {e}")))?;
-            let monitor = sys.new_monitor();
-            let h = sys.slab.alloc(id, sym, job, weight, at, monitor, attempt);
-            if sys.scheduled.insert((at.to_bits(), id), h).is_some() {
-                return Err(CkptError::Corrupt(format!(
-                    "scheduled arrival {id} at time {at} repeated"
-                )));
-            }
-        }
-        sys.finished = Wire::dec(&mut d)?;
-        sys.index_ids()?;
-        sys.faults = Wire::dec(&mut d)?;
-        if let Some(fs) = &sys.faults {
-            if fs.next_event > fs.plan.events().len() {
-                return Err(CkptError::Corrupt(format!(
-                    "fault cursor {} beyond {} events",
-                    fs.next_event,
-                    fs.plan.events().len()
-                )));
-            }
-            // A live dip keeps its factor in [1e-6, 1], and its expiry is a
-            // time or +∞.
-            if !(fs.rate_factor > 0.0 && fs.rate_factor <= 1.0) {
-                return Err(CkptError::Corrupt(format!(
-                    "fault rate_factor out of range: {}",
-                    fs.rate_factor
-                )));
-            }
-            if fs.rate_restore_at.is_nan() {
-                return Err(CkptError::Corrupt(
-                    "fault rate_restore_at is NaN".to_string(),
-                ));
-            }
-        }
-        sys.event_feed = Wire::dec(&mut d)?;
-        if !d.is_exhausted() {
-            return Err(CkptError::Corrupt(format!(
-                "{} trailing bytes after system state",
-                d.remaining()
-            )));
-        }
-        Ok(sys)
-    }
-
-    /// Check that the payload accounts for every id the cursor handed out
-    /// (`1..next_id`) exactly once — running, queued, scheduled or
-    /// finished, since nothing drops a query without a finished record —
-    /// and build the dense finished index.
-    fn index_ids(&mut self) -> std::result::Result<(), CkptError> {
-        let rs = &self.running;
-        let live = rs.order().map(|k| &rs.slot[k]);
-        let live = live.chain(&self.queue).chain(self.scheduled.values());
-        let held = self.slab.live() + self.finished.len();
-        let next_id = self.next_id;
-        if next_id.checked_sub(1) != Some(held as QueryId) {
-            return Err(CkptError::Corrupt(format!(
-                "id cursor {next_id} with {held} queries in the payload"
-            )));
-        }
-        // Slot 0 is never handed out.
-        let mut seen = vec![false; held + 1];
-        seen[0] = true;
-        let mut claim = |what: &str, id: QueryId| match seen.get_mut(id as usize) {
-            Some(s) if !*s => {
-                *s = true;
-                Ok(())
-            }
-            _ => Err(CkptError::Corrupt(format!(
-                "{what} query {id} repeated or not below id cursor {next_id}"
-            ))),
-        };
-        for h in live {
-            claim("live", self.slab.id[h.idx as usize])?;
-        }
-        self.finished_of = vec![u32::MAX; held + 1];
-        for (fi, rec) in self.finished.iter().enumerate() {
-            claim("finished", rec.id)?;
-            self.finished_of[rec.id as usize] = fi as u32;
-        }
-        Ok(())
-    }
-
-    fn job_snapshot(
-        job: Option<JobSnapshot>,
-        id: QueryId,
-    ) -> std::result::Result<JobSnapshot, CkptError> {
-        job.ok_or_else(|| {
-            CkptError::Unsupported(format!("job of query {id} holds live engine state"))
-        })
-    }
-
-    fn job_from_snapshot(d: &mut Dec<'_>) -> std::result::Result<JobState, CkptError> {
-        let s: JobSnapshot = Wire::dec(d)?;
-        if s.done > s.total {
-            return Err(CkptError::Corrupt(format!(
-                "job done {} of {}",
-                s.done, s.total
-            )));
-        }
-        Ok(JobState::Synthetic(
-            crate::job::SyntheticJob::from_snapshot(s),
-        ))
-    }
-
-    fn enc_session(
-        &self,
-        e: &mut Enc,
-        h: JobSlot,
-        index_of: &[u32],
-        state: Sched,
-    ) -> std::result::Result<(), CkptError> {
-        let (i, s) = (h.idx as usize, &self.slab);
-        (s.id[i], index_of[s.name[i] as usize]).enc(e);
-        Self::job_snapshot(state.job, s.id[i])?.enc(e);
-        (state.weight, s.arrived[i], s.started[i]).enc(e);
-        (state.credit, state.units_done).enc(e);
-        state.monitor.enc(e);
-        (state.blocked, s.rolling_back[i]).enc(e);
-        (s.report_scale[i], s.attempt[i]).enc(e);
-        Ok(())
-    }
-
-    fn dec_session(
-        &mut self,
-        d: &mut Dec<'_>,
-        table: &[Sym],
-    ) -> std::result::Result<JobSlot, CkptError> {
-        let (id, name): (QueryId, u32) = Wire::dec(d)?;
-        let sym = table_sym(table, name)?;
-        let job = Self::job_from_snapshot(d)?;
-        let (weight, arrived, started) = Wire::dec(d)?;
-        domain::weight(weight).map_err(|e| CkptError::Corrupt(format!("query {id}: {e}")))?;
-        let (credit, units_done) = Wire::dec(d)?;
-        let monitor = Wire::dec(d)?;
-        let (blocked, rolling_back) = Wire::dec(d)?;
-        let (report_scale, attempt) = Wire::dec(d)?;
-        let h = self
-            .slab
-            .alloc(id, sym, job, weight, arrived, monitor, attempt);
-        let i = self.slab.at(h);
-        self.slab.started[i] = started;
-        self.slab.credit[i] = credit;
-        self.slab.units_done[i] = units_done;
-        self.slab.blocked[i] = blocked;
-        self.slab.rolling_back[i] = rolling_back;
-        self.slab.report_scale[i] = report_scale;
-        Ok(h)
-    }
-}
-
-/// A live session's scheduling state, read where it lives: the running
-/// set's columns (settled) while it runs, the slab's while it waits.
-struct Sched {
-    job: Option<JobSnapshot>,
-    weight: f64,
-    credit: f64,
-    units_done: f64,
-    monitor: SpeedMonitor,
-    blocked: bool,
-}
-
 /// A step's shared EMA smoothing factor over `mdt` seconds: one `exp()`
 /// per step, not per session. A step that did not advance the clock
 /// updates no monitor (matching `SpeedMonitor::update`'s early return).
@@ -1905,13 +1587,6 @@ fn smoothing(mdt: f64, tau: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-fn table_sym(table: &[Sym], idx: u32) -> std::result::Result<Sym, CkptError> {
-    table
-        .get(idx as usize)
-        .copied()
-        .ok_or_else(|| CkptError::Corrupt(format!("name table index {idx} out of range")))
 }
 
 #[cfg(test)]
@@ -2728,435 +2403,6 @@ mod tests {
             "executed {} vs accounted {accounted}",
             sys.executed_units()
         );
-    }
-}
-
-#[cfg(test)]
-mod checkpoint_tests {
-    use super::*;
-    use crate::faults::{FaultMix, FaultPlan};
-    use crate::job::{JobProgress, SyntheticJob};
-    use crate::rng::Rng;
-
-    fn chaos_system(seed: u64) -> System {
-        let mut sys = System::new(SystemConfig {
-            rate: 100.0,
-            quantum_units: 8.0,
-            admission: AdmissionPolicy::Bounded { slots: 3, queue: 2 },
-            rate_model: RateModel::Contention { alpha: 0.05 },
-            step_mode: StepMode::Quantum,
-        });
-        sys.set_error_policy(ErrorPolicy::Isolate);
-        for i in 0..5u64 {
-            sys.submit(
-                format!("q{i}"),
-                Box::new(SyntheticJob::with_report_scale(300 * (i + 1), 1.25)),
-                1.0 + i as f64 * 0.5,
-            );
-        }
-        sys.schedule(4.0, "late", Box::new(SyntheticJob::new(500)), 2.0);
-        sys.install_faults(FaultPlan::generate(seed, 40.0, &FaultMix::even(2)));
-        sys
-    }
-
-    /// Fingerprint every observable outcome bit-exactly (floats via their
-    /// bit patterns, not display rounding).
-    fn fingerprint(sys: &System) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "clock={:016x} executed={:016x} rejected={} next_id={}",
-            sys.now().to_bits(),
-            sys.executed_units().to_bits(),
-            sys.rejected_count(),
-            sys.next_id,
-        );
-        for f in sys.finished() {
-            let _ = writeln!(
-                out,
-                "fin id={} name={} kind={:?} arr={:016x} fin={:016x} done={:016x} rem={:016x} rb={:016x}",
-                f.id,
-                f.name,
-                f.kind,
-                f.arrived.to_bits(),
-                f.finished.to_bits(),
-                f.units_done.to_bits(),
-                f.remaining_at_end.to_bits(),
-                f.rollback_units.to_bits(),
-            );
-        }
-        if let Some(st) = sys.fault_stats() {
-            let _ = writeln!(out, "stats={st:?}");
-        }
-        for f in sys.fault_log() {
-            let _ = writeln!(
-                out,
-                "fault at={:016x} {:?} v={:?}",
-                f.at.to_bits(),
-                f.kind,
-                f.victim
-            );
-        }
-        let snap = sys.snapshot();
-        for q in &snap.running {
-            let _ = writeln!(
-                out,
-                "run id={} done={:016x} rem={:016x} spd={:?} blk={} rb={}",
-                q.id,
-                q.done.to_bits(),
-                q.remaining.to_bits(),
-                q.observed_speed.map(f64::to_bits),
-                q.blocked,
-                q.rolling_back,
-            );
-        }
-        for q in &snap.queued {
-            let _ = writeln!(out, "que id={} est={:016x}", q.id, q.est_cost.to_bits());
-        }
-        out
-    }
-
-    /// Checkpointing at *every* step boundary and continuing from the
-    /// restored copy must be bit-identical to never having stopped.
-    #[test]
-    fn restore_at_every_boundary_is_bit_identical() {
-        let mut straight = chaos_system(11);
-        let mut hopped = chaos_system(11);
-        let mut steps = 0usize;
-        while straight.has_work() && straight.now() < 60.0 && steps < 20_000 {
-            straight.step().unwrap();
-            hopped.step().unwrap();
-            let bytes = hopped.checkpoint().unwrap();
-            hopped = System::restore(&bytes).unwrap();
-            assert_eq!(fingerprint(&hopped), fingerprint(&straight));
-            steps += 1;
-        }
-        assert!(steps > 50, "scenario too small to be meaningful: {steps}");
-        assert!(!straight.finished().is_empty());
-    }
-
-    /// An event-mode, unit-weight full house that crosses both switches of
-    /// the tag path: a weight-2 job joins and leaves, page faults arm
-    /// failures (an armed job is not plain) under isolation, and blocks,
-    /// resumes, aborts with rollback and a rate dip happen on the way.
-    fn tag_house() -> System {
-        let mut sys = System::new(SystemConfig {
-            rate: 400.0,
-            admission: AdmissionPolicy::MaxConcurrent(8),
-            step_mode: StepMode::EventDriven,
-            ..SystemConfig::default()
-        });
-        sys.set_error_policy(ErrorPolicy::Isolate);
-        let mut rng = Rng::seed_from_u64(0x5441_4753); // "TAGS"
-        for _ in 0..40 {
-            sys.submit("q", Box::new(SyntheticJob::new(5 + rng.below(120))), 1.0);
-        }
-        let mut at = 0.0;
-        for i in 0..60 {
-            at += rng.exp(6.0);
-            let (cost, w) = if i == 20 {
-                (400, 2.0)
-            } else {
-                (5 + rng.below(120), 1.0)
-            };
-            sys.schedule(at, "late", Box::new(SyntheticJob::new(cost)), w);
-        }
-        let fault = |at, kind| crate::faults::FaultEvent { at, kind };
-        sys.install_faults(FaultPlan::new(
-            vec![
-                fault(2.0, FaultKind::PageFault),
-                fault(
-                    4.0,
-                    FaultKind::RateDip {
-                        factor: 0.4,
-                        duration: 1.5,
-                    },
-                ),
-                fault(9.0, FaultKind::PageFault),
-            ],
-            5,
-            crate::faults::RetryPolicy::none(),
-        ));
-        sys
-    }
-
-    /// Block, resume or abort with rollback, chosen by step count.
-    fn tag_house_mutate(sys: &mut System, step: usize) {
-        let running = sys.running_ids();
-        if running.is_empty() {
-            return;
-        }
-        let id = running[step % running.len()];
-        match step % 23 {
-            3 => sys.block(id).unwrap(),
-            9 => {
-                for id in running {
-                    let _ = sys.resume(id);
-                }
-            }
-            15 => {
-                let _ = sys.abort_with_overhead(id, 7);
-            }
-            _ => {}
-        }
-    }
-
-    /// `restore_at_every_boundary_is_bit_identical` on the tag path, where
-    /// a checkpoint writes what the running set derives from its service
-    /// clock and a restore starts it again at zero.
-    #[test]
-    fn tag_path_restore_at_every_boundary_is_bit_identical() {
-        let mut straight = tag_house();
-        let mut hopped = tag_house();
-        let (mut steps, mut tagged, mut fused) = (0usize, 0usize, 0usize);
-        while straight.has_work() && steps < 20_000 {
-            if straight.running.tagged() {
-                tagged += 1;
-            } else {
-                fused += 1;
-            }
-            straight.step().unwrap();
-            hopped.step().unwrap();
-            tag_house_mutate(&mut straight, steps);
-            tag_house_mutate(&mut hopped, steps);
-            let bytes = hopped.checkpoint().unwrap();
-            hopped = System::restore(&bytes).unwrap();
-            assert_eq!(
-                hopped.checkpoint().unwrap(),
-                bytes,
-                "re-encode, step {steps}"
-            );
-            assert_eq!(straight.checkpoint().unwrap(), bytes, "step {steps}");
-            assert_eq!(fingerprint(&hopped), fingerprint(&straight), "step {steps}");
-            steps += 1;
-        }
-        assert!(!straight.has_work(), "scenario does not finish");
-        assert!(
-            tagged > 50 && fused > 10,
-            "{tagged} tag-path and {fused} fused steps"
-        );
-        let stats = straight.fault_stats().unwrap();
-        assert_eq!(
-            (stats.page_faults, stats.failures, stats.rate_dips),
-            (2, 2, 1)
-        );
-        assert!(straight.finished().iter().any(|f| f.weight == 2.0));
-        assert!(straight.finished().iter().any(|f| f.rollback_units > 0.0));
-    }
-
-    /// A second encode of a restored system yields the same bytes — the
-    /// encoding is canonical, not merely equivalent.
-    #[test]
-    fn checkpoint_encoding_is_canonical() {
-        let mut sys = chaos_system(3);
-        sys.run_until(10.0).unwrap();
-        let a = sys.checkpoint().unwrap();
-        let restored = System::restore(&a).unwrap();
-        let b = restored.checkpoint().unwrap();
-        assert_eq!(a, b);
-    }
-
-    /// Event-driven mode survives a round trip mid-flight too.
-    #[test]
-    fn event_driven_mode_round_trips() {
-        let mk = || {
-            let mut sys = System::new(SystemConfig {
-                rate: 50.0,
-                step_mode: StepMode::EventDriven,
-                ..SystemConfig::default()
-            });
-            for i in 0..3u64 {
-                sys.submit(
-                    format!("e{i}"),
-                    Box::new(SyntheticJob::new(400 + 100 * i)),
-                    1.0,
-                );
-            }
-            sys.schedule(7.0, "later", Box::new(SyntheticJob::new(250)), 1.0);
-            sys
-        };
-        let mut straight = mk();
-        let mut hopped = mk();
-        while straight.has_work() {
-            straight.step().unwrap();
-            hopped.step().unwrap();
-            hopped = System::restore(&hopped.checkpoint().unwrap()).unwrap();
-        }
-        assert_eq!(fingerprint(&hopped), fingerprint(&straight));
-    }
-
-    /// Jobs with live, non-serializable state make the checkpoint fail
-    /// gracefully, not silently lose work.
-    #[test]
-    fn unsupported_job_is_reported() {
-        struct OpaqueJob;
-        impl Job for OpaqueJob {
-            fn run(&mut self, budget: u64) -> Result<u64> {
-                Ok(budget)
-            }
-            fn finished(&self) -> bool {
-                false
-            }
-            fn progress(&self) -> JobProgress {
-                JobProgress {
-                    done: 0.0,
-                    remaining: 1.0,
-                    initial_estimate: 1.0,
-                    finished: false,
-                }
-            }
-        }
-        let mut sys = System::new(SystemConfig::default());
-        sys.submit("opaque", Box::new(OpaqueJob), 1.0);
-        assert!(matches!(sys.checkpoint(), Err(CkptError::Unsupported(_))));
-    }
-
-    /// A finished record's id sizes the dense finished index, so it is
-    /// input like any length prefix: one the id cursor never handed out is
-    /// corrupt (it used to abort on a 4 PB `resize`).
-    #[test]
-    fn hostile_finished_id_is_rejected_not_allocated() {
-        let mut sys = chaos_system(5);
-        sys.run_until(12.0).unwrap();
-        let first = sys.finished()[0].clone();
-        let bytes = sys.checkpoint().unwrap();
-        // The record starts with its id, then the length-prefixed name.
-        let mut needle = first.id.to_le_bytes().to_vec();
-        needle.extend_from_slice(&(first.name.len() as u64).to_le_bytes());
-        needle.extend_from_slice(first.name.as_bytes());
-        let at = (0..bytes.len() - needle.len())
-            .find(|&i| bytes[i..].starts_with(&needle))
-            .unwrap();
-
-        let mut hostile = bytes.clone();
-        hostile[at..at + 8].copy_from_slice(&(1u64 << 50).to_le_bytes());
-        assert!(matches!(
-            System::restore(&hostile),
-            Err(CkptError::Corrupt(m)) if m.contains("finished query")
-        ));
-    }
-
-    /// Every id below the cursor is running, queued, scheduled or finished,
-    /// so a payload that leaves one unaccounted for — a sparse finished
-    /// roster under a raised cursor, a cursor below an id it holds, a
-    /// finished id given twice — is corrupt, not indexed apart.
-    #[test]
-    fn restore_rejects_ids_the_payload_cannot_account_for() {
-        let mut sys = chaos_system(5);
-        sys.run_until(12.0).unwrap();
-        assert!(sys.finished().len() >= 2);
-        let bytes = sys.checkpoint().unwrap();
-        System::restore(&bytes).unwrap();
-        let find = |needle: &[u8]| {
-            let mut hits =
-                (0..=bytes.len() - needle.len()).filter(|&i| bytes[i..].starts_with(needle));
-            let at = hits.next().unwrap();
-            assert!(hits.next().is_none(), "needle occurs once");
-            at
-        };
-        let corrupt = |at: usize, v: u64, field: &str| {
-            let mut hostile = bytes.clone();
-            hostile[at..at + 8].copy_from_slice(&v.to_le_bytes());
-            match System::restore(&hostile) {
-                Err(CkptError::Corrupt(m)) if m.contains(field) => {}
-                other => panic!("{field} {v}: {:?}", other.map(drop)),
-            }
-        };
-
-        // The header: clock, then the id cursor.
-        let mut header = sys.clock.to_bits().to_le_bytes().to_vec();
-        header.extend_from_slice(&sys.next_id.to_le_bytes());
-        let cursor = find(&header) + 8;
-        for v in [sys.next_id + 1, sys.next_id + 5_000, sys.next_id - 1, 0] {
-            corrupt(cursor, v, "id cursor");
-        }
-
-        // The second finished record claims the first one's id.
-        let (first, second) = (&sys.finished()[0], &sys.finished()[1]);
-        let mut needle = second.id.to_le_bytes().to_vec();
-        needle.extend_from_slice(&(second.name.len() as u64).to_le_bytes());
-        needle.extend_from_slice(second.name.as_bytes());
-        corrupt(find(&needle), first.id, "finished query");
-        corrupt(find(&needle), 0, "finished query");
-    }
-
-    /// Damaged bytes are rejected with typed errors, never a panic.
-    #[test]
-    fn restore_rejects_damaged_bytes() {
-        let mut sys = chaos_system(5);
-        sys.run_until(5.0).unwrap();
-        let bytes = sys.checkpoint().unwrap();
-        assert!(System::restore(&bytes[..bytes.len() / 2]).is_err());
-        assert!(System::restore(&[]).is_err());
-        let mut trailing = bytes.clone();
-        trailing.push(0);
-        assert!(System::restore(&trailing).is_err());
-
-        // Two scheduled arrivals with one `(at, id)`: the timeline would
-        // keep only one of them.
-        let mut sys = System::new(SystemConfig::default());
-        let a = sys.schedule(7.0, "twin", Box::new(SyntheticJob::new(500)), 1.0);
-        let b = sys.schedule(7.0, "twin", Box::new(SyntheticJob::new(500)), 1.0);
-        let bytes = sys.checkpoint().unwrap();
-        let mut needle = 7.0f64.to_bits().to_le_bytes().to_vec();
-        needle.extend_from_slice(&b.to_le_bytes());
-        let at = (0..=bytes.len() - needle.len())
-            .find(|&i| bytes[i..].starts_with(&needle))
-            .unwrap();
-        let mut hostile = bytes.clone();
-        hostile[at + 8..at + 16].copy_from_slice(&a.to_le_bytes());
-        assert!(matches!(
-            System::restore(&hostile),
-            Err(CkptError::Corrupt(_))
-        ));
-    }
-
-    /// Checkpoint round trip at n = 10^5: restoring a mid-flight checkpoint
-    /// reproduces the same bytes, and driving the original and the restored
-    /// system in lockstep produces identical completions and identical
-    /// bytes again at the end.
-    #[test]
-    fn checkpoint_round_trip_at_1e5_is_bit_identical() {
-        let n = 100_000usize;
-        let rate = 1e5;
-        let spacing = 950.0 / rate * 1.05;
-        let mut sys = System::new(SystemConfig {
-            rate,
-            quantum_units: 16.0,
-            admission: AdmissionPolicy::MaxConcurrent(256),
-            step_mode: StepMode::EventDriven,
-            ..Default::default()
-        });
-        let name: Arc<str> = "ckpt".into();
-        for i in 0..n {
-            sys.schedule(
-                i as f64 * spacing,
-                Arc::clone(&name),
-                Box::new(SyntheticJob::new(500 + (i as u64).wrapping_mul(37) % 900)),
-                1.0,
-            );
-        }
-        // Run into the steady state so the checkpoint captures a busy
-        // system: running sessions, queued arrivals, and a non-trivial
-        // finished log.
-        for _ in 0..20_000 {
-            sys.step_discard().unwrap();
-        }
-        let bytes = sys.checkpoint().unwrap();
-        let mut restored = System::restore(&bytes).unwrap();
-        assert_eq!(
-            restored.checkpoint().unwrap(),
-            bytes,
-            "restore(checkpoint(s)) must re-encode to the same bytes"
-        );
-        for step in 0..20_000 {
-            let a = sys.step().unwrap();
-            let b = restored.step().unwrap();
-            assert_eq!(a, b, "completion divergence at resumed step {step}");
-            assert_eq!(sys.now().to_bits(), restored.now().to_bits());
-        }
-        assert_eq!(sys.checkpoint().unwrap(), restored.checkpoint().unwrap());
     }
 }
 
