@@ -267,7 +267,6 @@ impl Database {
         Ok(Prepared {
             sql: sql.to_owned(),
             est_cost: plan.root.est.cost,
-            est_rows: plan.root.est.rows,
             plan,
         })
     }
@@ -289,8 +288,6 @@ pub struct Prepared {
     pub plan: PlannedQuery,
     /// Optimizer total cost estimate in work units.
     pub est_cost: f64,
-    /// Optimizer output-row estimate.
-    pub est_rows: f64,
 }
 
 impl Prepared {
@@ -593,22 +590,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(none.len(), 0);
-    }
-
-    #[test]
-    fn join_via_hash_or_index() {
-        let db = test_db();
-        let rows = db
-            .execute(
-                "select p.name, l.extendedprice from part p join lineitem l \
-                 on p.partkey = l.partkey where p.partkey = 3",
-            )
-            .unwrap();
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert_eq!(r[0], Value::str("part-3"));
-            assert_eq!(r[1], Value::Float(30.0));
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ use crate::plan::physical::{AggFunc, AggSpec, NodeEst, PhysExpr};
 use crate::tuple::Tuple;
 use crate::value::Value;
 
-/// Normalized group key (mirrors the join-key normalization; NULL groups
-/// are legal in GROUP BY, unlike join keys).
+/// Normalized group key: integral floats group with the equal integer, and
+/// NULLs form one group.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum GKey {
     Null,

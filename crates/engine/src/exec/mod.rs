@@ -13,7 +13,6 @@
 pub mod agg;
 pub mod eval;
 pub mod filter;
-pub mod join;
 pub mod progress;
 pub mod scan;
 pub mod sort;
@@ -211,7 +210,7 @@ pub trait Operator: Send {
     fn label(&self) -> String;
 
     /// Stable static tag naming the operator type, used as the profiling
-    /// span key (`op.seq_scan`, `op.hash_join`, …). Unlike [`Self::label`]
+    /// span key (`op.seq_scan`, `op.index_scan_eq`, …). Unlike [`Self::label`]
     /// it carries no per-instance detail, so span names stay `'static`.
     fn profile_tag(&self) -> &'static str;
 
@@ -286,38 +285,6 @@ pub fn build(plan: &PlanNode, tables: &TableSet) -> Result<Box<dyn Operator>> {
             Box::new(filter::Project::new(build(input, tables)?, exprs.clone()))
         }
         PlanOp::Limit { input, n } => Box::new(filter::Limit::new(build(input, tables)?, *n)),
-        PlanOp::NestedLoopJoin { left, right, pred } => Box::new(join::NestedLoopJoin::new(
-            build(left, tables)?,
-            build(right, tables)?,
-            pred.clone(),
-            est,
-        )),
-        PlanOp::HashJoin {
-            left,
-            right,
-            left_key,
-            right_key,
-        } => Box::new(join::HashJoin::new(
-            build(left, tables)?,
-            build(right, tables)?,
-            left_key.clone(),
-            right_key.clone(),
-            est,
-        )),
-        PlanOp::IndexNLJoin {
-            left,
-            table,
-            column,
-            key,
-            needed,
-        } => Box::new(join::IndexNLJoin::new(
-            build(left, tables)?,
-            get(tables, table)?,
-            *column,
-            key.clone(),
-            *needed,
-            est,
-        )?),
         PlanOp::Sort { input, keys } => {
             Box::new(sort::Sort::new(build(input, tables)?, keys.clone(), est))
         }

@@ -45,18 +45,6 @@ pub fn sort_cost(rows: f64) -> f64 {
     cpu_units(rows * rows.log2())
 }
 
-/// Cost of a hash join given probe-side and build-side cardinalities
-/// (input costs excluded): build + probe CPU.
-pub fn hash_join_cost(probe_rows: f64, build_rows: f64) -> f64 {
-    cpu_units(build_rows) + cpu_units(probe_rows)
-}
-
-/// Cost of a materialized nested-loop join (input costs excluded): one pass
-/// of CPU over the cross product.
-pub fn nested_loop_cost(outer_rows: f64, inner_rows: f64) -> f64 {
-    cpu_units(outer_rows * inner_rows.max(1.0))
-}
-
 /// Cost of aggregation over `rows` input tuples emitting `groups` rows.
 pub fn aggregate_cost(rows: f64, groups: f64) -> f64 {
     cpu_units(rows) + cpu_units(groups)
@@ -106,11 +94,5 @@ mod tests {
     fn sort_cost_grows_superlinearly() {
         assert_eq!(sort_cost(1.0), 0.0);
         assert!(sort_cost(10_000.0) > 2.0 * sort_cost(5_000.0));
-    }
-
-    #[test]
-    fn join_costs_positive_and_monotone() {
-        assert!(hash_join_cost(1000.0, 500.0) > hash_join_cost(100.0, 50.0));
-        assert!(nested_loop_cost(100.0, 100.0) > hash_join_cost(100.0, 100.0));
     }
 }

@@ -14,27 +14,22 @@
 //! executor keeps that site's operator tree between outer rows. One it does
 //! not reach keeps 0 and is built per evaluation.
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use crate::db::Table;
 use crate::plan::physical::{PhysExpr, PlanNode, PlanOp, SiteId};
 use crate::tuple::ColumnMask;
 
 /// Set the `needed` mask of every scan under `root` and the `site` of every
 /// subquery expression (nested plans included). `root`'s own rows go to the
 /// caller whole.
-pub(crate) fn finish_plan(root: &mut PlanNode, tables: &BTreeMap<String, Arc<Table>>) {
-    Finish { tables, sites: 0 }.node(root, ColumnMask::ALL);
+pub(crate) fn finish_plan(root: &mut PlanNode) {
+    Finish { sites: 0 }.node(root, ColumnMask::ALL);
 }
 
-struct Finish<'a> {
-    tables: &'a BTreeMap<String, Arc<Table>>,
+struct Finish {
     /// Subquery sites numbered so far.
     sites: usize,
 }
 
-impl Finish<'_> {
+impl Finish {
     /// `needed`: the columns of `node`'s output that its parent reads.
     fn node(&mut self, node: &mut PlanNode, needed: ColumnMask) {
         match &mut node.op {
@@ -88,67 +83,6 @@ impl Finish<'_> {
             }
             PlanOp::Limit { input, .. } => self.node(input, needed),
             PlanOp::Distinct { input } => self.node(input, ColumnMask::ALL),
-            PlanOp::NestedLoopJoin { left, right, pred } => {
-                let mut both = needed;
-                if let Some(p) = pred {
-                    self.expr(p, &mut both);
-                }
-                let (l, r) = self.split(both, left);
-                self.node(left, l);
-                self.node(right, r);
-            }
-            PlanOp::HashJoin {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                let (mut l, mut r) = self.split(needed, left);
-                self.expr(left_key, &mut l);
-                self.expr(right_key, &mut r);
-                self.node(left, l);
-                self.node(right, r);
-            }
-            PlanOp::IndexNLJoin {
-                left,
-                key,
-                needed: mask,
-                ..
-            } => {
-                let (mut l, r) = self.split(needed, left);
-                *mask = r;
-                self.expr(key, &mut l);
-                self.node(left, l);
-            }
-        }
-    }
-
-    /// Split a mask over a join's output `left ++ right`. When the left
-    /// width is unknown both sides keep everything.
-    fn split(&self, needed: ColumnMask, left: &PlanNode) -> (ColumnMask, ColumnMask) {
-        match self.width(left) {
-            Some(w) => needed.split_at(w),
-            None => (ColumnMask::ALL, ColumnMask::ALL),
-        }
-    }
-
-    /// Number of columns in `node`'s output rows.
-    fn width(&self, node: &PlanNode) -> Option<usize> {
-        let of_table = |name: &str| self.tables.get(name).map(|t| t.schema.len());
-        match &node.op {
-            PlanOp::SeqScan { table, .. }
-            | PlanOp::IndexScanEq { table, .. }
-            | PlanOp::IndexScanRange { table, .. } => of_table(table),
-            PlanOp::Filter { input, .. }
-            | PlanOp::Sort { input, .. }
-            | PlanOp::Limit { input, .. }
-            | PlanOp::Distinct { input } => self.width(input),
-            PlanOp::Project { exprs, .. } => Some(exprs.len()),
-            PlanOp::Aggregate { group, aggs, .. } => Some(group.len() + aggs.len()),
-            PlanOp::NestedLoopJoin { left, right, .. } | PlanOp::HashJoin { left, right, .. } => {
-                Some(self.width(left)? + self.width(right)?)
-            }
-            PlanOp::IndexNLJoin { left, table, .. } => Some(self.width(left)? + of_table(table)?),
         }
     }
 

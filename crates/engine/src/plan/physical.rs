@@ -216,41 +216,6 @@ pub enum PlanOp {
         /// Output expressions.
         exprs: Vec<PhysExpr>,
     },
-    /// Nested-loop join with materialized inner; output = left ++ right.
-    NestedLoopJoin {
-        /// Outer input.
-        left: Box<PlanNode>,
-        /// Inner input (materialized on first open).
-        right: Box<PlanNode>,
-        /// Join predicate over the concatenated tuple.
-        pred: Option<PhysExpr>,
-    },
-    /// Hash equi-join; output = left ++ right.
-    HashJoin {
-        /// Probe side.
-        left: Box<PlanNode>,
-        /// Build side.
-        right: Box<PlanNode>,
-        /// Probe key over left tuples.
-        left_key: PhysExpr,
-        /// Build key over right tuples.
-        right_key: PhysExpr,
-    },
-    /// Index nested-loop join: for each left tuple, probe `table`'s index on
-    /// `column` with `key(left)`; output = left ++ matched row.
-    IndexNLJoin {
-        /// Outer input.
-        left: Box<PlanNode>,
-        /// Inner table name.
-        table: String,
-        /// Indexed column ordinal of the inner table.
-        column: usize,
-        /// Key expression over the left tuple.
-        key: PhysExpr,
-        /// Columns of the inner row anything above the join reads
-        /// (`plan::finish`).
-        needed: ColumnMask,
-    },
     /// Full sort (materializes input).
     Sort {
         /// Input plan.
@@ -296,10 +261,6 @@ impl PlanNode {
             | PlanOp::Aggregate { input, .. }
             | PlanOp::Limit { input, .. }
             | PlanOp::Distinct { input } => vec![input],
-            PlanOp::IndexNLJoin { left, .. } => vec![left],
-            PlanOp::NestedLoopJoin { left, right, .. } | PlanOp::HashJoin { left, right, .. } => {
-                vec![left, right]
-            }
         }
     }
 
@@ -322,11 +283,6 @@ impl PlanNode {
             }
             PlanOp::Filter { .. } => "Filter".to_string(),
             PlanOp::Project { .. } => "Project".to_string(),
-            PlanOp::NestedLoopJoin { .. } => "NestedLoopJoin".to_string(),
-            PlanOp::HashJoin { .. } => "HashJoin".to_string(),
-            PlanOp::IndexNLJoin { table, column, .. } => {
-                format!("IndexNLJoin with {table} (col #{column})")
-            }
             PlanOp::Sort { .. } => "Sort".to_string(),
             PlanOp::Aggregate { group, aggs, .. } => {
                 format!("Aggregate (groups={}, aggs={})", group.len(), aggs.len())
@@ -397,22 +353,33 @@ mod tests {
 
     #[test]
     fn children_and_explain() {
-        let join = PlanNode {
-            op: PlanOp::HashJoin {
-                left: Box::new(leaf("a")),
-                right: Box::new(leaf("b")),
-                left_key: PhysExpr::Input(0),
-                right_key: PhysExpr::Input(0),
-            },
-            est: NodeEst {
-                rows: 50.0,
-                cost: 30.0,
-            },
+        let est = NodeEst {
+            rows: 50.0,
+            cost: 30.0,
         };
-        assert_eq!(join.children().len(), 2);
-        let text = join.explain();
-        assert!(text.contains("HashJoin"));
-        assert!(text.contains("SeqScan on a"));
+        let sort = PlanNode {
+            op: PlanOp::Sort {
+                input: Box::new(leaf("a")),
+                keys: vec![SortKey {
+                    expr: PhysExpr::Input(0),
+                    desc: true,
+                }],
+            },
+            est,
+        };
+        let limit = PlanNode {
+            op: PlanOp::Limit {
+                input: Box::new(sort),
+                n: 5,
+            },
+            est,
+        };
+        assert_eq!(limit.children().len(), 1);
+        assert!(leaf("a").children().is_empty());
+        let text = limit.explain();
+        assert!(text.contains("Limit 5"));
+        assert!(text.contains("\n  Sort"));
+        assert!(text.contains("\n    SeqScan on a"));
         assert!(text.lines().count() == 3);
     }
 

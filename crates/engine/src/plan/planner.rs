@@ -1,18 +1,13 @@
-//! The planner: lowers a parsed [`Query`] onto catalog tables, chooses
-//! access paths and join strategies with the page-based cost model, and
-//! annotates every node with cost/cardinality estimates.
+//! The planner: lowers a parsed [`Query`] onto a catalog table, chooses the
+//! access path with the page-based cost model, and annotates every node with
+//! cost/cardinality estimates.
 //!
-//! Strategy choices (kept deliberately close to a classic System-R-lite):
+//! Every query block reads one table. Strategy choices:
 //!
-//! * predicates are split into conjuncts and pushed to the lowest level that
-//!   can evaluate them;
-//! * single-table equality/range predicates on indexed columns become index
-//!   scans when the cost model says they beat a sequential scan;
-//! * joins are left-deep in FROM order; an equi-join picks an index
-//!   nested-loop join when the inner table has a usable index and the cost
-//!   model prefers it, otherwise a hash join; non-equi joins fall back to a
-//!   materialized nested-loop join;
-//! * correlated scalar subqueries compile to nested plans with correlation
+//! * the WHERE conjuncts all apply at that table's scan;
+//! * an equality or range conjunct on an indexed column becomes an index
+//!   scan when the cost model says it beats a sequential scan;
+//! * correlated subqueries compile to nested plans with correlation
 //!   parameters (`PhysExpr::Param`), which is what turns the paper's
 //!   workload query into an outer scan driving per-tuple index probes.
 
@@ -42,8 +37,8 @@ pub struct PlannedQuery {
 /// Plan a parsed query against the database catalog.
 pub fn plan_query(db: &Database, q: &Query) -> Result<PlannedQuery> {
     let mut tables = BTreeMap::new();
-    let (mut root, columns) = plan_select(db, q, None, &mut tables)?;
-    finish_plan(&mut root, &tables);
+    let (mut root, columns) = plan_select(db, q, None, &mut tables, None)?;
+    finish_plan(&mut root);
     Ok(PlannedQuery {
         root,
         columns,
@@ -51,42 +46,23 @@ pub fn plan_query(db: &Database, q: &Query) -> Result<PlannedQuery> {
     })
 }
 
-/// One FROM-list entry resolved against the catalog.
-#[derive(Clone)]
-struct ScopeItem {
-    alias: String,
-    table: Arc<Table>,
-    offset: usize,
-}
-
-/// Name-resolution scope: the tables visible to expressions of one query,
-/// with a parent link for correlated subqueries.
+/// Name-resolution scope: the table one query block reads, with a parent
+/// link for correlated subqueries. Its rows are the operator input rows, so
+/// a column's ordinal in the table is its `Input` index.
 struct Scope<'a> {
-    items: Vec<ScopeItem>,
+    alias: &'a str,
+    table: &'a Table,
     parent: Option<&'a Scope<'a>>,
 }
 
-impl<'a> Scope<'a> {
+impl Scope<'_> {
     /// Resolve `alias.column` / bare `column` to an input index in this
     /// scope only.
-    fn resolve_local(&self, table: Option<&str>, name: &str) -> Result<Option<usize>> {
-        let mut found: Option<usize> = None;
-        for item in &self.items {
-            if let Some(t) = table {
-                if item.alias != t {
-                    continue;
-                }
-            }
-            if let Ok(ci) = item.table.schema.index_of(name) {
-                if found.is_some() {
-                    return Err(EngineError::plan(format!(
-                        "ambiguous column reference '{name}'"
-                    )));
-                }
-                found = Some(item.offset + ci);
-            }
+    fn resolve_local(&self, table: Option<&str>, name: &str) -> Option<usize> {
+        if table.is_some_and(|t| t != self.alias) {
+            return None;
         }
-        Ok(found)
+        self.table.schema.index_of(name).ok()
     }
 }
 
@@ -105,147 +81,24 @@ struct CompileCtx<'a> {
     correlation: Option<&'a mut Correlation>,
 }
 
+/// Plan one query block. A subquery passes the enclosing block's scope as
+/// `outer` and the collector its WHERE compiles into as `correlation`.
 fn plan_select(
     db: &Database,
     q: &Query,
     outer: Option<&Scope<'_>>,
     tables: &mut BTreeMap<String, Arc<Table>>,
+    mut correlation: Option<&mut Correlation>,
 ) -> Result<(PlanNode, Vec<String>)> {
-    if q.from.is_empty() {
-        return Err(EngineError::plan("FROM clause is required"));
-    }
-    // Resolve FROM items.
-    let mut items = Vec::new();
-    let mut offset = 0usize;
-    for tr in &q.from {
-        let table = db.table(&tr.table)?;
-        if items.iter().any(|i: &ScopeItem| i.alias == tr.alias) {
-            return Err(EngineError::plan(format!(
-                "duplicate table alias '{}'",
-                tr.alias
-            )));
-        }
-        tables.insert(tr.table.clone(), Arc::clone(table));
-        items.push(ScopeItem {
-            alias: tr.alias.clone(),
-            table: Arc::clone(table),
-            offset,
-        });
-        offset += table.schema.len();
-    }
+    let table = db.table(&q.from.table)?;
+    tables.insert(q.from.table.clone(), Arc::clone(table));
     let scope = Scope {
-        items: items.clone(),
+        alias: &q.from.alias,
+        table,
         parent: outer,
     };
-
-    // Classify predicate conjuncts by the FROM items they reference.
-    let mut scan_preds: Vec<Vec<&Expr>> = vec![Vec::new(); items.len()];
-    let mut multi_preds: Vec<(Vec<usize>, &Expr)> = Vec::new(); // (referenced items, pred)
-    for p in &q.predicates {
-        let refs = referenced_items(p, &scope)?;
-        match refs.items.len() {
-            0 => {
-                // Constant or purely-correlated predicate: apply at the
-                // first scan (it filters everything uniformly).
-                scan_preds[0].push(p);
-            }
-            1 => scan_preds[refs.items[0]].push(p),
-            _ => multi_preds.push((refs.items, p)),
-        }
-    }
-
-    // Cost each item's filtered scan once; these are the join-order leaves.
-    let mut correlation_dummy = None;
-    let mut scans = Vec::with_capacity(items.len());
-    for (i, item) in items.iter().enumerate() {
-        scans.push(scan_plan(
-            db,
-            item,
-            &scan_preds[i],
-            tables,
-            outer,
-            &mut correlation_dummy,
-        )?);
-    }
-
-    // Greedy cost-based join ordering: start from the smallest filtered
-    // scan, then repeatedly join the candidate whose join node has the
-    // lowest cumulative cost estimate. Connected candidates win naturally
-    // (a cross product estimate dwarfs an equi join).
-    let first = (0..items.len())
-        .min_by(|&a, &b| {
-            scans[a]
-                .est
-                .rows
-                .total_cmp(&scans[b].est.rows)
-                .then(scans[a].est.cost.total_cmp(&scans[b].est.cost))
-        })
-        .expect("FROM is non-empty");
-    let mut joined_idx = vec![first];
-    let mut joined_items = vec![ScopeItem {
-        offset: 0,
-        ..items[first].clone()
-    }];
-    let mut node = scans[first].clone();
-    let mut pending = multi_preds;
-    let mut remaining: Vec<usize> = (0..items.len()).filter(|i| *i != first).collect();
-    while !remaining.is_empty() {
-        let prefix_width: usize = joined_items.iter().map(|i| i.table.schema.len()).sum();
-        let mut best: Option<(usize, PlanNode, Vec<usize>, ScopeItem)> = None;
-        for (pos, &c) in remaining.iter().enumerate() {
-            let applicable_idx: Vec<usize> = pending
-                .iter()
-                .enumerate()
-                .filter(|(_, (refs, _))| refs.iter().all(|r| joined_idx.contains(r) || *r == c))
-                .map(|(k, _)| k)
-                .collect();
-            let applicable: Vec<&Expr> = applicable_idx.iter().map(|k| pending[*k].1).collect();
-            let cand = ScopeItem {
-                offset: prefix_width,
-                ..items[c].clone()
-            };
-            let n = join_step(
-                db,
-                node.clone(),
-                &joined_items,
-                &cand,
-                &scan_preds[c],
-                &applicable,
-                tables,
-                outer,
-            )?;
-            let beats = best
-                .as_ref()
-                .map(|(_, b, _, _)| n.est.cost < b.est.cost)
-                .unwrap_or(true);
-            if beats {
-                best = Some((pos, n, applicable_idx, cand));
-            }
-        }
-        let (pos, n, mut consumed, cand) = best.expect("remaining non-empty");
-        node = n;
-        joined_idx.push(remaining.remove(pos));
-        joined_items.push(cand);
-        consumed.sort_unstable_by(|a, b| b.cmp(a));
-        for k in consumed {
-            pending.remove(k);
-        }
-    }
-    // The joined-order scope is what all later expressions compile against.
-    let scope = Scope {
-        items: joined_items,
-        parent: outer,
-    };
-    // Defensive: any predicate not consumed by the join loop.
-    for (_, p) in pending.iter() {
-        let mut ctx = CompileCtx {
-            db,
-            tables,
-            correlation: None,
-        };
-        let pred = compile_expr(p, &scope, &mut ctx)?;
-        node = filter_node(node, pred);
-    }
+    let preds: Vec<&Expr> = q.predicates.iter().collect();
+    let node = scan_plan(db, &scope, &preds, tables, &mut correlation)?;
 
     // Aggregation.
     let has_aggs = !q.group_by.is_empty()
@@ -306,68 +159,16 @@ fn distinct_node(input: PlanNode) -> PlanNode {
     }
 }
 
-/// Which FROM items a predicate references.
-struct ItemRefs {
-    /// Indices (into the FROM list) of referenced items, in first-seen order.
-    items: Vec<usize>,
-}
-
-fn referenced_items(p: &Expr, scope: &Scope<'_>) -> Result<ItemRefs> {
-    let mut seen: Vec<usize> = Vec::new();
-    let mut err: Option<EngineError> = None;
-    // Descend into subqueries: a correlated EXISTS/IN predicate must be
-    // classified by the outer tables its subquery references, or it would
-    // be applied at a scan that cannot resolve them.
-    p.walk_with_subqueries(&mut |e| {
-        if let Expr::Column { table, name } = e {
-            match scope.resolve_local(table.as_deref(), name) {
-                Ok(Some(idx)) => {
-                    // Map absolute index back to the item.
-                    for (i, item) in scope.items.iter().enumerate() {
-                        let end = item.offset + item.table.schema.len();
-                        if idx >= item.offset && idx < end {
-                            if !seen.contains(&i) {
-                                seen.push(i);
-                            }
-                            break;
-                        }
-                    }
-                }
-                // Resolved later (outer scope) or an error at compile time.
-                Ok(None) => {}
-                Err(e) => err = Some(e),
-            }
-        }
-    });
-    if let Some(e) = err {
-        return Err(e);
-    }
-    Ok(ItemRefs { items: seen })
-}
-
-/// Plan a single-table access path with its pushed-down predicates.
-///
-/// The predicates are compiled against a *local* scope (the table's columns
-/// at offset 0), because the scan's output is just that table's row. Outer
-/// scope is still reachable for correlation.
-#[allow(clippy::too_many_arguments)]
+/// Plan the scope's table access path under its predicates. The outer
+/// scope stays reachable for correlation.
 fn scan_plan(
     db: &Database,
-    item: &ScopeItem,
+    scope: &Scope<'_>,
     preds: &[&Expr],
     tables: &mut BTreeMap<String, Arc<Table>>,
-    outer: Option<&Scope<'_>>,
     correlation: &mut Option<&mut Correlation>,
 ) -> Result<PlanNode> {
-    let local_scope = Scope {
-        items: vec![ScopeItem {
-            alias: item.alias.clone(),
-            table: Arc::clone(&item.table),
-            offset: 0,
-        }],
-        parent: outer,
-    };
-    let t = &item.table;
+    let t = scope.table;
     let stats = &t.stats;
     let seq_cost = cost::seq_scan_cost(stats);
 
@@ -375,7 +176,7 @@ fn scan_plan(
     // where `expr` has no Input references at this level.
     let mut best: Option<(usize, PlanNode, Vec<usize>)> = None; // (pred indexes used…)
     for (pi, p) in preds.iter().enumerate() {
-        let Some((col, op, other)) = index_candidate(p, &local_scope)? else {
+        let Some((col, op, other)) = index_candidate(p, scope) else {
             continue;
         };
         let Some(meta) = t.index_meta(col) else {
@@ -388,7 +189,7 @@ fn scan_plan(
             tables,
             correlation: correlation.as_deref_mut(),
         };
-        let key = compile_expr(other, &local_scope, &mut ctx)?;
+        let key = compile_expr(other, scope, &mut ctx)?;
         if key.uses_input() {
             continue;
         }
@@ -501,8 +302,8 @@ fn scan_plan(
         let mut sel = 1.0;
         let mut compiled = Vec::new();
         for p in &rest {
-            sel *= predicate_selectivity(p, t, &local_scope);
-            compiled.push(compile_expr(p, &local_scope, &mut ctx)?);
+            sel *= predicate_selectivity(p, scope);
+            compiled.push(compile_expr(p, scope, &mut ctx)?);
         }
         let pred = conjoin(compiled);
         let rows_out = (node.est.rows * sel).max(0.0);
@@ -525,52 +326,45 @@ fn scan_plan(
 
 /// Is `p` of the form `col ⊕ expr` (or `expr ⊕ col`) usable for an index on
 /// this scan's table? Returns (column ordinal, normalized op, value expr).
-fn index_candidate<'e>(p: &'e Expr, local: &Scope<'_>) -> Result<Option<(usize, BinOp, &'e Expr)>> {
+fn index_candidate<'e>(p: &'e Expr, scope: &Scope<'_>) -> Option<(usize, BinOp, &'e Expr)> {
     let Expr::Binary { op, left, right } = p else {
-        return Ok(None);
+        return None;
     };
     if !op.is_comparison() || matches!(op, BinOp::NotEq) {
-        return Ok(None);
+        return None;
     }
-    let try_side =
-        |col_side: &Expr, other: &'e Expr, op: BinOp| -> Result<Option<(usize, BinOp, &'e Expr)>> {
-            if let Expr::Column { table, name } = col_side {
-                if let Some(idx) = local.resolve_local(table.as_deref(), name)? {
-                    // `other` must not reference this table.
-                    let mut local_ref = false;
-                    other.walk(&mut |e| {
-                        if let Expr::Column { table, name } = e {
-                            if matches!(local.resolve_local(table.as_deref(), name), Ok(Some(_))) {
-                                local_ref = true;
-                            }
-                        }
-                    });
-                    if !local_ref {
-                        return Ok(Some((idx, op, other)));
-                    }
-                }
-            }
-            Ok(None)
+    let try_side = |col_side: &Expr, other: &'e Expr, op: BinOp| {
+        let Expr::Column { table, name } = col_side else {
+            return None;
         };
-    if let Some(hit) = try_side(left, right, *op)? {
-        return Ok(Some(hit));
-    }
-    let flipped = match op {
+        let idx = scope.resolve_local(table.as_deref(), name)?;
+        // `other` must not reference this table.
+        let local_ref = other.any(&mut |e| {
+            matches!(e, Expr::Column { table, name }
+                if scope.resolve_local(table.as_deref(), name).is_some())
+        });
+        (!local_ref).then_some((idx, op, other))
+    };
+    try_side(left, right, *op).or_else(|| try_side(right, left, flipped(*op)))
+}
+
+/// The comparison that holds with its operands swapped.
+fn flipped(op: BinOp) -> BinOp {
+    match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::LtEq => BinOp::GtEq,
         BinOp::Gt => BinOp::Lt,
         BinOp::GtEq => BinOp::LtEq,
-        other => *other,
-    };
-    try_side(right, left, flipped)
+        other => other,
+    }
 }
 
 /// Heuristic selectivity of a single-table predicate.
-fn predicate_selectivity(p: &Expr, table: &Table, local: &Scope<'_>) -> f64 {
+fn predicate_selectivity(p: &Expr, scope: &Scope<'_>) -> f64 {
     if let Expr::Binary { op, left, right } = p {
         let col_of = |e: &Expr| -> Option<usize> {
             if let Expr::Column { table: t, name } = e {
-                local.resolve_local(t.as_deref(), name).ok().flatten()
+                scope.resolve_local(t.as_deref(), name)
             } else {
                 None
             }
@@ -584,20 +378,11 @@ fn predicate_selectivity(p: &Expr, table: &Table, local: &Scope<'_>) -> f64 {
         };
         let (col, lit, op) = match (col_of(left), lit_of(right), col_of(right), lit_of(left)) {
             (Some(c), Some(v), _, _) => (Some(c), Some(v), *op),
-            (_, _, Some(c), Some(v)) => {
-                let flipped = match op {
-                    BinOp::Lt => BinOp::Gt,
-                    BinOp::LtEq => BinOp::GtEq,
-                    BinOp::Gt => BinOp::Lt,
-                    BinOp::GtEq => BinOp::LtEq,
-                    o => *o,
-                };
-                (Some(c), Some(v), flipped)
-            }
+            (_, _, Some(c), Some(v)) => (Some(c), Some(v), flipped(*op)),
             _ => (None, None, *op),
         };
         if let (Some(c), Some(v)) = (col, lit) {
-            if let Some(cs) = table.stats.columns.get(c) {
+            if let Some(cs) = scope.table.stats.columns.get(c) {
                 return match op {
                     BinOp::Eq => cs.eq_selectivity_for(&v),
                     BinOp::NotEq => (1.0 - cs.eq_selectivity_for(&v)).max(0.0),
@@ -648,288 +433,6 @@ fn conjoin(mut preds: Vec<PhysExpr>) -> PhysExpr {
     e
 }
 
-fn filter_node(input: PlanNode, pred: PhysExpr) -> PlanNode {
-    let sub_cost = subquery_cost_estimate(&pred);
-    let est = NodeEst {
-        rows: input.est.rows * (1.0 / 3.0),
-        cost: input.est.cost + cost::per_tuple_cost(input.est.rows) + input.est.rows * sub_cost,
-    };
-    PlanNode {
-        op: PlanOp::Filter {
-            input: Box::new(input),
-            pred,
-        },
-        est,
-    }
-}
-
-/// Join the running plan (`left`, whose output is the concatenation of
-/// `joined_items` in order) with the candidate `item` (whose `offset` is
-/// the current prefix width).
-#[allow(clippy::too_many_arguments)]
-fn join_step(
-    db: &Database,
-    left: PlanNode,
-    joined_items: &[ScopeItem],
-    item: &ScopeItem,
-    item_preds: &[&Expr],
-    applicable: &[&Expr],
-    tables: &mut BTreeMap<String, Arc<Table>>,
-    outer: Option<&Scope<'_>>,
-) -> Result<PlanNode> {
-    // Scope of the joined prefix including the candidate.
-    let mut prefix_items = joined_items.to_vec();
-    prefix_items.push(item.clone());
-    let prefix_scope = Scope {
-        items: prefix_items,
-        parent: outer,
-    };
-
-    // Look for an equi-join predicate `left_expr = right_col` where the
-    // right side is a bare column of item i.
-    let mut equi: Option<(&Expr, usize, &Expr)> = None; // (left side, right col, whole pred)
-    for p in applicable.iter().copied() {
-        if let Expr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = p
-        {
-            for (x, y) in [(a, b), (b, a)] {
-                if let Expr::Column { table, name } = &**y {
-                    // y must be a column of item i…
-                    let item_scope = Scope {
-                        items: vec![ScopeItem {
-                            alias: item.alias.clone(),
-                            table: Arc::clone(&item.table),
-                            offset: 0,
-                        }],
-                        parent: None,
-                    };
-                    if let Some(col) = item_scope.resolve_local(table.as_deref(), name)? {
-                        // …and x must not reference item i.
-                        let mut refs_item = false;
-                        x.walk(&mut |e| {
-                            if let Expr::Column { table, name } = e {
-                                if matches!(
-                                    item_scope.resolve_local(table.as_deref(), name),
-                                    Ok(Some(_))
-                                ) {
-                                    refs_item = true;
-                                }
-                            }
-                        });
-                        if !refs_item {
-                            equi = Some((x, col, p));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if equi.is_some() {
-            break;
-        }
-    }
-
-    // Scope for compiling expressions over the left side only.
-    let left_scope = Scope {
-        items: joined_items.to_vec(),
-        parent: outer,
-    };
-
-    let node = if let Some((left_expr, right_col, equi_pred)) = equi {
-        let mut ctx = CompileCtx {
-            db,
-            tables,
-            correlation: None,
-        };
-        let left_key = compile_expr(left_expr, &left_scope, &mut ctx)?;
-        let t = &item.table;
-        let matches = t
-            .stats
-            .columns
-            .get(right_col)
-            .map(|c| t.stats.row_count as f64 * c.eq_selectivity())
-            .unwrap_or(1.0)
-            .max(1.0);
-        let use_index = t.index_meta(right_col).map(|meta| {
-            // Index NLJ only wins when probing is cheaper than building a
-            // hash table over the full inner scan — and only if item i has
-            // no pushed-down predicates of its own (the probe bypasses them;
-            // they would need re-checking, which we apply as a post filter).
-            let inlj = left.est.rows * cost::index_probe_cost(meta, matches);
-            let hash = cost::seq_scan_cost(&t.stats)
-                + cost::hash_join_cost(left.est.rows, t.stats.row_count as f64);
-            (inlj < hash, meta)
-        });
-        match use_index {
-            Some((true, meta)) => {
-                let est_rows = (left.est.rows * matches).max(1.0);
-                let est = NodeEst {
-                    rows: est_rows,
-                    cost: left.est.cost + left.est.rows * cost::index_probe_cost(meta, matches),
-                };
-                let mut n = PlanNode {
-                    op: PlanOp::IndexNLJoin {
-                        left: Box::new(left),
-                        table: t.name.clone(),
-                        column: right_col,
-                        key: left_key,
-                        needed: ColumnMask::ALL,
-                    },
-                    est,
-                };
-                // Re-apply item-local predicates (probe bypassed them) and
-                // any other applicable join predicates.
-                let mut post: Vec<&Expr> = item_preds.to_vec();
-                post.extend(
-                    applicable
-                        .iter()
-                        .filter(|p| !std::ptr::eq(**p, equi_pred))
-                        .copied(),
-                );
-                if !post.is_empty() {
-                    let mut ctx = CompileCtx {
-                        db,
-                        tables,
-                        correlation: None,
-                    };
-                    let compiled: Result<Vec<PhysExpr>> = post
-                        .iter()
-                        .map(|p| compile_expr(p, &prefix_scope, &mut ctx))
-                        .collect();
-                    n = filter_node(n, conjoin(compiled?));
-                }
-                n
-            }
-            _ => {
-                // Hash join: plan the inner scan with its own predicates.
-                let mut corr = None;
-                let right_plan = scan_plan(db, item, item_preds, tables, outer, &mut corr)?;
-                let mut ctx = CompileCtx {
-                    db,
-                    tables,
-                    correlation: None,
-                };
-                // Right key over the inner scan output (local offsets).
-                let item_scope = Scope {
-                    items: vec![ScopeItem {
-                        alias: item.alias.clone(),
-                        table: Arc::clone(&item.table),
-                        offset: 0,
-                    }],
-                    parent: outer,
-                };
-                let Expr::Binary {
-                    left: a, right: b, ..
-                } = equi_pred
-                else {
-                    unreachable!()
-                };
-                // Re-derive which side is the right column.
-                let (right_side, _left_side) = if matches!(&**b, Expr::Column { .. })
-                    && item_scope
-                        .resolve_local(
-                            match &**b {
-                                Expr::Column { table, .. } => table.as_deref(),
-                                _ => None,
-                            },
-                            match &**b {
-                                Expr::Column { name, .. } => name,
-                                _ => "",
-                            },
-                        )?
-                        .is_some()
-                {
-                    (&**b, &**a)
-                } else {
-                    (&**a, &**b)
-                };
-                let right_key = compile_expr(right_side, &item_scope, &mut ctx)?;
-                let ndv = item
-                    .table
-                    .stats
-                    .columns
-                    .get(right_col)
-                    .map(|c| c.ndv)
-                    .unwrap_or(1.0)
-                    .max(1.0);
-                let est_rows = (left.est.rows * right_plan.est.rows / ndv).max(1.0);
-                let est = NodeEst {
-                    rows: est_rows,
-                    cost: left.est.cost
-                        + right_plan.est.cost
-                        + cost::hash_join_cost(left.est.rows, right_plan.est.rows),
-                };
-                let mut n = PlanNode {
-                    op: PlanOp::HashJoin {
-                        left: Box::new(left),
-                        right: Box::new(right_plan),
-                        left_key,
-                        right_key,
-                    },
-                    est,
-                };
-                let post: Vec<&Expr> = applicable
-                    .iter()
-                    .filter(|p| !std::ptr::eq(**p, equi_pred))
-                    .copied()
-                    .collect();
-                if !post.is_empty() {
-                    let mut ctx = CompileCtx {
-                        db,
-                        tables,
-                        correlation: None,
-                    };
-                    let compiled: Result<Vec<PhysExpr>> = post
-                        .iter()
-                        .map(|p| compile_expr(p, &prefix_scope, &mut ctx))
-                        .collect();
-                    n = filter_node(n, conjoin(compiled?));
-                }
-                n
-            }
-        }
-    } else {
-        // No equi predicate: materialized nested-loop join.
-        let mut corr = None;
-        let right_plan = scan_plan(db, item, item_preds, tables, outer, &mut corr)?;
-        let pred = if applicable.is_empty() {
-            None
-        } else {
-            let mut ctx = CompileCtx {
-                db,
-                tables,
-                correlation: None,
-            };
-            let compiled: Result<Vec<PhysExpr>> = applicable
-                .iter()
-                .map(|p| compile_expr(p, &prefix_scope, &mut ctx))
-                .collect();
-            Some(conjoin(compiled?))
-        };
-        let sel = if pred.is_some() { 1.0 / 3.0 } else { 1.0 };
-        let est_rows = (left.est.rows * right_plan.est.rows * sel).max(1.0);
-        let est = NodeEst {
-            rows: est_rows,
-            cost: left.est.cost
-                + right_plan.est.cost
-                + cost::nested_loop_cost(left.est.rows, right_plan.est.rows),
-        };
-        PlanNode {
-            op: PlanOp::NestedLoopJoin {
-                left: Box::new(left),
-                right: Box::new(right_plan),
-                pred,
-            },
-            est,
-        }
-    };
-
-    Ok(node)
-}
-
 /// Plan the non-aggregate projection.
 fn plan_projection(
     db: &Database,
@@ -944,19 +447,9 @@ fn plan_projection(
     for item in &q.select {
         match item {
             SelectItem::Star => {
-                // Expand in FROM order regardless of the join order the
-                // optimizer chose (SQL semantics; offsets come from the
-                // joined-order scope).
-                for tr in &q.from {
-                    let si = scope
-                        .items
-                        .iter()
-                        .find(|i| i.alias == tr.alias)
-                        .expect("FROM item present in scope");
-                    for (ci, col) in si.table.schema.columns().iter().enumerate() {
-                        exprs.push(PhysExpr::Input(si.offset + ci));
-                        names.push(col.name.clone());
-                    }
+                for (ci, col) in scope.table.schema.columns().iter().enumerate() {
+                    exprs.push(PhysExpr::Input(ci));
+                    names.push(col.name.clone());
                 }
             }
             SelectItem::Expr { expr, alias } => {
@@ -1315,12 +808,12 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
     match e {
         Expr::Literal(v) => Ok(PhysExpr::Literal(v.clone())),
         Expr::Column { table, name } => {
-            if let Some(idx) = scope.resolve_local(table.as_deref(), name)? {
+            if let Some(idx) = scope.resolve_local(table.as_deref(), name) {
                 return Ok(PhysExpr::Input(idx));
             }
             // Correlation: resolve in the parent scope.
             if let (Some(parent), Some(corr)) = (scope.parent, ctx.correlation.as_deref_mut()) {
-                if let Some(outer_idx) = parent.resolve_local(table.as_deref(), name)? {
+                if let Some(outer_idx) = parent.resolve_local(table.as_deref(), name) {
                     let outer_expr = PhysExpr::Input(outer_idx);
                     let pos = corr
                         .outer_args
@@ -1370,7 +863,7 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             let mut corr = Correlation {
                 outer_args: Vec::new(),
             };
-            let (plan, cols) = plan_subquery(ctx.db, q, scope, ctx.tables, &mut corr)?;
+            let (plan, cols) = plan_select(ctx.db, q, Some(scope), ctx.tables, Some(&mut corr))?;
             if cols.len() != 1 {
                 return Err(EngineError::plan(format!(
                     "scalar subquery must return exactly one column, got {}",
@@ -1387,7 +880,7 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             let mut corr = Correlation {
                 outer_args: Vec::new(),
             };
-            let (plan, _cols) = plan_subquery(ctx.db, q, scope, ctx.tables, &mut corr)?;
+            let (plan, _cols) = plan_select(ctx.db, q, Some(scope), ctx.tables, Some(&mut corr))?;
             Ok(PhysExpr::Exists {
                 plan: Box::new(plan),
                 outer_args: corr.outer_args,
@@ -1403,7 +896,8 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             let mut corr = Correlation {
                 outer_args: Vec::new(),
             };
-            let (plan, cols) = plan_subquery(ctx.db, query, scope, ctx.tables, &mut corr)?;
+            let (plan, cols) =
+                plan_select(ctx.db, query, Some(scope), ctx.tables, Some(&mut corr))?;
             if cols.len() != 1 {
                 return Err(EngineError::plan(format!(
                     "IN subquery must return exactly one column, got {}",
@@ -1428,93 +922,6 @@ fn compile_expr(e: &Expr, scope: &Scope<'_>, ctx: &mut CompileCtx<'_>) -> Result
             negated: *negated,
         }),
     }
-}
-
-/// Plan a correlated subquery. Equivalent to [`plan_select`] but threads the
-/// correlation collector down so inner compiles can emit params.
-fn plan_subquery(
-    db: &Database,
-    q: &Query,
-    outer: &Scope<'_>,
-    tables: &mut BTreeMap<String, Arc<Table>>,
-    corr: &mut Correlation,
-) -> Result<(PlanNode, Vec<String>)> {
-    // A correlated subquery plan needs the correlation collector during
-    // compilation of *its* expressions. `plan_select` compiles with a fresh
-    // context per call site, so we re-implement the narrow path here by
-    // planning with the parent scope attached and intercepting compiles via
-    // `Correlation`. To keep one code path, we wrap plan_select with a
-    // thread-local-style handoff: plan_select_corr.
-    plan_select_corr(db, q, outer, tables, corr)
-}
-
-/// `plan_select` variant used for subqueries: all expression compiles share
-/// the given correlation collector.
-fn plan_select_corr(
-    db: &Database,
-    q: &Query,
-    outer: &Scope<'_>,
-    tables: &mut BTreeMap<String, Arc<Table>>,
-    corr: &mut Correlation,
-) -> Result<(PlanNode, Vec<String>)> {
-    if q.from.is_empty() {
-        return Err(EngineError::plan("FROM clause is required"));
-    }
-    let mut items = Vec::new();
-    let mut offset = 0usize;
-    for tr in &q.from {
-        let table = db.table(&tr.table)?;
-        tables.insert(tr.table.clone(), Arc::clone(table));
-        items.push(ScopeItem {
-            alias: tr.alias.clone(),
-            table: Arc::clone(table),
-            offset,
-        });
-        offset += table.schema.len();
-    }
-    if items.len() != 1 {
-        return Err(EngineError::plan(
-            "correlated subqueries over multiple tables are not supported",
-        ));
-    }
-    let scope = Scope {
-        items: items.clone(),
-        parent: Some(outer),
-    };
-    let preds: Vec<&Expr> = q.predicates.iter().collect();
-    let mut corr_opt = Some(&mut *corr);
-    let node = scan_plan(db, &items[0], &preds, tables, Some(outer), &mut corr_opt)?;
-
-    let has_aggs = !q.group_by.is_empty()
-        || q.select.iter().any(|s| match s {
-            SelectItem::Expr { expr, .. } => expr.contains_aggregate(),
-            SelectItem::Star => false,
-        });
-    let (mut node, columns) = if has_aggs {
-        plan_aggregate(db, q, node, &scope, tables)?
-    } else {
-        plan_projection(db, q, node, &scope, tables)?
-    };
-    if q.distinct {
-        node = distinct_node(node);
-    }
-    if !q.order_by.is_empty() {
-        node = plan_order_by(&q.order_by, node, &columns)?;
-    }
-    if let Some(n) = q.limit {
-        let est = NodeEst {
-            rows: node.est.rows.min(n as f64),
-            cost: node.est.cost,
-        };
-        node = PlanNode {
-            op: PlanOp::Limit {
-                input: Box::new(node),
-                n,
-            },
-            est,
-        };
-    }
-    Ok((node, columns))
 }
 
 #[cfg(test)]

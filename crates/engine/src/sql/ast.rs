@@ -123,52 +123,6 @@ impl Expr {
         }
     }
 
-    /// Walk the expression *and* the expressions inside any nested
-    /// subqueries (their SELECT/WHERE/GROUP BY/HAVING/ORDER BY clauses).
-    /// Used for name-based classification (which tables does this predicate
-    /// touch?), where correlated references inside a subquery matter.
-    pub fn walk_with_subqueries<'a>(&'a self, f: &mut dyn FnMut(&'a Expr)) {
-        fn walk_query<'a>(q: &'a Query, f: &mut dyn FnMut(&'a Expr)) {
-            for item in &q.select {
-                if let SelectItem::Expr { expr, .. } = item {
-                    expr.walk_with_subqueries(f);
-                }
-            }
-            for p in &q.predicates {
-                p.walk_with_subqueries(f);
-            }
-            for g in &q.group_by {
-                g.walk_with_subqueries(f);
-            }
-            if let Some(h) = &q.having {
-                h.walk_with_subqueries(f);
-            }
-            for o in &q.order_by {
-                o.expr.walk_with_subqueries(f);
-            }
-        }
-        f(self);
-        match self {
-            Expr::Unary { expr, .. } => expr.walk_with_subqueries(f),
-            Expr::Binary { left, right, .. } => {
-                left.walk_with_subqueries(f);
-                right.walk_with_subqueries(f);
-            }
-            Expr::Func { args, .. } => {
-                for a in args {
-                    a.walk_with_subqueries(f);
-                }
-            }
-            Expr::Like { expr, .. } => expr.walk_with_subqueries(f),
-            Expr::InSubquery { expr, query, .. } => {
-                expr.walk_with_subqueries(f);
-                walk_query(query, f);
-            }
-            Expr::Subquery(q) | Expr::Exists(q) => walk_query(q, f),
-            Expr::Literal(_) | Expr::Column { .. } => {}
-        }
-    }
-
     /// True if any node satisfies the predicate (does not descend into
     /// subqueries).
     pub fn any(&self, pred: &mut dyn FnMut(&Expr) -> bool) -> bool {
@@ -230,9 +184,9 @@ pub struct Query {
     pub distinct: bool,
     /// SELECT list.
     pub select: Vec<SelectItem>,
-    /// FROM tables (JOIN and comma forms are normalized into this list).
-    pub from: Vec<TableRef>,
-    /// Conjunction of WHERE predicate and all JOIN ... ON conditions.
+    /// The one table the query block reads.
+    pub from: TableRef,
+    /// The WHERE predicate, split into conjuncts.
     pub predicates: Vec<Expr>,
     /// GROUP BY expressions.
     pub group_by: Vec<Expr>,

@@ -114,10 +114,17 @@ impl Parser {
         let distinct = self.eat_kw("distinct");
         let select = self.select_list()?;
         self.expect_kw("from")?;
-        let (from, mut predicates) = self.parse_from_clause()?;
-        if self.eat_kw("where") {
-            predicates.extend(split_conjuncts(self.expr()?));
+        let from = self.table_ref()?;
+        if self.eat_symbol(Sym::Comma) || self.peek_kw("join") || self.peek_kw("inner") {
+            return Err(EngineError::parse(
+                "a query block reads one table: comma and JOIN forms are not supported",
+            ));
         }
+        let predicates = if self.eat_kw("where") {
+            split_conjuncts(self.expr()?)
+        } else {
+            Vec::new()
+        };
         let mut group_by = Vec::new();
         if self.eat_kw("group") {
             self.expect_kw("by")?;
@@ -200,27 +207,6 @@ impl Parser {
             }
         }
         Ok(items)
-    }
-
-    /// FROM clause: `t [a] (, t [a])*` and `t [a] (JOIN t [a] ON expr)*`
-    /// normalized into a table list plus ON-condition conjuncts.
-    fn parse_from_clause(&mut self) -> Result<(Vec<TableRef>, Vec<Expr>)> {
-        let mut tables = vec![self.table_ref()?];
-        let mut ons = Vec::new();
-        loop {
-            if self.eat_symbol(Sym::Comma) {
-                tables.push(self.table_ref()?);
-            } else if self.peek_kw("join") || self.peek_kw("inner") {
-                self.eat_kw("inner"); // optional INNER prefix
-                self.expect_kw("join")?;
-                tables.push(self.table_ref()?);
-                self.expect_kw("on")?;
-                ons.extend(split_conjuncts(self.expr()?));
-            } else {
-                break;
-            }
-        }
-        Ok((tables, ons))
     }
 
     fn table_ref(&mut self) -> Result<TableRef> {
@@ -632,10 +618,10 @@ mod tests {
         assert_eq!(q.select, vec![SelectItem::Star]);
         assert_eq!(
             q.from,
-            vec![TableRef {
+            TableRef {
                 table: "part_1".into(),
                 alias: "p".into()
-            }]
+            }
         );
         assert_eq!(q.predicates.len(), 1);
         // The predicate is `expr > subquery`.
@@ -675,23 +661,6 @@ mod tests {
             }
         });
         assert!(refs_p);
-    }
-
-    #[test]
-    fn join_on_normalized_into_predicates() {
-        let q = parse_query(
-            "select a.x, b.y from t1 a join t2 b on a.k = b.k and a.x > 3 where b.y < 9",
-        )
-        .unwrap();
-        assert_eq!(q.from.len(), 2);
-        assert_eq!(q.predicates.len(), 3); // two ON conjuncts + WHERE
-    }
-
-    #[test]
-    fn comma_join() {
-        let q = parse_query("select * from t1, t2 where t1.a = t2.a").unwrap();
-        assert_eq!(q.from.len(), 2);
-        assert_eq!(q.predicates.len(), 1);
     }
 
     #[test]

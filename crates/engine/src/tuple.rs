@@ -91,17 +91,6 @@ impl ColumnMask {
             self.0 |= 1 << i;
         }
     }
-
-    /// Split a mask over a concatenated row `left ++ right` into the two
-    /// sides' masks, `left_width` being the number of left columns.
-    pub fn split_at(self, left_width: usize) -> (ColumnMask, ColumnMask) {
-        if left_width >= 64 {
-            return (self, ColumnMask::ALL);
-        }
-        // Right columns that sat past bit 63 were kept; they stay kept.
-        let right = self.0 >> left_width | !(u64::MAX >> left_width);
-        (self, ColumnMask(right))
-    }
 }
 
 /// Decode a tuple previously produced by [`encode`].
@@ -244,22 +233,6 @@ mod tests {
             let kept = i == 3 || i >= 64;
             assert_eq!(*v, if kept { wide[i].clone() } else { Value::Null });
         }
-    }
-
-    #[test]
-    fn mask_splits_over_a_concatenated_row() {
-        // Columns 1 and 4 of `left(3) ++ right`: left 1, right 1.
-        let mut mask = ColumnMask::NONE;
-        mask.insert(1);
-        mask.insert(4);
-        let (l, r) = mask.split_at(3);
-        assert_eq!([l.keeps(0), l.keeps(1), l.keeps(2)], [false, true, false]);
-        assert_eq!([r.keeps(0), r.keeps(1), r.keeps(2)], [false, true, false]);
-        // Right columns that sat past bit 63 were kept, and stay kept.
-        assert!(!r.keeps(60) && r.keeps(61) && r.keeps(63));
-        // Nothing is known about the right side of a 64-column left side.
-        assert_eq!(mask.split_at(64).1, ColumnMask::ALL);
-        assert_eq!(ColumnMask::ALL.split_at(0).1, ColumnMask::ALL);
     }
 
     #[test]

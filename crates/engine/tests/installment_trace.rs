@@ -61,7 +61,7 @@ fn shapes() -> Vec<(String, String, &'static str)> {
     let mut v: Vec<(String, String, &'static str)> = (1..=SIZE_CLASSES)
         .map(|k| (format!("tpcr_s{k}"), tpcr().query_sql(k), "Filter"))
         .collect();
-    let more: [(&str, &str, &str); 13] = [
+    let more: [(&str, &str, &str); 12] = [
         (
             "in_subquery",
             "select p.name from part_s3 p where p.partkey in \
@@ -73,12 +73,6 @@ fn shapes() -> Vec<(String, String, &'static str)> {
             "select p.partkey from part_s2 p where exists \
              (select * from lineitem l where l.partkey = p.partkey and l.quantity > 48)",
             "Filter",
-        ),
-        (
-            "index_nl_join",
-            "select p.name, l.quantity from part_s1 p join lineitem l \
-             on p.partkey = l.partkey where l.quantity < 9",
-            "IndexNLJoin",
         ),
         (
             "grouped_range",

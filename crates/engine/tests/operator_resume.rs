@@ -106,25 +106,6 @@ fn sort_with_debt_resume() {
 }
 
 #[test]
-fn hash_join_resume() {
-    // Force a hash join: join on strings (no index).
-    check("select count(*) from t join u on t.s = u.label", 1);
-}
-
-#[test]
-fn index_nl_join_resume() {
-    check(
-        "select u.label, count(*) c from u join t on u.a = t.a group by u.label order by u.label",
-        1,
-    );
-}
-
-#[test]
-fn nested_loop_join_resume() {
-    check("select count(*) from u x, u y where x.a < y.a", 1);
-}
-
-#[test]
 fn correlated_subquery_resume() {
     check(
         "select count(*) from u where 50 < \
@@ -186,15 +167,10 @@ fn rewound_tree_runs_like_a_new_one() {
         "select a, count(*), sum(b), min(s), count(distinct b) from t group by a order by a",
         "select sum(b), count(distinct a) from t where a = 4",
         "select distinct a from t",
-        "select count(*) from t join u on t.s = u.label",
-        "select u.label, t.b from u join t on u.a = t.a where t.b < 90",
-        "select x.a, y.a from u x, u y where x.a < y.a",
         "select u.a from u where 50 < (select count(*) from t where t.a = u.a)",
         // Selective enough on the unique `t.b` for the index paths.
         "select s from t where b = 1234",
         "select s from t where b < 20",
-        "select u.label, t.s from u join t on u.a = t.b where u.a < 10",
-        "select t.s, u.label from t join u on t.b = u.a",
     ];
     let db = db();
     let mut emitting = std::collections::BTreeSet::new();
@@ -232,5 +208,5 @@ fn rewound_tree_runs_like_a_new_one() {
             }
         }
     }
-    assert_eq!(emitting.len(), 12, "operators with rows: {emitting:?}");
+    assert_eq!(emitting.len(), 9, "operators with rows: {emitting:?}");
 }

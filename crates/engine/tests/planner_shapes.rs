@@ -1,12 +1,12 @@
-//! Plan-shape tests: assert the planner's access-path and join-strategy
-//! decisions directly (the executor tests elsewhere check *results*; these
+//! Plan-shape tests: assert the planner's access-path decisions directly (the executor tests elsewhere check *results*; these
 //! check *plans*).
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use mqpi_engine::plan::physical::{PlanNode, PlanOp};
+use mqpi_engine::plan::physical::{PhysExpr, PlanNode, PlanOp};
 use mqpi_engine::{ColumnType, Database, Schema, Value};
+use mqpi_workload::{TpcrConfig, TpcrDb};
 
 /// A database where index-vs-scan tradeoffs are visible: `big` (50k rows,
 /// indexed key with ~25 dups, indexed unique id) and `small` (100 rows).
@@ -63,9 +63,6 @@ fn ops(node: &PlanNode) -> Vec<&'static str> {
             PlanOp::IndexScanRange { .. } => "IndexScanRange",
             PlanOp::Filter { .. } => "Filter",
             PlanOp::Project { .. } => "Project",
-            PlanOp::NestedLoopJoin { .. } => "NestedLoopJoin",
-            PlanOp::HashJoin { .. } => "HashJoin",
-            PlanOp::IndexNLJoin { .. } => "IndexNLJoin",
             PlanOp::Sort { .. } => "Sort",
             PlanOp::Aggregate { .. } => "Aggregate",
             PlanOp::Limit { .. } => "Limit",
@@ -85,6 +82,27 @@ fn ops(node: &PlanNode) -> Vec<&'static str> {
 
 fn plan_of(db: &Database, sql: &str) -> PlanNode {
     db.prepare(sql).unwrap().plan.root.clone()
+}
+
+/// The first subquery plan inside a `Filter` predicate of the tree.
+fn find_subplan(n: &PlanNode) -> Option<&PlanNode> {
+    fn in_expr(e: &PhysExpr) -> Option<&PlanNode> {
+        match e {
+            PhysExpr::Subquery { plan, .. }
+            | PhysExpr::Exists { plan, .. }
+            | PhysExpr::InSubquery { plan, .. } => Some(plan),
+            PhysExpr::Unary { expr, .. } | PhysExpr::Like { expr, .. } => in_expr(expr),
+            PhysExpr::Binary { left, right, .. } => in_expr(left).or_else(|| in_expr(right)),
+            PhysExpr::Scalar { args, .. } => args.iter().find_map(in_expr),
+            _ => None,
+        }
+    }
+    if let PlanOp::Filter { pred, .. } = &n.op {
+        if let Some(sp) = in_expr(pred) {
+            return Some(sp);
+        }
+    }
+    n.children().into_iter().find_map(find_subplan)
 }
 
 #[test]
@@ -128,39 +146,6 @@ fn unindexed_predicate_is_a_filtered_scan() {
 }
 
 #[test]
-fn equi_join_with_indexed_unique_inner_uses_index_nl_join() {
-    let db = db();
-    // 100 outer rows × 1-match unique probes (~5 U each) beat building a
-    // hash table over a 50k-row scan.
-    let p = plan_of(db, "select * from small s join big b on s.key = b.id");
-    assert!(ops(&p).contains(&"IndexNLJoin"), "{}", p.explain());
-}
-
-#[test]
-fn equi_join_with_wide_fanout_prefers_hash_join() {
-    let db = db();
-    // b.key has ~25 duplicates per value: 100 probes × ~30 U of scattered
-    // heap fetches lose to one sequential scan + hash build. The §5.1-style
-    // unclustered-probe cost model makes this call, and it is correct.
-    let p = plan_of(db, "select * from small s join big b on s.key = b.key");
-    assert!(ops(&p).contains(&"HashJoin"), "{}", p.explain());
-}
-
-#[test]
-fn equi_join_without_index_uses_hash_join() {
-    let db = db();
-    let p = plan_of(db, "select * from small s join big b on s.name = b.payload");
-    assert!(ops(&p).contains(&"HashJoin"), "{}", p.explain());
-}
-
-#[test]
-fn non_equi_join_uses_nested_loop() {
-    let db = db();
-    let p = plan_of(db, "select * from small s, small t where s.key < t.key");
-    assert!(ops(&p).contains(&"NestedLoopJoin"), "{}", p.explain());
-}
-
-#[test]
 fn aggregate_sort_limit_stack_in_order() {
     let db = db();
     let p = plan_of(
@@ -192,27 +177,7 @@ fn correlated_subquery_plans_index_probe_inside_filter() {
     // The outer plan is a filtered scan of `small`…
     let o = ops(&p);
     assert!(o.contains(&"Filter"), "{}", p.explain());
-    // …whose predicate holds a subplan probing big's index. Fish it out.
-    fn find_subplan(n: &PlanNode) -> Option<&PlanNode> {
-        use mqpi_engine::plan::physical::PhysExpr;
-        fn in_expr(e: &PhysExpr) -> Option<&PlanNode> {
-            match e {
-                PhysExpr::Subquery { plan, .. }
-                | PhysExpr::Exists { plan, .. }
-                | PhysExpr::InSubquery { plan, .. } => Some(plan),
-                PhysExpr::Unary { expr, .. } | PhysExpr::Like { expr, .. } => in_expr(expr),
-                PhysExpr::Binary { left, right, .. } => in_expr(left).or_else(|| in_expr(right)),
-                PhysExpr::Scalar { args, .. } => args.iter().find_map(in_expr),
-                _ => None,
-            }
-        }
-        if let PlanOp::Filter { pred, .. } = &n.op {
-            if let Some(sp) = in_expr(pred) {
-                return Some(sp);
-            }
-        }
-        n.children().into_iter().find_map(find_subplan)
-    }
+    // …whose predicate holds a subplan probing big's index.
     let sub = find_subplan(&p).expect("subplan present");
     assert!(ops(sub).contains(&"IndexScanEq"), "{}", sub.explain());
 }
@@ -238,4 +203,50 @@ fn estimates_are_populated_and_monotone() {
         assert!(n.est.rows >= 0.0);
     }
     check(&p);
+}
+
+/// The paper's `Q_k` (§5.1) over every size class of the small TPC-R
+/// database, once under the 20 % sample statistics the experiments and
+/// `paper_claims` use and once under a full `analyze` of `lineitem`: a
+/// sequential scan of `part_s<k>` under a filter whose scalar subquery
+/// aggregates an equality probe of `lineitem`'s `partkey` index. Every
+/// campaign and the `sql_pipeline` benchmark run this plan and no other.
+#[test]
+fn paper_query_plans_one_shape_at_every_size_class() {
+    let mut tpcr = TpcrDb::build(TpcrConfig {
+        lineitem_rows: 24_000,
+        analyze_fraction: 0.2,
+        max_size: 50,
+        ..TpcrConfig::default()
+    })
+    .unwrap();
+    let mut checked = 0;
+    for stats in ["analyze_sampled(0.2)", "analyze"] {
+        if stats == "analyze" {
+            tpcr.db.analyze("lineitem").unwrap();
+        }
+        for k in 1..=tpcr.config.max_size {
+            let p = plan_of(&tpcr.db, &tpcr.query_sql(k));
+            let what = format!("Q_{k} under {stats}:\n{}", p.explain());
+            assert_eq!(ops(&p), ["Filter", "SeqScan"], "{what}");
+            let PlanOp::SeqScan { table, .. } = &p.children()[0].op else {
+                unreachable!()
+            };
+            assert_eq!(*table, format!("part_s{k}"), "{what}");
+            let sub = find_subplan(&p).expect("the filter holds the subquery");
+            assert_eq!(
+                ops(sub),
+                ["Project", "Aggregate", "IndexScanEq"],
+                "{what}{}",
+                sub.explain()
+            );
+            let probe = &sub.children()[0].children()[0].op;
+            let PlanOp::IndexScanEq { table, column, .. } = probe else {
+                unreachable!()
+            };
+            assert_eq!((table.as_str(), *column), ("lineitem", 0), "{what}");
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 100);
 }

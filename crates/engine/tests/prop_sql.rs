@@ -7,8 +7,10 @@
 use proptest::prelude::*;
 
 use mqpi_engine::sql::parse_query;
-use mqpi_engine::{ColumnType, Database, Schema, Value};
+use mqpi_engine::{ColumnType, Database, EngineError, Schema, Value};
 
+/// An identifier that is not one of the parser's reserved words (the list
+/// in `sql::parser::is_reserved`).
 fn ident() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_]{0,8}".prop_filter("not reserved", |s| {
         !matches!(
@@ -32,6 +34,11 @@ fn ident() -> impl Strategy<Value = String> {
                 | "is"
                 | "asc"
                 | "desc"
+                | "in"
+                | "between"
+                | "like"
+                | "exists"
+                | "distinct"
         )
     })
 }
@@ -51,9 +58,33 @@ proptest! {
     fn simple_selects_always_parse(t in ident(), c1 in ident(), c2 in ident(), n in 0i64..1000) {
         let sql = format!("select {c1}, {c2} from {t} where {c1} > {n} order by {c2} limit 5");
         let q = parse_query(&sql).unwrap();
-        prop_assert_eq!(q.from.len(), 1);
+        prop_assert_eq!(q.from.table, t);
         prop_assert_eq!(q.predicates.len(), 1);
         prop_assert_eq!(q.limit, Some(5));
+    }
+
+    /// A second table, named in any of the forms the grammar once took, is
+    /// a parse error, before the catalog is consulted.
+    #[test]
+    fn multi_table_input_is_refused(
+        t1 in ident(),
+        t2 in ident(),
+        c in ident(),
+        form in prop::sample::select(vec![0, 1, 2, 3, 4]),
+    ) {
+        let sql = match form {
+            0 => format!("select * from {t1}, {t2}"),
+            1 => format!("select {c} from {t1} a, {t2} b where a.{c} = b.{c}"),
+            2 => format!("select {c} from {t1} a join {t2} b on a.{c} = b.{c}"),
+            3 => format!("select {c} from {t1} inner join {t2} on {c} = 1 where {c} > 2"),
+            _ => format!(
+                "select {c} from {t1} where exists (select * from {t2}, {t1} where {c} = 1)"
+            ),
+        };
+        let parsed = parse_query(&sql);
+        prop_assert!(matches!(parsed, Err(EngineError::Parse(_))), "{sql}: {parsed:?}");
+        let planned = Database::new().prepare(&sql).map(|p| p.explain());
+        prop_assert!(matches!(planned, Err(EngineError::Parse(_))), "{sql}: {planned:?}");
     }
 }
 

@@ -1,11 +1,12 @@
 //! Tests for the extended SQL surface: DISTINCT, EXISTS, IN (list and
-//! subquery), BETWEEN, LIKE — including their NULL semantics.
+//! subquery), BETWEEN, LIKE — including their NULL semantics — and the
+//! refusal of a query block that names a second table.
 
 // Test code: unwrap/expect on known-good fixtures is fine here.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use mqpi_engine::exec::eval::like_match;
-use mqpi_engine::{ColumnType, Database, Schema, Value};
+use mqpi_engine::{ColumnType, Database, EngineError, Schema, Value};
 
 fn db() -> Database {
     let mut db = Database::new();
@@ -436,25 +437,33 @@ fn ambiguous_order_by_is_rejected() {
     assert!(r.is_err(), "expected ambiguity error, got {r:?}");
 }
 
+/// A query block reads one table: each way of naming a second one is a
+/// parse error, not a panic and not a plan over one of the two.
+fn assert_refused(sql: &str) {
+    let r = db().prepare(sql).map(|p| p.explain());
+    assert!(matches!(r, Err(EngineError::Parse(_))), "{sql}: {r:?}");
+}
+
 #[test]
-fn correlated_exists_against_joined_table_plans() {
-    // The EXISTS subquery correlates with the *second* join table; the
-    // predicate classifier must see through the subquery to place it after
-    // the join.
-    let db = db();
-    let rows = db
-        .execute(
-            "select count(*) from emp e join dept d on e.dept = d.id \
-             where exists (select * from emp c where c.dept = d.id and c.salary > 1800)",
-        )
-        .unwrap();
-    // Depts with a >1800 earner: salary 1900 ⇔ i%10 == 9; those i cover
-    // depts {i%7}. Count emp rows joined to such depts (dept row exists:
-    // dept < 5).
-    let rich_depts: std::collections::HashSet<i64> =
-        (0..100i64).filter(|i| i % 10 == 9).map(|i| i % 7).collect();
-    let expected = (0..100i64)
-        .filter(|i| i % 7 < 5 && rich_depts.contains(&(i % 7)))
-        .count() as i64;
-    assert_eq!(rows[0][0], Value::Int(expected));
+fn comma_from_is_refused() {
+    assert_refused("select count(*) from emp e, dept d where e.dept = d.id");
+    assert_refused("select * from emp, emp");
+}
+
+#[test]
+fn join_on_is_refused() {
+    assert_refused("select e.name, d.dname from emp e join dept d on e.dept = d.id");
+    assert_refused("select * from emp e inner join dept d on e.dept = d.id");
+}
+
+#[test]
+fn subquery_naming_two_tables_is_refused() {
+    assert_refused(
+        "select count(*) from emp e where exists \
+         (select * from dept d, emp c where d.id = e.dept and c.dept = d.id)",
+    );
+    assert_refused(
+        "select name from emp e where e.salary > \
+         (select avg(c.salary) from emp c join dept d on c.dept = d.id where c.dept = e.dept)",
+    );
 }
