@@ -1,4 +1,4 @@
-//! A paged B+-tree index.
+//! A paged B+-tree index over one `Int` column.
 //!
 //! Nodes live in an arena and stand in for index pages: every node visited
 //! during a lookup or range scan charges one work unit, so an index probe
@@ -6,9 +6,15 @@
 //! the same cost shape as PostgreSQL's unclustered index scan in the paper's
 //! workload.
 //!
-//! Duplicate keys are supported (entries are `(key, rid)` pairs ordered by
-//! key then rid). The tree supports bulk loading from sorted input and
-//! incremental inserts with node splits.
+//! Keys are `i64`: a leaf keeps its keys and its record ids in two parallel
+//! arrays (16 bytes an entry), so a search reads eight keys per cache line.
+//! NULL keys are not entered; no equality or range an index serves admits
+//! them. A probe may be any [`Value`]: it is compared through [`cmp_key`],
+//! which orders keys exactly as `Value::Int(k).total_cmp(probe)` does.
+//!
+//! Duplicate keys are supported (entries are ordered by key then rid). The
+//! tree supports bulk loading from sorted input and incremental inserts with
+//! node splits.
 
 use crate::error::{EngineError, Result};
 use crate::heap::Rid;
@@ -16,7 +22,7 @@ use crate::meter::WorkMeter;
 use crate::value::Value;
 use std::cmp::Ordering;
 
-/// Default number of entries per leaf node (≈ 8 KiB / 32 B per entry).
+/// Default number of entries per leaf node.
 pub const DEFAULT_LEAF_CAP: usize = 256;
 /// Default number of children per internal node.
 pub const DEFAULT_INTERNAL_CAP: usize = 256;
@@ -26,8 +32,10 @@ type NodeId = usize;
 #[derive(Debug)]
 enum Node {
     Leaf {
-        /// `(key, rid)` entries sorted by key then rid.
-        entries: Vec<(Value, Rid)>,
+        /// Keys in ascending order; `rids[i]` belongs to `keys[i]`, and
+        /// equal keys are ordered by rid.
+        keys: Vec<i64>,
+        rids: Vec<Rid>,
         /// Right sibling for range scans.
         next: Option<NodeId>,
     },
@@ -35,12 +43,12 @@ enum Node {
         /// Separator keys; `children[i]` holds keys `< keys[i]`,
         /// `children[len]` holds the rest. Separators equal the first key of
         /// the right child's subtree.
-        keys: Vec<Value>,
+        keys: Vec<i64>,
         children: Vec<NodeId>,
     },
 }
 
-/// A B+-tree mapping [`Value`] keys to record ids, with duplicates.
+/// A B+-tree mapping `i64` keys to record ids, with duplicates.
 pub struct BTreeIndex {
     nodes: Vec<Node>,
     root: NodeId,
@@ -62,7 +70,8 @@ impl BTreeIndex {
         assert!(leaf_cap >= 2 && internal_cap >= 3, "degenerate node caps");
         BTreeIndex {
             nodes: vec![Node::Leaf {
-                entries: Vec::new(),
+                keys: Vec::new(),
+                rids: Vec::new(),
                 next: None,
             }],
             root: 0,
@@ -74,43 +83,26 @@ impl BTreeIndex {
     }
 
     /// Bulk-load from entries sorted by key (then rid). Errors if unsorted.
-    pub fn bulk_load(
-        entries: Vec<(Value, Rid)>,
-        leaf_cap: usize,
-        internal_cap: usize,
-    ) -> Result<Self> {
-        for w in entries.windows(2) {
-            let ord = cmp_entry(&w[0], &w[1]);
-            if ord == Ordering::Greater {
-                return Err(EngineError::storage("bulk_load input not sorted"));
-            }
+    pub fn bulk_load(entries: &[(i64, Rid)], leaf_cap: usize, internal_cap: usize) -> Result<Self> {
+        if !entries.is_sorted() {
+            return Err(EngineError::storage("bulk_load input not sorted"));
         }
         let mut tree = Self::with_caps(leaf_cap, internal_cap);
+        if entries.is_empty() {
+            return Ok(tree);
+        }
         tree.nodes.clear();
         tree.entry_count = entries.len() as u64;
 
         // Build leaf level: fill leaves to ~ 2/3 capacity for realistic fanout.
         let per_leaf = (leaf_cap * 2 / 3).max(1);
-        let mut level: Vec<(NodeId, Value)> = Vec::new(); // (node, first key)
-        if entries.is_empty() {
-            tree.nodes.push(Node::Leaf {
-                entries: Vec::new(),
-                next: None,
-            });
-            tree.root = 0;
-            tree.height = 1;
-            return Ok(tree);
-        }
+        let mut level: Vec<(NodeId, i64)> = Vec::new(); // (node, first key)
         let mut prev_leaf: Option<NodeId> = None;
-        // Chunk via slices: carving with split_off would leave every leaf
-        // holding a buffer with the *original* Vec's capacity (a multi-GB
-        // retention bug found by memory profiling).
         for chunk in entries.chunks(per_leaf) {
-            let chunk = chunk.to_vec();
-            let first_key = chunk[0].0.clone();
             let id = tree.nodes.len();
             tree.nodes.push(Node::Leaf {
-                entries: chunk,
+                keys: chunk.iter().map(|e| e.0).collect(),
+                rids: chunk.iter().map(|e| e.1).collect(),
                 next: None,
             });
             if let Some(prev) = prev_leaf {
@@ -119,7 +111,7 @@ impl BTreeIndex {
                 }
             }
             prev_leaf = Some(id);
-            level.push((id, first_key));
+            level.push((id, chunk[0].0));
         }
         let mut height = 1u32;
         // Build internal levels bottom-up.
@@ -132,12 +124,11 @@ impl BTreeIndex {
                 // Avoid a final single-child node.
                 let end = if level.len() - end == 1 { end + 1 } else { end };
                 let group = &level[i..end];
-                let keys: Vec<Value> = group[1..].iter().map(|(_, k)| k.clone()).collect();
+                let keys: Vec<i64> = group[1..].iter().map(|(_, k)| *k).collect();
                 let children: Vec<NodeId> = group.iter().map(|(id, _)| *id).collect();
-                let first_key = group[0].1.clone();
                 let id = tree.nodes.len();
                 tree.nodes.push(Node::Internal { keys, children });
-                next_level.push((id, first_key));
+                next_level.push((id, group[0].1));
                 i = end;
             }
             level = next_level;
@@ -167,8 +158,8 @@ impl BTreeIndex {
     }
 
     /// Insert one entry, splitting nodes as needed.
-    pub fn insert(&mut self, key: Value, rid: Rid) {
-        if let Some((sep, right)) = self.insert_rec(self.root, &key, rid) {
+    pub fn insert(&mut self, key: i64, rid: Rid) {
+        if let Some((sep, right)) = self.insert_rec(self.root, key, rid) {
             let new_root = self.nodes.len();
             self.nodes.push(Node::Internal {
                 keys: vec![sep],
@@ -181,22 +172,22 @@ impl BTreeIndex {
     }
 
     /// Recursive insert; returns `(separator, new_right_node)` on split.
-    fn insert_rec(&mut self, node: NodeId, key: &Value, rid: Rid) -> Option<(Value, NodeId)> {
+    fn insert_rec(&mut self, node: NodeId, key: i64, rid: Rid) -> Option<(i64, NodeId)> {
         match &mut self.nodes[node] {
-            Node::Leaf { entries, .. } => {
-                let probe = (key.clone(), rid);
-                let pos = entries
-                    .binary_search_by(|e| cmp_entry(e, &probe))
-                    .unwrap_or_else(|p| p);
-                entries.insert(pos, probe);
-                if entries.len() > self.leaf_cap {
+            Node::Leaf { keys, rids, .. } => {
+                let lo = keys.partition_point(|&k| k < key);
+                let hi = lo + keys[lo..].partition_point(|&k| k == key);
+                let pos = lo + rids[lo..hi].partition_point(|r| *r < rid);
+                keys.insert(pos, key);
+                rids.insert(pos, rid);
+                if keys.len() > self.leaf_cap {
                     Some(self.split_leaf(node))
                 } else {
                     None
                 }
             }
             Node::Internal { keys, children } => {
-                let child_idx = child_index(keys, key);
+                let child_idx = keys.partition_point(|&k| k < key);
                 let child = children[child_idx];
                 let split = self.insert_rec(child, key, rid);
                 if let Some((sep, right)) = split {
@@ -213,17 +204,18 @@ impl BTreeIndex {
         }
     }
 
-    fn split_leaf(&mut self, node: NodeId) -> (Value, NodeId) {
+    fn split_leaf(&mut self, node: NodeId) -> (i64, NodeId) {
         let new_id = self.nodes.len();
         let (sep, right) = {
-            let Node::Leaf { entries, next } = &mut self.nodes[node] else {
+            let Node::Leaf { keys, rids, next } = &mut self.nodes[node] else {
                 unreachable!()
             };
-            let mid = entries.len() / 2;
-            let right_entries = entries.split_off(mid);
-            let sep = right_entries[0].0.clone();
+            let mid = keys.len() / 2;
+            let right_keys = keys.split_off(mid);
+            let sep = right_keys[0];
             let right = Node::Leaf {
-                entries: right_entries,
+                keys: right_keys,
+                rids: rids.split_off(mid),
                 next: *next,
             };
             *next = Some(new_id);
@@ -233,7 +225,7 @@ impl BTreeIndex {
         (sep, new_id)
     }
 
-    fn split_internal(&mut self, node: NodeId) -> (Value, NodeId) {
+    fn split_internal(&mut self, node: NodeId) -> (i64, NodeId) {
         let new_id = self.nodes.len();
         let (sep, right) = {
             let Node::Internal { keys, children } = &mut self.nodes[node] else {
@@ -255,55 +247,52 @@ impl BTreeIndex {
         (sep, new_id)
     }
 
-    /// Descend to the leaf that may contain `key`, charging one unit per
-    /// node visited. Returns the leaf id and the charged descent length.
-    fn descend(&self, key: &Value, meter: &WorkMeter) -> NodeId {
+    /// Descend to the leaf that may contain `probe`, charging one unit per
+    /// node visited.
+    fn descend(&self, probe: &Value, meter: &WorkMeter) -> NodeId {
         let mut node = self.root;
         loop {
             meter.charge(1);
             match &self.nodes[node] {
                 Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
-                    node = children[child_index(keys, key)];
+                    node = children[below(keys, probe)];
                 }
             }
         }
     }
 
-    /// All rids with key exactly `key`; charges descent plus every leaf
+    /// All rids with key equal to `probe`; charges descent plus every leaf
     /// touched (heap fetches are the caller's responsibility).
-    pub fn lookup(&self, key: &Value, meter: &WorkMeter) -> Vec<Rid> {
+    pub fn lookup(&self, probe: &Value, meter: &WorkMeter) -> Vec<Rid> {
         let mut out = Vec::new();
-        self.lookup_into(key, meter, &mut out);
+        self.lookup_into(probe, meter, &mut out);
         out
     }
 
     /// [`BTreeIndex::lookup`] into a buffer the caller reuses from probe to
     /// probe; `out` is cleared first.
     ///
-    /// Because separators route equal keys *left* (see `child_index`),
-    /// duplicates of a key may span several leaves; the lookup walks the
-    /// sibling chain until it sees an entry greater than `key`.
-    pub fn lookup_into(&self, key: &Value, meter: &WorkMeter, out: &mut Vec<Rid>) {
+    /// Because separators route equal keys *left* (see `below`), duplicates
+    /// of a key may span several leaves; the lookup walks the sibling chain
+    /// until it sees a key greater than `probe`.
+    pub fn lookup_into(&self, probe: &Value, meter: &WorkMeter, out: &mut Vec<Rid>) {
         out.clear();
-        let mut leaf = Some(self.descend(key, meter));
+        let mut leaf = Some(self.descend(probe, meter));
         let mut first = true;
         while let Some(l) = leaf {
-            let Node::Leaf { entries, next } = &self.nodes[l] else {
+            let Node::Leaf { keys, rids, next } = &self.nodes[l] else {
                 unreachable!()
             };
             if !first {
                 meter.charge(1); // following the sibling chain touches a page
             }
             first = false;
-            let start = entries.partition_point(|(k, _)| k.total_cmp(key) == Ordering::Less);
-            let mut i = start;
-            while i < entries.len() && entries[i].0.total_cmp(key) == Ordering::Equal {
-                out.push(entries[i].1);
-                i += 1;
-            }
-            if i == entries.len() {
-                // Key is ≥ everything seen in this leaf; duplicates (or the
+            let start = below(keys, probe);
+            let end = start + at_most(&keys[start..], probe);
+            out.extend_from_slice(&rids[start..end]);
+            if end == keys.len() {
+                // Probe is ≥ everything seen in this leaf; duplicates (or the
                 // key itself) may continue in the right sibling.
                 leaf = *next;
             } else {
@@ -323,11 +312,10 @@ impl BTreeIndex {
         let (leaf, pos) = match lo {
             Some(k) => {
                 let leaf = self.descend(k, meter);
-                let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
+                let Node::Leaf { keys, .. } = &self.nodes[leaf] else {
                     unreachable!()
                 };
-                let pos = entries.partition_point(|(ek, _)| ek.total_cmp(k) == Ordering::Less);
-                (leaf, pos)
+                (leaf, below(keys, k))
             }
             None => {
                 // Leftmost leaf: descend on the minimal key path.
@@ -349,31 +337,32 @@ impl BTreeIndex {
         }
     }
 
-    /// The in-range entries left in the leaf a range scan stands in; the
-    /// scan moves to the next leaf first, charging one unit, when this one
-    /// is used up. Empty once the range is exhausted. Handing out a leaf's
-    /// worth at a time lets the caller resolve the heap pages of all its
-    /// rids together ([`crate::heap::HeapFile::resolve`]).
-    pub fn range_next_leaf(&self, st: &mut RangeState, meter: &WorkMeter) -> &[(Value, Rid)] {
+    /// The rids of the in-range entries left in the leaf a range scan
+    /// stands in; the scan moves to the next leaf first, charging one unit,
+    /// when this one is used up. Empty once the range is exhausted. Handing
+    /// out a leaf's worth at a time lets the caller resolve the heap pages of
+    /// all its rids together ([`crate::heap::HeapFile::resolve`]).
+    pub fn range_next_leaf(&self, st: &mut RangeState, meter: &WorkMeter) -> &[Rid] {
         loop {
             let Some(leaf) = st.leaf else {
                 return &[];
             };
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
+            let Node::Leaf { keys, rids, next } = &self.nodes[leaf] else {
                 unreachable!()
             };
-            if st.pos < entries.len() {
-                let rest = &entries[st.pos..];
+            if st.pos < keys.len() {
+                let rest = &keys[st.pos..];
                 let n = match &st.hi {
-                    Some(hi) => rest.partition_point(|(k, _)| k.total_cmp(hi) != Ordering::Greater),
+                    Some(hi) => at_most(rest, hi),
                     None => rest.len(),
                 };
+                let start = st.pos;
                 if n < rest.len() {
                     st.leaf = None;
                 } else {
-                    st.pos = entries.len();
+                    st.pos = keys.len();
                 }
-                return &rest[..n];
+                return &rids[start..start + n];
             }
             st.leaf = *next;
             st.pos = 0;
@@ -398,25 +387,43 @@ pub struct RangeState {
     hi: Option<Value>,
 }
 
-fn cmp_entry(a: &(Value, Rid), b: &(Value, Rid)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
+/// Key `k` against a probe of any type: exactly
+/// `Value::Int(k).total_cmp(probe)`, without building the `Value`. Every
+/// `Int` sorts after NULL and before every string, and against a `Float` it
+/// compares as `k as f64` under `f64::total_cmp`. Each arm is monotone in
+/// `k`, so the keys below any probe form a prefix of a sorted node and
+/// `partition_point` finds its end.
+pub fn cmp_key(k: i64, probe: &Value) -> Ordering {
+    match probe {
+        Value::Int(p) => k.cmp(p),
+        Value::Float(p) => (k as f64).total_cmp(p),
+        Value::Null => Ordering::Greater,
+        Value::Str(_) => Ordering::Less,
+    }
 }
 
-/// Index of the child to follow for `key` given separator `keys`.
+/// How many of the sorted `keys` compare below `probe`: the child to follow
+/// in an internal node, the first candidate in a leaf.
 ///
 /// Equal keys route *left*: with duplicates a separator may equal keys that
 /// live at the tail of the left subtree, so descent lands on the leftmost
 /// candidate leaf and [`BTreeIndex::lookup`] walks right along the sibling
 /// chain. Inserts use the same routing, keeping reads and writes consistent.
-fn child_index(keys: &[Value], key: &Value) -> usize {
-    keys.partition_point(|k| k.total_cmp(key) == Ordering::Less)
+fn below(keys: &[i64], probe: &Value) -> usize {
+    keys.partition_point(|&k| cmp_key(k, probe) == Ordering::Less)
+}
+
+/// How many of the sorted `keys` compare at or below `probe`.
+fn at_most(keys: &[i64], probe: &Value) -> usize {
+    keys.partition_point(|&k| cmp_key(k, probe) != Ordering::Greater)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The keys a range scan still has to hand out, leaf by leaf.
+    /// The keys a range scan still has to hand out, leaf by leaf (these
+    /// tests give key `k` the rid `rid(k)`).
     fn drain_keys(t: &BTreeIndex, st: &mut RangeState, m: &WorkMeter) -> Vec<i64> {
         let mut got = Vec::new();
         loop {
@@ -424,7 +431,7 @@ mod tests {
             if leaf.is_empty() {
                 return got;
             }
-            got.extend(leaf.iter().map(|(k, _)| k.as_i64().unwrap()));
+            got.extend(leaf.iter().map(|r| i64::from(r.page)));
         }
     }
 
@@ -439,7 +446,7 @@ mod tests {
     fn insert_and_lookup_unique_keys() {
         let mut t = BTreeIndex::with_caps(4, 4);
         for i in 0..1000i64 {
-            t.insert(Value::Int(i), rid(i as u32));
+            t.insert(i, rid(i as u32));
         }
         assert_eq!(t.entry_count(), 1000);
         assert!(t.height() > 2, "small caps should force a deep tree");
@@ -456,13 +463,13 @@ mod tests {
         let mut t = BTreeIndex::with_caps(4, 4);
         // 50 duplicates of one key, surrounded by other keys.
         for i in 0..20i64 {
-            t.insert(Value::Int(i), rid(i as u32));
+            t.insert(i, rid(i as u32));
         }
         for d in 0..50u32 {
-            t.insert(Value::Int(100), rid(1000 + d));
+            t.insert(100, rid(1000 + d));
         }
         for i in 200..220i64 {
-            t.insert(Value::Int(i), rid(i as u32));
+            t.insert(i, rid(i as u32));
         }
         let m = WorkMeter::new();
         let rids = t.lookup(&Value::Int(100), &m);
@@ -479,17 +486,17 @@ mod tests {
     #[test]
     fn bulk_load_matches_incremental_inserts() {
         let keys: Vec<i64> = (0..500).map(|i| (i * 37) % 250).collect();
-        let mut sorted: Vec<(Value, Rid)> = keys
+        let mut sorted: Vec<(i64, Rid)> = keys
             .iter()
             .enumerate()
-            .map(|(n, k)| (Value::Int(*k), rid(n as u32)))
+            .map(|(n, k)| (*k, rid(n as u32)))
             .collect();
-        sorted.sort_by(cmp_entry);
-        let bulk = BTreeIndex::bulk_load(sorted, 8, 8).unwrap();
+        sorted.sort();
+        let bulk = BTreeIndex::bulk_load(&sorted, 8, 8).unwrap();
 
         let mut incr = BTreeIndex::with_caps(8, 8);
         for (n, k) in keys.iter().enumerate() {
-            incr.insert(Value::Int(*k), rid(n as u32));
+            incr.insert(*k, rid(n as u32));
         }
         let m = WorkMeter::new();
         for k in 0..250i64 {
@@ -503,15 +510,15 @@ mod tests {
 
     #[test]
     fn bulk_load_rejects_unsorted() {
-        let entries = vec![(Value::Int(5), rid(0)), (Value::Int(1), rid(1))];
-        assert!(BTreeIndex::bulk_load(entries, 8, 8).is_err());
+        let entries = [(5, rid(0)), (1, rid(1))];
+        assert!(BTreeIndex::bulk_load(&entries, 8, 8).is_err());
     }
 
     #[test]
     fn range_scan_inclusive_bounds() {
         let mut t = BTreeIndex::with_caps(4, 4);
         for i in 0..100i64 {
-            t.insert(Value::Int(i), rid(i as u32));
+            t.insert(i, rid(i as u32));
         }
         let m = WorkMeter::new();
         let mut st = t.range_start(Some(&Value::Int(10)), Some(&Value::Int(20)), &m);
@@ -524,7 +531,7 @@ mod tests {
         let mut t = BTreeIndex::with_caps(4, 4);
         let mut keys: Vec<i64> = (0..200).map(|i| (i * 73) % 199).collect();
         for k in &keys {
-            t.insert(Value::Int(*k), rid(*k as u32));
+            t.insert(*k, rid(*k as u32));
         }
         keys.sort();
         let m = WorkMeter::new();
@@ -537,7 +544,7 @@ mod tests {
     fn lookup_charges_at_least_height() {
         let mut t = BTreeIndex::with_caps(4, 4);
         for i in 0..500i64 {
-            t.insert(Value::Int(i), rid(i as u32));
+            t.insert(i, rid(i as u32));
         }
         let m = WorkMeter::new();
         t.lookup(&Value::Int(250), &m);
@@ -551,5 +558,7 @@ mod tests {
         assert!(t.lookup(&Value::Int(1), &m).is_empty());
         let mut st = t.range_start(None, None, &m);
         assert!(t.range_next_leaf(&mut st, &m).is_empty());
+        let empty = BTreeIndex::bulk_load(&[], 8, 8).unwrap();
+        assert_eq!((empty.height(), empty.leaf_count()), (1, 1));
     }
 }

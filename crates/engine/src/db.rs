@@ -47,7 +47,7 @@ use crate::heap::{HeapFile, ScanState};
 use crate::meter::WorkMeter;
 use crate::plan::cost::IndexMeta;
 use crate::plan::planner::{plan_query, PlannedQuery};
-use crate::schema::Schema;
+use crate::schema::{ColumnType, Schema};
 use crate::sql::parse_query;
 use crate::stats::TableStats;
 use crate::tuple::{ColumnMask, Tuple};
@@ -169,7 +169,10 @@ impl Database {
         for row in rows {
             let rid = t.heap.insert(row)?;
             for idx in &mut t.indexes {
-                idx.tree.insert(row[idx.column].clone(), rid);
+                // A NULL key is not entered (see `btree`).
+                if let Value::Int(k) = row[idx.column] {
+                    idx.tree.insert(k, rid);
+                }
             }
         }
         t.stats.row_count = t.heap.row_count();
@@ -177,15 +180,22 @@ impl Database {
         Ok(())
     }
 
-    /// Build a B+-tree index on `column_name` (bulk-loaded from the heap).
-    /// The scan decodes only the key column (every column is still
-    /// checked) and moves each key into the entry list.
+    /// Build a B+-tree index on the `Int` column `column_name` (bulk-loaded
+    /// from the heap); any other column type is a catalog error. The scan
+    /// decodes only the key column (every column is still checked), and
+    /// rows whose key is NULL are not entered.
     pub fn create_index(&mut self, table: &str, column_name: &str) -> Result<()> {
         let t = self.table_mut(table)?;
         let column = t.schema.index_of(column_name)?;
         if t.index_on(column).is_some() {
             return Err(EngineError::catalog(format!(
                 "index on {table}.{column_name} already exists"
+            )));
+        }
+        let ty = t.schema.column(column).ty;
+        if ty != ColumnType::Int {
+            return Err(EngineError::catalog(format!(
+                "cannot index {table}.{column_name}: an index key must be Int, not {ty:?}"
             )));
         }
         // Index build uses a scratch meter: maintenance work is not charged
@@ -197,13 +207,15 @@ impl Database {
         let mut entries = Vec::with_capacity(t.heap.row_count() as usize);
         let mut row = Tuple::new();
         while let Some(rid) = t.heap.scan_next(&mut st, &scratch, key_only, &mut row)? {
-            entries.push((std::mem::replace(&mut row[column], Value::Null), rid));
+            if let Value::Int(k) = row[column] {
+                entries.push((k, rid));
+            }
         }
         // Rids are unique, so no two entries compare equal and the
         // in-place unstable sort gives the stable sort's order, without
         // its scratch buffer the size of the input.
-        entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let tree = BTreeIndex::bulk_load(entries, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)?;
+        entries.sort_unstable();
+        let tree = BTreeIndex::bulk_load(&entries, DEFAULT_LEAF_CAP, DEFAULT_INTERNAL_CAP)?;
         t.indexes.push(IndexDef { column, tree });
         Ok(())
     }

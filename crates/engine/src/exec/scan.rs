@@ -269,7 +269,7 @@ impl Operator for IndexScanRange {
             self.rids.clear();
             self.pos = 0;
             let leaf = idx.tree.range_next_leaf(st, &ctx.meter);
-            self.rids.extend(leaf.iter().map(|(_, rid)| *rid));
+            self.rids.extend_from_slice(leaf);
             heap.resolve(&self.rids);
         }
         let Some(&rid) = self.rids.get(self.pos) else {

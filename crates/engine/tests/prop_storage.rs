@@ -6,12 +6,15 @@
 
 use proptest::prelude::*;
 
-use mqpi_engine::btree::BTreeIndex;
+use mqpi_engine::btree::{cmp_key, BTreeIndex};
 use mqpi_engine::heap::{HeapFile, Rid, ScanState};
 use mqpi_engine::meter::WorkMeter;
 use mqpi_engine::page::Page;
 use mqpi_engine::tuple::{self, ColumnMask};
 use mqpi_engine::value::Value;
+
+mod value_btree;
+use value_btree::ValueBTree;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -33,6 +36,116 @@ fn mask_of(bits: u64) -> ColumnMask {
         .filter(|i| bits >> i & 1 == 1)
         .for_each(|i| mask.insert(i));
     mask
+}
+
+const TWO_53: i64 = 1 << 53;
+
+/// An index key, or `None` for a row whose key is NULL: small values so
+/// that duplicates span leaves, values around 2^53 where `i64 → f64`
+/// rounds, and the extremes.
+fn arb_key() -> impl Strategy<Value = Option<i64>> {
+    prop_oneof![
+        (-40i64..40).prop_map(Some),
+        (-40i64..40).prop_map(Some),
+        (-3i64..4).prop_map(|d| Some(TWO_53 + d)),
+        prop::sample::select(vec![
+            i64::MIN,
+            i64::MIN + 1,
+            -TWO_53,
+            i64::MAX - 1,
+            i64::MAX
+        ])
+        .prop_map(Some),
+        Just(None),
+    ]
+}
+
+/// A probe of any type: `Int`s in and beyond the keys; `Float`s that are
+/// integral, non-integral, ±0.0, NaN of either sign, infinite or beyond
+/// 2^53; strings; NULL.
+fn arb_probe() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        (-45i64..45).prop_map(Value::Int),
+        (-3i64..4).prop_map(|d| Value::Int(TWO_53 + d)),
+        prop::sample::select(vec![i64::MIN, i64::MAX]).prop_map(Value::Int),
+        (-45i64..45).prop_map(|k| Value::Float(k as f64)),
+        (-90i64..90).prop_map(|k| Value::Float(k as f64 / 2.0 + 0.25)),
+        prop::sample::select(vec![
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            TWO_53 as f64,
+            (TWO_53 + 2) as f64,
+            -(TWO_53 as f64),
+            9.3e18,
+            -9.3e18,
+            i64::MAX as f64,
+            i64::MIN as f64,
+        ])
+        .prop_map(Value::Float),
+        ".{0,3}".prop_map(Value::Str),
+        Just(Value::Null),
+    ]
+}
+
+/// The rows whose key is not NULL, as `(rid, key)`: what an index holds.
+fn non_null(keys: &[Option<i64>]) -> Vec<(Rid, i64)> {
+    keys.iter()
+        .enumerate()
+        .filter_map(|(i, k)| {
+            Some((
+                Rid {
+                    page: i as u32,
+                    slot: (i % 5) as u16,
+                },
+                (*k)?,
+            ))
+        })
+        .collect()
+}
+
+/// Every probe as a lookup, and every pair of probes (or none) as the
+/// bounds of a range scan: the same rids leaf by leaf, the same units.
+fn check_against_oracle(
+    tree: &BTreeIndex,
+    oracle: &ValueBTree,
+    probes: &[Value],
+) -> Result<(), TestCaseError> {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    for p in probes {
+        let (m, mo) = (WorkMeter::new(), WorkMeter::new());
+        tree.lookup_into(p, &m, &mut got);
+        oracle.lookup_into(p, &mo, &mut want);
+        prop_assert_eq!(&got, &want, "lookup {:?}", p);
+        prop_assert_eq!(m.used(), mo.used(), "lookup {:?}", p);
+    }
+    let bounds: Vec<Option<&Value>> = std::iter::once(None)
+        .chain(probes.iter().map(Some))
+        .collect();
+    for lo in &bounds {
+        for hi in &bounds {
+            let (m, mo) = (WorkMeter::new(), WorkMeter::new());
+            let mut st = tree.range_start(*lo, *hi, &m);
+            let mut so = oracle.range_start(*lo, *hi, &mo);
+            loop {
+                let leaf = tree.range_next_leaf(&mut st, &m);
+                let want: Vec<Rid> = oracle
+                    .range_next_leaf(&mut so, &mo)
+                    .iter()
+                    .map(|e| e.1)
+                    .collect();
+                prop_assert_eq!(leaf, &want[..], "range {:?}..={:?}", lo, hi);
+                if leaf.is_empty() {
+                    break;
+                }
+            }
+            prop_assert_eq!(m.used(), mo.used(), "range {:?}..={:?}", lo, hi);
+        }
+    }
+    Ok(())
 }
 
 /// A pruned decode skips materialising columns, never checking them: over a
@@ -246,7 +359,7 @@ proptest! {
         let mut model: std::collections::BTreeMap<i64, Vec<Rid>> = Default::default();
         for (i, k) in keys.iter().enumerate() {
             let rid = Rid { page: i as u32, slot: 0 };
-            tree.insert(Value::Int(*k), rid);
+            tree.insert(*k, rid);
             model.entry(*k).or_default().push(rid);
         }
         let m = WorkMeter::new();
@@ -268,7 +381,7 @@ proptest! {
         let hi = lo + len;
         let mut tree = BTreeIndex::with_caps(4, 4);
         for (i, k) in keys.iter().enumerate() {
-            tree.insert(Value::Int(*k), Rid { page: i as u32, slot: 0 });
+            tree.insert(*k, Rid { page: i as u32, slot: 0 });
         }
         let m = WorkMeter::new();
         let mut st = tree.range_start(Some(&Value::Int(lo)), Some(&Value::Int(hi)), &m);
@@ -278,7 +391,7 @@ proptest! {
             if leaf.is_empty() {
                 break;
             }
-            got.extend(leaf.iter().map(|(k, _)| k.as_i64().unwrap()));
+            got.extend(leaf.iter().map(|r| keys[r.page as usize]));
         }
         let mut want: Vec<i64> = keys.iter().filter(|k| **k >= lo && **k <= hi).cloned().collect();
         want.sort();
@@ -289,16 +402,16 @@ proptest! {
     fn btree_bulk_load_equals_incremental(
         keys in prop::collection::vec(0i64..60, 0..300),
     ) {
-        let mut entries: Vec<(Value, Rid)> = keys
+        let mut entries: Vec<(i64, Rid)> = keys
             .iter()
             .enumerate()
-            .map(|(i, k)| (Value::Int(*k), Rid { page: i as u32, slot: 0 }))
+            .map(|(i, k)| (*k, Rid { page: i as u32, slot: 0 }))
             .collect();
-        entries.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let bulk = BTreeIndex::bulk_load(entries, 6, 6).unwrap();
+        entries.sort();
+        let bulk = BTreeIndex::bulk_load(&entries, 6, 6).unwrap();
         let mut incr = BTreeIndex::with_caps(6, 6);
         for (i, k) in keys.iter().enumerate() {
-            incr.insert(Value::Int(*k), Rid { page: i as u32, slot: 0 });
+            incr.insert(*k, Rid { page: i as u32, slot: 0 });
         }
         let m = WorkMeter::new();
         for k in 0i64..60 {
@@ -309,6 +422,49 @@ proptest! {
             prop_assert_eq!(a, b);
         }
         prop_assert_eq!(bulk.entry_count(), incr.entry_count());
+    }
+
+    #[test]
+    fn cmp_key_is_int_total_cmp(k in arb_key(), probe in arb_probe()) {
+        let k = k.unwrap_or(0);
+        prop_assert_eq!(cmp_key(k, &probe), Value::Int(k).total_cmp(&probe), "{} vs {:?}", k, probe);
+    }
+
+    /// Inserted row by row at small caps (every split path, duplicates
+    /// across leaves), the `i64` tree hands out what the `Value`-keyed one
+    /// does, rid for rid and unit for unit, for probes of every type.
+    #[test]
+    fn btree_inserts_match_the_value_keyed_oracle(
+        keys in prop::collection::vec(arb_key(), 0..300),
+        leaf_cap in 2usize..9,
+        internal_cap in 3usize..9,
+        probes in prop::collection::vec(arb_probe(), 1..10),
+    ) {
+        let mut tree = BTreeIndex::with_caps(leaf_cap, internal_cap);
+        let mut oracle = ValueBTree::with_caps(leaf_cap, internal_cap);
+        for (rid, k) in non_null(&keys) {
+            tree.insert(k, rid);
+            oracle.insert(Value::Int(k), rid);
+        }
+        check_against_oracle(&tree, &oracle, &probes)?;
+    }
+
+    /// The same, bulk-loaded from sorted entries.
+    #[test]
+    fn btree_bulk_load_matches_the_value_keyed_oracle(
+        keys in prop::collection::vec(arb_key(), 0..300),
+        leaf_cap in 2usize..9,
+        internal_cap in 3usize..9,
+        probes in prop::collection::vec(arb_probe(), 1..10),
+    ) {
+        let mut entries = non_null(&keys);
+        entries.sort_by_key(|&(rid, k)| (k, rid));
+        let typed: Vec<(i64, Rid)> = entries.iter().map(|&(rid, k)| (k, rid)).collect();
+        let valued: Vec<(Value, Rid)> = entries.iter().map(|&(rid, k)| (Value::Int(k), rid)).collect();
+        let tree = BTreeIndex::bulk_load(&typed, leaf_cap, internal_cap).unwrap();
+        let oracle = ValueBTree::bulk_load(&valued, leaf_cap, internal_cap);
+        prop_assert_eq!(tree.entry_count(), typed.len() as u64);
+        check_against_oracle(&tree, &oracle, &probes)?;
     }
 
     #[test]

@@ -467,3 +467,107 @@ fn subquery_naming_two_tables_is_refused() {
          (select avg(c.salary) from emp c join dept d on c.dept = d.id where c.dept = e.dept)",
     );
 }
+
+/// A subquery may name columns of its own block and of its immediate
+/// parent, not of a block further out: the grandparent's `p.partkey` in the
+/// innermost block is a plan error.
+#[test]
+fn grandparent_correlation_is_refused() {
+    let mut db = Database::new();
+    for t in ["part_s1", "lineitem"] {
+        db.create_table(
+            t,
+            Schema::from_pairs(&[("partkey", ColumnType::Int)]).unwrap(),
+        )
+        .unwrap();
+        db.insert(t, &[vec![Value::Int(1)]]).unwrap();
+    }
+    let r = db
+        .prepare(
+            "select count(*) from part_s1 p where exists \
+             (select * from lineitem l where l.partkey = p.partkey and exists \
+              (select * from lineitem l2 where l2.partkey = p.partkey))",
+        )
+        .map(|p| p.explain());
+    assert_eq!(
+        r,
+        Err(EngineError::plan("unresolved column 'p.partkey'")),
+        "{r:?}"
+    );
+}
+
+fn keyed_table() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        "t",
+        Schema::from_pairs(&[
+            ("k", ColumnType::Int),
+            ("price", ColumnType::Float),
+            ("name", ColumnType::Str),
+        ])
+        .unwrap(),
+    )
+    .unwrap();
+    let rows: Vec<Vec<Value>> = (0..6000)
+        .map(|i| {
+            let k = if i % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 500)
+            };
+            vec![k, Value::Float(i as f64 / 4.0), Value::str(format!("n{i}"))]
+        })
+        .collect();
+    db.insert("t", &rows).unwrap();
+    db
+}
+
+/// An index key is an `Int`: indexing a `Str` or a `Float` column is a
+/// catalog error that leaves the table without an index.
+#[test]
+fn index_on_a_non_int_column_is_a_catalog_error() {
+    let mut db = keyed_table();
+    for col in ["name", "price"] {
+        let r = db.create_index("t", col);
+        assert!(matches!(r, Err(EngineError::Catalog(_))), "{col}: {r:?}");
+    }
+    assert!(db.table("t").unwrap().indexes.is_empty());
+    db.create_index("t", "k").unwrap();
+}
+
+/// Rows whose key is NULL are not entered, whether the index is built over
+/// them or they arrive after it; the index answers equality and ranges as
+/// the sequential scan does.
+#[test]
+fn null_keys_are_not_indexed() {
+    let late = [
+        vec![Value::Null, Value::Float(0.5), Value::str("late")],
+        vec![Value::Int(7), Value::Float(0.5), Value::str("late")],
+    ];
+    let mut plain = keyed_table();
+    plain.insert("t", &late).unwrap();
+    let mut db = keyed_table();
+    db.create_index("t", "k").unwrap();
+    db.insert("t", &late).unwrap();
+    db.analyze("t").unwrap();
+    let tree = &db.table("t").unwrap().indexes[0].tree;
+    assert_eq!(tree.entry_count(), 4501);
+    for sql in [
+        "select count(*), sum(price) from t where k = 7",
+        "select count(*), sum(price) from t where k between 10 and 12",
+        "select count(*), sum(price) from t where k < 3",
+        "select count(*) from t where k = 7.0",
+        "select count(*) from t where k is null",
+    ] {
+        assert_eq!(
+            db.execute(sql).unwrap(),
+            plain.execute(sql).unwrap(),
+            "{sql}"
+        );
+    }
+    let explain = db
+        .prepare("select count(*) from t where k = 7")
+        .unwrap()
+        .explain();
+    assert!(explain.contains("IndexScan"), "{explain}");
+}
