@@ -1,26 +1,30 @@
 //! `bench-pair`: the benchmark's paired-run protocol, in code.
 //!
 //! ```text
-//! bench-pair A B [--workloads W,..] [--seeds N,..] [--pairs K]
-//!                [--seconds S] [--scale F] [--reps R] [--out FILE]
+//! bench-pair A B [--seeds N,..] [--pairs K] [--scale F] [--reps R] [--out FILE]
 //! ```
 //!
 //! `A` (the parent) and `B` (the change) are two built `mqpi-e2e` binaries
 //! (`benchmark/`). For every workload and seed the two run `K` times each,
 //! alternately, and the side that runs first swaps from one pair to the
-//! next. Each run is `--workload W --seed N --seconds S --trace 0` (plus
-//! `--scale` and `--reps` when given); its stdout is parsed: the result line
-//! (the last) and the `exact …` lines.
+//! next. Each run is `--workload W --seed N --trace 0` (plus `--scale` and
+//! `--reps` when given), so the benchmark's own default sets its length;
+//! its stdout is parsed: the result line (the last) and the `exact …` lines.
 //!
-//! The JSON report gives, per workload and end-to-end metric of
-//! `BENCHMARK.json`: every run's value, each side's median and quartiles,
-//! the median and range of the pair ratios B/A, how many pairs B won (ties
-//! count for neither), and whether the gain rule holds (B wins at least nine
-//! pairs in ten and its median differs from A's by more than the distance
-//! between A's quartiles). Per workload it gives the `failed` counts and
-//! whether every run's `exact` lines equal the first run's of that seed.
-//! The verdict is `mqpi-e2e --compare`'s rule on the medians: no metric
-//! worse than its bound and every `exact` line equal.
+//! The JSON report gives, per workload and end-to-end metric (the
+//! benchmark's `END_TO_END` table, with the bounds of `BENCHMARK.json`):
+//! every run's value, each side's median and quartiles, the median and
+//! range of the pair ratios B/A, how many pairs B won (ties count for
+//! neither), whether the gain rule holds (B wins at least nine pairs in ten
+//! and its median differs from A's by more than the distance between A's
+//! quartiles), and whether the metric is unresolved: A's quartile distance
+//! is wider than the bound (as a share of A's median), so a median inside
+//! the bound tells nothing, and B does not settle it by beating every A run
+//! in every run. Per workload it gives the `failed` counts and whether every
+//! run's `exact` lines equal the first run's of that seed. The verdict is
+//! `worse` when a median is worse than its bound or an `exact` line
+//! differs (`mqpi-e2e --compare`'s rule), else `unresolved` when a metric
+//! is, else `ok`.
 //!
 //! Exit status: 2 on a usage error; 1 when a run cannot be started or
 //! parsed, reports `failed` > 0, or an `exact` line differs; else 0. The
@@ -29,19 +33,21 @@
 
 #[path = "../../../../benchmark/src/json.rs"]
 mod json;
+// The benchmark's metric table; its per-layer half is not read here.
+#[allow(dead_code)]
+#[path = "../../../../benchmark/src/metrics.rs"]
+mod metrics;
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
-const WORKLOADS: [&str; 4] = ["sql_pipeline", "sim_churn", "fanout_idle", "durable_churn"];
+use metrics::{MetricDef, END_TO_END, WORKLOADS};
 
 struct Cli {
     bins: [PathBuf; 2],
-    workloads: Vec<String>,
     seeds: Vec<u64>,
     pairs: usize,
-    seconds: f64,
     scale: Option<f64>,
     reps: Option<u64>,
     out: Option<PathBuf>,
@@ -51,10 +57,8 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
     let mut bins = Vec::new();
     let mut cli = Cli {
         bins: Default::default(),
-        workloads: WORKLOADS.iter().map(|w| w.to_string()).collect(),
         seeds: vec![1],
         pairs: 10,
-        seconds: 24.0,
         scale: None,
         reps: None,
         out: None,
@@ -71,10 +75,8 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
         let v = it.next().ok_or_else(|| format!("{arg} needs a value"))?;
         let bad = || format!("bad value {v:?} for {arg}");
         match arg.as_str() {
-            "--workloads" => cli.workloads = list(v).ok_or_else(bad)?,
             "--seeds" => cli.seeds = list(v).ok_or_else(bad)?,
             "--pairs" => cli.pairs = v.parse().map_err(|_| bad())?,
-            "--seconds" => cli.seconds = v.parse().map_err(|_| bad())?,
             "--scale" => cli.scale = Some(v.parse().map_err(|_| bad())?),
             "--reps" => cli.reps = Some(v.parse().map_err(|_| bad())?),
             "--out" => cli.out = Some(PathBuf::from(v)),
@@ -82,13 +84,6 @@ fn parse_cli(argv: &[String]) -> Result<Cli, String> {
         }
     }
     cli.bins = <[PathBuf; 2]>::try_from(bins).map_err(|_| "give exactly two binaries, A and B")?;
-    if let Some(w) = cli
-        .workloads
-        .iter()
-        .find(|w| !WORKLOADS.contains(&w.as_str()))
-    {
-        return Err(format!("unknown workload {w:?}; one of {WORKLOADS:?}"));
-    }
     if cli.pairs == 0 || cli.seeds.is_empty() {
         return Err("--pairs and --seeds must not be empty".into());
     }
@@ -146,7 +141,7 @@ fn parse_run(stdout: &str) -> Result<Run, String> {
 fn run(bin: &Path, workload: &str, seed: u64, cli: &Cli) -> Result<Run, String> {
     let mut cmd = Command::new(bin);
     cmd.args(["--workload", workload, "--seed", &seed.to_string()])
-        .args(["--seconds", &cli.seconds.to_string(), "--trace", "0"]);
+        .args(["--trace", "0"]);
     if let Some(s) = cli.scale {
         cmd.args(["--scale", &s.to_string()]);
     }
@@ -162,28 +157,23 @@ fn run(bin: &Path, workload: &str, seed: u64, cli: &Cli) -> Result<Run, String> 
         .map_err(|e| format!("{} {workload} seed {seed}: {e}", bin.display()))
 }
 
-/// An end-to-end metric of `BENCHMARK.json`.
-struct Metric {
-    name: String,
-    higher: bool,
-    bound: f64,
-}
-
-fn metrics_of(benchmark: &json::Value) -> Result<Vec<Metric>, String> {
-    let list = benchmark
+/// The bound of each end-to-end metric, from `BENCHMARK.json`.
+fn bounds() -> Result<BTreeMap<String, f64>, String> {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json");
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let list = json::parse(&text)?
         .get("end_to_end")
         .and_then(json::Value::as_arr)
-        .ok_or("BENCHMARK.json has no end_to_end list")?;
-    list.iter()
-        .map(|m| {
-            Some(Metric {
-                name: m.get("name")?.as_str()?.to_string(),
-                higher: m.get("better")?.as_str()? == "higher",
-                bound: m.get("bound")?.as_f64()?,
-            })
+        .ok_or("BENCHMARK.json has no end_to_end list")?
+        .iter()
+        .filter_map(|m| {
+            Some((
+                m.get("name")?.as_str()?.to_string(),
+                m.get("bound")?.as_f64()?,
+            ))
         })
-        .collect::<Option<_>>()
-        .ok_or_else(|| "BENCHMARK.json: an end_to_end entry lacks name, better or bound".into())
+        .collect();
+    Ok(list)
 }
 
 /// The `q`-quantile of `xs`, interpolated linearly between order statistics.
@@ -218,9 +208,32 @@ fn side(xs: &[f64]) -> String {
     )
 }
 
-/// One metric of one workload over its pairs: the report object and
-/// whether the medians stay inside the bound.
-fn metric_report(m: &Metric, a: &[f64], b: &[f64]) -> (String, bool) {
+/// How one metric of one workload reads over its pairs, from best to
+/// worst: a verdict is the maximum of its readings.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Reading {
+    /// B's median is inside the bound and A's runs are tight enough to say so.
+    Ok,
+    /// B's median is inside the bound, but A's quartile distance is wider
+    /// than the bound, and B does not beat every A run in every run.
+    Unresolved,
+    /// B's median is worse than A's by more than the bound.
+    Worse,
+}
+
+impl Reading {
+    fn name(self) -> &'static str {
+        match self {
+            Reading::Ok => "ok",
+            Reading::Worse => "worse",
+            Reading::Unresolved => "unresolved",
+        }
+    }
+}
+
+/// One metric of one workload over its pairs: the report object and how
+/// it reads against the bound.
+fn metric_report(m: &MetricDef, bound: f64, a: &[f64], b: &[f64]) -> (String, Reading) {
     let ratios: Vec<f64> = a.iter().zip(b).map(|(x, y)| y / x).collect();
     let better = |x: f64, y: f64| if m.higher { y > x } else { y < x };
     let wins = a.iter().zip(b).filter(|(x, y)| better(**x, **y)).count();
@@ -230,15 +243,23 @@ fn metric_report(m: &Metric, a: &[f64], b: &[f64]) -> (String, bool) {
     } else {
         (mb - ma) / ma
     };
-    let ok = worse <= m.bound;
+    let within = worse <= bound;
     let spread = quantile(a, 0.75) - quantile(a, 0.25);
+    let b_beats_all = b.iter().all(|y| a.iter().all(|x| better(*x, *y)));
+    let unresolved = spread / ma > bound && !b_beats_all;
     let gain = wins * 10 >= 9 * a.len() && -worse * ma > spread;
+    let reading = match (within, unresolved) {
+        (false, _) => Reading::Worse,
+        (true, true) => Reading::Unresolved,
+        (true, false) => Reading::Ok,
+    };
     let text = format!(
-        "{{\"better\": \"{}\", \"bound\": {}, \"a\": {}, \"b\": {}, \
+        "{{\"unit\": {}, \"better\": \"{}\", \"bound\": {bound}, \"a\": {}, \"b\": {}, \
          \"ratio\": {{\"median\": {}, \"min\": {}, \"max\": {}}}, \"wins\": {wins}, \
-         \"pairs\": {}, \"worse_by\": {}, \"within_bound\": {ok}, \"gain\": {gain}}}",
+         \"pairs\": {}, \"worse_by\": {}, \"within_bound\": {within}, \
+         \"a_spread\": {}, \"unresolved\": {unresolved}, \"gain\": {gain}}}",
+        json::quote(m.unit),
         if m.higher { "higher" } else { "lower" },
-        m.bound,
         side(a),
         side(b),
         num(quantile(&ratios, 0.5)),
@@ -246,8 +267,9 @@ fn metric_report(m: &Metric, a: &[f64], b: &[f64]) -> (String, bool) {
         num(quantile(&ratios, 1.0)),
         a.len(),
         num(worse),
+        num(spread / ma),
     );
-    (text, ok)
+    (text, reading)
 }
 
 fn main() -> ExitCode {
@@ -272,15 +294,13 @@ fn main() -> ExitCode {
 /// Run every pair, write the report, and say whether every run parsed,
 /// none failed and every `exact` line matched.
 fn pair(cli: &Cli) -> Result<bool, String> {
-    let bench_json = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCHMARK.json");
-    let text = std::fs::read_to_string(&bench_json)
-        .map_err(|e| format!("{}: {e}", bench_json.display()))?;
-    let metrics = metrics_of(&json::parse(&text)?)?;
+    let bounds = bounds()?;
     let mut clean = true;
-    let mut verdict = true;
+    // The worst reading of any metric; `Worse` on an `exact` mismatch.
+    let mut verdict = Reading::Ok;
     let mut order = 0usize;
     let mut sections = Vec::new();
-    for w in &cli.workloads {
+    for w in WORKLOADS {
         // Per side: each run's metrics, in pair order.
         let mut runs: [Vec<BTreeMap<String, f64>>; 2] = Default::default();
         let mut failed = [0u64; 2];
@@ -309,19 +329,24 @@ fn pair(cli: &Cli) -> Result<bool, String> {
         }
         clean &= exact_match && failed == [0, 0];
         let mut parts = Vec::new();
-        for m in &metrics {
+        for m in END_TO_END {
+            let bound = *bounds
+                .get(m.name)
+                .ok_or_else(|| format!("BENCHMARK.json has no bound for {}", m.name))?;
             let col = |s: usize| -> Result<Vec<f64>, String> {
                 runs[s]
                     .iter()
-                    .map(|r| r.get(&m.name).copied())
+                    .map(|r| r.get(m.name).copied())
                     .collect::<Option<_>>()
                     .ok_or_else(|| format!("{w}: a run did not report {}", m.name))
             };
-            let (text, ok) = metric_report(m, &col(0)?, &col(1)?);
-            verdict &= ok;
-            parts.push(format!("        {}: {text}", json::quote(&m.name)));
+            let (text, reading) = metric_report(m, bound, &col(0)?, &col(1)?);
+            verdict = verdict.max(reading);
+            parts.push(format!("        {}: {text}", json::quote(m.name)));
         }
-        verdict &= exact_match;
+        if !exact_match {
+            verdict = Reading::Worse;
+        }
         sections.push(format!(
             "    {}: {{\n      \"failed\": {{\"a\": {}, \"b\": {}}},\n      \
              \"exact_match\": {exact_match},\n      \"metrics\": {{\n{}\n      }}\n    }}",
@@ -334,16 +359,15 @@ fn pair(cli: &Cli) -> Result<bool, String> {
     let seeds: Vec<String> = cli.seeds.iter().map(u64::to_string).collect();
     let report = format!(
         "{{\n  \"a\": {},\n  \"b\": {},\n  \"seeds\": [{}],\n  \"pairs_per_seed\": {},\n  \
-         \"seconds\": {},\n  \"scale\": {},\n  \"reps\": {},\n  \
+         \"scale\": {},\n  \"reps\": {},\n  \
          \"verdict\": \"{}\",\n  \"workloads\": {{\n{}\n  }}\n}}\n",
         json::quote(&cli.bins[0].display().to_string()),
         json::quote(&cli.bins[1].display().to_string()),
         seeds.join(", "),
         cli.pairs,
-        cli.seconds,
         cli.scale.map_or("null".into(), num),
         cli.reps.map_or("null".into(), |r| r.to_string()),
-        if verdict { "ok" } else { "worse" },
+        verdict.name(),
         sections.join(",\n")
     );
     match &cli.out {
@@ -354,7 +378,7 @@ fn pair(cli: &Cli) -> Result<bool, String> {
     }
     eprintln!(
         "bench-pair: verdict {}; runs {}",
-        if verdict { "ok" } else { "worse" },
+        verdict.name(),
         if clean {
             "clean"
         } else {
@@ -389,17 +413,18 @@ mod tests {
         assert!(parse_run("").is_err());
     }
 
+    fn def(name: &str) -> &'static MetricDef {
+        END_TO_END.iter().find(|m| m.name == name).unwrap()
+    }
+
     #[test]
     fn reports_wins_ratios_and_the_bound() {
-        let m = Metric {
-            name: "peak_rss_mb".into(),
-            higher: false,
-            bound: 0.15,
-        };
+        let m = def("peak_rss_mb");
+        assert!(!m.higher);
         let a = [42.0, 41.8, 42.2, 41.9];
         let b = [37.0, 37.2, 36.9, 42.5];
-        let (text, ok) = metric_report(&m, &a, &b);
-        assert!(ok);
+        let (text, reading) = metric_report(m, 0.15, &a, &b);
+        assert_eq!(reading, Reading::Ok);
         let v = json::parse(&text).unwrap();
         assert_eq!(v.get("wins").and_then(json::Value::as_f64), Some(3.0));
         // Three wins in four is below nine in ten.
@@ -409,10 +434,31 @@ mod tests {
             ratio.get("max").and_then(json::Value::as_f64),
             Some(42.5 / 41.9)
         );
-        let (_, ok) = metric_report(&m, &b, &a);
-        assert!(ok, "a 13 % rise is inside a 15 % bound");
-        let tight = Metric { bound: 0.05, ..m };
-        assert!(!metric_report(&tight, &b, &a).1);
+        let (_, reading) = metric_report(m, 0.15, &b, &a);
+        assert_eq!(reading, Reading::Ok, "a 13 % rise is inside a 15 % bound");
+        assert_eq!(metric_report(m, 0.05, &b, &a).1, Reading::Worse);
+    }
+
+    /// A parent whose quartiles lie further apart than the bound cannot
+    /// show a median inside the bound, unless every change run beats every
+    /// parent run.
+    #[test]
+    fn a_spread_wider_than_the_bound_is_unresolved() {
+        let m = def("setup_s");
+        // Quartiles 0.0115 and 0.0175 around a median of 0.0147: 41 %.
+        let a = [0.0100, 0.0110, 0.0120, 0.0147, 0.0170, 0.0180, 0.0190];
+        let b = [0.0150, 0.0230, 0.0246, 0.0140, 0.0150, 0.0145, 0.0150];
+        let (text, reading) = metric_report(m, 0.25, &a, &b);
+        assert_eq!(reading, Reading::Unresolved);
+        let v = json::parse(&text).unwrap();
+        assert_eq!(v.get("within_bound"), Some(&json::Value::Bool(true)));
+        assert_eq!(v.get("unresolved"), Some(&json::Value::Bool(true)));
+        let faster: Vec<f64> = a.iter().map(|x| x / 2.0 - 0.004).collect();
+        assert_eq!(metric_report(m, 0.25, &a, &faster).1, Reading::Ok);
+        assert_eq!(metric_report(m, 0.45, &a, &b).1, Reading::Ok);
+        let slow: Vec<f64> = a.iter().map(|x| x * 1.5).collect();
+        assert_eq!(metric_report(m, 0.25, &a, &slow).1, Reading::Worse);
+        assert!(Reading::Ok < Reading::Unresolved && Reading::Unresolved < Reading::Worse);
     }
 
     #[test]
@@ -423,13 +469,13 @@ mod tests {
     }
 
     #[test]
-    fn cli_needs_two_binaries_and_known_workloads() {
+    fn cli_needs_two_binaries() {
         let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
-        let cli = parse_cli(&args("a b --workloads sim_churn --seeds 1,2 --pairs 3")).unwrap();
+        let cli = parse_cli(&args("a b --seeds 1,2 --pairs 3")).unwrap();
         assert_eq!((cli.seeds, cli.pairs), (vec![1, 2], 3));
         assert!(parse_cli(&args("a")).is_err());
         assert!(parse_cli(&args("a b c")).is_err());
-        assert!(parse_cli(&args("a b --workloads nope")).is_err());
+        assert!(parse_cli(&args("a b --seconds 24")).is_err());
         assert!(parse_cli(&args("a b --pairs 0")).is_err());
         assert!(parse_cli(&args("a b --seeds x")).is_err());
     }

@@ -10,7 +10,8 @@
 //! arrays (16 bytes an entry), so a search reads eight keys per cache line.
 //! NULL keys are not entered; no equality or range an index serves admits
 //! them. A probe may be any [`Value`]: it is compared through [`cmp_key`],
-//! which orders keys exactly as `Value::Int(k).total_cmp(probe)` does.
+//! which orders keys as `Value::Int(k).total_cmp(probe)` does, except that a
+//! `-0.0` probe equals key 0, as it does under SQL equality.
 //!
 //! Duplicate keys are supported (entries are ordered by key then rid). The
 //! tree supports bulk loading from sorted input and incremental inserts with
@@ -387,15 +388,19 @@ pub struct RangeState {
     hi: Option<Value>,
 }
 
-/// Key `k` against a probe of any type: exactly
-/// `Value::Int(k).total_cmp(probe)`, without building the `Value`. Every
+/// Key `k` against a probe of any type: `Value::Int(k).total_cmp(probe)`
+/// with a `-0.0` probe read as `0.0`, without building the `Value`. Every
 /// `Int` sorts after NULL and before every string, and against a `Float` it
-/// compares as `k as f64` under `f64::total_cmp`. Each arm is monotone in
-/// `k`, so the keys below any probe form a prefix of a sorted node and
-/// `partition_point` finds its end.
+/// compares as `k as f64` under `f64::total_cmp`. `total_cmp` orders
+/// `-0.0` below `0`, but `sql_cmp` has them equal, and the scans over an
+/// index must find what the filter they replace admits: `k = -0.0` and
+/// `k <= -0.0` match key 0. Each arm is monotone in `k`, so the keys below
+/// any probe form a prefix of a sorted node and `partition_point` finds its
+/// end.
 pub fn cmp_key(k: i64, probe: &Value) -> Ordering {
     match probe {
         Value::Int(p) => k.cmp(p),
+        Value::Float(p) if *p == 0.0 => k.cmp(&0),
         Value::Float(p) => (k as f64).total_cmp(p),
         Value::Null => Ordering::Greater,
         Value::Str(_) => Ordering::Less,
@@ -538,6 +543,25 @@ mod tests {
         let mut st = t.range_start(None, None, &m);
         let got = drain_keys(&t, &mut st, &m);
         assert_eq!(got, keys);
+    }
+
+    /// SQL has `-0.0 = 0`, so a `-0.0` probe finds key 0, as a lookup and
+    /// at either end of a range.
+    #[test]
+    fn minus_zero_probe_is_key_zero() {
+        let mut t = BTreeIndex::with_caps(4, 4);
+        for i in -20..20i64 {
+            t.insert(i, rid((i + 20) as u32));
+        }
+        assert_eq!(cmp_key(0, &Value::Float(-0.0)), Ordering::Equal);
+        assert_eq!(cmp_key(-1, &Value::Float(-0.0)), Ordering::Less);
+        let m = WorkMeter::new();
+        assert_eq!(t.lookup(&Value::Float(-0.0), &m), vec![rid(20)]);
+        let zero = Some(&Value::Float(-0.0));
+        let mut st = t.range_start(Some(&Value::Int(-2)), zero, &m);
+        assert_eq!(drain_keys(&t, &mut st, &m), [18, 19, 20]);
+        let mut st = t.range_start(zero, Some(&Value::Int(2)), &m);
+        assert_eq!(drain_keys(&t, &mut st, &m), [20, 21, 22]);
     }
 
     #[test]

@@ -535,6 +535,52 @@ fn index_on_a_non_int_column_is_a_catalog_error() {
     db.create_index("t", "k").unwrap();
 }
 
+/// A `-0.0` probe finds key 0: SQL has `-0.0 = 0`, and the index scans
+/// that replace the filter answer as the sequential scan does, for an
+/// equality and at a range's upper end.
+#[test]
+fn minus_zero_probes_find_key_zero() {
+    // Rows of ~3 KB, two to a page, so that a range with the planner's
+    // default selectivity (the bound `-0.0` is not a literal) is still
+    // cheaper through the index than by a sequential scan.
+    let table = || {
+        let mut db = Database::new();
+        let schema = Schema::from_pairs(&[("k", ColumnType::Int), ("pad", ColumnType::Str)]);
+        db.create_table("t", schema.unwrap()).unwrap();
+        let rows: Vec<Vec<Value>> = (0..1500)
+            .map(|i| vec![Value::Int(i % 500 - 2), Value::str("x".repeat(3000))])
+            .collect();
+        db.insert("t", &rows).unwrap();
+        db
+    };
+    let plain = table();
+    let mut db = table();
+    db.create_index("t", "k").unwrap();
+    db.analyze("t").unwrap();
+    for sql in [
+        "select count(*) from t where k = -0.0",
+        "select count(*) from t where k <= -0.0",
+        "select count(*) from t where k < -0.0",
+    ] {
+        let explain = db.prepare(sql).unwrap().explain();
+        assert!(explain.contains("IndexScan"), "{sql}: {explain}");
+        assert_eq!(
+            db.execute(sql).unwrap(),
+            plain.execute(sql).unwrap(),
+            "{sql}"
+        );
+    }
+    assert_eq!(
+        db.execute("select count(*) from t where k = -0.0").unwrap(),
+        vec![vec![Value::Int(3)]]
+    );
+    assert_eq!(
+        db.execute("select count(*) from t where k <= -0.0")
+            .unwrap(),
+        vec![vec![Value::Int(9)]]
+    );
+}
+
 /// Rows whose key is NULL are not entered, whether the index is built over
 /// them or they arrive after it; the index answers equality and ranges as
 /// the sequential scan does.

@@ -4,9 +4,11 @@
 //! A leaf is a `Vec<(Value, Rid)>` and an internal node a `Vec<Value>` of
 //! separators, with the same capacities, splits, bulk fill and routing
 //! (equal keys go left) as the `i64` tree, and every comparison is
-//! `Value::total_cmp`. Fed the same non-NULL `Int` keys, the two trees have
-//! the same nodes, so every lookup and range scan must hand out the same
-//! rids in the same order and charge the same units.
+//! `Value::total_cmp`, with a `-0.0` probe read as `0.0` (the one change
+//! the `i64` tree's `cmp_key` makes to that order). Fed the same non-NULL
+//! `Int` keys, the two trees have the same nodes, so every lookup and range
+//! scan must hand out the same rids in the same order and charge the same
+//! units.
 
 use std::cmp::Ordering;
 
@@ -172,6 +174,7 @@ impl ValueBTree {
     }
 
     pub fn lookup_into(&self, key: &Value, meter: &WorkMeter, out: &mut Vec<Rid>) {
+        let key = &unsigned_zero(key);
         out.clear();
         let mut leaf = Some(self.descend(key, meter));
         let mut first = true;
@@ -197,6 +200,8 @@ impl ValueBTree {
     }
 
     pub fn range_start(&self, lo: Option<&Value>, hi: Option<&Value>, meter: &WorkMeter) -> Range {
+        let lo = lo.map(unsigned_zero);
+        let (lo, hi) = (lo.as_ref(), hi.map(unsigned_zero));
         let (leaf, pos) = match lo {
             Some(k) => {
                 let leaf = self.descend(k, meter);
@@ -221,7 +226,7 @@ impl ValueBTree {
         Range {
             leaf: Some(leaf),
             pos,
-            hi: hi.cloned(),
+            hi,
         }
     }
 
@@ -259,6 +264,14 @@ pub struct Range {
     leaf: Option<NodeId>,
     pos: usize,
     hi: Option<Value>,
+}
+
+/// `probe`, with `-0.0` read as `0.0`.
+fn unsigned_zero(probe: &Value) -> Value {
+    match probe {
+        Value::Float(p) if *p == 0.0 => Value::Float(0.0),
+        v => v.clone(),
+    }
 }
 
 pub fn cmp_entry(a: &(Value, Rid), b: &(Value, Rid)) -> Ordering {
